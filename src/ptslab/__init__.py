@@ -41,7 +41,6 @@ from .base_semantics import (
     em_valid,
     logical_consequence,
     models,
-    models_monotone,
 )
 from .argument import (
     ArgStructure,

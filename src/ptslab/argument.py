@@ -7,6 +7,11 @@ by exactly one inference node strictly below it; unlabelled leaves are
 the open assumptions. Inference tags are free-form: structures are not
 confined to any fixed rule set, only canonicity singles out the four
 introduction shapes.
+
+Rewrite rules are written in the same tree language: a pattern is a
+structure whose formulas may hold ?A variables, whose leaves may be ?D
+structure variables and whose labels are ?l variables; a template is a
+pattern that may also hold (plug ...). One reader serves all three.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .formula import Conj, Disj, Formula, Impl, parse_formula, render_formula
+from .formula import Conj, Disj, Formula, FVar, Impl, parse_formula, render_formula
 from .sexpr import SexprError, Sym, read_all_sexprs, read_sexpr
 
 __all__ = [
@@ -26,6 +31,12 @@ __all__ = [
     "EmptyTop",
     "Inf",
     "ArgStructure",
+    "PVar",
+    "PAssume",
+    "PInf",
+    "DSpec",
+    "Plug",
+    "Pattern",
     "StructureInfo",
     "conclusion_of",
     "check_structure",
@@ -89,6 +100,53 @@ class Inf:
 
 
 ArgStructure = Assumption | EmptyTop | Inf
+
+
+# rule trees: label variables stand where structures have integer labels
+
+
+@dataclass(frozen=True)
+class PVar:
+    """A structure variable ?D; in patterns it may constrain its conclusion."""
+
+    name: str
+    concludes: Formula | FVar | None = None
+
+
+@dataclass(frozen=True)
+class PAssume:
+    formula: Formula | FVar
+    labelvar: str | None = None
+
+
+@dataclass(frozen=True)
+class DSpec:
+    """A discharged label variable; in patterns it may constrain the
+    formulas of the leaves it binds."""
+
+    labelvar: str
+    formula: Formula | FVar | None = None
+
+
+@dataclass(frozen=True)
+class PInf:
+    tag: str
+    conclusion: Formula | FVar
+    children: tuple["Pattern", ...]
+    discharge: tuple[DSpec, ...] = ()
+
+
+@dataclass(frozen=True)
+class Plug:
+    """Insert the filler at every leaf of `source` carrying label `labelvar`."""
+
+    source: str
+    labelvar: str
+    filler: "Pattern"
+
+
+# a template is a pattern that may also hold Plug
+Pattern = PVar | PAssume | EmptyTop | PInf | Plug
 
 
 def conclusion_of(d: ArgStructure) -> Formula:
@@ -476,51 +534,102 @@ def render_structure(d: ArgStructure) -> str:
     raise StructureError(f"not a structure: {d!r}")
 
 
-def _structure_from_sexpr(x) -> ArgStructure:
+def _metavar(x) -> str | None:
+    if isinstance(x, Sym) and len(x.text) > 1 and x.text.startswith("?"):
+        return x.text[1:]
+    return None
+
+
+def _label(x, mode: str):
+    """An integer label in a structure, a ?l variable name in a rule; None otherwise."""
+    if mode == "structure":
+        return x if isinstance(x, int) else None
+    return _metavar(x)
+
+
+def _discharge_item(item, mode: str):
+    label = _label(item, mode)
+    if label is not None:
+        return label if mode == "structure" else DSpec(label)
+    # (?l "F"): the leaves discharged as ?l must match F
+    if mode == "pattern" and isinstance(item, list) and len(item) == 2:
+        var, text = item
+        if _metavar(var) and isinstance(text, str):
+            return DSpec(_metavar(var), parse_formula(text, metavars=True))
+    raise StructureError(f"bad discharge spec {item!r} in a {mode}")
+
+
+def _read_tree(x, mode: str):
+    """A tree from its s-expression; the mode decides which forms are allowed.
+
+    structure: integer labels and ground formulas only.
+    pattern:   ?A formulas, ?l labels, ?D leaves, (?D :concludes "F") and
+               (?l "F") discharge constraints.
+    template:  ?A formulas, ?l labels, ?D leaves and (plug ?D ?l TEMPLATE).
+    """
+    meta = mode != "structure"
+    var = _metavar(x)
+    if meta and var:
+        return PVar(var)
     if not isinstance(x, list) or not x or not isinstance(x[0], Sym):
-        raise StructureError(f"expected a structure form, got {x!r}")
+        raise StructureError(f"expected a {mode} form, got {x!r}")
     head = x[0].text
+    var = _metavar(x[0])
+    if mode == "pattern" and var:
+        if len(x) == 3 and x[1] == Sym(":concludes") and isinstance(x[2], str):
+            return PVar(var, parse_formula(x[2], metavars=True))
+        raise StructureError(f"bad structure-variable pattern {x!r}")
     if head == "empty":
         if len(x) != 1:
             raise StructureError("(empty) takes no arguments")
         return EmptyTop()
+    if head == "plug" and mode == "template":
+        if len(x) != 4 or not _metavar(x[1]) or not _metavar(x[2]):
+            raise StructureError("(plug ?D ?l TEMPLATE) expected")
+        return Plug(_metavar(x[1]), _metavar(x[2]), _read_tree(x[3], mode))
     if head == "assume":
         if len(x) < 2 or not isinstance(x[1], str):
             raise StructureError("(assume ...) needs a quoted formula")
         label = None
         rest = x[2:]
         if rest:
-            if len(rest) != 2 or rest[0] != Sym(":label") or not isinstance(rest[1], int):
-                raise StructureError("(assume ...) options: :label N")
-            label = rest[1]
-        return Assumption(parse_formula(x[1]), label)
+            label = _label(rest[1], mode) if len(rest) == 2 and rest[0] == Sym(":label") else None
+            if label is None:
+                raise StructureError(f"(assume ...) options: :label {'?l' if meta else 'N'}")
+        f = parse_formula(x[1], metavars=meta)
+        return PAssume(f, label) if meta else Assumption(f, label)
     if head == "inf":
         if len(x) < 3 or not isinstance(x[1], Sym) or not isinstance(x[2], str):
-            raise StructureError("(inf TAG \"FORMULA\" CHILD...) expected")
-        tag = x[1].text
-        concl = parse_formula(x[2])
+            raise StructureError('(inf TAG "FORMULA" CHILD...) expected')
+        concl = parse_formula(x[2], metavars=meta)
         rest = list(x[3:])
-        discharges: frozenset[int] = frozenset()
+        discharge = []
         if Sym(":discharge") in rest:
             k = rest.index(Sym(":discharge"))
             spec = rest[k + 1 :]
-            if len(spec) != 1 or not isinstance(spec[0], list) or not all(
-                isinstance(i, int) for i in spec[0]
-            ):
-                raise StructureError(":discharge needs a list of integer labels")
-            discharges = frozenset(spec[0])
+            if len(spec) != 1 or not isinstance(spec[0], list):
+                raise StructureError(":discharge needs a list of labels")
+            discharge = [_discharge_item(item, mode) for item in spec[0]]
             rest = rest[:k]
-        children = tuple(_structure_from_sexpr(c) for c in rest)
-        return Inf(tag, concl, children, discharges)
-    raise StructureError(f"unknown structure form {head!r}")
+        if not rest:
+            raise StructureError("inference nodes need at least one child; use (empty) for none")
+        children = tuple(_read_tree(c, mode) for c in rest)
+        if meta:
+            return PInf(x[1].text, concl, children, tuple(discharge))
+        return Inf(x[1].text, concl, children, frozenset(discharge))
+    raise StructureError(f"unknown {mode} form {head!r}")
 
 
-def parse_structure(text: str) -> ArgStructure:
+def _parse_tree(text: str, mode: str):
     try:
         x = read_sexpr(text)
     except SexprError as e:
         raise StructureError(str(e)) from None
-    d = _structure_from_sexpr(x)
+    return _read_tree(x, mode)
+
+
+def parse_structure(text: str) -> ArgStructure:
+    d = _parse_tree(text, "structure")
     check_structure(d)
     return d
 
@@ -533,7 +642,7 @@ def parse_structures(text: str) -> list[ArgStructure]:
         raise StructureError(str(e)) from None
     out = []
     for x in forms:
-        d = _structure_from_sexpr(x)
+        d = _read_tree(x, "structure")
         check_structure(d)
         out.append(d)
     return out

@@ -9,12 +9,11 @@ the valuation sending each atom to its derivability.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .atomic_base import AtomicBase, atomic_closure, is_consistent, rule_universe
+from .atomic_base import AtomicBase, atomic_closure, is_consistent
 from .formula import BOT, Atom, Conj, Disj, Formula, Impl, negation
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "models",
     "em_valid",
     "logical_consequence",
-    "models_monotone",
 ]
 
 
@@ -104,28 +102,3 @@ def logical_consequence(
             return ConsequenceVerdict(False, base.id)
     return ConsequenceVerdict(True)
 
-
-def models_monotone(
-    base: AtomicBase,
-    context: Iterable[Formula],
-    goal: Formula,
-    signature: list[Atom],
-    max_extra_rules: int = 1,
-) -> bool:
-    """Experimental monotone reading of the context condition.
-
-    Quantifies the material condition over every rule-superset of the base
-    within the given signature (up to max_extra_rules added rules). Not
-    wired into the validity checkers.
-    """
-    context = tuple(context)
-    if not context:
-        return models(base, (), goal)
-    fresh = [r for r in rule_universe(signature) if r not in base.rules]
-    for k in range(max_extra_rules + 1):
-        for extra in itertools.combinations(fresh, k):
-            sup = AtomicBase(base.rules | frozenset(extra))
-            derivable = atomic_closure(sup, ())
-            if all(_holds(c, derivable) for c in context) and not _holds(goal, derivable):
-                return False
-    return True

@@ -11,7 +11,6 @@ import argparse
 import json
 import string
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -56,7 +55,7 @@ from .validity import (
     valid,
 )
 
-__all__ = ["main", "run", "search_counterexample", "RunConfig"]
+__all__ = ["main", "search_counterexample"]
 
 _PARSE_ERRORS = (
     FormulaError,
@@ -70,14 +69,6 @@ _PARSE_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """A parsed invocation; run() maps it to an exit code."""
-
-    command: str
-    args: argparse.Namespace
-
-
 class _Cli(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -85,7 +76,7 @@ class _Cli(argparse.ArgumentParser):
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "format", "text") == "lines":
+    if args.format == "lines":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
@@ -148,9 +139,9 @@ def _load_structures(path: str):
 
 def _bounds_from(args) -> Bounds:
     sigma = []
-    for path in getattr(args, "sigma_pool", None) or []:
+    for path in args.sigma_pool or []:
         sigma.extend(_load_structures(path))
-    exts = tuple(_load_rules(p) for p in getattr(args, "extensions", None) or [])
+    exts = tuple(_load_rules(p) for p in args.extensions or [])
     return Bounds(
         max_reduction_steps=args.max_steps,
         sigma_candidates=tuple(sigma),
@@ -159,10 +150,9 @@ def _bounds_from(args) -> Bounds:
 
 
 def _context_from(args) -> list[Formula]:
-    raw = getattr(args, "context", None)
-    if not raw:
+    if not args.context:
         return []
-    return [parse_formula(part) for part in raw.split(";") if part.strip()]
+    return [parse_formula(part) for part in args.context.split(";") if part.strip()]
 
 
 def search_counterexample(
@@ -425,11 +415,13 @@ def _cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, family=False):
-    sp.add_argument("--max-steps", type=int, default=10, dest="max_steps")
-    sp.add_argument("--sigma-pool", nargs="*", dest="sigma_pool", metavar="FILE")
-    sp.add_argument("--extensions", nargs="*", dest="extensions", metavar="FILE")
-    sp.add_argument("--format", choices=("text", "lines"), default="text")
+def _add_options(sp, *, steps=False, pools=False, family=False):
+    """Register the options a command reads, and only those."""
+    if steps:
+        sp.add_argument("--max-steps", type=int, default=10, dest="max_steps")
+    if pools:
+        sp.add_argument("--sigma-pool", nargs="*", dest="sigma_pool", metavar="FILE")
+        sp.add_argument("--extensions", nargs="*", dest="extensions", metavar="FILE")
     if family:
         sp.add_argument(
             "--family",
@@ -437,6 +429,7 @@ def _add_common(sp, family=False):
             metavar="SPEC",
             help="base files and/or enumerate:atoms=K,rules=M",
         )
+    sp.add_argument("--format", choices=("text", "lines"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,35 +439,35 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("derive", help="atomic derivability on a base")
     sp.add_argument("base")
     sp.add_argument("goal")
-    _add_common(sp)
+    _add_options(sp)
     sp.set_defaults(func=_cmd_derive)
 
     sp = sub.add_parser("models", help="base-semantics consequence on one base")
     sp.add_argument("base")
     sp.add_argument("ctx_or_goal")
     sp.add_argument("maybe_goal", nargs="?")
-    _add_common(sp)
+    _add_options(sp)
     sp.set_defaults(func=_cmd_models)
 
     sp = sub.add_parser("consequence", help="consequence over a family of bases")
     sp.add_argument("variant", choices=("base",) + CONSEQUENCE_VARIANTS)
     sp.add_argument("goal")
     sp.add_argument("--context", help="semicolon-separated formulas")
-    _add_common(sp, family=True)
+    _add_options(sp, steps=True, pools=True, family=True)
     sp.set_defaults(func=_cmd_consequence)
 
     sp = sub.add_parser("reduce", help="bounded reduction between two structures")
     sp.add_argument("rules")
     sp.add_argument("frm", metavar="from")
     sp.add_argument("to")
-    _add_common(sp)
+    _add_options(sp, steps=True)
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("valid", help="bounded validity of an argument on a base")
     sp.add_argument("structure")
     sp.add_argument("rules")
     sp.add_argument("base")
-    _add_common(sp)
+    _add_options(sp, steps=True, pools=True)
     sp.set_defaults(func=_cmd_valid)
 
     sp = sub.add_parser("search", help="first enumerated base refuting a consequence")
@@ -483,24 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--atoms", required=True, help="comma-separated atom names")
     sp.add_argument("--max-rules", type=int, default=2, dest="max_rules")
     sp.add_argument("--cap", type=int, default=200_000)
-    sp.add_argument("--format", choices=("text", "lines"), default="text")
+    _add_options(sp)
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("demo", help="run a packaged worked example")
     sp.add_argument("name", choices=sorted(_DEMOS))
-    _add_common(sp, family=True)
+    _add_options(sp, steps=True, pools=True, family=True)
     sp.set_defaults(func=_cmd_demo)
 
     return p
-
-
-def run(config: RunConfig) -> int:
-    """Execute a parsed invocation."""
-    try:
-        return config.args.func(config.args)
-    except _PARSE_ERRORS as e:
-        print(f"ptslab: error: {e}", file=sys.stderr)
-        return 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -512,7 +496,11 @@ def main(argv: list[str] | None = None) -> int:
             args.ctx, args.goal = None, args.ctx_or_goal
         else:
             args.ctx, args.goal = args.ctx_or_goal, args.maybe_goal
-    return run(RunConfig(args.command, args))
+    try:
+        return args.func(args)
+    except _PARSE_ERRORS as e:
+        print(f"ptslab: error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

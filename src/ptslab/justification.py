@@ -17,16 +17,25 @@ engine.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .argument import (
     ArgStructure,
     Assumption,
+    DSpec,
     EmptyTop,
     Inf,
+    Pattern,
+    PAssume,
+    PInf,
+    Plug,
+    PVar,
     StructureError,
+    _parse_tree,
     canonical_form,
     canonical_key,
     check_structure,
@@ -50,24 +59,17 @@ from .formula import (
     FormulaError,
     FVar,
     Impl,
-    parse_formula,
     render_formula,
 )
-from .sexpr import SexprError, Sym, read_sexpr
 
 __all__ = [
     "JustificationError",
     "JustificationContractError",
     "PVar",
     "PAssume",
-    "PEmpty",
     "PInf",
     "DSpec",
-    "TVar",
-    "TAssume",
-    "TEmpty",
-    "TInf",
-    "TPlug",
+    "Plug",
     "SchematicRewrite",
     "ConstantMap",
     "ChoiceFunction",
@@ -97,77 +99,7 @@ class JustificationContractError(JustificationError):
 
 
 # ---------------------------------------------------------------------------
-# patterns and templates
-
-
-@dataclass(frozen=True)
-class PVar:
-    name: str
-    concludes: Formula | FVar | None = None
-
-
-@dataclass(frozen=True)
-class PAssume:
-    formula: Formula | FVar
-    labelvar: str | None = None
-
-
-@dataclass(frozen=True)
-class PEmpty:
-    pass
-
-
-@dataclass(frozen=True)
-class DSpec:
-    labelvar: str
-    formula: Formula | FVar | None = None
-
-
-@dataclass(frozen=True)
-class PInf:
-    tag: str
-    conclusion: Formula | FVar
-    children: tuple["Pattern", ...]
-    discharge: tuple[DSpec, ...] = ()
-
-
-Pattern = Union[PVar, PAssume, PEmpty, PInf]
-
-
-@dataclass(frozen=True)
-class TVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class TAssume:
-    formula: Formula | FVar
-    labelvar: str | None = None
-
-
-@dataclass(frozen=True)
-class TEmpty:
-    pass
-
-
-@dataclass(frozen=True)
-class TInf:
-    tag: str
-    conclusion: Formula | FVar
-    children: tuple["Template", ...]
-    discharge: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class TPlug:
-    """Insert the filler at every leaf of `source` carrying label `labelvar`."""
-
-    source: str
-    labelvar: str
-    filler: "Template"
-
-
-Template = Union[TVar, TAssume, TEmpty, TInf, TPlug]
+# matching patterns and building templates (the nodes live in argument.py)
 
 
 class _Bindings:
@@ -246,7 +178,7 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
                 return b if structures_equal(b.svars[name], d) else None
             b.svars[name] = d
             return b
-        case PEmpty():
+        case EmptyTop():
             return b if isinstance(d, EmptyTop) else None
         case PAssume(fpat, labelvar):
             if not isinstance(d, Assumption):
@@ -325,31 +257,31 @@ def _plug(tree: ArgStructure, label: int, fill: ArgStructure) -> ArgStructure:
     return go(tree)
 
 
-def _build(t: Template, b: _Bindings, alloc: _LabelAlloc) -> ArgStructure:
+def _build(t: Pattern, b: _Bindings, alloc: _LabelAlloc) -> ArgStructure:
     match t:
-        case TVar(name):
+        case PVar(name):
             try:
                 return b.svars[name]
             except KeyError:
                 raise JustificationError(f"unbound structure variable ?{name}") from None
-        case TEmpty():
-            return EmptyTop()
-        case TAssume(fpat, labelvar):
+        case EmptyTop():
+            return t
+        case PAssume(fpat, labelvar):
             lbl = None
             if labelvar is not None:
                 if labelvar not in b.lvars:
                     b.lvars[labelvar] = alloc.take()
                 lbl = b.lvars[labelvar]
             return Assumption(_subst_formula(fpat, b), lbl)
-        case TInf(tag, cpat, children, discharge):
+        case PInf(tag, cpat, children, discharge):
             labels = []
-            for lv in discharge:
-                if lv not in b.lvars:
-                    b.lvars[lv] = alloc.take()
-                labels.append(b.lvars[lv])
+            for spec in discharge:
+                if spec.labelvar not in b.lvars:
+                    b.lvars[spec.labelvar] = alloc.take()
+                labels.append(b.lvars[spec.labelvar])
             kids = tuple(_build(ch, b, alloc) for ch in children)
             return Inf(tag, _subst_formula(cpat, b), kids, frozenset(labels))
-        case TPlug(source, labelvar, filler):
+        case Plug(source, labelvar, filler):
             try:
                 tree = b.svars[source]
                 label = b.lvars[labelvar]
@@ -359,10 +291,10 @@ def _build(t: Template, b: _Bindings, alloc: _LabelAlloc) -> ArgStructure:
     raise JustificationError(f"bad template {t!r}")
 
 
-def _pattern_vars(pat: Pattern) -> tuple[set[str], set[str], set[str]]:
+def _tree_vars(t: Pattern) -> tuple[set[str], Counter]:
+    """Formula variables, and structure variables with their use counts."""
     fv: set[str] = set()
-    sv: set[str] = set()
-    lv: set[str] = set()
+    sv: Counter = Counter()
 
     def fwalk(fp):
         match fp:
@@ -371,83 +303,40 @@ def _pattern_vars(pat: Pattern) -> tuple[set[str], set[str], set[str]]:
             case Conj(l, r) | Disj(l, r) | Impl(l, r):
                 fwalk(l)
                 fwalk(r)
-            case _:
-                pass
 
     def walk(p):
         match p:
             case PVar(name, concludes):
-                sv.add(name)
-                if concludes is not None:
-                    fwalk(concludes)
-            case PAssume(fpat, labelvar):
+                sv[name] += 1
+                fwalk(concludes)
+            case PAssume(fpat, _):
                 fwalk(fpat)
-                if labelvar:
-                    lv.add(labelvar)
             case PInf(_, cpat, children, dspecs):
                 fwalk(cpat)
                 for spec in dspecs:
-                    lv.add(spec.labelvar)
-                    if spec.formula is not None:
-                        fwalk(spec.formula)
+                    fwalk(spec.formula)
                 for ch in children:
                     walk(ch)
-            case _:
-                pass
-
-    walk(pat)
-    return fv, sv, lv
-
-
-def _template_vars(t: Template) -> tuple[set[str], set[str]]:
-    fv: set[str] = set()
-    sv: set[str] = set()
-
-    def fwalk(fp):
-        match fp:
-            case FVar(name):
-                fv.add(name)
-            case Conj(l, r) | Disj(l, r) | Impl(l, r):
-                fwalk(l)
-                fwalk(r)
-            case _:
-                pass
-
-    def walk(tt):
-        match tt:
-            case TVar(name):
-                sv.add(name)
-            case TAssume(fpat, _):
-                fwalk(fpat)
-            case TInf(_, cpat, children, _):
-                fwalk(cpat)
-                for ch in children:
-                    walk(ch)
-            case TPlug(source, _, filler):
-                sv.add(source)
+            case Plug(source, _, filler):
+                sv[source] += 1
                 walk(filler)
-            case _:
-                pass
 
     walk(t)
     return fv, sv
 
 
-def _count_svar_uses(pat: Pattern) -> dict[str, int]:
-    counts: dict[str, int] = {}
-
-    def walk(p):
-        match p:
-            case PVar(name, _):
-                counts[name] = counts.get(name, 0) + 1
-            case PInf(_, _, children, _):
-                for ch in children:
-                    walk(ch)
-            case _:
-                pass
-
-    walk(pat)
-    return counts
+def _clause_problem(pat: Pattern, tmpl: Pattern) -> str | None:
+    """Why pattern => template is not a rewrite clause, or None if it is."""
+    pfv, psv = _tree_vars(pat)
+    for v, n in psv.items():
+        if n > 1:
+            return f"structure variable ?{v} bound {n} times (patterns are linear)"
+    tfv, tsv = _tree_vars(tmpl)
+    if not tfv <= pfv:
+        return f"template formula variables {sorted(tfv - pfv)} unbound"
+    if not tsv.keys() <= psv.keys():
+        return f"template structure variables {sorted(tsv.keys() - psv.keys())} unbound"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -459,27 +348,15 @@ class SchematicRewrite:
     """A named rewrite rule; clauses are tried in order, first match applies."""
 
     name: str
-    clauses: tuple[tuple[Pattern, Template], ...]
+    clauses: tuple[tuple[Pattern, Pattern], ...]
 
     def __post_init__(self):
         if not self.clauses:
             raise JustificationError(f"rule {self.name}: no clauses")
         for pat, tmpl in self.clauses:
-            pfv, psv, _plv = _pattern_vars(pat)
-            for v, n in _count_svar_uses(pat).items():
-                if n > 1:
-                    raise JustificationError(
-                        f"rule {self.name}: structure variable ?{v} bound {n} times (patterns are linear)"
-                    )
-            tfv, tsv = _template_vars(tmpl)
-            if not tfv <= pfv:
-                raise JustificationError(
-                    f"rule {self.name}: template formula variables {sorted(tfv - pfv)} unbound"
-                )
-            if not tsv <= psv:
-                raise JustificationError(
-                    f"rule {self.name}: template structure variables {sorted(tsv - psv)} unbound"
-                )
+            problem = _clause_problem(pat, tmpl)
+            if problem:
+                raise JustificationError(f"rule {self.name}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -780,29 +657,13 @@ def _struct_to_pattern(d: ArgStructure) -> Pattern:
         case Assumption(f, lbl):
             return PAssume(f, _lvar_for(lbl) if lbl is not None else None)
         case EmptyTop():
-            return PEmpty()
+            return d
         case Inf(tag, c, children, dis):
             return PInf(
                 tag,
                 c,
                 tuple(_struct_to_pattern(ch) for ch in children),
                 tuple(DSpec(_lvar_for(l)) for l in sorted(dis)),
-            )
-    raise JustificationError(f"not a structure: {d!r}")
-
-
-def _struct_to_template(d: ArgStructure) -> Template:
-    match d:
-        case Assumption(f, lbl):
-            return TAssume(f, _lvar_for(lbl) if lbl is not None else None)
-        case EmptyTop():
-            return TEmpty()
-        case Inf(tag, c, children, dis):
-            return TInf(
-                tag,
-                c,
-                tuple(_struct_to_template(ch) for ch in children),
-                tuple(_lvar_for(l) for l in sorted(dis)),
             )
     raise JustificationError(f"not a structure: {d!r}")
 
@@ -846,7 +707,7 @@ def _gen_pattern(p: Pattern, d: ArgStructure, g: _Gen) -> Pattern:
     match p, d:
         case (PAssume(fp, lv), Assumption(f, lbl)) if lv == (_lvar_for(lbl) if lbl is not None else None):
             return PAssume(_gen_formula(fp, f, g), lv)
-        case (PEmpty(), EmptyTop()):
+        case (EmptyTop(), EmptyTop()):
             return p
         case (PInf(tag, cp, children, dspecs), Inf(tag2, c, kids, dis)) if (
             tag == tag2
@@ -863,27 +724,6 @@ def _gen_pattern(p: Pattern, d: ArgStructure, g: _Gen) -> Pattern:
             return PVar(g.svar(p, d))
 
 
-def _gen_template(t: Template, d: ArgStructure, g: _Gen) -> Template:
-    match t, d:
-        case (TAssume(fp, lv), Assumption(f, lbl)) if lv == (_lvar_for(lbl) if lbl is not None else None):
-            return TAssume(_gen_formula(fp, f, g), lv)
-        case (TEmpty(), EmptyTop()):
-            return t
-        case (TInf(tag, cp, children, dlv), Inf(tag2, c, kids, dis)) if (
-            tag == tag2
-            and len(children) == len(kids)
-            and dlv == tuple(_lvar_for(l) for l in sorted(dis))
-        ):
-            return TInf(
-                tag,
-                _gen_formula(cp, c, g),
-                tuple(_gen_template(t2, k2, g) for t2, k2 in zip(children, kids)),
-                dlv,
-            )
-        case _:
-            return TVar(g.svar(t, d))
-
-
 def _table_is_schematic(cm: ConstantMap) -> bool:
     entries = sorted(
         ((canonical_form(k), canonical_form(v)) for k, v in cm.pairs),
@@ -893,19 +733,14 @@ def _table_is_schematic(cm: ConstantMap) -> bool:
         # a lone ground pair is a table entry, not a rewriting scheme
         return False
     k0, v0 = entries[0]
-    pat: Pattern = _struct_to_pattern(k0)
-    tmpl: Template = _struct_to_template(v0)
+    pat = _struct_to_pattern(k0)
+    tmpl = _struct_to_pattern(v0)
     for k, v in entries[1:]:
         g = _Gen()
         pat = _gen_pattern(pat, k, g)
-        tmpl = _gen_template(tmpl, v, g)
-    tfv, tsv = _template_vars(tmpl)
-    pfv, psv, _ = _pattern_vars(pat)
-    if not (tfv <= pfv and tsv <= psv):
-        return False  # the output is not a function of the matched parts
-    for v, n in _count_svar_uses(pat).items():
-        if n > 1:
-            return False
+        tmpl = _gen_pattern(tmpl, v, g)
+    if _clause_problem(pat, tmpl):
+        return False  # nonlinear, or the output is not a function of the matched parts
     rule = SchematicRewrite(cm.name + "~scheme", ((pat, tmpl),))
     for k, v in entries:
         try:
@@ -939,115 +774,6 @@ def is_schematic(j: Justification) -> bool:
 # rule files:  name: PATTERN => TEMPLATE      (repeated names merge clauses)
 
 
-def _formula_pat(text: str):
-    return parse_formula(text, metavars=True)
-
-
-def _meta_name(x) -> str | None:
-    if isinstance(x, Sym) and x.text.startswith("?"):
-        return x.text[1:]
-    return None
-
-
-def _pattern_from_sexpr(x) -> Pattern:
-    name = _meta_name(x)
-    if name:
-        return PVar(name)
-    if not isinstance(x, list) or not x:
-        raise JustificationError(f"bad pattern {x!r}")
-    head = _meta_name(x[0])
-    if head:
-        # (?D :concludes "F")
-        if len(x) == 3 and x[1] == Sym(":concludes") and isinstance(x[2], str):
-            return PVar(head, _formula_pat(x[2]))
-        raise JustificationError(f"bad structure-variable pattern {x!r}")
-    if not isinstance(x[0], Sym):
-        raise JustificationError(f"bad pattern {x!r}")
-    kind = x[0].text
-    if kind == "empty":
-        return PEmpty()
-    if kind == "assume":
-        if len(x) < 2 or not isinstance(x[1], str):
-            raise JustificationError("(assume ...) needs a quoted formula")
-        lv = None
-        rest = x[2:]
-        if rest:
-            if len(rest) != 2 or rest[0] != Sym(":label") or _meta_name(rest[1]) is None:
-                raise JustificationError("(assume ...) pattern options: :label ?l")
-            lv = _meta_name(rest[1])
-        return PAssume(_formula_pat(x[1]), lv)
-    if kind == "inf":
-        if len(x) < 3 or not isinstance(x[1], Sym) or not isinstance(x[2], str):
-            raise JustificationError('(inf TAG "FORMULA" CHILD...) expected')
-        rest = list(x[3:])
-        dspecs: tuple[DSpec, ...] = ()
-        if Sym(":discharge") in rest:
-            k = rest.index(Sym(":discharge"))
-            spec = rest[k + 1 :]
-            if len(spec) != 1 or not isinstance(spec[0], list):
-                raise JustificationError(":discharge needs a list")
-            specs = []
-            for item in spec[0]:
-                if _meta_name(item):
-                    specs.append(DSpec(_meta_name(item)))
-                elif (
-                    isinstance(item, list)
-                    and len(item) == 2
-                    and _meta_name(item[0])
-                    and isinstance(item[1], str)
-                ):
-                    specs.append(DSpec(_meta_name(item[0]), _formula_pat(item[1])))
-                else:
-                    raise JustificationError(f"bad discharge spec {item!r}")
-            dspecs = tuple(specs)
-            rest = rest[:k]
-        children = tuple(_pattern_from_sexpr(c) for c in rest)
-        return PInf(x[1].text, _formula_pat(x[2]), children, dspecs)
-    raise JustificationError(f"unknown pattern form {kind!r}")
-
-
-def _template_from_sexpr(x) -> Template:
-    name = _meta_name(x)
-    if name:
-        return TVar(name)
-    if not isinstance(x, list) or not x or not isinstance(x[0], Sym):
-        raise JustificationError(f"bad template {x!r}")
-    kind = x[0].text
-    if kind == "empty":
-        return TEmpty()
-    if kind == "plug":
-        if len(x) != 4 or not _meta_name(x[1]) or not _meta_name(x[2]):
-            raise JustificationError("(plug ?D ?l TEMPLATE) expected")
-        return TPlug(_meta_name(x[1]), _meta_name(x[2]), _template_from_sexpr(x[3]))
-    if kind == "assume":
-        if len(x) < 2 or not isinstance(x[1], str):
-            raise JustificationError("(assume ...) needs a quoted formula")
-        lv = None
-        rest = x[2:]
-        if rest:
-            if len(rest) != 2 or rest[0] != Sym(":label") or _meta_name(rest[1]) is None:
-                raise JustificationError("(assume ...) template options: :label ?l")
-            lv = _meta_name(rest[1])
-        return TAssume(_formula_pat(x[1]), lv)
-    if kind == "inf":
-        if len(x) < 3 or not isinstance(x[1], Sym) or not isinstance(x[2], str):
-            raise JustificationError('(inf TAG "FORMULA" CHILD...) expected')
-        rest = list(x[3:])
-        dlvars: tuple[str, ...] = ()
-        if Sym(":discharge") in rest:
-            k = rest.index(Sym(":discharge"))
-            spec = rest[k + 1 :]
-            if len(spec) != 1 or not isinstance(spec[0], list) or not all(
-                _meta_name(i) for i in spec[0]
-            ):
-                raise JustificationError(":discharge needs a list of ?l variables")
-            dlvars = tuple(_meta_name(i) for i in spec[0])
-            rest = rest[:k]
-        children = tuple(_template_from_sexpr(c) for c in rest)
-        return TInf(x[1].text, _formula_pat(x[2]), children, dlvars)
-    raise JustificationError(f"unknown template form {kind!r}")
-
-
 def _split_arrow(line: str, lineno: int) -> tuple[str, str]:
     in_str = False
     i = 0
@@ -1063,7 +789,7 @@ def _split_arrow(line: str, lineno: int) -> tuple[str, str]:
 
 def parse_rules(text: str) -> JustificationSet:
     """Parse a rewrite-rule file into a set of schematic rewrites."""
-    clauses: dict[str, list[tuple[Pattern, Template]]] = {}
+    clauses: dict[str, list[tuple[Pattern, Pattern]]] = {}
     order: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -1075,9 +801,9 @@ def parse_rules(text: str) -> JustificationSet:
         name = name.strip()
         lhs, rhs = _split_arrow(body, lineno)
         try:
-            pat = _pattern_from_sexpr(read_sexpr(lhs))
-            tmpl = _template_from_sexpr(read_sexpr(rhs))
-        except (SexprError, FormulaError, StructureError, JustificationError) as e:
+            pat = _parse_tree(lhs, "pattern")
+            tmpl = _parse_tree(rhs, "template")
+        except (FormulaError, StructureError) as e:
             raise JustificationError(f"line {lineno}: {e}") from None
         if name not in clauses:
             clauses[name] = []
@@ -1097,20 +823,15 @@ _EM_REFUTE_TEXT = """
 em_refute: (inf ax "?A | ~?A" (empty)) => (inf orI2 "?A | ~?A" (inf impI "~?A" (inf step "_|_" (assume "?A" :label ?l)) :discharge (?l)))
 """
 
-_cache: dict[str, SchematicRewrite] = {}
-
-
+@functools.cache
 def or_detour() -> SchematicRewrite:
     """Removes a disjunction detour: an elimination whose major premise was
     just introduced collapses onto the matching case branch."""
-    if "or" not in _cache:
-        _cache["or"] = parse_rules(_OR_DETOUR_TEXT).members[0]
-    return _cache["or"]
+    return parse_rules(_OR_DETOUR_TEXT).members[0]
 
 
+@functools.cache
 def em_refutation_rule() -> SchematicRewrite:
     """Rewrites an excluded-middle axiom node to the right-injection form
     built over a vacuous refutation of the left disjunct."""
-    if "em" not in _cache:
-        _cache["em"] = parse_rules(_EM_REFUTE_TEXT).members[0]
-    return _cache["em"]
+    return parse_rules(_EM_REFUTE_TEXT).members[0]

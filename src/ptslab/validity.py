@@ -23,6 +23,8 @@ from .argument import (
     Assumption,
     EmptyTop,
     Inf,
+    PInf,
+    PVar,
     analyze,
     canonical_key,
     conclusion_of,
@@ -36,12 +38,9 @@ from .justification import (
     ChoiceFunction,
     ConstantMap,
     JustificationSet,
-    PInf,
-    PVar,
     RSystem,
     SchematicRewrite,
     StepSource,
-    TVar,
     em_refutation_rule,
     graph_of,
     is_schematic,
@@ -352,12 +351,16 @@ class _Checker:
         )
 
 
+def _step_source(arg: Argument) -> StepSource:
+    """The argument's steps as a step source; a lone justification is a set of one."""
+    if isinstance(arg.steps, (SchematicRewrite, ConstantMap, ChoiceFunction)):
+        return JustificationSet((arg.steps,))
+    return arg.steps
+
+
 def valid(arg: Argument, base: AtomicBase, bounds: Bounds = Bounds()) -> Verdict:
     """Bounded validity of the argument on the base."""
-    steps = arg.steps
-    if isinstance(steps, (SchematicRewrite, ConstantMap, ChoiceFunction)):
-        steps = JustificationSet((steps,))
-    return _Checker(base, bounds).check(arg.structure, steps)
+    return _Checker(base, bounds).check(arg.structure, _step_source(arg))
 
 
 def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Verdict) -> bool:
@@ -371,14 +374,8 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
             set(again.witness.explored) == set(w.explored)
         )
     if isinstance(w, FailingInstance):
-        steps = arg.steps
-        if isinstance(steps, (SchematicRewrite, ConstantMap, ChoiceFunction)):
-            steps = JustificationSet((steps,))
-        extensions: list[StepSource] = [steps]
-        for ext in bounds.extensions:
-            extensions.append(_extend(steps, ext))
-        ext = extensions[w.extension_index]
         checker = _Checker(base, bounds)
+        ext = checker._extensions_for(_step_source(arg))[w.extension_index]
         for _f, s in w.sigma:
             if not checker.check(s, ext).is_valid:
                 return False
@@ -441,7 +438,7 @@ CONSEQUENCE_VARIANTS = ("delta", "delta-star", "delta-sh", "delta-s")
 def _projection_rule(n_context: int) -> SchematicRewrite:
     kids = tuple(PVar(f"X{i}") for i in range(n_context)) + (PVar("W", FVar("G")),)
     return SchematicRewrite(
-        "project_last", ((PInf("step", FVar("G"), kids, ()), TVar("W")),)
+        "project_last", ((PInf("step", FVar("G"), kids, ()), PVar("W")),)
     )
 
 

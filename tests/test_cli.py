@@ -50,6 +50,22 @@ def test_consequence_validity_variants(capsys):
     assert run(capsys, "consequence", "delta-s", "a | ~a", *fam)[0] == 2
 
 
+def test_unread_flags_are_rejected():
+    # each command registers only the options it reads
+    base, rules = DATA / "two_rule.base", DATA / "detour.rules"
+    redex, contractum = DATA / "redex.struct", DATA / "contractum.struct"
+    for argv in (
+        ["derive", base, "q", "--max-steps", "3"],
+        ["derive", base, "q", "--sigma-pool", redex],
+        ["models", base, "q", "--extensions", rules],
+        ["reduce", rules, redex, contractum, "--sigma-pool", redex],
+        ["reduce", rules, redex, contractum, "--extensions", rules],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([str(x) for x in argv])
+        assert exc.value.code == 3
+
+
 def test_reduce_command(capsys):
     code, _ = run(capsys, "reduce", DATA / "detour.rules", DATA / "redex.struct",
                   DATA / "contractum.struct")

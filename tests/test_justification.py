@@ -23,6 +23,7 @@ from ptslab import (
     negation,
     or_detour,
     parse_rules,
+    parse_structure,
     reduces,
     structures_equal,
 )
@@ -207,6 +208,16 @@ def test_is_schematic_generalizable_table():
     w2 = Inf("orI1", Disj(b, negation(b)), (Inf("atm", b, (Inf("atm", a, (EmptyTop(),)),)),))
     mixed = ConstantMap("pointer", ((ax1, w1), (ax2, w2)))
     assert not is_schematic(mixed)
+
+
+def test_is_schematic_shares_structure_variables_across_sides():
+    # r: (inf f "a" ?D) => (inf g "a" ?D) reproduces this table, so the
+    # subtree that varies must generalize to one ?D on both sides
+    def pair(tag):
+        return tuple(parse_structure(f'(inf {side} "a" (inf {tag} "b" (empty)))') for side in "fg")
+
+    table = ConstantMap("f_to_g", (pair("p"), pair("q")))
+    assert is_schematic(table)
 
 
 def test_step_candidates_order_is_deterministic():
