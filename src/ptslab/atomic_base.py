@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .formula import BOT, Atom, FormulaError
@@ -61,11 +61,14 @@ def _rule_key(r: AtomicRule):
 @dataclass(frozen=True)
 class AtomicBase:
     rules: frozenset[AtomicRule]
-    id: str = ""
+    id: str = field(default="", compare=False)  # a display name: a base is its rules
 
     def __post_init__(self):
         if not self.id:
-            object.__setattr__(self, "id", "{" + "; ".join(str(r) for r in self.sorted_rules()) + "}")
+            object.__setattr__(self, "id", self.rules_text())
+
+    def rules_text(self) -> str:
+        return "{" + "; ".join(str(r) for r in self.sorted_rules()) + "}"
 
     def sorted_rules(self) -> list[AtomicRule]:
         return sorted(self.rules, key=_rule_key)

@@ -113,7 +113,7 @@ def _load_family(specs: Iterable[str]) -> list[AtomicBase]:
             family.extend(enumerate_bases(atoms, n_rules, consistent_only=True))
         else:
             family.append(_load_base(spec))
-    return sorted(family, key=lambda b: b.id)
+    return list(dict.fromkeys(sorted(family, key=lambda b: (b.id, b.rules_text()))))
 
 
 def _load_rules(path: str) -> JustificationSet:

@@ -12,7 +12,7 @@ may only shrink the open assumptions):
 A justification set induces one-step rewriting anywhere inside a
 structure; an RSystem is the graph reading, a stored set of whole
 structure pairs stepped at the root. Both feed one bounded search
-engine.
+engine, and both are hashable and compare by content.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .argument import (
     structures_equal,
     substitute,
 )
+from .atomic_base import AtomicBase
 from .formula import (
     Atom,
     Conj,
@@ -258,12 +259,10 @@ def _plug(tree: ArgStructure, label: int, fill: ArgStructure) -> ArgStructure:
 
 
 def _build(t: Pattern, b: _Bindings, alloc: _LabelAlloc) -> ArgStructure:
+    # a matched pattern binds every structure variable and plugged label (_clause_problem)
     match t:
         case PVar(name):
-            try:
-                return b.svars[name]
-            except KeyError:
-                raise JustificationError(f"unbound structure variable ?{name}") from None
+            return b.svars[name]
         case EmptyTop():
             return t
         case PAssume(fpat, labelvar):
@@ -282,19 +281,18 @@ def _build(t: Pattern, b: _Bindings, alloc: _LabelAlloc) -> ArgStructure:
             kids = tuple(_build(ch, b, alloc) for ch in children)
             return Inf(tag, _subst_formula(cpat, b), kids, frozenset(labels))
         case Plug(source, labelvar, filler):
-            try:
-                tree = b.svars[source]
-                label = b.lvars[labelvar]
-            except KeyError as e:
-                raise JustificationError(f"plug refers to unbound variable {e}") from None
+            tree = b.svars[source]
+            label = b.lvars[labelvar]
             return _plug(tree, label, _build(filler, b, alloc))
     raise JustificationError(f"bad template {t!r}")
 
 
-def _tree_vars(t: Pattern) -> tuple[set[str], Counter]:
-    """Formula variables, and structure variables with their use counts."""
+def _tree_vars(t: Pattern) -> tuple[set[str], Counter, set[str], set[str]]:
+    """Formula, structure (with use counts), label and plugged label variables."""
     fv: set[str] = set()
     sv: Counter = Counter()
+    lv: set[str] = set()
+    plugged: set[str] = set()
 
     def fwalk(fp):
         match fp:
@@ -309,33 +307,38 @@ def _tree_vars(t: Pattern) -> tuple[set[str], Counter]:
             case PVar(name, concludes):
                 sv[name] += 1
                 fwalk(concludes)
-            case PAssume(fpat, _):
+            case PAssume(fpat, labelvar):
                 fwalk(fpat)
+                lv.add(labelvar)
             case PInf(_, cpat, children, dspecs):
                 fwalk(cpat)
                 for spec in dspecs:
                     fwalk(spec.formula)
+                    lv.add(spec.labelvar)
                 for ch in children:
                     walk(ch)
-            case Plug(source, _, filler):
+            case Plug(source, labelvar, filler):
                 sv[source] += 1
+                plugged.add(labelvar)
                 walk(filler)
 
     walk(t)
-    return fv, sv
+    return fv, sv, lv, plugged
 
 
 def _clause_problem(pat: Pattern, tmpl: Pattern) -> str | None:
     """Why pattern => template is not a rewrite clause, or None if it is."""
-    pfv, psv = _tree_vars(pat)
+    pfv, psv, plv, _ = _tree_vars(pat)
     for v, n in psv.items():
         if n > 1:
             return f"structure variable ?{v} bound {n} times (patterns are linear)"
-    tfv, tsv = _tree_vars(tmpl)
+    tfv, tsv, _, tplugged = _tree_vars(tmpl)
     if not tfv <= pfv:
         return f"template formula variables {sorted(tfv - pfv)} unbound"
     if not tsv.keys() <= psv.keys():
         return f"template structure variables {sorted(tsv.keys() - psv.keys())} unbound"
+    if not tplugged <= plv:
+        return f"plugged label variables {sorted(tplugged - plv)} unbound"
     return None
 
 
@@ -382,13 +385,16 @@ class ConstantMap:
 
 @dataclass(frozen=True)
 class ChoiceFunction:
-    """Selects a justification set per (structure, base id) pair."""
+    """Selects a justification set per (structure, base): entries ((key, base), set)."""
 
     name: str
-    table: dict[tuple[str, str], "JustificationSet"]
+    table: tuple[tuple[tuple[str, AtomicBase], "JustificationSet"], ...]
 
-    def selection(self, d: ArgStructure, base_id: str) -> "JustificationSet | None":
-        return self.table.get((canonical_key(d), base_id))
+    def __post_init__(self):
+        object.__setattr__(self, "_index", dict(self.table))
+
+    def selection(self, d: ArgStructure, base: AtomicBase) -> "JustificationSet | None":
+        return self._index.get((canonical_key(d), base))
 
 
 Justification = Union[SchematicRewrite, ConstantMap, ChoiceFunction]
@@ -404,6 +410,10 @@ class JustificationSet:
         if len(set(names)) != len(names):
             raise JustificationError(f"duplicate justification names: {names}")
         object.__setattr__(self, "members", ordered)
+        object.__setattr__(self, "_hash", hash(ordered))
+
+    def __hash__(self):
+        return self._hash
 
     def union(self, other: "JustificationSet") -> "JustificationSet":
         byname = {j.name: j for j in self.members}
@@ -429,8 +439,8 @@ class RSystem:
     pairs: tuple[tuple[ArgStructure, ArgStructure], ...] = ()
 
     def __post_init__(self):
-        seen = set()
         kept = []
+        index: dict[str, dict[str, ArgStructure]] = {}  # key(a) -> key(z) -> z
         for a, z in self.pairs:
             if conclusion_of(z) != conclusion_of(a):
                 raise JustificationContractError(
@@ -443,11 +453,17 @@ class RSystem:
                     "reduction pair introduces assumptions: "
                     + ", ".join(sorted(render_formula(f) for f in extra))
                 )
-            key = (canonical_key(a), canonical_key(z))
-            if key not in seen:
-                seen.add(key)
+            images = index.setdefault(canonical_key(a), {})
+            kz = canonical_key(z)
+            if kz not in images:
+                images[kz] = z
                 kept.append((a, z))
         object.__setattr__(self, "pairs", tuple(kept))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash(self.pairs))
+
+    def __hash__(self):
+        return self._hash
 
     def union(self, other: "RSystem") -> "RSystem":
         return RSystem(self.pairs + other.pairs)
@@ -493,7 +509,7 @@ def _apply_rewrite(rule: SchematicRewrite, d: ArgStructure) -> ArgStructure | No
 
 
 def apply_justification(
-    j: Justification, d: ArgStructure, base: "str | None" = None
+    j: Justification, d: ArgStructure, base: AtomicBase | None = None
 ) -> ArgStructure | None:
     """Apply j to the whole structure d; None when d is outside j's domain."""
     match j:
@@ -507,7 +523,7 @@ def apply_justification(
             return out
         case ChoiceFunction():
             if base is None:
-                raise JustificationError(f"choice function {j.name} needs a base id")
+                raise JustificationError(f"choice function {j.name} needs a base")
             sel = j.selection(d, base)
             if sel is None:
                 return None
@@ -524,20 +540,13 @@ def apply_justification(
 
 
 def step_candidates(
-    src: StepSource, d: ArgStructure, base: str | None = None
+    src: StepSource, d: ArgStructure, base: AtomicBase | None = None
 ) -> list[ArgStructure]:
     """All one-step reducts, innermost-leftmost positions first."""
+    if isinstance(src, RSystem):
+        return list(src._index.get(canonical_key(d), {}).values())
     out: list[ArgStructure] = []
     seen: set[str] = set()
-    if isinstance(src, RSystem):
-        key = canonical_key(d)
-        for a, z in src.pairs:
-            if canonical_key(a) == key:
-                k = canonical_key(z)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(z)
-        return out
     for pos in positions(d, "post"):
         sub, _ctx = cut_subtree(d, pos)
         for j in src.members:
@@ -558,7 +567,7 @@ def step_candidates(
 def reach(
     src: StepSource,
     start: ArgStructure,
-    base: str | None = None,
+    base: AtomicBase | None = None,
     max_steps: int = 10,
     max_size: int = 400,
 ) -> tuple[list[tuple[ArgStructure, int]], bool]:
@@ -600,7 +609,7 @@ def reduces(
     frm: ArgStructure,
     to: ArgStructure,
     max_steps: int,
-    base: str | None = None,
+    base: AtomicBase | None = None,
 ) -> bool:
     """Is there a chain of at most max_steps one-step rewrites from frm to to?
     Zero steps count: a structure reduces to itself."""
@@ -609,7 +618,7 @@ def reduces(
     return any(canonical_key(d) == target for d, _depth in reached)
 
 
-def graph_of(j: Justification, domain: Iterable[ArgStructure], base: str | None = None) -> RSystem:
+def graph_of(j: Justification, domain: Iterable[ArgStructure], base: AtomicBase | None = None) -> RSystem:
     """The graph of j over the domain, as a reduction system."""
     pairs = []
     for d in domain:
@@ -623,7 +632,7 @@ def graph_of(j: Justification, domain: Iterable[ArgStructure], base: str | None 
 def check_closure(
     j: Justification,
     samples: Iterable[tuple[ArgStructure, dict[Formula, ArgStructure]]],
-    base: str | None = None,
+    base: AtomicBase | None = None,
 ) -> bool:
     """Is j closed under instantiation on these samples?
 
@@ -789,8 +798,7 @@ def _split_arrow(line: str, lineno: int) -> tuple[str, str]:
 
 def parse_rules(text: str) -> JustificationSet:
     """Parse a rewrite-rule file into a set of schematic rewrites."""
-    clauses: dict[str, list[tuple[Pattern, Pattern]]] = {}
-    order: list[str] = []
+    rules: dict[str, SchematicRewrite] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -803,15 +811,12 @@ def parse_rules(text: str) -> JustificationSet:
         try:
             pat = _parse_tree(lhs, "pattern")
             tmpl = _parse_tree(rhs, "template")
-        except (FormulaError, StructureError) as e:
+            earlier = rules[name].clauses if name in rules else ()
+            # the constructor checks the new clause, so its error can name this line
+            rules[name] = SchematicRewrite(name, earlier + ((pat, tmpl),))
+        except (FormulaError, StructureError, JustificationError) as e:
             raise JustificationError(f"line {lineno}: {e}") from None
-        if name not in clauses:
-            clauses[name] = []
-            order.append(name)
-        clauses[name].append((pat, tmpl))
-    return JustificationSet(
-        tuple(SchematicRewrite(n, tuple(clauses[n])) for n in order)
-    )
+    return JustificationSet(tuple(rules.values()))
 
 
 _OR_DETOUR_TEXT = """

@@ -32,7 +32,7 @@ from .argument import (
     instantiate,
     is_canonical,
 )
-from .base_semantics import models
+from .base_semantics import logical_consequence, models
 from .formula import Atom, Conj, Disj, Formula, FVar, Impl, negation, render_formula
 from .justification import (
     ChoiceFunction,
@@ -229,15 +229,10 @@ class _Checker:
     def __init__(self, base: AtomicBase, bounds: Bounds):
         self.base = base
         self.bounds = bounds
-        self._memo: dict[tuple[str, int], Verdict] = {}
-        # memo keys use object ids, so every step source we see is pinned
-        # for the checker's lifetime to keep those ids unique
-        self._pins: dict[int, StepSource] = {}
-        self._ext_cache: dict[int, list[StepSource]] = {}
+        self._memo: dict[tuple[str, StepSource], Verdict] = {}
 
     def check(self, d: ArgStructure, steps: StepSource) -> Verdict:
-        self._pins.setdefault(id(steps), steps)
-        key = (canonical_key(d), id(steps))
+        key = (canonical_key(d), steps)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -250,19 +245,13 @@ class _Checker:
         return out
 
     def _extensions_for(self, steps: StepSource) -> list[StepSource]:
-        key = id(steps)
-        if key not in self._ext_cache:
-            exts = [steps] + [_extend(steps, e) for e in self.bounds.extensions]
-            for e in exts:
-                self._pins.setdefault(id(e), e)
-            self._ext_cache[key] = exts
-        return self._ext_cache[key]
+        return [steps] + [_extend(steps, e) for e in self.bounds.extensions]
 
     def _closed(self, d: ArgStructure, steps: StepSource, atomic: bool) -> Verdict:
         reached, bound_hit = reach(
             steps,
             d,
-            self.base.id,
+            self.base,
             max_steps=self.bounds.max_reduction_steps,
             max_size=self.bounds.max_structure_size,
         )
@@ -395,7 +384,7 @@ def em_assertion_map(base: AtomicBase, f: Formula) -> ConstantMap:
     if syn is None:
         raise ValidityError(f"{render_formula(f)} does not hold on {base.id}")
     g = Disj(f, negation(f))
-    return ConstantMap(f"em_assert[{base.id}]", ((axiom_structure(g), Inf("orI1", g, (syn,))),))
+    return ConstantMap(f"em_assert[{base.rules_text()}]", ((axiom_structure(g), Inf("orI1", g, (syn,))),))
 
 
 def em_witness(base: AtomicBase, f: Formula, mode: str = "functions") -> Argument:
@@ -413,7 +402,7 @@ def em_witness(base: AtomicBase, f: Formula, mode: str = "functions") -> Argumen
     ax = axiom_structure(g)
     j = em_assertion_map(base, f) if models(base, (), f) else em_refutation_rule()
     if mode == "graph":
-        return Argument(ax, graph_of(j, [ax], base.id))
+        return Argument(ax, graph_of(j, [ax], base))
     return Argument(ax, JustificationSet((j,)))
 
 
@@ -422,11 +411,11 @@ def choice_justification(f: Formula, family: Iterable[AtomicBase]) -> ChoiceFunc
     excluded-middle axiom for f valid there."""
     g = Disj(f, negation(f))
     ax_key = canonical_key(axiom_structure(g))
-    table = {}
+    table = []
     for b in family:
         j = em_assertion_map(b, f) if models(b, (), f) else em_refutation_rule()
-        table[(ax_key, b.id)] = JustificationSet((j,))
-    return ChoiceFunction(f"em_choice[{render_formula(f)}]", table)
+        table.append(((ax_key, b), JustificationSet((j,))))
+    return ChoiceFunction(f"em_choice[{render_formula(f)}]", tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +501,16 @@ def consequence(
     if variant not in CONSEQUENCE_VARIANTS:
         raise ValidityError(f"unknown variant {variant!r}; pick one of {CONSEQUENCE_VARIANTS}")
     context = sorted(set(context), key=render_formula)
-    seen_ids = set()
-    family = [b for b in family if not (b.id in seen_ids or seen_ids.add(b.id))]
+    family = list(dict.fromkeys(family))
     candidates = list(candidates)
     if not family:
         return Verdict.unknown("empty family")
 
-    for b in family:
-        if not models(b, context, goal):
-            return Verdict.invalid(
-                f"the goal does not follow from the context on {b.id}", witness=b.id
-            )
+    failing = logical_consequence(context, goal, family).counterexample
+    if failing is not None:
+        return Verdict.invalid(
+            f"the goal does not follow from the context on {failing}", witness=failing
+        )
 
     if variant == "delta":
         unknowns = []
@@ -547,7 +535,7 @@ def consequence(
 
     if variant == "delta-star":
         maps = tuple(
-            ConstantMap(f"pooled[{b.id}]", ((inst, target),)) for b, inst, target in per_base
+            ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_base
         )
         pool = [cand for cand in candidates if isinstance(cand.steps, JustificationSet)]
         pool.append(Argument(d, JustificationSet(maps)))

@@ -133,6 +133,14 @@ def test_base_file_roundtrip():
     assert again.rules == base.rules
 
 
+def test_base_identity_is_its_rules():
+    # the id is a display name: equal rules make one base, different rules two
+    assert parse_base("-> p\n", id="one") == parse_base("-> p\n", id="two")
+    assert len({parse_base("-> p\n", id="one"), parse_base("-> p\n", id="two")}) == 1
+    assert parse_base("-> p\n", id="x") != parse_base("", id="x")
+    assert len({parse_base("-> p\n", id="x"), parse_base("", id="x")}) == 2
+
+
 def test_base_file_errors():
     with pytest.raises(BaseError, match="line 1"):
         parse_base("p q r\n")

@@ -168,3 +168,31 @@ def test_family_enumeration_cap_is_a_clean_error(capsys):
     code = main(["consequence", "base", "a", "--family", "enumerate:atoms=4,rules=9"])
     assert code == 3
     assert "cap" in capsys.readouterr().err
+
+
+def test_same_stem_bases_count_by_content(capsys, tmp_path):
+    # two files named x.base: `a` fails on the empty one in either order
+    (tmp_path / "d1").mkdir()
+    (tmp_path / "d2").mkdir()
+    (tmp_path / "d1" / "x.base").write_text("-> a\n", encoding="utf-8")
+    (tmp_path / "d2" / "x.base").write_text("", encoding="utf-8")
+    orders = ([tmp_path / "d1" / "x.base", tmp_path / "d2" / "x.base"],
+              [tmp_path / "d2" / "x.base", tmp_path / "d1" / "x.base"])
+    for variant in ("delta", "base"):
+        outs = []
+        for files in orders:
+            code, out = run(capsys, "consequence", variant, "a", "--family", *files)
+            assert code == 1, (variant, out)
+            outs.append(out)
+        assert outs[0] == outs[1]
+    code, out = run(capsys, "consequence", "delta-star", "a | ~a", "--family", *orders[0])
+    assert code == 0 and "over 2 base(s)" in out
+
+
+def test_equal_base_files_count_once(capsys, tmp_path):
+    for name in ("one", "two"):
+        (tmp_path / f"{name}.base").write_text("-> a\n", encoding="utf-8")
+    code, out = run(capsys, "consequence", "delta", "a", "--format", "lines",
+                    "--family", tmp_path / "two.base", tmp_path / "one.base")
+    rec = json.loads(out)
+    assert code == 0 and rec["family_size"] == 1 and "all 1 base(s)" in rec["reason"]

@@ -3,6 +3,7 @@ import pytest
 from ptslab import (
     Assumption,
     Atom,
+    AtomicBase,
     ChoiceFunction,
     ConstantMap,
     Disj,
@@ -22,6 +23,7 @@ from ptslab import (
     is_schematic,
     negation,
     or_detour,
+    parse_base,
     parse_rules,
     parse_structure,
     reduces,
@@ -176,11 +178,12 @@ def test_check_closure_catches_instance_gap():
 
 def test_choice_function_needs_base():
     ax = Inf("ax", Disj(a, negation(a)), (EmptyTop(),))
-    ch = ChoiceFunction("pick", {(canonical_key(ax), "b1"): JustificationSet((em_refutation_rule(),))})
+    b1, nope = parse_base("-> b\n", id="b1"), AtomicBase(frozenset(), id="b1")
+    ch = ChoiceFunction("pick", (((canonical_key(ax), b1), JustificationSet((em_refutation_rule(),))),))
     with pytest.raises(JustificationError):
         apply_justification(ch, ax)
-    assert apply_justification(ch, ax, "nope") is None
-    out = apply_justification(ch, ax, "b1")
+    assert apply_justification(ch, ax, nope) is None  # same name, other rules
+    out = apply_justification(ch, ax, b1)
     assert structures_equal(out, apply_justification(em_refutation_rule(), ax))
 
 
@@ -192,7 +195,7 @@ def test_is_schematic_verdicts():
         "one_base", ((ax, Inf("orI1", Disj(a, negation(a)), (Inf("atm", a, (EmptyTop(),)),))),)
     )
     assert not is_schematic(table)  # a lone base-specific pointer is no scheme
-    ch = ChoiceFunction("pick", {(canonical_key(ax), "x"): JustificationSet((or_detour(),))})
+    ch = ChoiceFunction("pick", (((canonical_key(ax), AtomicBase(frozenset())), JustificationSet((or_detour(),))),))
     assert not is_schematic(ch)
 
 

@@ -50,6 +50,8 @@ RULE_CASES = [
     ("childless-pattern", 'r: (inf f "?A") => (inf g "?A" (empty))', (JustificationError, 1)),
     ("empty-with-argument-in-rule", 'r: (inf f "?A" (empty junk)) => (inf g "?A" (empty))',
      (JustificationError, 1)),
+    ("plug-label-unbound-by-pattern",
+     'r: (inf f "?A" ?D) => (plug ?D ?m (inf g "?A" (empty)))', (JustificationError, 1)),
 ]
 
 STRUCTURE_CASES = [

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptslab import (
     Argument,
@@ -17,6 +19,7 @@ from ptslab import (
     JustificationSet,
     RSystem,
     axiom_structure,
+    logical_consequence,
     analyze,
     apply_justification,
     choice_justification,
@@ -31,6 +34,7 @@ from ptslab import (
     negation,
     or_detour,
     parse_base,
+    parse_formula,
     parse_rules,
     recheck_invalid,
     structures_equal,
@@ -216,8 +220,7 @@ def test_choice_justification_selects_per_base():
     for base in fam:
         v = valid(Argument(axiom_structure(g), JustificationSet((ch,))), base)
         assert v.is_valid, base.id
-    sel_empty = ch.table[(list(ch.table)[0][0], EMPTY.id)]
-    assert sel_empty.members[0].name == "em_refute"
+    assert ch.selection(axiom_structure(g), EMPTY).members[0].name == "em_refute"
 
 
 # --- the worked case-analysis argument --------------------------------------
@@ -251,12 +254,12 @@ def test_case_analysis_graph_agrees_with_functions():
     from ptslab.justification import reach
 
     closed = instantiate(arg.structure, sigma)
-    reached, _ = reach(arg.steps, closed, base.id, max_steps=10, max_size=400)
+    reached, _ = reach(arg.steps, closed, base, max_steps=10, max_size=400)
     pairs = []
     for d, _depth in reached:
         from ptslab.justification import step_candidates
 
-        for nxt in step_candidates(arg.steps, d, base.id):
+        for nxt in step_candidates(arg.steps, d, base):
             pairs.append((d, nxt))
     graph = RSystem(tuple(pairs))
     v_fun = valid(Argument(closed, arg.steps), base)
@@ -281,6 +284,24 @@ def test_consequence_schematic_succeeds_on_refutation_only_family():
     fam = [EMPTY, parse_base("b -> a\n")]  # a fails on both
     g = Disj(a, negation(a))
     assert consequence("delta-s", (), g, fam).is_valid
+
+
+FAMILY_AB = list(enumerate_bases([a, b], 2))
+IDENTITY_GOALS = [((), "a | ~a"), ((), "a"), ((), "a -> b"), (("a",), "a | b"), ((), "a | b")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_verdicts_ignore_base_ids_and_family_order(data):
+    fam = data.draw(st.lists(st.sampled_from(FAMILY_AB), min_size=1, max_size=8))
+    ctx, goal = data.draw(st.sampled_from(IDENTITY_GOALS))
+    ctx, goal = [parse_formula(f) for f in ctx], parse_formula(goal)
+    names = data.draw(st.lists(st.sampled_from("xyz"), min_size=len(fam), max_size=len(fam)))
+    renamed = data.draw(st.permutations([AtomicBase(x.rules, id=n) for x, n in zip(fam, names)]))
+    assert logical_consequence(ctx, goal, fam).holds == logical_consequence(ctx, goal, renamed).holds
+    for variant in ("delta", "delta-star", "delta-sh", "delta-s"):
+        want = consequence(variant, ctx, goal, fam).status
+        assert consequence(variant, ctx, goal, renamed).status == want, variant
 
 
 def test_consequence_definite_failure():
@@ -349,12 +370,29 @@ def test_delta_holds_on_fifty_base_family():
     assert v.is_valid
 
 
+def test_choice_justification_reads_rules_not_ids():
+    derives_a, empty = parse_base("-> a\n", id="x"), AtomicBase(frozenset(), id="x")
+    ch = choice_justification(a, [derives_a, empty])
+    ax = axiom_structure(Disj(a, negation(a)))
+    assert ch.selection(ax, empty).members[0].name == "em_refute"
+    assert ch.selection(ax, derives_a).members[0].name.startswith("em_assert")
+
+
+def test_step_sources_hash_by_content():
+    fam = [EMPTY, parse_base("-> a\n")]
+    steps = JustificationSet((choice_justification(a, fam),))
+    again = JustificationSet((choice_justification(a, [AtomicBase(x.rules, id="other") for x in fam]),))
+    assert steps == again and hash(steps) == hash(again)
+    graph = em_witness(PQ, p, mode="graph").steps
+    assert hash(graph) == hash(em_witness(PQ, p, mode="graph").steps)
+
+
 def test_choice_selection_arms():
     fam = [EMPTY, parse_base("-> a\n")]
     ch = choice_justification(a, fam)
-    key = list(ch.table)[0][0]
-    assert ch.table[(key, EMPTY.id)].members[0].name == "em_refute"
-    assert ch.table[(key, "{-> a}")].members[0].name.startswith("em_assert")
+    ax = axiom_structure(Disj(a, negation(a)))
+    assert ch.selection(ax, EMPTY).members[0].name == "em_refute"
+    assert ch.selection(ax, parse_base("-> a\n")).members[0].name.startswith("em_assert")
 
 
 def test_extension_kind_must_match_steps():
