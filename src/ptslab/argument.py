@@ -159,10 +159,25 @@ def conclusion_of(d: ArgStructure) -> Formula:
 
 
 def _walk(d: ArgStructure) -> Iterator[ArgStructure]:
-    yield d
-    if isinstance(d, Inf):
-        for ch in d.children:
-            yield from _walk(ch)
+    """Every node of d, in pre-order."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Inf):
+            stack.extend(reversed(node.children))
+
+
+def _map_leaves(d: ArgStructure, leaf, discharges=None) -> ArgStructure:
+    """d rebuilt with every assumption leaf n replaced by leaf(n) and, when
+    given, every discharge set s by discharges(s)."""
+    match d:
+        case Assumption():
+            return leaf(d)
+        case Inf(tag, c, children, dis):
+            kids = tuple(_map_leaves(ch, leaf, discharges) for ch in children)
+            return Inf(tag, c, kids, dis if discharges is None else discharges(dis))
+    return d
 
 
 def check_structure(d: ArgStructure) -> None:
@@ -229,19 +244,11 @@ def labels_of(d: ArgStructure) -> frozenset[int]:
 
 
 def relabel(d: ArgStructure, mapping: dict[int, int]) -> ArgStructure:
-    match d:
-        case Assumption(f, lbl):
-            return Assumption(f, mapping.get(lbl, lbl))
-        case EmptyTop():
-            return d
-        case Inf(tag, c, children, dis):
-            return Inf(
-                tag,
-                c,
-                tuple(relabel(ch, mapping) for ch in children),
-                frozenset(mapping.get(l, l) for l in dis),
-            )
-    raise StructureError(f"not a structure: {d!r}")
+    return _map_leaves(
+        d,
+        lambda n: Assumption(n.formula, mapping.get(n.label, n.label)),
+        lambda dis: frozenset(mapping.get(l, l) for l in dis),
+    )
 
 
 def freshen(d: ArgStructure, used: frozenset[int]) -> ArgStructure:
@@ -258,20 +265,17 @@ def freshen(d: ArgStructure, used: frozenset[int]) -> ArgStructure:
     return relabel(d, mapping)
 
 
-def positions(d: ArgStructure, order: str = "post") -> list[tuple[int, ...]]:
-    """Paths of all substructure positions; post order is innermost first."""
+def positions(d: ArgStructure) -> list[tuple[int, ...]]:
+    """Paths of all substructure positions in post order, innermost first."""
     out: list[tuple[int, ...]] = []
 
     def walk(node, path):
         if isinstance(node, EmptyTop):
             return
-        if order == "pre":
-            out.append(path)
         if isinstance(node, Inf):
             for i, ch in enumerate(node.children):
                 walk(ch, path + (i,))
-        if order == "post":
-            out.append(path)
+        out.append(path)
 
     walk(d, ())
     return out
@@ -311,17 +315,13 @@ def cut_subtree(
             inner.update(n.discharges)
     outer_bound: dict[int, set[Formula]] = {}
 
-    def strip(n):
-        match n:
-            case Assumption(f, lbl) if lbl is not None and lbl not in inner:
-                outer_bound.setdefault(lbl, set()).add(f)
-                return Assumption(f, None)
-            case Inf(tag, c, children, dis):
-                return Inf(tag, c, tuple(strip(ch) for ch in children), dis)
-            case _:
-                return n
+    def opened(n):
+        if n.label is None or n.label in inner:
+            return n
+        outer_bound.setdefault(n.label, set()).add(n.formula)
+        return Assumption(n.formula)
 
-    standalone = strip(node)
+    standalone = _map_leaves(node, opened)
     context: list[tuple[int, frozenset[Formula]]] = []
     for dis in reversed(ancestor_sets):  # nearest enclosing inference first
         for l in sorted(dis):
@@ -331,24 +331,6 @@ def cut_subtree(
     if stray:
         raise StructureError(f"labels {sorted(stray)} have no discharging inference")
     return standalone, context
-
-
-def _rebind(d: ArgStructure, context: list[tuple[int, frozenset[Formula]]]) -> ArgStructure:
-    # open leaves matching a context-bound formula are recaptured by the
-    # nearest enclosing label for it
-    def capture(n):
-        match n:
-            case Assumption(f, None):
-                for l, forms in context:
-                    if f in forms:
-                        return Assumption(f, l)
-                return n
-            case Inf(tag, c, children, dis):
-                return Inf(tag, c, tuple(capture(ch) for ch in children), dis)
-            case _:
-                return n
-
-    return capture(d)
 
 
 def _graft(d: ArgStructure, path: tuple[int, ...], replacement: ArgStructure) -> ArgStructure:
@@ -361,6 +343,44 @@ def _graft(d: ArgStructure, path: tuple[int, ...], replacement: ArgStructure) ->
     return Inf(d.tag, d.conclusion, tuple(children), d.discharges)
 
 
+def _require_contract(before: ArgStructure, after: ArgStructure) -> None:
+    """Raise unless after keeps before's conclusion and opens no assumption
+    before did not: ConclusionMismatch, AssumptionEscape, or StructureError
+    when after is malformed."""
+    if conclusion_of(after) != conclusion_of(before):
+        raise ConclusionMismatch(
+            f"conclusion changed from {render_formula(conclusion_of(before))} "
+            f"to {render_formula(conclusion_of(after))}"
+        )
+    extra = open_set(after) - open_set(before)
+    if extra:
+        names = ", ".join(sorted(render_formula(f) for f in extra))
+        raise AssumptionEscape(f"new open assumptions: {names}")
+
+
+def _splice(
+    d: ArgStructure,
+    path: tuple[int, ...],
+    context: list[tuple[int, frozenset[Formula]]],
+    replacement: ArgStructure,
+) -> ArgStructure:
+    """Graft the replacement at path, given the context cut_subtree returned
+    for that path: its labels are renamed away from d's, and its open
+    leaves whose formula a context label bound are recaptured by the
+    nearest such label."""
+
+    def capture(n):
+        if n.label is None:
+            for l, forms in context:
+                if n.formula in forms:
+                    return Assumption(n.formula, l)
+        return n
+
+    out = _graft(d, path, _map_leaves(freshen(replacement, labels_of(d)), capture))
+    check_structure(out)
+    return out
+
+
 def substitute(
     d: ArgStructure, path: tuple[int, ...], replacement: ArgStructure
 ) -> ArgStructure:
@@ -370,20 +390,8 @@ def substitute(
     in open assumptions the target did not already have.
     """
     target, context = cut_subtree(d, path)
-    if conclusion_of(replacement) != conclusion_of(target):
-        raise ConclusionMismatch(
-            f"replacement concludes {render_formula(conclusion_of(replacement))}, "
-            f"target concludes {render_formula(conclusion_of(target))}"
-        )
-    extra = open_set(replacement) - open_set(target)
-    if extra:
-        names = ", ".join(sorted(render_formula(f) for f in extra))
-        raise AssumptionEscape(f"replacement introduces open assumptions: {names}")
-    fresh = freshen(replacement, labels_of(d))
-    rebound = _rebind(fresh, context)
-    out = _graft(d, path, rebound)
-    check_structure(out)
-    return out
+    _require_contract(target, replacement)
+    return _splice(d, path, context, replacement)
 
 
 def instantiate(d: ArgStructure, mapping: dict[Formula, ArgStructure]) -> ArgStructure:
@@ -405,17 +413,7 @@ def instantiate(d: ArgStructure, mapping: dict[Formula, ArgStructure]) -> ArgStr
         img = freshen(img, frozenset(used))
         used |= labels_of(img)
         images[f] = img
-
-    def repl(n):
-        match n:
-            case Assumption(f, None):
-                return images[f]
-            case Inf(tag, c, children, dis):
-                return Inf(tag, c, tuple(repl(ch) for ch in children), dis)
-            case _:
-                return n
-
-    out = repl(d)
+    out = _map_leaves(d, lambda n: images[n.formula] if n.label is None else n)
     check_structure(out)
     return out
 
@@ -479,24 +477,13 @@ def canonical_form(d: ArgStructure) -> ArgStructure:
     structures become identical."""
     first_leaf: dict[int, int] = {}
     first_node: dict[int, int] = {}
-    idx = 0
-
-    def scan(n):
-        nonlocal idx
-        my = idx
-        idx += 1
+    for i, n in enumerate(_walk(d)):
         match n:
             case Assumption(_, lbl) if lbl is not None:
-                first_leaf.setdefault(lbl, my)
-            case Inf(_, _, children, dis):
+                first_leaf.setdefault(lbl, i)
+            case Inf(_, _, _, dis):
                 for l in dis:
-                    first_node.setdefault(l, my)
-                for ch in children:
-                    scan(ch)
-            case _:
-                pass
-
-    scan(d)
+                    first_node.setdefault(l, i)
     labels = set(first_leaf) | set(first_node)
     big = 1 << 30
     ordered = sorted(labels, key=lambda l: (first_leaf.get(l, big), first_node.get(l, big), l))

@@ -86,12 +86,16 @@ def _verdict_exit(v: Verdict) -> int:
     return {"valid": 0, "invalid": 1, "unknown": 2}[v.status]
 
 
-def _load_base(path: str) -> AtomicBase:
-    p = Path(path)
+def _load(path: str, parse, error: type[Exception], **options):
+    """Parse the file at path, naming the path in the parser's own error."""
     try:
-        return parse_base(p.read_text(encoding="utf-8"), id=p.stem)
-    except BaseError as e:
-        raise BaseError(f"{path}: {e}") from None
+        return parse(Path(path).read_text(encoding="utf-8"), **options)
+    except error as e:
+        raise error(f"{path}: {e}") from None
+
+
+def _load_base(path: str) -> AtomicBase:
+    return _load(path, parse_base, BaseError, id=Path(path).stem)
 
 
 def _parse_enumerate_spec(spec: str) -> tuple[list[Atom], int]:
@@ -116,32 +120,11 @@ def _load_family(specs: Iterable[str]) -> list[AtomicBase]:
     return list(dict.fromkeys(sorted(family, key=lambda b: (b.id, b.rules_text()))))
 
 
-def _load_rules(path: str) -> JustificationSet:
-    try:
-        return parse_rules(Path(path).read_text(encoding="utf-8"))
-    except JustificationError as e:
-        raise JustificationError(f"{path}: {e}") from None
-
-
-def _load_structure(path: str):
-    try:
-        return parse_structure(Path(path).read_text(encoding="utf-8"))
-    except StructureError as e:
-        raise StructureError(f"{path}: {e}") from None
-
-
-def _load_structures(path: str):
-    try:
-        return parse_structures(Path(path).read_text(encoding="utf-8"))
-    except StructureError as e:
-        raise StructureError(f"{path}: {e}") from None
-
-
 def _bounds_from(args) -> Bounds:
     sigma = []
     for path in args.sigma_pool or []:
-        sigma.extend(_load_structures(path))
-    exts = tuple(_load_rules(p) for p in args.extensions or [])
+        sigma.extend(_load(path, parse_structures, StructureError))
+    exts = tuple(_load(p, parse_rules, JustificationError) for p in args.extensions or [])
     return Bounds(
         max_reduction_steps=args.max_steps,
         sigma_candidates=tuple(sigma),
@@ -149,10 +132,11 @@ def _bounds_from(args) -> Bounds:
     )
 
 
-def _context_from(args) -> list[Formula]:
-    if not args.context:
+def _context_from(text: str | None) -> list[Formula]:
+    """The formulas of a semicolon-separated context option."""
+    if not text:
         return []
-    return [parse_formula(part) for part in args.context.split(";") if part.strip()]
+    return [parse_formula(part) for part in text.split(";") if part.strip()]
 
 
 def search_counterexample(
@@ -191,7 +175,7 @@ def _cmd_derive(args) -> int:
 def _cmd_models(args) -> int:
     base = _load_base(args.base)
     goal = parse_formula(args.goal)
-    ctx = [parse_formula(part) for part in (args.ctx.split(";") if args.ctx else []) if part.strip()]
+    ctx = _context_from(args.ctx)
     ok = models(base, ctx, goal)
     shown = (", ".join(render_formula(f) for f in ctx) + " " if ctx else "") + "|= " + render_formula(goal)
     _emit(
@@ -211,7 +195,7 @@ def _cmd_models(args) -> int:
 
 def _cmd_consequence(args) -> int:
     goal = parse_formula(args.goal)
-    ctx = _context_from(args)
+    ctx = _context_from(args.context)
     family = _load_family(args.family)
     if args.variant == "base":
         cv = logical_consequence(ctx, goal, family)
@@ -237,9 +221,9 @@ def _cmd_consequence(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    rules = _load_rules(args.rules)
-    frm = _load_structure(args.frm)
-    to = _load_structure(args.to)
+    rules = _load(args.rules, parse_rules, JustificationError)
+    frm = _load(args.frm, parse_structure, StructureError)
+    to = _load(args.to, parse_structure, StructureError)
     ok = reduces(rules, frm, to, args.max_steps)
     _emit(
         args,
@@ -250,8 +234,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_valid(args) -> int:
-    structure = _load_structure(args.structure)
-    rules = _load_rules(args.rules)
+    structure = _load(args.structure, parse_structure, StructureError)
+    rules = _load(args.rules, parse_rules, JustificationError)
     base = _load_base(args.base)
     v = valid(Argument(structure, rules), base, _bounds_from(args))
     _emit(
@@ -270,7 +254,7 @@ def _cmd_valid(args) -> int:
 
 def _cmd_search(args) -> int:
     goal = parse_formula(args.goal)
-    ctx = _context_from(args)
+    ctx = _context_from(args.context)
     atoms = [Atom(name.strip()) for name in args.atoms.split(",") if name.strip()]
     try:
         found = search_counterexample(ctx, goal, atoms, args.max_rules, cap=args.cap)

@@ -21,7 +21,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .argument import (
     ArgStructure,
@@ -35,21 +35,22 @@ from .argument import (
     Plug,
     PVar,
     StructureError,
+    _map_leaves,
     _parse_tree,
+    _require_contract,
+    _splice,
+    _walk,
     canonical_form,
     canonical_key,
-    check_structure,
     conclusion_of,
     cut_subtree,
     freshen,
     instantiate,
     labels_of,
-    open_set,
     positions,
     render_structure,
     size_of,
     structures_equal,
-    substitute,
 )
 from .atomic_base import AtomicBase
 from .formula import (
@@ -60,7 +61,6 @@ from .formula import (
     FormulaError,
     FVar,
     Impl,
-    render_formula,
 )
 
 __all__ = [
@@ -136,10 +136,7 @@ def _match_formula(pat, f: Formula, b: _Bindings) -> bool:
 def _subst_formula(pat, b: _Bindings) -> Formula:
     match pat:
         case FVar(name):
-            try:
-                return b.fvars[name]
-            except KeyError:
-                raise JustificationError(f"unbound formula variable ?{name}") from None
+            return b.fvars[name]
         case Atom():
             return pat
         case Conj(l, r):
@@ -149,23 +146,6 @@ def _subst_formula(pat, b: _Bindings) -> Formula:
         case Impl(l, r):
             return Impl(_subst_formula(l, b), _subst_formula(r, b))
     raise JustificationError(f"bad formula template {pat!r}")
-
-
-def _leaves_with_label(d: ArgStructure, label: int) -> list[Assumption]:
-    out = []
-
-    def walk(n):
-        match n:
-            case Assumption(_, l) if l == label:
-                out.append(n)
-            case Inf(_, _, children, _):
-                for ch in children:
-                    walk(ch)
-            case _:
-                pass
-
-    walk(d)
-    return out
 
 
 def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
@@ -220,12 +200,12 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
                             break
                     else:
                         trial.lvars[spec.labelvar] = label
-                    if spec.formula is not None:
-                        for leaf in _leaves_with_label(d, label):
-                            if not _match_formula(spec.formula, leaf.formula, trial):
-                                ok = False
-                                break
-                    if not ok:
+                    if spec.formula is not None and not all(
+                        _match_formula(spec.formula, n.formula, trial)
+                        for n in _walk(d)
+                        if isinstance(n, Assumption) and n.label == label
+                    ):
+                        ok = False
                         break
                 if ok:
                     return trial
@@ -233,33 +213,8 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
     raise JustificationError(f"bad pattern {pat!r}")
 
 
-class _LabelAlloc:
-    def __init__(self, start: int):
-        self.next = start
-
-    def take(self) -> int:
-        n = self.next
-        self.next += 1
-        return n
-
-
-def _plug(tree: ArgStructure, label: int, fill: ArgStructure) -> ArgStructure:
-    fill = freshen(fill, labels_of(tree))
-
-    def go(n):
-        match n:
-            case Assumption(_, l) if l == label:
-                return fill
-            case Inf(tag, c, children, dis):
-                return Inf(tag, c, tuple(go(ch) for ch in children), dis)
-            case _:
-                return n
-
-    return go(tree)
-
-
-def _build(t: Pattern, b: _Bindings, alloc: _LabelAlloc) -> ArgStructure:
-    # a matched pattern binds every structure variable and plugged label (_clause_problem)
+def _build(t: Pattern, b: _Bindings, fresh: Iterator[int]) -> ArgStructure:
+    # a matched pattern binds every variable and plugged label the template reads (_clause_problem)
     match t:
         case PVar(name):
             return b.svars[name]
@@ -269,26 +224,31 @@ def _build(t: Pattern, b: _Bindings, alloc: _LabelAlloc) -> ArgStructure:
             lbl = None
             if labelvar is not None:
                 if labelvar not in b.lvars:
-                    b.lvars[labelvar] = alloc.take()
+                    b.lvars[labelvar] = next(fresh)
                 lbl = b.lvars[labelvar]
             return Assumption(_subst_formula(fpat, b), lbl)
         case PInf(tag, cpat, children, discharge):
             labels = []
             for spec in discharge:
                 if spec.labelvar not in b.lvars:
-                    b.lvars[spec.labelvar] = alloc.take()
+                    b.lvars[spec.labelvar] = next(fresh)
                 labels.append(b.lvars[spec.labelvar])
-            kids = tuple(_build(ch, b, alloc) for ch in children)
+            kids = tuple(_build(ch, b, fresh) for ch in children)
             return Inf(tag, _subst_formula(cpat, b), kids, frozenset(labels))
         case Plug(source, labelvar, filler):
-            tree = b.svars[source]
-            label = b.lvars[labelvar]
-            return _plug(tree, label, _build(filler, b, alloc))
+            tree, label = b.svars[source], b.lvars[labelvar]
+            fill = freshen(_build(filler, b, fresh), labels_of(tree))
+            return _map_leaves(tree, lambda n: fill if n.label == label else n)
     raise JustificationError(f"bad template {t!r}")
 
 
 def _tree_vars(t: Pattern) -> tuple[set[str], Counter, set[str], set[str]]:
-    """Formula, structure (with use counts), label and plugged label variables."""
+    """Formula, structure (with use counts), label and plugged label variables.
+
+    The formula variables are those a match binds: a discharge constraint
+    (?l "F") only checks the leaves ?l labels, and binds nothing when the
+    discharge is vacuous.
+    """
     fv: set[str] = set()
     sv: Counter = Counter()
     lv: set[str] = set()
@@ -312,9 +272,7 @@ def _tree_vars(t: Pattern) -> tuple[set[str], Counter, set[str], set[str]]:
                 lv.add(labelvar)
             case PInf(_, cpat, children, dspecs):
                 fwalk(cpat)
-                for spec in dspecs:
-                    fwalk(spec.formula)
-                    lv.add(spec.labelvar)
+                lv.update(spec.labelvar for spec in dspecs)
                 for ch in children:
                     walk(ch)
             case Plug(source, labelvar, filler):
@@ -362,8 +320,23 @@ class SchematicRewrite:
                 raise JustificationError(f"rule {self.name}: {problem}")
 
 
-@dataclass(frozen=True)
-class ConstantMap:
+class _ByContent:
+    """Equality and hashing by the `_content` a constructor sets: a table's
+    entries taken as a set, so their order makes no difference."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._content == other._content
+
+    def __hash__(self):
+        return self._hash
+
+    def _set_content(self, content) -> None:
+        object.__setattr__(self, "_content", content)
+        object.__setattr__(self, "_hash", hash(content))
+
+
+@dataclass(frozen=True, eq=False)
+class ConstantMap(_ByContent):
     """A finite table of rewrites, looked up modulo label renaming."""
 
     name: str
@@ -377,14 +350,16 @@ class ConstantMap:
                 raise JustificationError(f"table {self.name}: two images for one structure")
             index[key] = (k, v)
         object.__setattr__(self, "_index", index)
+        entries = frozenset((k, canonical_key(v)) for k, (_, v) in index.items())
+        self._set_content((self.name, entries))
 
     def lookup(self, d: ArgStructure) -> ArgStructure | None:
         hit = self._index.get(canonical_key(d))
         return hit[1] if hit else None
 
 
-@dataclass(frozen=True)
-class ChoiceFunction:
+@dataclass(frozen=True, eq=False)
+class ChoiceFunction(_ByContent):
     """Selects a justification set per (structure, base): entries ((key, base), set)."""
 
     name: str
@@ -392,6 +367,7 @@ class ChoiceFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", dict(self.table))
+        self._set_content((self.name, frozenset(self._index.items())))
 
     def selection(self, d: ArgStructure, base: AtomicBase) -> "JustificationSet | None":
         return self._index.get((canonical_key(d), base))
@@ -400,8 +376,8 @@ class ChoiceFunction:
 Justification = Union[SchematicRewrite, ConstantMap, ChoiceFunction]
 
 
-@dataclass(frozen=True)
-class JustificationSet:
+@dataclass(frozen=True, eq=False)
+class JustificationSet(_ByContent):
     members: tuple[Justification, ...] = ()
 
     def __post_init__(self):
@@ -410,10 +386,7 @@ class JustificationSet:
         if len(set(names)) != len(names):
             raise JustificationError(f"duplicate justification names: {names}")
         object.__setattr__(self, "members", ordered)
-        object.__setattr__(self, "_hash", hash(ordered))
-
-    def __hash__(self):
-        return self._hash
+        self._set_content(ordered)
 
     def union(self, other: "JustificationSet") -> "JustificationSet":
         byname = {j.name: j for j in self.members}
@@ -432,8 +405,8 @@ class JustificationSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class RSystem:
+@dataclass(frozen=True, eq=False)
+class RSystem(_ByContent):
     """A set of whole-structure reduction pairs, stepped at the root."""
 
     pairs: tuple[tuple[ArgStructure, ArgStructure], ...] = ()
@@ -442,17 +415,7 @@ class RSystem:
         kept = []
         index: dict[str, dict[str, ArgStructure]] = {}  # key(a) -> key(z) -> z
         for a, z in self.pairs:
-            if conclusion_of(z) != conclusion_of(a):
-                raise JustificationContractError(
-                    f"reduction pair changes the conclusion: "
-                    f"{render_formula(conclusion_of(a))} vs {render_formula(conclusion_of(z))}"
-                )
-            extra = open_set(z) - open_set(a)
-            if extra:
-                raise JustificationContractError(
-                    "reduction pair introduces assumptions: "
-                    + ", ".join(sorted(render_formula(f) for f in extra))
-                )
+            _check_contract("reduction pair", a, z)
             images = index.setdefault(canonical_key(a), {})
             kz = canonical_key(z)
             if kz not in images:
@@ -460,10 +423,7 @@ class RSystem:
                 kept.append((a, z))
         object.__setattr__(self, "pairs", tuple(kept))
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_hash", hash(self.pairs))
-
-    def __hash__(self):
-        return self._hash
+        self._set_content(frozenset((ka, kz) for ka, images in index.items() for kz in images))
 
     def union(self, other: "RSystem") -> "RSystem":
         return RSystem(self.pairs + other.pairs)
@@ -480,20 +440,9 @@ StepSource = Union[JustificationSet, RSystem]
 
 def _check_contract(name: str, din: ArgStructure, dout: ArgStructure) -> None:
     try:
-        check_structure(dout)
+        _require_contract(din, dout)
     except StructureError as e:
-        raise JustificationContractError(f"{name}: malformed output: {e}") from None
-    if conclusion_of(dout) != conclusion_of(din):
-        raise JustificationContractError(
-            f"{name}: conclusion changed from {render_formula(conclusion_of(din))} "
-            f"to {render_formula(conclusion_of(dout))}"
-        )
-    extra = open_set(dout) - open_set(din)
-    if extra:
-        raise JustificationContractError(
-            f"{name}: new open assumptions "
-            + ", ".join(sorted(render_formula(f) for f in extra))
-        )
+        raise JustificationContractError(f"{name}: {e}") from None
 
 
 def _apply_rewrite(rule: SchematicRewrite, d: ArgStructure) -> ArgStructure | None:
@@ -501,8 +450,7 @@ def _apply_rewrite(rule: SchematicRewrite, d: ArgStructure) -> ArgStructure | No
         b = _match(pat, d, _Bindings())
         if b is None:
             continue
-        alloc = _LabelAlloc(max(labels_of(d), default=0) + 1)
-        out = _build(tmpl, b, alloc)
+        out = _build(tmpl, b, itertools.count(max(labels_of(d), default=0) + 1))
         _check_contract(rule.name, d, out)
         return out
     return None
@@ -541,26 +489,22 @@ def apply_justification(
 
 def step_candidates(
     src: StepSource, d: ArgStructure, base: AtomicBase | None = None
-) -> list[ArgStructure]:
-    """All one-step reducts, innermost-leftmost positions first."""
+) -> dict[str, ArgStructure]:
+    """All one-step reducts by canonical key, innermost-leftmost positions first."""
     if isinstance(src, RSystem):
-        return list(src._index.get(canonical_key(d), {}).values())
-    out: list[ArgStructure] = []
-    seen: set[str] = set()
-    for pos in positions(d, "post"):
-        sub, _ctx = cut_subtree(d, pos)
+        return dict(src._index.get(canonical_key(d), {}))
+    out: dict[str, ArgStructure] = {}
+    for pos in positions(d):
+        sub, ctx = cut_subtree(d, pos)
         for j in src.members:
             try:
                 r = apply_justification(j, sub, base)
             except JustificationContractError:
                 continue
-            if r is None:
-                continue
-            nxt = substitute(d, pos, r)
-            k = canonical_key(nxt)
-            if k not in seen:
-                seen.add(k)
-                out.append(nxt)
+            if r is not None:
+                # apply_justification checked r against sub: splice without a recheck
+                nxt = _splice(d, pos, ctx, r)
+                out.setdefault(canonical_key(nxt), nxt)
     return out
 
 
@@ -570,11 +514,11 @@ def reach(
     base: AtomicBase | None = None,
     max_steps: int = 10,
     max_size: int = 400,
-) -> tuple[list[tuple[ArgStructure, int]], bool]:
-    """Breadth-first reducts with depths, plus a flag set when a bound cut
-    the search off (depth cap with work left, or an oversize reduct)."""
-    reached = [(start, 0)]
-    seen = {canonical_key(start)}
+) -> tuple[dict[str, tuple[ArgStructure, int]], bool]:
+    """Breadth-first reducts with depths by canonical key, plus a flag set
+    when a bound cut the search off (depth cap with work left, or an
+    oversize reduct)."""
+    reached = {canonical_key(start): (start, 0)}
     frontier = [start]
     bound_hit = False
     depth = 0
@@ -582,23 +526,21 @@ def reach(
         depth += 1
         nxt = []
         for d in frontier:
-            for c in step_candidates(src, d, base):
+            for k, c in step_candidates(src, d, base).items():
                 if size_of(c) > max_size:
                     bound_hit = True
                     continue
-                k = canonical_key(c)
-                if k in seen:
+                if k in reached:
                     continue
-                seen.add(k)
-                reached.append((c, depth))
+                reached[k] = (c, depth)
                 nxt.append(c)
         frontier = nxt
     # the depth cap only matters if the last frontier still had somewhere to go
     for d in frontier:
         if bound_hit:
             break
-        for c in step_candidates(src, d, base):
-            if size_of(c) > max_size or canonical_key(c) not in seen:
+        for k, c in step_candidates(src, d, base).items():
+            if size_of(c) > max_size or k not in reached:
                 bound_hit = True
                 break
     return reached, bound_hit
@@ -613,9 +555,8 @@ def reduces(
 ) -> bool:
     """Is there a chain of at most max_steps one-step rewrites from frm to to?
     Zero steps count: a structure reduces to itself."""
-    target = canonical_key(to)
     reached, _ = reach(src, frm, base, max_steps=max_steps, max_size=1 << 30)
-    return any(canonical_key(d) == target for d, _depth in reached)
+    return canonical_key(to) in reached
 
 
 def graph_of(j: Justification, domain: Iterable[ArgStructure], base: AtomicBase | None = None) -> RSystem:

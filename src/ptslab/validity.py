@@ -256,7 +256,7 @@ class _Checker:
             max_size=self.bounds.max_structure_size,
         )
         saw_unknown = bound_hit
-        for r, depth in reached:
+        for r, depth in reached.values():
             if atomic:
                 if is_derivation_structure(r, self.base):
                     return Verdict.valid(f"reduces to a derivation on the base in {depth} step(s)")
@@ -278,7 +278,7 @@ class _Checker:
             f"search exhausted: no {kind} among {len(reached)} reduct(s)",
             witness=ExhaustedSearch(
                 canonical_key(d),
-                tuple(canonical_key(r) for r, _ in reached),
+                tuple(reached),
                 self.bounds.max_reduction_steps,
             ),
         )

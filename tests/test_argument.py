@@ -260,7 +260,7 @@ def test_subtree_and_positions():
     d = _case_analysis()
     assert subtree_at(d, ()) == d
     assert subtree_at(d, (1,)).tag == "atm"
-    post = positions(d, "post")
+    post = positions(d)
     assert post[-1] == ()  # whole structure comes last innermost-first
     with pytest.raises(StructureError):
         subtree_at(d, (9,))

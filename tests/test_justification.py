@@ -226,9 +226,22 @@ def test_is_schematic_shares_structure_variables_across_sides():
 def test_step_candidates_order_is_deterministic():
     steps = JustificationSet((or_detour(),))
     host = Inf("wrap", Disj(c, c), (_redex(), _redex()))
-    outs = [canonical_key(x) for x in step_candidates(steps, host)]
-    assert outs == [canonical_key(x) for x in step_candidates(steps, host)]
+    outs = [canonical_key(x) for x in step_candidates(steps, host).values()]
+    assert outs == [canonical_key(x) for x in step_candidates(steps, host).values()]
     assert len(outs) == 2  # one per redex position, deduplicated
+
+
+def test_reducts_are_keyed_by_their_canonical_key():
+    steps = JustificationSet((or_detour(),))
+    host = Inf("wrap", Disj(c, c), (_redex(), _redex("orI2")))
+    cands = step_candidates(steps, host)
+    assert len(cands) == 2 and all(k == canonical_key(x) for k, x in cands.items())
+    reached, _ = reach(steps, host, None, max_steps=5, max_size=400)
+    assert all(k == canonical_key(x) for k, (x, _depth) in reached.items())
+    depths = [depth for _x, depth in reached.values()]
+    assert depths == sorted(depths) and depths[-1] == 2
+    graph = RSystem(tuple((host, x) for x in cands.values()))
+    assert step_candidates(graph, host) == cands
 
 
 def test_reach_reports_bound_hits():
@@ -288,7 +301,7 @@ def test_one_step_candidates_respect_global_contract():
         redex = random_detour_redex(rng)
         host = Inf("wrap", Disj(c, c), (redex,)) if rng.random() < 0.5 else redex
         before = analyze(host)
-        for nxt in step_candidates(steps, host):
+        for nxt in step_candidates(steps, host).values():
             after = analyze(nxt)  # raises if malformed
             assert after.conclusion == before.conclusion
             assert set(after.open_assumptions) <= set(before.open_assumptions)

@@ -52,6 +52,11 @@ RULE_CASES = [
      (JustificationError, 1)),
     ("plug-label-unbound-by-pattern",
      'r: (inf f "?A" ?D) => (plug ?D ?m (inf g "?A" (empty)))', (JustificationError, 1)),
+    # a discharge constraint binds nothing: a vacuous discharge leaves ?C unset
+    ("formula-var-bound-only-by-discharge-constraint",
+     'r: (inf impI "?A -> ?B" ?D :discharge ((?l "?C"))) => '
+     '(inf impI "?A -> ?B" (inf k "?B" ?D (inf ax "?C | ~?C" (empty))) :discharge (?l))',
+     (JustificationError, 1)),
 ]
 
 STRUCTURE_CASES = [

@@ -9,6 +9,7 @@ from ptslab import (
     AtomicBase,
     BOT,
     Bounds,
+    ConstantMap,
     Disj,
     EmptyTop,
     ExhaustedSearch,
@@ -256,10 +257,10 @@ def test_case_analysis_graph_agrees_with_functions():
     closed = instantiate(arg.structure, sigma)
     reached, _ = reach(arg.steps, closed, base, max_steps=10, max_size=400)
     pairs = []
-    for d, _depth in reached:
+    for d, _depth in reached.values():
         from ptslab.justification import step_candidates
 
-        for nxt in step_candidates(arg.steps, d, base):
+        for nxt in step_candidates(arg.steps, d, base).values():
             pairs.append((d, nxt))
     graph = RSystem(tuple(pairs))
     v_fun = valid(Argument(closed, arg.steps), base)
@@ -385,6 +386,19 @@ def test_step_sources_hash_by_content():
     assert steps == again and hash(steps) == hash(again)
     graph = em_witness(PQ, p, mode="graph").steps
     assert hash(graph) == hash(em_witness(PQ, p, mode="graph").steps)
+
+
+def test_step_sources_compare_as_sets_of_entries():
+    fam = [EMPTY, parse_base("-> a\n")]
+    ch, rev = choice_justification(a, fam), choice_justification(a, fam[::-1])
+    assert ch == rev and hash(ch) == hash(rev)
+    assert len(JustificationSet((ch,)) | JustificationSet((rev,))) == 1
+    target = synthesize_closed(PQ, q)
+    pairs = tuple((Inf(tag, q, (target,)), target) for tag in ("f", "g"))
+    for make in (lambda ps: ConstantMap("t", ps), RSystem):
+        one, two = make(pairs), make(pairs[::-1])
+        assert one == two and hash(one) == hash(two)
+        assert one != make(pairs[:1])
 
 
 def test_choice_selection_arms():
