@@ -267,7 +267,12 @@ def freshen(d: ArgStructure, used: frozenset[int]) -> ArgStructure:
 
 def positions(d: ArgStructure) -> list[tuple[int, ...]]:
     """Paths of all substructure positions in post order, innermost first."""
-    out: list[tuple[int, ...]] = []
+    return [path for path, _node in _positioned(d)]
+
+
+def _positioned(d: ArgStructure) -> list[tuple[tuple[int, ...], ArgStructure]]:
+    """(path, node) for every position, in the order of positions(d)."""
+    out: list[tuple[tuple[int, ...], ArgStructure]] = []
 
     def walk(node, path):
         if isinstance(node, EmptyTop):
@@ -275,7 +280,7 @@ def positions(d: ArgStructure) -> list[tuple[int, ...]]:
         if isinstance(node, Inf):
             for i, ch in enumerate(node.children):
                 walk(ch, path + (i,))
-        out.append(path)
+        out.append((path, node))
 
     walk(d, ())
     return out

@@ -37,6 +37,7 @@ from .argument import (
     StructureError,
     _map_leaves,
     _parse_tree,
+    _positioned,
     _require_contract,
     _splice,
     _walk,
@@ -47,7 +48,6 @@ from .argument import (
     freshen,
     instantiate,
     labels_of,
-    positions,
     render_structure,
     size_of,
     structures_equal,
@@ -343,15 +343,14 @@ class ConstantMap(_ByContent):
     pairs: tuple[tuple[ArgStructure, ArgStructure], ...]
 
     def __post_init__(self):
-        index: dict[str, tuple[ArgStructure, ArgStructure]] = {}
+        index: dict[str, tuple[ArgStructure, ArgStructure, str]] = {}  # key(k) -> (k, v, key(v))
         for k, v in self.pairs:
-            key = canonical_key(k)
-            if key in index and not structures_equal(index[key][1], v):
+            key, vkey = canonical_key(k), canonical_key(v)
+            if key in index and index[key][2] != vkey:
                 raise JustificationError(f"table {self.name}: two images for one structure")
-            index[key] = (k, v)
+            index[key] = (k, v, vkey)
         object.__setattr__(self, "_index", index)
-        entries = frozenset((k, canonical_key(v)) for k, (_, v) in index.items())
-        self._set_content((self.name, entries))
+        self._set_content((self.name, frozenset((k, vk) for k, (_, _, vk) in index.items())))
 
     def lookup(self, d: ArgStructure) -> ArgStructure | None:
         hit = self._index.get(canonical_key(d))
@@ -387,6 +386,7 @@ class JustificationSet(_ByContent):
             raise JustificationError(f"duplicate justification names: {names}")
         object.__setattr__(self, "members", ordered)
         self._set_content(ordered)
+        object.__setattr__(self, "_dispatch", _Dispatch(ordered))
 
     def union(self, other: "JustificationSet") -> "JustificationSet":
         byname = {j.name: j for j in self.members}
@@ -403,6 +403,54 @@ class JustificationSet(_ByContent):
 
     def __len__(self):
         return len(self.members)
+
+
+def _root_tag(d: ArgStructure) -> str | None:
+    """What a node shows before it is cut out: an inference's tag, None for an assumption."""
+    return d.tag if isinstance(d, Inf) else None
+
+
+class _Dispatch:
+    """A justification set's members, indexed by the nodes they can fire at.
+
+    A node's candidates are (member position, table image or None) pairs in
+    member order. A rewrite whose every clause pattern is rooted in an
+    inference can fire only at nodes with one of those tags; any other
+    rewrite, and every choice function, may fire anywhere. Table entries are
+    filed under their subtree key; of the images one key receives, only the
+    first per image key is kept, since a later one splices to the same
+    reduct key with the same contract verdict.
+    """
+
+    def __init__(self, members: tuple[Justification, ...]):
+        anywhere: list[tuple[int, None]] = []
+        tagged: dict[str, list[tuple[int, None]]] = {}
+        hits: dict[str, dict[str, tuple[int, ArgStructure]]] = {}  # key -> image key -> hit
+        key_tags: dict[str, str | None] = {}
+        for i, j in enumerate(members):
+            if isinstance(j, ConstantMap):
+                for key, (k, v, vkey) in j._index.items():
+                    hits.setdefault(key, {}).setdefault(vkey, (i, v))
+                    key_tags[key] = _root_tag(k)
+            elif isinstance(j, SchematicRewrite) and all(isinstance(p, PInf) for p, _ in j.clauses):
+                for tag in dict.fromkeys(p.tag for p, _ in j.clauses):
+                    tagged.setdefault(tag, []).append((i, None))
+            else:
+                anywhere.append((i, None))
+        choice = any(isinstance(j, ChoiceFunction) for j in members)
+        self._default = (tuple(anywhere), choice)
+        self._plans = {tag: (tuple(sorted(anywhere + ps)), choice) for tag, ps in tagged.items()}
+        for tag in set(key_tags.values()):
+            self._plans[tag] = (self.at(tag)[0], True)
+        self.by_key = {
+            key: tuple(sorted(self.at(key_tags[key])[0] + tuple(images.values()), key=lambda c: c[0]))
+            for key, images in hits.items()
+        }
+
+    def at(self, tag: str | None) -> tuple[tuple[tuple[int, ArgStructure | None], ...], bool]:
+        """The candidates at a node with this root tag unless its key is a
+        table key, and whether that key is needed."""
+        return self._plans.get(tag, self._default)
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,17 +518,22 @@ def apply_justification(
             _check_contract(j.name, d, out)
             return out
         case ChoiceFunction():
-            if base is None:
-                raise JustificationError(f"choice function {j.name} needs a base")
-            sel = j.selection(d, base)
-            if sel is None:
-                return None
-            for member in sel.members:
-                out = apply_justification(member, d, base)
-                if out is not None:
-                    return out
-            return None
+            return _choose(j, d, canonical_key(d), base)
     raise JustificationError(f"not a justification: {j!r}")
+
+
+def _choose(j: ChoiceFunction, d: ArgStructure, key: str, base: AtomicBase | None) -> ArgStructure | None:
+    """apply_justification for a choice function, given d's canonical key."""
+    if base is None:
+        raise JustificationError(f"choice function {j.name} needs a base")
+    sel = j._index.get((key, base))
+    if sel is None:
+        return None
+    for member in sel.members:
+        out = apply_justification(member, d, base)
+        if out is not None:
+            return out
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +543,32 @@ def apply_justification(
 def step_candidates(
     src: StepSource, d: ArgStructure, base: AtomicBase | None = None
 ) -> dict[str, ArgStructure]:
-    """All one-step reducts by canonical key, innermost-leftmost positions first."""
+    """All one-step reducts by canonical key, innermost-leftmost positions
+    first and members in order at each position."""
     if isinstance(src, RSystem):
         return dict(src._index.get(canonical_key(d), {}))
+    index = src._dispatch
     out: dict[str, ArgStructure] = {}
-    for pos in positions(d):
+    for pos, node in _positioned(d):
+        plan, keyed = index.at(_root_tag(node))
+        if not plan and not keyed:
+            continue  # no member can fire here
         sub, ctx = cut_subtree(d, pos)
-        for j in src.members:
+        key = canonical_key(sub) if keyed else None
+        for i, image in index.by_key.get(key, plan):
+            j = src.members[i]
             try:
-                r = apply_justification(j, sub, base)
+                if image is not None:
+                    _check_contract(j.name, sub, image)
+                    r = image
+                elif isinstance(j, ChoiceFunction):
+                    r = _choose(j, sub, key, base)
+                else:
+                    r = apply_justification(j, sub, base)
             except JustificationContractError:
                 continue
             if r is not None:
-                # apply_justification checked r against sub: splice without a recheck
+                # r was checked against sub: splice without a recheck
                 nxt = _splice(d, pos, ctx, r)
                 out.setdefault(canonical_key(nxt), nxt)
     return out

@@ -232,22 +232,22 @@ class _Checker:
         self._memo: dict[tuple[str, StepSource], Verdict] = {}
 
     def check(self, d: ArgStructure, steps: StepSource) -> Verdict:
-        key = (canonical_key(d), steps)
-        hit = self._memo.get(key)
+        dkey = canonical_key(d)
+        hit = self._memo.get((dkey, steps))
         if hit is not None:
             return hit
         info = analyze(d)
         if info.closed:
-            out = self._closed(d, steps, isinstance(info.conclusion, Atom))
+            out = self._closed(d, dkey, steps, isinstance(info.conclusion, Atom))
         else:
             out = self._open(d, steps, sorted(info.open_assumptions, key=render_formula))
-        self._memo[key] = out
+        self._memo[(dkey, steps)] = out
         return out
 
     def _extensions_for(self, steps: StepSource) -> list[StepSource]:
         return [steps] + [_extend(steps, e) for e in self.bounds.extensions]
 
-    def _closed(self, d: ArgStructure, steps: StepSource, atomic: bool) -> Verdict:
+    def _closed(self, d: ArgStructure, dkey: str, steps: StepSource, atomic: bool) -> Verdict:
         reached, bound_hit = reach(
             steps,
             d,
@@ -276,11 +276,7 @@ class _Checker:
         kind = "closed derivation" if atomic else "canonical reduct with valid substructures"
         return Verdict.invalid(
             f"search exhausted: no {kind} among {len(reached)} reduct(s)",
-            witness=ExhaustedSearch(
-                canonical_key(d),
-                tuple(reached),
-                self.bounds.max_reduction_steps,
-            ),
+            witness=ExhaustedSearch(dkey, tuple(reached), self.bounds.max_reduction_steps),
         )
 
     def _sigma_candidates(self, f: Formula) -> list[ArgStructure]:

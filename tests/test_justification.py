@@ -1,13 +1,20 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptslab import (
     Assumption,
     Atom,
     AtomicBase,
+    BOT,
     ChoiceFunction,
+    Conj,
     ConstantMap,
     Disj,
     EmptyTop,
+    Impl,
     Inf,
     JustificationContractError,
     JustificationError,
@@ -17,6 +24,8 @@ from ptslab import (
     apply_justification,
     canonical_key,
     check_closure,
+    conclusion_of,
+    choice_justification,
     em_refutation_rule,
     graph_of,
     is_canonical,
@@ -24,14 +33,16 @@ from ptslab import (
     negation,
     or_detour,
     parse_base,
+    positions,
     parse_rules,
     parse_structure,
     reduces,
     structures_equal,
 )
+from ptslab.argument import _splice, cut_subtree
 from ptslab.justification import reach, step_candidates
 
-from genlib import make_rng, random_detour_redex, random_sigma
+from genlib import make_rng, random_closed_structure, random_detour_redex, random_formula, random_sigma
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -319,3 +330,121 @@ def test_canonical_form_is_idempotent_and_relabel_invariant():
         assert canonical_form(cf) == cf
         shuffled = relabel(d, {1: rng.randint(10, 60), 2: rng.randint(61, 99)})
         assert canonical_form(shuffled) == cf
+
+
+# ---------------------------------------------------------------------------
+# the dispatch index against the member-by-member loop it replaces
+
+
+def _member_loop(src, d, base=None):
+    """Reference one-step reducts: cut every position, apply every member."""
+    out = {}
+    for pos in positions(d):
+        sub, ctx = cut_subtree(d, pos)
+        for j in src.members:
+            try:
+                r = apply_justification(j, sub, base)
+            except JustificationContractError:
+                continue
+            if r is not None:
+                nxt = _splice(d, pos, ctx, r)
+                out.setdefault(canonical_key(nxt), nxt)
+    return out
+
+
+def _same_as_member_loop(src, d, base=None):
+    got = step_candidates(src, d, base)
+    assert list(got.items()) == list(_member_loop(src, d, base).items())
+    return got
+
+
+EM = Disj(a, negation(a))
+EM_AXIOM = Inf("ax", EM, (EmptyTop(),))
+EM_LEFT = Inf("orI1", EM, (Inf("atm", a, (EmptyTop(),)),))
+
+
+def _em_refuted(label):
+    refutation = Inf("step", BOT, (Assumption(a, label),))
+    return Inf("orI2", EM, (Inf("impI", negation(a), (refutation,), frozenset({label})),))
+
+
+def test_dispatch_matches_member_loop_on_rules():
+    steps = JustificationSet((or_detour(), em_refutation_rule()))
+    host = Inf("pair", Conj(EM, c), (EM_AXIOM, _redex("orI2")))
+    assert len(_same_as_member_loop(steps, host)) == 2
+    swap = parse_rules('swap: (inf p "?A" ?D) => (inf q "?A" ?D)\nswap: (inf q "?A" ?D) => (inf p "?A" ?D)')
+    assert len(_same_as_member_loop(swap, Inf("q", c, (Inf("p", c, (Assumption(c),)),)))) == 2
+    rng = make_rng(22)
+    for _ in range(40):
+        redex = random_detour_redex(rng)
+        _same_as_member_loop(steps, Inf("pair", Conj(EM, c), (EM_AXIOM, redex)))
+
+
+def test_dispatch_matches_member_loop_on_pooled_tables():
+    # delta-star pools: tables share one key, with different images, equal
+    # images and images equal up to labels, and some break the contract
+    tables = (
+        ConstantMap("p0_left", ((EM_AXIOM, EM_LEFT),)),
+        ConstantMap("p1_refuted", ((EM_AXIOM, _em_refuted(1)),)),
+        ConstantMap("p2_left_again", ((EM_AXIOM, EM_LEFT),)),
+        ConstantMap("p3_opens", ((EM_AXIOM, Inf("orI1", EM, (Assumption(a),))),)),
+        ConstantMap("p4_refuted_relabelled", ((EM_AXIOM, _em_refuted(7)),)),
+        ConstantMap("p5_opens_again", ((EM_AXIOM, Inf("orI1", EM, (Assumption(a),))),)),
+        ConstantMap("p6_other_conclusion", ((EM_AXIOM, Inf("atm", a, (EmptyTop(),))),)),
+    )
+    hosts = (
+        EM_AXIOM,
+        Inf("andI", Conj(EM, EM), (EM_AXIOM, EM_AXIOM)),
+        Inf("impI", Impl(a, EM), (Inf("k", EM, (EM_AXIOM, Assumption(a, 3))),), frozenset({3})),
+    )
+    for steps in (JustificationSet(tables), JustificationSet(tables[2:]), JustificationSet(tables[3::2])):
+        for host in hosts:
+            _same_as_member_loop(steps, host)
+    assert len(step_candidates(JustificationSet(tables), EM_AXIOM)) == 2
+    assert step_candidates(JustificationSet(tables[3::3]), EM_AXIOM) == {}
+
+
+def test_dispatch_matches_member_loop_on_choice_functions():
+    family = [AtomicBase(frozenset()), parse_base("-> a\n"), parse_base("-> b\n")]
+    choice = choice_justification(a, family)
+    host = Inf("andI", Conj(EM, EM), (EM_AXIOM, EM_AXIOM))
+    for steps in (JustificationSet((choice,)), JustificationSet((choice, or_detour()))):
+        for base in family + [parse_base("-> c\n")]:
+            _same_as_member_loop(steps, host, base)
+            _same_as_member_loop(steps, Inf("pair", Conj(EM, c), (EM_AXIOM, _redex())), base)
+        with pytest.raises(JustificationError, match="needs a base"):
+            step_candidates(steps, host)
+        with pytest.raises(JustificationError, match="needs a base"):
+            _member_loop(steps, host)
+
+
+def test_dispatch_matches_member_loop_on_rules_rooted_anywhere():
+    wrap = parse_rules('wrap: (?D :concludes "?A") => (inf id "?A" ?D)').members[0]
+    hyp = parse_rules('hyp: (assume "?A") => (inf id "?A" (assume "?A"))').members[0]
+    host = Inf("pair", Conj(EM, c), (EM_AXIOM, _redex()))
+    for members in ((wrap,), (hyp,), (wrap, or_detour()), (hyp, wrap, em_refutation_rule())):
+        assert _same_as_member_loop(JustificationSet(members), host)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 7), min_size=1))
+def test_dispatch_matches_member_loop_on_random_structures(seed, picks):
+    rng = random.Random(seed)
+    redex = random_detour_redex(rng)
+    closed = random_closed_structure(rng, random_formula(rng, 2), rng.randint(1, 3))
+    host = Inf("pair", Conj(conclusion_of(redex), conclusion_of(closed)), (redex, closed, EM_AXIOM))
+    goal = conclusion_of(closed)
+    same = Inf("cls2", goal, (EmptyTop(),))
+    base = AtomicBase(frozenset())
+    chosen = ConstantMap("t4", ((closed, same),))
+    menu = (
+        or_detour(),
+        em_refutation_rule(),
+        parse_rules('wrap: (?D :concludes "?A") => (inf id "?A" ?D)').members[0],
+        ConstantMap("t0", ((closed, same),)),
+        ConstantMap("t1", ((closed, same), (EM_AXIOM, EM_LEFT))),
+        ConstantMap("t2", ((closed, Inf("cls3", goal, (EmptyTop(),))),)),
+        ConstantMap("t3", ((closed, Inf("cls", Conj(goal, goal), (EmptyTop(),))),)),
+        ChoiceFunction("pick", (((canonical_key(closed), base), JustificationSet((chosen,))),)),
+    )
+    _same_as_member_loop(JustificationSet(tuple(menu[i] for i in picks)), host, base)

@@ -450,3 +450,27 @@ def test_consequence_tolerates_duplicate_family_entries():
     g = Disj(a, negation(a))
     assert consequence("delta-star", (), g, fam).is_valid
     assert consequence("delta-sh", (), g, fam).is_valid
+
+
+def test_delta_star_key_computations_grow_linearly(monkeypatch):
+    # one pooled table per base: the dispatch index must keep delta-star's
+    # canonical-key work linear in the family (quadrupling it, not 16x)
+    from ptslab import argument, justification, validity
+
+    calls = [0]
+    key = argument.canonical_key
+
+    def counted(d):
+        calls[0] += 1
+        return key(d)
+
+    for module in (argument, justification, validity):
+        monkeypatch.setattr(module, "canonical_key", counted)
+    fam = sorted(enumerate_bases([a, b], 2), key=lambda base: base.id)
+    assert len(fam) == 65
+    counts = {}
+    for k in (16, 65):
+        calls[0] = 0
+        assert consequence("delta-star", [], Disj(a, negation(a)), fam[:k]).is_valid
+        counts[k] = calls[0]
+    assert counts[65] <= 8 * counts[16], counts
