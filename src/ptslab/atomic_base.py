@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .formula import BOT, Atom, FormulaError
@@ -58,28 +58,37 @@ def _rule_key(r: AtomicRule):
     return (str(r.conclusion.is_bottom), r.conclusion.name, len(r.premises), tuple(p.name for p in r.premises))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class AtomicBase:
-    rules: frozenset[AtomicRule]
-    id: str = field(default="", compare=False)  # a display name: a base is its rules
+    """A base is its rules; what is derived from them is computed once, on first use."""
 
-    def __post_init__(self):
-        if not self.id:
-            object.__setattr__(self, "id", self.rules_text())
+    rules: frozenset[AtomicRule]
+
+    def __init__(self, rules: frozenset[AtomicRule], id: str = ""):
+        object.__setattr__(self, "rules", rules)
+        if id:
+            object.__setattr__(self, "id", id)
+
+    @functools.cached_property
+    def id(self) -> str:  # a display name, outside equality; by default the rules text
+        return self.rules_text()
+
+    @functools.cached_property
+    def _sorted(self) -> tuple[AtomicRule, ...]:
+        return tuple(sorted(self.rules, key=_rule_key))
+
+    @functools.cached_property
+    def _derived(self) -> dict[Atom, AtomicRule | None]:
+        return _forward(self._sorted, frozenset())
 
     def rules_text(self) -> str:
         return "{" + "; ".join(str(r) for r in self.sorted_rules()) + "}"
 
     def sorted_rules(self) -> list[AtomicRule]:
-        return sorted(self.rules, key=_rule_key)
+        return list(self._sorted)
 
     def atoms(self) -> frozenset[Atom]:
-        out = set()
-        for r in self.rules:
-            out.update(r.premises)
-            if not r.conclusion.is_bottom:
-                out.add(r.conclusion)
-        return frozenset(out)
+        return frozenset(a for r in self.rules for a in (*r.premises, r.conclusion) if not a.is_bottom)
 
 
 @dataclass(frozen=True)
@@ -100,43 +109,10 @@ class AtomicDerivation:
         return all(c.check(base, assumptions) for c in self.children)
 
 
-def _check_assumptions(assumptions: Iterable[Atom]) -> frozenset[Atom]:
-    out = frozenset(assumptions)
-    if any(a.is_bottom for a in out):
-        raise BaseError("assumption sets may not contain the absurdity constant")
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _closure(base: AtomicBase, assumptions: frozenset[Atom]) -> frozenset[Atom]:
-    derived = set(assumptions)
-    rules = base.sorted_rules()
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            if r.conclusion not in derived and all(p in derived for p in r.premises):
-                derived.add(r.conclusion)
-                changed = True
-    return frozenset(derived)
-
-
-def atomic_closure(base: AtomicBase, assumptions: Iterable[Atom] = ()) -> frozenset[Atom]:
-    """Least set of atoms containing the assumptions and closed under the rules."""
-    return _closure(base, _check_assumptions(assumptions))
-
-
-def derives(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> bool:
-    return goal in atomic_closure(base, assumptions)
-
-
-def atomic_derivation(
-    base: AtomicBase, assumptions: Iterable[Atom], goal: Atom
-) -> AtomicDerivation | None:
-    """A derivation tree witnessing derivability, or None."""
-    assumptions = _check_assumptions(assumptions)
-    derived: dict[Atom, AtomicRule | None] = {a: None for a in assumptions}
-    rules = base.sorted_rules()
+def _forward(rules: tuple[AtomicRule, ...], assumptions: frozenset[Atom]) -> dict[Atom, AtomicRule | None]:
+    """Forward chaining to a fixpoint: each derived atom mapped to the first
+    rule that derived it, None for an assumption."""
+    derived: dict[Atom, AtomicRule | None] = dict.fromkeys(assumptions)
     changed = True
     while changed:
         changed = False
@@ -144,6 +120,31 @@ def atomic_derivation(
             if r.conclusion not in derived and all(p in derived for p in r.premises):
                 derived[r.conclusion] = r
                 changed = True
+    return derived
+
+
+def _derivations(base: AtomicBase, assumptions: Iterable[Atom]) -> dict[Atom, AtomicRule | None]:
+    """The base's own map for no assumptions; under any others, one computed afresh."""
+    assumptions = frozenset(assumptions)
+    if BOT in assumptions:
+        raise BaseError("assumption sets may not contain the absurdity constant")
+    return _forward(base._sorted, assumptions) if assumptions else base._derived
+
+
+def atomic_closure(base: AtomicBase, assumptions: Iterable[Atom] = ()) -> frozenset[Atom]:
+    """Least set of atoms containing the assumptions and closed under the rules."""
+    return frozenset(_derivations(base, assumptions))
+
+
+def derives(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> bool:
+    return goal in _derivations(base, assumptions)
+
+
+def atomic_derivation(
+    base: AtomicBase, assumptions: Iterable[Atom], goal: Atom
+) -> AtomicDerivation | None:
+    """A derivation tree witnessing derivability, or None."""
+    derived = _derivations(base, assumptions)
     if goal not in derived:
         return None
 
@@ -157,26 +158,16 @@ def atomic_derivation(
 
 
 def is_consistent(base: AtomicBase) -> bool:
-    return not derives(base, (), BOT)
+    return BOT not in base._derived
 
 
 def rule_universe(atoms: list[Atom]) -> list[AtomicRule]:
     """All rules over the signature, conclusions in signature order then bottom."""
-    seen: list[Atom] = []
-    for a in atoms:
-        if a.is_bottom:
-            raise BaseError("the signature lists named atoms only")
-        if a not in seen:
-            seen.append(a)
-    prem_sets: list[tuple[Atom, ...]] = []
-    for size in range(len(seen) + 1):
-        for combo in itertools.combinations(seen, size):
-            prem_sets.append(combo)
-    out = []
-    for concl in seen + [BOT]:
-        for prems in prem_sets:
-            out.append(AtomicRule(prems, concl))
-    return out
+    if BOT in atoms:
+        raise BaseError("the signature lists named atoms only")
+    seen = list(dict.fromkeys(atoms))
+    prem_sets = [c for size in range(len(seen) + 1) for c in itertools.combinations(seen, size)]
+    return [AtomicRule(prems, concl) for concl in seen + [BOT] for prems in prem_sets]
 
 
 def enumerate_bases(
@@ -190,6 +181,8 @@ def enumerate_bases(
     Deterministic and duplicate-free; raises EnumerationCapError up front
     when the raw count would exceed cap.
     """
+    if max_rules < 0:
+        raise BaseError(f"the number of rules must be non-negative, got {max_rules}")
     universe = rule_universe(atoms)
     total = sum(math.comb(len(universe), k) for k in range(min(max_rules, len(universe)) + 1))
     if total > cap:

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .atomic_base import AtomicBase, atomic_closure, is_consistent
+from .atomic_base import AtomicBase, atomic_closure
 from .formula import BOT, Atom, Conj, Disj, Formula, Impl, negation
 
 __all__ = [
@@ -78,13 +78,10 @@ def _holds(f: Formula, derivable: frozenset[Atom]) -> bool:
 
 def models(base: AtomicBase, context: Iterable[Formula], goal: Formula) -> bool:
     """Does the goal follow from the context on this base?"""
-    if not is_consistent(base):
-        warnings.warn(f"evaluating on inconsistent base {base.id}", stacklevel=2)
     derivable = atomic_closure(base, ())
-    context = tuple(context)
-    if context:
-        return (not all(_holds(c, derivable) for c in context)) or _holds(goal, derivable)
-    return _holds(goal, derivable)
+    if BOT in derivable:
+        warnings.warn(f"evaluating on inconsistent base {base.id}", stacklevel=2)
+    return not all(_holds(c, derivable) for c in context) or _holds(goal, derivable)
 
 
 def em_valid(base: AtomicBase, f: Formula) -> bool:
@@ -96,9 +93,17 @@ def logical_consequence(
     context: Iterable[Formula], goal: Formula, family: Iterable[AtomicBase]
 ) -> ConsequenceVerdict:
     """Consequence over every base of a finite family."""
+    failing = _first_failing(context, goal, family)
+    return ConsequenceVerdict(True) if failing is None else ConsequenceVerdict(False, failing.id)
+
+
+def _first_failing(
+    context: Iterable[Formula], goal: Formula, family: Iterable[AtomicBase]
+) -> AtomicBase | None:
+    """The first base of the family on which the goal does not follow, or None."""
     context = tuple(context)
     for base in family:
         if not models(base, context, goal):
-            return ConsequenceVerdict(False, base.id)
-    return ConsequenceVerdict(True)
+            return base
+    return None
 

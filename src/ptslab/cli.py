@@ -31,7 +31,7 @@ from .argument import (
     parse_structure,
     parse_structures,
 )
-from .base_semantics import logical_consequence, models
+from .base_semantics import _first_failing, logical_consequence, models
 from .formula import Atom, Disj, Formula, FormulaError, negation, parse_formula, render_formula
 from .justification import (
     JustificationError,
@@ -147,11 +147,7 @@ def search_counterexample(
     cap: int = 200_000,
 ) -> AtomicBase | None:
     """First enumerated consistent base on which the goal fails, or None."""
-    context = tuple(context)
-    for base in enumerate_bases(atoms, max_rules, consistent_only=True, cap=cap):
-        if not models(base, context, goal):
-            return base
-    return None
+    return _first_failing(context, goal, enumerate_bases(atoms, max_rules, consistent_only=True, cap=cap))
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +395,9 @@ def _cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_options(sp, *, steps=False, pools=False, family=False):
-    """Register the options a command reads, and only those."""
+def _add_options(sp, *, steps=False, pools=False, family=""):
+    """Register the options a command reads, and only those. family is the
+    nargs of --family; "+" also makes the option required."""
     if steps:
         sp.add_argument("--max-steps", type=int, default=10, dest="max_steps")
     if pools:
@@ -409,7 +406,8 @@ def _add_options(sp, *, steps=False, pools=False, family=False):
     if family:
         sp.add_argument(
             "--family",
-            nargs="*",
+            nargs=family,
+            required=family == "+",
             metavar="SPEC",
             help="base files and/or enumerate:atoms=K,rules=M",
         )
@@ -437,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("variant", choices=("base",) + CONSEQUENCE_VARIANTS)
     sp.add_argument("goal")
     sp.add_argument("--context", help="semicolon-separated formulas")
-    _add_options(sp, steps=True, pools=True, family=True)
+    _add_options(sp, steps=True, pools=True, family="+")
     sp.set_defaults(func=_cmd_consequence)
 
     sp = sub.add_parser("reduce", help="bounded reduction between two structures")
@@ -465,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("demo", help="run a packaged worked example")
     sp.add_argument("name", choices=sorted(_DEMOS))
-    _add_options(sp, steps=True, pools=True, family=True)
+    _add_options(sp, steps=True, pools=True, family="*")
     sp.set_defaults(func=_cmd_demo)
 
     return p

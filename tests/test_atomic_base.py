@@ -1,7 +1,12 @@
+import gc
+import itertools
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptslab import atomic_base
 from ptslab import (
     Atom,
     AtomicBase,
@@ -21,7 +26,7 @@ from ptslab import (
 from genlib import make_rng
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
-a = Atom("a")
+a, b = Atom("a"), Atom("b")
 
 PQ = parse_base("-> p\np -> q\n")
 EMPTY = AtomicBase(frozenset())
@@ -121,6 +126,13 @@ def test_enumerate_consistency_filter_matches_oracle():
     assert [b.id for b in kept] == [b.id for b in allb if is_consistent(b)]
 
 
+def test_enumerate_rejects_negative_rule_count():
+    # like a negative bound, a negative rule count is an input error
+    with pytest.raises(BaseError, match="non-negative"):
+        list(enumerate_bases([p], -1))
+    assert [x.id for x in enumerate_bases([p], 0)] == ["{}"]
+
+
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapError):
         list(enumerate_bases([p, q, r], 4, cap=10))
@@ -178,3 +190,64 @@ def test_closure_monotone(data):
     b2 = AtomicBase(rules | more)
     assert atomic_closure(b1, small) <= atomic_closure(b1, bigger)
     assert atomic_closure(b1, small) <= atomic_closure(b2, small)
+
+
+def _chain_agrees(base, assumptions, goals):
+    closure = atomic_closure(base, assumptions)
+    assert closure == _oracle_closure(base, assumptions)
+    for goal in goals:
+        t = atomic_derivation(base, assumptions, goal)
+        assert (t is not None) == (goal in closure) == derives(base, assumptions, goal)
+        if t is not None:
+            assert t.check(base, assumptions)
+
+
+def test_forward_chain_agrees_with_oracle_exhaustive():
+    # every base over a, b with at most three rules, under every assumption set
+    for base in enumerate_bases([a, b], 3, consistent_only=False):
+        for k in range(3):
+            for assumptions in itertools.combinations([a, b], k):
+                _chain_agrees(base, frozenset(assumptions), (a, b, BOT))
+
+
+def test_forward_chain_agrees_with_oracle_random():
+    rng = make_rng(7)
+    atoms = [Atom(x) for x in "abcd"]
+    for _ in range(200):
+        rules = set()
+        for _ in range(rng.randint(0, 7)):
+            prem = tuple(x for x in atoms if rng.random() < 0.3)
+            rules.add(AtomicRule(prem, rng.choice(atoms + [BOT])))
+        base = AtomicBase(frozenset(rules))
+        assumptions = frozenset(x for x in atoms if rng.random() < 0.3)
+        _chain_agrees(base, assumptions, atoms + [BOT])
+        _chain_agrees(base, frozenset(), atoms + [BOT])
+
+
+def test_base_chains_and_sorts_once(monkeypatch):
+    chains, keys = [], []
+    forward, rule_key = atomic_base._forward, atomic_base._rule_key
+    monkeypatch.setattr(atomic_base, "_forward", lambda *x: chains.append(x) or forward(*x))
+    monkeypatch.setattr(atomic_base, "_rule_key", lambda r: keys.append(r) or rule_key(r))
+    base = parse_base("-> p\np -> q\nq r -> bot\n")
+    for _ in range(2):
+        assert atomic_closure(base) == {p, q} and derives(base, (), q) and is_consistent(base)
+        assert atomic_derivation(base, (), q).check(base)
+        assert base.id == base.rules_text() == "{-> p; p -> q; q r -> _|_}"
+        assert base.sorted_rules() == base.sorted_rules()
+    assert len(chains) == 1 and len(keys) == 3
+    # closures under assumptions are computed afresh, never stored
+    assert atomic_closure(base, {r}) == {p, q, r, BOT} and derives(base, {r}, BOT)
+    assert len(chains) == 3
+
+
+def test_base_releases_what_it_computed():
+    # atoms no other test uses, so no equal base was built before
+    base = parse_base("-> held\nheld -> freed\n")
+    assert atomic_closure(base) == {Atom("held"), Atom("freed")}
+    assert base.id == "{held -> freed; -> held}"
+    assert atomic_derivation(base, (), Atom("freed")) is not None and is_consistent(base)
+    ref = weakref.ref(base)
+    del base
+    gc.collect()
+    assert ref() is None

@@ -100,6 +100,27 @@ def test_search_counterexample_op():
     assert search_counterexample((), parse_formula("a | ~a"), [Atom("a")], 2) is None
 
 
+def test_negative_rule_counts_are_input_errors(capsys):
+    assert main(["search", "p", "--atoms", "p", "--max-rules", "-1"]) == 3
+    assert "non-negative" in capsys.readouterr().err
+    assert main(["consequence", "base", "p", "--family", "enumerate:atoms=1,rules=-1"]) == 3
+    assert "non-negative" in capsys.readouterr().err
+    # with no rules the family is the empty base, on which p fails
+    assert run(capsys, "search", "p", "--atoms", "p", "--max-rules", "0") == (1, "counterexample: {}\n")
+
+
+def test_consequence_needs_a_family(capsys):
+    for argv in (["consequence", "base", "p"], ["consequence", "base", "p", "--family"],
+                 ["consequence", "delta", "p", "--family"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "--family" in capsys.readouterr().err
+    # a demo falls back to its own family
+    code, out = run(capsys, "demo", "graph", "--family")
+    assert code == 0 and out.count("graph witness on") == 4
+
+
 def test_demos_pass(capsys):
     for name in ("detour", "chain", "graph"):
         code, _ = run(capsys, "demo", name)

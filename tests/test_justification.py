@@ -121,6 +121,35 @@ def test_reduces_examples():
     assert not reduces(JustificationSet(), redex, out, 10)
 
 
+# An or-detour whose filler discharges label 5 is plugged into two leaves,
+# so both copies in the reduct discharge the same label.
+_REUSE_REDEX = (
+    '(inf orE "c" (inf orI1 "(a -> a) | b" (inf impI "a -> a" (inf s "a" (assume "a" :label 5))'
+    ' :discharge (5))) (inf k "c" (assume "a -> a" :label 1) (assume "a -> a" :label 1))'
+    ' (inf k "c" (assume "b" :label 2)) :discharge (1 2))'
+)
+
+
+def _filler_pair(l1, l2):
+    return parse_structure(
+        f'(inf k "c" (inf impI "a -> a" (inf s "a" (assume "a" :label {l1})) :discharge ({l1}))'
+        f' (inf impI "a -> a" (inf s "a" (assume "a" :label {l2})) :discharge ({l2})))'
+    )
+
+
+def test_or_detour_reduct_reuses_a_discharged_label():
+    steps = JustificationSet((or_detour(),))
+    assert reduces(steps, parse_structure(_REUSE_REDEX), _filler_pair(5, 5), 1)
+
+
+@pytest.mark.xfail(strict=True, reason="canonical_key numbers discharge labels by value, "
+                   "not by the inference that discharges them")
+def test_canonical_key_ignores_label_reuse_across_subtrees():
+    # the same reduct with one label per copy differs only in label names
+    steps = JustificationSet((or_detour(),))
+    assert reduces(steps, parse_structure(_REUSE_REDEX), _filler_pair(5, 6), 1)
+
+
 def test_reduces_inside_context():
     # the redex sits under another inference; rewriting happens in place
     steps = JustificationSet((or_detour(),))
