@@ -170,39 +170,56 @@ def _walk(d: ArgStructure) -> Iterator[ArgStructure]:
 
 def _map_leaves(d: ArgStructure, leaf, discharges=None) -> ArgStructure:
     """d rebuilt with every assumption leaf n replaced by leaf(n) and, when
-    given, every discharge set s by discharges(s)."""
+    given, every discharge set s by discharges(s); both are called in
+    pre-order."""
     match d:
         case Assumption():
             return leaf(d)
         case Inf(tag, c, children, dis):
-            kids = tuple(_map_leaves(ch, leaf, discharges) for ch in children)
-            return Inf(tag, c, kids, dis if discharges is None else discharges(dis))
+            dis = dis if discharges is None else discharges(dis)
+            return Inf(tag, c, tuple(_map_leaves(ch, leaf, discharges) for ch in children), dis)
     return d
+
+
+def _scope(d: ArgStructure) -> tuple[list, list]:
+    """Resolve each label of d to its discharging inference, without raising.
+    Returns, in pre-order, (leaf, binder, count) per assumption leaf, binder the
+    position of the nearest enclosing inference discharging its label (None if
+    none) and count how many do; and (position, discharges) per binder."""
+    leaves, binders = [], []
+    stack, pos = [(d, {})], 0
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, Inf):
+            if node.discharges:
+                binders.append((pos, node.discharges))
+                scope = dict(scope)
+                for l in node.discharges:
+                    scope[l] = (pos, scope.get(l, (None, 0))[1] + 1)
+            stack.extend([(ch, scope) for ch in reversed(node.children)])
+        elif isinstance(node, Assumption):
+            leaves.append((node, *scope.get(node.label, (None, 0))))
+        pos += 1
+    return leaves, binders
+
+
+def _checked_leaves(d: ArgStructure) -> list:
+    """The leaves of _scope(d), after raising StructureError unless d is well formed."""
+    if isinstance(d, EmptyTop):
+        raise StructureError("an empty node cannot stand alone")
+    leaves, _ = _scope(d)
+    for leaf, _, n in leaves:
+        if leaf.label is not None and n != 1:
+            raise StructureError(
+                f"label {leaf.label} on assumption {render_formula(leaf.formula)} has "
+                f"{n} discharging inferences below it (need exactly 1)"
+            )
+    return leaves
 
 
 def check_structure(d: ArgStructure) -> None:
     """Raise StructureError unless d is well formed."""
-    if isinstance(d, EmptyTop):
-        raise StructureError("an empty node cannot stand alone")
-
-    def walk(node, binder_sets):
-        match node:
-            case EmptyTop():
-                return
-            case Assumption(f, lbl):
-                if lbl is not None:
-                    n = sum(lbl in s for s in binder_sets)
-                    if n != 1:
-                        raise StructureError(
-                            f"label {lbl} on assumption {render_formula(f)} has "
-                            f"{n} discharging inferences below it (need exactly 1)"
-                        )
-            case Inf(_, _, children, dis):
-                below = binder_sets + (dis,)
-                for ch in children:
-                    walk(ch, below)
-
-    walk(d, ())
+    _checked_leaves(d)
 
 
 @dataclass(frozen=True)
@@ -217,16 +234,8 @@ class StructureInfo:
 
 def analyze(d: ArgStructure) -> StructureInfo:
     """Conclusion, open assumptions (with multiplicity) and closedness."""
-    check_structure(d)
-    opens: Counter = Counter()
-    for node in _walk(d):
-        if isinstance(node, Assumption) and node.label is None:
-            opens[node.formula] += 1
+    opens = Counter(leaf.formula for leaf, _, _ in _checked_leaves(d) if leaf.label is None)
     return StructureInfo(conclusion_of(d), opens)
-
-
-def open_set(d: ArgStructure) -> frozenset[Formula]:
-    return frozenset(analyze(d).open_assumptions)
 
 
 def size_of(d: ArgStructure) -> int:
@@ -314,14 +323,12 @@ def cut_subtree(
     if isinstance(node, EmptyTop):
         raise StructureError("an empty node is not a substructure")
 
-    inner = set()
-    for n in _walk(node):
-        if isinstance(n, Inf):
-            inner.update(n.discharges)
+    # a labelled leaf with no discharging inference inside the cut is bound outside it
+    outside = iter([leaf.label is not None and binder is None for leaf, binder, _ in _scope(node)[0]])
     outer_bound: dict[int, set[Formula]] = {}
 
     def opened(n):
-        if n.label is None or n.label in inner:
+        if not next(outside):
             return n
         outer_bound.setdefault(n.label, set()).add(n.formula)
         return Assumption(n.formula)
@@ -357,7 +364,7 @@ def _require_contract(before: ArgStructure, after: ArgStructure) -> None:
             f"conclusion changed from {render_formula(conclusion_of(before))} "
             f"to {render_formula(conclusion_of(after))}"
         )
-    extra = open_set(after) - open_set(before)
+    extra = analyze(after).open_assumptions.keys() - analyze(before).open_assumptions.keys()
     if extra:
         names = ", ".join(sorted(render_formula(f) for f in extra))
         raise AssumptionEscape(f"new open assumptions: {names}")
@@ -423,14 +430,6 @@ def instantiate(d: ArgStructure, mapping: dict[Formula, ArgStructure]) -> ArgStr
     return out
 
 
-def _bound_leaf_formulas(d: Inf) -> set[Formula]:
-    out = set()
-    for n in _walk(d):
-        if isinstance(n, Assumption) and n.label in d.discharges:
-            out.add(n.formula)
-    return out
-
-
 def is_canonical(d: ArgStructure) -> bool:
     """Does the structure end with an introduction for its main connective?
 
@@ -459,7 +458,7 @@ def is_canonical(d: ArgStructure) -> bool:
         case Impl(l, r):
             if len(kids) != 1 or conclusion_of(kids[0]) != r:
                 return False
-            return all(f == l for f in _bound_leaf_formulas(d))
+            return all(leaf.formula == l for leaf, binder, _ in _scope(d)[0] if binder == 0)  # bound by d
         case _:
             return False
 
@@ -477,32 +476,43 @@ def immediate_substructures(d: ArgStructure) -> list[ArgStructure]:
     return out
 
 
+def _numbering(d: ArgStructure):
+    """d's canonical labels as the callbacks of _render and _map_leaves: each
+    (inference, label) pair has its own number, by first bound leaf, then the
+    inference's position, then the label; unbound leaves share one per label."""
+    leaves, binders = _scope(d)
+    number: dict[tuple[int | None, int], int] = {}
+    leaf_numbers = iter([
+        number.setdefault((binder, leaf.label), len(number) + 1)
+        for leaf, binder, _ in leaves
+        if leaf.label is not None
+    ])
+    for pos, dis in binders:
+        for l in sorted(dis):
+            number.setdefault((pos, l), len(number) + 1)
+    sets = iter([sorted(number[pos, l] for l in dis) for pos, dis in binders])
+    return lambda n: next(leaf_numbers), lambda dis: next(sets)
+
+
 def canonical_form(d: ArgStructure) -> ArgStructure:
-    """Rename labels into a first-use numbering so equal-up-to-relabelling
-    structures become identical."""
-    first_leaf: dict[int, int] = {}
-    first_node: dict[int, int] = {}
-    for i, n in enumerate(_walk(d)):
-        match n:
-            case Assumption(_, lbl) if lbl is not None:
-                first_leaf.setdefault(lbl, i)
-            case Inf(_, _, _, dis):
-                for l in dis:
-                    first_node.setdefault(l, i)
-    labels = set(first_leaf) | set(first_node)
-    big = 1 << 30
-    ordered = sorted(labels, key=lambda l: (first_leaf.get(l, big), first_node.get(l, big), l))
-    return relabel(d, {l: i + 1 for i, l in enumerate(ordered)})
+    """Rename labels into the canonical numbering, so that structures equal
+    up to relabelling become identical."""
+    label, discharged = _numbering(d)
+    return _map_leaves(
+        d,
+        lambda n: n if n.label is None else Assumption(n.formula, label(n)),
+        lambda dis: frozenset(discharged(dis)) if dis else dis,
+    )
 
 
 def structures_equal(d1: ArgStructure, d2: ArgStructure) -> bool:
     """Equality up to renaming of discharge labels."""
-    return canonical_form(d1) == canonical_form(d2)
+    return canonical_key(d1) == canonical_key(d2)
 
 
 def canonical_key(d: ArgStructure) -> str:
-    """A stable text key identifying d up to label renaming."""
-    return render_structure(canonical_form(d))
+    """A stable text key identifying d up to label renaming: canonical_form(d)'s text."""
+    return _render(d, *_numbering(d))
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +521,22 @@ def canonical_key(d: ArgStructure) -> str:
 
 
 def render_structure(d: ArgStructure) -> str:
+    return _render(d, lambda n: n.label, sorted)
+
+
+def _render(d: ArgStructure, label, discharged) -> str:
+    """The text of d, writing the label of leaf n as label(n) and the
+    discharge set s as discharged(s); both are called in pre-order."""
     match d:
         case Assumption(f, lbl):
-            tail = f" :label {lbl}" if lbl is not None else ""
+            tail = f" :label {label(d)}" if lbl is not None else ""
             return f'(assume "{render_formula(f)}"{tail})'
         case EmptyTop():
             return "(empty)"
         case Inf(tag, c, children, dis):
-            parts = ["inf", tag, f'"{render_formula(c)}"']
-            parts.extend(render_structure(ch) for ch in children)
-            if dis:
-                parts.append(":discharge (" + " ".join(str(l) for l in sorted(dis)) + ")")
-            return "(" + " ".join(parts) + ")"
+            tail = " :discharge (" + " ".join(map(str, discharged(dis))) + "))" if dis else ")"
+            kids = " ".join(_render(ch, label, discharged) for ch in children)
+            return f'(inf {tag} "{render_formula(c)}" {kids}{tail}'
     raise StructureError(f"not a structure: {d!r}")
 
 

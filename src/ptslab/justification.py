@@ -39,8 +39,8 @@ from .argument import (
     _parse_tree,
     _positioned,
     _require_contract,
+    _scope,
     _splice,
-    _walk,
     canonical_form,
     canonical_key,
     conclusion_of,
@@ -155,26 +155,16 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
                 return None
             if concludes is not None and not _match_formula(concludes, conclusion_of(d), b):
                 return None
-            if name in b.svars:
-                return b if structures_equal(b.svars[name], d) else None
             b.svars[name] = d
             return b
         case EmptyTop():
             return b if isinstance(d, EmptyTop) else None
         case PAssume(fpat, labelvar):
-            if not isinstance(d, Assumption):
+            if not isinstance(d, Assumption) or (labelvar is None) != (d.label is None):
                 return None
-            if labelvar is None:
-                if d.label is not None:
-                    return None
-            else:
-                if d.label is None:
-                    return None
-                if labelvar in b.lvars:
-                    if b.lvars[labelvar] != d.label:
-                        return None
-                else:
-                    b.lvars[labelvar] = d.label
+            # a label variable binds the first label it meets and must meet it again
+            if labelvar is not None and b.lvars.setdefault(labelvar, d.label) != d.label:
+                return None
             return b if _match_formula(fpat, d.formula, b) else None
         case PInf(tag, cpat, children, dspecs):
             if not isinstance(d, Inf) or d.tag != tag or len(d.children) != len(children):
@@ -190,24 +180,18 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
                 b = got
             if not dspecs:
                 return b
+            bound = [leaf for leaf, binder, _ in _scope(d)[0] if binder == 0]  # leaves d binds
             for perm in itertools.permutations(sorted(d.discharges)):
                 trial = b.copy()
-                ok = True
                 for spec, label in zip(dspecs, perm):
-                    if spec.labelvar in trial.lvars:
-                        if trial.lvars[spec.labelvar] != label:
-                            ok = False
-                            break
-                    else:
-                        trial.lvars[spec.labelvar] = label
-                    if spec.formula is not None and not all(
-                        _match_formula(spec.formula, n.formula, trial)
-                        for n in _walk(d)
-                        if isinstance(n, Assumption) and n.label == label
+                    if trial.lvars.setdefault(spec.labelvar, label) != label or (
+                        spec.formula is not None
+                        and not all(
+                            _match_formula(spec.formula, n.formula, trial) for n in bound if n.label == label
+                        )
                     ):
-                        ok = False
                         break
-                if ok:
+                else:
                     return trial
             return None
     raise JustificationError(f"bad pattern {pat!r}")

@@ -95,6 +95,28 @@ def random_detour_redex(rng: random.Random):
     return Inf("orE", b, (major, d2, d3), frozenset({1, 2}))
 
 
+def random_scoped_structure(rng: random.Random, depth: int = 4, labels=(1, 2, 3)):
+    """A well-formed structure whose labels come from a small pool, so that
+    disjoint subtrees reuse one label and inner inferences may discharge an
+    enclosing label vacuously (no leaf below both carries it)."""
+
+    def build(depth, scope, top):
+        # scope: label -> how many enclosing inferences discharge it
+        if depth <= 1 or rng.random() < 0.25:
+            if not top and rng.random() < 0.1:
+                return EmptyTop()
+            usable = sorted(l for l, n in scope.items() if n == 1)
+            return Assumption(random_formula(rng, 2), rng.choice(usable + [None]))
+        dis = frozenset(l for l in labels if rng.random() < 0.3)
+        inner = dict(scope)
+        for l in dis:
+            inner[l] = inner.get(l, 0) + 1
+        kids = tuple(build(depth - 1, inner, False) for _ in range(rng.randint(1, 3)))
+        return Inf(rng.choice(("r", "s", "t")), random_formula(rng, 2), kids, dis)
+
+    return build(depth, {}, True)
+
+
 def random_sigma(rng: random.Random, structure):
     """A closed instance map covering the structure's open assumptions."""
     return {

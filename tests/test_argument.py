@@ -1,8 +1,13 @@
+import itertools
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptslab import (
+    Argument,
     Assumption,
     AssumptionEscape,
     Atom,
@@ -13,6 +18,7 @@ from ptslab import (
     EmptyTop,
     Impl,
     Inf,
+    JustificationSet,
     StructureError,
     analyze,
     canonical_key,
@@ -21,6 +27,7 @@ from ptslab import (
     instantiate,
     is_canonical,
     negation,
+    parse_base,
     parse_formula,
     parse_structure,
     positions,
@@ -28,10 +35,17 @@ from ptslab import (
     structures_equal,
     substitute,
     subtree_at,
+    valid,
 )
-from ptslab.argument import cut_subtree, freshen, labels_of, relabel
+from ptslab.argument import canonical_form, cut_subtree, freshen, labels_of, relabel
 
-from genlib import make_rng, random_open_structure, random_sigma
+from genlib import (
+    make_rng,
+    random_detour_redex,
+    random_open_structure,
+    random_scoped_structure,
+    random_sigma,
+)
 
 a, b, c, p = Atom("a"), Atom("b"), Atom("c"), Atom("p")
 
@@ -274,3 +288,155 @@ def test_roundtrip_random_structures():
         sigma = random_sigma(rng, d)
         inst = instantiate(d, sigma)
         assert analyze(inst).conclusion == analyze(d).conclusion
+
+
+# The leaf's label 1 is bound by the root; the inner impI, in a sibling
+# subtree, discharges 1 vacuously.
+_SHADOW = (
+    '(inf impI "a -> a" (inf k "a" (assume "a" :label 1)'
+    ' (inf impI "b -> a" (inf x "a" (empty)) :discharge (1))) :discharge (1))'
+)
+
+
+def test_cut_opens_a_leaf_whose_binder_is_outside_despite_a_vacuous_inner_discharge():
+    d = parse_structure(_SHADOW)
+    sub, context = cut_subtree(d, (0,))
+    check_structure(sub)
+    assert sub == parse_structure(
+        '(inf k "a" (assume "a") (inf impI "b -> a" (inf x "a" (empty)) :discharge (1)))'
+    )
+    assert context == [(1, frozenset({a}))]
+    assert analyze(immediate_substructures(d)[0]).open_assumptions == Counter({a: 1})
+    verdict = valid(Argument(d, JustificationSet()), parse_base("-> a"))
+    assert verdict.status in ("valid", "invalid", "unknown")
+
+
+def test_check_and_analyze_a_deep_chain():
+    # deeper than the interpreter's recursion limit
+    d = Assumption(a, 1)
+    for _ in range(3000):
+        d = Inf("s", a, (d,))
+    d = Inf("impI", Impl(a, a), (d,), frozenset({1}))
+    check_structure(d)
+    assert analyze(d).closed
+    with pytest.raises(StructureError, match="0 discharging"):
+        check_structure(d.children[0])
+
+
+def _preorder(d):
+    yield d
+    if isinstance(d, Inf):
+        for ch in d.children:
+            yield from _preorder(ch)
+
+
+def _binders(d):
+    """(position, inference, labels its ancestors discharge) for every
+    inference with a discharge set; positions count every node in pre-order."""
+    out = []
+    count = itertools.count()
+
+    def walk(node, above):
+        i = next(count)
+        if isinstance(node, Inf):
+            if node.discharges:
+                out.append((i, node, above))
+            for ch in node.children:
+                walk(ch, above | node.discharges)
+
+    walk(d, frozenset())
+    return out
+
+
+def _rename_binder(d, target, old, new):
+    """d with the inference at pre-order position target discharging new
+    instead of old, and exactly the leaves it binds relabelled to match."""
+    count = itertools.count()
+
+    def walk(node, inside):
+        i = next(count)
+        match node:
+            case Assumption(f, l) if inside and l == old:
+                return Assumption(f, new)
+            case Inf(tag, concl, kids, dis):
+                if i == target:
+                    inside, dis = True, (dis - {old}) | {new}
+                elif old in dis:
+                    inside = False  # a nearer binder of old
+                return Inf(tag, concl, tuple(walk(ch, inside) for ch in kids), dis)
+        return node
+
+    return walk(d, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_key_is_unchanged_by_renaming_one_binder(seed, data):
+    d = random_scoped_structure(random.Random(seed))
+    key = canonical_key(d)
+    assert canonical_key(parse_structure(key)) == key
+    binders = _binders(d)
+    if not binders:
+        return
+    pos, node, above = data.draw(st.sampled_from(binders))
+    old = data.draw(st.sampled_from(sorted(node.discharges)))
+    # no enclosing or enclosed inference discharges the new value
+    new = data.draw(st.sampled_from(sorted(set(range(1, 8)) - above - labels_of(node))))
+    renamed = _rename_binder(d, pos, old, new)
+    check_structure(renamed)
+    assert canonical_key(renamed) == key
+    assert structures_equal(renamed, d)
+
+
+def _by_value_key(d):
+    """The key as it was when labels were numbered by value: by first leaf
+    in pre-order, then first discharging inference, then the value."""
+    first_leaf, first_node = {}, {}
+    for i, n in enumerate(_preorder(d)):
+        match n:
+            case Assumption(_, lbl) if lbl is not None:
+                first_leaf.setdefault(lbl, i)
+            case Inf(_, _, _, dis):
+                for l in dis:
+                    first_node.setdefault(l, i)
+    big = 1 << 30
+    ordered = sorted(
+        set(first_leaf) | set(first_node),
+        key=lambda l: (first_leaf.get(l, big), first_node.get(l, big), l),
+    )
+    return render_structure(relabel(d, {l: i + 1 for i, l in enumerate(ordered)}))
+
+
+def _discharged_twice(d):
+    values = [l for n in _preorder(d) if isinstance(n, Inf) for l in n.discharges]
+    return len(values) != len(set(values))
+
+
+def test_key_agrees_with_by_value_numbering_without_reuse():
+    rng = make_rng(12)
+    checked = 0
+    for _ in range(600):
+        d = random_scoped_structure(rng, labels=range(1, 9))
+        if _discharged_twice(d):
+            continue
+        assert canonical_key(d) == _by_value_key(d)
+        checked += 1
+    for _ in range(100):
+        d = random_detour_redex(rng)
+        assert canonical_key(d) == _by_value_key(d)
+    assert checked >= 100
+
+
+def test_key_numbers_each_discharging_inference():
+    # disjoint subtrees reusing one label, and an inner vacuous discharge
+    # of an outer label, number like their fresh-label twins
+    d = parse_structure(_SHADOW)
+    twin = parse_structure(_SHADOW.replace("discharge (1)))", "discharge (7)))"))
+    assert canonical_key(d) == canonical_key(twin) == (
+        '(inf impI "a -> a" (inf k "a" (assume "a" :label 1)'
+        ' (inf impI "b -> a" (inf x "a" (empty)) :discharge (2))) :discharge (1))'
+    )
+    pair = Inf("k", a, (Inf("impI", Impl(a, a), (Assumption(a, 1),), frozenset({1})),) * 2)
+    fresh = Inf("k", a, (pair.children[0], relabel(pair.children[1], {1: 2})))
+    assert canonical_key(pair) == canonical_key(fresh) == render_structure(fresh)
+    assert render_structure(canonical_form(pair)) == canonical_key(pair)

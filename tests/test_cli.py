@@ -84,6 +84,19 @@ def test_valid_command(capsys):
     assert code == 1
 
 
+def test_valid_on_a_leaf_bound_outside_a_vacuous_inner_discharge(capsys, tmp_path):
+    # the inner impI discharges label 1 vacuously; the leaf is bound by the root
+    struct = tmp_path / "shadow.struct"
+    struct.write_text(
+        '(inf impI "a -> a" (inf k "a" (assume "a" :label 1)'
+        ' (inf impI "b -> a" (inf x "a" (empty)) :discharge (1))) :discharge (1))\n'
+    )
+    (tmp_path / "none.rules").write_text("")
+    (tmp_path / "a.base").write_text("-> a\n")
+    code, out = run(capsys, "valid", struct, tmp_path / "none.rules", tmp_path / "a.base")
+    assert code in (0, 1, 2), out
+
+
 def test_search_command(capsys):
     code, out = run(capsys, "search", "p -> q", "--atoms", "p,q", "--max-rules", "1")
     assert code == 1 and "{-> p}" in out

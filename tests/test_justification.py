@@ -142,8 +142,6 @@ def test_or_detour_reduct_reuses_a_discharged_label():
     assert reduces(steps, parse_structure(_REUSE_REDEX), _filler_pair(5, 5), 1)
 
 
-@pytest.mark.xfail(strict=True, reason="canonical_key numbers discharge labels by value, "
-                   "not by the inference that discharges them")
 def test_canonical_key_ignores_label_reuse_across_subtrees():
     # the same reduct with one label per copy differs only in label names
     steps = JustificationSet((or_detour(),))
