@@ -311,7 +311,8 @@ def cut_subtree(
 
     Leaves whose discharge sits outside the subtree are opened up; the
     returned context list maps each such outer label to the formulas it
-    bound, ordered from the nearest enclosing inference outward.
+    bound, ordered from the nearest enclosing inference outward. When no
+    leaf is bound outside, the subtree itself comes back, with no context.
     """
     node = d
     ancestor_sets: list[frozenset[int]] = []
@@ -324,7 +325,10 @@ def cut_subtree(
         raise StructureError("an empty node is not a substructure")
 
     # a labelled leaf with no discharging inference inside the cut is bound outside it
-    outside = iter([leaf.label is not None and binder is None for leaf, binder, _ in _scope(node)[0]])
+    outside = [leaf.label is not None and binder is None for leaf, binder, _ in _scope(node)[0]]
+    if not any(outside):
+        return node, []
+    outside = iter(outside)
     outer_bound: dict[int, set[Formula]] = {}
 
     def opened(n):
@@ -388,7 +392,8 @@ def _splice(
                     return Assumption(n.formula, l)
         return n
 
-    out = _graft(d, path, _map_leaves(freshen(replacement, labels_of(d)), capture))
+    fresh = freshen(replacement, labels_of(d))
+    out = _graft(d, path, _map_leaves(fresh, capture) if context else fresh)
     check_structure(out)
     return out
 

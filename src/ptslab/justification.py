@@ -558,6 +558,49 @@ def step_candidates(
     return out
 
 
+def _reducts(
+    src: StepSource,
+    start: ArgStructure,
+    key: str,
+    base: AtomicBase | None,
+    max_steps: int,
+    max_size: int,
+    bound: list[bool],
+) -> Iterator[tuple[str, ArgStructure, int]]:
+    """The search of reach as a stream of (key, reduct, depth), breadth-first,
+    the start first under the key given for it. A reader that stops early
+    leaves the rest of the search undone; once drained, the stream sets
+    bound[0] when a bound cut the search off."""
+    seen = {key}
+    yield key, start, 0
+    frontier = [start]
+    hit = False
+    depth = 0
+    while frontier and depth < max_steps:
+        depth += 1
+        nxt = []
+        for d in frontier:
+            for k, c in step_candidates(src, d, base).items():
+                if size_of(c) > max_size:
+                    hit = True
+                    continue
+                if k in seen:
+                    continue
+                seen.add(k)
+                nxt.append(c)
+                yield k, c, depth
+        frontier = nxt
+    # the depth cap only matters if the last frontier still had somewhere to go
+    for d in frontier:
+        if hit:
+            break
+        for k, c in step_candidates(src, d, base).items():
+            if size_of(c) > max_size or k not in seen:
+                hit = True
+                break
+    bound[0] = hit
+
+
 def reach(
     src: StepSource,
     start: ArgStructure,
@@ -568,32 +611,10 @@ def reach(
     """Breadth-first reducts with depths by canonical key, plus a flag set
     when a bound cut the search off (depth cap with work left, or an
     oversize reduct)."""
-    reached = {canonical_key(start): (start, 0)}
-    frontier = [start]
-    bound_hit = False
-    depth = 0
-    while frontier and depth < max_steps:
-        depth += 1
-        nxt = []
-        for d in frontier:
-            for k, c in step_candidates(src, d, base).items():
-                if size_of(c) > max_size:
-                    bound_hit = True
-                    continue
-                if k in reached:
-                    continue
-                reached[k] = (c, depth)
-                nxt.append(c)
-        frontier = nxt
-    # the depth cap only matters if the last frontier still had somewhere to go
-    for d in frontier:
-        if bound_hit:
-            break
-        for k, c in step_candidates(src, d, base).items():
-            if size_of(c) > max_size or k not in reached:
-                bound_hit = True
-                break
-    return reached, bound_hit
+    bound = [False]
+    stream = _reducts(src, start, canonical_key(start), base, max_steps, max_size, bound)
+    reached = {k: (r, depth) for k, r, depth in stream}
+    return reached, bound[0]
 
 
 def reduces(
@@ -604,9 +625,11 @@ def reduces(
     base: AtomicBase | None = None,
 ) -> bool:
     """Is there a chain of at most max_steps one-step rewrites from frm to to?
-    Zero steps count: a structure reduces to itself."""
-    reached, _ = reach(src, frm, base, max_steps=max_steps, max_size=1 << 30)
-    return canonical_key(to) in reached
+    Zero steps count: a structure reduces to itself. The search stops where
+    it first meets to."""
+    want = canonical_key(to)
+    stream = _reducts(src, frm, canonical_key(frm), base, max_steps, 1 << 30, [False])
+    return any(k == want for k, _r, _depth in stream)
 
 
 def graph_of(j: Justification, domain: Iterable[ArgStructure], base: AtomicBase | None = None) -> RSystem:

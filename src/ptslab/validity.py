@@ -41,10 +41,10 @@ from .justification import (
     RSystem,
     SchematicRewrite,
     StepSource,
+    _reducts,
     em_refutation_rule,
     graph_of,
     is_schematic,
-    reach,
 )
 
 __all__ = [
@@ -225,14 +225,69 @@ def _extend(steps: StepSource, ext: StepSource) -> StepSource:
     raise ValidityError("an extension must be of the same kind as the steps source")
 
 
-class _Checker:
-    def __init__(self, base: AtomicBase, bounds: Bounds):
-        self.base = base
+class _Stream:
+    """One reduct stream, read by every check that needs it: reducts are
+    kept as they come, so a reader sees the whole stream from the start and
+    only a reader that goes past the last kept reduct extends the search."""
+
+    def __init__(self, steps: StepSource, d: ArgStructure, dkey: str, base: AtomicBase, bounds: Bounds):
+        self.kept: list[tuple[str, ArgStructure, int]] = []
+        self.bound = [False]
+        self._rest = _reducts(
+            steps, d, dkey, base, bounds.max_reduction_steps, bounds.max_structure_size, self.bound
+        )
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self.kept):
+                item = next(self._rest, None)
+                if item is None:
+                    return
+                self.kept.append(item)
+            yield self.kept[i]
+            i += 1
+
+
+class _Search:
+    """The reduction searches of one valid or consequence call, shared by
+    the checks it makes on every base: one stream per (steps, start key),
+    per base too when the steps hold a choice function (its selection
+    depends on the base), and, per reduct key, the immediate substructures
+    with their keys when the reduct is closed and canonical."""
+
+    def __init__(self, bounds: Bounds):
         self.bounds = bounds
+        self._streams: dict[tuple, _Stream] = {}
+        self._subs: dict[str, list[tuple[ArgStructure, str]] | None] = {}
+
+    def stream(self, steps: StepSource, d: ArgStructure, dkey: str, base: AtomicBase) -> _Stream:
+        per_base = isinstance(steps, JustificationSet) and any(
+            isinstance(j, ChoiceFunction) for j in steps.members
+        )
+        at = (steps, dkey, base if per_base else None)
+        s = self._streams.get(at)
+        if s is None:
+            s = self._streams[at] = _Stream(steps, d, dkey, base, self.bounds)
+        return s
+
+    def canonical_subs(self, rkey: str, r: ArgStructure) -> list[tuple[ArgStructure, str]] | None:
+        """r's immediate substructures and their keys if r is canonical and closed, else None."""
+        if rkey not in self._subs:
+            ok = is_canonical(r) and analyze(r).closed
+            self._subs[rkey] = [(s, canonical_key(s)) for s in immediate_substructures(r)] if ok else None
+        return self._subs[rkey]
+
+
+class _Checker:
+    def __init__(self, base: AtomicBase, search: _Search):
+        self.base = base
+        self.bounds = search.bounds
+        self.search = search
         self._memo: dict[tuple[str, StepSource], Verdict] = {}
 
-    def check(self, d: ArgStructure, steps: StepSource) -> Verdict:
-        dkey = canonical_key(d)
+    def check(self, d: ArgStructure, steps: StepSource, dkey: str | None = None) -> Verdict:
+        dkey = canonical_key(d) if dkey is None else dkey
         hit = self._memo.get((dkey, steps))
         if hit is not None:
             return hit
@@ -248,35 +303,33 @@ class _Checker:
         return [steps] + [_extend(steps, e) for e in self.bounds.extensions]
 
     def _closed(self, d: ArgStructure, dkey: str, steps: StepSource, atomic: bool) -> Verdict:
-        reached, bound_hit = reach(
-            steps,
-            d,
-            self.base,
-            max_steps=self.bounds.max_reduction_steps,
-            max_size=self.bounds.max_structure_size,
-        )
-        saw_unknown = bound_hit
-        for r, depth in reached.values():
+        """The first qualifying reduct in the stream decides Valid; Invalid
+        and Unknown read the stream to its end."""
+        stream = self.search.stream(steps, d, dkey, self.base)
+        saw_unknown = False
+        for rkey, r, depth in stream:
             if atomic:
                 if is_derivation_structure(r, self.base):
                     return Verdict.valid(f"reduces to a derivation on the base in {depth} step(s)")
                 continue
-            if not is_canonical(r) or not analyze(r).closed:
+            subs = self.search.canonical_subs(rkey, r)
+            if subs is None:
                 continue
-            subs = immediate_substructures(r)
-            sub_verdicts = [self.check(s, steps) for s in subs]
+            sub_verdicts = [self.check(s, steps, skey) for s, skey in subs]
             if all(v.is_valid for v in sub_verdicts):
                 return Verdict.valid(
                     f"canonical reduct at depth {depth} with valid immediate substructures"
                 )
             if any(v.is_unknown for v in sub_verdicts):
                 saw_unknown = True
-        if saw_unknown:
+        if saw_unknown or stream.bound[0]:
             return Verdict.unknown("reduction bound hit before a qualifying reduct was found")
         kind = "closed derivation" if atomic else "canonical reduct with valid substructures"
         return Verdict.invalid(
-            f"search exhausted: no {kind} among {len(reached)} reduct(s)",
-            witness=ExhaustedSearch(dkey, tuple(reached), self.bounds.max_reduction_steps),
+            f"search exhausted: no {kind} among {len(stream.kept)} reduct(s)",
+            witness=ExhaustedSearch(
+                dkey, tuple(k for k, _r, _depth in stream.kept), self.bounds.max_reduction_steps
+            ),
         )
 
     def _sigma_candidates(self, f: Formula) -> list[ArgStructure]:
@@ -343,9 +396,14 @@ def _step_source(arg: Argument) -> StepSource:
     return arg.steps
 
 
-def valid(arg: Argument, base: AtomicBase, bounds: Bounds = Bounds()) -> Verdict:
-    """Bounded validity of the argument on the base."""
-    return _Checker(base, bounds).check(arg.structure, _step_source(arg))
+def valid(
+    arg: Argument, base: AtomicBase, bounds: Bounds = Bounds(), *, _search: _Search | None = None
+) -> Verdict:
+    """Bounded validity of the argument on the base. A consequence call
+    passes its own search, made with the same bounds, to share it across
+    the family; any other call searches afresh."""
+    search = _Search(bounds) if _search is None else _search
+    return _Checker(base, search).check(arg.structure, _step_source(arg))
 
 
 def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Verdict) -> bool:
@@ -359,7 +417,7 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
             set(again.witness.explored) == set(w.explored)
         )
     if isinstance(w, FailingInstance):
-        checker = _Checker(base, bounds)
+        checker = _Checker(base, _Search(bounds))
         ext = checker._extensions_for(_step_source(arg))[w.extension_index]
         for _f, s in w.sigma:
             if not checker.check(s, ext).is_valid:
@@ -508,17 +566,18 @@ def consequence(
             f"the goal does not follow from the context on {failing}", witness=failing
         )
 
+    search = _Search(bounds)  # one search for the whole family, dropped on return
     if variant == "delta":
         unknowns = []
         for b in family:
             arg = None
             for cand in candidates:
-                if valid(cand, b, bounds).is_valid:
+                if valid(cand, b, bounds, _search=search).is_valid:
                     arg = cand
                     break
             if arg is None:
                 arg = _delta_witness(b, context, goal)
-                v = valid(arg, b, bounds)
+                v = valid(arg, b, bounds, _search=search)
                 if not v.is_valid:
                     unknowns.append((b.id, v))
         if unknowns:
@@ -554,7 +613,7 @@ def consequence(
 
     saw_unknown = False
     for cand in pool:
-        verdicts = [valid(cand, b, bounds) for b in family]
+        verdicts = [valid(cand, b, bounds, _search=search) for b in family]
         if all(v.is_valid for v in verdicts):
             return Verdict.valid(f"uniform witness valid on all {len(family)} base(s); {label}")
         if any(v.is_unknown for v in verdicts):

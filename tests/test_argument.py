@@ -311,6 +311,21 @@ def test_cut_opens_a_leaf_whose_binder_is_outside_despite_a_vacuous_inner_discha
     assert verdict.status in ("valid", "invalid", "unknown")
 
 
+def test_cut_that_opens_nothing_returns_the_subtree_itself():
+    d = parse_structure(_SHADOW)
+    sub, context = cut_subtree(d, (0, 1))  # the vacuous impI binds nothing outside
+    assert sub is subtree_at(d, (0, 1)) and context == []
+    rng = make_rng(23)
+    for _ in range(100):
+        d = random_scoped_structure(rng)
+        for pos in positions(d):
+            sub, context = cut_subtree(d, pos)
+            node = subtree_at(d, pos)
+            assert (sub is node) == (not context) == (sub == node)  # opened leaves lose their label
+            if not context:
+                assert canonical_key(substitute(d, pos, sub)) == canonical_key(d)
+
+
 def test_check_and_analyze_a_deep_chain():
     # deeper than the interpreter's recursion limit
     d = Assumption(a, 1)

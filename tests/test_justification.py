@@ -293,6 +293,39 @@ def test_reach_reports_bound_hits():
     assert hit  # size pruning
 
 
+def _wide_redex(width):
+    """An andI tree over `width` independent or-detours: 2**width reducts."""
+    d = _redex()
+    for _ in range(width - 1):
+        d = Inf("andI", Conj(c, conclusion_of(d)), (_redex(), d))
+    return d
+
+
+def test_reduces_stops_at_the_target(monkeypatch):
+    from ptslab import justification
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return step_candidates(*args)
+
+    monkeypatch.setattr(justification, "step_candidates", counted)
+    steps = JustificationSet((or_detour(),))
+    host = _wide_redex(4)
+    target = next(iter(step_candidates(steps, host).values()))  # depth 1
+    assert reduces(steps, host, target, 10)
+    early = calls[0]
+    calls[0] = 0
+    reached, hit = reach(steps, host, None, max_steps=10, max_size=1 << 30)
+    assert len(reached) == 16 and canonical_key(target) in reached and not hit
+    assert early == 1 < calls[0]
+    # a target outside the search still reads it to its end
+    calls[0] = 0
+    assert not reduces(steps, host, _redex(), 10)
+    assert calls[0] == len(reached)
+
+
 def test_rule_file_parsing_and_errors():
     js = parse_rules("# comment\nident: (inf mk \"?A\" ?D) => (inf mk \"?A\" ?D)\n")
     assert [j.name for j in js.members] == ["ident"]

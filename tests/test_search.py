@@ -1,0 +1,194 @@
+"""The family search: one reduct stream per (steps, start key) shared across a
+consequence call's bases, an early stop at the first qualifying reduct, and
+fresh searches wherever a verdict is rechecked."""
+
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ptslab import (
+    Argument,
+    Atom,
+    Bounds,
+    Disj,
+    EmptyTop,
+    ExhaustedSearch,
+    Inf,
+    JustificationSet,
+    analyze,
+    axiom_structure,
+    canonical_key,
+    choice_justification,
+    consequence,
+    em_refutation_rule,
+    enumerate_bases,
+    immediate_substructures,
+    instantiate,
+    is_canonical,
+    negation,
+    or_detour,
+    parse_base,
+    recheck_invalid,
+    valid,
+)
+from ptslab import justification, validity
+from ptslab.justification import reach
+
+from genlib import random_closed_structure, random_detour_redex, random_formula, random_sigma
+
+a, b, p = Atom("a"), Atom("b"), Atom("p")
+EM_A = Disj(a, negation(a))
+
+
+def _count_step_candidates(monkeypatch) -> Counter:
+    """Count step_candidates calls per (step source, structure key)."""
+    seen: Counter = Counter()
+    real = justification.step_candidates
+
+    def counted(src, d, base=None):
+        seen[(src, canonical_key(d))] += 1
+        return real(src, d, base)
+
+    monkeypatch.setattr(justification, "step_candidates", counted)
+    return seen
+
+
+def _record_valid(monkeypatch) -> list:
+    """Record (argument, base, verdict) for every valid call consequence makes."""
+    out = []
+    real = validity.valid
+
+    def recorded(arg, base, bounds=Bounds(), **kwargs):
+        v = real(arg, base, bounds, **kwargs)
+        out.append((arg, base, v))
+        return v
+
+    monkeypatch.setattr(validity, "valid", recorded)
+    return out
+
+
+@pytest.mark.parametrize("variant", ["delta-star", "delta-sh"])
+def test_family_searches_each_structure_once(monkeypatch, variant):
+    seen = _count_step_candidates(monkeypatch)
+    fam = list(enumerate_bases([a, b], 2))
+    assert len(fam) == 65
+    assert consequence(variant, [], EM_A, fam).is_valid
+    ax = canonical_key(axiom_structure(EM_A))
+    assert any(key == ax for _src, key in seen)  # the start was searched
+    assert max(seen.values()) == 1, seen.most_common(3)
+
+
+def test_choice_function_search_stays_per_base(monkeypatch):
+    # the table covers every other base: a selection leaking across bases
+    # would make the uncovered ones valid
+    fam = list(enumerate_bases([a, b], 2))
+    ch = choice_justification(a, fam[::2])
+    cand = Argument(axiom_structure(EM_A), JustificationSet((ch,)))
+    seen = _count_step_candidates(monkeypatch)
+    calls = _record_valid(monkeypatch)
+    assert consequence("delta-star", [], EM_A, fam, candidates=[cand]).is_valid
+    got = [(base, v) for arg, base, v in calls if arg == cand]
+    assert [base for base, _v in got] == fam
+    assert seen[(cand.steps, canonical_key(cand.structure))] == len(fam)
+    monkeypatch.undo()
+    fresh = [valid(cand, base) for base in fam]
+    assert [repr(v) for _base, v in got] == [repr(v) for v in fresh]
+    assert {v.status for v in fresh} == {"valid", "invalid"}
+
+
+class _DrainingChecker(validity._Checker):
+    """The checker's closed clause as it was before the early stop: the whole
+    search is drained with reach, then scanned for a qualifying reduct."""
+
+    def _closed(self, d, dkey, steps, atomic):
+        reached, bound_hit = reach(
+            steps,
+            d,
+            self.base,
+            max_steps=self.bounds.max_reduction_steps,
+            max_size=self.bounds.max_structure_size,
+        )
+        saw_unknown = bound_hit
+        for r, depth in reached.values():
+            if atomic:
+                if validity.is_derivation_structure(r, self.base):
+                    return validity.Verdict.valid(
+                        f"reduces to a derivation on the base in {depth} step(s)"
+                    )
+                continue
+            if not is_canonical(r) or not analyze(r).closed:
+                continue
+            sub_verdicts = [self.check(s, steps) for s in immediate_substructures(r)]
+            if all(v.is_valid for v in sub_verdicts):
+                return validity.Verdict.valid(
+                    f"canonical reduct at depth {depth} with valid immediate substructures"
+                )
+            if any(v.is_unknown for v in sub_verdicts):
+                saw_unknown = True
+        if saw_unknown:
+            return validity.Verdict.unknown("reduction bound hit before a qualifying reduct was found")
+        kind = "closed derivation" if atomic else "canonical reduct with valid substructures"
+        return validity.Verdict.invalid(
+            f"search exhausted: no {kind} among {len(reached)} reduct(s)",
+            witness=ExhaustedSearch(dkey, tuple(reached), self.bounds.max_reduction_steps),
+        )
+
+
+TWO_BASES = [parse_base("-> a\na -> b\n"), parse_base("-> c\nc -> a\n")]
+DETOUR_STEPS = JustificationSet((or_detour(), em_refutation_rule()))
+
+
+def _random_argument(rng: random.Random) -> Argument:
+    pick = rng.random()
+    if pick < 0.4:
+        d = random_detour_redex(rng)
+    elif pick < 0.8:
+        d = random_detour_redex(rng)
+        d = instantiate(d, random_sigma(rng, d))
+    elif pick < 0.9:
+        g = random_formula(rng, 2)
+        d = axiom_structure(Disj(g, negation(g)))
+    else:
+        d = random_closed_structure(rng, random_formula(rng, 2), rng.randint(1, 3))
+    return Argument(d, DETOUR_STEPS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([0, 1, 2, 10]))
+def test_early_stop_keeps_every_verdict(seed, max_steps):
+    rng = random.Random(seed)
+    arg = _random_argument(rng)
+    bounds = Bounds(max_reduction_steps=max_steps)
+    search = validity._Search(bounds)  # shared across the two bases, as consequence does
+    for base in TWO_BASES:
+        got = valid(arg, base, bounds, _search=search)
+        want = _DrainingChecker(base, validity._Search(bounds)).check(arg.structure, arg.steps)
+        assert repr(got) == repr(want)
+
+
+def test_early_stop_reference_sees_every_status():
+    # the property above is only as good as the verdicts its inputs reach
+    statuses = Counter()
+    for seed in range(120):
+        arg = _random_argument(random.Random(seed))
+        for base in TWO_BASES:
+            for max_steps in (0, 10):
+                bounds = Bounds(max_reduction_steps=max_steps)
+                v = _DrainingChecker(base, validity._Search(bounds)).check(arg.structure, arg.steps)
+                statuses[v.status] += 1
+    assert all(statuses[s] for s in ("valid", "invalid", "unknown")), statuses
+
+
+def test_recheck_invalid_searches_afresh(monkeypatch):
+    seen = _count_step_candidates(monkeypatch)
+    arg = Argument(Inf("atm", p, (EmptyTop(),)), JustificationSet((or_detour(),)))
+    base = TWO_BASES[0]
+    v = valid(arg, base)
+    assert v.is_invalid and isinstance(v.witness, ExhaustedSearch)
+    before = sum(seen.values())
+    assert before > 0
+    assert recheck_invalid(arg, base, Bounds(), v)
+    assert sum(seen.values()) == 2 * before
