@@ -2,7 +2,9 @@
 
 A rule takes zero or more non-absurd atomic premises to an atomic
 conclusion (absurdity allowed as conclusion). A base induces a
-derivability relation via forward chaining to a fixpoint.
+derivability relation via forward chaining to a fixpoint, run on
+integer masks: over a fixed order of atoms, a rule is a (premise mask,
+conclusion bit) pair.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .formula import BOT, Atom, FormulaError
 
@@ -79,7 +81,11 @@ class AtomicBase:
 
     @functools.cached_property
     def _derived(self) -> dict[Atom, AtomicRule | None]:
-        return _forward(self._sorted, frozenset())
+        return _chain(self._sorted, frozenset())
+
+    @functools.cached_property
+    def _closure(self) -> frozenset[Atom]:  # from no assumptions; enumerate_bases sets it
+        return frozenset(self._derived)
 
     def rules_text(self) -> str:
         return "{" + "; ".join(str(r) for r in self.sorted_rules()) + "}"
@@ -109,42 +115,69 @@ class AtomicDerivation:
         return all(c.check(base, assumptions) for c in self.children)
 
 
-def _forward(rules: tuple[AtomicRule, ...], assumptions: frozenset[Atom]) -> dict[Atom, AtomicRule | None]:
-    """Forward chaining to a fixpoint: each derived atom mapped to the first
-    rule that derived it, None for an assumption."""
-    derived: dict[Atom, AtomicRule | None] = dict.fromkeys(assumptions)
+def _mask(atoms: Iterable[Atom], bit: dict[Atom, int]) -> int:
+    m = 0
+    for x in atoms:
+        m |= bit[x]
+    return m
+
+
+def _forward(rules: Sequence[tuple[int, int]], derived: int, first: dict[int, int] | None = None) -> int:
+    """Forward chaining to a fixpoint over (premise mask, conclusion bit)
+    rules, starting from the mask of the assumptions; returns the derived
+    mask. When given, first maps each conclusion bit a rule derived to the
+    index of the first rule that derived it."""
     changed = True
     while changed:
         changed = False
-        for r in rules:
-            if r.conclusion not in derived and all(p in derived for p in r.premises):
-                derived[r.conclusion] = r
+        for i, (prem, concl) in enumerate(rules):
+            if not derived & concl and prem & derived == prem:
+                derived |= concl
                 changed = True
+                if first is not None:
+                    first[concl] = i
     return derived
 
 
-def _derivations(base: AtomicBase, assumptions: Iterable[Atom]) -> dict[Atom, AtomicRule | None]:
+def _chain(rules: tuple[AtomicRule, ...], assumptions: frozenset[Atom]) -> dict[Atom, AtomicRule | None]:
+    """Each atom derived from the assumptions mapped to the first rule that
+    derived it, None for an assumption: _forward over the atoms the
+    assumptions and rules mention."""
+    order = list(dict.fromkeys([*assumptions, *(x for r in rules for x in (*r.premises, r.conclusion))]))
+    bit = {x: 1 << i for i, x in enumerate(order)}
+    first: dict[int, int] = {}
+    _forward([(_mask(r.premises, bit), bit[r.conclusion]) for r in rules], _mask(assumptions, bit), first)
+    derived: dict[Atom, AtomicRule | None] = dict.fromkeys(assumptions)
+    for concl, i in first.items():
+        derived[order[concl.bit_length() - 1]] = rules[i]
+    return derived
+
+
+def _derivations(base: AtomicBase, assumptions: frozenset[Atom]) -> dict[Atom, AtomicRule | None]:
     """The base's own map for no assumptions; under any others, one computed afresh."""
-    assumptions = frozenset(assumptions)
     if BOT in assumptions:
         raise BaseError("assumption sets may not contain the absurdity constant")
-    return _forward(base._sorted, assumptions) if assumptions else base._derived
+    return _chain(base._sorted, assumptions) if assumptions else base._derived
 
 
 def atomic_closure(base: AtomicBase, assumptions: Iterable[Atom] = ()) -> frozenset[Atom]:
     """Least set of atoms containing the assumptions and closed under the rules."""
-    return frozenset(_derivations(base, assumptions))
+    return _closure_of(base, frozenset(assumptions))
+
+
+def _closure_of(base: AtomicBase, assumptions: frozenset[Atom]) -> frozenset[Atom]:
+    return frozenset(_derivations(base, assumptions)) if assumptions else base._closure
 
 
 def derives(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> bool:
-    return goal in _derivations(base, assumptions)
+    return goal in _closure_of(base, frozenset(assumptions))
 
 
 def atomic_derivation(
     base: AtomicBase, assumptions: Iterable[Atom], goal: Atom
 ) -> AtomicDerivation | None:
     """A derivation tree witnessing derivability, or None."""
-    derived = _derivations(base, assumptions)
+    derived = _derivations(base, frozenset(assumptions))
     if goal not in derived:
         return None
 
@@ -158,14 +191,18 @@ def atomic_derivation(
 
 
 def is_consistent(base: AtomicBase) -> bool:
-    return BOT not in base._derived
+    return BOT not in base._closure
+
+
+def _signature(atoms: list[Atom]) -> list[Atom]:
+    if BOT in atoms:
+        raise BaseError("the signature lists named atoms only")
+    return list(dict.fromkeys(atoms))
 
 
 def rule_universe(atoms: list[Atom]) -> list[AtomicRule]:
     """All rules over the signature, conclusions in signature order then bottom."""
-    if BOT in atoms:
-        raise BaseError("the signature lists named atoms only")
-    seen = list(dict.fromkeys(atoms))
+    seen = _signature(atoms)
     prem_sets = [c for size in range(len(seen) + 1) for c in itertools.combinations(seen, size)]
     return [AtomicRule(prems, concl) for concl in seen + [BOT] for prems in prem_sets]
 
@@ -179,19 +216,31 @@ def enumerate_bases(
     """All bases with at most max_rules rules over the signature.
 
     Deterministic and duplicate-free; raises EnumerationCapError up front
-    when the raw count would exceed cap.
+    when the raw count would exceed cap. Bases are chained and checked for
+    consistency on masks over the signature and then bottom; only a yielded
+    base is built, with its closure, one frozenset per distinct closure.
     """
     if max_rules < 0:
         raise BaseError(f"the number of rules must be non-negative, got {max_rules}")
-    universe = rule_universe(atoms)
-    total = sum(math.comb(len(universe), k) for k in range(min(max_rules, len(universe)) + 1))
+    order = _signature(atoms) + [BOT]
+    n_rules = len(order) << (len(order) - 1)  # a conclusion and a premise set each
+    total = sum(math.comb(n_rules, k) for k in range(min(max_rules, n_rules) + 1))
     if total > cap:
         raise EnumerationCapError(f"{total} bases over this signature exceeds the cap of {cap}")
-    for size in range(min(max_rules, len(universe)) + 1):
-        for combo in itertools.combinations(universe, size):
-            base = AtomicBase(frozenset(combo))
-            if consistent_only and not is_consistent(base):
+    universe = rule_universe(order[:-1])
+    bit = {x: 1 << i for i, x in enumerate(order)}
+    pairs = [(_mask(r.premises, bit), bit[r.conclusion]) for r in universe]
+    closures: dict[int, frozenset[Atom]] = {}
+    for size in range(min(max_rules, n_rules) + 1):
+        for combo in itertools.combinations(range(n_rules), size):
+            derived = _forward([pairs[i] for i in combo], 0)
+            if consistent_only and derived & bit[BOT]:
                 continue
+            closure = closures.get(derived)
+            if closure is None:
+                closure = closures[derived] = frozenset(x for x in order if derived & bit[x])
+            base = AtomicBase(frozenset([universe[i] for i in combo]))
+            object.__setattr__(base, "_closure", closure)
             yield base
 
 

@@ -76,11 +76,15 @@ def _holds(f: Formula, derivable: frozenset[Atom]) -> bool:
     raise SemanticsError(f"not a formula: {f!r}")
 
 
+def _warn_inconsistent(base: AtomicBase, stacklevel: int) -> None:
+    warnings.warn(f"evaluating on inconsistent base {base.id}", stacklevel=stacklevel + 1)
+
+
 def models(base: AtomicBase, context: Iterable[Formula], goal: Formula) -> bool:
     """Does the goal follow from the context on this base?"""
     derivable = atomic_closure(base, ())
     if BOT in derivable:
-        warnings.warn(f"evaluating on inconsistent base {base.id}", stacklevel=2)
+        _warn_inconsistent(base, 2)
     return not all(_holds(c, derivable) for c in context) or _holds(goal, derivable)
 
 
@@ -100,10 +104,21 @@ def logical_consequence(
 def _first_failing(
     context: Iterable[Formula], goal: Formula, family: Iterable[AtomicBase]
 ) -> AtomicBase | None:
-    """The first base of the family on which the goal does not follow, or None."""
+    """The first base of the family on which the goal does not follow, or None.
+
+    Whether it follows depends on a base only through its closure, so each
+    distinct closure is evaluated once per call; an inconsistent base still
+    warns each time it is scanned."""
     context = tuple(context)
+    verdicts: dict[frozenset[Atom], bool] = {}
     for base in family:
-        if not models(base, context, goal):
+        derivable = base._closure
+        holds = verdicts.get(derivable)
+        if holds is None:
+            holds = verdicts[derivable] = models(base, context, goal)
+        elif BOT in derivable:
+            _warn_inconsistent(base, 1)
+        if not holds:
             return base
     return None
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "FormulaError",
+    "MAX_NESTING",
     "Atom",
     "BOT",
     "Conj",
@@ -115,6 +116,15 @@ def atoms_of(f: Formula) -> frozenset[Atom]:
 #
 # precedence: ~ binds tightest, then &, then |, then ->;
 # -> associates right, & and | associate left.
+#
+# Nesting: an atom is at level 0, and each connective (~ included) and
+# each pair of parentheses is one level above the deepest part it
+# encloses. The reader refuses text nested deeper than MAX_NESTING, which
+# keeps the recursive reader, renderer and evaluators well inside
+# Python's default recursion limit (the reader takes at most four frames
+# a level).
+
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -150,10 +160,13 @@ def _tokenize(text: str, metavars: bool):
 
 
 class _Parser:
+    """Recursive descent; each method returns a formula and its nesting."""
+
     def __init__(self, tokens, text):
         self.toks = tokens
         self.text = text
         self.i = 0
+        self.level = 0  # enclosing ~, ( and -> right sides, checked on the way down
 
     def peek(self):
         return self.toks[self.i]
@@ -168,55 +181,82 @@ class _Parser:
         got = "end of input" if kind == "eof" else repr(val)
         raise FormulaError(f"syntax error at column {pos + 1}: expected {want}, got {got}")
 
+    def too_deep(self):
+        raise FormulaError(
+            f"formula nested more than {MAX_NESTING} levels deep at column {self.peek()[2] + 1}"
+        )
+
+    def enter(self):
+        self.level += 1
+        if self.level > MAX_NESTING:
+            self.too_deep()
+
+    def node(self, f, *depths):
+        depth = max(depths) + 1
+        if depth > MAX_NESTING:
+            self.too_deep()
+        return f, depth
+
     def formula(self):
-        left = self.disj()
+        left, d = self.disj()
         if self.peek()[0] == "imp":
             self.take()
-            return Impl(left, self.formula())
-        return left
+            self.enter()
+            right, e = self.formula()
+            self.level -= 1
+            return self.node(Impl(left, right), d, e)
+        return left, d
 
     def disj(self):
-        f = self.conj()
+        f, d = self.conj()
         while self.peek()[0] == "or":
             self.take()
-            f = Disj(f, self.conj())
-        return f
+            g, e = self.conj()
+            f, d = self.node(Disj(f, g), d, e)
+        return f, d
 
     def conj(self):
-        f = self.unary()
+        f, d = self.unary()
         while self.peek()[0] == "and":
             self.take()
-            f = Conj(f, self.unary())
-        return f
+            g, e = self.unary()
+            f, d = self.node(Conj(f, g), d, e)
+        return f, d
 
     def unary(self):
         kind, val, _pos = self.peek()
         if kind == "not":
             self.take()
-            return Impl(self.unary(), BOT)
+            self.enter()
+            f, d = self.unary()
+            self.level -= 1
+            return self.node(Impl(f, BOT), d)
         if kind == "bot":
             self.take()
-            return BOT
+            return BOT, 0
         if kind == "name":
             self.take()
-            return Atom(val)
+            return Atom(val), 0
         if kind == "meta":
             self.take()
-            return FVar(val[1:])
+            return FVar(val[1:]), 0
         if kind == "lp":
             self.take()
-            f = self.formula()
+            self.enter()
+            f, d = self.formula()
+            self.level -= 1
             if self.peek()[0] != "rp":
                 self.fail("')'")
             self.take()
-            return f
+            return self.node(f, d)
         self.fail("a formula")
 
 
 def parse_formula(text: str, *, metavars: bool = False) -> Formula:
-    """Parse concrete syntax; with metavars=True, ?X tokens become FVar."""
+    """Parse concrete syntax; with metavars=True, ?X tokens become FVar.
+    Text nested more than MAX_NESTING levels deep is refused."""
     p = _Parser(_tokenize(text, metavars), text)
-    f = p.formula()
+    f, _depth = p.formula()
     if p.peek()[0] != "eof":
         p.fail("end of input")
     return f

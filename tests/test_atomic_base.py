@@ -192,14 +192,30 @@ def test_closure_monotone(data):
     assert atomic_closure(b1, small) <= atomic_closure(b2, small)
 
 
+def _first_rules(base, assumptions):
+    # each derived atom with the first rule, in sorted order and pass by
+    # pass, whose premises were all derived
+    derived = dict.fromkeys(assumptions)
+    changed = True
+    while changed:
+        changed = False
+        for rule in base.sorted_rules():
+            if rule.conclusion not in derived and all(x in derived for x in rule.premises):
+                derived[rule.conclusion] = rule
+                changed = True
+    return derived
+
+
 def _chain_agrees(base, assumptions, goals):
     closure = atomic_closure(base, assumptions)
     assert closure == _oracle_closure(base, assumptions)
+    first = _first_rules(base, assumptions)
     for goal in goals:
         t = atomic_derivation(base, assumptions, goal)
         assert (t is not None) == (goal in closure) == derives(base, assumptions, goal)
         if t is not None:
             assert t.check(base, assumptions)
+            assert t.rule == first[goal]  # the witness is the first rule to fire
 
 
 def test_forward_chain_agrees_with_oracle_exhaustive():
@@ -251,3 +267,54 @@ def test_base_releases_what_it_computed():
     del base
     gc.collect()
     assert ref() is None
+
+    # an enumerated base, built with its closure, is freed once the enumeration is
+    bases = list(enumerate_bases([Atom("gone")], 1))
+    base = bases[1]
+    del bases
+    assert atomic_closure(base) == {Atom("gone")}
+    assert base.id == "{-> gone}"
+    assert atomic_derivation(base, (), Atom("gone")) is not None and is_consistent(base)
+    ref = weakref.ref(base)
+    del base
+    gc.collect()
+    assert ref() is None
+
+
+def _reference_enumeration(atoms, max_rules, consistent_only):
+    # the plain combination loop over rule objects, each base built and
+    # chained from its rules
+    universe = atomic_base.rule_universe(atoms)
+    for size in range(min(max_rules, len(universe)) + 1):
+        for combo in itertools.combinations(universe, size):
+            base = AtomicBase(frozenset(combo))
+            if consistent_only and not is_consistent(base):
+                continue
+            yield base
+
+
+def _enumeration_agrees(atoms, max_rules):
+    for consistent_only in (True, False):
+        got = list(enumerate_bases(atoms, max_rules, consistent_only))
+        want = list(_reference_enumeration(atoms, max_rules, consistent_only))
+        assert got == want
+        assert [b.id for b in got] == [b.id for b in want]
+        for base in got:
+            closure = atomic_closure(base)
+            assert closure == _oracle_closure(base, ()) == atomic_closure(AtomicBase(base.rules))
+            assert is_consistent(base) == (BOT not in closure)
+            for goal in (*atoms, BOT):
+                t = atomic_derivation(base, (), goal)
+                assert (t is not None) == (goal in closure)
+                assert t is None or t.check(base)
+
+
+def test_enumeration_agrees_with_the_reference_loop():
+    _enumeration_agrees([a, b], 3)
+
+
+def test_enumeration_agrees_with_the_reference_loop_random_signatures():
+    rng = make_rng(9)
+    for _ in range(3):
+        atoms = [Atom(x) for x in rng.sample("abcdefghpqrs", 4)]
+        _enumeration_agrees(atoms, 2)

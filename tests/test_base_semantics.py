@@ -1,6 +1,11 @@
+import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ptslab import base_semantics
 
 from ptslab import (
     Atom,
@@ -8,6 +13,7 @@ from ptslab import (
     BOT,
     Disj,
     SemanticsError,
+    atomic_closure,
     atoms_of,
     base_valuation,
     classical_eval,
@@ -19,11 +25,12 @@ from ptslab import (
     negation,
     parse_base,
     parse_formula,
+    search_counterexample,
 )
 
 from genlib import all_formulas, make_rng, random_formula
 
-a, b, p, q, s = map(Atom, "abpqs")
+a, b, c, p, q, s = map(Atom, "abcpqs")
 PQ = parse_base("-> p\np -> q\n")
 EMPTY = AtomicBase(frozenset())
 
@@ -145,3 +152,54 @@ def test_monotone_mode_differs_from_plain():
     assert not models(p_only, (), f)
     assert not models(p_only, [p], q)
     assert models(PQ, [p], q)
+
+
+@pytest.mark.parametrize("scan", ["logical_consequence", "search_counterexample"])
+def test_family_scan_evaluates_each_closure_once(monkeypatch, scan):
+    # 4887 consistent bases over a, b, c with at most three rules, but at
+    # most 8 distinct closures: a tautology is evaluated once per closure
+    family = list(enumerate_bases([a, b, c], 3))
+    closures = {atomic_closure(base) for base in family}
+    assert len(family) == 4887 and len(closures) == 8
+    calls = []
+    real = base_semantics.models
+    monkeypatch.setattr(base_semantics, "models", lambda *x: calls.append(x[0]) or real(*x))
+    goal = parse_formula("(a -> b) | (b -> a)")
+    if scan == "logical_consequence":
+        assert logical_consequence((), goal, family).holds
+    else:
+        assert search_counterexample((), goal, [a, b, c], 3) is None
+    assert len(calls) == len({atomic_closure(base) for base in calls}) == 8
+
+
+def _per_base(context, goal, family):
+    for base in family:
+        if not models(base, context, goal):
+            return base
+    return None
+
+
+def _scan_with_warnings(scan, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = scan(*args)
+    return found, [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2]))
+def test_closure_memo_agrees_with_a_per_base_scan(seed, max_rules):
+    # inconsistent bases included and the family shuffled, so closures
+    # repeat in any order and the warnings interleave with the verdicts
+    rng = random.Random(seed)
+    atoms = [a, b, c][: rng.randint(1, 3)]
+    family = list(enumerate_bases(atoms, max_rules, consistent_only=False))
+    rng.shuffle(family)
+    context = [random_formula(rng, 3, atoms=atoms) for _ in range(rng.randint(0, 2))]
+    goal = random_formula(rng, 4, atoms=atoms)
+    want, want_warnings = _scan_with_warnings(_per_base, context, goal, family)
+    got, got_warnings = _scan_with_warnings(base_semantics._first_failing, context, goal, family)
+    assert got is want
+    assert got_warnings == want_warnings
+    verdict, _ = _scan_with_warnings(logical_consequence, context, goal, family)
+    assert verdict.holds == (want is None) and verdict.counterexample == (want and want.id)

@@ -204,6 +204,25 @@ def test_family_enumeration_cap_is_a_clean_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_enumerate_atom_counts_outside_the_alphabet_are_input_errors(capsys):
+    # atoms are named a..z, so a count must lie in 0..26
+    for n in (-1, 27, 30):
+        code = main(["consequence", "base", "a", "--family", f"enumerate:atoms={n},rules=1"])
+        assert code == 3
+        assert f"between 0 and 26, got {n}" in capsys.readouterr().err
+    # the largest count is read, and its family is refused by the cap before it is built
+    assert main(["consequence", "base", "a", "--family", "enumerate:atoms=26,rules=1"]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
+def test_too_deep_formula_is_an_input_error(capsys):
+    code, out = run(capsys, "search", "~" * 100 + "a", "--atoms", "a", "--max-rules", "1")
+    assert code == 1 and out == "counterexample: {}\n"
+    for depth in (101, 2000):
+        assert main(["search", "~" * depth + "a", "--atoms", "a"]) == 3
+        assert "nested more than 100 levels" in capsys.readouterr().err
+
+
 def test_same_stem_bases_count_by_content(capsys, tmp_path):
     # two files named x.base: `a` fails on the empty one in either order
     (tmp_path / "d1").mkdir()

@@ -4,15 +4,19 @@ from hypothesis import strategies as st
 
 from ptslab import (
     Atom,
+    AtomicBase,
     BOT,
     Conj,
     Disj,
     FormulaError,
     Impl,
+    logical_consequence,
+    models,
     negation,
     parse_formula,
     render_formula,
 )
+from ptslab.formula import MAX_NESTING
 
 from genlib import ATOMS, all_formulas, make_rng, random_formula
 
@@ -167,3 +171,30 @@ def formulas(draw, depth=8):
 @given(formulas())
 def test_roundtrip_property(f):
     assert parse_formula(render_formula(f)) == f
+
+
+def _at_depth(n):
+    # one text per kind of level: ~, parentheses, left-nested & and
+    # right-nested ->, each with its value on the empty base
+    return [("~" * n + "a", n % 2 == 1), ("(" * n + "a" + ")" * n, False),
+            ("a & " * n + "a", False), ("a -> " * n + "a", True)]
+
+
+def test_formula_at_the_nesting_limit_parses_renders_and_evaluates():
+    empty = AtomicBase(frozenset())
+    for text, value in _at_depth(MAX_NESTING):
+        f = parse_formula(text)
+        assert parse_formula(render_formula(f)) == f
+        assert models(empty, (), f) == value
+        assert logical_consequence((), f, [empty]).holds == value
+    assert render_formula(parse_formula("~" * MAX_NESTING + "a")) == "~" * MAX_NESTING + "a"
+
+
+def test_formula_one_level_deeper_is_refused():
+    deeper = [text for text, _ in _at_depth(MAX_NESTING + 1)]
+    for text in deeper + ["~" * 2000 + "a", "(" * 2000 + "a" + ")" * 2000]:
+        with pytest.raises(FormulaError, match=f"nested more than {MAX_NESTING} levels"):
+            parse_formula(text)
+    # parentheses count where they nest, not where they sit side by side
+    group = "(" * (MAX_NESTING - 1) + "a" + ")" * (MAX_NESTING - 1)
+    assert parse_formula(group + " | " + group) == Disj(a, a)

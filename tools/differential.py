@@ -1,14 +1,17 @@
-"""Record every verdict the benchmark's search workloads produce, for a diff.
+"""Record every verdict the benchmark's in-process workloads produce, for a diff.
 
     python3 tools/differential.py --src PATH --out FILE
 
 Imports ptslab from PATH (the directory that holds the `ptslab`
-package, e.g. `src` of a checkout), builds the pooled-family and
-detour-search workloads of this repository's `perfbench/workloads.py` at
-seeds 0, 11 and 9001, runs every op once and writes one line per call of
-`valid`, `recheck_invalid` and `consequence`: the function name and the
-`repr` of its result. Calls made inside other calls are recorded too (the
-`valid` calls of `consequence`), in the order they return.
+package, e.g. `src` of a checkout), builds the pooled-family,
+detour-search and semantics-sweep workloads of this repository's
+`perfbench/workloads.py` at seeds 0, 11 and 9001, runs every op once and
+writes one line per call of `valid`, `recheck_invalid`, `consequence`,
+`logical_consequence` and `search_counterexample`: the function name and
+the `repr` of its result, except that a base is written as its rules
+text, since an `AtomicBase` has no `repr` of its own. Calls made inside
+other calls are recorded too (the `valid` calls of `consequence`), in
+the order they return.
 
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
@@ -23,24 +26,34 @@ import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOADS = ("pooled-family", "detour-search")
+WORKLOADS = ("pooled-family", "detour-search", "semantics-sweep")
 SEEDS = (0, 11, 9001)
-RECORDED = ("valid", "recheck_invalid", "consequence")
+RECORDED = (
+    ("validity", "valid"),
+    ("validity", "recheck_invalid"),
+    ("validity", "consequence"),
+    ("base_semantics", "logical_consequence"),
+    ("cli", "search_counterexample"),
+)
 
 
-def _record_calls(out) -> None:
+def _shown(result) -> str:
+    return result.rules_text() if hasattr(result, "rules_text") else repr(result)
+
+
+def _record_calls(out, counts: dict[str, int]) -> None:
     """Rebind each recorded function at every module binding inside ptslab."""
     import ptslab  # noqa: F401  (loads every module that binds a target)
-    from ptslab import validity
 
     modules = [m for n, m in list(sys.modules.items()) if n == "ptslab" or n.startswith("ptslab.")]
-    for name in RECORDED:
-        original = getattr(validity, name)
+    for module, name in RECORDED:
+        original = getattr(sys.modules[f"ptslab.{module}"], name)
 
         @functools.wraps(original)
         def recorded(*args, _fn=original, _name=name, **kwargs):
             result = _fn(*args, **kwargs)
-            out.write(f"{_name} {result!r}\n")
+            out.write(f"{_name} {_shown(result)}\n")
+            counts[_name] += 1
             return result
 
         for m in modules:
@@ -56,9 +69,10 @@ def main() -> int:
     args = ap.parse_args()
     sys.path[:0] = [str(Path(args.src).resolve()), str(BENCH)]
 
-    ops = 0
+    ops = dict.fromkeys(WORKLOADS, 0)
+    counts = {name: 0 for _, name in RECORDED}
     with open(args.out, "w") as out, tempfile.TemporaryDirectory() as work:
-        _record_calls(out)
+        _record_calls(out, counts)
         import workloads  # after the rebinding, so its imported names are recorded too
 
         for name in WORKLOADS:
@@ -66,10 +80,9 @@ def main() -> int:
                 for op in workloads.build(name, seed, Path(work)):
                     out.write(f"op {name}/{seed}/{op.id}\n")
                     op.run()
-                    ops += 1
-    with open(args.out) as fh:
-        records = sum(1 for line in fh if not line.startswith("op "))
-    print(f"{ops} ops, {records} records -> {args.out}")
+                    ops[name] += 1
+    print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
+    print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
 
 
