@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .formula import Conj, Disj, Formula, FVar, Impl, parse_formula, render_formula
 from .sexpr import SexprError, Sym, read_all_sexprs, read_sexpr
@@ -158,16 +157,6 @@ def conclusion_of(d: ArgStructure) -> Formula:
     raise StructureError("an empty top node has no conclusion")
 
 
-def _walk(d: ArgStructure) -> Iterator[ArgStructure]:
-    """Every node of d, in pre-order."""
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Inf):
-            stack.extend(reversed(node.children))
-
-
 def _map_leaves(d: ArgStructure, leaf, discharges=None) -> ArgStructure:
     """d rebuilt with every assumption leaf n replaced by leaf(n) and, when
     given, every discharge set s by discharges(s); both are called in
@@ -181,11 +170,95 @@ def _map_leaves(d: ArgStructure, leaf, discharges=None) -> ArgStructure:
     return d
 
 
+class _Facts:
+    """What a node knows of itself, built once from its children's facts.
+
+    size:   nodes, itself included;
+    labels: the labels on its leaves and in its discharge sets;
+    free:   its labelled leaves that no inference inside it discharges, in pre-order;
+    bound:  the labels of its leaves that an inference inside it discharges;
+    double: whether some leaf has two discharging inferences inside it;
+    opens:  the formulas of its unlabelled leaves, in pre-order.
+
+    A node with one child and no discharge shares the child's sets and
+    tuples, and empty ones are shared too.
+    """
+
+    __slots__ = ("size", "labels", "free", "bound", "double", "opens")
+    NONE: frozenset[int] = frozenset()
+
+    def __init__(self, size, labels, free, bound, double, opens):
+        self.size, self.labels, self.free = size, labels, free
+        self.bound, self.double, self.opens = bound, double, opens
+
+
+def _union(sets: list[frozenset[int]]) -> frozenset[int]:
+    """The union of the sets, sharing one of them when it holds all the others."""
+    out = _Facts.NONE
+    for s in sets:
+        if not s <= out:
+            out = s if out <= s else out | s
+    return out
+
+
+def _node_facts(node: ArgStructure) -> _Facts:
+    """The facts of one node whose children already have theirs."""
+    if isinstance(node, Assumption):
+        if node.label is None:
+            return _Facts(1, _Facts.NONE, (), _Facts.NONE, False, (node.formula,))
+        return _Facts(1, frozenset((node.label,)), (node,), _Facts.NONE, False, ())
+    if isinstance(node, EmptyTop):
+        return _Facts(1, _Facts.NONE, (), _Facts.NONE, False, ())
+    if not isinstance(node, Inf):
+        raise StructureError(f"not a structure: {node!r}")
+    kids = [ch._facts for ch in node.children]
+    if len(kids) == 1:
+        k = kids[0]
+        size, labels, free, bound, double, opens = k.size + 1, k.labels, k.free, k.bound, k.double, k.opens
+    else:
+        size, free, double, opens = 1, (), False, ()
+        for k in kids:
+            size, free, double, opens = size + k.size, free + k.free, double or k.double, opens + k.opens
+        labels, bound = _union([k.labels for k in kids]), _union([k.bound for k in kids])
+    dis = node.discharges
+    if dis:
+        labels = labels if dis <= labels else labels | dis
+        double = double or not dis.isdisjoint(bound)  # a leaf bound inside is bound here again
+        here = {leaf.label for leaf in free if leaf.label in dis}
+        if here:
+            free = tuple(leaf for leaf in free if leaf.label not in dis)
+            bound = bound if here <= bound else bound | here
+    return _Facts(size, labels, free, bound, double, opens)
+
+
+def _facts(d: ArgStructure) -> _Facts:
+    """d's facts. Every node below d that has none yet gets them, bottom-up
+    and without recursion, and keeps them: a node built from parts that
+    were asked before pays for itself only."""
+    got = getattr(d, "_facts", None)
+    if got is not None:
+        return got
+    stack = [d]
+    while stack:
+        node = stack[-1]
+        if getattr(node, "_facts", None) is None:
+            kids = node.children if isinstance(node, Inf) else ()
+            todo = [ch for ch in kids if getattr(ch, "_facts", None) is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            object.__setattr__(node, "_facts", _node_facts(node))
+        stack.pop()
+    return d._facts
+
+
 def _scope(d: ArgStructure) -> tuple[list, list]:
     """Resolve each label of d to its discharging inference, without raising.
     Returns, in pre-order, (leaf, binder, count) per assumption leaf, binder the
     position of the nearest enclosing inference discharging its label (None if
-    none) and count how many do; and (position, discharges) per binder."""
+    none) and count how many do; and (position, discharges) per binder. The
+    facts say whether d is well formed; this walk names what is wrong, and
+    finds the leaves a cut opens."""
     leaves, binders = [], []
     stack, pos = [(d, {})], 0
     while stack:
@@ -203,23 +276,19 @@ def _scope(d: ArgStructure) -> tuple[list, list]:
     return leaves, binders
 
 
-def _checked_leaves(d: ArgStructure) -> list:
-    """The leaves of _scope(d), after raising StructureError unless d is well formed."""
+def check_structure(d: ArgStructure) -> None:
+    """Raise StructureError unless d is well formed: not an empty node alone,
+    and every labelled leaf has exactly one discharging inference below it."""
     if isinstance(d, EmptyTop):
         raise StructureError("an empty node cannot stand alone")
-    leaves, _ = _scope(d)
-    for leaf, _, n in leaves:
-        if leaf.label is not None and n != 1:
-            raise StructureError(
-                f"label {leaf.label} on assumption {render_formula(leaf.formula)} has "
-                f"{n} discharging inferences below it (need exactly 1)"
-            )
-    return leaves
-
-
-def check_structure(d: ArgStructure) -> None:
-    """Raise StructureError unless d is well formed."""
-    _checked_leaves(d)
+    facts = _facts(d)
+    if facts.free or facts.double:
+        # name the first offending leaf in pre-order
+        leaf, n = next((leaf, n) for leaf, _, n in _scope(d)[0] if leaf.label is not None and n != 1)
+        raise StructureError(
+            f"label {leaf.label} on assumption {render_formula(leaf.formula)} has "
+            f"{n} discharging inferences below it (need exactly 1)"
+        )
 
 
 @dataclass(frozen=True)
@@ -234,22 +303,16 @@ class StructureInfo:
 
 def analyze(d: ArgStructure) -> StructureInfo:
     """Conclusion, open assumptions (with multiplicity) and closedness."""
-    opens = Counter(leaf.formula for leaf, _, _ in _checked_leaves(d) if leaf.label is None)
-    return StructureInfo(conclusion_of(d), opens)
+    check_structure(d)
+    return StructureInfo(conclusion_of(d), Counter(_facts(d).opens))
 
 
 def size_of(d: ArgStructure) -> int:
-    return sum(1 for _ in _walk(d))
+    return _facts(d).size
 
 
 def labels_of(d: ArgStructure) -> frozenset[int]:
-    out = set()
-    for node in _walk(d):
-        if isinstance(node, Assumption) and node.label is not None:
-            out.add(node.label)
-        elif isinstance(node, Inf):
-            out.update(node.discharges)
-    return frozenset(out)
+    return _facts(d).labels
 
 
 def relabel(d: ArgStructure, mapping: dict[int, int]) -> ArgStructure:
@@ -325,10 +388,9 @@ def cut_subtree(
         raise StructureError("an empty node is not a substructure")
 
     # a labelled leaf with no discharging inference inside the cut is bound outside it
-    outside = [leaf.label is not None and binder is None for leaf, binder, _ in _scope(node)[0]]
-    if not any(outside):
+    if not _facts(node).free:
         return node, []
-    outside = iter(outside)
+    outside = iter([leaf.label is not None and binder is None for leaf, binder, _ in _scope(node)[0]])
     outer_bound: dict[int, set[Formula]] = {}
 
     def opened(n):
@@ -463,7 +525,8 @@ def is_canonical(d: ArgStructure) -> bool:
         case Impl(l, r):
             if len(kids) != 1 or conclusion_of(kids[0]) != r:
                 return False
-            return all(leaf.formula == l for leaf, binder, _ in _scope(d)[0] if binder == 0)  # bound by d
+            # the leaves d binds: the free leaves of its premise that carry a label it discharges
+            return all(leaf.formula == l for leaf in _facts(kids[0]).free if leaf.label in d.discharges)
         case _:
             return False
 
@@ -481,32 +544,17 @@ def immediate_substructures(d: ArgStructure) -> list[ArgStructure]:
     return out
 
 
-def _numbering(d: ArgStructure):
-    """d's canonical labels as the callbacks of _render and _map_leaves: each
-    (inference, label) pair has its own number, by first bound leaf, then the
-    inference's position, then the label; unbound leaves share one per label."""
-    leaves, binders = _scope(d)
-    number: dict[tuple[int | None, int], int] = {}
-    leaf_numbers = iter([
-        number.setdefault((binder, leaf.label), len(number) + 1)
-        for leaf, binder, _ in leaves
-        if leaf.label is not None
-    ])
-    for pos, dis in binders:
-        for l in sorted(dis):
-            number.setdefault((pos, l), len(number) + 1)
-    sets = iter([sorted(number[pos, l] for l in dis) for pos, dis in binders])
-    return lambda n: next(leaf_numbers), lambda dis: next(sets)
-
-
 def canonical_form(d: ArgStructure) -> ArgStructure:
     """Rename labels into the canonical numbering, so that structures equal
     up to relabelling become identical."""
-    label, discharged = _numbering(d)
+    leaves: list[int] = []
+    sets: list[list[int]] = []
+    _write(d, True, (leaves, sets))
+    leaf, discharged = iter(leaves), iter(sets)
     return _map_leaves(
         d,
-        lambda n: n if n.label is None else Assumption(n.formula, label(n)),
-        lambda dis: frozenset(discharged(dis)) if dis else dis,
+        lambda n: n if n.label is None else Assumption(n.formula, next(leaf)),
+        lambda dis: frozenset(next(discharged)) if dis else dis,
     )
 
 
@@ -517,7 +565,7 @@ def structures_equal(d1: ArgStructure, d2: ArgStructure) -> bool:
 
 def canonical_key(d: ArgStructure) -> str:
     """A stable text key identifying d up to label renaming: canonical_form(d)'s text."""
-    return _render(d, *_numbering(d))
+    return _write(d, True)
 
 
 # ---------------------------------------------------------------------------
@@ -526,23 +574,86 @@ def canonical_key(d: ArgStructure) -> str:
 
 
 def render_structure(d: ArgStructure) -> str:
-    return _render(d, lambda n: n.label, sorted)
+    return _write(d, False)
 
 
-def _render(d: ArgStructure, label, discharged) -> str:
-    """The text of d, writing the label of leaf n as label(n) and the
-    discharge set s as discharged(s); both are called in pre-order."""
-    match d:
-        case Assumption(f, lbl):
-            tail = f" :label {label(d)}" if lbl is not None else ""
-            return f'(assume "{render_formula(f)}"{tail})'
-        case EmptyTop():
-            return "(empty)"
-        case Inf(tag, c, children, dis):
-            tail = " :discharge (" + " ".join(map(str, discharged(dis))) + "))" if dis else ")"
-            kids = " ".join(_render(ch, label, discharged) for ch in children)
-            return f'(inf {tag} "{render_formula(c)}" {kids}{tail}'
-    raise StructureError(f"not a structure: {d!r}")
+def _write(d: ArgStructure, canonical: bool, numbering: tuple[list, list] | None = None) -> str:
+    """The text of d, from one pre-order walk without recursion.
+
+    Plain, labels and discharge sets are written as they are. Canonical,
+    each (discharging inference, label) pair has its own number, given at
+    the pair's first bound leaf; the pairs no leaf uses are numbered after
+    all others, by the inference's pre-order position, then the label.
+    Leaves that no inference binds share one number per label. A discharge
+    set is written when its inference closes, or, when it holds an unused
+    pair, patched in at the end. With numbering given (canonical only), its
+    lists receive every labelled leaf's number and every discharge set's
+    sorted numbers, each in pre-order.
+    """
+    out: list[str] = []  # every node's text starts with the space that parts it from its left sibling
+    number: dict[tuple[int | None, int], int] = {}  # (inference, label) -> its number
+    scope: dict[int, int] = {}  # label -> the nearest inference discharging it, by binder index
+    unused: list[tuple[int, int, frozenset[int]]] = []  # (binder index, place in out, discharges)
+    binders = 0
+    stack: list = [d]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Assumption):
+            lbl = node.label
+            if lbl is None:
+                out.append(' (assume "' + render_formula(node.formula) + '")')
+                continue
+            if canonical:
+                pair = (scope.get(lbl), lbl)
+                lbl = number.get(pair)
+                if lbl is None:
+                    lbl = number[pair] = len(number) + 1
+                if numbering:
+                    numbering[0].append(lbl)
+            out.append(' (assume "' + render_formula(node.formula) + '" :label ' + str(lbl) + ")")
+        elif isinstance(node, Inf):
+            out.append(" (inf " + node.tag + ' "' + render_formula(node.conclusion) + '"')
+            dis = node.discharges
+            if not dis:
+                stack.append(")")
+            elif not canonical:
+                stack.append(" :discharge (" + " ".join(map(str, sorted(dis))) + "))")
+            else:
+                stack.append((binders, dis, {l: scope.get(l) for l in dis}))
+                for l in dis:
+                    scope[l] = binders
+                binders += 1
+                if numbering:
+                    numbering[1].append(None)
+            stack.extend(reversed(node.children))
+        elif isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, tuple):  # a discharging inference closes
+            binder, dis, outer = node
+            for l, b in outer.items():
+                if b is None:
+                    del scope[l]
+                else:
+                    scope[l] = b
+            nums = [number.get((binder, l)) for l in dis]
+            if None in nums:
+                unused.append((binder, len(out), dis))
+                out.append("")
+                continue
+            nums.sort()
+            if numbering:
+                numbering[1][binder] = nums
+            out.append(" :discharge (" + " ".join(map(str, nums)) + "))")
+        elif isinstance(node, EmptyTop):
+            out.append(" (empty)")
+        else:
+            raise StructureError(f"not a structure: {node!r}")
+    for binder, at, dis in sorted(unused):
+        nums = sorted(number.setdefault((binder, l), len(number) + 1) for l in sorted(dis))
+        if numbering:
+            numbering[1][binder] = nums
+        out[at] = " :discharge (" + " ".join(map(str, nums)) + "))"
+    return "".join(out)[1:]
 
 
 def _metavar(x) -> str | None:

@@ -227,12 +227,12 @@ def enumerate_bases(
     total = sum(math.comb(n_rules, k) for k in range(min(max_rules, n_rules) + 1))
     if total > cap:
         raise EnumerationCapError(f"{total} bases over this signature exceeds the cap of {cap}")
-    universe = rule_universe(order[:-1])
+    universe = rule_universe(order[:-1]) if max_rules else []  # no rules, no universe
     bit = {x: 1 << i for i, x in enumerate(order)}
     pairs = [(_mask(r.premises, bit), bit[r.conclusion]) for r in universe]
     closures: dict[int, frozenset[Atom]] = {}
     for size in range(min(max_rules, n_rules) + 1):
-        for combo in itertools.combinations(range(n_rules), size):
+        for combo in itertools.combinations(range(len(pairs)), size):
             derived = _forward([pairs[i] for i in combo], 0)
             if consistent_only and derived & bit[BOT]:
                 continue

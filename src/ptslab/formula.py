@@ -265,27 +265,45 @@ def parse_formula(text: str, *, metavars: bool = False) -> Formula:
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4
 
 
-def _render(f, prec: int) -> str:
+def _remember(f) -> str:
+    """Write f's text from its parts' texts and keep it on f."""
     match f:
         case Atom(name):
-            return name
+            text = name
         case FVar(name):
-            return "?" + name
+            text = "?" + name
         case Impl(l, r) if r == BOT:
-            s = "~" + _render(l, _PREC_NOT)
-            return s  # prefix ~ never needs outer parens
+            text = "~" + _part(l, _PREC_NOT)  # prefix ~ never needs outer parens
         case Conj(l, r):
-            s = _render(l, _PREC_AND) + " & " + _render(r, _PREC_AND + 1)
-            return "(" + s + ")" if prec > _PREC_AND else s
+            text = _part(l, _PREC_AND) + " & " + _part(r, _PREC_AND + 1)
         case Disj(l, r):
-            s = _render(l, _PREC_OR) + " | " + _render(r, _PREC_OR + 1)
-            return "(" + s + ")" if prec > _PREC_OR else s
+            text = _part(l, _PREC_OR) + " | " + _part(r, _PREC_OR + 1)
         case Impl(l, r):
-            s = _render(l, _PREC_IMP + 1) + " -> " + _render(r, _PREC_IMP)
-            return "(" + s + ")" if prec > _PREC_IMP else s
-    raise FormulaError(f"not a formula: {f!r}")
+            text = _part(l, _PREC_IMP + 1) + " -> " + _part(r, _PREC_IMP)
+        case _:
+            raise FormulaError(f"not a formula: {f!r}")
+    object.__setattr__(f, "_text", text)
+    return text
+
+
+def _part(f, prec: int) -> str:
+    """f's text as an operand at the given precedence, parenthesised if it binds looser."""
+    text = getattr(f, "_text", None) or _remember(f)
+    match f:
+        case Impl(_, r) if r == BOT:
+            return text
+        case Conj():
+            own = _PREC_AND
+        case Disj():
+            own = _PREC_OR
+        case Impl():
+            own = _PREC_IMP
+        case _:
+            return text
+    return "(" + text + ")" if prec > own else text
 
 
 def render_formula(f: Formula) -> str:
-    """Canonical text; parse_formula(render_formula(f)) == f."""
-    return _render(f, 0)
+    """Canonical text; parse_formula(render_formula(f)) == f. The text is
+    written once per formula object and kept on it, outside its fields."""
+    return getattr(f, "_text", None) or _remember(f)

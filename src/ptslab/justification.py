@@ -35,11 +35,11 @@ from .argument import (
     Plug,
     PVar,
     StructureError,
+    _facts,
     _map_leaves,
     _parse_tree,
     _positioned,
     _require_contract,
-    _scope,
     _splice,
     canonical_form,
     canonical_key,
@@ -180,7 +180,8 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
                 b = got
             if not dspecs:
                 return b
-            bound = [leaf for leaf, binder, _ in _scope(d)[0] if binder == 0]  # leaves d binds
+            # the leaves d binds: its premises' free leaves that carry a label it discharges
+            bound = [leaf for ch in d.children for leaf in _facts(ch).free if leaf.label in d.discharges]
             for perm in itertools.permutations(sorted(d.discharges)):
                 trial = b.copy()
                 for spec, label in zip(dspecs, perm):

@@ -21,12 +21,14 @@ from ptslab import (
     JustificationSet,
     StructureError,
     analyze,
+    em_refutation_rule,
     canonical_key,
     check_structure,
     immediate_substructures,
     instantiate,
     is_canonical,
     negation,
+    or_detour,
     parse_base,
     parse_formula,
     parse_structure,
@@ -37,11 +39,15 @@ from ptslab import (
     subtree_at,
     valid,
 )
-from ptslab.argument import canonical_form, cut_subtree, freshen, labels_of, relabel
+from ptslab import argument
+from ptslab.argument import _facts, canonical_form, cut_subtree, freshen, labels_of, relabel, size_of
+
+from ptslab.justification import step_candidates
 
 from genlib import (
     make_rng,
     random_detour_redex,
+    random_formula,
     random_open_structure,
     random_scoped_structure,
     random_sigma,
@@ -217,6 +223,17 @@ def test_is_canonical_examples():
     assert is_canonical(vacuous)
 
 
+def test_impl_intro_shape_reads_only_the_leaves_it_binds():
+    # a leaf bound further out, or by a nearer inference, does not count
+    inner = Inf("impI", Impl(c, b), (Assumption(c, 3),), frozenset({3}))
+    premise = Inf("t", b, (Assumption(a, 1), Assumption(c, 2), inner))
+    imp = Inf("impI", Impl(a, b), (premise,), frozenset({1}))
+    assert is_canonical(imp)
+    assert is_canonical(Inf("wrap", Impl(a, b), (imp,), frozenset({2})).children[0])
+    wrong = Inf("impI", Impl(c, b), (premise,), frozenset({1}))
+    assert not is_canonical(wrong)
+
+
 def test_structures_equal_up_to_relabelling():
     d = _case_analysis()
     assert structures_equal(d, relabel(d, {1: 40, 2: 17}))
@@ -336,6 +353,13 @@ def test_check_and_analyze_a_deep_chain():
     assert analyze(d).closed
     with pytest.raises(StructureError, match="0 discharging"):
         check_structure(d.children[0])
+    assert size_of(d) == 3002 and labels_of(d) == {1}
+    text = render_structure(d)
+    chain = '(inf s "a" ' * 3000 + '(assume "a" :label 1)' + ")" * 3000
+    assert text == '(inf impI "a -> a" ' + chain + " :discharge (1))"
+    assert canonical_key(d) == text
+    sub, context = cut_subtree(d, ())
+    assert sub is d and context == []
 
 
 def _preorder(d):
@@ -455,3 +479,221 @@ def test_key_numbers_each_discharging_inference():
     fresh = Inf("k", a, (pair.children[0], relabel(pair.children[1], {1: 2})))
     assert canonical_key(pair) == canonical_key(fresh) == render_structure(fresh)
     assert render_structure(canonical_form(pair)) == canonical_key(pair)
+
+
+# ---------------------------------------------------------------------------
+# The facts a node keeps against the whole-tree walks they replace. The
+# oracles below are the scope walk and the two-pass key the library used
+# before nodes kept their facts.
+
+
+def _oracle_scope(d):
+    """(leaf, binder, count) per leaf in pre-order, binder the pre-order
+    position of the nearest enclosing inference discharging its label (None
+    if none) and count how many do; and (position, discharges) per binder."""
+    leaves, binders = [], []
+    count = itertools.count()
+
+    def walk(node, scope):
+        pos = next(count)
+        if isinstance(node, Inf):
+            if node.discharges:
+                binders.append((pos, node.discharges))
+                scope = dict(scope)
+                for l in node.discharges:
+                    scope[l] = (pos, scope.get(l, (None, 0))[1] + 1)
+            for ch in node.children:
+                walk(ch, scope)
+        elif isinstance(node, Assumption):
+            leaves.append((node, *scope.get(node.label, (None, 0))))
+
+    walk(d, {})
+    return leaves, binders
+
+
+def _oracle_check(d):
+    """The well-formedness error of d, as a message, or None."""
+    if isinstance(d, EmptyTop):
+        return "an empty node cannot stand alone"
+    for leaf, _, n in _oracle_scope(d)[0]:
+        if leaf.label is not None and n != 1:
+            return (
+                f"label {leaf.label} on assumption {leaf.formula} has "
+                f"{n} discharging inferences below it (need exactly 1)"
+            )
+    return None
+
+
+def _oracle_render(d, label, discharged):
+    match d:
+        case Assumption(f, lbl):
+            tail = f" :label {label(d)}" if lbl is not None else ""
+            return f'(assume "{f}"{tail})'
+        case EmptyTop():
+            return "(empty)"
+        case Inf(tag, concl, children, dis):
+            tail = " :discharge (" + " ".join(map(str, discharged(dis))) + "))" if dis else ")"
+            kids = " ".join(_oracle_render(ch, label, discharged) for ch in children)
+            return f'(inf {tag} "{concl}" {kids}{tail}'
+
+
+def _oracle_numbering(d):
+    leaves, binders = _oracle_scope(d)
+    number = {}
+    leaf_numbers = iter([
+        number.setdefault((binder, leaf.label), len(number) + 1)
+        for leaf, binder, _ in leaves
+        if leaf.label is not None
+    ])
+    for pos, dis in binders:
+        for l in sorted(dis):
+            number.setdefault((pos, l), len(number) + 1)
+    sets = iter([sorted(number[pos, l] for l in dis) for pos, dis in binders])
+    return lambda n: next(leaf_numbers), lambda dis: next(sets)
+
+
+def _oracle_key(d):
+    return _oracle_render(d, *_oracle_numbering(d))
+
+
+def _oracle_form(d):
+    label, discharged = _oracle_numbering(d)
+    return _oracle_relabel(d, label, discharged)
+
+
+def _oracle_relabel(d, label, discharged):
+    match d:
+        case Assumption(f, lbl):
+            return d if lbl is None else Assumption(f, label(d))
+        case Inf(tag, concl, children, dis):
+            dis = frozenset(discharged(dis)) if dis else dis
+            return Inf(tag, concl, tuple(_oracle_relabel(ch, label, discharged) for ch in children), dis)
+    return d
+
+
+def _agrees_with_the_oracles(d):
+    """Every fact of d, every well-formedness verdict and message, and both
+    texts equal what the whole-tree walks give."""
+    leaves, _ = _oracle_scope(d)
+    facts = _facts(d)
+    assert facts.size == size_of(d) == sum(1 for _ in _preorder(d))
+    labelled = {leaf.label for leaf, _, _ in leaves if leaf.label is not None}
+    discharged = {l for n in _preorder(d) if isinstance(n, Inf) for l in n.discharges}
+    assert facts.labels == labels_of(d) == labelled | discharged
+    assert [(n.label, n.formula) for n in facts.free] == [
+        (leaf.label, leaf.formula) for leaf, binder, _ in leaves if leaf.label is not None and binder is None
+    ]
+    assert facts.bound == {
+        leaf.label for leaf, binder, _ in leaves if leaf.label is not None and binder is not None
+    }
+    assert facts.double == any(n > 1 for leaf, _, n in leaves if leaf.label is not None)
+    assert list(facts.opens) == [leaf.formula for leaf, _, _ in leaves if leaf.label is None]
+    problem = _oracle_check(d)
+    if problem is None:
+        check_structure(d)
+        info = analyze(d)
+        assert info.conclusion == (d.formula if isinstance(d, Assumption) else d.conclusion)
+        assert info.open_assumptions == Counter(leaf.formula for leaf, _, _ in leaves if leaf.label is None)
+    else:
+        with pytest.raises(StructureError) as err:
+            check_structure(d)
+        assert str(err.value) == problem
+        with pytest.raises(StructureError):
+            analyze(d)
+    assert render_structure(d) == _oracle_render(d, lambda n: n.label, sorted)
+    assert canonical_key(d) == _oracle_key(d)
+    assert canonical_form(d) == _oracle_form(d)
+
+
+def _random_tree(rng, depth=4, labels=(1, 2, 3)):
+    """A structure with any label anywhere: multi-label and vacuous
+    discharge sets, double binders and unbound labels all turn up."""
+    if depth <= 1 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return EmptyTop()
+        return Assumption(random_formula(rng, 2), rng.choice(list(labels) + [None, None]))
+    dis = frozenset(l for l in labels if rng.random() < 0.3)
+    kids = tuple(_random_tree(rng, depth - 1, labels) for _ in range(rng.randint(1, 3)))
+    return Inf(rng.choice(("r", "s", "t")), random_formula(rng, 2), kids, dis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["any", "scoped", "detour", "open"]), st.data())
+def test_node_facts_agree_with_the_whole_tree_walks(seed, kind, data):
+    rng = random.Random(seed)
+    make = {
+        "any": _random_tree,
+        "scoped": random_scoped_structure,
+        "detour": random_detour_redex,
+        "open": lambda rng: random_open_structure(rng, random_formula(rng, 2), 3),
+    }[kind]
+    d = make(rng)
+    # ask some subtrees first, so that the root is built on kept facts
+    nodes = list(_preorder(d))
+    for node in data.draw(st.lists(st.sampled_from(nodes), max_size=4)):
+        _agrees_with_the_oracles(node)
+    _agrees_with_the_oracles(d)
+    # a structure sharing d (twice) and parts of it, built after d's facts
+    part = data.draw(st.sampled_from(nodes))
+    dis = frozenset(data.draw(st.sets(st.sampled_from((1, 2, 3, 4)), max_size=2)))
+    shared = Inf("k", a, (d, part, d), dis)
+    _agrees_with_the_oracles(shared)
+    _agrees_with_the_oracles(Inf("k", b, (shared, _random_tree(rng)), frozenset({1})))
+
+
+def test_facts_cover_the_edge_cases():
+    one, two = Assumption(a, 1), Assumption(b, 2)
+    cases = [
+        Inf("t", a, (one, two), frozenset({1, 2})),  # a multi-label set
+        Inf("t", a, (Assumption(c),), frozenset({1, 2})),  # a vacuous set
+        Inf("t", a, (one,), frozenset({1, 2})),  # partly vacuous
+        Inf("u", a, (Inf("t", a, (one,), frozenset({1})),), frozenset({1})),  # two binders
+        # one leaf object, bound once and twice
+        Inf("u", a, (one, Inf("t", a, (one,), frozenset({1}))), frozenset({1})),
+        Inf("t", a, (one, two), frozenset({1})),  # an unbound label
+        two,
+        EmptyTop(),
+        Inf("t", a, (EmptyTop(),)),
+        parse_structure(_SHADOW),
+    ]
+    for d in cases:
+        _agrees_with_the_oracles(d)
+    with pytest.raises(StructureError, match="label 1 on assumption a has 2 discharging"):
+        check_structure(cases[3])
+    with pytest.raises(StructureError, match="label 2 on assumption b has 0 discharging"):
+        analyze(cases[5])
+
+
+def test_facts_of_reducts_that_share_subtrees_with_their_parent():
+    rng = make_rng(31)
+    steps = JustificationSet((or_detour(),))
+    shared_somewhere = 0
+    for _ in range(60):
+        host = Inf("wrap", random_formula(rng, 2), (random_detour_redex(rng), random_scoped_structure(rng)))
+        _agrees_with_the_oracles(host)
+        parts = {id(n) for n in _preorder(host)}
+        reducts = list(step_candidates(steps, host).values())
+        assert reducts
+        for r in reducts:
+            shared_somewhere += any(id(n) in parts for n in _preorder(r))
+            _agrees_with_the_oracles(r)
+            for node in _preorder(r):
+                _agrees_with_the_oracles(node)
+    assert shared_somewhere >= 60
+
+
+def test_valid_builds_each_node_s_facts_once(monkeypatch):
+    built = []  # holds every node, so no id is reused while counting
+    real = argument._node_facts
+    monkeypatch.setattr(argument, "_node_facts", lambda node: built.append(node) or real(node))
+    text = '(inf atm "a" (empty))'
+    for l in range(1, 9, 2):
+        text = (
+            f'(inf orE "a" (inf orI1 "a | b" {text}) (assume "a" :label {l})'
+            f' (inf k "a" (assume "b" :label {l + 1})) :discharge ({l} {l + 1}))'
+        )
+    arg = Argument(parse_structure(text), JustificationSet((or_detour(), em_refutation_rule())))
+    verdict = valid(arg, parse_base("-> a\n-> b\n"))
+    assert verdict.status == "valid"
+    counts = Counter(id(node) for node in built)
+    assert len(counts) > 50 and max(counts.values()) == 1

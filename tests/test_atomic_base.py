@@ -133,6 +133,19 @@ def test_enumerate_rejects_negative_rule_count():
     assert [x.id for x in enumerate_bases([p], 0)] == ["{}"]
 
 
+def test_enumerate_with_no_rules_builds_no_rule_universe(monkeypatch):
+    # 20 atoms have 21 * 2**20 rules; asking for none must not build them
+    calls = []
+    real = atomic_base.rule_universe
+    monkeypatch.setattr(atomic_base, "rule_universe", lambda atoms: calls.append(atoms) or real(atoms))
+    atoms = [Atom(chr(ord("a") + i)) for i in range(20)]
+    got = list(enumerate_bases(atoms, 0))
+    assert len(got) == 1 and got[0].rules == frozenset() and atomic_closure(got[0]) == frozenset()
+    assert calls == []
+    assert [b.id for b in enumerate_bases([p], 1)] == ["{}", "{-> p}", "{p -> p}", "{p -> _|_}"]
+    assert len(calls) == 1
+
+
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapError):
         list(enumerate_bases([p, q, r], 4, cap=10))

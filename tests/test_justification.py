@@ -148,6 +148,21 @@ def test_canonical_key_ignores_label_reuse_across_subtrees():
     assert reduces(steps, parse_structure(_REUSE_REDEX), _filler_pair(5, 6), 1)
 
 
+def test_discharge_constraint_reads_only_the_leaves_its_inference_binds():
+    # the inner impI binds the leaf a; the leaf c beside it is bound by the
+    # outer inference, and the leaf b deeper down by a nearer impI
+    rule = parse_rules(
+        'r: (inf wrap "?C" (inf impI "?A -> ?B" ?D :discharge ((?l "?A"))) :discharge (?m))'
+        ' => (inf wrap "?C" (inf impI "?A -> ?B" ?D :discharge (?l)) :discharge (?m))'
+    ).members[0]
+    d = parse_structure(
+        '(inf wrap "a -> b" (inf impI "a -> b" (inf t "b" (assume "a" :label 1) (assume "c" :label 2)'
+        ' (inf impI "b -> b" (assume "b" :label 3) :discharge (3))) :discharge (1)) :discharge (2))'
+    )
+    out = apply_justification(rule, d)
+    assert out is not None and structures_equal(out, d)
+
+
 def test_reduces_inside_context():
     # the redex sits under another inference; rewriting happens in place
     steps = JustificationSet((or_detour(),))
