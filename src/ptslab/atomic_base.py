@@ -50,6 +50,11 @@ class AtomicRule:
         for p in self.premises:
             if p.is_bottom:
                 raise BaseError("rule premises may not be the absurdity constant")
+        # the dataclass hash, computed once and kept outside the fields
+        object.__setattr__(self, "_hash", hash((self.premises, self.conclusion)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         left = " ".join(p.name for p in self.premises)
@@ -207,6 +212,49 @@ def rule_universe(atoms: list[Atom]) -> list[AtomicRule]:
     return [AtomicRule(prems, concl) for concl in seen + [BOT] for prems in prem_sets]
 
 
+def _combinations(
+    atoms: list[Atom], max_rules: int, consistent_only: bool, cap: int
+) -> tuple[list[Atom], list[AtomicRule], Iterator[tuple[tuple[int, ...], int]]]:
+    """The enumeration of enumerate_bases on masks. The arguments are
+    checked at the call, in enumerate_bases' order.
+
+    Returns the signature then bottom (the mask's bit order), the rule
+    universe, and a generator of (rule-index combination, derived mask)
+    pairs in enumeration order, inconsistent ones skipped when asked.
+    """
+    if max_rules < 0:
+        raise BaseError(f"the number of rules must be non-negative, got {max_rules}")
+    order = _signature(atoms) + [BOT]
+    n_rules = len(order) << (len(order) - 1)  # a conclusion and a premise set each
+    total = sum(math.comb(n_rules, k) for k in range(min(max_rules, n_rules) + 1))
+    if total > cap:
+        raise EnumerationCapError(f"{total} bases over this signature exceeds the cap of {cap}")
+    universe = rule_universe(order[:-1]) if max_rules else []  # no rules, no universe
+    bit = {x: 1 << i for i, x in enumerate(order)}
+    pairs = [(_mask(r.premises, bit), bit[r.conclusion]) for r in universe]
+    absurd = bit[BOT] if consistent_only else 0
+
+    def combinations() -> Iterator[tuple[tuple[int, ...], int]]:
+        for size in range(min(max_rules, n_rules) + 1):
+            for combo in itertools.combinations(range(len(pairs)), size):
+                derived = _forward([pairs[i] for i in combo], 0)
+                if not derived & absurd:
+                    yield combo, derived
+
+    return order, universe, combinations()
+
+
+def _atoms_in(mask: int, order: list[Atom]) -> frozenset[Atom]:
+    return frozenset(x for i, x in enumerate(order) if mask >> i & 1)
+
+
+def _built(universe: list[AtomicRule], combo: tuple[int, ...], closure: frozenset[Atom]) -> AtomicBase:
+    """The base of the combination's rules, handed its closure."""
+    base = AtomicBase(frozenset([universe[i] for i in combo]))
+    object.__setattr__(base, "_closure", closure)
+    return base
+
+
 def enumerate_bases(
     atoms: list[Atom],
     max_rules: int,
@@ -220,28 +268,13 @@ def enumerate_bases(
     consistency on masks over the signature and then bottom; only a yielded
     base is built, with its closure, one frozenset per distinct closure.
     """
-    if max_rules < 0:
-        raise BaseError(f"the number of rules must be non-negative, got {max_rules}")
-    order = _signature(atoms) + [BOT]
-    n_rules = len(order) << (len(order) - 1)  # a conclusion and a premise set each
-    total = sum(math.comb(n_rules, k) for k in range(min(max_rules, n_rules) + 1))
-    if total > cap:
-        raise EnumerationCapError(f"{total} bases over this signature exceeds the cap of {cap}")
-    universe = rule_universe(order[:-1]) if max_rules else []  # no rules, no universe
-    bit = {x: 1 << i for i, x in enumerate(order)}
-    pairs = [(_mask(r.premises, bit), bit[r.conclusion]) for r in universe]
+    order, universe, combinations = _combinations(atoms, max_rules, consistent_only, cap)
     closures: dict[int, frozenset[Atom]] = {}
-    for size in range(min(max_rules, n_rules) + 1):
-        for combo in itertools.combinations(range(len(pairs)), size):
-            derived = _forward([pairs[i] for i in combo], 0)
-            if consistent_only and derived & bit[BOT]:
-                continue
-            closure = closures.get(derived)
-            if closure is None:
-                closure = closures[derived] = frozenset(x for x in order if derived & bit[x])
-            base = AtomicBase(frozenset([universe[i] for i in combo]))
-            object.__setattr__(base, "_closure", closure)
-            yield base
+    for combo, derived in combinations:
+        closure = closures.get(derived)
+        if closure is None:
+            closure = closures[derived] = _atoms_in(derived, order)
+        yield _built(universe, combo, closure)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Consequence defined directly over a base, with atoms read as derivability.
 
-For an empty context the goal is evaluated by structural recursion; a
+For an empty context the goal is evaluated structurally; a
 nonempty context is a material condition: if every member holds on the
 base, the goal must hold on the same base (the non-extension reading).
 On production-rule bases this collapses to classical evaluation under
@@ -9,11 +9,12 @@ the valuation sending each atom to its derivability.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .atomic_base import AtomicBase, atomic_closure
+from .atomic_base import AtomicBase, _atoms_in, _built, _combinations, atomic_closure
 from .formula import BOT, Atom, Conj, Disj, Formula, Impl, negation
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "models",
     "em_valid",
     "logical_consequence",
+    "search_counterexample",
 ]
 
 
@@ -62,18 +64,37 @@ def classical_eval(f: Formula, valuation: dict[Atom, bool]) -> bool:
 
 
 def _holds(f: Formula, derivable: frozenset[Atom]) -> bool:
-    match f:
-        case Atom():
-            return f in derivable
-        case Conj(l, r):
-            return _holds(l, derivable) and _holds(r, derivable)
-        case Disj(l, r):
-            return _holds(l, derivable) or _holds(r, derivable)
-        case Impl(l, r):
-            # an implication holds when the consequent holds if the
-            # antecedent does, all on this same base
-            return (not _holds(l, derivable)) or _holds(r, derivable)
-    raise SemanticsError(f"not a formula: {f!r}")
+    """Evaluation on a closure, left operand first, with an explicit stack
+    rather than recursion, so a formula's depth is not bounded by Python's."""
+    pending: list[Conj | Disj | Impl] = []  # connectives whose left operand is evaluated
+    while True:
+        while not isinstance(f, Atom):
+            if not isinstance(f, (Conj, Disj, Impl)):
+                raise SemanticsError(f"not a formula: {f!r}")
+            pending.append(f)
+            f = f.left
+        value = f in derivable
+        while pending:
+            g = pending.pop()
+            # a false left operand decides a conjunction and an implication
+            # (which then holds on this same base), a true one a
+            # disjunction; otherwise g has the value of its right operand
+            match g:
+                case Conj() if not value:
+                    continue
+                case Disj() if value:
+                    continue
+                case Impl() if not value:
+                    value = True
+                    continue
+            f = g.right
+            break
+        else:
+            return value
+
+
+def _follows(context: Iterable[Formula], goal: Formula, derivable: frozenset[Atom]) -> bool:
+    return not all(_holds(c, derivable) for c in context) or _holds(goal, derivable)
 
 
 def _warn_inconsistent(base: AtomicBase, stacklevel: int) -> None:
@@ -85,7 +106,7 @@ def models(base: AtomicBase, context: Iterable[Formula], goal: Formula) -> bool:
     derivable = atomic_closure(base, ())
     if BOT in derivable:
         _warn_inconsistent(base, 2)
-    return not all(_holds(c, derivable) for c in context) or _holds(goal, derivable)
+    return _follows(context, goal, derivable)
 
 
 def em_valid(base: AtomicBase, f: Formula) -> bool:
@@ -122,3 +143,40 @@ def _first_failing(
             return base
     return None
 
+
+def search_counterexample(
+    context: Iterable[Formula],
+    goal: Formula,
+    atoms: list[Atom],
+    max_rules: int,
+    cap: int = 200_000,
+) -> AtomicBase | None:
+    """First enumerated consistent base on which the goal fails, or None.
+
+    The arguments are checked at the call, as enumerate_bases checks them. A
+    consistent base with k rules derives at most k atoms of the signature,
+    each by its own rule, and the `-> x` axioms of any such set form a base
+    with that closure: the family's closures are exactly the subsets of at
+    most k atoms. The goal is evaluated once on each; only if it fails on
+    one is the enumeration scanned, on masks, to the first combination with
+    a failing closure, and that one base is built.
+    """
+    context = tuple(context)
+    order, universe, combinations = _combinations(atoms, max_rules, True, cap)
+    named = range(len(order) - 1)  # the signature's bits; bottom's is last
+    stops: dict[int, SemanticsError | None] = {}  # failing masks, or masks that raise
+    for size in range(min(max_rules, len(named)) + 1):
+        for chosen in itertools.combinations(named, size):
+            mask = sum(1 << i for i in chosen)
+            try:
+                if not _follows(context, goal, _atoms_in(mask, order)):
+                    stops[mask] = None
+            except SemanticsError as e:  # raised where the scan first meets it
+                stops[mask] = e
+    if stops:
+        for combo, derived in combinations:
+            if derived in stops:
+                if stops[derived] is not None:
+                    raise stops[derived]
+                return _built(universe, combo, _atoms_in(derived, order))
+    return None

@@ -31,7 +31,7 @@ from .argument import (
     parse_structure,
     parse_structures,
 )
-from .base_semantics import _first_failing, logical_consequence, models
+from .base_semantics import logical_consequence, models, search_counterexample
 from .formula import Atom, Disj, Formula, FormulaError, negation, parse_formula, render_formula
 from .justification import (
     JustificationError,
@@ -140,17 +140,6 @@ def _context_from(text: str | None) -> list[Formula]:
     if not text:
         return []
     return [parse_formula(part) for part in text.split(";") if part.strip()]
-
-
-def search_counterexample(
-    context: Iterable[Formula],
-    goal: Formula,
-    atoms: list[Atom],
-    max_rules: int,
-    cap: int = 200_000,
-) -> AtomicBase | None:
-    """First enumerated consistent base on which the goal fails, or None."""
-    return _first_failing(context, goal, enumerate_bases(atoms, max_rules, consistent_only=True, cap=cap))
 
 
 # ---------------------------------------------------------------------------

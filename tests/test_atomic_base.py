@@ -331,3 +331,30 @@ def test_enumeration_agrees_with_the_reference_loop_random_signatures():
     for _ in range(3):
         atoms = [Atom(x) for x in rng.sample("abcdefghpqrs", 4)]
         _enumeration_agrees(atoms, 2)
+
+
+def test_rule_keeps_the_dataclass_hash():
+    # computed once when the rule is built, the value the frozen dataclass
+    # would compute, so every set of rules iterates in the same order
+    rules = atomic_base.rule_universe([a, b, p])
+    for rule in rules:
+        assert hash(rule) == rule._hash == hash((rule.premises, rule.conclusion))
+    shuffled = make_rng(5).sample(rules, len(rules))
+    as_tuples = [(x.premises, x.conclusion) for x in frozenset(shuffled)]
+    assert as_tuples == list(frozenset((x.premises, x.conclusion) for x in shuffled))
+    # enumeration order and ids
+    assert [x.id for x in enumerate_bases([p, q], 1)] == [
+        "{}", "{-> p}", "{p -> p}", "{q -> p}", "{p q -> p}", "{-> q}", "{p -> q}",
+        "{q -> q}", "{p q -> q}", "{p -> _|_}", "{q -> _|_}", "{p q -> _|_}",
+    ]
+
+
+def test_closures_of_a_family_are_the_small_subsets():
+    # a consistent base with k rules derives at most k atoms, one rule each,
+    # and the `-> x` axioms of any k atoms form such a base
+    for n in range(4):
+        atoms = [a, b, p][:n]
+        for k in range(4):
+            closures = {atomic_closure(x) for x in enumerate_bases(atoms, k)}
+            small = {frozenset(s) for j in range(min(k, n) + 1) for s in itertools.combinations(atoms, j)}
+            assert closures == small

@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -11,7 +12,12 @@ from ptslab import (
     Atom,
     AtomicBase,
     BOT,
+    BaseError,
+    Conj,
     Disj,
+    EnumerationCapError,
+    FVar,
+    Impl,
     SemanticsError,
     atomic_closure,
     atoms_of,
@@ -154,7 +160,7 @@ def test_monotone_mode_differs_from_plain():
     assert models(PQ, [p], q)
 
 
-@pytest.mark.parametrize("scan", ["logical_consequence", "search_counterexample"])
+@pytest.mark.parametrize("scan", ["logical_consequence"])
 def test_family_scan_evaluates_each_closure_once(monkeypatch, scan):
     # 4887 consistent bases over a, b, c with at most three rules, but at
     # most 8 distinct closures: a tautology is evaluated once per closure
@@ -165,11 +171,43 @@ def test_family_scan_evaluates_each_closure_once(monkeypatch, scan):
     real = base_semantics.models
     monkeypatch.setattr(base_semantics, "models", lambda *x: calls.append(x[0]) or real(*x))
     goal = parse_formula("(a -> b) | (b -> a)")
-    if scan == "logical_consequence":
-        assert logical_consequence((), goal, family).holds
-    else:
-        assert search_counterexample((), goal, [a, b, c], 3) is None
+    assert logical_consequence((), goal, family).holds
     assert len(calls) == len({atomic_closure(base) for base in calls}) == 8
+
+
+def test_search_evaluates_each_closure_once_and_builds_only_its_answer(monkeypatch):
+    # the same 4887 bases: a tautology is evaluated once on each of the 8
+    # subsets of {a, b, c}, their closures, and no base is built; a failing
+    # goal builds exactly the base it returns
+    evaluated, built = [], []
+    real_holds = base_semantics._holds
+    monkeypatch.setattr(base_semantics, "_holds", lambda f, d: evaluated.append(d) or real_holds(f, d))
+    real_init = AtomicBase.__init__
+    monkeypatch.setattr(AtomicBase, "__init__", lambda base, *x: built.append(base) or real_init(base, *x))
+    goal = parse_formula("(a -> b) | (b -> a)")
+    assert search_counterexample((), goal, [a, b, c], 3) is None
+    subsets = {frozenset(s) for k in range(4) for s in itertools.combinations([a, b, c], k)}
+    assert len(evaluated) == 8 and set(evaluated) == subsets
+    assert built == []
+    found = search_counterexample((), parse_formula("a -> b"), [a, b, c], 3)
+    assert built == [found] and found.id == "{-> a}" and atomic_closure(found) == {a}
+
+
+def test_evaluation_of_a_deep_formula_built_in_code():
+    # 2000 negations of an atom: far deeper than the reader admits, and
+    # than recursion would reach; an even number of them is the atom itself
+    deep = a
+    for _ in range(2000):
+        deep = negation(deep)
+    assert models(parse_base("-> a\n"), (), deep) and not models(EMPTY, (), deep)
+    assert models(EMPTY, (), negation(deep)) and models(EMPTY, [deep], BOT)
+    fam = list(enumerate_bases([a], 1))
+    assert logical_consequence((), deep, fam) == logical_consequence((), a, fam)
+    assert logical_consequence((), Disj(deep, negation(deep)), fam).holds
+    assert search_counterexample((), deep, [a], 1).id == "{}"
+    assert search_counterexample((), Impl(deep, deep), [a, b], 2) is None
+    with pytest.raises(SemanticsError, match="not a formula"):
+        models(PQ, (), Impl(negation(deep), Impl(p, FVar("A"))))
 
 
 def _per_base(context, goal, family):
@@ -203,3 +241,77 @@ def test_closure_memo_agrees_with_a_per_base_scan(seed, max_rules):
     assert got_warnings == want_warnings
     verdict, _ = _scan_with_warnings(logical_consequence, context, goal, family)
     assert verdict.holds == (want is None) and verdict.counterexample == (want and want.id)
+
+
+# the search against its definition before closures: the first base of
+# the consistent enumeration on which the goal fails, by a per-base scan
+
+def _reference_search(context, goal, atoms, max_rules, cap=200_000):
+    for base in enumerate_bases(atoms, max_rules, consistent_only=True, cap=cap):
+        if not models(base, context, goal):
+            return base
+    return None
+
+
+def _outcome(search, *args):
+    try:
+        found = search(*args)
+    except (BaseError, EnumerationCapError) as e:
+        return type(e)
+    return found and (found.rules_text(), found.id, atomic_closure(found))
+
+
+# bottom, and atoms a signature may leave out (d always), among the leaves
+_formulas = st.recursive(
+    st.sampled_from([a, b, c, Atom("d"), BOT]),
+    lambda sub: st.builds(Conj, sub, sub) | st.builds(Disj, sub, sub) | st.builds(Impl, sub, sub),
+    max_leaves=8,
+)
+_signatures = st.lists(st.sampled_from([a, b, c]), max_size=3)  # duplicates included
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signatures, st.integers(0, 3), st.lists(_formulas, max_size=2), _formulas)
+def test_search_agrees_with_a_per_base_scan(atoms, max_rules, context, goal):
+    want = _outcome(_reference_search, context, goal, atoms, max_rules)
+    assert _outcome(search_counterexample, context, goal, atoms, max_rules) == want
+
+
+_TAUTOLOGY = parse_formula("a | ~a")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([a, b, c, BOT]), max_size=3),
+    st.integers(-2, 3),
+    st.integers(0, 60),
+    st.sampled_from([_TAUTOLOGY, parse_formula("a -> b"), BOT]),
+)
+def test_search_rejects_what_the_enumeration_rejects(atoms, max_rules, cap, goal):
+    # a negative rule count, bottom in the signature and a cap below the
+    # count raise as the enumeration does, in its order, whatever the goal
+    want = _outcome(_reference_search, (), goal, atoms, max_rules, cap)
+    assert _outcome(search_counterexample, (), goal, atoms, max_rules, cap) == want
+
+
+def test_search_checks_its_arguments_before_any_evaluation():
+    # not a generator: the call itself raises, even for a tautology
+    with pytest.raises(BaseError, match="non-negative"):
+        search_counterexample((), _TAUTOLOGY, [a, BOT], -1)
+    with pytest.raises(BaseError, match="named atoms"):
+        search_counterexample((), _TAUTOLOGY, [a, BOT], 1)
+    with pytest.raises(EnumerationCapError):
+        search_counterexample((), _TAUTOLOGY, [a, b, c], 3, cap=4886)
+    assert search_counterexample((), _TAUTOLOGY, [a, b, c], 3, cap=32_000) is None
+
+
+def test_search_raises_where_the_scan_first_meets_a_non_formula():
+    # a goal that fails on the empty closure before its metavariable is
+    # reached: the scan stops there, as the per-base definition does
+    goal = Conj(Impl(b, FVar("A")), a)
+    assert _reference_search((), goal, [a, b], 1).id == "{}"
+    assert search_counterexample((), goal, [a, b], 1).id == "{}"
+    goal = Disj(Impl(b, FVar("A")), a)
+    for search in (_reference_search, search_counterexample):
+        with pytest.raises(SemanticsError, match="not a formula"):
+            search((), goal, [a, b], 1)
