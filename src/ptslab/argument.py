@@ -4,9 +4,9 @@ A structure is an assumption leaf, an empty top marker, or an inference
 node with a rule tag, a conclusion, premise subtrees and a set of
 integer discharge labels. A labelled assumption leaf must be discharged
 by exactly one inference node strictly below it; unlabelled leaves are
-the open assumptions. Inference tags are free-form: structures are not
-confined to any fixed rule set, only canonicity singles out the four
-introduction shapes.
+the open assumptions. An inference tag is any text the reader reads back
+as one symbol: structures are not confined to any fixed rule set, only
+canonicity singles out the four introduction shapes.
 
 Rewrite rules are written in the same tree language: a pattern is a
 structure whose formulas may hold ?A variables, whose leaves may be ?D
@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .formula import Conj, Disj, Formula, FVar, Impl, parse_formula, render_formula
-from .sexpr import SexprError, Sym, read_all_sexprs, read_sexpr
+from .sexpr import _SYMBOL_RE, SexprError, Sym, read_all_sexprs, read_sexpr
 
 __all__ = [
     "StructureError",
@@ -72,15 +72,43 @@ class AssumptionEscape(StructureError):
     pass
 
 
+class _Facts:
+    """What a node knows of itself, built with the node from its children's facts.
+
+    size:   nodes, itself included;
+    labels: the labels on its leaves and in its discharge sets;
+    free:   its labelled leaves that no inference inside it discharges, in pre-order;
+    bound:  the labels of its leaves that an inference inside it discharges;
+    double: whether some leaf has two discharging inferences inside it;
+    opens:  the formulas of its unlabelled leaves, in pre-order;
+    binds:  the leaves it discharges itself, in pre-order.
+
+    A node with one child and no discharge shares the child's sets and
+    tuples, and empty ones are shared too.
+    """
+
+    __slots__ = ("size", "labels", "free", "bound", "double", "opens", "binds")
+
+    def __init__(self, size, labels, free, bound, double, opens, binds=()):
+        self.size, self.labels, self.free = size, labels, free
+        self.bound, self.double, self.opens, self.binds = bound, double, opens, binds
+
+
+_NONE: frozenset[int] = frozenset()
+
+
 @dataclass(frozen=True)
 class Assumption:
     formula: Formula
     label: int | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "_facts", _node_facts(self))
+
 
 @dataclass(frozen=True)
 class EmptyTop:
-    pass
+    _facts = _Facts(1, _NONE, (), _NONE, False, ())  # every empty node has the same
 
 
 @dataclass(frozen=True)
@@ -91,11 +119,12 @@ class Inf:
     discharges: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not self.tag:
-            raise StructureError("inference nodes need a rule tag")
+        if not isinstance(self.tag, str) or not _SYMBOL_RE.fullmatch(self.tag):
+            raise StructureError(f"inference nodes need a one-symbol rule tag, not {self.tag!r}")
         if not self.children:
             raise StructureError("inference nodes need at least one child; use (empty) for none")
         object.__setattr__(self, "discharges", frozenset(self.discharges))
+        object.__setattr__(self, "_facts", _node_facts(self))
 
 
 ArgStructure = Assumption | EmptyTop | Inf
@@ -160,96 +189,71 @@ def conclusion_of(d: ArgStructure) -> Formula:
 def _map_leaves(d: ArgStructure, leaf, discharges=None) -> ArgStructure:
     """d rebuilt with every assumption leaf n replaced by leaf(n) and, when
     given, every discharge set s by discharges(s); both are called in
-    pre-order."""
-    match d:
-        case Assumption():
-            return leaf(d)
-        case Inf(tag, c, children, dis):
-            dis = dis if discharges is None else discharges(dis)
-            return Inf(tag, c, tuple(_map_leaves(ch, leaf, discharges) for ch in children), dis)
-    return d
+    pre-order, from one walk without recursion."""
+    done: list[ArgStructure] = []  # rebuilt subtrees, the last ones on top
+    stack: list = [d]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Assumption):
+            done.append(leaf(node))
+        elif isinstance(node, Inf):
+            # rebuilt once its children are: a (node, discharges) pair
+            stack.append((node, node.discharges if discharges is None else discharges(node.discharges)))
+            stack.extend(reversed(node.children))
+        elif isinstance(node, tuple):
+            node, dis = node
+            n = len(node.children)
+            kids = tuple(done[-n:])
+            del done[-n:]
+            done.append(Inf(node.tag, node.conclusion, kids, dis))
+        else:
+            done.append(node)
+    return done[0]
 
 
-class _Facts:
-    """What a node knows of itself, built once from its children's facts.
-
-    size:   nodes, itself included;
-    labels: the labels on its leaves and in its discharge sets;
-    free:   its labelled leaves that no inference inside it discharges, in pre-order;
-    bound:  the labels of its leaves that an inference inside it discharges;
-    double: whether some leaf has two discharging inferences inside it;
-    opens:  the formulas of its unlabelled leaves, in pre-order.
-
-    A node with one child and no discharge shares the child's sets and
-    tuples, and empty ones are shared too.
-    """
-
-    __slots__ = ("size", "labels", "free", "bound", "double", "opens")
-    NONE: frozenset[int] = frozenset()
-
-    def __init__(self, size, labels, free, bound, double, opens):
-        self.size, self.labels, self.free = size, labels, free
-        self.bound, self.double, self.opens = bound, double, opens
+def _union(s: frozenset[int], t: frozenset[int]) -> frozenset[int]:
+    """s | t, sharing s or t when it holds the other."""
+    return s if t <= s else t if s <= t else s | t
 
 
-def _union(sets: list[frozenset[int]]) -> frozenset[int]:
-    """The union of the sets, sharing one of them when it holds all the others."""
-    out = _Facts.NONE
-    for s in sets:
-        if not s <= out:
-            out = s if out <= s else out | s
-    return out
-
-
-def _node_facts(node: ArgStructure) -> _Facts:
-    """The facts of one node whose children already have theirs."""
+def _node_facts(node: Assumption | Inf) -> _Facts:
+    """The facts of a node being built, from its children's."""
     if isinstance(node, Assumption):
         if node.label is None:
-            return _Facts(1, _Facts.NONE, (), _Facts.NONE, False, (node.formula,))
-        return _Facts(1, frozenset((node.label,)), (node,), _Facts.NONE, False, ())
-    if isinstance(node, EmptyTop):
-        return _Facts(1, _Facts.NONE, (), _Facts.NONE, False, ())
-    if not isinstance(node, Inf):
-        raise StructureError(f"not a structure: {node!r}")
-    kids = [ch._facts for ch in node.children]
+            return _Facts(1, _NONE, (), _NONE, False, (node.formula,))
+        return _Facts(1, frozenset((node.label,)), (node,), _NONE, False, ())
+    try:
+        kids = [ch._facts for ch in node.children]
+    except AttributeError:
+        kids = [_facts(ch) for ch in node.children]  # names the child that is not a structure
     if len(kids) == 1:
         k = kids[0]
         size, labels, free, bound, double, opens = k.size + 1, k.labels, k.free, k.bound, k.double, k.opens
     else:
-        size, free, double, opens = 1, (), False, ()
+        size, labels, free, bound, double, opens = 1, _NONE, (), _NONE, False, ()
         for k in kids:
-            size, free, double, opens = size + k.size, free + k.free, double or k.double, opens + k.opens
-        labels, bound = _union([k.labels for k in kids]), _union([k.bound for k in kids])
+            size, opens = size + k.size, opens + k.opens
+            if k.labels:  # a child without labels has no free leaves and binds none
+                labels, bound, free = _union(labels, k.labels), _union(bound, k.bound), free + k.free
+                double = double or k.double
     dis = node.discharges
+    binds = ()
     if dis:
-        labels = labels if dis <= labels else labels | dis
+        labels = _union(labels, dis)
         double = double or not dis.isdisjoint(bound)  # a leaf bound inside is bound here again
-        here = {leaf.label for leaf in free if leaf.label in dis}
-        if here:
-            free = tuple(leaf for leaf in free if leaf.label not in dis)
-            bound = bound if here <= bound else bound | here
-    return _Facts(size, labels, free, bound, double, opens)
+        binds = tuple([leaf for leaf in free if leaf.label in dis])
+        if binds:
+            free = tuple([leaf for leaf in free if leaf.label not in dis])
+            bound = _union(bound, frozenset([leaf.label for leaf in binds]))
+    return _Facts(size, labels, free, bound, double, opens, binds)
 
 
 def _facts(d: ArgStructure) -> _Facts:
-    """d's facts. Every node below d that has none yet gets them, bottom-up
-    and without recursion, and keeps them: a node built from parts that
-    were asked before pays for itself only."""
-    got = getattr(d, "_facts", None)
-    if got is not None:
-        return got
-    stack = [d]
-    while stack:
-        node = stack[-1]
-        if getattr(node, "_facts", None) is None:
-            kids = node.children if isinstance(node, Inf) else ()
-            todo = [ch for ch in kids if getattr(ch, "_facts", None) is None]
-            if todo:
-                stack.extend(todo)
-                continue
-            object.__setattr__(node, "_facts", _node_facts(node))
-        stack.pop()
-    return d._facts
+    """d's facts, which d got when it was built."""
+    try:
+        return d._facts
+    except AttributeError:
+        raise StructureError(f"not a structure: {d!r}") from None
 
 
 def _scope(d: ArgStructure) -> tuple[list, list]:
@@ -343,18 +347,17 @@ def positions(d: ArgStructure) -> list[tuple[int, ...]]:
 
 
 def _positioned(d: ArgStructure) -> list[tuple[tuple[int, ...], ArgStructure]]:
-    """(path, node) for every position, in the order of positions(d)."""
+    """(path, node) for every position, in the order of positions(d): a
+    pre-order walk without recursion, last child first, read backwards."""
     out: list[tuple[tuple[int, ...], ArgStructure]] = []
-
-    def walk(node, path):
-        if isinstance(node, EmptyTop):
-            return
+    stack = [((), d)]
+    while stack:
+        path, node = stack.pop()
         if isinstance(node, Inf):
-            for i, ch in enumerate(node.children):
-                walk(ch, path + (i,))
-        out.append((path, node))
-
-    walk(d, ())
+            stack.extend((path + (i,), ch) for i, ch in enumerate(node.children))
+        if not isinstance(node, EmptyTop):
+            out.append((path, node))
+    out.reverse()
     return out
 
 
@@ -412,13 +415,16 @@ def cut_subtree(
 
 
 def _graft(d: ArgStructure, path: tuple[int, ...], replacement: ArgStructure) -> ArgStructure:
-    if not path:
-        return replacement
-    assert isinstance(d, Inf)
-    i = path[0]
-    children = list(d.children)
-    children[i] = _graft(children[i], path[1:], replacement)
-    return Inf(d.tag, d.conclusion, tuple(children), d.discharges)
+    """d with the replacement at path: the inferences on the path are
+    rebuilt, innermost first."""
+    spine = []
+    for i in path:
+        spine.append(d)
+        d = d.children[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        kids = node.children
+        replacement = Inf(node.tag, node.conclusion, kids[:i] + (replacement,) + kids[i + 1 :], node.discharges)
+    return replacement
 
 
 def _require_contract(before: ArgStructure, after: ArgStructure) -> None:
@@ -430,7 +436,9 @@ def _require_contract(before: ArgStructure, after: ArgStructure) -> None:
             f"conclusion changed from {render_formula(conclusion_of(before))} "
             f"to {render_formula(conclusion_of(after))}"
         )
-    extra = analyze(after).open_assumptions.keys() - analyze(before).open_assumptions.keys()
+    check_structure(after)
+    check_structure(before)
+    extra = set(after._facts.opens).difference(before._facts.opens)
     if extra:
         names = ", ".join(sorted(render_formula(f) for f in extra))
         raise AssumptionEscape(f"new open assumptions: {names}")
@@ -475,14 +483,15 @@ def substitute(
 
 def instantiate(d: ArgStructure, mapping: dict[Formula, ArgStructure]) -> ArgStructure:
     """Replace every open assumption leaf by the structure mapped to its formula."""
-    info = analyze(d)
-    missing = [f for f in info.open_assumptions if f not in mapping]
+    check_structure(d)
+    opens = dict.fromkeys(d._facts.opens)
+    missing = [f for f in opens if f not in mapping]
     if missing:
         names = ", ".join(sorted(render_formula(f) for f in missing))
         raise StructureError(f"no instance given for open assumptions: {names}")
     used = set(labels_of(d))
     images: dict[Formula, ArgStructure] = {}
-    for f in sorted(info.open_assumptions, key=render_formula):
+    for f in sorted(opens, key=render_formula):
         img = mapping[f]
         if conclusion_of(img) != f:
             raise StructureError(
@@ -525,8 +534,7 @@ def is_canonical(d: ArgStructure) -> bool:
         case Impl(l, r):
             if len(kids) != 1 or conclusion_of(kids[0]) != r:
                 return False
-            # the leaves d binds: the free leaves of its premise that carry a label it discharges
-            return all(leaf.formula == l for leaf in _facts(kids[0]).free if leaf.label in d.discharges)
+            return all(leaf.formula == l for leaf in d._facts.binds)
         case _:
             return False
 

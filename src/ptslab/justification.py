@@ -35,7 +35,6 @@ from .argument import (
     Plug,
     PVar,
     StructureError,
-    _facts,
     _map_leaves,
     _parse_tree,
     _positioned,
@@ -180,15 +179,13 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
                 b = got
             if not dspecs:
                 return b
-            # the leaves d binds: its premises' free leaves that carry a label it discharges
-            bound = [leaf for ch in d.children for leaf in _facts(ch).free if leaf.label in d.discharges]
             for perm in itertools.permutations(sorted(d.discharges)):
                 trial = b.copy()
                 for spec, label in zip(dspecs, perm):
                     if trial.lvars.setdefault(spec.labelvar, label) != label or (
                         spec.formula is not None
                         and not all(
-                            _match_formula(spec.formula, n.formula, trial) for n in bound if n.label == label
+                            _match_formula(spec.formula, n.formula, trial) for n in d._facts.binds if n.label == label
                         )
                     ):
                         break
@@ -559,47 +556,57 @@ def step_candidates(
     return out
 
 
-def _reducts(
-    src: StepSource,
-    start: ArgStructure,
-    key: str,
-    base: AtomicBase | None,
-    max_steps: int,
-    max_size: int,
-    bound: list[bool],
-) -> Iterator[tuple[str, ArgStructure, int]]:
-    """The search of reach as a stream of (key, reduct, depth), breadth-first,
-    the start first under the key given for it. A reader that stops early
-    leaves the rest of the search undone; once drained, the stream sets
-    bound[0] when a bound cut the search off."""
-    seen = {key}
-    yield key, start, 0
-    frontier = [start]
-    hit = False
-    depth = 0
-    while frontier and depth < max_steps:
-        depth += 1
-        nxt = []
-        for d in frontier:
-            for k, c in step_candidates(src, d, base).items():
-                if size_of(c) > max_size:
-                    hit = True
-                    continue
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append(c)
-                yield k, c, depth
-        frontier = nxt
-    # the depth cap only matters if the last frontier still had somewhere to go
-    for d in frontier:
-        if hit:
-            break
-        for k, c in step_candidates(src, d, base).items():
-            if size_of(c) > max_size or k not in seen:
-                hit = True
-                break
-    bound[0] = hit
+class _Reducts:
+    """The search of reach as one stream of (key, reduct, depth), breadth-first,
+    the start first under the key given for it. Every entry is kept as it
+    comes: a reader replays the kept entries, and only a reader that goes
+    past them extends the search, so a reader that stops early leaves the
+    rest undone. Once the stream is drained, bound says whether a bound cut
+    the search off."""
+
+    __slots__ = ("kept", "_bound", "_rest")
+
+    def __init__(self, src: StepSource, start: ArgStructure, key: str, base, max_steps: int, max_size: int):
+        self.kept: list[tuple[str, ArgStructure, int]] = [(key, start, 0)]
+        self._bound = [False]
+        # the running search holds the list and the flag, not the stream: a cycle
+        # through the stream would keep every reduct alive until the cyclic collector runs
+        self._rest = _Reducts._search(src, start, key, base, max_steps, max_size, self.kept, self._bound)
+
+    def __iter__(self) -> Iterator[tuple[str, ArgStructure, int]]:
+        kept, rest, i = self.kept, self._rest, 0
+        while i < len(kept) or next(rest, False):
+            yield kept[i]
+            i += 1
+
+    @property
+    def bound(self) -> bool:
+        return self._bound[0]
+
+    @staticmethod
+    def _search(src, start, key, base, max_steps, max_size, kept, bound) -> Iterator[bool]:
+        """Appends each new reduct to kept, then yields. The level past the
+        depth cap keeps none: it only asks whether the search could go on."""
+        seen, frontier, hit, depth = {key}, [start], False, 0
+        while frontier and depth <= max_steps:
+            depth += 1
+            past = depth > max_steps
+            nxt = []
+            for d in frontier:
+                if past and hit:
+                    break
+                for k, c in step_candidates(src, d, base).items():
+                    if size_of(c) > max_size or (past and k not in seen):
+                        hit = True
+                        if past:
+                            break
+                    elif k not in seen:
+                        seen.add(k)
+                        nxt.append(c)
+                        kept.append((k, c, depth))
+                        yield True
+            frontier = nxt
+        bound[0] = hit
 
 
 def reach(
@@ -612,10 +619,8 @@ def reach(
     """Breadth-first reducts with depths by canonical key, plus a flag set
     when a bound cut the search off (depth cap with work left, or an
     oversize reduct)."""
-    bound = [False]
-    stream = _reducts(src, start, canonical_key(start), base, max_steps, max_size, bound)
-    reached = {k: (r, depth) for k, r, depth in stream}
-    return reached, bound[0]
+    stream = _Reducts(src, start, canonical_key(start), base, max_steps, max_size)
+    return {k: (r, depth) for k, r, depth in stream}, stream.bound
 
 
 def reduces(
@@ -629,8 +634,7 @@ def reduces(
     Zero steps count: a structure reduces to itself. The search stops where
     it first meets to."""
     want = canonical_key(to)
-    stream = _reducts(src, frm, canonical_key(frm), base, max_steps, 1 << 30, [False])
-    return any(k == want for k, _r, _depth in stream)
+    return any(k == want for k, _r, _depth in _Reducts(src, frm, canonical_key(frm), base, max_steps, 1 << 30))
 
 
 def graph_of(j: Justification, domain: Iterable[ArgStructure], base: AtomicBase | None = None) -> RSystem:

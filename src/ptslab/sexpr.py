@@ -36,6 +36,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# the texts read back as exactly one Sym: a sym token that no int token starts
+_SYMBOL_RE = re.compile(r'(?!-?[0-9])[^\s()";]+')
+
 
 def _line_col(text: str, pos: int) -> str:
     line = text.count("\n", 0, pos) + 1

@@ -25,8 +25,8 @@ from .argument import (
     Inf,
     PInf,
     PVar,
-    analyze,
     canonical_key,
+    check_structure,
     conclusion_of,
     immediate_substructures,
     instantiate,
@@ -41,7 +41,7 @@ from .justification import (
     RSystem,
     SchematicRewrite,
     StepSource,
-    _reducts,
+    _Reducts,
     em_refutation_rule,
     graph_of,
     is_schematic,
@@ -225,30 +225,6 @@ def _extend(steps: StepSource, ext: StepSource) -> StepSource:
     raise ValidityError("an extension must be of the same kind as the steps source")
 
 
-class _Stream:
-    """One reduct stream, read by every check that needs it: reducts are
-    kept as they come, so a reader sees the whole stream from the start and
-    only a reader that goes past the last kept reduct extends the search."""
-
-    def __init__(self, steps: StepSource, d: ArgStructure, dkey: str, base: AtomicBase, bounds: Bounds):
-        self.kept: list[tuple[str, ArgStructure, int]] = []
-        self.bound = [False]
-        self._rest = _reducts(
-            steps, d, dkey, base, bounds.max_reduction_steps, bounds.max_structure_size, self.bound
-        )
-
-    def __iter__(self):
-        i = 0
-        while True:
-            if i == len(self.kept):
-                item = next(self._rest, None)
-                if item is None:
-                    return
-                self.kept.append(item)
-            yield self.kept[i]
-            i += 1
-
-
 class _Search:
     """The reduction searches of one valid or consequence call, shared by
     the checks it makes on every base: one stream per (steps, start key),
@@ -258,23 +234,25 @@ class _Search:
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
-        self._streams: dict[tuple, _Stream] = {}
+        self._streams: dict[tuple, _Reducts] = {}
         self._subs: dict[str, list[tuple[ArgStructure, str]] | None] = {}
 
-    def stream(self, steps: StepSource, d: ArgStructure, dkey: str, base: AtomicBase) -> _Stream:
+    def stream(self, steps: StepSource, d: ArgStructure, dkey: str, base: AtomicBase) -> _Reducts:
         per_base = isinstance(steps, JustificationSet) and any(
             isinstance(j, ChoiceFunction) for j in steps.members
         )
         at = (steps, dkey, base if per_base else None)
         s = self._streams.get(at)
         if s is None:
-            s = self._streams[at] = _Stream(steps, d, dkey, base, self.bounds)
+            b = self.bounds
+            s = self._streams[at] = _Reducts(steps, d, dkey, base, b.max_reduction_steps, b.max_structure_size)
         return s
 
     def canonical_subs(self, rkey: str, r: ArgStructure) -> list[tuple[ArgStructure, str]] | None:
         """r's immediate substructures and their keys if r is canonical and closed, else None."""
         if rkey not in self._subs:
-            ok = is_canonical(r) and analyze(r).closed
+            check_structure(r)
+            ok = is_canonical(r) and not r._facts.opens
             self._subs[rkey] = [(s, canonical_key(s)) for s in immediate_substructures(r)] if ok else None
         return self._subs[rkey]
 
@@ -291,11 +269,12 @@ class _Checker:
         hit = self._memo.get((dkey, steps))
         if hit is not None:
             return hit
-        info = analyze(d)
-        if info.closed:
-            out = self._closed(d, dkey, steps, isinstance(info.conclusion, Atom))
+        check_structure(d)
+        opens = d._facts.opens
+        if not opens:
+            out = self._closed(d, dkey, steps, isinstance(conclusion_of(d), Atom))
         else:
-            out = self._open(d, steps, sorted(info.open_assumptions, key=render_formula))
+            out = self._open(d, steps, sorted(dict.fromkeys(opens), key=render_formula))
         self._memo[(dkey, steps)] = out
         return out
 
@@ -322,7 +301,7 @@ class _Checker:
                 )
             if any(v.is_unknown for v in sub_verdicts):
                 saw_unknown = True
-        if saw_unknown or stream.bound[0]:
+        if saw_unknown or stream.bound:
             return Verdict.unknown("reduction bound hit before a qualifying reduct was found")
         kind = "closed derivation" if atomic else "canonical reduct with valid substructures"
         return Verdict.invalid(
@@ -343,8 +322,8 @@ class _Checker:
         for cand in self.bounds.sigma_candidates:
             if conclusion_of(cand) != f:
                 continue
-            info = analyze(cand)
-            if not info.closed:
+            check_structure(cand)
+            if cand._facts.opens:
                 continue
             k = canonical_key(cand)
             if k not in seen:
@@ -585,9 +564,9 @@ def consequence(
             return Verdict.unknown(f"constructed witness did not verify on {b_id}: {v.reason}")
         return Verdict.valid(f"per-base witnesses verified on all {len(family)} base(s)")
 
-    d = _uniform_structure(context, goal)
-    per_base = _uniform_instances(d, context, goal, family)
-
+    if variant != "delta-s":  # delta-star and delta-sh pool these instances into the steps
+        d = _uniform_structure(context, goal)
+        per_base = _uniform_instances(d, context, goal, family)
     if variant == "delta-star":
         maps = tuple(
             ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_base

@@ -40,12 +40,14 @@ from ptslab import (
     valid,
 )
 from ptslab import argument
-from ptslab.argument import _facts, canonical_form, cut_subtree, freshen, labels_of, relabel, size_of
+from ptslab.argument import PVar, _facts, canonical_form, cut_subtree, freshen, labels_of, relabel, size_of
+from ptslab.sexpr import _SYMBOL_RE, SexprError, Sym, read_sexpr
 
 from ptslab.justification import step_candidates
 
 from genlib import (
     make_rng,
+    random_closed_structure,
     random_detour_redex,
     random_formula,
     random_open_structure,
@@ -697,3 +699,98 @@ def test_valid_builds_each_node_s_facts_once(monkeypatch):
     assert verdict.status == "valid"
     counts = Counter(id(node) for node in built)
     assert len(counts) > 50 and max(counts.values()) == 1
+
+
+def _every_node_has_its_facts(d):
+    for node in _preorder(d):
+        # set when the node was built; every empty node has its class's
+        own = EmptyTop._facts if isinstance(node, EmptyTop) else vars(node)["_facts"]
+        assert _facts(node) is own
+
+
+def test_every_constructor_leaves_its_facts_set():
+    rng = make_rng(41)
+    for d in (Assumption(a), Assumption(a, 1), EmptyTop(), _case_analysis(), parse_structure(_SHADOW)):
+        _every_node_has_its_facts(d)
+    steps = JustificationSet((or_detour(),))
+    for _ in range(20):
+        redex = random_detour_redex(rng)
+        d = random_scoped_structure(rng)
+        pos = rng.choice(positions(d))
+        sub, context = cut_subtree(d, pos)
+        built = [relabel(d, {1: 7, 2: 1}), canonical_form(d), sub, parse_structure(render_structure(redex))]
+        built += step_candidates(steps, redex).values()
+        if not context:
+            built.append(substitute(d, pos, sub))
+        for node in built:
+            _every_node_has_its_facts(node)
+    # a child that is not a structure is refused when its parent is built
+    for bad in (PVar("D"), "a", None):
+        with pytest.raises(StructureError, match="not a structure"):
+            Inf("t", a, (Assumption(a), bad))
+    with pytest.raises(StructureError, match="not a structure"):
+        check_structure(PVar("D"))
+
+
+def test_a_tag_that_would_not_read_back_is_refused():
+    e = EmptyTop()
+    # one tag that prints as a second sibling would have keyed these two alike
+    with pytest.raises(StructureError, match="rule tag"):
+        Inf("p", a, (Inf('u "a" (empty)) (inf u', a, (e,)),))
+    Inf("p", a, (Inf("u", a, (e,)), Inf("u", a, (e,))))
+    for tag in ("", "a b", "x)", "(", '"q"', "t;c", "12", "-3x", " s", "s\n", 7, Sym("s")):
+        with pytest.raises(StructureError, match="rule tag"):
+            Inf(tag, a, (e,))
+    for tag in ("orE", "-", "-x", "?t", ":label", "x-1", "a1", "\\"):
+        assert parse_structure(render_structure(Inf(tag, a, (e,)))).tag == tag
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=st.sampled_from(' \t\n\xa0()";-019az?:\\'), max_size=5) | st.text(max_size=4))
+def test_the_tag_pattern_accepts_what_reads_back_as_one_symbol(text):
+    try:
+        reads_back = read_sexpr(text) == Sym(text)
+    except SexprError:
+        reads_back = False
+    assert bool(_SYMBOL_RE.fullmatch(text)) == reads_back
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["scoped", "detour", "open", "closed"]))
+def test_render_then_parse_gives_the_structure_back(seed, kind):
+    rng = random.Random(seed)
+    d = {
+        "scoped": random_scoped_structure,
+        "detour": random_detour_redex,
+        "open": lambda rng: random_open_structure(rng, random_formula(rng, 2), 3),
+        "closed": lambda rng: random_closed_structure(rng, random_formula(rng, 2), 3),
+    }[kind](rng)
+    assert parse_structure(render_structure(d)) == d
+
+
+def test_tree_walks_on_a_deep_chain():
+    # deeper than the interpreter's recursion limit; compared by text, since == recurses
+    depth = 3000
+    d = Assumption(a, 1)
+    for _ in range(depth):
+        d = Inf("s", a, (d,))
+    d = Inf("impI", Impl(a, a), (d,), frozenset({1}))
+    chain = '(inf s "a" ' * depth
+    ps = positions(d)
+    assert len(ps) == depth + 2 and ps[0] == (0,) * (depth + 1) and ps[-1] == ()
+    assert render_structure(relabel(d, {1: 4})) == render_structure(d).replace("1", "4")
+    sub, context = cut_subtree(d, (0,))
+    assert render_structure(sub) == chain + '(assume "a")' + ")" * depth and context == [(1, frozenset({a}))]
+    assert [render_structure(s) for s in immediate_substructures(d)] == [render_structure(sub)]
+    # replace the leaf at the bottom by a closed proof of a
+    proof = Inf("atm", a, (EmptyTop(),))
+    out = substitute(d, (0,) * (depth + 1), proof)
+    assert render_structure(out) == (
+        '(inf impI "a -> a" ' + chain + '(inf atm "a" (empty))' + ")" * depth + " :discharge (1))"
+    )
+    open_chain = Assumption(a)
+    for _ in range(depth):
+        open_chain = Inf("s", a, (open_chain,))
+    inst = instantiate(open_chain, {a: proof})
+    assert render_structure(inst) == chain + '(inf atm "a" (empty))' + ")" * depth
+    assert size_of(inst) == depth + 2 and not _facts(inst).opens

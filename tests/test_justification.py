@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,10 +40,12 @@ from ptslab import (
     parse_rules,
     parse_structure,
     reduces,
+    render_structure,
     structures_equal,
 )
-from ptslab.argument import _splice, cut_subtree
-from ptslab.justification import reach, step_candidates
+from ptslab import justification
+from ptslab.argument import _splice, cut_subtree, size_of
+from ptslab.justification import _Reducts, reach, step_candidates
 
 from genlib import make_rng, random_closed_structure, random_detour_redex, random_formula, random_sigma
 
@@ -523,3 +528,125 @@ def test_dispatch_matches_member_loop_on_random_structures(seed, picks):
         ChoiceFunction("pick", (((canonical_key(closed), base), JustificationSet((chosen,))),)),
     )
     _same_as_member_loop(JustificationSet(tuple(menu[i] for i in picks)), host, base)
+
+
+# ---------------------------------------------------------------------------
+# the reduct stream: kept, replayed, and compared with the two-loop search
+
+
+def _two_loop_reducts(src, start, base, max_steps, max_size, calls):
+    """The search reach made before its stream replayed itself: a breadth-first
+    loop to the depth cap, then a separate probe of the last frontier."""
+    key = canonical_key(start)
+    seen, out = {key}, [(key, start, 0)]
+    frontier, hit, depth = [start], False, 0
+    while frontier and depth < max_steps:
+        depth += 1
+        nxt = []
+        for d in frontier:
+            calls[0] += 1
+            for k, r in step_candidates(src, d, base).items():
+                if size_of(r) > max_size:
+                    hit = True
+                    continue
+                if k in seen:
+                    continue
+                seen.add(k)
+                nxt.append(r)
+                out.append((k, r, depth))
+        frontier = nxt
+    for d in frontier:
+        if hit:
+            break
+        calls[0] += 1
+        for k, r in step_candidates(src, d, base).items():
+            if size_of(r) > max_size or k not in seen:
+                hit = True
+                break
+    return out, hit
+
+
+_GROW = parse_rules('grow: (inf pair "?A" ?D) => (inf pair "?A" (inf pair "?A" ?D))').members[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.one_of(st.integers(0, 12), st.integers(13, 400)),
+    st.booleans(),
+)
+def test_reach_agrees_with_the_two_loop_search(seed, max_steps, max_size, grow):
+    rng = random.Random(seed)
+    host = Inf("pair", c, tuple(random_detour_redex(rng) for _ in range(rng.randint(1, 3))))
+    members = (or_detour(),) + ((_GROW,) if grow else ())
+    src = JustificationSet(members)
+    want_calls, got_calls = [0], [0]
+    want, want_hit = _two_loop_reducts(src, host, None, max_steps, max_size, want_calls)
+
+    def counted(*args):
+        got_calls[0] += 1
+        return step_candidates(*args)
+
+    with mock.patch.object(justification, "step_candidates", counted):
+        got, hit = reach(src, host, None, max_steps=max_steps, max_size=max_size)
+    assert [(k, render_structure(r), depth) for k, (r, depth) in got.items()] == [
+        (k, render_structure(r), depth) for k, r, depth in want
+    ]
+    assert hit == want_hit and got_calls == want_calls
+
+
+def test_a_second_reader_replays_the_stream_without_searching(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return step_candidates(*args)
+
+    monkeypatch.setattr(justification, "step_candidates", counted)
+    steps = JustificationSet((or_detour(),))
+    host = _wide_redex(3)
+    stream = _Reducts(steps, host, canonical_key(host), None, 10, 1 << 30)
+    first = iter(stream)
+    head = [next(first) for _ in range(3)]  # a reader that stops early
+    partial = calls[0]
+    assert 0 < partial and len(stream.kept) == 3
+    second = list(stream)  # replays three, then extends the search to its end
+    assert second[:3] == head and len(second) == 8
+    drained = calls[0]
+    assert list(first) == second[3:] and list(stream) == second  # two more readers, from the kept list
+    assert calls[0] == drained
+    reached, hit = reach(steps, host, None, max_steps=10, max_size=1 << 30)
+    assert [k for k, _r, _depth in second] == list(reached) and stream.bound == hit
+
+
+def test_bound_after_a_drain_is_reach_s_flag():
+    grow = parse_rules('grow: (inf g "a" ?D) => (inf g "a" (inf g "a" ?D))').members[0]
+    start = Inf("g", a, (Assumption(b),))
+    for members, max_steps, max_size in (
+        ((grow,), 3, 1000),  # cut off by the depth cap
+        ((), 3, 1000),  # nothing to do
+        ((grow,), 50, 5),  # cut off by the size bound
+        ((grow,), 0, 1000),  # the cap alone: only the probe runs
+    ):
+        src = JustificationSet(members)
+        stream = _Reducts(src, start, canonical_key(start), None, max_steps, max_size)
+        list(stream)
+        assert stream.bound == reach(src, start, None, max_steps, max_size)[1]
+
+
+def test_a_dropped_stream_frees_its_reducts():
+    steps = JustificationSet((or_detour(),))
+    host = _wide_redex(3)
+    gc.disable()
+    try:
+        stream = _Reducts(steps, host, canonical_key(host), None, 10, 1 << 30)
+        reader = iter(stream)
+        next(reader)
+        _key, r, depth = next(reader)
+        assert depth == 1
+        gone = weakref.ref(r)
+        del r, reader, stream
+        assert gone() is None  # freed by reference counting alone: no cycle holds it
+    finally:
+        gc.enable()

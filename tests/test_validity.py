@@ -19,6 +19,7 @@ from ptslab import (
     Inf,
     JustificationSet,
     RSystem,
+    StructureError,
     axiom_structure,
     logical_consequence,
     analyze,
@@ -474,3 +475,29 @@ def test_delta_star_key_computations_grow_linearly(monkeypatch):
         assert consequence("delta-star", [], Disj(a, negation(a)), fam[:k]).is_valid
         counts[k] = calls[0]
     assert counts[65] <= 8 * counts[16], counts
+
+
+def test_the_checker_counts_no_open_assumptions_but_still_checks_its_inputs(monkeypatch):
+    from ptslab import argument, justification, validity
+
+    def refused(d):
+        raise AssertionError("analyze builds a Counter no internal caller needs")
+
+    for module in (argument, justification, validity):
+        if hasattr(module, "analyze"):
+            monkeypatch.setattr(module, "analyze", refused)
+    d = Inf("use", q, (Assumption(p),))
+    chain = parse_rules('collapse: (inf use "q" (?D :concludes "p")) => (inf atm "q" ?D)')
+    stray = Inf("cls", p, (EmptyTop(),))
+    assert valid(Argument(d, chain), PQ, Bounds(sigma_candidates=(stray,))).is_valid
+    fam = enumerate_bases([a], 1)
+    for variant in ("delta", "delta-star", "delta-sh", "delta-s"):
+        consequence(variant, (a,), Disj(a, b), fam)
+    # a sigma candidate and a structure argument are checked all the same
+    stray_label = Inf("cls", p, (Assumption(p, 3),))
+    with pytest.raises(StructureError, match="label 3 on assumption p has 0"):
+        valid(Argument(d, chain), PQ, Bounds(sigma_candidates=(stray_label,)))
+    with pytest.raises(StructureError, match="label 3 on assumption p has 0"):
+        valid(Argument(stray_label, chain), PQ)
+    with pytest.raises(StructureError, match="cannot stand alone"):
+        valid(Argument(EmptyTop(), chain), PQ)
