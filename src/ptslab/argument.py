@@ -77,28 +77,49 @@ class _Facts:
 
     size:   nodes, itself included;
     labels: the labels on its leaves and in its discharge sets;
-    free:   its labelled leaves that no inference inside it discharges, in pre-order;
+    free:   (label, formula) of its labelled leaves that no inference inside
+            it discharges, in pre-order;
     bound:  the labels of its leaves that an inference inside it discharges;
     double: whether some leaf has two discharging inferences inside it;
     opens:  the formulas of its unlabelled leaves, in pre-order;
-    binds:  the leaves it discharges itself, in pre-order.
+    binds:  (label, formula) of the leaves it discharges itself, in pre-order;
+    wiring: how its children's free labels attach to it (_wiring), or () for
+            a leaf and for one child without discharge, where it is the identity;
+    hash:   its hash up to relabelling, from its tag, its conclusion or
+            formula, its children's hashes and its wiring.
 
     A node with one child and no discharge shares the child's sets and
-    tuples, and empty ones are shared too.
+    tuples, and empty ones are shared too. The records hold labels and
+    formulas, never leaves, so no leaf is in a reference cycle with its facts.
     """
 
-    __slots__ = ("size", "labels", "free", "bound", "double", "opens", "binds")
+    __slots__ = ("size", "labels", "free", "bound", "double", "opens", "binds", "wiring", "hash")
 
-    def __init__(self, size, labels, free, bound, double, opens, binds=()):
-        self.size, self.labels, self.free = size, labels, free
-        self.bound, self.double, self.opens, self.binds = bound, double, opens, binds
+    def __init__(self, size, labels, free, bound, double, opens, binds, wiring, hash):
+        self.size, self.labels, self.free, self.bound, self.double = size, labels, free, bound, double
+        self.opens, self.binds, self.wiring, self.hash = opens, binds, wiring, hash
 
 
 _NONE: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class Assumption:
+class _Node:
+    """Equality and hashing of structures up to the renaming of discharge
+    labels: the relation canonical_key equality tests. The hash is computed
+    once, when the node is built; equality walks the two trees with an
+    explicit stack, stopping at identical subtrees and at unequal hashes."""
+
+    def __hash__(self) -> int:
+        return self._facts.hash
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return _same(self, other)
+
+
+@dataclass(frozen=True, eq=False)
+class Assumption(_Node):
     formula: Formula
     label: int | None = None
 
@@ -106,13 +127,13 @@ class Assumption:
         object.__setattr__(self, "_facts", _node_facts(self))
 
 
-@dataclass(frozen=True)
-class EmptyTop:
-    _facts = _Facts(1, _NONE, (), _NONE, False, ())  # every empty node has the same
+@dataclass(frozen=True, eq=False)
+class EmptyTop(_Node):
+    _facts = _Facts(1, _NONE, (), _NONE, False, (), (), (), hash(("empty",)))  # every empty node has the same
 
 
-@dataclass(frozen=True)
-class Inf:
+@dataclass(frozen=True, eq=False)
+class Inf(_Node):
     tag: str
     conclusion: Formula
     children: tuple["ArgStructure", ...]
@@ -219,9 +240,10 @@ def _union(s: frozenset[int], t: frozenset[int]) -> frozenset[int]:
 def _node_facts(node: Assumption | Inf) -> _Facts:
     """The facts of a node being built, from its children's."""
     if isinstance(node, Assumption):
+        f = node.formula
         if node.label is None:
-            return _Facts(1, _NONE, (), _NONE, False, (node.formula,))
-        return _Facts(1, frozenset((node.label,)), (node,), _NONE, False, ())
+            return _Facts(1, _NONE, (), _NONE, False, (f,), (), (), hash((f, False)))
+        return _Facts(1, frozenset((node.label,)), ((node.label, f),), _NONE, False, (), (), (), hash((f, True)))
     try:
         kids = [ch._facts for ch in node.children]
     except AttributeError:
@@ -241,11 +263,54 @@ def _node_facts(node: Assumption | Inf) -> _Facts:
     if dis:
         labels = _union(labels, dis)
         double = double or not dis.isdisjoint(bound)  # a leaf bound inside is bound here again
-        binds = tuple([leaf for leaf in free if leaf.label in dis])
+        binds = tuple([leaf for leaf in free if leaf[0] in dis])
         if binds:
-            free = tuple([leaf for leaf in free if leaf.label not in dis])
-            bound = _union(bound, frozenset([leaf.label for leaf in binds]))
-    return _Facts(size, labels, free, bound, double, opens, binds)
+            free = tuple([leaf for leaf in free if leaf[0] not in dis])
+            bound = _union(bound, frozenset([l for l, _ in binds]))
+    wiring = _wiring(kids, dis) if dis or (len(kids) > 1 and free) else ()
+    h = hash((node.tag, node.conclusion, tuple([k.hash for k in kids]), wiring))
+    return _Facts(size, labels, free, bound, double, opens, binds, wiring, h)
+
+
+def _wiring(kids: list[_Facts], dis: frozenset[int]) -> tuple[int, ...]:
+    """How a node's children's free labels attach to the node, in terms that
+    no renaming changes: for each child, for each of its free labels in
+    order of first use, the discharge slot it fills here (slots numbered by
+    first use) or ~n when it is the node's n-th free label; then the number
+    of discharged labels no child uses."""
+    slots: dict[int, int] = {}
+    up: dict[int, int] = {}
+    out = []
+    for k in kids:
+        for l in dict.fromkeys([l for l, _ in k.free]):
+            out.append(slots.setdefault(l, len(slots)) if l in dis else ~up.setdefault(l, len(up)))
+    out.append(len(dis) - len(slots))
+    return tuple(out)
+
+
+def _same(d1: ArgStructure, d2: ArgStructure) -> bool:
+    """Are d1 and d2 equal up to relabelling? Two nodes are when their tags
+    and conclusions, or formulas, agree, their children are pairwise, and
+    the children's free labels are wired to them alike (_wiring: which also
+    tells apart nodes that discharge different numbers of labels)."""
+    pairs = [(d1, d2)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y:
+            continue
+        fx, fy = x._facts, y._facts
+        if fx.hash != fy.hash or x.__class__ is not y.__class__ or fx.wiring != fy.wiring:
+            return False
+        if isinstance(x, Inf):
+            cx, cy = x.conclusion, y.conclusion
+            if x.tag != y.tag or len(x.children) != len(y.children) or (cx is not cy and cx != cy):
+                return False
+            pairs += zip(x.children, y.children)
+        elif isinstance(x, Assumption):
+            gx, gy = x.formula, y.formula
+            if (gx is not gy and gx != gy) or (x.label is None) != (y.label is None):
+                return False
+    return True
 
 
 def _facts(d: ArgStructure) -> _Facts:
@@ -451,9 +516,13 @@ def _splice(
     replacement: ArgStructure,
 ) -> ArgStructure:
     """Graft the replacement at path, given the context cut_subtree returned
-    for that path: its labels are renamed away from d's, and its open
-    leaves whose formula a context label bound are recaptured by the
-    nearest such label."""
+    for that path: its labels are renamed away from those the inferences on
+    the path discharge, and its open leaves whose formula a context label
+    bound are recaptured by the nearest such label.
+
+    Only a label discharged above the cut can capture a leaf of the
+    replacement or bind one twice, so a replacement that reuses none of
+    them, a subtree of d included, is grafted as it is."""
 
     def capture(n):
         if n.label is None:
@@ -462,7 +531,12 @@ def _splice(
                     return Assumption(n.formula, l)
         return n
 
-    fresh = freshen(replacement, labels_of(d))
+    above: set[int] = set()
+    node = d
+    for i in path:
+        above |= node.discharges
+        node = node.children[i]
+    fresh = freshen(replacement, frozenset(above))
     out = _graft(d, path, _map_leaves(fresh, capture) if context else fresh)
     check_structure(out)
     return out
@@ -534,7 +608,7 @@ def is_canonical(d: ArgStructure) -> bool:
         case Impl(l, r):
             if len(kids) != 1 or conclusion_of(kids[0]) != r:
                 return False
-            return all(leaf.formula == l for leaf in d._facts.binds)
+            return all(f == l for _, f in d._facts.binds)
         case _:
             return False
 
@@ -567,8 +641,9 @@ def canonical_form(d: ArgStructure) -> ArgStructure:
 
 
 def structures_equal(d1: ArgStructure, d2: ArgStructure) -> bool:
-    """Equality up to renaming of discharge labels."""
-    return canonical_key(d1) == canonical_key(d2)
+    """Equality up to renaming of discharge labels: structure ==, which
+    holds exactly when the canonical keys are equal."""
+    return d1 == d2
 
 
 def canonical_key(d: ArgStructure) -> str:

@@ -220,7 +220,9 @@ def _combinations(
 
     Returns the signature then bottom (the mask's bit order), the rule
     universe, and a generator of (rule-index combination, derived mask)
-    pairs in enumeration order, inconsistent ones skipped when asked.
+    pairs in enumeration order, inconsistent ones skipped when asked. The
+    universe list is filled, and the rules' masks computed, when the
+    generator is first advanced, so a caller that never scans builds neither.
     """
     if max_rules < 0:
         raise BaseError(f"the number of rules must be non-negative, got {max_rules}")
@@ -229,12 +231,14 @@ def _combinations(
     total = sum(math.comb(n_rules, k) for k in range(min(max_rules, n_rules) + 1))
     if total > cap:
         raise EnumerationCapError(f"{total} bases over this signature exceeds the cap of {cap}")
-    universe = rule_universe(order[:-1]) if max_rules else []  # no rules, no universe
-    bit = {x: 1 << i for i, x in enumerate(order)}
-    pairs = [(_mask(r.premises, bit), bit[r.conclusion]) for r in universe]
-    absurd = bit[BOT] if consistent_only else 0
+    universe: list[AtomicRule] = []
+    absurd = 1 << (len(order) - 1) if consistent_only else 0  # bottom's bit
 
     def combinations() -> Iterator[tuple[tuple[int, ...], int]]:
+        if max_rules:  # no rules, no universe
+            universe.extend(rule_universe(order[:-1]))
+        bit = {x: 1 << i for i, x in enumerate(order)}
+        pairs = [(_mask(r.premises, bit), bit[r.conclusion]) for r in universe]
         for size in range(min(max_rules, n_rules) + 1):
             for combo in itertools.combinations(range(len(pairs)), size):
                 derived = _forward([pairs[i] for i in combo], 0)

@@ -48,24 +48,28 @@ def base_valuation(base: AtomicBase, extra_atoms: Iterable[Atom] = ()) -> dict[A
 
 def classical_eval(f: Formula, valuation: dict[Atom, bool]) -> bool:
     """Plain truth-table evaluation; absurdity is looked up like any atom."""
-    match f:
-        case Atom():
-            try:
-                return valuation[f]
-            except KeyError:
-                raise SemanticsError(f"valuation does not cover atom {f}") from None
-        case Conj(l, r):
-            return classical_eval(l, valuation) and classical_eval(r, valuation)
-        case Disj(l, r):
-            return classical_eval(l, valuation) or classical_eval(r, valuation)
-        case Impl(l, r):
-            return (not classical_eval(l, valuation)) or classical_eval(r, valuation)
-    raise SemanticsError(f"not a formula: {f!r}")
+    return _holds(f, _Valuation(valuation))
 
 
-def _holds(f: Formula, derivable: frozenset[Atom]) -> bool:
-    """Evaluation on a closure, left operand first, with an explicit stack
-    rather than recursion, so a formula's depth is not bounded by Python's."""
+class _Valuation:
+    """A valuation read as the set of the atoms it makes true."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: dict[Atom, bool]):
+        self.values = values
+
+    def __contains__(self, atom: Atom) -> bool:
+        try:
+            return self.values[atom]
+        except KeyError:
+            raise SemanticsError(f"valuation does not cover atom {atom}") from None
+
+
+def _holds(f: Formula, derivable: frozenset[Atom] | _Valuation) -> bool:
+    """Evaluation on a closure (or a valuation), left operand first, with an
+    explicit stack rather than recursion, so a formula's depth is not
+    bounded by Python's."""
     pending: list[Conj | Disj | Impl] = []  # connectives whose left operand is evaluated
     while True:
         while not isinstance(f, Atom):

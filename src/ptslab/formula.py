@@ -35,11 +35,60 @@ class FormulaError(ValueError):
     """Malformed formula text or construction."""
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Leaf:
+    """Equality and hashing of a named leaf: the dataclass hash of its name,
+    computed once and kept outside its fields."""
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.name == other.name
+
+
+class _Binary:
+    """Equality and hashing of a connective. The hash is the dataclass one,
+    hash((left, right)), computed once from the operands' kept hashes when
+    the node is built; equality stops at identical operands and at unequal
+    hashes, and walks the rest with an explicit stack, so neither recurses."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same(self, other)
+
+
+def _same(f, g) -> bool:
+    """Formula equality, walked with an explicit stack."""
+    pairs = [(f, g)]
+    while pairs:
+        f, g = pairs.pop()
+        if f is g:
+            continue
+        if f.__class__ is not g.__class__ or f._hash != g._hash:
+            return False
+        if isinstance(f, _Binary):
+            pairs.append((f.right, g.right))
+            pairs.append((f.left, g.left))
+        elif f.name != g.name:
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
+class Atom(_Leaf):
     name: str
 
     def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
         if self.name == _BOT_NAME:
             return
         if self.name in _BOT_WORDS or not _NAME_RE.match(self.name):
@@ -56,8 +105,8 @@ class Atom:
 BOT = Atom(_BOT_NAME)
 
 
-@dataclass(frozen=True)
-class Conj:
+@dataclass(frozen=True, eq=False)
+class Conj(_Binary):
     left: "Formula"
     right: "Formula"
 
@@ -65,8 +114,8 @@ class Conj:
         return render_formula(self)
 
 
-@dataclass(frozen=True)
-class Disj:
+@dataclass(frozen=True, eq=False)
+class Disj(_Binary):
     left: "Formula"
     right: "Formula"
 
@@ -74,8 +123,8 @@ class Disj:
         return render_formula(self)
 
 
-@dataclass(frozen=True)
-class Impl:
+@dataclass(frozen=True, eq=False)
+class Impl(_Binary):
     left: "Formula"
     right: "Formula"
 
@@ -83,11 +132,14 @@ class Impl:
         return render_formula(self)
 
 
-@dataclass(frozen=True)
-class FVar:
+@dataclass(frozen=True, eq=False)
+class FVar(_Leaf):
     """Formula metavariable; appears only inside rewrite patterns."""
 
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
 
     def __str__(self) -> str:
         return "?" + self.name
@@ -101,14 +153,16 @@ def negation(f: Formula) -> Impl:
 
 
 def atoms_of(f: Formula) -> frozenset[Atom]:
-    match f:
-        case Atom():
-            return frozenset([f])
-        case FVar():
-            return frozenset()
-        case Conj(l, r) | Disj(l, r) | Impl(l, r):
-            return atoms_of(l) | atoms_of(r)
-    raise FormulaError(f"not a formula: {f!r}")
+    out, stack = set(), [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            out.add(f)
+        elif isinstance(f, _Binary):
+            stack += (f.right, f.left)
+        elif not isinstance(f, FVar):
+            raise FormulaError(f"not a formula: {f!r}")
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +174,10 @@ def atoms_of(f: Formula) -> frozenset[Atom]:
 # Nesting: an atom is at level 0, and each connective (~ included) and
 # each pair of parentheses is one level above the deepest part it
 # encloses. The reader refuses text nested deeper than MAX_NESTING, which
-# keeps the recursive reader, renderer and evaluators well inside
-# Python's default recursion limit (the reader takes at most four frames
-# a level).
+# keeps the recursive reader well inside Python's default recursion limit
+# (it takes at most four frames a level). Everything else that walks a
+# formula (equality, the renderer, the evaluators) uses an explicit stack,
+# so formulas built in code may be nested deeper.
 
 MAX_NESTING = 100
 
@@ -266,7 +321,7 @@ _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4
 
 
 def _remember(f) -> str:
-    """Write f's text from its parts' texts and keep it on f."""
+    """Write f's text from its operands' kept texts and keep it on f."""
     match f:
         case Atom(name):
             text = name
@@ -287,8 +342,8 @@ def _remember(f) -> str:
 
 
 def _part(f, prec: int) -> str:
-    """f's text as an operand at the given precedence, parenthesised if it binds looser."""
-    text = getattr(f, "_text", None) or _remember(f)
+    """f's kept text as an operand at the given precedence, parenthesised if it binds looser."""
+    text = f._text
     match f:
         case Impl(_, r) if r == BOT:
             return text
@@ -305,5 +360,20 @@ def _part(f, prec: int) -> str:
 
 def render_formula(f: Formula) -> str:
     """Canonical text; parse_formula(render_formula(f)) == f. The text is
-    written once per formula object and kept on it, outside its fields."""
-    return getattr(f, "_text", None) or _remember(f)
+    written once per formula object and kept on it, outside its fields:
+    operands first, from an explicit stack."""
+    text = getattr(f, "_text", None)
+    if text is not None:
+        return text
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if getattr(g, "_text", None) is not None:
+            stack.pop()
+            continue
+        todo = [h for h in (g.right, g.left) if getattr(h, "_text", None) is None] if isinstance(g, _Binary) else ()
+        if todo:
+            stack += todo
+        else:
+            _remember(stack.pop())
+    return f._text

@@ -103,15 +103,26 @@ class JustificationContractError(JustificationError):
 
 
 class _Bindings:
-    __slots__ = ("fvars", "svars", "lvars")
+    __slots__ = ("fvars", "svars", "lvars", "sites")
 
-    def __init__(self, fvars=None, svars=None, lvars=None):
+    def __init__(self, fvars=None, svars=None, lvars=None, sites=None):
         self.fvars: dict[str, Formula] = fvars or {}
         self.svars: dict[str, ArgStructure] = svars or {}
         self.lvars: dict[str, int] = lvars or {}
+        # where each matched label is discharged: (path of the inference in
+        # the match, or None if it is below the matched subtree, label)
+        self.sites: dict[str, tuple[tuple[int, ...] | None, int]] = sites or {}
 
     def copy(self) -> "_Bindings":
-        return _Bindings(dict(self.fvars), dict(self.svars), dict(self.lvars))
+        return _Bindings(dict(self.fvars), dict(self.svars), dict(self.lvars), dict(self.sites))
+
+    def bind_label(self, var: str, site: tuple[tuple[int, ...] | None, int]) -> bool:
+        """A label variable names one discharge: it binds the first site it
+        meets and matches only that site again, whatever the labels' names."""
+        if self.sites.setdefault(var, site) != site:
+            return False
+        self.lvars[var] = site[1]
+        return True
 
 
 def _match_formula(pat, f: Formula, b: _Bindings) -> bool:
@@ -147,7 +158,8 @@ def _subst_formula(pat, b: _Bindings) -> Formula:
     raise JustificationError(f"bad formula template {pat!r}")
 
 
-def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
+def _match(pat: Pattern, d: ArgStructure, b: _Bindings, path=(), scope=()) -> _Bindings | None:
+    # scope: (path, discharges) of the matched inferences above d, outermost first
     match pat:
         case PVar(name, concludes):
             if isinstance(d, EmptyTop):
@@ -161,9 +173,10 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
         case PAssume(fpat, labelvar):
             if not isinstance(d, Assumption) or (labelvar is None) != (d.label is None):
                 return None
-            # a label variable binds the first label it meets and must meet it again
-            if labelvar is not None and b.lvars.setdefault(labelvar, d.label) != d.label:
-                return None
+            if labelvar is not None:
+                site = next((p for p, dis in reversed(scope) if d.label in dis), None)
+                if not b.bind_label(labelvar, (site, d.label)):
+                    return None
             return b if _match_formula(fpat, d.formula, b) else None
         case PInf(tag, cpat, children, dspecs):
             if not isinstance(d, Inf) or d.tag != tag or len(d.children) != len(children):
@@ -172,8 +185,9 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
                 return None
             if not _match_formula(cpat, d.conclusion, b):
                 return None
-            for cp, ch in zip(children, d.children):
-                got = _match(cp, ch, b)
+            inner = scope + ((path, d.discharges),) if d.discharges else scope
+            for i, (cp, ch) in enumerate(zip(children, d.children)):
+                got = _match(cp, ch, b, path + (i,), inner)
                 if got is None:
                     return None
                 b = got
@@ -182,10 +196,10 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings) -> _Bindings | None:
             for perm in itertools.permutations(sorted(d.discharges)):
                 trial = b.copy()
                 for spec, label in zip(dspecs, perm):
-                    if trial.lvars.setdefault(spec.labelvar, label) != label or (
+                    if not trial.bind_label(spec.labelvar, (path, label)) or (
                         spec.formula is not None
                         and not all(
-                            _match_formula(spec.formula, n.formula, trial) for n in d._facts.binds if n.label == label
+                            _match_formula(spec.formula, f, trial) for l, f in d._facts.binds if l == label
                         )
                     ):
                         break
@@ -319,24 +333,23 @@ class _ByContent:
 
 @dataclass(frozen=True, eq=False)
 class ConstantMap(_ByContent):
-    """A finite table of rewrites, looked up modulo label renaming."""
+    """A finite table of rewrites, looked up modulo label renaming: its
+    index is keyed by the structures, whose equality is up to relabelling."""
 
     name: str
     pairs: tuple[tuple[ArgStructure, ArgStructure], ...]
 
     def __post_init__(self):
-        index: dict[str, tuple[ArgStructure, ArgStructure, str]] = {}  # key(k) -> (k, v, key(v))
+        index: dict[ArgStructure, ArgStructure] = {}  # k -> v
         for k, v in self.pairs:
-            key, vkey = canonical_key(k), canonical_key(v)
-            if key in index and index[key][2] != vkey:
+            if index.get(k, v) != v:
                 raise JustificationError(f"table {self.name}: two images for one structure")
-            index[key] = (k, v, vkey)
+            index[k] = v
         object.__setattr__(self, "_index", index)
-        self._set_content((self.name, frozenset((k, vk) for k, (_, _, vk) in index.items())))
+        self._set_content((self.name, frozenset(index.items())))
 
     def lookup(self, d: ArgStructure) -> ArgStructure | None:
-        hit = self._index.get(canonical_key(d))
-        return hit[1] if hit else None
+        return self._index.get(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,39 +412,41 @@ class _Dispatch:
     member order. A rewrite whose every clause pattern is rooted in an
     inference can fire only at nodes with one of those tags; any other
     rewrite, and every choice function, may fire anywhere. Table entries are
-    filed under their subtree key; of the images one key receives, only the
-    first per image key is kept, since a later one splices to the same
-    reduct key with the same contract verdict.
+    filed under their subtree; of the images one subtree receives, only the
+    first per image is kept (images equal up to relabelling), since a later
+    one splices to the same reduct with the same contract verdict. A choice
+    function selects by canonical key text, so only a set that holds one
+    needs a node's key text.
     """
 
     def __init__(self, members: tuple[Justification, ...]):
         anywhere: list[tuple[int, None]] = []
         tagged: dict[str, list[tuple[int, None]]] = {}
-        hits: dict[str, dict[str, tuple[int, ArgStructure]]] = {}  # key -> image key -> hit
-        key_tags: dict[str, str | None] = {}
+        hits: dict[ArgStructure, dict[ArgStructure, tuple[int, ArgStructure]]] = {}  # key -> image -> hit
+        key_tags: set[str | None] = set()
         for i, j in enumerate(members):
             if isinstance(j, ConstantMap):
-                for key, (k, v, vkey) in j._index.items():
-                    hits.setdefault(key, {}).setdefault(vkey, (i, v))
-                    key_tags[key] = _root_tag(k)
+                for k, v in j._index.items():
+                    hits.setdefault(k, {}).setdefault(v, (i, v))
+                    key_tags.add(_root_tag(k))
             elif isinstance(j, SchematicRewrite) and all(isinstance(p, PInf) for p, _ in j.clauses):
                 for tag in dict.fromkeys(p.tag for p, _ in j.clauses):
                     tagged.setdefault(tag, []).append((i, None))
             else:
                 anywhere.append((i, None))
-        choice = any(isinstance(j, ChoiceFunction) for j in members)
-        self._default = (tuple(anywhere), choice)
-        self._plans = {tag: (tuple(sorted(anywhere + ps)), choice) for tag, ps in tagged.items()}
-        for tag in set(key_tags.values()):
+        self.choice = any(isinstance(j, ChoiceFunction) for j in members)
+        self._default = (tuple(anywhere), False)
+        self._plans = {tag: (tuple(sorted(anywhere + ps)), False) for tag, ps in tagged.items()}
+        for tag in key_tags:
             self._plans[tag] = (self.at(tag)[0], True)
         self.by_key = {
-            key: tuple(sorted(self.at(key_tags[key])[0] + tuple(images.values()), key=lambda c: c[0]))
-            for key, images in hits.items()
+            k: tuple(sorted(self.at(_root_tag(k))[0] + tuple(images.values()), key=lambda c: c[0]))
+            for k, images in hits.items()
         }
 
     def at(self, tag: str | None) -> tuple[tuple[tuple[int, ArgStructure | None], ...], bool]:
-        """The candidates at a node with this root tag unless its key is a
-        table key, and whether that key is needed."""
+        """The candidates at a node with this root tag unless the node is a
+        table key, and whether it may be one."""
         return self._plans.get(tag, self._default)
 
 
@@ -443,17 +458,16 @@ class RSystem(_ByContent):
 
     def __post_init__(self):
         kept = []
-        index: dict[str, dict[str, ArgStructure]] = {}  # key(a) -> key(z) -> z
+        index: dict[ArgStructure, dict[ArgStructure, None]] = {}  # a -> its images, the first of each class
         for a, z in self.pairs:
             _check_contract("reduction pair", a, z)
-            images = index.setdefault(canonical_key(a), {})
-            kz = canonical_key(z)
-            if kz not in images:
-                images[kz] = z
+            images = index.setdefault(a, {})
+            if z not in images:
+                images[z] = None
                 kept.append((a, z))
         object.__setattr__(self, "pairs", tuple(kept))
         object.__setattr__(self, "_index", index)
-        self._set_content(frozenset((ka, kz) for ka, images in index.items() for kz in images))
+        self._set_content(frozenset((a, z) for a, images in index.items() for z in images))
 
     def union(self, other: "RSystem") -> "RSystem":
         return RSystem(self.pairs + other.pairs)
@@ -526,18 +540,25 @@ def step_candidates(
     src: StepSource, d: ArgStructure, base: AtomicBase | None = None
 ) -> dict[str, ArgStructure]:
     """All one-step reducts by canonical key, innermost-leftmost positions
-    first and members in order at each position."""
+    first and members in order at each position: the text view of the
+    reducts the search steps through."""
+    return {canonical_key(r): r for r in _one_step(src, d, base)}
+
+
+def _one_step(src: StepSource, d: ArgStructure, base: AtomicBase | None) -> list[ArgStructure]:
+    """The one-step reducts of d, one per class up to relabelling (the
+    first met), in the order of step_candidates."""
     if isinstance(src, RSystem):
-        return dict(src._index.get(canonical_key(d), {}))
+        return list(src._index.get(d, ()))
     index = src._dispatch
-    out: dict[str, ArgStructure] = {}
+    out: dict[ArgStructure, None] = {}
     for pos, node in _positioned(d):
         plan, keyed = index.at(_root_tag(node))
         if not plan and not keyed:
             continue  # no member can fire here
         sub, ctx = cut_subtree(d, pos)
-        key = canonical_key(sub) if keyed else None
-        for i, image in index.by_key.get(key, plan):
+        key = canonical_key(sub) if index.choice else None
+        for i, image in index.by_key.get(sub, plan):
             j = src.members[i]
             try:
                 if image is not None:
@@ -551,29 +572,29 @@ def step_candidates(
                 continue
             if r is not None:
                 # r was checked against sub: splice without a recheck
-                nxt = _splice(d, pos, ctx, r)
-                out.setdefault(canonical_key(nxt), nxt)
-    return out
+                out.setdefault(_splice(d, pos, ctx, r))
+    return list(out)
 
 
 class _Reducts:
-    """The search of reach as one stream of (key, reduct, depth), breadth-first,
-    the start first under the key given for it. Every entry is kept as it
-    comes: a reader replays the kept entries, and only a reader that goes
-    past them extends the search, so a reader that stops early leaves the
-    rest undone. Once the stream is drained, bound says whether a bound cut
-    the search off."""
+    """The search of reach as one stream of (reduct, depth), breadth-first,
+    the start first. Reducts are told apart up to relabelling, by structure
+    equality, so no key text is written. Every entry is kept as it comes: a
+    reader replays the kept entries, and only a reader that goes past them
+    extends the search, so a reader that stops early leaves the rest undone.
+    Once the stream is drained, bound says whether a bound cut the search
+    off."""
 
     __slots__ = ("kept", "_bound", "_rest")
 
-    def __init__(self, src: StepSource, start: ArgStructure, key: str, base, max_steps: int, max_size: int):
-        self.kept: list[tuple[str, ArgStructure, int]] = [(key, start, 0)]
+    def __init__(self, src: StepSource, start: ArgStructure, base, max_steps: int, max_size: int):
+        self.kept: list[tuple[ArgStructure, int]] = [(start, 0)]
         self._bound = [False]
         # the running search holds the list and the flag, not the stream: a cycle
         # through the stream would keep every reduct alive until the cyclic collector runs
-        self._rest = _Reducts._search(src, start, key, base, max_steps, max_size, self.kept, self._bound)
+        self._rest = _Reducts._search(src, start, base, max_steps, max_size, self.kept, self._bound)
 
-    def __iter__(self) -> Iterator[tuple[str, ArgStructure, int]]:
+    def __iter__(self) -> Iterator[tuple[ArgStructure, int]]:
         kept, rest, i = self.kept, self._rest, 0
         while i < len(kept) or next(rest, False):
             yield kept[i]
@@ -584,10 +605,10 @@ class _Reducts:
         return self._bound[0]
 
     @staticmethod
-    def _search(src, start, key, base, max_steps, max_size, kept, bound) -> Iterator[bool]:
+    def _search(src, start, base, max_steps, max_size, kept, bound) -> Iterator[bool]:
         """Appends each new reduct to kept, then yields. The level past the
         depth cap keeps none: it only asks whether the search could go on."""
-        seen, frontier, hit, depth = {key}, [start], False, 0
+        seen, frontier, hit, depth = {start}, [start], False, 0
         while frontier and depth <= max_steps:
             depth += 1
             past = depth > max_steps
@@ -595,15 +616,15 @@ class _Reducts:
             for d in frontier:
                 if past and hit:
                     break
-                for k, c in step_candidates(src, d, base).items():
-                    if size_of(c) > max_size or (past and k not in seen):
+                for c in _one_step(src, d, base):
+                    if size_of(c) > max_size or (past and c not in seen):
                         hit = True
                         if past:
                             break
-                    elif k not in seen:
-                        seen.add(k)
+                    elif c not in seen:
+                        seen.add(c)
                         nxt.append(c)
-                        kept.append((k, c, depth))
+                        kept.append((c, depth))
                         yield True
             frontier = nxt
         bound[0] = hit
@@ -619,8 +640,8 @@ def reach(
     """Breadth-first reducts with depths by canonical key, plus a flag set
     when a bound cut the search off (depth cap with work left, or an
     oversize reduct)."""
-    stream = _Reducts(src, start, canonical_key(start), base, max_steps, max_size)
-    return {k: (r, depth) for k, r, depth in stream}, stream.bound
+    stream = _Reducts(src, start, base, max_steps, max_size)
+    return {canonical_key(r): (r, depth) for r, depth in stream}, stream.bound
 
 
 def reduces(
@@ -630,11 +651,10 @@ def reduces(
     max_steps: int,
     base: AtomicBase | None = None,
 ) -> bool:
-    """Is there a chain of at most max_steps one-step rewrites from frm to to?
-    Zero steps count: a structure reduces to itself. The search stops where
-    it first meets to."""
-    want = canonical_key(to)
-    return any(k == want for k, _r, _depth in _Reducts(src, frm, canonical_key(frm), base, max_steps, 1 << 30))
+    """Is there a chain of at most max_steps one-step rewrites from frm to to
+    (equal up to relabelling)? Zero steps count: a structure reduces to
+    itself. The search stops where it first meets to."""
+    return any(r == to for r, _depth in _Reducts(src, frm, base, max_steps, 1 << 30))
 
 
 def graph_of(j: Justification, domain: Iterable[ArgStructure], base: AtomicBase | None = None) -> RSystem:

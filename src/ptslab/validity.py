@@ -97,11 +97,30 @@ class Bounds:
 
 @dataclass(frozen=True)
 class ExhaustedSearch:
-    """Every reduct within bounds was explored and none qualified."""
+    """Every reduct within bounds was explored and none qualified.
+
+    The checker builds it from the structures themselves (_of), and the
+    canonical key texts of start and explored are written when first read."""
 
     start: str
     explored: tuple[str, ...]
     max_steps: int
+
+    @classmethod
+    def _of(cls, start: ArgStructure, explored: tuple[ArgStructure, ...], max_steps: int) -> "ExhaustedSearch":
+        w = object.__new__(cls)
+        object.__setattr__(w, "max_steps", max_steps)
+        object.__setattr__(w, "_unwritten", (start, explored))
+        return w
+
+    def __getattr__(self, name):
+        # only start and explored can be missing, and only while unwritten
+        if name not in ("start", "explored") or "_unwritten" not in vars(self):
+            raise AttributeError(name)
+        start, explored = vars(self).pop("_unwritten")
+        object.__setattr__(self, "start", canonical_key(start))
+        object.__setattr__(self, "explored", tuple([canonical_key(r) for r in explored]))
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -150,28 +169,45 @@ def axiom_structure(f: Formula) -> Inf:
 
 
 def _derivation_structure(der: AtomicDerivation) -> ArgStructure:
-    if der.rule is None:
-        return Assumption(der.conclusion)
-    kids = tuple(_derivation_structure(c) for c in der.children)
-    return Inf("atm", der.conclusion, kids or (EmptyTop(),))
+    """The derivation as a structure, built children first from an explicit stack."""
+    done: list[ArgStructure] = []
+    stack: list = [der]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):  # its children are built: the last ones on top
+            node = node[0]
+            n = len(node.children)
+            kids = tuple(done[len(done) - n :])
+            del done[len(done) - n :]
+            done.append(Inf("atm", node.conclusion, kids or (EmptyTop(),)))
+        elif node.rule is None:
+            done.append(Assumption(node.conclusion))
+        else:
+            stack.append((node,))
+            stack.extend(reversed(node.children))
+    return done[0]
 
 
 def is_derivation_structure(d: ArgStructure, base: AtomicBase) -> bool:
-    """Is d (as a bare tree, tags aside) a closed derivation on the base?"""
-    if not isinstance(d, Inf) or d.discharges or not isinstance(d.conclusion, Atom):
-        return False
-    kid_concls = []
-    for ch in d.children:
-        if isinstance(ch, EmptyTop):
-            continue
-        if not is_derivation_structure(ch, base):
+    """Is d (as a bare tree, tags aside) a closed derivation on the base?
+    Every inference must conclude an atom by a rule of the base from its
+    premises' conclusions; the tree is walked with an explicit stack."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Inf) or node.discharges or not isinstance(node.conclusion, Atom):
             return False
-        kid_concls.append(conclusion_of(ch))
-    want = sorted(kid_concls, key=lambda a: a.name)
-    return any(
-        r.conclusion == d.conclusion and sorted(r.premises, key=lambda a: a.name) == want
-        for r in base.rules
-    )
+        kids = [ch for ch in node.children if not isinstance(ch, EmptyTop)]
+        if not all(isinstance(ch, Inf) and isinstance(ch.conclusion, Atom) for ch in kids):
+            return False  # such a premise is no derivation
+        want = sorted([ch.conclusion for ch in kids], key=lambda a: a.name)
+        if not any(
+            r.conclusion == node.conclusion and sorted(r.premises, key=lambda a: a.name) == want
+            for r in base.rules
+        ):
+            return False
+        stack.extend(kids)
+    return True
 
 
 def synthesize_closed(base: AtomicBase, f: Formula) -> ArgStructure | None:
@@ -227,34 +263,32 @@ def _extend(steps: StepSource, ext: StepSource) -> StepSource:
 
 class _Search:
     """The reduction searches of one valid or consequence call, shared by
-    the checks it makes on every base: one stream per (steps, start key),
-    per base too when the steps hold a choice function (its selection
-    depends on the base), and, per reduct key, the immediate substructures
-    with their keys when the reduct is closed and canonical."""
+    the checks it makes on every base: one stream per (steps, start), per
+    base too when the steps hold a choice function (its selection depends on
+    the base), and, per reduct, its immediate substructures when it is
+    closed and canonical. Structures are keys up to relabelling."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
         self._streams: dict[tuple, _Reducts] = {}
-        self._subs: dict[str, list[tuple[ArgStructure, str]] | None] = {}
+        self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
 
-    def stream(self, steps: StepSource, d: ArgStructure, dkey: str, base: AtomicBase) -> _Reducts:
-        per_base = isinstance(steps, JustificationSet) and any(
-            isinstance(j, ChoiceFunction) for j in steps.members
-        )
-        at = (steps, dkey, base if per_base else None)
+    def stream(self, steps: StepSource, d: ArgStructure, base: AtomicBase) -> _Reducts:
+        per_base = isinstance(steps, JustificationSet) and steps._dispatch.choice
+        at = (steps, d, base if per_base else None)
         s = self._streams.get(at)
         if s is None:
             b = self.bounds
-            s = self._streams[at] = _Reducts(steps, d, dkey, base, b.max_reduction_steps, b.max_structure_size)
+            s = self._streams[at] = _Reducts(steps, d, base, b.max_reduction_steps, b.max_structure_size)
         return s
 
-    def canonical_subs(self, rkey: str, r: ArgStructure) -> list[tuple[ArgStructure, str]] | None:
-        """r's immediate substructures and their keys if r is canonical and closed, else None."""
-        if rkey not in self._subs:
+    def canonical_subs(self, r: ArgStructure) -> list[ArgStructure] | None:
+        """r's immediate substructures if r is canonical and closed, else None."""
+        if r not in self._subs:
             check_structure(r)
             ok = is_canonical(r) and not r._facts.opens
-            self._subs[rkey] = [(s, canonical_key(s)) for s in immediate_substructures(r)] if ok else None
-        return self._subs[rkey]
+            self._subs[r] = immediate_substructures(r) if ok else None
+        return self._subs[r]
 
 
 class _Checker:
@@ -262,39 +296,38 @@ class _Checker:
         self.base = base
         self.bounds = search.bounds
         self.search = search
-        self._memo: dict[tuple[str, StepSource], Verdict] = {}
+        self._memo: dict[tuple[ArgStructure, StepSource], Verdict] = {}
 
-    def check(self, d: ArgStructure, steps: StepSource, dkey: str | None = None) -> Verdict:
-        dkey = canonical_key(d) if dkey is None else dkey
-        hit = self._memo.get((dkey, steps))
+    def check(self, d: ArgStructure, steps: StepSource) -> Verdict:
+        hit = self._memo.get((d, steps))
         if hit is not None:
             return hit
         check_structure(d)
         opens = d._facts.opens
         if not opens:
-            out = self._closed(d, dkey, steps, isinstance(conclusion_of(d), Atom))
+            out = self._closed(d, steps, isinstance(conclusion_of(d), Atom))
         else:
             out = self._open(d, steps, sorted(dict.fromkeys(opens), key=render_formula))
-        self._memo[(dkey, steps)] = out
+        self._memo[(d, steps)] = out
         return out
 
     def _extensions_for(self, steps: StepSource) -> list[StepSource]:
         return [steps] + [_extend(steps, e) for e in self.bounds.extensions]
 
-    def _closed(self, d: ArgStructure, dkey: str, steps: StepSource, atomic: bool) -> Verdict:
+    def _closed(self, d: ArgStructure, steps: StepSource, atomic: bool) -> Verdict:
         """The first qualifying reduct in the stream decides Valid; Invalid
         and Unknown read the stream to its end."""
-        stream = self.search.stream(steps, d, dkey, self.base)
+        stream = self.search.stream(steps, d, self.base)
         saw_unknown = False
-        for rkey, r, depth in stream:
+        for r, depth in stream:
             if atomic:
                 if is_derivation_structure(r, self.base):
                     return Verdict.valid(f"reduces to a derivation on the base in {depth} step(s)")
                 continue
-            subs = self.search.canonical_subs(rkey, r)
+            subs = self.search.canonical_subs(r)
             if subs is None:
                 continue
-            sub_verdicts = [self.check(s, steps, skey) for s, skey in subs]
+            sub_verdicts = [self.check(s, steps) for s in subs]
             if all(v.is_valid for v in sub_verdicts):
                 return Verdict.valid(
                     f"canonical reduct at depth {depth} with valid immediate substructures"
@@ -306,28 +339,27 @@ class _Checker:
         kind = "closed derivation" if atomic else "canonical reduct with valid substructures"
         return Verdict.invalid(
             f"search exhausted: no {kind} among {len(stream.kept)} reduct(s)",
-            witness=ExhaustedSearch(
-                dkey, tuple(k for k, _r, _depth in stream.kept), self.bounds.max_reduction_steps
+            witness=ExhaustedSearch._of(
+                d, tuple([r for r, _depth in stream.kept]), self.bounds.max_reduction_steps
             ),
         )
 
     def _sigma_candidates(self, f: Formula) -> list[ArgStructure]:
         out: list[ArgStructure] = []
-        seen: set[str] = set()
+        seen: set[ArgStructure] = set()
         if self.bounds.synthesize_sigma:
             syn = synthesize_closed(self.base, f)
             if syn is not None:
                 out.append(syn)
-                seen.add(canonical_key(syn))
+                seen.add(syn)
         for cand in self.bounds.sigma_candidates:
             if conclusion_of(cand) != f:
                 continue
             check_structure(cand)
             if cand._facts.opens:
                 continue
-            k = canonical_key(cand)
-            if k not in seen:
-                seen.add(k)
+            if cand not in seen:
+                seen.add(cand)
                 out.append(cand)
         return out
 

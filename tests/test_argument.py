@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -107,7 +109,8 @@ def test_empty_node_cannot_stand_alone():
 def test_instantiate_identity_on_closed():
     body = Inf("step", BOT, (Assumption(a, 1),))
     d = Inf("impI", negation(a), (body,), frozenset({1}))
-    assert instantiate(d, {}) == d
+    out = instantiate(d, {})
+    assert out == d and render_structure(out) == render_structure(d)
 
 
 def test_instantiate_missing_mapping():
@@ -150,7 +153,8 @@ def test_instantiate_composition():
 def test_substitute_whole_structure():
     d = _case_analysis()
     repl = Inf("other", c, (Assumption(Disj(a, b)),))
-    assert substitute(d, (), repl) == repl
+    out = substitute(d, (), repl)
+    assert out == repl and render_structure(out) == render_structure(repl)
 
 
 def test_substitute_checks_conclusion():
@@ -270,12 +274,12 @@ def test_immediate_substructures_open_the_discharge():
 
 def test_text_roundtrip():
     d = _case_analysis()
-    assert parse_structure(render_structure(d)) == d
     ax = Inf("ax", parse_formula("a | ~a"), (EmptyTop(),))
-    assert parse_structure(render_structure(ax)) == ax
     leaf = Assumption(parse_formula("a & b"), 3)
     d2 = Inf("t", a, (leaf,), frozenset({3}))
-    assert parse_structure(render_structure(d2)) == d2
+    for x in (d, ax, d2):
+        back = parse_structure(render_structure(x))
+        assert back == x and render_structure(back) == render_structure(x)
 
 
 def test_parse_structure_errors():
@@ -291,7 +295,7 @@ def test_parse_structure_errors():
 
 def test_subtree_and_positions():
     d = _case_analysis()
-    assert subtree_at(d, ()) == d
+    assert subtree_at(d, ()) is d
     assert subtree_at(d, (1,)).tag == "atm"
     post = positions(d)
     assert post[-1] == ()  # whole structure comes last innermost-first
@@ -303,7 +307,8 @@ def test_roundtrip_random_structures():
     rng = make_rng(9)
     for _ in range(80):
         d = random_open_structure(rng, parse_formula("(a -> b) | c"), 3)
-        assert parse_structure(render_structure(d)) == d
+        back = parse_structure(render_structure(d))
+        assert back == d and render_structure(back) == render_structure(d)
         sigma = random_sigma(rng, d)
         inst = instantiate(d, sigma)
         assert analyze(inst).conclusion == analyze(d).conclusion
@@ -321,9 +326,8 @@ def test_cut_opens_a_leaf_whose_binder_is_outside_despite_a_vacuous_inner_discha
     d = parse_structure(_SHADOW)
     sub, context = cut_subtree(d, (0,))
     check_structure(sub)
-    assert sub == parse_structure(
-        '(inf k "a" (assume "a") (inf impI "b -> a" (inf x "a" (empty)) :discharge (1)))'
-    )
+    want = '(inf k "a" (assume "a") (inf impI "b -> a" (inf x "a" (empty)) :discharge (1)))'
+    assert sub == parse_structure(want) and render_structure(sub) == want
     assert context == [(1, frozenset({a}))]
     assert analyze(immediate_substructures(d)[0]).open_assumptions == Counter({a: 1})
     verdict = valid(Argument(d, JustificationSet()), parse_base("-> a"))
@@ -582,7 +586,7 @@ def _agrees_with_the_oracles(d):
     labelled = {leaf.label for leaf, _, _ in leaves if leaf.label is not None}
     discharged = {l for n in _preorder(d) if isinstance(n, Inf) for l in n.discharges}
     assert facts.labels == labels_of(d) == labelled | discharged
-    assert [(n.label, n.formula) for n in facts.free] == [
+    assert list(facts.free) == [
         (leaf.label, leaf.formula) for leaf, binder, _ in leaves if leaf.label is not None and binder is None
     ]
     assert facts.bound == {
@@ -604,7 +608,7 @@ def _agrees_with_the_oracles(d):
             analyze(d)
     assert render_structure(d) == _oracle_render(d, lambda n: n.label, sorted)
     assert canonical_key(d) == _oracle_key(d)
-    assert canonical_form(d) == _oracle_form(d)
+    assert render_structure(canonical_form(d)) == render_structure(_oracle_form(d))
 
 
 def _random_tree(rng, depth=4, labels=(1, 2, 3)):
@@ -689,7 +693,7 @@ def test_valid_builds_each_node_s_facts_once(monkeypatch):
     real = argument._node_facts
     monkeypatch.setattr(argument, "_node_facts", lambda node: built.append(node) or real(node))
     text = '(inf atm "a" (empty))'
-    for l in range(1, 9, 2):
+    for l in range(1, 13, 2):  # six detours
         text = (
             f'(inf orE "a" (inf orI1 "a | b" {text}) (assume "a" :label {l})'
             f' (inf k "a" (assume "b" :label {l + 1})) :discharge ({l} {l + 1}))'
@@ -765,11 +769,12 @@ def test_render_then_parse_gives_the_structure_back(seed, kind):
         "open": lambda rng: random_open_structure(rng, random_formula(rng, 2), 3),
         "closed": lambda rng: random_closed_structure(rng, random_formula(rng, 2), 3),
     }[kind](rng)
-    assert parse_structure(render_structure(d)) == d
+    back = parse_structure(render_structure(d))
+    assert back == d and render_structure(back) == render_structure(d)
 
 
 def test_tree_walks_on_a_deep_chain():
-    # deeper than the interpreter's recursion limit; compared by text, since == recurses
+    # deeper than the interpreter's recursion limit; compared by text, which shows the labels too
     depth = 3000
     d = Assumption(a, 1)
     for _ in range(depth):
@@ -794,3 +799,140 @@ def test_tree_walks_on_a_deep_chain():
     inst = instantiate(open_chain, {a: proof})
     assert render_structure(inst) == chain + '(inf atm "a" (empty))' + ")" * depth
     assert size_of(inst) == depth + 2 and not _facts(inst).opens
+
+
+# ---------------------------------------------------------------------------
+# equality and hashing up to relabelling, kept from construction
+
+
+def _renamed(rng, d):
+    """d under a random label map: one-to-one (an equal structure) or not
+    (one that may bind differently)."""
+    labels = sorted(labels_of(d))
+    if rng.random() < 0.6:
+        image = rng.sample(range(1, 40), len(labels))
+    else:
+        image = [rng.choice((1, 2, 3)) for _ in labels]
+    return relabel(d, dict(zip(labels, image)))
+
+
+def _nudged(rng, d):
+    """d with one small change to its labels: one leaf gets another label
+    or none, or one discharge set gains or drops a label."""
+    pick = rng.choice((None, 1, 2, 3, 4))
+    if rng.random() < 0.5:
+        nodes = [n for n in _preorder(d) if isinstance(n, Assumption)]
+        target = rng.choice(nodes) if nodes else None
+        return argument._map_leaves(d, lambda n: Assumption(n.formula, pick) if n is target else n)
+    sets = sum(1 for n in _preorder(d) if isinstance(n, Inf))
+    which, count = rng.randrange(max(sets, 1)), itertools.count()
+    return argument._map_leaves(d, lambda n: n, lambda dis: dis ^ {pick or 1} if next(count) == which else dis)
+
+
+_MAKERS = {
+    "any": _random_tree,
+    "scoped": random_scoped_structure,
+    "detour": random_detour_redex,
+    "open": lambda rng: random_open_structure(rng, random_formula(rng, 2), 3),
+    "closed": lambda rng: random_closed_structure(rng, random_formula(rng, 2), 3),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_MAKERS)), st.sampled_from(["renamed", "nudged", "other"]))
+def test_equality_is_key_equality_and_equal_structures_hash_alike(seed, kind, how):
+    rng = random.Random(seed)
+    d1 = _MAKERS[kind](rng)
+    if how == "renamed":
+        d2 = _renamed(rng, d1)
+    elif how == "nudged":
+        d2 = _nudged(rng, d1)
+    else:  # small trees over few labels often come out equal
+        d2 = _MAKERS[kind](rng)
+    same = canonical_key(d1) == canonical_key(d2)
+    assert (d1 == d2) == same == (d2 == d1) == structures_equal(d1, d2)
+    assert (d1 != d2) == (not same)
+    if same:
+        assert hash(d1) == hash(d2)
+        assert len({d1, d2}) == 1 and {d1: 0}.get(d2) == 0
+    if not isinstance(d1, EmptyTop) and not _facts(d1).free and not _facts(d1).double:
+        assert parse_structure(canonical_key(d1)) == d1  # its canonical form
+
+
+def test_equality_sees_how_labels_bind():
+    one, two = Assumption(a, 1), Assumption(a, 2)
+    both = Inf("t", a, (one, two), frozenset({1, 2}))
+    assert both == Inf("t", a, (Assumption(a, 5), Assumption(a, 4)), frozenset({4, 5}))
+    assert both != Inf("t", a, (one, one), frozenset({1, 2}))  # one label for both leaves
+    assert both != Inf("t", a, (one, two), frozenset({1, 2, 3}))  # one more vacuous label
+    assert both != Inf("t", a, (one, Assumption(a)), frozenset({1, 2}))  # an open leaf
+    inner = Inf("s", a, (one,), frozenset({1}))
+    # the leaf is bound by the inner inference, whatever the outer one discharges
+    assert Inf("u", a, (inner,), frozenset({1})) == Inf("u", a, (inner,), frozenset({2}))
+    assert Inf("u", a, (inner, one), frozenset({1})) != Inf("u", a, (inner, two), frozenset({1}))
+    # labels no inference binds are named alike throughout
+    assert Inf("k", a, (one, one)) == Inf("k", a, (two, two)) != Inf("k", a, (one, two))
+    assert Inf("k", a, (one, two)) == Inf("k", a, (two, one))
+    assert EmptyTop() == EmptyTop() and hash(EmptyTop()) == hash(EmptyTop())
+    assert one != "(assume \"a\" :label 1)" and Assumption(a) != PVar("D")
+
+
+def _chain(depth, label):
+    d = Assumption(a, label)
+    for _ in range(depth):
+        d = Inf("s", a, (d,))
+    return Inf("impI", Impl(a, a), (d,), frozenset({label}))
+
+
+def test_deep_structures_are_compared_hashed_analyzed_and_keyed():
+    # two 3000-deep chains built apart, deeper than the recursion limit
+    d1, d2 = _chain(3000, 1), _chain(3000, 2)
+    assert d1 == d2 and hash(d1) == hash(d2) and {d1: 1}[d2] == 1
+    assert analyze(d1).closed and analyze(d2).closed
+    assert canonical_key(d1) == canonical_key(d2)
+    assert d1 != _chain(2999, 1) and d1 != Inf("impI", Impl(a, a), (d1.children[0],), frozenset({1, 2}))
+    open_leaf = Inf("impI", Impl(a, a), (_chain(3000, 1).children[0],))  # nothing binds the leaf
+    assert d1 != open_leaf
+
+
+def test_a_detour_step_grafts_the_host_s_subtree_as_it_is():
+    host = parse_structure(
+        '(inf wrap "a" (inf orE "a" (inf orI1 "a | b" (inf impE "a" (assume "c") (inf atm "c -> a" (empty))))'
+        ' (assume "a" :label 1) (inf k "a" (assume "b" :label 2)) :discharge (1 2)))'
+    )
+    inner = host.children[0].children[0].children[0]
+    (reduct,) = step_candidates(JustificationSet((or_detour(),)), host).values()
+    assert reduct.children[0] is inner
+
+
+def test_substitute_still_renames_a_label_an_enclosing_inference_discharges():
+    # the root discharges 1; the replacement binds 1 inside itself
+    d = parse_structure('(inf impI "a -> c" (inf k "c" (assume "a" :label 1)) :discharge (1))')
+    body = Inf("impI", Impl(b, b), (Assumption(b, 1),), frozenset({1}))
+    repl = Inf("m", c, (Assumption(a), body))
+    out = substitute(d, (0,), repl)
+    check_structure(out)
+    renamed = out.children[0].children[1]
+    assert renamed.discharges != {1} and renamed == body
+    assert out.children[0].children[0] == Assumption(a, 1)  # recaptured by the root
+    assert render_structure(out) == (
+        '(inf impI "a -> c" (inf m "c" (assume "a" :label 1)'
+        f' (inf impI "b -> b" (assume "b" :label {min(renamed.discharges)}) :discharge ({min(renamed.discharges)})))'
+        " :discharge (1))"
+    )
+
+
+def test_a_dropped_labelled_leaf_is_freed_at_once():
+    gc.disable()
+    try:
+        leaf = Assumption(a, 1)
+        gone = weakref.ref(leaf)
+        del leaf
+        assert gone() is None
+        leaf = Assumption(a, 1)
+        node = Inf("impI", Impl(a, a), (leaf,), frozenset({1}))
+        gone_leaf, gone_node = weakref.ref(leaf), weakref.ref(node)
+        del leaf, node
+        assert gone_leaf() is None and gone_node() is None  # no cycle holds either
+    finally:
+        gc.enable()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptslab import base_semantics
+from ptslab import atomic_base, base_semantics
 
 from ptslab import (
     Atom,
@@ -315,3 +315,14 @@ def test_search_raises_where_the_scan_first_meets_a_non_formula():
     for search in (_reference_search, search_counterexample):
         with pytest.raises(SemanticsError, match="not a formula"):
             search((), goal, [a, b], 1)
+
+
+def test_search_builds_no_rule_universe_unless_a_closure_fails(monkeypatch):
+    calls = []
+    real = atomic_base.rule_universe
+    monkeypatch.setattr(atomic_base, "rule_universe", lambda atoms: calls.append(atoms) or real(atoms))
+    atoms = [Atom(n) for n in "abcdefghijkl"]  # 12 atoms: 53,248 rules in the universe
+    assert search_counterexample((), parse_formula("a | ~a"), atoms, 1) is None
+    assert calls == []
+    assert search_counterexample((), parse_formula("a"), atoms[:3], 1).id == "{}"
+    assert len(calls) == 1

@@ -10,6 +10,8 @@ from ptslab import (
     Disj,
     FormulaError,
     Impl,
+    atoms_of,
+    classical_eval,
     logical_consequence,
     models,
     negation,
@@ -198,3 +200,61 @@ def test_formula_one_level_deeper_is_refused():
     # parentheses count where they nest, not where they sit side by side
     group = "(" * (MAX_NESTING - 1) + "a" + ")" * (MAX_NESTING - 1)
     assert parse_formula(group + " | " + group) == Disj(a, a)
+
+
+# ---------------------------------------------------------------------------
+# stored hashes and equality without recursion
+
+
+def _dataclass_hash(f):
+    """The hash the frozen dataclasses computed, hash((left, right)), by recursion."""
+    if isinstance(f, Atom):
+        return hash((f.name,))
+    return hash((_HashOf(_dataclass_hash(f.left)), _HashOf(_dataclass_hash(f.right))))
+
+
+class _HashOf:
+    """Stands in a tuple for an object whose hash is h."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _equal(f, g):
+    """The dataclass equality, by recursion."""
+    if type(f) is not type(g):
+        return False
+    if isinstance(f, Atom):
+        return f.name == g.name
+    return _equal(f.left, g.left) and _equal(f.right, g.right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(), formulas())
+def test_stored_hash_and_equality_are_the_dataclass_ones(f, g):
+    assert hash(f) == _dataclass_hash(f)
+    copy = parse_formula(render_formula(f))
+    assert copy == f and hash(copy) == hash(f)
+    assert (f == g) == _equal(f, g) and (f != g) == (not _equal(f, g))
+    if f == g:
+        assert hash(f) == hash(g)
+
+
+def test_a_deep_formula_built_in_code_is_compared_hashed_rendered_and_evaluated():
+    def deep(n):
+        f = a
+        for _ in range(n):
+            f = negation(f)
+        return f
+
+    f, g = deep(2000), deep(2000)
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != deep(1999) and f != Impl(deep(1999), a)
+    assert {f: 1}[g] == 1
+    assert render_formula(f) == render_formula(g) == "~" * 2000 + "a"
+    assert classical_eval(f, {a: True, BOT: False}) and not classical_eval(f, {a: False, BOT: False})
+    assert atoms_of(f) == {a, BOT}
+    assert models(AtomicBase(frozenset()), (), negation(g)) and not models(AtomicBase(frozenset()), (), f)

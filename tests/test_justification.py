@@ -45,7 +45,7 @@ from ptslab import (
 )
 from ptslab import justification
 from ptslab.argument import _splice, cut_subtree, size_of
-from ptslab.justification import _Reducts, reach, step_candidates
+from ptslab.justification import _one_step, _Reducts, reach, step_candidates
 
 from genlib import make_rng, random_closed_structure, random_detour_redex, random_formula, random_sigma
 
@@ -166,6 +166,58 @@ def test_discharge_constraint_reads_only_the_leaves_its_inference_binds():
     )
     out = apply_justification(rule, d)
     assert out is not None and structures_equal(out, d)
+
+
+_ID_A = '(inf impI "a -> a" (assume "a" :label {0}) :discharge ({0}))'
+
+
+def test_a_label_variable_names_one_discharge_whatever_the_labels():
+    # ?l in two sibling binders would name two discharges, so the rule fires
+    # on no structure, whether the siblings reuse a label or not; ?l and ?m
+    # fire on both numberings
+    once = '(inf impI "a -> a" (assume "a" :label ?{0}) :discharge (?{0}))'
+    twice, pair = (
+        parse_rules(
+            f'r: (inf r "c" {once.format("l")} {once.format(right)}) => (inf s "c" {once.format("l")})'
+        ).members[0]
+        for right in ("l", "m")
+    )
+    reuse = parse_structure(f'(inf r "c" {_ID_A.format(1)} {_ID_A.format(1)})')
+    apart = parse_structure(f'(inf r "c" {_ID_A.format(1)} {_ID_A.format(2)})')
+    assert reuse == apart and render_structure(reuse) != render_structure(apart)
+    assert apply_justification(twice, reuse) is None and apply_justification(twice, apart) is None
+    assert apply_justification(pair, reuse) == apply_justification(pair, apart) == parse_structure(
+        f'(inf s "c" {_ID_A.format(1)})'
+    )
+
+
+def test_a_label_variable_matches_every_leaf_its_discharge_binds():
+    rule = parse_rules(
+        'both: (inf impI "a -> a & a" (inf andI "a & a" (assume "a" :label ?l) (assume "a" :label ?l))'
+        ' :discharge (?l)) => (inf impI "a -> a & a" (inf andI "a & a" (assume "a" :label ?l)'
+        ' (assume "a" :label ?l)) :discharge (?l))'
+    ).members[0]
+    d = parse_structure(
+        '(inf impI "a -> a & a" (inf andI "a & a" (assume "a" :label 4) (assume "a" :label 4)) :discharge (4))'
+    )
+    assert apply_justification(rule, d) == d
+
+
+def test_a_grafted_image_keeps_its_labels_without_changing_what_fires():
+    # the table's image keeps label 1, which the sibling also binds; a rule
+    # reusing ?l across the two siblings fires after the step on neither
+    # numbering of the host, and one with ?l and ?m fires on both
+    fill = ConstantMap("fill", ((parse_structure('(inf ax "a -> a" (empty))'), parse_structure(_ID_A.format(1))),))
+    once = '(inf impI "a -> a" (assume "a" :label ?{0}) :discharge (?{0}))'
+    for right in ("l", "m"):
+        rule = parse_rules(
+            f'r: (inf r "c" {once.format("l")} {once.format(right)}) => (inf s "c" {once.format("l")})'
+        ).members[0]
+        steps = JustificationSet((fill, rule))
+        target = parse_structure(f'(inf s "c" {_ID_A.format(1)})')
+        for label in (1, 2):
+            host = parse_structure(f'(inf r "c" (inf ax "a -> a" (empty)) {_ID_A.format(label)})')
+            assert reduces(steps, host, target, 2) == (right == "m")
 
 
 def test_reduces_inside_context():
@@ -328,12 +380,12 @@ def test_reduces_stops_at_the_target(monkeypatch):
 
     def counted(*args):
         calls[0] += 1
-        return step_candidates(*args)
+        return _one_step(*args)
 
-    monkeypatch.setattr(justification, "step_candidates", counted)
     steps = JustificationSet((or_detour(),))
     host = _wide_redex(4)
     target = next(iter(step_candidates(steps, host).values()))  # depth 1
+    monkeypatch.setattr(justification, "_one_step", counted)  # the search's unit of work
     assert reduces(steps, host, target, 10)
     early = calls[0]
     calls[0] = 0
@@ -407,9 +459,10 @@ def test_canonical_form_is_idempotent_and_relabel_invariant():
     for _ in range(100):
         d = random_detour_redex(rng)
         cf = canonical_form(d)
-        assert canonical_form(cf) == cf
+        text = render_structure(cf)
+        assert render_structure(canonical_form(cf)) == text
         shuffled = relabel(d, {1: rng.randint(10, 60), 2: rng.randint(61, 99)})
-        assert canonical_form(shuffled) == cf
+        assert render_structure(canonical_form(shuffled)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +487,8 @@ def _member_loop(src, d, base=None):
 
 def _same_as_member_loop(src, d, base=None):
     got = step_candidates(src, d, base)
-    assert list(got.items()) == list(_member_loop(src, d, base).items())
+    want = _member_loop(src, d, base)
+    assert [(k, render_structure(r)) for k, r in got.items()] == [(k, render_structure(r)) for k, r in want.items()]
     return got
 
 
@@ -586,9 +640,9 @@ def test_reach_agrees_with_the_two_loop_search(seed, max_steps, max_size, grow):
 
     def counted(*args):
         got_calls[0] += 1
-        return step_candidates(*args)
+        return _one_step(*args)
 
-    with mock.patch.object(justification, "step_candidates", counted):
+    with mock.patch.object(justification, "_one_step", counted):
         got, hit = reach(src, host, None, max_steps=max_steps, max_size=max_size)
     assert [(k, render_structure(r), depth) for k, (r, depth) in got.items()] == [
         (k, render_structure(r), depth) for k, r, depth in want
@@ -601,12 +655,12 @@ def test_a_second_reader_replays_the_stream_without_searching(monkeypatch):
 
     def counted(*args):
         calls[0] += 1
-        return step_candidates(*args)
+        return _one_step(*args)
 
-    monkeypatch.setattr(justification, "step_candidates", counted)
+    monkeypatch.setattr(justification, "_one_step", counted)
     steps = JustificationSet((or_detour(),))
     host = _wide_redex(3)
-    stream = _Reducts(steps, host, canonical_key(host), None, 10, 1 << 30)
+    stream = _Reducts(steps, host, None, 10, 1 << 30)
     first = iter(stream)
     head = [next(first) for _ in range(3)]  # a reader that stops early
     partial = calls[0]
@@ -617,7 +671,7 @@ def test_a_second_reader_replays_the_stream_without_searching(monkeypatch):
     assert list(first) == second[3:] and list(stream) == second  # two more readers, from the kept list
     assert calls[0] == drained
     reached, hit = reach(steps, host, None, max_steps=10, max_size=1 << 30)
-    assert [k for k, _r, _depth in second] == list(reached) and stream.bound == hit
+    assert [canonical_key(r) for r, _depth in second] == list(reached) and stream.bound == hit
 
 
 def test_bound_after_a_drain_is_reach_s_flag():
@@ -630,7 +684,7 @@ def test_bound_after_a_drain_is_reach_s_flag():
         ((grow,), 0, 1000),  # the cap alone: only the probe runs
     ):
         src = JustificationSet(members)
-        stream = _Reducts(src, start, canonical_key(start), None, max_steps, max_size)
+        stream = _Reducts(src, start, None, max_steps, max_size)
         list(stream)
         assert stream.bound == reach(src, start, None, max_steps, max_size)[1]
 
@@ -640,10 +694,10 @@ def test_a_dropped_stream_frees_its_reducts():
     host = _wide_redex(3)
     gc.disable()
     try:
-        stream = _Reducts(steps, host, canonical_key(host), None, 10, 1 << 30)
+        stream = _Reducts(steps, host, None, 10, 1 << 30)
         reader = iter(stream)
         next(reader)
-        _key, r, depth = next(reader)
+        r, depth = next(reader)
         assert depth == 1
         gone = weakref.ref(r)
         del r, reader, stream

@@ -44,15 +44,16 @@ EM_A = Disj(a, negation(a))
 
 
 def _count_step_candidates(monkeypatch) -> Counter:
-    """Count step_candidates calls per (step source, structure key)."""
+    """Count the one-step searches (justification._one_step, the core under
+    step_candidates) per (step source, structure key)."""
     seen: Counter = Counter()
-    real = justification.step_candidates
+    real = justification._one_step
 
     def counted(src, d, base=None):
         seen[(src, canonical_key(d))] += 1
         return real(src, d, base)
 
-    monkeypatch.setattr(justification, "step_candidates", counted)
+    monkeypatch.setattr(justification, "_one_step", counted)
     return seen
 
 
@@ -103,7 +104,7 @@ class _DrainingChecker(validity._Checker):
     """The checker's closed clause as it was before the early stop: the whole
     search is drained with reach, then scanned for a qualifying reduct."""
 
-    def _closed(self, d, dkey, steps, atomic):
+    def _closed(self, d, steps, atomic):
         reached, bound_hit = reach(
             steps,
             d,
@@ -133,7 +134,7 @@ class _DrainingChecker(validity._Checker):
         kind = "closed derivation" if atomic else "canonical reduct with valid substructures"
         return validity.Verdict.invalid(
             f"search exhausted: no {kind} among {len(reached)} reduct(s)",
-            witness=ExhaustedSearch(dkey, tuple(reached), self.bounds.max_reduction_steps),
+            witness=ExhaustedSearch(canonical_key(d), tuple(reached), self.bounds.max_reduction_steps),
         )
 
 

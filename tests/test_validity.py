@@ -7,6 +7,7 @@ from ptslab import (
     Assumption,
     Atom,
     AtomicBase,
+    AtomicDerivation,
     BOT,
     Bounds,
     ConstantMap,
@@ -38,11 +39,13 @@ from ptslab import (
     parse_base,
     parse_formula,
     parse_rules,
+    parse_structure,
     recheck_invalid,
     structures_equal,
     synthesize_closed,
     valid,
 )
+from ptslab import argument, validity
 
 from genlib import make_rng, random_formula
 
@@ -501,3 +504,35 @@ def test_the_checker_counts_no_open_assumptions_but_still_checks_its_inputs(monk
         valid(Argument(stray_label, chain), PQ)
     with pytest.raises(StructureError, match="cannot stand alone"):
         valid(Argument(EmptyTop(), chain), PQ)
+
+
+# --- deep structures and witness text -----------------------------------------
+
+
+def test_a_derivation_deeper_than_the_recursion_limit_is_valid():
+    d = EmptyTop()
+    for _ in range(3000):
+        d = Inf("atm", a, (d,))
+    base = parse_base("-> a\na -> a\n")
+    assert is_derivation_structure(d, base)
+    assert valid(Argument(d, JustificationSet()), base).is_valid
+    # and the same chain, built from an atomic derivation
+    rules = sorted(base.rules, key=lambda r: len(r.premises))
+    der = AtomicDerivation(a, rules[0])
+    for _ in range(2999):
+        der = AtomicDerivation(a, rules[1], (der,))
+    assert validity._derivation_structure(der) == d
+
+
+def test_an_invalid_verdict_writes_its_witness_text_when_read(monkeypatch):
+    written = []
+    real = argument._write
+    monkeypatch.setattr(argument, "_write", lambda *args: written.append(args[0]) or real(*args))
+    arg = Argument(parse_structure('(inf atm "p" (empty))'), JustificationSet((or_detour(),)))
+    v = valid(arg, parse_base("-> a\n"))
+    assert v.is_invalid and isinstance(v.witness, ExhaustedSearch) and written == []
+    assert v.witness.max_steps == 10 and written == []
+    assert v.witness.explored == ('(inf atm "p" (empty))',) and len(written) == 2  # start and explored
+    assert v.witness.start == '(inf atm "p" (empty))' and len(written) == 2
+    assert v.witness == ExhaustedSearch('(inf atm "p" (empty))', ('(inf atm "p" (empty))',), 10)
+    assert repr(v.witness) == repr(ExhaustedSearch(v.witness.start, v.witness.explored, 10))
