@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .formula import Conj, Disj, Formula, FVar, Impl, parse_formula, render_formula
+from .formula import Conj, Disj, Formula, FVar, Impl, _repr, parse_formula, render_formula
 from .sexpr import _SYMBOL_RE, SexprError, Sym, read_all_sexprs, read_sexpr
 
 __all__ = [
@@ -107,7 +107,10 @@ class _Node:
     """Equality and hashing of structures up to the renaming of discharge
     labels: the relation canonical_key equality tests. The hash is computed
     once, when the node is built; equality walks the two trees with an
-    explicit stack, stopping at identical subtrees and at unequal hashes."""
+    explicit stack, stopping at identical subtrees and at unequal hashes.
+    The repr is the dataclass one, written with an explicit stack."""
+
+    __repr__ = _repr
 
     def __hash__(self) -> int:
         return self._facts.hash
@@ -118,7 +121,7 @@ class _Node:
         return _same(self, other)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Assumption(_Node):
     formula: Formula
     label: int | None = None
@@ -127,12 +130,12 @@ class Assumption(_Node):
         object.__setattr__(self, "_facts", _node_facts(self))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class EmptyTop(_Node):
     _facts = _Facts(1, _NONE, (), _NONE, False, (), (), (), hash(("empty",)))  # every empty node has the same
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Inf(_Node):
     tag: str
     conclusion: Formula
@@ -286,6 +289,16 @@ def _wiring(kids: list[_Facts], dis: frozenset[int]) -> tuple[int, ...]:
             out.append(slots.setdefault(l, len(slots)) if l in dis else ~up.setdefault(l, len(up)))
     out.append(len(dis) - len(slots))
     return tuple(out)
+
+
+def _slot_order(node: Inf) -> list[int]:
+    """The labels node discharges in the order of their discharge slots (first
+    use among the leaves it binds, as in _wiring), the unused ones last by
+    value: an order no renaming changes, for code that must pick one label."""
+    used = dict.fromkeys([l for l, _ in node._facts.binds])
+    if len(used) == len(node.discharges):
+        return list(used)
+    return [*used, *sorted(node.discharges.difference(used))]
 
 
 def _same(d1: ArgStructure, d2: ArgStructure) -> bool:
@@ -442,15 +455,16 @@ def cut_subtree(
 
     Leaves whose discharge sits outside the subtree are opened up; the
     returned context list maps each such outer label to the formulas it
-    bound, ordered from the nearest enclosing inference outward. When no
+    bound, ordered from the nearest enclosing inference outward and, within
+    one, in the order of its discharge slots (_slot_order). When no
     leaf is bound outside, the subtree itself comes back, with no context.
     """
     node = d
-    ancestor_sets: list[frozenset[int]] = []
+    ancestors: list[Inf] = []
     for i in path:
         if not isinstance(node, Inf) or not 0 <= i < len(node.children):
             raise StructureError(f"no substructure at position {path}")
-        ancestor_sets.append(node.discharges)
+        ancestors.append(node)
         node = node.children[i]
     if isinstance(node, EmptyTop):
         raise StructureError("an empty node is not a substructure")
@@ -469,8 +483,8 @@ def cut_subtree(
 
     standalone = _map_leaves(node, opened)
     context: list[tuple[int, frozenset[Formula]]] = []
-    for dis in reversed(ancestor_sets):  # nearest enclosing inference first
-        for l in sorted(dis):
+    for anc in reversed(ancestors):  # nearest enclosing inference first, each in slot order
+        for l in _slot_order(anc):
             if l in outer_bound:
                 context.append((l, frozenset(outer_bound[l])))
     stray = set(outer_bound) - {l for l, _ in context}

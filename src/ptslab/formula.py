@@ -7,7 +7,7 @@ both in values and in the concrete syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "FormulaError",
@@ -35,9 +35,41 @@ class FormulaError(ValueError):
     """Malformed formula text or construction."""
 
 
+def _repr(x) -> str:
+    """The dataclass repr of x, written with an explicit stack: the fields
+    of an object whose class has this repr are written in turn, as are the
+    items of a tuple, and any other value by its own repr. Formulas and
+    structure nodes use it, so a deep one prints without recursion."""
+    out: list[str] = []
+    stack: list = [(False, x)]
+    while stack:
+        text, x = stack.pop()
+        if text:
+            out.append(x)
+        elif type(x).__repr__ is _repr:
+            parts = [(True, type(x).__qualname__ + "(")]
+            for i, name in enumerate([f.name for f in fields(x) if f.repr]):
+                parts += [(True, (", " if i else "") + name + "="), (False, getattr(x, name))]
+            parts.append((True, ")"))
+            stack += reversed(parts)
+        elif type(x) is tuple:
+            parts = [(True, "(")]
+            for i, item in enumerate(x):
+                if i:
+                    parts.append((True, ", "))
+                parts.append((False, item))
+            parts.append((True, ",)" if len(x) == 1 else ")"))
+            stack += reversed(parts)
+        else:
+            out.append(repr(x))
+    return "".join(out)
+
+
 class _Leaf:
     """Equality and hashing of a named leaf: the dataclass hash of its name,
     computed once and kept outside its fields."""
+
+    __repr__ = _repr
 
     def __hash__(self) -> int:
         return self._hash
@@ -52,7 +84,10 @@ class _Binary:
     """Equality and hashing of a connective. The hash is the dataclass one,
     hash((left, right)), computed once from the operands' kept hashes when
     the node is built; equality stops at identical operands and at unequal
-    hashes, and walks the rest with an explicit stack, so neither recurses."""
+    hashes, and walks the rest with an explicit stack, so neither recurses;
+    nor does its repr."""
+
+    __repr__ = _repr
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.left, self.right)))
@@ -83,7 +118,7 @@ def _same(f, g) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(_Leaf):
     name: str
 
@@ -105,7 +140,7 @@ class Atom(_Leaf):
 BOT = Atom(_BOT_NAME)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Conj(_Binary):
     left: "Formula"
     right: "Formula"
@@ -114,7 +149,7 @@ class Conj(_Binary):
         return render_formula(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Disj(_Binary):
     left: "Formula"
     right: "Formula"
@@ -123,7 +158,7 @@ class Disj(_Binary):
         return render_formula(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Impl(_Binary):
     left: "Formula"
     right: "Formula"
@@ -132,7 +167,7 @@ class Impl(_Binary):
         return render_formula(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FVar(_Leaf):
     """Formula metavariable; appears only inside rewrite patterns."""
 

@@ -39,6 +39,7 @@ from .argument import (
     _parse_tree,
     _positioned,
     _require_contract,
+    _slot_order,
     _splice,
     canonical_form,
     canonical_key,
@@ -193,7 +194,8 @@ def _match(pat: Pattern, d: ArgStructure, b: _Bindings, path=(), scope=()) -> _B
                 b = got
             if not dspecs:
                 return b
-            for perm in itertools.permutations(sorted(d.discharges)):
+            # in slot order, so equal structures up to relabelling match alike
+            for perm in itertools.permutations(_slot_order(d)):
                 trial = b.copy()
                 for spec, label in zip(dspecs, perm):
                     if not trial.bind_label(spec.labelvar, (path, label)) or (
@@ -583,16 +585,34 @@ class _Reducts:
     reader replays the kept entries, and only a reader that goes past them
     extends the search, so a reader that stops early leaves the rest undone.
     Once the stream is drained, bound says whether a bound cut the search
-    off."""
+    off.
+
+    Streams that share a step table (a dict from reduct to the list
+    _one_step gave for it, for one step source and, when the source
+    selects by base, one base) step each class up to relabelling once
+    between them. Their reducts pass through one shared dict from each
+    reduct to the first equal one met, so equal reducts are one object."""
 
     __slots__ = ("kept", "_bound", "_rest")
 
-    def __init__(self, src: StepSource, start: ArgStructure, base, max_steps: int, max_size: int):
+    def __init__(
+        self,
+        src: StepSource,
+        start: ArgStructure,
+        base,
+        max_steps: int,
+        max_size: int,
+        table: dict[ArgStructure, list[ArgStructure]] | None = None,
+        canon: dict[ArgStructure, ArgStructure] | None = None,
+    ):
         self.kept: list[tuple[ArgStructure, int]] = [(start, 0)]
         self._bound = [False]
-        # the running search holds the list and the flag, not the stream: a cycle
-        # through the stream would keep every reduct alive until the cyclic collector runs
-        self._rest = _Reducts._search(src, start, base, max_steps, max_size, self.kept, self._bound)
+        # the running search holds the list, the flag and the tables, not the stream or
+        # its owner: a cycle through either would keep every reduct alive until the
+        # cyclic collector runs
+        self._rest = _Reducts._search(
+            src, start, base, max_steps, max_size, self.kept, self._bound, table, canon
+        )
 
     def __iter__(self) -> Iterator[tuple[ArgStructure, int]]:
         kept, rest, i = self.kept, self._rest, 0
@@ -605,7 +625,7 @@ class _Reducts:
         return self._bound[0]
 
     @staticmethod
-    def _search(src, start, base, max_steps, max_size, kept, bound) -> Iterator[bool]:
+    def _search(src, start, base, max_steps, max_size, kept, bound, table, canon) -> Iterator[bool]:
         """Appends each new reduct to kept, then yields. The level past the
         depth cap keeps none: it only asks whether the search could go on."""
         seen, frontier, hit, depth = {start}, [start], False, 0
@@ -616,7 +636,13 @@ class _Reducts:
             for d in frontier:
                 if past and hit:
                     break
-                for c in _one_step(src, d, base):
+                if table is None:
+                    step = _one_step(src, d, base)
+                else:
+                    step = table.get(d)
+                    if step is None:
+                        step = table[d] = [canon.setdefault(r, r) for r in _one_step(src, d, base)]
+                for c in step:
                     if size_of(c) > max_size or (past and c not in seen):
                         hit = True
                         if past:

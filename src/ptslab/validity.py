@@ -218,35 +218,51 @@ def synthesize_closed(base: AtomicBase, f: Formula) -> ArgStructure | None:
     introductions; an implication is introduced over its consequent when
     that holds, and otherwise over a one-step refutation of its
     unobtainable antecedent, which is vacuously valid.
+
+    Both conjuncts are tried, and a disjunction's right side or an
+    implication's antecedent only when the side before it fails. The
+    formula is walked with an explicit stack of (formula, visit) pairs,
+    each answer pushed on done, so refutation labels are numbered in the
+    order they are made.
     """
     counter = itertools.count(1)
-
-    def go(g: Formula) -> ArgStructure | None:
-        match g:
-            case Atom():
-                der = atomic_derivation(base, (), g)
-                return None if der is None else _derivation_structure(der)
-            case Conj(l, r):
-                a, b = go(l), go(r)
-                return Inf("andI", g, (a, b)) if a is not None and b is not None else None
-            case Disj(l, r):
-                a = go(l)
-                if a is not None:
-                    return Inf("orI1", g, (a,))
-                b = go(r)
-                return Inf("orI2", g, (b,)) if b is not None else None
-            case Impl(l, r):
-                b = go(r)
-                if b is not None:
-                    return Inf("impI", g, (b,))
-                if go(l) is None:
-                    n = next(counter)
-                    body = Inf("step", r, (Assumption(l, n),))
-                    return Inf("impI", g, (body,), frozenset({n}))
-                return None
-        raise ValidityError(f"not a formula: {g!r}")
-
-    return go(f)
+    done: list[ArgStructure | None] = []
+    stack: list[tuple[Formula, int]] = [(f, 0)]
+    while stack:
+        g, visit = stack.pop()
+        kind = g.__class__
+        if kind is Atom:
+            der = atomic_derivation(base, (), g)
+            done.append(None if der is None else _derivation_structure(der))
+        elif visit == 0:  # first try the side that is always tried
+            if kind is Conj:
+                stack += ((g, 1), (g.right, 0), (g.left, 0))
+            elif kind is Disj:
+                stack += ((g, 1), (g.left, 0))
+            elif kind is Impl:
+                stack += ((g, 1), (g.right, 0))
+            else:
+                raise ValidityError(f"not a formula: {g!r}")
+        elif kind is Conj:
+            b = done.pop()
+            a = done.pop()
+            done.append(Inf("andI", g, (a, b)) if a is not None and b is not None else None)
+        elif visit == 1:  # a disjunction's left side or an implication's consequent is done
+            a = done.pop()
+            if a is not None:
+                done.append(Inf("orI1" if kind is Disj else "impI", g, (a,)))
+            else:  # then the right side, or the antecedent to refute
+                stack += ((g, 2), (g.right if kind is Disj else g.left, 0))
+        elif kind is Disj:
+            b = done.pop()
+            done.append(Inf("orI2", g, (b,)) if b is not None else None)
+        elif done.pop() is None:  # the antecedent fails: introduce over its refutation
+            n = next(counter)
+            body = Inf("step", g.right, (Assumption(g.left, n),))
+            done.append(Inf("impI", g, (body,), frozenset({n})))
+        else:
+            done.append(None)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +282,43 @@ class _Search:
     the checks it makes on every base: one stream per (steps, start), per
     base too when the steps hold a choice function (its selection depends on
     the base), and, per reduct, its immediate substructures when it is
-    closed and canonical. Structures are keys up to relabelling."""
+    closed and canonical. Structures are keys up to relabelling.
+
+    Its step table, one per (steps, base or None) as for streams, holds the
+    one-step reducts of every structure any of its streams has stepped, so
+    each class is stepped once per call. The reducts and the substructures
+    pass through one dict that makes equal ones one object, so later stream,
+    memo and substructure lookups hit by identity. The streams get the plain
+    dicts, never the search, so no cycle holds them."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
         self._streams: dict[tuple, _Reducts] = {}
+        self._steps: dict[tuple, dict[ArgStructure, list[ArgStructure]]] = {}
+        self._canon: dict[ArgStructure, ArgStructure] = {}
         self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
 
     def stream(self, steps: StepSource, d: ArgStructure, base: AtomicBase) -> _Reducts:
         per_base = isinstance(steps, JustificationSet) and steps._dispatch.choice
-        at = (steps, d, base if per_base else None)
-        s = self._streams.get(at)
+        source = (steps, base if per_base else None)
+        s = self._streams.get((source, d))
         if s is None:
             b = self.bounds
-            s = self._streams[at] = _Reducts(steps, d, base, b.max_reduction_steps, b.max_structure_size)
+            table = self._steps.setdefault(source, {})
+            s = self._streams[(source, d)] = _Reducts(
+                steps, d, base, b.max_reduction_steps, b.max_structure_size, table, self._canon
+            )
         return s
 
     def canonical_subs(self, r: ArgStructure) -> list[ArgStructure] | None:
         """r's immediate substructures if r is canonical and closed, else None."""
-        if r not in self._subs:
+        subs = self._subs.get(r, False)
+        if subs is False:
             check_structure(r)
             ok = is_canonical(r) and not r._facts.opens
-            self._subs[r] = immediate_substructures(r) if ok else None
-        return self._subs[r]
+            subs = [self._canon.setdefault(s, s) for s in immediate_substructures(r)] if ok else None
+            self._subs[r] = subs
+        return subs
 
 
 class _Checker:

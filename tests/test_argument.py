@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -42,6 +43,7 @@ from ptslab import (
     valid,
 )
 from ptslab import argument
+from ptslab.formula import FVar
 from ptslab.argument import PVar, _facts, canonical_form, cut_subtree, freshen, labels_of, relabel, size_of
 from ptslab.sexpr import _SYMBOL_RE, SexprError, Sym, read_sexpr
 
@@ -936,3 +938,47 @@ def test_a_dropped_labelled_leaf_is_freed_at_once():
         assert gone_leaf() is None and gone_node() is None  # no cycle holds either
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# repr: the dataclass text, written without recursion
+
+
+def _reference_repr(x) -> str:
+    """The dataclass repr, written recursively from dataclasses.fields."""
+    if dataclasses.is_dataclass(x):
+        inner = ", ".join(f"{f.name}={_reference_repr(getattr(x, f.name))}" for f in dataclasses.fields(x) if f.repr)
+        return f"{type(x).__qualname__}({inner})"
+    if type(x) is tuple:
+        items = [_reference_repr(v) for v in x]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    return repr(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["scoped", "detour", "open", "closed"]))
+def test_repr_is_the_dataclass_repr(seed, kind):
+    rng = random.Random(seed)
+    d = {
+        "scoped": random_scoped_structure,
+        "detour": random_detour_redex,
+        "open": lambda rng: random_open_structure(rng, random_formula(rng, 2), 3),
+        "closed": lambda rng: random_closed_structure(rng, random_formula(rng, 2), 3),
+    }[kind](rng)
+    assert repr(d) == _reference_repr(d)
+    f = random_formula(rng, 4)
+    assert repr(f) == _reference_repr(f)
+    assert repr(EmptyTop()) == "EmptyTop()" and repr(FVar("A")) == "FVar(name='A')"
+
+
+def test_repr_of_a_deep_chain_and_a_deep_formula():
+    # deeper than the interpreter's recursion limit
+    d = EmptyTop()
+    for _ in range(3000):
+        d = Inf("atm", a, (d,))
+    node = "Inf(tag='atm', conclusion=Atom(name='a'), children=("
+    assert repr(d) == node * 3000 + "EmptyTop()" + ",), discharges=frozenset())" * 3000
+    f = a
+    for _ in range(2000):
+        f = negation(f)
+    assert repr(f) == "Impl(left=" * 2000 + "Atom(name='a')" + ", right=Atom(name='_|_'))" * 2000

@@ -44,7 +44,7 @@ from ptslab import (
     structures_equal,
 )
 from ptslab import justification
-from ptslab.argument import _splice, cut_subtree, size_of
+from ptslab.argument import _splice, cut_subtree, relabel, size_of
 from ptslab.justification import _one_step, _Reducts, reach, step_candidates
 
 from genlib import make_rng, random_closed_structure, random_detour_redex, random_formula, random_sigma
@@ -704,3 +704,42 @@ def test_a_dropped_stream_frees_its_reducts():
         assert gone() is None  # freed by reference counting alone: no cycle holds it
     finally:
         gc.enable()
+
+
+def _twin_detour(rng, intro):
+    """A detour whose two cases assume the same formula, so either discharge
+    label fits either case of the rule's pattern by formula alone."""
+    a1, bb = random_formula(rng, 2), random_formula(rng, 2)
+    d2 = Inf("br", bb, (Assumption(a1, 1),))
+    d3 = Inf("bs", bb, (Assumption(a1, 2),))
+    major = Inf(intro, Disj(a1, a1), (Assumption(a1),))
+    return Inf("orE", bb, (major, d2, d3), frozenset({1, 2}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["twin1", "twin2", "detour"]))
+def test_renaming_labels_renames_the_reducts(seed, kind):
+    # a search steps one structure of each class up to relabelling for all of them
+    rng = random.Random(seed)
+    d = random_detour_redex(rng) if kind == "detour" else _twin_detour(rng, "orI" + kind[-1])
+    swapped = relabel(d, {1: 2, 2: 1})
+    assert swapped == d and render_structure(swapped) != render_structure(d)
+    steps = JustificationSet((or_detour(),))
+    got, want = _one_step(steps, swapped, None), _one_step(steps, d, None)
+    assert got == want and len(want) == 1
+
+
+def test_a_recaptured_leaf_takes_the_same_slot_whatever_the_labels():
+    # the root discharges two labels on "a" leaves, and the cut opens leaves of both:
+    # the image's open "a" goes back to the slot the first opened leaf came from
+    d = parse_structure(
+        '(inf r "c" (inf s "c" (assume "a" :label 1) (assume "a" :label 2))'
+        ' (inf u "a" (assume "a" :label 1)) :discharge (1 2))'
+    )
+    key = parse_structure('(inf s "c" (assume "a") (assume "a"))')
+    steps = JustificationSet((ConstantMap("m", ((key, parse_structure('(inf w "c" (assume "a"))')),)),))
+    got = _one_step(steps, d, None)
+    assert [render_structure(r) for r in got] == [
+        '(inf r "c" (inf w "c" (assume "a" :label 1)) (inf u "a" (assume "a" :label 1)) :discharge (1 2))'
+    ]
+    assert _one_step(steps, relabel(d, {1: 2, 2: 1}), None) == got

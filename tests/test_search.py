@@ -1,8 +1,10 @@
-"""The family search: one reduct stream per (steps, start key) shared across a
+"""The family search: one reduct stream per (steps, start) shared across a
 consequence call's bases, an early stop at the first qualifying reduct, and
 fresh searches wherever a verdict is rechecked."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -31,6 +33,7 @@ from ptslab import (
     negation,
     or_detour,
     parse_base,
+    parse_structure,
     recheck_invalid,
     valid,
 )
@@ -193,3 +196,65 @@ def test_recheck_invalid_searches_afresh(monkeypatch):
     assert before > 0
     assert recheck_invalid(arg, base, Bounds(), v)
     assert sum(seen.values()) == 2 * before
+
+
+def _wide(width: int) -> str:
+    """The detour-search workload's wide shape: a right-nested andI tree over
+    `width` or-detours on x, any subset of which a reduct may have removed."""
+
+    def detour(label):
+        return (
+            f'(inf orE "x" (inf orI1 "x | y" (inf atm "x" (empty))) (assume "x" :label {label}) '
+            f'(inf k "x" (assume "y" :label {label + 1})) :discharge ({label} {label + 1}))'
+        )
+
+    text, concl = detour(1), "x"
+    for i in range(1, width):
+        concl = f"x & ({concl})" if " " in concl else f"x & {concl}"
+        text = f'(inf andI "{concl}" {detour(2 * i + 1)} {text})'
+    return text
+
+
+WIDE_4 = Argument(parse_structure(_wide(4)), JustificationSet((or_detour(),)))
+
+
+def test_each_class_is_stepped_once_per_search(monkeypatch):
+    # the substructures' streams meet reducts the outer stream has stepped
+    seen = _count_step_candidates(monkeypatch)
+    search = validity._Search(Bounds())
+    assert valid(WIDE_4, parse_base("-> y\n"), Bounds(), _search=search).is_invalid
+    assert max(seen.values()) == 1, seen.most_common(3)
+    # every stream stepping its own reducts made 55 one-step searches for these 30 classes
+    assert len(seen) == sum(seen.values()) == 30 < 55
+
+
+def _watch_reducts(monkeypatch) -> list:
+    """Weak references to every reduct a one-step search returns."""
+    refs = []
+    real = justification._one_step
+
+    def watched(src, d, base=None):
+        out = real(src, d, base)
+        refs.extend(weakref.ref(r) for r in out)
+        return out
+
+    monkeypatch.setattr(justification, "_one_step", watched)
+    return refs
+
+
+def test_a_search_leaves_no_cycle(monkeypatch):
+    # a reference cycle through a search would keep its reducts until the cyclic collector runs
+    refs = _watch_reducts(monkeypatch)
+    fam = list(enumerate_bases([a, b], 2))
+    gc.disable()
+    try:
+        # a fresh argument and a verdict dropped at once: no reduct is kept by the caller
+        wide = Argument(parse_structure(_wide(4)), WIDE_4.steps)
+        assert valid(wide, parse_base("-> y\n")).is_invalid
+        del wide
+        kept = len(refs)
+        assert kept > 0 and all(ref() is None for ref in refs)
+        assert consequence("delta-star", [], EM_A, fam).is_valid
+        assert len(refs) > kept and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

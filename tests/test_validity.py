@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +13,13 @@ from ptslab import (
     AtomicDerivation,
     BOT,
     Bounds,
+    Conj,
     ConstantMap,
     Disj,
     EmptyTop,
     ExhaustedSearch,
     FailingInstance,
+    FVar,
     Impl,
     InconsistentBaseError,
     Inf,
@@ -25,6 +30,7 @@ from ptslab import (
     logical_consequence,
     analyze,
     apply_justification,
+    atomic_derivation,
     choice_justification,
     consequence,
     em_assertion_map,
@@ -76,6 +82,64 @@ def test_synthesize_matches_base_consequence():
                 assert info.closed and info.conclusion == f
                 v = valid(Argument(built, JustificationSet()), base)
                 assert v.is_valid, (base.id, str(f), v)
+
+
+def _synthesize_closed_recursive(base, f):
+    """synthesize_closed as it was written before its explicit stack: the reference."""
+    counter = itertools.count(1)
+
+    def go(g):
+        match g:
+            case Atom():
+                der = atomic_derivation(base, (), g)
+                return None if der is None else validity._derivation_structure(der)
+            case Conj(l, r):
+                x, y = go(l), go(r)
+                return Inf("andI", g, (x, y)) if x is not None and y is not None else None
+            case Disj(l, r):
+                x = go(l)
+                if x is not None:
+                    return Inf("orI1", g, (x,))
+                y = go(r)
+                return Inf("orI2", g, (y,)) if y is not None else None
+            case Impl(l, r):
+                y = go(r)
+                if y is not None:
+                    return Inf("impI", g, (y,))
+                if go(l) is None:
+                    n = next(counter)
+                    body = Inf("step", r, (Assumption(l, n),))
+                    return Inf("impI", g, (body,), frozenset({n}))
+                return None
+        raise validity.ValidityError(f"not a formula: {g!r}")
+
+    return go(f)
+
+
+FAMILY_AB = list(enumerate_bases([a, b], 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_synthesize_closed_agrees_with_the_recursive_reference(seed):
+    # the repr shows the labels too, so the refutations must be numbered alike
+    rng = random.Random(seed)
+    base = rng.choice(FAMILY_AB)
+    f = random_formula(rng, rng.randint(1, 5))
+    assert repr(synthesize_closed(base, f)) == repr(_synthesize_closed_recursive(base, f))
+
+
+def test_synthesize_closed_on_a_formula_deeper_than_the_recursion_limit():
+    f = a
+    for _ in range(2000):
+        f = negation(f)
+    base = parse_base("-> a")
+    built = synthesize_closed(base, f)
+    assert built is not None and analyze(built).closed and analyze(built).conclusion == f
+    assert valid(Argument(built, JustificationSet()), base).is_valid
+    assert synthesize_closed(base, negation(f)) is None
+    with pytest.raises(validity.ValidityError, match="not a formula"):
+        synthesize_closed(base, Conj(a, FVar("A")))
 
 
 # --- closed arguments -------------------------------------------------------
