@@ -424,14 +424,16 @@ def positions(d: ArgStructure) -> list[tuple[int, ...]]:
     return [path for path, _node in _positioned(d)]
 
 
-def _positioned(d: ArgStructure) -> list[tuple[tuple[int, ...], ArgStructure]]:
+def _positioned(d: ArgStructure, into_closed: bool = True) -> list[tuple[tuple[int, ...], ArgStructure]]:
     """(path, node) for every position, in the order of positions(d): a
-    pre-order walk without recursion, last child first, read backwards."""
+    pre-order walk without recursion, last child first, read backwards.
+    Unless into_closed, the walk does not descend into a label-closed proper
+    substructure (one whose labels are all discharged inside it)."""
     out: list[tuple[tuple[int, ...], ArgStructure]] = []
     stack = [((), d)]
     while stack:
         path, node = stack.pop()
-        if isinstance(node, Inf):
+        if isinstance(node, Inf) and (into_closed or not path or node._facts.free):
             stack.extend((path + (i,), ch) for i, ch in enumerate(node.children))
         if not isinstance(node, EmptyTop):
             out.append((path, node))

@@ -544,17 +544,30 @@ def step_candidates(
     """All one-step reducts by canonical key, innermost-leftmost positions
     first and members in order at each position: the text view of the
     reducts the search steps through."""
-    return {canonical_key(r): r for r in _one_step(src, d, base)}
+    return {canonical_key(r): r for r in _stepped(src, d, base, {}, {})}
 
 
-def _one_step(src: StepSource, d: ArgStructure, base: AtomicBase | None) -> list[ArgStructure]:
+def _one_step(
+    src: StepSource, d: ArgStructure, base: AtomicBase | None, table: dict[ArgStructure, list[ArgStructure]]
+) -> list[ArgStructure]:
     """The one-step reducts of d, one per class up to relabelling (the
-    first met), in the order of step_candidates."""
+    first met), in the order of step_candidates.
+
+    A rewrite inside a label-closed proper substructure (one whose labels
+    are all discharged inside it) does not depend on what is around it, so
+    the walk does not descend into one: it grafts the substructure's own
+    reducts, which the step table holds (_stepped enters them first),
+    renamed away from the labels discharged above it. Every other position
+    is cut out, matched and spliced back."""
     if isinstance(src, RSystem):
         return list(src._index.get(d, ()))
     index = src._dispatch
     out: dict[ArgStructure, None] = {}
-    for pos, node in _positioned(d):
+    for pos, node in _positioned(d, into_closed=False):
+        if pos and not node._facts.free:
+            for r in table[node]:
+                out.setdefault(_splice(d, pos, [], r))
+            continue
         plan, keyed = index.at(_root_tag(node))
         if not plan and not keyed:
             continue  # no member can fire here
@@ -578,6 +591,34 @@ def _one_step(src: StepSource, d: ArgStructure, base: AtomicBase | None) -> list
     return list(out)
 
 
+def _stepped(
+    src: StepSource,
+    d: ArgStructure,
+    base: AtomicBase | None,
+    table: dict[ArgStructure, list[ArgStructure]],
+    canon: dict[ArgStructure, ArgStructure],
+) -> list[ArgStructure]:
+    """d's one-step reducts from the step table. What the table lacks is
+    stepped bottom-up from an explicit stack, each label-closed substructure
+    _one_step reads before the structure around it, so every class is
+    stepped once per table. The entries pass through canon, a dict from
+    each reduct to the first equal one met, so equal reducts are one object."""
+    step = table.get(d)
+    if step is not None:
+        return step
+    todo = [(d, False)]
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            table[node] = [canon.setdefault(r, r) for r in _one_step(src, node, base, table)]
+        elif node not in table:
+            todo.append((node, True))
+            if isinstance(src, JustificationSet):  # a reduction system steps at the root alone
+                parts = _positioned(node, into_closed=False)
+                todo += reversed([(sub, False) for pos, sub in parts if pos and not sub._facts.free])
+    return table[d]
+
+
 class _Reducts:
     """The search of reach as one stream of (reduct, depth), breadth-first,
     the start first. Reducts are told apart up to relabelling, by structure
@@ -587,11 +628,12 @@ class _Reducts:
     Once the stream is drained, bound says whether a bound cut the search
     off.
 
-    Streams that share a step table (a dict from reduct to the list
-    _one_step gave for it, for one step source and, when the source
-    selects by base, one base) step each class up to relabelling once
-    between them. Their reducts pass through one shared dict from each
-    reduct to the first equal one met, so equal reducts are one object."""
+    Each structure is stepped through a step table (_stepped: a dict from
+    structure to its one-step reducts, for one step source and, when the
+    source selects by base, one base) and a dict that makes equal reducts
+    one object. A stream makes its own unless given them: streams that share
+    them step each class up to relabelling, substructures included, once
+    between them."""
 
     __slots__ = ("kept", "_bound", "_rest")
 
@@ -611,7 +653,8 @@ class _Reducts:
         # its owner: a cycle through either would keep every reduct alive until the
         # cyclic collector runs
         self._rest = _Reducts._search(
-            src, start, base, max_steps, max_size, self.kept, self._bound, table, canon
+            src, start, base, max_steps, max_size, self.kept, self._bound,
+            {} if table is None else table, {} if canon is None else canon,
         )
 
     def __iter__(self) -> Iterator[tuple[ArgStructure, int]]:
@@ -636,13 +679,7 @@ class _Reducts:
             for d in frontier:
                 if past and hit:
                     break
-                if table is None:
-                    step = _one_step(src, d, base)
-                else:
-                    step = table.get(d)
-                    if step is None:
-                        step = table[d] = [canon.setdefault(r, r) for r in _one_step(src, d, base)]
-                for c in step:
+                for c in _stepped(src, d, base, table, canon):
                     if size_of(c) > max_size or (past and c not in seen):
                         hit = True
                         if past:

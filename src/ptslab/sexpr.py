@@ -1,7 +1,8 @@
 """Tiny s-expression reader shared by the structure and rule syntaxes.
 
 Quoted strings come back as plain str, integers as int, everything else
-as Sym; lists nest. Positions are tracked for error messages.
+as Sym; lists nest, at most MAX_NESTING deep. Positions are tracked for
+error messages.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-__all__ = ["SexprError", "Sym", "read_sexpr", "read_all_sexprs"]
+__all__ = ["MAX_NESTING", "SexprError", "Sym", "read_sexpr", "read_all_sexprs"]
 
 
 class SexprError(ValueError):
@@ -39,6 +40,14 @@ _TOKEN_RE = re.compile(
 # the texts read back as exactly one Sym: a sym token that no int token starts
 _SYMBOL_RE = re.compile(r'(?!-?[0-9])[^\s()";]+')
 
+# The reader takes one frame per level of list nesting, and the structure and
+# rule reader over what it returns takes two, with the formula reader's own
+# frames (formula.MAX_NESTING) at the bottom. Text whose lists nest deeper than
+# MAX_NESTING is refused, which keeps them all inside Python's default
+# recursion limit: at this limit, with a formula at its own limit in the
+# deepest leaf, reading a structure takes about 710 frames of the 1000.
+MAX_NESTING = 150
+
 
 def _line_col(text: str, pos: int) -> str:
     line = text.count("\n", 0, pos) + 1
@@ -59,9 +68,11 @@ def _tokenize(text: str):
     yield "eof", "", pos
 
 
-def _parse(tokens, text, tok):
+def _parse(tokens, text, tok, depth=1):
     kind, val, pos = tok
     if kind == "lp":
+        if depth > MAX_NESTING:
+            raise SexprError(f"{_line_col(text, pos)}: lists nested more than {MAX_NESTING} levels deep")
         items = []
         while True:
             nxt = next(tokens)
@@ -69,7 +80,7 @@ def _parse(tokens, text, tok):
                 return items
             if nxt[0] == "eof":
                 raise SexprError(f"{_line_col(text, nxt[2])}: unbalanced '('")
-            items.append(_parse(tokens, text, nxt))
+            items.append(_parse(tokens, text, nxt, depth + 1))
     if kind == "rp":
         raise SexprError(f"{_line_col(text, pos)}: unexpected ')'")
     if kind == "str":

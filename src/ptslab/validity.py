@@ -285,11 +285,12 @@ class _Search:
     closed and canonical. Structures are keys up to relabelling.
 
     Its step table, one per (steps, base or None) as for streams, holds the
-    one-step reducts of every structure any of its streams has stepped, so
-    each class is stepped once per call. The reducts and the substructures
-    pass through one dict that makes equal ones one object, so later stream,
-    memo and substructure lookups hit by identity. The streams get the plain
-    dicts, never the search, so no cycle holds them."""
+    one-step reducts of every structure any of its streams has stepped, and
+    of the label-closed substructures those were built from, so each class
+    is stepped once per call. The reducts and the substructures pass through
+    one dict that makes equal ones one object, so later stream, memo and
+    substructure lookups hit by identity. The streams get the plain dicts,
+    never the search, so no cycle holds them."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
@@ -448,7 +449,13 @@ def valid(
 
 
 def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Verdict) -> bool:
-    """Confirm an Invalid verdict from its witness alone."""
+    """Confirm an Invalid verdict by checking it again from scratch.
+
+    An exhausted search is rerun: valid is called again, in a fresh search,
+    and must exhaust the same explored key texts. This shares every fault of
+    the search it checks; an independent checker of the witness is still to
+    come (ROADMAP item 4). A failing instance is checked in a fresh checker:
+    every structure of its sigma must be valid, and the instance invalid."""
     if not verdict.is_invalid:
         return False
     w = verdict.witness

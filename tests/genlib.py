@@ -95,6 +95,18 @@ def random_detour_redex(rng: random.Random):
     return Inf("orE", b, (major, d2, d3), frozenset({1, 2}))
 
 
+def random_case_analysis(rng: random.Random, inside=()):
+    """An elimination of an open disjunction whose case branches use the
+    labels 1 and 2 it discharges; the structures given as inside are shared
+    out among the branches, beside each branch's labelled leaf, so each sits
+    below an inference that discharges a label."""
+    a1, a2, b = random_formula(rng, 2), random_formula(rng, 2), random_formula(rng, 2)
+    split = rng.randint(0, len(inside))
+    d2 = Inf("br", b, (Assumption(a1, 1),) + tuple(inside[:split]))
+    d3 = Inf("bs", b, tuple(inside[split:]) + (Assumption(a2, 2),))
+    return Inf("orE", b, (Assumption(Disj(a1, a2)), d2, d3), frozenset({1, 2}))
+
+
 def random_scoped_structure(rng: random.Random, depth: int = 4, labels=(1, 2, 3)):
     """A well-formed structure whose labels come from a small pool, so that
     disjoint subtrees reuse one label and inner inferences may discharge an

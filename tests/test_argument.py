@@ -695,7 +695,7 @@ def test_valid_builds_each_node_s_facts_once(monkeypatch):
     real = argument._node_facts
     monkeypatch.setattr(argument, "_node_facts", lambda node: built.append(node) or real(node))
     text = '(inf atm "a" (empty))'
-    for l in range(1, 13, 2):  # six detours
+    for l in range(1, 17, 2):  # eight detours: with substructures stepped once, six build only 41 nodes
         text = (
             f'(inf orE "a" (inf orI1 "a | b" {text}) (assume "a" :label {l})'
             f' (inf k "a" (assume "b" :label {l + 1})) :discharge ({l} {l + 1}))'

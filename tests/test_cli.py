@@ -223,6 +223,17 @@ def test_too_deep_formula_is_an_input_error(capsys):
         assert "nested more than 100 levels" in capsys.readouterr().err
 
 
+def test_too_deep_structure_text_is_an_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.struct"
+    deep.write_text('(inf s "a" ' * 3000 + '(inf atm "a" (empty))' + ")" * 3000, encoding="utf-8")
+    code = main(["valid", str(deep), str(DATA / "detour.rules"), str(DATA / "abc.base")])
+    assert code == 3
+    assert f"{deep}: 1:" in capsys.readouterr().err  # the reader names the file and the position
+    code = main(["valid", str(DATA / "redex.struct"), str(DATA / "detour.rules"), str(DATA / "abc.base"),
+                 "--sigma-pool", str(deep)])
+    assert code == 3 and "nested more than 150 levels deep" in capsys.readouterr().err
+
+
 def test_same_stem_bases_count_by_content(capsys, tmp_path):
     # two files named x.base: `a` fails on the empty one in either order
     (tmp_path / "d1").mkdir()

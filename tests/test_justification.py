@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import weakref
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptslab import (
+    Argument,
     Assumption,
     Atom,
     AtomicBase,
     BOT,
+    Bounds,
     ChoiceFunction,
     Conj,
     ConstantMap,
@@ -42,12 +45,21 @@ from ptslab import (
     reduces,
     render_structure,
     structures_equal,
+    valid,
 )
 from ptslab import justification
-from ptslab.argument import _splice, cut_subtree, relabel, size_of
+from ptslab.argument import _positioned, _splice, check_structure, cut_subtree, relabel, size_of, subtree_at
 from ptslab.justification import _one_step, _Reducts, reach, step_candidates
 
-from genlib import make_rng, random_closed_structure, random_detour_redex, random_formula, random_sigma
+from genlib import (
+    make_rng,
+    random_case_analysis,
+    random_closed_structure,
+    random_detour_redex,
+    random_formula,
+    random_scoped_structure,
+    random_sigma,
+)
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -391,11 +403,14 @@ def test_reduces_stops_at_the_target(monkeypatch):
     calls[0] = 0
     reached, hit = reach(steps, host, None, max_steps=10, max_size=1 << 30)
     assert len(reached) == 16 and canonical_key(target) in reached and not hit
-    assert early == 1 < calls[0]
-    # a target outside the search still reads it to its end
+    # the host and, stepped before it, its five classes of label-closed substructures (the
+    # leaf, the major premise, the redex and two andI nodes); 1 when only the host was stepped
+    assert early == 6 < calls[0]
+    # a target outside the search still reads it to its end: 16 reducts and 16 substructure
+    # classes (len(reached) == 16 when only the reducts were stepped)
     calls[0] = 0
     assert not reduces(steps, host, _redex(), 10)
-    assert calls[0] == len(reached)
+    assert calls[0] == 2 * len(reached)
 
 
 def test_rule_file_parsing_and_errors():
@@ -585,12 +600,119 @@ def test_dispatch_matches_member_loop_on_random_structures(seed, picks):
 
 
 # ---------------------------------------------------------------------------
+# one step, compositional over the step table, against the positional walk
+
+
+def _positional_one_step(src, d, base):
+    """The reference one-step reducts: every position of d, label-closed
+    substructures included, is cut out, matched and spliced back."""
+    if isinstance(src, RSystem):
+        return list(src._index.get(d, ()))
+    index = src._dispatch
+    out = {}
+    for pos, node in _positioned(d):
+        plan, keyed = index.at(justification._root_tag(node))
+        if not plan and not keyed:
+            continue  # no member can fire here
+        sub, ctx = cut_subtree(d, pos)
+        key = canonical_key(sub) if index.choice else None
+        for i, image in index.by_key.get(sub, plan):
+            j = src.members[i]
+            try:
+                if image is not None:
+                    justification._check_contract(j.name, sub, image)
+                    r = image
+                elif isinstance(j, ChoiceFunction):
+                    r = justification._choose(j, sub, key, base)
+                else:
+                    r = apply_justification(j, sub, base)
+            except JustificationContractError:
+                continue
+            if r is not None:
+                out.setdefault(_splice(d, pos, ctx, r))
+    return list(out)
+
+
+def _step_host(rng, closed):
+    """A host whose label-closed parts sit beside, inside and below binders:
+    detours, a twin detour, the given closed structure, the excluded-middle
+    axiom (a rule that fires there brings a label of its own), a scoped
+    structure that reuses labels, and a case analysis whose branches hold
+    some of them below the labels it discharges."""
+    parts = [random_detour_redex(rng), _twin_detour(rng, rng.choice(("orI1", "orI2"))), closed, EM_AXIOM]
+    parts.append(random_scoped_structure(rng, rng.randint(2, 4)))
+    rng.shuffle(parts)
+    inside = [relabel(random_detour_redex(rng), {1: 5, 2: 6}), EM_AXIOM, closed][: rng.randint(0, 3)]
+    parts.insert(rng.randint(0, len(parts)), random_case_analysis(rng, inside))
+    parts = parts[: rng.randint(1, len(parts))]
+    return Inf("pair", c, tuple(parts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sets(st.integers(0, 7), min_size=1))
+def test_one_step_agrees_with_the_positional_walk(seed, picks):
+    rng = random.Random(seed)
+    closed = random_closed_structure(rng, random_formula(rng, 2), rng.randint(1, 3))
+    host = _step_host(rng, closed)
+    goal = conclusion_of(closed)
+    same = Inf("cls2", goal, (EmptyTop(),))
+    base = AtomicBase(frozenset())
+    menu = (
+        or_detour(),
+        em_refutation_rule(),
+        parse_rules('wrap: (?D :concludes "?A") => (inf id "?A" ?D)').members[0],
+        ConstantMap("t0", ((closed, same),)),
+        ConstantMap("t1", ((closed, same), (EM_AXIOM, EM_LEFT))),
+        ConstantMap("t2", ((closed, Inf("cls3", goal, (EmptyTop(),))),)),
+        ConstantMap("t3", ((closed, Inf("cls", Conj(goal, goal), (EmptyTop(),))),)),
+        ChoiceFunction(
+            "pick", (((canonical_key(closed), base), JustificationSet((ConstantMap("t4", ((closed, same),)),))),)
+        ),
+    )
+    src = JustificationSet(tuple(menu[i] for i in picks))
+    # the host and some of its reducts, stepped through one table as a search steps them
+    table, canon = {}, {}
+    reducts = _positional_one_step(src, host, base)
+    for d in [host] + rng.sample(reducts, min(3, len(reducts))):
+        got = justification._stepped(src, d, base, table, canon)
+        assert [canonical_key(r) for r in got] == [canonical_key(r) for r in _positional_one_step(src, d, base)]
+        for r in got:
+            check_structure(r)  # a graft renames away from the labels discharged above
+    assert list(step_candidates(src, host, base)) == [canonical_key(r) for r in _positional_one_step(src, host, base)]
+
+
+def test_step_hosts_fire_inside_closed_parts_below_binders():
+    # the property above is only as good as its hosts: rewrites must fire
+    # inside label-closed parts that sit below an inference discharging a label
+    rng = random.Random(5)
+    steps = JustificationSet((or_detour(), em_refutation_rule()))
+    fired = 0
+    for _ in range(40):
+        host = _step_host(rng, random_closed_structure(rng, random_formula(rng, 2), 2))
+        table = {}
+        justification._stepped(steps, host, None, table, {})
+        for pos in positions(host):
+            below = any(subtree_at(host, pos[:k]).discharges for k in range(len(pos)))
+            fired += below and bool(table.get(subtree_at(host, pos)))
+    assert fired > 10
+    # a rule that brings its own label 1 fires in a branch below a binder of 1: the graft renames it
+    branch = Inf("br", c, (Assumption(a, 1), EM_AXIOM))
+    case = Inf("orE", c, (Assumption(Disj(a, b)), branch, Inf("bs", c, (Assumption(b, 2),))), frozenset({1, 2}))
+    assert [render_structure(r) for r in step_candidates(steps, case).values()] == [
+        '(inf orE "c" (assume "a | b") (inf br "c" (assume "a" :label 1) (inf orI2 "a | ~a"'
+        ' (inf impI "~a" (inf step "_|_" (assume "a" :label 3)) :discharge (3))))'
+        ' (inf bs "c" (assume "b" :label 2)) :discharge (1 2))'
+    ]
+
+
+# ---------------------------------------------------------------------------
 # the reduct stream: kept, replayed, and compared with the two-loop search
 
 
-def _two_loop_reducts(src, start, base, max_steps, max_size, calls):
+def _two_loop_reducts(src, start, base, max_steps, max_size, stepped):
     """The search reach made before its stream replayed itself: a breadth-first
-    loop to the depth cap, then a separate probe of the last frontier."""
+    loop to the depth cap, then a separate probe of the last frontier. The
+    key of every structure it steps goes to stepped."""
     key = canonical_key(start)
     seen, out = {key}, [(key, start, 0)]
     frontier, hit, depth = [start], False, 0
@@ -598,7 +720,7 @@ def _two_loop_reducts(src, start, base, max_steps, max_size, calls):
         depth += 1
         nxt = []
         for d in frontier:
-            calls[0] += 1
+            stepped.append(canonical_key(d))
             for k, r in step_candidates(src, d, base).items():
                 if size_of(r) > max_size:
                     hit = True
@@ -612,7 +734,7 @@ def _two_loop_reducts(src, start, base, max_steps, max_size, calls):
     for d in frontier:
         if hit:
             break
-        calls[0] += 1
+        stepped.append(canonical_key(d))
         for k, r in step_candidates(src, d, base).items():
             if size_of(r) > max_size or k not in seen:
                 hit = True
@@ -635,19 +757,30 @@ def test_reach_agrees_with_the_two_loop_search(seed, max_steps, max_size, grow):
     host = Inf("pair", c, tuple(random_detour_redex(rng) for _ in range(rng.randint(1, 3))))
     members = (or_detour(),) + ((_GROW,) if grow else ())
     src = JustificationSet(members)
-    want_calls, got_calls = [0], [0]
-    want, want_hit = _two_loop_reducts(src, host, None, max_steps, max_size, want_calls)
+    want_stepped, got_stepped = [], []
+    want, want_hit = _two_loop_reducts(src, host, None, max_steps, max_size, want_stepped)
 
-    def counted(*args):
-        got_calls[0] += 1
-        return _one_step(*args)
+    def counted(src, d, base, table):
+        got_stepped.append(d)
+        return _one_step(src, d, base, table)
 
     with mock.patch.object(justification, "_one_step", counted):
         got, hit = reach(src, host, None, max_steps=max_steps, max_size=max_size)
     assert [(k, render_structure(r), depth) for k, (r, depth) in got.items()] == [
         (k, render_structure(r), depth) for k, r, depth in want
     ]
-    assert hit == want_hit and got_calls == want_calls
+    assert hit == want_hit
+    # each class is stepped once: every structure the two loops stepped (once each, as the
+    # search did before it stepped substructures), and the label-closed substructures of those
+    keys = [canonical_key(d) for d in got_stepped]
+    parts = {
+        canonical_key(s)
+        for d in got_stepped
+        for s in map(functools.partial(subtree_at, d), positions(d)[:-1])
+        if not s._facts.free
+    }
+    assert len(set(keys)) == len(keys) and len(set(want_stepped)) == len(want_stepped)
+    assert set(want_stepped) <= set(keys) <= set(want_stepped) | parts
 
 
 def test_a_second_reader_replays_the_stream_without_searching(monkeypatch):
@@ -689,6 +822,23 @@ def test_bound_after_a_drain_is_reach_s_flag():
         assert stream.bound == reach(src, start, None, max_steps, max_size)[1]
 
 
+def test_a_detour_under_a_chain_deeper_than_the_recursion_limit():
+    # the substructures are stepped from an explicit stack, innermost first
+    depth = 3000
+    cases = (Inf("atm", c, (Assumption(a, 1),)), Inf("atm", c, (Assumption(b, 2),)))
+    major = Inf("orI1", Disj(a, b), (Inf("atm", a, (EmptyTop(),)),))
+    d = Inf("orE", c, (major,) + cases, frozenset({1, 2}))
+    for _ in range(depth):
+        d = Inf("s", c, (d,))
+    steps = JustificationSet((or_detour(),))
+    want = '(inf s "c" ' * depth + '(inf atm "c" (inf atm "a" (empty)))' + ")" * depth
+    assert [render_structure(r) for r in step_candidates(steps, d).values()] == [want]
+    reached, hit = reach(steps, d, None, max_steps=10, max_size=10**6)
+    assert [(render_structure(r), n) for r, n in reached.values()][1:] == [(want, 1)] and not hit
+    bounds = Bounds(max_structure_size=10**6)
+    assert valid(Argument(d, steps), parse_base("-> a\na -> c\nc -> c\n"), bounds).is_valid
+
+
 def test_a_dropped_stream_frees_its_reducts():
     steps = JustificationSet((or_detour(),))
     host = _wide_redex(3)
@@ -725,7 +875,7 @@ def test_renaming_labels_renames_the_reducts(seed, kind):
     swapped = relabel(d, {1: 2, 2: 1})
     assert swapped == d and render_structure(swapped) != render_structure(d)
     steps = JustificationSet((or_detour(),))
-    got, want = _one_step(steps, swapped, None), _one_step(steps, d, None)
+    got, want = list(step_candidates(steps, swapped).values()), list(step_candidates(steps, d).values())
     assert got == want and len(want) == 1
 
 
@@ -738,8 +888,8 @@ def test_a_recaptured_leaf_takes_the_same_slot_whatever_the_labels():
     )
     key = parse_structure('(inf s "c" (assume "a") (assume "a"))')
     steps = JustificationSet((ConstantMap("m", ((key, parse_structure('(inf w "c" (assume "a"))')),)),))
-    got = _one_step(steps, d, None)
+    got = list(step_candidates(steps, d).values())
     assert [render_structure(r) for r in got] == [
         '(inf r "c" (inf w "c" (assume "a" :label 1)) (inf u "a" (assume "a" :label 1)) :discharge (1 2))'
     ]
-    assert _one_step(steps, relabel(d, {1: 2, 2: 1}), None) == got
+    assert list(step_candidates(steps, relabel(d, {1: 2, 2: 1})).values()) == got

@@ -10,8 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from ptslab import JustificationError, StructureError, parse_rules, parse_structure
+from ptslab import (
+    JustificationError,
+    StructureError,
+    parse_rules,
+    parse_structure,
+    parse_structures,
+)
+from ptslab.argument import size_of
+from ptslab.formula import MAX_NESTING as FORMULA_NESTING
 from ptslab.justification import _EM_REFUTE_TEXT, _OR_DETOUR_TEXT
+from ptslab.sexpr import MAX_NESTING, SexprError, read_all_sexprs, read_sexpr
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,3 +105,33 @@ def test_structure_syntax(text, outcome):
         return
     with pytest.raises(outcome):
         parse_structure(text)
+
+
+def _chain(depth: int, formula: str = "a") -> str:
+    """A structure text whose lists nest depth levels deep: depth - 1
+    inferences over one leaf."""
+    return '(inf s "a" ' * (depth - 1) + f'(assume "{formula}")' + ")" * (depth - 1)
+
+
+def test_text_nested_to_the_limit_is_read():
+    # the deepest leaf holds a formula at the formula reader's own limit, in its most frame-hungry form
+    deepest = "(" * FORMULA_NESTING + "a" + ")" * FORMULA_NESTING
+    assert size_of(parse_structure(_chain(MAX_NESTING, deepest))) == MAX_NESTING
+    assert len(parse_structures(_chain(MAX_NESTING) * 2)) == 2
+    assert len(parse_rules(f"r: {_chain(MAX_NESTING)} => ?D".replace('(assume "a")', '?D', 1))) == 1
+
+
+def test_text_nested_past_the_limit_is_an_input_error():
+    for depth in (MAX_NESTING + 1, 3000):
+        text = _chain(depth)
+        message = f"nested more than {MAX_NESTING} levels deep"
+        with pytest.raises(SexprError, match=message):
+            read_sexpr(text)
+        with pytest.raises(SexprError, match=message):
+            read_all_sexprs(text)
+        with pytest.raises(StructureError, match=message):
+            parse_structure(text)
+        with pytest.raises(StructureError, match=message):
+            parse_structures(text)
+        with pytest.raises(JustificationError, match=rf"line 1: .*{message}"):
+            parse_rules(f"r: {text} => ?D")
