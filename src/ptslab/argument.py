@@ -339,8 +339,9 @@ def _scope(d: ArgStructure) -> tuple[list, list]:
     Returns, in pre-order, (leaf, binder, count) per assumption leaf, binder the
     position of the nearest enclosing inference discharging its label (None if
     none) and count how many do; and (position, discharges) per binder. The
-    facts say whether d is well formed; this walk names what is wrong, and
-    finds the leaves a cut opens."""
+    facts say whether d is well formed; this walk names what is wrong,
+    finds the leaves a cut opens and pairs each leaf with its binder for
+    canonical_form."""
     leaves, binders = [], []
     stack, pos = [(d, {})], 0
     while stack:
@@ -643,16 +644,30 @@ def immediate_substructures(d: ArgStructure) -> list[ArgStructure]:
 
 
 def canonical_form(d: ArgStructure) -> ArgStructure:
-    """Rename labels into the canonical numbering, so that structures equal
-    up to relabelling become identical."""
-    leaves: list[int] = []
-    sets: list[list[int]] = []
-    _write(d, True, (leaves, sets))
-    leaf, discharged = iter(leaves), iter(sets)
+    """d with its labels renamed into the canonical numbering, so that
+    structures equal up to relabelling become identical.
+
+    Each (discharging inference, label) pair has its own number, given at
+    the pair's first bound leaf in pre-order; the pairs no leaf uses are
+    numbered after all others, by the inference's pre-order position, then
+    the label. Leaves that no inference binds share one number per label.
+    The pairs come from the scope walk (_scope), without recursion."""
+    leaves, binders = _scope(d)
+    number: dict[tuple[int | None, int], int] = {}  # (inference position, label) -> its number
+    labels = [
+        number.setdefault((binder, leaf.label), len(number) + 1)
+        for leaf, binder, _count in leaves
+        if leaf.label is not None
+    ]
+    sets = [
+        frozenset([number.setdefault((pos, l), len(number) + 1) for l in sorted(dis)])
+        for pos, dis in binders
+    ]
+    label, discharged = iter(labels), iter(sets)
     return _map_leaves(
         d,
-        lambda n: n if n.label is None else Assumption(n.formula, next(leaf)),
-        lambda dis: frozenset(next(discharged)) if dis else dis,
+        lambda n: n if n.label is None else Assumption(n.formula, next(label)),
+        lambda dis: next(discharged) if dis else dis,
     )
 
 
@@ -663,8 +678,9 @@ def structures_equal(d1: ArgStructure, d2: ArgStructure) -> bool:
 
 
 def canonical_key(d: ArgStructure) -> str:
-    """A stable text key identifying d up to label renaming: canonical_form(d)'s text."""
-    return _write(d, True)
+    """A stable text key identifying d up to label renaming: canonical_form(d)'s text.
+    The library keys by structures; only the outputs that return text write it."""
+    return render_structure(canonical_form(d))
 
 
 # ---------------------------------------------------------------------------
@@ -673,85 +689,29 @@ def canonical_key(d: ArgStructure) -> str:
 
 
 def render_structure(d: ArgStructure) -> str:
-    return _write(d, False)
-
-
-def _write(d: ArgStructure, canonical: bool, numbering: tuple[list, list] | None = None) -> str:
-    """The text of d, from one pre-order walk without recursion.
-
-    Plain, labels and discharge sets are written as they are. Canonical,
-    each (discharging inference, label) pair has its own number, given at
-    the pair's first bound leaf; the pairs no leaf uses are numbered after
-    all others, by the inference's pre-order position, then the label.
-    Leaves that no inference binds share one number per label. A discharge
-    set is written when its inference closes, or, when it holds an unused
-    pair, patched in at the end. With numbering given (canonical only), its
-    lists receive every labelled leaf's number and every discharge set's
-    sorted numbers, each in pre-order.
-    """
+    """The text of d, labels and discharge sets as they are, from one
+    pre-order walk without recursion."""
     out: list[str] = []  # every node's text starts with the space that parts it from its left sibling
-    number: dict[tuple[int | None, int], int] = {}  # (inference, label) -> its number
-    scope: dict[int, int] = {}  # label -> the nearest inference discharging it, by binder index
-    unused: list[tuple[int, int, frozenset[int]]] = []  # (binder index, place in out, discharges)
-    binders = 0
     stack: list = [d]
     while stack:
         node = stack.pop()
         if isinstance(node, Assumption):
-            lbl = node.label
-            if lbl is None:
-                out.append(' (assume "' + render_formula(node.formula) + '")')
-                continue
-            if canonical:
-                pair = (scope.get(lbl), lbl)
-                lbl = number.get(pair)
-                if lbl is None:
-                    lbl = number[pair] = len(number) + 1
-                if numbering:
-                    numbering[0].append(lbl)
-            out.append(' (assume "' + render_formula(node.formula) + '" :label ' + str(lbl) + ")")
+            label = "" if node.label is None else " :label " + str(node.label)
+            out.append(' (assume "' + render_formula(node.formula) + '"' + label + ")")
         elif isinstance(node, Inf):
             out.append(" (inf " + node.tag + ' "' + render_formula(node.conclusion) + '"')
             dis = node.discharges
-            if not dis:
-                stack.append(")")
-            elif not canonical:
+            if dis:
                 stack.append(" :discharge (" + " ".join(map(str, sorted(dis))) + "))")
             else:
-                stack.append((binders, dis, {l: scope.get(l) for l in dis}))
-                for l in dis:
-                    scope[l] = binders
-                binders += 1
-                if numbering:
-                    numbering[1].append(None)
+                stack.append(")")
             stack.extend(reversed(node.children))
         elif isinstance(node, str):
             out.append(node)
-        elif isinstance(node, tuple):  # a discharging inference closes
-            binder, dis, outer = node
-            for l, b in outer.items():
-                if b is None:
-                    del scope[l]
-                else:
-                    scope[l] = b
-            nums = [number.get((binder, l)) for l in dis]
-            if None in nums:
-                unused.append((binder, len(out), dis))
-                out.append("")
-                continue
-            nums.sort()
-            if numbering:
-                numbering[1][binder] = nums
-            out.append(" :discharge (" + " ".join(map(str, nums)) + "))")
         elif isinstance(node, EmptyTop):
             out.append(" (empty)")
         else:
             raise StructureError(f"not a structure: {node!r}")
-    for binder, at, dis in sorted(unused):
-        nums = sorted(number.setdefault((binder, l), len(number) + 1) for l in sorted(dis))
-        if numbering:
-            numbering[1][binder] = nums
-        out[at] = " :discharge (" + " ".join(map(str, nums)) + "))"
     return "".join(out)[1:]
 
 

@@ -356,17 +356,21 @@ class ConstantMap(_ByContent):
 
 @dataclass(frozen=True, eq=False)
 class ChoiceFunction(_ByContent):
-    """Selects a justification set per (structure, base): entries ((key, base), set)."""
+    """Selects a justification set per (structure, base): entries ((structure,
+    base), set), looked up modulo label renaming like a ConstantMap's."""
 
     name: str
-    table: tuple[tuple[tuple[str, AtomicBase], "JustificationSet"], ...]
+    table: tuple[tuple[tuple[ArgStructure, AtomicBase], "JustificationSet"], ...]
 
     def __post_init__(self):
+        for (k, _base), _sel in self.table:
+            if not isinstance(k, ArgStructure):
+                raise JustificationError(f"choice function {self.name}: a key must be a structure, not {k!r}")
         object.__setattr__(self, "_index", dict(self.table))
         self._set_content((self.name, frozenset(self._index.items())))
 
     def selection(self, d: ArgStructure, base: AtomicBase) -> "JustificationSet | None":
-        return self._index.get((canonical_key(d), base))
+        return self._index.get((d, base))
 
 
 Justification = Union[SchematicRewrite, ConstantMap, ChoiceFunction]
@@ -413,24 +417,27 @@ class _Dispatch:
     A node's candidates are (member position, table image or None) pairs in
     member order. A rewrite whose every clause pattern is rooted in an
     inference can fire only at nodes with one of those tags; any other
-    rewrite, and every choice function, may fire anywhere. Table entries are
-    filed under their subtree; of the images one subtree receives, only the
-    first per image is kept (images equal up to relabelling), since a later
-    one splices to the same reduct with the same contract verdict. A choice
-    function selects by canonical key text, so only a set that holds one
-    needs a node's key text.
+    rewrite may fire anywhere. Table entries are filed under their subtree;
+    of the images one subtree receives, only the first per image is kept
+    (images equal up to relabelling), since a later one splices to the same
+    reduct with the same contract verdict. A choice function is filed, with
+    no image, under each of its key structures, whatever their bases, so it
+    is tried only at a node equal to one of them. choice says whether a
+    member is a choice function: then stepping needs a base.
     """
 
     def __init__(self, members: tuple[Justification, ...]):
         anywhere: list[tuple[int, None]] = []
         tagged: dict[str, list[tuple[int, None]]] = {}
-        hits: dict[ArgStructure, dict[ArgStructure, tuple[int, ArgStructure]]] = {}  # key -> image -> hit
-        key_tags: set[str | None] = set()
+        # key -> image (a choice function's position for its hit) -> hit
+        hits: dict[ArgStructure, dict[object, tuple[int, ArgStructure | None]]] = {}
         for i, j in enumerate(members):
             if isinstance(j, ConstantMap):
                 for k, v in j._index.items():
                     hits.setdefault(k, {}).setdefault(v, (i, v))
-                    key_tags.add(_root_tag(k))
+            elif isinstance(j, ChoiceFunction):
+                for k, _base in j._index:
+                    hits.setdefault(k, {}).setdefault(i, (i, None))
             elif isinstance(j, SchematicRewrite) and all(isinstance(p, PInf) for p, _ in j.clauses):
                 for tag in dict.fromkeys(p.tag for p, _ in j.clauses):
                     tagged.setdefault(tag, []).append((i, None))
@@ -439,7 +446,7 @@ class _Dispatch:
         self.choice = any(isinstance(j, ChoiceFunction) for j in members)
         self._default = (tuple(anywhere), False)
         self._plans = {tag: (tuple(sorted(anywhere + ps)), False) for tag, ps in tagged.items()}
-        for tag in key_tags:
+        for tag in {_root_tag(k) for k in hits}:
             self._plans[tag] = (self.at(tag)[0], True)
         self.by_key = {
             k: tuple(sorted(self.at(_root_tag(k))[0] + tuple(images.values()), key=lambda c: c[0]))
@@ -448,7 +455,7 @@ class _Dispatch:
 
     def at(self, tag: str | None) -> tuple[tuple[tuple[int, ArgStructure | None], ...], bool]:
         """The candidates at a node with this root tag unless the node is a
-        table key, and whether it may be one."""
+        key of a table entry or a choice function, and whether it may be one."""
         return self._plans.get(tag, self._default)
 
 
@@ -516,22 +523,17 @@ def apply_justification(
             _check_contract(j.name, d, out)
             return out
         case ChoiceFunction():
-            return _choose(j, d, canonical_key(d), base)
+            if base is None:
+                raise JustificationError(f"choice function {j.name} needs a base")
+            sel = j.selection(d, base)
+            if sel is None:
+                return None
+            for member in sel.members:
+                out = apply_justification(member, d, base)
+                if out is not None:
+                    return out
+            return None
     raise JustificationError(f"not a justification: {j!r}")
-
-
-def _choose(j: ChoiceFunction, d: ArgStructure, key: str, base: AtomicBase | None) -> ArgStructure | None:
-    """apply_justification for a choice function, given d's canonical key."""
-    if base is None:
-        raise JustificationError(f"choice function {j.name} needs a base")
-    sel = j._index.get((key, base))
-    if sel is None:
-        return None
-    for member in sel.members:
-        out = apply_justification(member, d, base)
-        if out is not None:
-            return out
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +564,9 @@ def _one_step(
     if isinstance(src, RSystem):
         return list(src._index.get(d, ()))
     index = src._dispatch
+    if index.choice and base is None:
+        name = next(j.name for j in src.members if isinstance(j, ChoiceFunction))
+        raise JustificationError(f"choice function {name} needs a base")
     out: dict[ArgStructure, None] = {}
     for pos, node in _positioned(d, into_closed=False):
         if pos and not node._facts.free:
@@ -572,15 +577,12 @@ def _one_step(
         if not plan and not keyed:
             continue  # no member can fire here
         sub, ctx = cut_subtree(d, pos)
-        key = canonical_key(sub) if index.choice else None
         for i, image in index.by_key.get(sub, plan):
             j = src.members[i]
             try:
                 if image is not None:
                     _check_contract(j.name, sub, image)
                     r = image
-                elif isinstance(j, ChoiceFunction):
-                    r = _choose(j, sub, key, base)
                 else:
                     r = apply_justification(j, sub, base)
             except JustificationContractError:
@@ -838,7 +840,7 @@ def _gen_pattern(p: Pattern, d: ArgStructure, g: _Gen) -> Pattern:
 def _table_is_schematic(cm: ConstantMap) -> bool:
     entries = sorted(
         ((canonical_form(k), canonical_form(v)) for k, v in cm.pairs),
-        key=lambda kv: canonical_key(kv[0]),
+        key=lambda kv: render_structure(kv[0]),  # canonical already: its text is its canonical key
     )
     if len(entries) < 2:
         # a lone ground pair is a table entry, not a rewriting scheme

@@ -99,8 +99,10 @@ class Bounds:
 class ExhaustedSearch:
     """Every reduct within bounds was explored and none qualified.
 
-    The checker builds it from the structures themselves (_of), and the
-    canonical key texts of start and explored are written when first read."""
+    The checker builds it from the structures themselves (_of) and it keeps
+    them, outside its fields, for recheck_invalid to compare; the canonical
+    key texts of start and explored are written when first read (by repr,
+    == or a caller)."""
 
     start: str
     explored: tuple[str, ...]
@@ -110,14 +112,14 @@ class ExhaustedSearch:
     def _of(cls, start: ArgStructure, explored: tuple[ArgStructure, ...], max_steps: int) -> "ExhaustedSearch":
         w = object.__new__(cls)
         object.__setattr__(w, "max_steps", max_steps)
-        object.__setattr__(w, "_unwritten", (start, explored))
+        object.__setattr__(w, "_structures", (start, explored))
         return w
 
     def __getattr__(self, name):
         # only start and explored can be missing, and only while unwritten
-        if name not in ("start", "explored") or "_unwritten" not in vars(self):
+        if name not in ("start", "explored") or "_structures" not in vars(self):
             raise AttributeError(name)
-        start, explored = vars(self).pop("_unwritten")
+        start, explored = self._structures
         object.__setattr__(self, "start", canonical_key(start))
         object.__setattr__(self, "explored", tuple([canonical_key(r) for r in explored]))
         return getattr(self, name)
@@ -452,18 +454,23 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
     """Confirm an Invalid verdict by checking it again from scratch.
 
     An exhausted search is rerun: valid is called again, in a fresh search,
-    and must exhaust the same explored key texts. This shares every fault of
-    the search it checks; an independent checker of the witness is still to
-    come (ROADMAP item 4). A failing instance is checked in a fresh checker:
+    and must exhaust the same explored reducts. They are compared as sets of
+    structures (up to relabelling, as their key texts would be) when the
+    checker made the witness, so no text is written, and by their key texts
+    when a caller built it from texts. This shares every fault of the search
+    it checks; an independent checker of the witness is still to come
+    (ROADMAP item 4). A failing instance is checked in a fresh checker:
     every structure of its sigma must be valid, and the instance invalid."""
     if not verdict.is_invalid:
         return False
     w = verdict.witness
     if isinstance(w, ExhaustedSearch):
         again = valid(arg, base, bounds)
-        return again.is_invalid and isinstance(again.witness, ExhaustedSearch) and (
-            set(again.witness.explored) == set(w.explored)
-        )
+        if not (again.is_invalid and isinstance(again.witness, ExhaustedSearch)):
+            return False
+        if "_structures" in vars(w):
+            return set(again.witness._structures[1]) == set(w._structures[1])
+        return set(again.witness.explored) == set(w.explored)
     if isinstance(w, FailingInstance):
         checker = _Checker(base, _Search(bounds))
         ext = checker._extensions_for(_step_source(arg))[w.extension_index]
@@ -512,11 +519,11 @@ def choice_justification(f: Formula, family: Iterable[AtomicBase]) -> ChoiceFunc
     """Selects, per base, the justification set that makes the
     excluded-middle axiom for f valid there."""
     g = Disj(f, negation(f))
-    ax_key = canonical_key(axiom_structure(g))
+    ax = axiom_structure(g)
     table = []
     for b in family:
         j = em_assertion_map(b, f) if models(b, (), f) else em_refutation_rule()
-        table.append(((ax_key, b), JustificationSet((j,))))
+        table.append(((ax, b), JustificationSet((j,))))
     return ChoiceFunction(f"em_choice[{render_formula(f)}]", tuple(table))
 
 

@@ -26,6 +26,7 @@ from ptslab import (
     JustificationSet,
     RSystem,
     StructureError,
+    Verdict,
     axiom_structure,
     logical_consequence,
     analyze,
@@ -590,8 +591,8 @@ def test_a_derivation_deeper_than_the_recursion_limit_is_valid():
 
 def test_an_invalid_verdict_writes_its_witness_text_when_read(monkeypatch):
     written = []
-    real = argument._write
-    monkeypatch.setattr(argument, "_write", lambda *args: written.append(args[0]) or real(*args))
+    real = argument.render_structure
+    monkeypatch.setattr(argument, "render_structure", lambda *args: written.append(args[0]) or real(*args))
     arg = Argument(parse_structure('(inf atm "p" (empty))'), JustificationSet((or_detour(),)))
     v = valid(arg, parse_base("-> a\n"))
     assert v.is_invalid and isinstance(v.witness, ExhaustedSearch) and written == []
@@ -600,3 +601,29 @@ def test_an_invalid_verdict_writes_its_witness_text_when_read(monkeypatch):
     assert v.witness.start == '(inf atm "p" (empty))' and len(written) == 2
     assert v.witness == ExhaustedSearch('(inf atm "p" (empty))', ('(inf atm "p" (empty))',), 10)
     assert repr(v.witness) == repr(ExhaustedSearch(v.witness.start, v.witness.explored, 10))
+
+
+DETOUR_ON_C = parse_structure(
+    '(inf orE "c" (inf orI1 "a | b" (inf atm "a" (empty)))'
+    ' (inf atm "c" (assume "a" :label 1)) (inf atm "c" (assume "b" :label 2)) :discharge (1 2))'
+)
+
+
+def test_rechecking_a_checker_witness_writes_no_key_text(monkeypatch):
+    written = []
+    real = argument.render_structure
+    monkeypatch.setattr(argument, "render_structure", lambda *args: written.append(args[0]) or real(*args))
+    arg, base = Argument(DETOUR_ON_C, JustificationSet((or_detour(),))), parse_base("-> a\n")
+    v = valid(arg, base)
+    assert v.is_invalid and isinstance(v.witness, ExhaustedSearch)
+    assert recheck_invalid(arg, base, Bounds(), v) and written == []
+    assert len(v.witness.explored) == 2 and len(written) == 3  # start and explored, written when read
+
+
+def test_a_witness_built_from_texts_rechecks_by_its_texts():
+    arg, base = Argument(DETOUR_ON_C, JustificationSet((or_detour(),))), parse_base("-> a\n")
+    w = valid(arg, base).witness
+    same = ExhaustedSearch(w.start, w.explored, w.max_steps)
+    assert recheck_invalid(arg, base, Bounds(), Verdict.invalid("rebuilt", same))
+    dropped = ExhaustedSearch(w.start, w.explored[1:], w.max_steps)
+    assert not recheck_invalid(arg, base, Bounds(), Verdict.invalid("one reduct short", dropped))

@@ -13,6 +13,14 @@ text, since an `AtomicBase` has no `repr` of its own. Calls made inside
 other calls are recorded too (the `valid` calls of `consequence`), in
 the order they return.
 
+A last op group, `choice`, runs what no workload builds: a
+`ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
+makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
+base of `enumerate_bases([a, b], 2)`, calls `valid` on the
+excluded-middle axiom of the formula with the steps (the choice
+function, `or_detour()`), then `recheck_invalid` when the verdict is
+Invalid, as it is on the bases outside the choice function's family.
+
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
 """
@@ -28,6 +36,7 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ("pooled-family", "detour-search", "semantics-sweep")
 SEEDS = (0, 11, 9001)
+CHOICE_FORMULAS = ("a", "b", "a & b", "a -> b")
 RECORDED = (
     ("validity", "valid"),
     ("validity", "recheck_invalid"),
@@ -62,6 +71,39 @@ def _record_calls(out, counts: dict[str, int]) -> None:
                     setattr(m, attr, recorded)
 
 
+def _run_choice_group(out) -> int:
+    """Run the choice group, writing an `op` line before each op, and return
+    its op count. ptslab is imported here, after the recorded functions are
+    rebound, so the calls below are recorded."""
+    from ptslab import (
+        Argument,
+        Bounds,
+        Disj,
+        JustificationSet,
+        axiom_structure,
+        choice_justification,
+        enumerate_bases,
+        negation,
+        or_detour,
+        parse_formula,
+        recheck_invalid,
+        valid,
+    )
+
+    a, b = parse_formula("a"), parse_formula("b")
+    bases = list(enumerate_bases([a, b], 2))
+    for text in CHOICE_FORMULAS:
+        f = parse_formula(text)
+        steps = JustificationSet((choice_justification(f, enumerate_bases([a], 1)), or_detour()))
+        arg = Argument(axiom_structure(Disj(f, negation(f))), steps)
+        for base in bases:
+            out.write(f"op choice/{text}/{base.rules_text()}\n")
+            v = valid(arg, base)
+            if v.is_invalid:
+                recheck_invalid(arg, base, Bounds(), v)
+    return len(CHOICE_FORMULAS) * len(bases)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="directory holding the ptslab package")
@@ -81,6 +123,7 @@ def main() -> int:
                     out.write(f"op {name}/{seed}/{op.id}\n")
                     op.run()
                     ops[name] += 1
+        ops["choice"] = _run_choice_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
