@@ -17,9 +17,8 @@ pattern that may also hold (plug ...). One reader serves all three.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
-from .formula import Conj, Disj, Formula, FVar, Impl, _repr, parse_formula, render_formula
+from .formula import Conj, Disj, Formula, FVar, Impl, _Record, _set, parse_formula, render_formula
 from .sexpr import _SYMBOL_RE, SexprError, Sym, read_all_sexprs, read_sexpr
 
 __all__ = [
@@ -103,14 +102,12 @@ class _Facts:
 _NONE: frozenset[int] = frozenset()
 
 
-class _Node:
+class _Node(_Record):
     """Equality and hashing of structures up to the renaming of discharge
     labels: the relation canonical_key equality tests. The hash is computed
     once, when the node is built; equality walks the two trees with an
     explicit stack, stopping at identical subtrees and at unequal hashes.
-    The repr is the dataclass one, written with an explicit stack."""
-
-    __repr__ = _repr
+    The repr is _repr's, written with an explicit stack."""
 
     def __hash__(self) -> int:
         return self._facts.hash
@@ -121,34 +118,34 @@ class _Node:
         return _same(self, other)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Assumption(_Node):
-    formula: Formula
-    label: int | None = None
+    _fields = __match_args__ = ("formula", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_facts", _node_facts(self))
+    def __init__(self, formula: Formula, label: int | None = None):
+        _set(self, "formula", formula)
+        _set(self, "label", label)
+        _set(self, "_facts", _node_facts(self))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class EmptyTop(_Node):
     _facts = _Facts(1, _NONE, (), _NONE, False, (), (), (), hash(("empty",)))  # every empty node has the same
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Inf(_Node):
-    tag: str
-    conclusion: Formula
-    children: tuple["ArgStructure", ...]
-    discharges: frozenset[int] = field(default_factory=frozenset)
+    _fields = __match_args__ = ("tag", "conclusion", "children", "discharges")
 
-    def __post_init__(self):
-        if not isinstance(self.tag, str) or not _SYMBOL_RE.fullmatch(self.tag):
-            raise StructureError(f"inference nodes need a one-symbol rule tag, not {self.tag!r}")
-        if not self.children:
+    def __init__(
+        self, tag: str, conclusion: Formula, children: tuple["ArgStructure", ...], discharges: frozenset[int] = _NONE
+    ):
+        if not isinstance(tag, str) or not _SYMBOL_RE.fullmatch(tag):
+            raise StructureError(f"inference nodes need a one-symbol rule tag, not {tag!r}")
+        if not children:
             raise StructureError("inference nodes need at least one child; use (empty) for none")
-        object.__setattr__(self, "discharges", frozenset(self.discharges))
-        object.__setattr__(self, "_facts", _node_facts(self))
+        _set(self, "tag", tag)
+        _set(self, "conclusion", conclusion)
+        _set(self, "children", children)
+        _set(self, "discharges", frozenset(discharges))
+        _set(self, "_facts", _node_facts(self))
 
 
 ArgStructure = Assumption | EmptyTop | Inf
@@ -157,44 +154,56 @@ ArgStructure = Assumption | EmptyTop | Inf
 # rule trees: label variables stand where structures have integer labels
 
 
-@dataclass(frozen=True)
-class PVar:
+class PVar(_Record):
     """A structure variable ?D; in patterns it may constrain its conclusion."""
 
-    name: str
-    concludes: Formula | FVar | None = None
+    _fields = __match_args__ = ("name", "concludes")
+
+    def __init__(self, name: str, concludes: Formula | FVar | None = None):
+        _set(self, "name", name)
+        _set(self, "concludes", concludes)
 
 
-@dataclass(frozen=True)
-class PAssume:
-    formula: Formula | FVar
-    labelvar: str | None = None
+class PAssume(_Record):
+    _fields = __match_args__ = ("formula", "labelvar")
+
+    def __init__(self, formula: Formula | FVar, labelvar: str | None = None):
+        _set(self, "formula", formula)
+        _set(self, "labelvar", labelvar)
 
 
-@dataclass(frozen=True)
-class DSpec:
+class DSpec(_Record):
     """A discharged label variable; in patterns it may constrain the
     formulas of the leaves it binds."""
 
-    labelvar: str
-    formula: Formula | FVar | None = None
+    _fields = __match_args__ = ("labelvar", "formula")
+
+    def __init__(self, labelvar: str, formula: Formula | FVar | None = None):
+        _set(self, "labelvar", labelvar)
+        _set(self, "formula", formula)
 
 
-@dataclass(frozen=True)
-class PInf:
-    tag: str
-    conclusion: Formula | FVar
-    children: tuple["Pattern", ...]
-    discharge: tuple[DSpec, ...] = ()
+class PInf(_Record):
+    _fields = __match_args__ = ("tag", "conclusion", "children", "discharge")
+
+    def __init__(
+        self, tag: str, conclusion: Formula | FVar, children: tuple["Pattern", ...], discharge: tuple[DSpec, ...] = ()
+    ):
+        _set(self, "tag", tag)
+        _set(self, "conclusion", conclusion)
+        _set(self, "children", children)
+        _set(self, "discharge", discharge)
 
 
-@dataclass(frozen=True)
-class Plug:
+class Plug(_Record):
     """Insert the filler at every leaf of `source` carrying label `labelvar`."""
 
-    source: str
-    labelvar: str
-    filler: "Pattern"
+    _fields = __match_args__ = ("source", "labelvar", "filler")
+
+    def __init__(self, source: str, labelvar: str, filler: "Pattern"):
+        _set(self, "source", source)
+        _set(self, "labelvar", labelvar)
+        _set(self, "filler", filler)
 
 
 # a template is a pattern that may also hold Plug
@@ -374,10 +383,12 @@ def check_structure(d: ArgStructure) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StructureInfo:
-    conclusion: Formula
-    open_assumptions: Counter  # Formula -> occurrence count
+class StructureInfo(_Record):
+    _fields = __match_args__ = ("conclusion", "open_assumptions")
+
+    def __init__(self, conclusion: Formula, open_assumptions: Counter):  # Formula -> occurrence count
+        _set(self, "conclusion", conclusion)
+        _set(self, "open_assumptions", open_assumptions)
 
     @property
     def closed(self) -> bool:
@@ -691,6 +702,8 @@ def canonical_key(d: ArgStructure) -> str:
 def render_structure(d: ArgStructure) -> str:
     """The text of d, labels and discharge sets as they are, from one
     pre-order walk without recursion."""
+    if not isinstance(d, _Node):  # a str would pass for one of the closing texts the walk stacks
+        raise StructureError(f"not a structure: {d!r}")
     out: list[str] = []  # every node's text starts with the space that parts it from its left sibling
     stack: list = [d]
     while stack:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .formula import BOT, Atom, FormulaError
+from .formula import BOT, Atom, FormulaError, _Record, _set
 
 __all__ = [
     "BaseError",
@@ -41,20 +40,25 @@ class EnumerationCapError(RuntimeError):
     """Base enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class AtomicRule:
-    premises: tuple[Atom, ...]
-    conclusion: Atom
+class AtomicRule(_Record):
+    _fields = __match_args__ = ("premises", "conclusion")
 
-    def __post_init__(self):
-        for p in self.premises:
+    def __init__(self, premises: tuple[Atom, ...], conclusion: Atom):
+        for p in premises:
             if p.is_bottom:
                 raise BaseError("rule premises may not be the absurdity constant")
-        # the dataclass hash, computed once and kept outside the fields
-        object.__setattr__(self, "_hash", hash((self.premises, self.conclusion)))
+        _set(self, "premises", premises)
+        _set(self, "conclusion", conclusion)
+        # the hash of the fields' tuple, computed once and kept outside them
+        _set(self, "_hash", hash((premises, conclusion)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):  # a base's == compares its rules
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and (self.premises, self.conclusion) == (other.premises, other.conclusion)
 
     def __str__(self) -> str:
         left = " ".join(p.name for p in self.premises)
@@ -65,16 +69,24 @@ def _rule_key(r: AtomicRule):
     return (str(r.conclusion.is_bottom), r.conclusion.name, len(r.premises), tuple(p.name for p in r.premises))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class AtomicBase:
+class AtomicBase(_Record):
     """A base is its rules; what is derived from them is computed once, on first use."""
 
-    rules: frozenset[AtomicRule]
+    _fields = __match_args__ = ("rules",)
+    __repr__ = object.__repr__
 
     def __init__(self, rules: frozenset[AtomicRule], id: str = ""):
-        object.__setattr__(self, "rules", rules)
+        _set(self, "rules", rules)
         if id:
-            object.__setattr__(self, "id", id)
+            _set(self, "id", id)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash((self.rules,))
 
     @functools.cached_property
     def id(self) -> str:  # a display name, outside equality; by default the rules text
@@ -102,13 +114,15 @@ class AtomicBase:
         return frozenset(a for r in self.rules for a in (*r.premises, r.conclusion) if not a.is_bottom)
 
 
-@dataclass(frozen=True)
-class AtomicDerivation:
+class AtomicDerivation(_Record):
     """Derivation tree: rule is None exactly on assumption leaves."""
 
-    conclusion: Atom
-    rule: AtomicRule | None
-    children: tuple["AtomicDerivation", ...] = ()
+    _fields = __match_args__ = ("conclusion", "rule", "children")
+
+    def __init__(self, conclusion: Atom, rule: AtomicRule | None, children: tuple["AtomicDerivation", ...] = ()):
+        _set(self, "conclusion", conclusion)
+        _set(self, "rule", rule)
+        _set(self, "children", children)
 
     def check(self, base: AtomicBase, assumptions: frozenset[Atom] = frozenset()) -> bool:
         if self.rule is None:

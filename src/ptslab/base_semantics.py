@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from typing import Iterable
 
 from .atomic_base import AtomicBase, _atoms_in, _built, _combinations, atomic_closure
-from .formula import BOT, Atom, Conj, Disj, Formula, Impl, negation
+from .formula import BOT, Atom, Conj, Disj, Formula, Impl, _Record, _set, negation
 
 __all__ = [
     "SemanticsError",
@@ -33,10 +32,12 @@ class SemanticsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConsequenceVerdict:
-    holds: bool
-    counterexample: str | None = None  # id of the first failing base
+class ConsequenceVerdict(_Record):
+    _fields = __match_args__ = ("holds", "counterexample")
+
+    def __init__(self, holds: bool, counterexample: str | None = None):  # id of the first failing base
+        _set(self, "holds", holds)
+        _set(self, "counterexample", counterexample)
 
 
 def base_valuation(base: AtomicBase, extra_atoms: Iterable[Atom] = ()) -> dict[Atom, bool]:

@@ -8,7 +8,6 @@ I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import string
 import sys
 from pathlib import Path
@@ -77,6 +76,7 @@ class _Cli(argparse.ArgumentParser):
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "lines":
+        import json  # here, not at the top: only a --format lines record needs it
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)

@@ -7,7 +7,6 @@ both in values and in the concrete syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 
 __all__ = [
     "FormulaError",
@@ -36,10 +35,11 @@ class FormulaError(ValueError):
 
 
 def _repr(x) -> str:
-    """The dataclass repr of x, written with an explicit stack: the fields
-    of an object whose class has this repr are written in turn, as are the
-    items of a tuple, and any other value by its own repr. Formulas and
-    structure nodes use it, so a deep one prints without recursion."""
+    """The repr of a frozen value, Cls(field=value, ...), written with an
+    explicit stack: the _fields of an object whose class has this repr are
+    written in turn, as are the items of a tuple, and any other value by
+    its own repr. A _Record has it, so a deep one prints without
+    recursion."""
     out: list[str] = []
     stack: list = [(False, x)]
     while stack:
@@ -48,7 +48,7 @@ def _repr(x) -> str:
             out.append(x)
         elif type(x).__repr__ is _repr:
             parts = [(True, type(x).__qualname__ + "(")]
-            for i, name in enumerate([f.name for f in fields(x) if f.repr]):
+            for i, name in enumerate(x._fields):
                 parts += [(True, (", " if i else "") + name + "="), (False, getattr(x, name))]
             parts.append((True, ")"))
             stack += reversed(parts)
@@ -65,11 +65,45 @@ def _repr(x) -> str:
     return "".join(out)
 
 
-class _Leaf:
-    """Equality and hashing of a named leaf: the dataclass hash of its name,
-    computed once and kept outside its fields."""
+_set = object.__setattr__  # how an __init__ sets the fields of a _Record
 
+
+class _Record:
+    """A frozen value, as a frozen dataclass is: its class names its fields,
+    in constructor order, in _fields and __match_args__, and its __init__
+    sets them with _set. == and the hash are those of the tuple of
+    the fields, the repr is _repr's, and assignment is refused."""
+
+    _fields = __match_args__ = ()
     __repr__ = _repr
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Leaf(_Record):
+    """Equality and hashing of a named leaf: the hash of (name,), computed
+    once and kept outside its fields."""
+
+    _fields = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -80,17 +114,18 @@ class _Leaf:
         return self is other or self.name == other.name
 
 
-class _Binary:
-    """Equality and hashing of a connective. The hash is the dataclass one,
-    hash((left, right)), computed once from the operands' kept hashes when
-    the node is built; equality stops at identical operands and at unequal
-    hashes, and walks the rest with an explicit stack, so neither recurses;
-    nor does its repr."""
+class _Binary(_Record):
+    """Equality and hashing of a connective. The hash is hash((left, right)),
+    computed once from the operands' kept hashes when the node is built;
+    equality stops at identical operands and at unequal hashes, and walks
+    the rest with an explicit stack, so neither recurses; nor does its repr."""
 
-    __repr__ = _repr
+    _fields = __match_args__ = ("left", "right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -118,16 +153,11 @@ def _same(f, g) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Atom(_Leaf):
-    name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
-        if self.name == _BOT_NAME:
-            return
-        if self.name in _BOT_WORDS or not _NAME_RE.match(self.name):
-            raise FormulaError(f"bad atom name {self.name!r}")
+    def __init__(self, name: str):
+        if name != _BOT_NAME and (name in _BOT_WORDS or not _NAME_RE.match(name)):
+            raise FormulaError(f"bad atom name {name!r}")
+        _Leaf.__init__(self, name)
 
     @property
     def is_bottom(self) -> bool:
@@ -140,41 +170,23 @@ class Atom(_Leaf):
 BOT = Atom(_BOT_NAME)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Conj(_Binary):
-    left: "Formula"
-    right: "Formula"
-
     def __str__(self) -> str:
         return render_formula(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Disj(_Binary):
-    left: "Formula"
-    right: "Formula"
-
     def __str__(self) -> str:
         return render_formula(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Impl(_Binary):
-    left: "Formula"
-    right: "Formula"
-
     def __str__(self) -> str:
         return render_formula(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FVar(_Leaf):
     """Formula metavariable; appears only inside rewrite patterns."""
-
-    name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
 
     def __str__(self) -> str:
         return "?" + self.name

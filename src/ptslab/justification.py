@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .argument import (
@@ -61,6 +60,8 @@ from .formula import (
     FormulaError,
     FVar,
     Impl,
+    _Record,
+    _set,
 )
 
 __all__ = [
@@ -302,23 +303,23 @@ def _clause_problem(pat: Pattern, tmpl: Pattern) -> str | None:
 # the three justification kinds
 
 
-@dataclass(frozen=True)
-class SchematicRewrite:
+class SchematicRewrite(_Record):
     """A named rewrite rule; clauses are tried in order, first match applies."""
 
-    name: str
-    clauses: tuple[tuple[Pattern, Pattern], ...]
+    _fields = __match_args__ = ("name", "clauses")
 
-    def __post_init__(self):
-        if not self.clauses:
-            raise JustificationError(f"rule {self.name}: no clauses")
-        for pat, tmpl in self.clauses:
+    def __init__(self, name: str, clauses: tuple[tuple[Pattern, Pattern], ...]):
+        if not clauses:
+            raise JustificationError(f"rule {name}: no clauses")
+        for pat, tmpl in clauses:
             problem = _clause_problem(pat, tmpl)
             if problem:
-                raise JustificationError(f"rule {self.name}: {problem}")
+                raise JustificationError(f"rule {name}: {problem}")
+        _set(self, "name", name)
+        _set(self, "clauses", clauses)
 
 
-class _ByContent:
+class _ByContent(_Record):
     """Equality and hashing by the `_content` a constructor sets: a table's
     entries taken as a set, so their order makes no difference."""
 
@@ -329,45 +330,45 @@ class _ByContent:
         return self._hash
 
     def _set_content(self, content) -> None:
-        object.__setattr__(self, "_content", content)
-        object.__setattr__(self, "_hash", hash(content))
+        _set(self, "_content", content)
+        _set(self, "_hash", hash(content))
 
 
-@dataclass(frozen=True, eq=False)
 class ConstantMap(_ByContent):
     """A finite table of rewrites, looked up modulo label renaming: its
     index is keyed by the structures, whose equality is up to relabelling."""
 
-    name: str
-    pairs: tuple[tuple[ArgStructure, ArgStructure], ...]
+    _fields = __match_args__ = ("name", "pairs")
 
-    def __post_init__(self):
+    def __init__(self, name: str, pairs: tuple[tuple[ArgStructure, ArgStructure], ...]):
+        _set(self, "name", name)
+        _set(self, "pairs", pairs)
         index: dict[ArgStructure, ArgStructure] = {}  # k -> v
-        for k, v in self.pairs:
+        for k, v in pairs:
             if index.get(k, v) != v:
-                raise JustificationError(f"table {self.name}: two images for one structure")
+                raise JustificationError(f"table {name}: two images for one structure")
             index[k] = v
-        object.__setattr__(self, "_index", index)
-        self._set_content((self.name, frozenset(index.items())))
+        _set(self, "_index", index)
+        self._set_content((name, frozenset(index.items())))
 
     def lookup(self, d: ArgStructure) -> ArgStructure | None:
         return self._index.get(d)
 
 
-@dataclass(frozen=True, eq=False)
 class ChoiceFunction(_ByContent):
     """Selects a justification set per (structure, base): entries ((structure,
     base), set), looked up modulo label renaming like a ConstantMap's."""
 
-    name: str
-    table: tuple[tuple[tuple[ArgStructure, AtomicBase], "JustificationSet"], ...]
+    _fields = __match_args__ = ("name", "table")
 
-    def __post_init__(self):
-        for (k, _base), _sel in self.table:
+    def __init__(self, name: str, table: tuple[tuple[tuple[ArgStructure, AtomicBase], "JustificationSet"], ...]):
+        for (k, _base), _sel in table:
             if not isinstance(k, ArgStructure):
-                raise JustificationError(f"choice function {self.name}: a key must be a structure, not {k!r}")
-        object.__setattr__(self, "_index", dict(self.table))
-        self._set_content((self.name, frozenset(self._index.items())))
+                raise JustificationError(f"choice function {name}: a key must be a structure, not {k!r}")
+        _set(self, "name", name)
+        _set(self, "table", table)
+        _set(self, "_index", dict(table))
+        self._set_content((name, frozenset(self._index.items())))
 
     def selection(self, d: ArgStructure, base: AtomicBase) -> "JustificationSet | None":
         return self._index.get((d, base))
@@ -376,18 +377,17 @@ class ChoiceFunction(_ByContent):
 Justification = Union[SchematicRewrite, ConstantMap, ChoiceFunction]
 
 
-@dataclass(frozen=True, eq=False)
 class JustificationSet(_ByContent):
-    members: tuple[Justification, ...] = ()
+    _fields = __match_args__ = ("members",)
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.members, key=lambda j: j.name))
+    def __init__(self, members: tuple[Justification, ...] = ()):
+        ordered = tuple(sorted(members, key=lambda j: j.name))
         names = [j.name for j in ordered]
         if len(set(names)) != len(names):
             raise JustificationError(f"duplicate justification names: {names}")
-        object.__setattr__(self, "members", ordered)
+        _set(self, "members", ordered)
         self._set_content(ordered)
-        object.__setattr__(self, "_dispatch", _Dispatch(ordered))
+        _set(self, "_dispatch", _Dispatch(ordered))
 
     def union(self, other: "JustificationSet") -> "JustificationSet":
         byname = {j.name: j for j in self.members}
@@ -459,23 +459,22 @@ class _Dispatch:
         return self._plans.get(tag, self._default)
 
 
-@dataclass(frozen=True, eq=False)
 class RSystem(_ByContent):
     """A set of whole-structure reduction pairs, stepped at the root."""
 
-    pairs: tuple[tuple[ArgStructure, ArgStructure], ...] = ()
+    _fields = __match_args__ = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[ArgStructure, ArgStructure], ...] = ()):
         kept = []
         index: dict[ArgStructure, dict[ArgStructure, None]] = {}  # a -> its images, the first of each class
-        for a, z in self.pairs:
+        for a, z in pairs:
             _check_contract("reduction pair", a, z)
             images = index.setdefault(a, {})
             if z not in images:
                 images[z] = None
                 kept.append((a, z))
-        object.__setattr__(self, "pairs", tuple(kept))
-        object.__setattr__(self, "_index", index)
+        _set(self, "pairs", tuple(kept))
+        _set(self, "_index", index)
         self._set_content(frozenset((a, z) for a, images in index.items() for z in images))
 
     def union(self, other: "RSystem") -> "RSystem":

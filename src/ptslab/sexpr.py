@@ -8,7 +8,8 @@ error messages.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .formula import _Record, _set
 
 __all__ = ["MAX_NESTING", "SexprError", "Sym", "read_sexpr", "read_all_sexprs"]
 
@@ -17,9 +18,11 @@ class SexprError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Sym:
-    text: str
+class Sym(_Record):
+    _fields = __match_args__ = ("text",)
+
+    def __init__(self, text: str):
+        _set(self, "text", text)
 
     def __str__(self) -> str:
         return self.text

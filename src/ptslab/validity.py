@@ -14,7 +14,6 @@ witness, and Valid on open arguments is explicitly pool-relative.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from .atomic_base import AtomicBase, AtomicDerivation, atomic_derivation, is_consistent
@@ -33,7 +32,7 @@ from .argument import (
     is_canonical,
 )
 from .base_semantics import logical_consequence, models
-from .formula import Atom, Conj, Disj, Formula, FVar, Impl, negation, render_formula
+from .formula import Atom, Conj, Disj, Formula, FVar, Impl, _Record, _set, negation, render_formula
 from .justification import (
     ChoiceFunction,
     ConstantMap,
@@ -76,27 +75,37 @@ class InconsistentBaseError(ValidityError):
     pass
 
 
-@dataclass(frozen=True)
-class Argument:
-    structure: ArgStructure
-    steps: StepSource
+class Argument(_Record):
+    _fields = __match_args__ = ("structure", "steps")
+
+    def __init__(self, structure: ArgStructure, steps: StepSource):
+        _set(self, "structure", structure)
+        _set(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_reduction_steps: int = 10
-    max_structure_size: int = 400
-    sigma_candidates: tuple[ArgStructure, ...] = ()
-    extensions: tuple[StepSource, ...] = ()
-    synthesize_sigma: bool = True
+class Bounds(_Record):
+    _fields = __match_args__ = (
+        "max_reduction_steps", "max_structure_size", "sigma_candidates", "extensions", "synthesize_sigma"
+    )
 
-    def __post_init__(self):
-        if self.max_reduction_steps < 0 or self.max_structure_size < 0:
+    def __init__(
+        self,
+        max_reduction_steps: int = 10,
+        max_structure_size: int = 400,
+        sigma_candidates: tuple[ArgStructure, ...] = (),
+        extensions: tuple[StepSource, ...] = (),
+        synthesize_sigma: bool = True,
+    ):
+        _set(self, "max_reduction_steps", max_reduction_steps)
+        _set(self, "max_structure_size", max_structure_size)
+        _set(self, "sigma_candidates", sigma_candidates)
+        _set(self, "extensions", extensions)
+        _set(self, "synthesize_sigma", synthesize_sigma)
+        if max_reduction_steps < 0 or max_structure_size < 0:
             raise ValidityError("bounds must be non-negative")
 
 
-@dataclass(frozen=True)
-class ExhaustedSearch:
+class ExhaustedSearch(_Record):
     """Every reduct within bounds was explored and none qualified.
 
     The checker builds it from the structures themselves (_of) and it keeps
@@ -104,15 +113,18 @@ class ExhaustedSearch:
     key texts of start and explored are written when first read (by repr,
     == or a caller)."""
 
-    start: str
-    explored: tuple[str, ...]
-    max_steps: int
+    _fields = __match_args__ = ("start", "explored", "max_steps")
+
+    def __init__(self, start: str, explored: tuple[str, ...], max_steps: int):
+        _set(self, "start", start)
+        _set(self, "explored", explored)
+        _set(self, "max_steps", max_steps)
 
     @classmethod
     def _of(cls, start: ArgStructure, explored: tuple[ArgStructure, ...], max_steps: int) -> "ExhaustedSearch":
         w = object.__new__(cls)
-        object.__setattr__(w, "max_steps", max_steps)
-        object.__setattr__(w, "_structures", (start, explored))
+        _set(w, "max_steps", max_steps)
+        _set(w, "_structures", (start, explored))
         return w
 
     def __getattr__(self, name):
@@ -120,25 +132,29 @@ class ExhaustedSearch:
         if name not in ("start", "explored") or "_structures" not in vars(self):
             raise AttributeError(name)
         start, explored = self._structures
-        object.__setattr__(self, "start", canonical_key(start))
-        object.__setattr__(self, "explored", tuple([canonical_key(r) for r in explored]))
+        _set(self, "start", canonical_key(start))
+        _set(self, "explored", tuple([canonical_key(r) for r in explored]))
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class FailingInstance:
+class FailingInstance(_Record):
     """A substitution whose members check valid while the instance does not."""
 
-    sigma: tuple[tuple[Formula, ArgStructure], ...]
-    extension_index: int
-    inner: "Verdict"
+    _fields = __match_args__ = ("sigma", "extension_index", "inner")
+
+    def __init__(self, sigma: tuple[tuple[Formula, ArgStructure], ...], extension_index: int, inner: "Verdict"):
+        _set(self, "sigma", sigma)
+        _set(self, "extension_index", extension_index)
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: Literal["valid", "invalid", "unknown"]
-    reason: str = ""
-    witness: object = None
+class Verdict(_Record):
+    _fields = __match_args__ = ("status", "reason", "witness")
+
+    def __init__(self, status: Literal["valid", "invalid", "unknown"], reason: str = "", witness: object = None):
+        _set(self, "status", status)
+        _set(self, "reason", reason)
+        _set(self, "witness", witness)
 
     @property
     def is_valid(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import random
@@ -14,15 +13,26 @@ from ptslab import (
     Assumption,
     AssumptionEscape,
     Atom,
+    AtomicDerivation,
+    AtomicRule,
     BOT,
+    Bounds,
     ConclusionMismatch,
+    ConsequenceVerdict,
+    ConstantMap,
     Conj,
     Disj,
     EmptyTop,
+    ExhaustedSearch,
+    FailingInstance,
     Impl,
     Inf,
     JustificationSet,
+    RSystem,
+    SchematicRewrite,
     StructureError,
+    StructureInfo,
+    Verdict,
     analyze,
     em_refutation_rule,
     canonical_key,
@@ -44,7 +54,20 @@ from ptslab import (
 )
 from ptslab import argument
 from ptslab.formula import FVar
-from ptslab.argument import PVar, _facts, canonical_form, cut_subtree, freshen, labels_of, relabel, size_of
+from ptslab.argument import (
+    DSpec,
+    PAssume,
+    PInf,
+    Plug,
+    PVar,
+    _facts,
+    canonical_form,
+    cut_subtree,
+    freshen,
+    labels_of,
+    relabel,
+    size_of,
+)
 from ptslab.sexpr import _SYMBOL_RE, SexprError, Sym, read_sexpr
 
 from ptslab.justification import step_candidates
@@ -738,6 +761,15 @@ def test_every_constructor_leaves_its_facts_set():
         check_structure(PVar("D"))
 
 
+def test_the_text_writers_refuse_what_is_not_a_structure():
+    # a str once passed for one of the closing texts the writer stacks, and lost its first character
+    for bad in ('(assume "a")', "xyz", 42):
+        with pytest.raises(StructureError, match="not a structure"):
+            render_structure(bad)
+        with pytest.raises(StructureError, match="not a structure"):
+            canonical_key(bad)
+
+
 def test_a_tag_that_would_not_read_back_is_refused():
     e = EmptyTop()
     # one tag that prints as a second sibling would have keyed these two alike
@@ -944,10 +976,23 @@ def test_a_dropped_labelled_leaf_is_freed_at_once():
 # repr: the dataclass text, written without recursion
 
 
+# the fields each class's repr writes, in the order the frozen dataclasses declared them
+_REPR_FIELDS = {
+    Assumption: ("formula", "label"),
+    EmptyTop: (),
+    Inf: ("tag", "conclusion", "children", "discharges"),
+    Atom: ("name",),
+    FVar: ("name",),
+    Conj: ("left", "right"),
+    Disj: ("left", "right"),
+    Impl: ("left", "right"),
+}
+
+
 def _reference_repr(x) -> str:
-    """The dataclass repr, written recursively from dataclasses.fields."""
-    if dataclasses.is_dataclass(x):
-        inner = ", ".join(f"{f.name}={_reference_repr(getattr(x, f.name))}" for f in dataclasses.fields(x) if f.repr)
+    """The dataclass repr, written recursively from the pinned field table."""
+    if type(x) in _REPR_FIELDS:
+        inner = ", ".join(f"{name}={_reference_repr(getattr(x, name))}" for name in _REPR_FIELDS[type(x)])
         return f"{type(x).__qualname__}({inner})"
     if type(x) is tuple:
         items = [_reference_repr(v) for v in x]
@@ -982,3 +1027,87 @@ def test_repr_of_a_deep_chain_and_a_deep_formula():
     for _ in range(2000):
         f = negation(f)
     assert repr(f) == "Impl(left=" * 2000 + "Atom(name='a')" + ", right=Atom(name='_|_'))" * 2000
+
+
+_ax = Inf("ax", a, (EmptyTop(),))
+_AX = "Inf(tag='ax', conclusion=Atom(name='a'), children=(EmptyTop(),), discharges=frozenset())"
+
+# records built by keyword, leaving defaults out, and their repr texts when they were frozen dataclasses
+_RECORDS = [
+    (Verdict(status="invalid"), "Verdict(status='invalid', reason='', witness=None)"),
+    (
+        Bounds(max_reduction_steps=3, sigma_candidates=(Assumption(a),), extensions=()),
+        "Bounds(max_reduction_steps=3, max_structure_size=400, sigma_candidates=(Assumption(formula=Atom(name='a'),"
+        " label=None),), extensions=(), synthesize_sigma=True)",
+    ),
+    (
+        ExhaustedSearch(start="s", explored=("t",), max_steps=2),
+        "ExhaustedSearch(start='s', explored=('t',), max_steps=2)",
+    ),
+    (
+        FailingInstance(sigma=((a, _ax),), extension_index=0, inner=Verdict("unknown")),
+        f"FailingInstance(sigma=((Atom(name='a'), {_AX}),), extension_index=0,"
+        " inner=Verdict(status='unknown', reason='', witness=None))",
+    ),
+    (
+        Argument(structure=Assumption(a), steps=RSystem()),
+        "Argument(structure=Assumption(formula=Atom(name='a'), label=None), steps=RSystem(pairs=()))",
+    ),
+    (ConsequenceVerdict(holds=False), "ConsequenceVerdict(holds=False, counterexample=None)"),
+    (
+        StructureInfo(conclusion=a, open_assumptions=Counter({a: 2})),
+        "StructureInfo(conclusion=Atom(name='a'), open_assumptions=Counter({Atom(name='a'): 2}))",
+    ),
+    (
+        AtomicDerivation(conclusion=a, rule=AtomicRule((), a)),
+        "AtomicDerivation(conclusion=Atom(name='a'), rule=AtomicRule(premises=(), conclusion=Atom(name='a')),"
+        " children=())",
+    ),
+    (Sym(text=":label"), "Sym(text=':label')"),
+    (PAssume(formula=FVar("A"), labelvar="l"), "PAssume(formula=FVar(name='A'), labelvar='l')"),
+    (DSpec(labelvar="l"), "DSpec(labelvar='l', formula=None)"),
+    (
+        Plug(source="D", labelvar="l", filler=PVar("E")),
+        "Plug(source='D', labelvar='l', filler=PVar(name='E', concludes=None))",
+    ),
+    (
+        SchematicRewrite(name="w", clauses=((PInf("s", FVar("A"), (PVar("D", FVar("A")),)), PVar(name="D")),)),
+        "SchematicRewrite(name='w', clauses=((PInf(tag='s', conclusion=FVar(name='A'), children=(PVar(name='D',"
+        " concludes=FVar(name='A')),), discharge=()), PVar(name='D', concludes=None)),))",
+    ),
+    (ConstantMap(name="m", pairs=((_ax, _ax),)), f"ConstantMap(name='m', pairs=(({_AX}, {_AX}),))"),
+    (JustificationSet(members=(ConstantMap("m", ()),)), "JustificationSet(members=(ConstantMap(name='m', pairs=()),))"),
+]
+
+
+def _positional(x) -> tuple:
+    """What a class pattern with one capture per match arg binds from x."""
+    cls = type(x)
+    match len(cls.__match_args__), x:
+        case 1, cls(f1):
+            return (f1,)
+        case 2, cls(f1, f2):
+            return (f1, f2)
+        case 3, cls(f1, f2, f3):
+            return (f1, f2, f3)
+        case 5, cls(f1, f2, f3, f4, f5):
+            return (f1, f2, f3, f4, f5)
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_records_behave_as_the_frozen_dataclasses_did(record, text):
+    assert repr(record) == text
+    fields = tuple(getattr(record, name) for name in type(record).__match_args__)
+    assert _positional(record) == fields
+    again = type(record)(*fields)
+    assert again is not record and again == record and repr(again) == text
+    if isinstance(record, StructureInfo):  # its Counter field makes it unhashable
+        with pytest.raises(TypeError):
+            hash(record)
+    elif not isinstance(record, (ConstantMap, JustificationSet)):  # these compare their entries as a set
+        assert hash(record) == hash(again) == hash(fields)
+    assert record != fields and record != object()
+    with pytest.raises(AttributeError):
+        setattr(record, type(record).__match_args__[0], None)
+    with pytest.raises(AttributeError):
+        delattr(record, type(record).__match_args__[0])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,3 +263,15 @@ def test_equal_base_files_count_once(capsys, tmp_path):
                     "--family", tmp_path / "two.base", tmp_path / "one.base")
     rec = json.loads(out)
     assert code == 0 and rec["family_size"] == 1 and "all 1 base(s)" in rec["reason"]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every query is one process, which pays for every module the import adds
+    code = "import sys; before = set(sys.modules); import ptslab.cli; print(*sorted(set(sys.modules) - before))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "ptslab.cli" in added
+    assert not added & {"dataclasses", "inspect"}
