@@ -223,6 +223,8 @@ def _map_leaves(d: ArgStructure, leaf, discharges=None) -> ArgStructure:
     """d rebuilt with every assumption leaf n replaced by leaf(n) and, when
     given, every discharge set s by discharges(s); both are called in
     pre-order, from one walk without recursion."""
+    if not isinstance(d, _Node):  # a tuple would pass for the walk's own rebuild marker
+        raise StructureError(f"not a structure: {d!r}")
     done: list[ArgStructure] = []  # rebuilt subtrees, the last ones on top
     stack: list = [d]
     while stack:

@@ -8,7 +8,6 @@ I/O errors.
 from __future__ import annotations
 
 import argparse
-import string
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -105,10 +104,10 @@ def _parse_enumerate_spec(spec: str) -> tuple[list[Atom], int]:
     n_rules = int(opts.pop("rules"))
     if opts:
         raise BaseError(f"unknown enumerate options: {sorted(opts)}")
-    letters = len(string.ascii_lowercase)
-    if not 0 <= n_atoms <= letters:
-        raise BaseError(f"enumerate: atoms must be between 0 and {letters}, got {n_atoms}")
-    atoms = [Atom(string.ascii_lowercase[i]) for i in range(n_atoms)]
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    if not 0 <= n_atoms <= len(letters):
+        raise BaseError(f"enumerate: atoms must be between 0 and {len(letters)}, got {n_atoms}")
+    atoms = [Atom(c) for c in letters[:n_atoms]]
     return atoms, n_rules
 
 

@@ -60,9 +60,11 @@ from .formula import (
     FormulaError,
     FVar,
     Impl,
+    MAX_NESTING as _FORMULA_NESTING,
     _Record,
     _set,
 )
+from .sexpr import MAX_NESTING as _SEXPR_NESTING
 
 __all__ = [
     "JustificationError",
@@ -760,100 +762,86 @@ def check_closure(
 # schematicity
 
 
-def _lvar_for(label: int) -> str:
-    return f"L{label}"
+def _scheme(entries: list[tuple[ArgStructure, ArgStructure]]) -> tuple[Pattern, Pattern] | None:
+    """The least general pattern => template of which every entry is an
+    instance, from one walk over the entries' columns with an explicit
+    stack: the keys in lockstep, then the values.
 
-
-def _struct_to_pattern(d: ArgStructure) -> Pattern:
-    match d:
-        case Assumption(f, lbl):
-            return PAssume(f, _lvar_for(lbl) if lbl is not None else None)
-        case EmptyTop():
-            return d
-        case Inf(tag, c, children, dis):
-            return PInf(
-                tag,
-                c,
-                tuple(_struct_to_pattern(ch) for ch in children),
-                tuple(DSpec(_lvar_for(l)) for l in sorted(dis)),
+    Where all entries agree, the scheme has their node: the same class, a
+    leaf with the same label, an inference with the same tag, arity and
+    discharge set, the same atom, the same connective. Where they differ it
+    has a variable, one per distinct column, found by the column's exact
+    content (the texts of its structures, its formulas); the two sides
+    share the table, so a template column that a key column holds reads
+    the pattern's variable. None when the scheme would nest more than
+    sexpr.MAX_NESTING structure nodes or formula.MAX_NESTING connectives
+    deep: the reader keeps rules that shallow, and the rule walkers
+    (_tree_vars, _match, _build) recurse."""
+    names: dict[tuple, str] = {}  # a column that differs -> its variable
+    done: list = []  # built scheme parts, the last ones on top
+    # (kind, column, n): "s" and "f" walk a column of structures or formulas n deep,
+    # "b" builds the scheme node of the column's class from the last n parts
+    todo: list = [("s", tuple(v for _, v in entries), 1), ("s", tuple(k for k, _ in entries), 1)]
+    while todo:
+        kind, col, n = todo.pop()
+        x = col[0]
+        if kind == "b":
+            parts = done[-n:]
+            del done[-n:]
+            if isinstance(x, Inf):
+                dspecs = tuple(DSpec(f"L{l}") for l in sorted(x.discharges))
+                done.append(PInf(x.tag, parts[0], tuple(parts[1:]), dspecs))
+            elif isinstance(x, Assumption):
+                done.append(PAssume(parts[0], None if x.label is None else f"L{x.label}"))
+            else:
+                done.append(x.__class__(*parts))
+            continue
+        same = all(y.__class__ is x.__class__ for y in col)
+        if kind == "f":
+            if same and isinstance(x, Atom) and all(y == x for y in col):
+                done.append(x)
+            elif same and isinstance(x, (Conj, Disj, Impl)):
+                if n > _FORMULA_NESTING:
+                    return None
+                todo.append(("b", col, 2))
+                todo += [("f", tuple(y.right for y in col), n + 1), ("f", tuple(y.left for y in col), n + 1)]
+            else:
+                done.append(FVar(names.setdefault(("f", col), f"G{len(names)}")))
+        elif same and (
+            isinstance(x, EmptyTop)
+            or isinstance(x, Assumption) and all(y.label == x.label for y in col)
+            or isinstance(x, Inf) and all(
+                y.tag == x.tag and len(y.children) == len(x.children) and y.discharges == x.discharges for y in col
             )
-    raise JustificationError(f"not a structure: {d!r}")
-
-
-class _Gen:
-    """Shared anti-unification state: one variable per generalized pair."""
-
-    def __init__(self):
-        self.fmemo: dict[tuple, str] = {}
-        self.smemo: dict[tuple, str] = {}
-
-    def fvar(self, a, z) -> FVar:
-        key = (repr(a), repr(z))
-        if key not in self.fmemo:
-            self.fmemo[key] = f"G{len(self.fmemo) + len(self.smemo)}"
-        return FVar(self.fmemo[key])
-
-    def svar(self, a, z) -> str:
-        key = (repr(a), repr(z))
-        if key not in self.smemo:
-            self.smemo[key] = f"G{len(self.fmemo) + len(self.smemo)}"
-        return self.smemo[key]
-
-
-def _gen_formula(p, f: Formula, g: _Gen):
-    if isinstance(p, FVar):
-        return p
-    match p, f:
-        case (Atom(), Atom()) if p == f:
-            return p
-        case (Conj(a, b), Conj(x, y)):
-            return Conj(_gen_formula(a, x, g), _gen_formula(b, y, g))
-        case (Disj(a, b), Disj(x, y)):
-            return Disj(_gen_formula(a, x, g), _gen_formula(b, y, g))
-        case (Impl(a, b), Impl(x, y)):
-            return Impl(_gen_formula(a, x, g), _gen_formula(b, y, g))
-    return g.fvar(p, f)
-
-
-def _gen_pattern(p: Pattern, d: ArgStructure, g: _Gen) -> Pattern:
-    match p, d:
-        case (PAssume(fp, lv), Assumption(f, lbl)) if lv == (_lvar_for(lbl) if lbl is not None else None):
-            return PAssume(_gen_formula(fp, f, g), lv)
-        case (EmptyTop(), EmptyTop()):
-            return p
-        case (PInf(tag, cp, children, dspecs), Inf(tag2, c, kids, dis)) if (
-            tag == tag2
-            and len(children) == len(kids)
-            and tuple(s.labelvar for s in dspecs) == tuple(_lvar_for(l) for l in sorted(dis))
         ):
-            return PInf(
-                tag,
-                _gen_formula(cp, c, g),
-                tuple(_gen_pattern(cp2, k2, g) for cp2, k2 in zip(children, kids)),
-                dspecs,
-            )
-        case _:
-            return PVar(g.svar(p, d))
+            if n > _SEXPR_NESTING:
+                return None
+            if isinstance(x, EmptyTop):
+                done.append(x)
+            elif isinstance(x, Assumption):
+                todo += [("b", col, 1), ("f", tuple(y.formula for y in col), 1)]
+            else:
+                kids = len(x.children)
+                todo.append(("b", col, kids + 1))
+                todo += [("s", tuple(y.children[i] for y in col), n + 1) for i in reversed(range(kids))]
+                todo.append(("f", tuple(y.conclusion for y in col), 1))
+        else:
+            texts = tuple(render_structure(y) for y in col)
+            done.append(PVar(names.setdefault(("s", texts), f"G{len(names)}")))
+    pat, tmpl = done
+    return pat, tmpl
 
 
 def _table_is_schematic(cm: ConstantMap) -> bool:
-    entries = sorted(
-        ((canonical_form(k), canonical_form(v)) for k, v in cm.pairs),
-        key=lambda kv: render_structure(kv[0]),  # canonical already: its text is its canonical key
-    )
+    # its distinct entries, each as its canonical form: their labels number alike
+    entries = [(canonical_form(k), canonical_form(v)) for k, v in cm._index.items()]
     if len(entries) < 2:
         # a lone ground pair is a table entry, not a rewriting scheme
         return False
-    k0, v0 = entries[0]
-    pat = _struct_to_pattern(k0)
-    tmpl = _struct_to_pattern(v0)
-    for k, v in entries[1:]:
-        g = _Gen()
-        pat = _gen_pattern(pat, k, g)
-        tmpl = _gen_pattern(tmpl, v, g)
-    if _clause_problem(pat, tmpl):
-        return False  # nonlinear, or the output is not a function of the matched parts
-    rule = SchematicRewrite(cm.name + "~scheme", ((pat, tmpl),))
+    scheme = _scheme(entries)
+    if scheme is None or _clause_problem(*scheme):
+        return False  # too deep, nonlinear, or the output is not a function of the matched parts
+    rule = SchematicRewrite(cm.name + "~scheme", (scheme,))
     for k, v in entries:
         try:
             out = _apply_rewrite(rule, k)
@@ -869,8 +857,10 @@ def is_schematic(j: Justification) -> bool:
 
     Rewrite rules are schematic outright; choice functions are not (they
     are defined on structure/base pairs, not structures). A finite table
-    counts only when anti-unifying its pairs yields a single rewrite
-    scheme whose instances reproduce exactly the table.
+    counts when it has at least two distinct entries and their least
+    general scheme (_scheme, over their canonical forms) is a rewrite
+    clause that reproduces every entry. A table whose scheme would nest
+    deeper than a rule line can be read is not schematic.
     """
     match j:
         case SchematicRewrite():

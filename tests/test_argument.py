@@ -762,12 +762,13 @@ def test_every_constructor_leaves_its_facts_set():
 
 
 def test_the_text_writers_refuse_what_is_not_a_structure():
-    # a str once passed for one of the closing texts the writer stacks, and lost its first character
-    for bad in ('(assume "a")', "xyz", 42):
-        with pytest.raises(StructureError, match="not a structure"):
-            render_structure(bad)
-        with pytest.raises(StructureError, match="not a structure"):
-            canonical_key(bad)
+    # a str once passed for one of the closing texts the writer stacks, and lost its first
+    # character; a tuple for the leaf walk's rebuild marker, and 42 came back as it was
+    marker = (Inf("t", a, (EmptyTop(),)), frozenset())
+    for bad in ('(assume "a")', "xyz", 42, ("x",), marker):
+        for write in (render_structure, canonical_key, canonical_form, lambda d: relabel(d, {})):
+            with pytest.raises(StructureError, match="not a structure"):
+                write(bad)
 
 
 def test_a_tag_that_would_not_read_back_is_refused():

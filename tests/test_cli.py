@@ -274,4 +274,4 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.returncode == 0, done.stderr
     added = set(done.stdout.split())
     assert "ptslab.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "string"}

@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import random
 import weakref
 from unittest import mock
@@ -39,6 +40,7 @@ from ptslab import (
     negation,
     or_detour,
     parse_base,
+    parse_formula,
     positions,
     parse_rules,
     parse_structure,
@@ -343,6 +345,133 @@ def test_is_schematic_shares_structure_variables_across_sides():
 
     table = ConstantMap("f_to_g", (pair("p"), pair("q")))
     assert is_schematic(table)
+
+
+_SPLIT = (
+    'split: (inf f "?A & ?B" (empty)) => '
+    '(inf andI "?A & ?B" (inf ax "?A" (empty)) (inf ax "?B" (empty)))'
+)
+
+
+def _graph_table(rule, domain):
+    return ConstantMap("graph", graph_of(rule, domain).pairs)
+
+
+def test_every_graph_of_one_rule_is_schematic():
+    # each round of a pairwise generaliser once restarted its variable names, so a
+    # third entry could read f "?G0 & ?G0"; every two of these three were schematic
+    split = parse_rules(_SPLIT).members[0]
+
+    def domain(texts):
+        return [Inf("f", parse_formula(t), (EmptyTop(),)) for t in texts]
+
+    assert is_schematic(_graph_table(split, domain(["a & b", "a & c", "d & c"])))
+    texts = ["a & b", "a & c", "d & c", "b & b", "(a | b) & c"]
+    subsets = [sub for r in (2, 3, 4) for sub in itertools.combinations(texts, r)]
+    assert len(subsets) == 25
+    assert all(is_schematic(_graph_table(split, domain(sub))) for sub in subsets)
+
+
+def test_is_schematic_reads_distinct_entries():
+    # the two tables are equal, so they get one verdict: a lone entry is no scheme
+    ax = Inf("ax", Disj(a, negation(a)), (EmptyTop(),))
+    out = apply_justification(em_refutation_rule(), ax)
+    once, twice = ConstantMap("m", ((ax, out),)), ConstantMap("m", ((ax, out), (ax, out)))
+    assert once == twice
+    assert not is_schematic(once) and not is_schematic(twice)
+
+
+def test_is_schematic_on_tables_deeper_than_the_recursion_limit():
+    leaf = Inf("ax", a, (EmptyTop(),))
+
+    def chain(n, d):
+        for _ in range(n):
+            d = Inf("s", a, (d,))
+        return d
+
+    deep = chain(3000, leaf)
+    # the keys differ at the root: ?G0 => (inf ax "a" (empty)) reproduces both
+    assert is_schematic(ConstantMap("deep", ((Inf("p", a, (deep,)), leaf), (Inf("q", a, (deep,)), leaf))))
+    # the keys share a 3000-deep prefix: the scheme would be too deep to be a rule
+    keys = [chain(3000, Inf(tag, a, (EmptyTop(),))) for tag in ("p", "q")]
+    assert not is_schematic(ConstantMap("deep", tuple((k, leaf) for k in keys)))
+
+
+_FORMS = ("a", "b", "?A", "?B", "?A & b", "?A -> ?B")
+
+
+@st.composite
+def _rule_graphs(draw):
+    """(rule, keys) with the rule plug-free and linear, the keys at least two of its
+    instances. Each structure variable's instances carry a tag of their own, so its
+    column differs at the root and from every other column. The template uses at least
+    one structure variable, so any two images differ."""
+    nvars, nlabels = itertools.count(), itertools.count(1)
+
+    def pattern(depth):
+        kind = draw(st.sampled_from(("var", "closed", "inf") if depth < 3 else ("var", "closed")))
+        if kind == "inf":
+            kids = [pattern(depth + 1) for _ in range(draw(st.integers(1, 2)))]
+            return ("inf", draw(st.sampled_from("fg")), draw(st.sampled_from(_FORMS)), kids)
+        return (kind, next(nvars if kind == "var" else nlabels))
+
+    kids = [pattern(1) for _ in range(draw(st.integers(0, 2)))]
+    kids.insert(draw(st.integers(0, len(kids))), ("var", next(nvars)))
+    pat = ("inf", "r", draw(st.sampled_from(_FORMS)), kids)
+    n = next(nvars)
+    fvars = [v for v in "AB" if f"?{v}" in repr(pat)]
+    forms = [f for f in _FORMS if all(v in fvars for v in "AB" if f"?{v}" in f)]
+
+    def template(depth):
+        kind = draw(st.sampled_from(("use", "ground", "inf") if depth < 3 else ("use", "ground")))
+        if kind == "inf":
+            kids = [template(depth + 1) for _ in range(draw(st.integers(1, 2)))]
+            return ("inf", draw(st.sampled_from("gh")), draw(st.sampled_from(forms)), kids)
+        return ("use", draw(st.integers(0, n - 1))) if kind == "use" else ("ground",)
+
+    kids = [template(1) for _ in range(draw(st.integers(0, 2)))]
+    kids.insert(draw(st.integers(0, len(kids))), ("use", draw(st.integers(0, n - 1))))
+    tmpl = ("inf", "t", pat[2], kids)
+
+    def text(node, entry=None, sigma=None):
+        match node:
+            case ("inf", tag, form, kids):
+                for v, atom in (sigma or {}).items():
+                    form = form.replace(f"?{v}", atom)
+                return f'(inf {tag} "{form}" ' + " ".join(text(k, entry, sigma) for k in kids) + ")"
+            case ("var" | "use", k):
+                return f"?D{k}" if entry is None else f'(inf x{entry}v{k} "a" (empty))'
+            case ("closed", l):
+                label = f"?l{l}" if entry is None else str(l)
+                return f'(inf d "a" (inf h "a" (assume "a" :label {label})) :discharge ({label}))'
+        return '(inf e "a" (empty))'
+
+    rule = parse_rules(f"r: {text(pat)} => {text(tmpl)}").members[0]
+    sigmas = [{v: draw(st.sampled_from("pq")) for v in fvars} for _ in range(draw(st.integers(2, 5)))]
+    return rule, [parse_structure(text(pat, e, sigma)) for e, sigma in enumerate(sigmas)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rule_graphs(), st.randoms(use_true_random=False))
+def test_the_schematic_verdict_is_the_entries_and_the_graph_of_a_rule_has_it(graph, rng):
+    rule, keys = graph
+    pairs = list(graph_of(rule, keys).pairs)
+
+    def verdict_of(pairs):
+        verdict = is_schematic(ConstantMap("t", tuple(pairs)))
+        moved = [(relabel(k, {l: l + 40 for l in range(1, 20)}), v) for k, v in pairs]
+        moved += rng.sample(moved, rng.randint(0, len(moved)))
+        rng.shuffle(moved)
+        assert is_schematic(ConstantMap("t", tuple(moved))) == verdict
+        return verdict
+
+    assert verdict_of(pairs)
+    # with a third entry, a swapped image makes a column that no key column holds
+    for i, j in itertools.permutations(range(len(pairs)), 2):
+        (ki, vi), (_, vj) = pairs[i], pairs[j]
+        if len(pairs) >= 3 and conclusion_of(vi) == conclusion_of(vj):
+            assert not verdict_of(pairs[:i] + [(ki, vj)] + pairs[i + 1 :])
+            break
 
 
 def test_step_candidates_order_is_deterministic():

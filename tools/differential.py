@@ -13,13 +13,19 @@ text, since an `AtomicBase` has no `repr` of its own. Calls made inside
 other calls are recorded too (the `valid` calls of `consequence`), in
 the order they return.
 
-A last op group, `choice`, runs what no workload builds: a
+Two op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
 excluded-middle axiom of the formula with the steps (the choice
 function, `or_detour()`), then `recheck_invalid` when the verdict is
 Invalid, as it is on the bases outside the choice function's family.
+
+The second, `schematic`, asks what no workload asks: whether a
+finite table is schematic. For `em_refutation_rule()` and for the rule
+`split` (`SPLIT_TEXT`), and for every 2- to 4-subset of that rule's
+formula list in `SCHEMATIC_FORMULAS`, it writes `is_schematic` of the
+rule's graph on the subset's redexes, as a `ConstantMap`.
 
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -37,6 +44,14 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ("pooled-family", "detour-search", "semantics-sweep")
 SEEDS = (0, 11, 9001)
 CHOICE_FORMULAS = ("a", "b", "a & b", "a -> b")
+SPLIT_TEXT = (
+    'split: (inf f "?A & ?B" (empty)) => '
+    '(inf andI "?A & ?B" (inf ax "?A" (empty)) (inf ax "?B" (empty)))'
+)
+SCHEMATIC_FORMULAS = (
+    ("em_refute", ("a", "a & b", "a & c", "d & c", "~a")),
+    ("split", ("a & b", "a & c", "d & c", "b & b", "(a | b) & c")),
+)
 RECORDED = (
     ("validity", "valid"),
     ("validity", "recheck_invalid"),
@@ -104,6 +119,28 @@ def _run_choice_group(out) -> int:
     return len(CHOICE_FORMULAS) * len(bases)
 
 
+def _run_schematic_group(out) -> int:
+    """Run the schematic group, writing an `op` line and an `is_schematic`
+    line per op, and return its op count. The redex of a formula is the
+    excluded-middle axiom for em_refute and `(inf f "F" (empty))` for split."""
+    from ptslab import ConstantMap, Disj, EmptyTop, Inf, em_refutation_rule, graph_of, is_schematic, negation
+    from ptslab import parse_formula, parse_rules
+
+    rules = {"em_refute": em_refutation_rule(), "split": parse_rules(SPLIT_TEXT).members[0]}
+    redex = {
+        "em_refute": lambda f: Inf("ax", Disj(f, negation(f)), (EmptyTop(),)),
+        "split": lambda f: Inf("f", f, (EmptyTop(),)),
+    }
+    ops = 0
+    for name, texts in SCHEMATIC_FORMULAS:
+        for sub in (sub for r in (2, 3, 4) for sub in itertools.combinations(texts, r)):
+            table = ConstantMap(name, graph_of(rules[name], [redex[name](parse_formula(t)) for t in sub]).pairs)
+            out.write(f"op schematic/{name}/{'; '.join(sub)}\n")
+            out.write(f"is_schematic {is_schematic(table)}\n")
+            ops += 1
+    return ops
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="directory holding the ptslab package")
@@ -124,6 +161,7 @@ def main() -> int:
                     op.run()
                     ops[name] += 1
         ops["choice"] = _run_choice_group(out)
+        ops["schematic"] = counts["is_schematic"] = _run_schematic_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
