@@ -7,6 +7,7 @@ both in values and in the concrete syntax.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 __all__ = [
     "FormulaError",
@@ -77,16 +78,26 @@ class _Record:
     _fields = __match_args__ = ()
     __repr__ = _repr
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        """Give the class one getter of the tuple of its fields, _values."""
+        super().__init_subclass__(**kwargs)
+        names = cls._fields
+        if len(names) == 1:  # attrgetter of one name gives the bare value
+            one = attrgetter(names[0])
+            cls._values = staticmethod(lambda x: (one(x),))
+        elif names:
+            cls._values = staticmethod(attrgetter(*names))
+        else:
+            cls._values = staticmethod(lambda x: ())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -9,6 +9,12 @@ arguments for its assumptions, for every extension of its steps.
 The substitution and extension quantifiers are finitized by pools, so
 verdicts are three-valued: Invalid always carries a recheckable
 witness, and Valid on open arguments is explicitly pool-relative.
+
+Every loop over the parts of a verdict stops once the verdict is fixed:
+a canonical reduct falls at its first Invalid immediate substructure, a
+substitution at its first Invalid member, and a pooled consequence
+candidate at its first Invalid base. An Unknown part leaves a verdict
+Unknown only where no part is Invalid.
 """
 
 from __future__ import annotations
@@ -340,6 +346,19 @@ class _Search:
         return subs
 
 
+def _meet(verdicts: Iterable[Verdict]) -> str:
+    """The status of all the verdicts together, read in order: the first
+    Invalid one decides it at once, and an Unknown one counts only when
+    none is Invalid."""
+    status = "valid"
+    for v in verdicts:
+        if v.status == "invalid":
+            return "invalid"
+        if v.status == "unknown":
+            status = "unknown"
+    return status
+
+
 class _Checker:
     def __init__(self, base: AtomicBase, search: _Search):
         self.base = base
@@ -365,7 +384,11 @@ class _Checker:
 
     def _closed(self, d: ArgStructure, steps: StepSource, atomic: bool) -> Verdict:
         """The first qualifying reduct in the stream decides Valid; Invalid
-        and Unknown read the stream to its end."""
+        and Unknown read the stream to its end. A canonical reduct's
+        immediate substructures are checked in order up to the first
+        Invalid one, which refutes the reduct. The verdict is Unknown when
+        the stream was cut by a bound or some reduct had an Unknown
+        substructure and no Invalid one; otherwise it is Invalid."""
         stream = self.search.stream(steps, d, self.base)
         saw_unknown = False
         for r, depth in stream:
@@ -376,12 +399,12 @@ class _Checker:
             subs = self.search.canonical_subs(r)
             if subs is None:
                 continue
-            sub_verdicts = [self.check(s, steps) for s in subs]
-            if all(v.is_valid for v in sub_verdicts):
+            status = _meet(self.check(s, steps) for s in subs)
+            if status == "valid":
                 return Verdict.valid(
                     f"canonical reduct at depth {depth} with valid immediate substructures"
                 )
-            if any(v.is_unknown for v in sub_verdicts):
+            if status == "unknown":
                 saw_unknown = True
         if saw_unknown or stream.bound:
             return Verdict.unknown("reduction bound hit before a qualifying reduct was found")
@@ -419,13 +442,13 @@ class _Checker:
         checked = 0
         for ext_index, ext in enumerate(extensions):
             for combo in itertools.product(*(pools[f] for f in assumptions)):
-                sigma = dict(zip(assumptions, combo))
-                member_verdicts = [self.check(s, ext) for s in combo]
-                if any(v.is_invalid for v in member_verdicts):
+                status = _meet(self.check(s, ext) for s in combo)
+                if status == "invalid":
                     continue  # the conditional's antecedent fails for this sigma
-                if any(v.is_unknown for v in member_verdicts):
+                if status == "unknown":
                     tainted = True
                     continue
+                sigma = dict(zip(assumptions, combo))
                 inst = instantiate(d, sigma)
                 v = self.check(inst, ext)
                 if v.is_invalid:
@@ -639,21 +662,12 @@ def consequence(
 
     search = _Search(bounds)  # one search for the whole family, dropped on return
     if variant == "delta":
-        unknowns = []
         for b in family:
-            arg = None
-            for cand in candidates:
-                if valid(cand, b, bounds, _search=search).is_valid:
-                    arg = cand
-                    break
-            if arg is None:
-                arg = _delta_witness(b, context, goal)
-                v = valid(arg, b, bounds, _search=search)
-                if not v.is_valid:
-                    unknowns.append((b.id, v))
-        if unknowns:
-            b_id, v = unknowns[0]
-            return Verdict.unknown(f"constructed witness did not verify on {b_id}: {v.reason}")
+            if any(valid(cand, b, bounds, _search=search).is_valid for cand in candidates):
+                continue
+            v = valid(_delta_witness(b, context, goal), b, bounds, _search=search)
+            if not v.is_valid:
+                return Verdict.unknown(f"constructed witness did not verify on {b.id}: {v.reason}")
         return Verdict.valid(f"per-base witnesses verified on all {len(family)} base(s)")
 
     if variant != "delta-s":  # delta-star and delta-sh pool these instances into the steps
@@ -683,11 +697,11 @@ def consequence(
         label = "schematic candidates only (rewrite-rule schematicity test)"
 
     saw_unknown = False
-    for cand in pool:
-        verdicts = [valid(cand, b, bounds, _search=search) for b in family]
-        if all(v.is_valid for v in verdicts):
+    for cand in pool:  # a candidate falls at its first Invalid base
+        status = _meet(valid(cand, b, bounds, _search=search) for b in family)
+        if status == "valid":
             return Verdict.valid(f"uniform witness valid on all {len(family)} base(s); {label}")
-        if any(v.is_unknown for v in verdicts):
+        if status == "unknown":
             saw_unknown = True
     if variant == "delta-s":
         return Verdict.unknown("no schematic witness found")

@@ -91,21 +91,27 @@ def test_choice_function_search_stays_per_base(monkeypatch):
     fam = list(enumerate_bases([a, b], 2))
     ch = choice_justification(a, fam[::2])
     cand = Argument(axiom_structure(EM_A), JustificationSet((ch,)))
-    seen = _count_step_candidates(monkeypatch)
     calls = _record_valid(monkeypatch)
     assert consequence("delta-star", [], EM_A, fam, candidates=[cand]).is_valid
-    got = [(base, v) for arg, base, v in calls if arg == cand]
-    assert [base for base, _v in got] == fam
+    # the candidate falls at its first Invalid base, the first one the table leaves out
+    assert [base for arg, base, _v in calls if arg == cand] == fam[:2]
+    monkeypatch.undo()
+    # so the family's shared search is driven over every base directly
+    seen = _count_step_candidates(monkeypatch)
+    search = validity._Search(Bounds())
+    got = [valid(cand, base, _search=search) for base in fam]
     assert seen[(cand.steps, canonical_key(cand.structure))] == len(fam)
     monkeypatch.undo()
     fresh = [valid(cand, base) for base in fam]
-    assert [repr(v) for _base, v in got] == [repr(v) for v in fresh]
+    assert [repr(v) for v in got] == [repr(v) for v in fresh]
     assert {v.status for v in fresh} == {"valid", "invalid"}
 
 
 class _DrainingChecker(validity._Checker):
     """The checker's closed clause as it was before the early stop: the whole
-    search is drained with reach, then scanned for a qualifying reduct."""
+    search is drained with reach, then scanned for a qualifying reduct. Every
+    immediate substructure of a canonical reduct is checked; an Invalid one
+    refutes the reduct, whatever the others are."""
 
     def _closed(self, d, steps, atomic):
         reached, bound_hit = reach(
@@ -130,7 +136,7 @@ class _DrainingChecker(validity._Checker):
                 return validity.Verdict.valid(
                     f"canonical reduct at depth {depth} with valid immediate substructures"
                 )
-            if any(v.is_unknown for v in sub_verdicts):
+            if not any(v.is_invalid for v in sub_verdicts):
                 saw_unknown = True
         if saw_unknown:
             return validity.Verdict.unknown("reduction bound hit before a qualifying reduct was found")

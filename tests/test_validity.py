@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from ptslab import (
     apply_justification,
     atomic_derivation,
     choice_justification,
+    conclusion_of,
     consequence,
     em_assertion_map,
     em_refutation_rule,
@@ -627,3 +629,189 @@ def test_a_witness_built_from_texts_rechecks_by_its_texts():
     assert recheck_invalid(arg, base, Bounds(), Verdict.invalid("rebuilt", same))
     dropped = ExhaustedSearch(w.start, w.explored[1:], w.max_steps)
     assert not recheck_invalid(arg, base, Bounds(), Verdict.invalid("one reduct short", dropped))
+
+
+# --- an Invalid part decides its loop -----------------------------------------
+
+
+def _nested_detour(x, y, depth, labels):
+    """An or-detour on x nested depth deep over a derivation leaf for x; it
+    takes depth or_detour steps to reduce."""
+    d = Inf("atm", x, (EmptyTop(),))
+    for _ in range(depth):
+        l1, l2 = next(labels), next(labels)
+        major = Inf("orI1", Disj(x, y), (d,))
+        side = Inf("k", x, (Assumption(y, l2),))
+        d = Inf("orE", x, (major, Assumption(x, l1), side), frozenset({l1, l2}))
+    return d
+
+
+# c & (a -> b) on the base -> b: c has no derivation, and a -> b is Unknown
+# at bound 10, since its only pool member for a needs 11 steps to reduce
+REFUTED_C = Inf("atm", c, (EmptyTop(),))
+REFUTED_IMP = Inf("impI", Impl(a, b), (Inf("step", b, (Assumption(a, 1),)),), frozenset({1}))
+REFUTED_POOL = (_nested_detour(a, b, 11, itertools.count(10)),)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_an_invalid_substructure_refutes_its_reduct(swap):
+    kids = (REFUTED_IMP, REFUTED_C) if swap else (REFUTED_C, REFUTED_IMP)
+    d = Inf("andI", Conj(conclusion_of(kids[0]), conclusion_of(kids[1])), kids)
+    arg, base = Argument(d, JustificationSet((or_detour(),))), parse_base("-> b\n")
+    for steps in (10, 12):  # the check-every loops said Unknown at 10
+        bounds = Bounds(max_reduction_steps=steps, sigma_candidates=REFUTED_POOL)
+        imp = valid(Argument(REFUTED_IMP, arg.steps), base, bounds)
+        assert imp.status == ("unknown" if steps == 10 else "valid")
+        v = valid(arg, base, bounds)
+        assert v.is_invalid and isinstance(v.witness, ExhaustedSearch)
+        assert v.reason == "search exhausted: no canonical reduct with valid substructures among 1 reduct(s)"
+        assert recheck_invalid(arg, base, bounds, v)
+
+
+def test_a_refuted_pool_member_no_longer_taints_an_open_argument():
+    # the structure above as the only pool member for its conclusion: it is
+    # Invalid now, so the open argument is vacuously valid at both bounds
+    # (the check-every loops said Unknown at 10, the member being Unknown)
+    d = Inf("andI", Conj(c, Impl(a, b)), (REFUTED_C, REFUTED_IMP))
+    arg = Argument(Assumption(conclusion_of(d)), JustificationSet((or_detour(),)))
+    for steps in (10, 12):
+        bounds = Bounds(max_reduction_steps=steps, sigma_candidates=(d,) + REFUTED_POOL)
+        v = valid(arg, parse_base("-> b\n"), bounds)
+        assert v.is_valid and v.reason.startswith("vacuous")
+
+
+class _CheckEveryChecker(validity._Checker):
+    """The checker's loops as they were before an Invalid part stopped them:
+    every immediate substructure of a canonical reduct and every member of a
+    substitution is checked, and an Unknown one leaves the verdict Unknown
+    even beside an Invalid one."""
+
+    def _closed(self, d, steps, atomic):
+        stream = self.search.stream(steps, d, self.base)
+        saw_unknown = False
+        for r, depth in stream:
+            if atomic:
+                if is_derivation_structure(r, self.base):
+                    return Verdict.valid(f"reduces to a derivation on the base in {depth} step(s)")
+                continue
+            subs = self.search.canonical_subs(r)
+            if subs is None:
+                continue
+            sub_verdicts = [self.check(s, steps) for s in subs]
+            if all(v.is_valid for v in sub_verdicts):
+                return Verdict.valid(f"canonical reduct at depth {depth} with valid immediate substructures")
+            if any(v.is_unknown for v in sub_verdicts):
+                saw_unknown = True
+        if saw_unknown or stream.bound:
+            return Verdict.unknown("reduction bound hit before a qualifying reduct was found")
+        return Verdict.invalid("search exhausted")
+
+    def _open(self, d, steps, assumptions):
+        extensions = self._extensions_for(steps)
+        pools = {f: self._sigma_candidates(f) for f in assumptions}
+        tainted, checked = False, 0
+        for ext in extensions:
+            for combo in itertools.product(*(pools[f] for f in assumptions)):
+                member_verdicts = [self.check(s, ext) for s in combo]
+                if any(v.is_invalid for v in member_verdicts):
+                    continue
+                if any(v.is_unknown for v in member_verdicts):
+                    tainted = True
+                    continue
+                v = self.check(validity.instantiate(d, dict(zip(assumptions, combo))), ext)
+                if v.is_invalid:
+                    return Verdict.invalid("a valid substitution instance fails")
+                if v.is_unknown:
+                    tainted = True
+                else:
+                    checked += 1
+        if tainted:
+            return Verdict.unknown("some pool instantiation hit a bound")
+        if checked == 0:
+            names = ", ".join(validity.render_formula(f) for f in assumptions)
+            return Verdict.valid(f"vacuous: the pool offers no valid closed argument for {names}")
+        return Verdict.valid(
+            f"pool-relative: {checked} substitution(s) over {len(extensions)} step source(s) hold"
+        )
+
+
+REFUTE_RULES = ("-> a", "-> b", "-> c", "a -> b", "b -> c", "c -> a")
+REFUTE_STEPS = JustificationSet((or_detour(), em_refutation_rule()))
+
+
+def _random_piece(rng, labels, depth):
+    """A closed structure over a, b and c built from derivation leaves,
+    nested or-detours, excluded-middle axioms, and introductions of a
+    conjunction, an implication over an open step, and a disjunction."""
+    x, y = rng.sample([a, b, c], 2)
+    kind = rng.choice((0, 1, 2, 3, 3, 3, 3, 3, 4, 5) if depth else (0, 0, 1, 2, 4, 4))
+    if kind == 0:
+        return Inf("atm", x, (EmptyTop(),))
+    if kind == 1:
+        return _nested_detour(x, y, rng.randint(1, 4), labels)
+    if kind == 2:
+        return axiom_structure(Disj(x, negation(x)))
+    if kind == 3:
+        left, right = _random_piece(rng, labels, depth - 1), _random_piece(rng, labels, depth - 1)
+        return Inf("andI", Conj(conclusion_of(left), conclusion_of(right)), (left, right))
+    if kind == 4:
+        n = next(labels)
+        return Inf("impI", Impl(y, x), (Inf("step", x, (Assumption(y, n),)),), frozenset({n}))
+    inner = _random_piece(rng, labels, depth - 1)
+    return Inf("orI1", Disj(conclusion_of(inner), x), (inner,))
+
+
+def _random_refutation_case(rng):
+    """An argument, a base and bounds whose pool holds atomic structures only,
+    so a pool member's verdict is the same under either loop."""
+    labels = itertools.count(1)
+    if rng.random() < 0.2:
+        x, y = rng.sample([a, b, c], 2)
+        d = Inf("use", x, (Assumption(y),))
+    else:
+        d = _random_piece(rng, labels, rng.randint(1, 2))
+    base = parse_base("".join(line + "\n" for line in REFUTE_RULES if rng.random() < 0.4))
+    pool = tuple(_nested_detour(x, a if x != a else b, rng.randint(1, 5), labels) for x in (a, b, c) if rng.random() < 0.6)
+    return Argument(d, REFUTE_STEPS), base, Bounds(max_reduction_steps=rng.randint(0, 4), sigma_candidates=pool)
+
+
+def _both_loops(seed):
+    arg, base, bounds = _random_refutation_case(random.Random(seed))
+    got = valid(arg, base, bounds)
+    want = _CheckEveryChecker(base, validity._Search(bounds)).check(arg.structure, arg.steps)
+    return arg, base, bounds, got, want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_an_invalid_part_changes_only_unknowns_to_invalid(seed):
+    arg, base, bounds, got, want = _both_loops(seed)
+    if want.is_invalid or (want.is_unknown and got.is_invalid):
+        assert got.is_invalid and recheck_invalid(arg, base, bounds, got)
+    else:
+        assert (got.status, got.reason) == (want.status, want.reason)
+    more = Bounds(max_reduction_steps=bounds.max_reduction_steps + 2, sigma_candidates=bounds.sigma_candidates)
+    assert {got.status, valid(arg, base, more).status} != {"valid", "invalid"}
+
+
+def test_the_refutation_cases_reach_every_outcome():
+    # the property above is only as good as the verdict pairs its inputs reach
+    seen = Counter()
+    for seed in range(150):
+        _arg, _base, _bounds, got, want = _both_loops(seed)
+        seen[(want.status, got.status)] += 1
+    assert set(seen) == {("valid", "valid"), ("invalid", "invalid"), ("unknown", "unknown"), ("unknown", "invalid")}, seen
+
+
+def test_a_candidate_falls_at_its_first_invalid_base():
+    # the user candidate is Invalid on -> a (its instance over the derivation
+    # of a has no derivation of c) and Unknown on -> b (its one pool member for
+    # a needs 11 steps); the pooled candidate is Invalid on -> a, where the
+    # pool member `other` makes an instance that no pooled entry rewrites
+    other = Inf("other", a, (EmptyTop(),))
+    cand = Argument(Inf("step", c, (Assumption(a),)), JustificationSet((or_detour(),)))
+    fam = [parse_base("-> a\n"), parse_base("-> b\n")]
+    bounds = Bounds(sigma_candidates=REFUTED_POOL + (other,))
+    assert [valid(cand, base, bounds).status for base in fam] == ["invalid", "unknown"]
+    v = consequence("delta-star", [a], a, fam, bounds, candidates=[cand])
+    assert v.is_unknown and v.reason == "no uniform witness found in pool"

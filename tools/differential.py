@@ -10,10 +10,12 @@ writes one line per call of `valid`, `recheck_invalid`, `consequence`,
 `logical_consequence` and `search_counterexample`: the function name and
 the `repr` of its result, except that a base is written as its rules
 text, since an `AtomicBase` has no `repr` of its own. Calls made inside
-other calls are recorded too (the `valid` calls of `consequence`), in
-the order they return.
+other calls are recorded too (the `valid` calls of `consequence` and of
+`recheck_invalid`), in the order they return, each indented by two
+spaces per recorded call it was made in: a change that skips nested
+calls shows as deleted indented lines.
 
-Two op groups follow. The first, `choice`, runs what no workload builds: a
+Three op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -26,6 +28,15 @@ finite table is schematic. For `em_refutation_rule()` and for the rule
 `split` (`SPLIT_TEXT`), and for every 2- to 4-subset of that rule's
 formula list in `SCHEMATIC_FORMULAS`, it writes `is_schematic` of the
 rule's graph on the subset's redexes, as a `ConstantMap`.
+
+The third, `refuted`, checks a conjunction one of whose immediate
+substructures is Invalid and the other Unknown: on the base `-> b`, with
+the steps `or_detour()`, `c & (a -> b)` over a derivation leaf for c
+(which has none) and an introduction of a -> b over `(inf step "b"
+(assume "a"))`, whose only pool member for a is an or-detour nested
+`REFUTED_DEPTH` deep. It calls `valid` with the substructures in both
+orders, at the reduction bounds in `REFUTED_BOUNDS`, then
+`recheck_invalid` when the verdict is Invalid.
 
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
@@ -52,6 +63,13 @@ SCHEMATIC_FORMULAS = (
     ("em_refute", ("a", "a & b", "a & c", "d & c", "~a")),
     ("split", ("a & b", "a & c", "d & c", "b & b", "(a | b) & c")),
 )
+REFUTED_IMP = '(inf impI "a -> b" (inf step "b" (assume "a" :label 1)) :discharge (1))'
+REFUTED_STRUCTURES = (
+    f'(inf andI "c & (a -> b)" (inf atm "c" (empty)) {REFUTED_IMP})',
+    f'(inf andI "(a -> b) & c" {REFUTED_IMP} (inf atm "c" (empty)))',
+)
+REFUTED_DEPTH = 11
+REFUTED_BOUNDS = (10, 12)
 RECORDED = (
     ("validity", "valid"),
     ("validity", "recheck_invalid"),
@@ -70,13 +88,18 @@ def _record_calls(out, counts: dict[str, int]) -> None:
     import ptslab  # noqa: F401  (loads every module that binds a target)
 
     modules = [m for n, m in list(sys.modules.items()) if n == "ptslab" or n.startswith("ptslab.")]
+    depth = [0]  # recorded calls under way
     for module, name in RECORDED:
         original = getattr(sys.modules[f"ptslab.{module}"], name)
 
         @functools.wraps(original)
         def recorded(*args, _fn=original, _name=name, **kwargs):
-            result = _fn(*args, **kwargs)
-            out.write(f"{_name} {_shown(result)}\n")
+            depth[0] += 1
+            try:
+                result = _fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            out.write(f"{'  ' * depth[0]}{_name} {_shown(result)}\n")
             counts[_name] += 1
             return result
 
@@ -141,6 +164,31 @@ def _run_schematic_group(out) -> int:
     return ops
 
 
+def _run_refuted_group(out) -> int:
+    """Run the refuted group, writing an `op` line before each op, and return
+    its op count."""
+    from ptslab import Argument, Bounds, JustificationSet, or_detour, parse_base, parse_structure
+    from ptslab import recheck_invalid, valid
+
+    member = '(inf atm "a" (empty))'
+    for i in range(REFUTED_DEPTH):
+        member = (
+            f'(inf orE "a" (inf orI1 "a | b" {member}) (assume "a" :label {2 * i + 10}) '
+            f'(inf k "a" (assume "b" :label {2 * i + 11})) :discharge ({2 * i + 10} {2 * i + 11}))'
+        )
+    pool = (parse_structure(member),)
+    base = parse_base("-> b\n")
+    for order, text in zip(("c-first", "imp-first"), REFUTED_STRUCTURES):
+        arg = Argument(parse_structure(text), JustificationSet((or_detour(),)))
+        for steps in REFUTED_BOUNDS:
+            out.write(f"op refuted/{order}/{steps}\n")
+            bounds = Bounds(max_reduction_steps=steps, sigma_candidates=pool)
+            v = valid(arg, base, bounds)
+            if v.is_invalid:
+                recheck_invalid(arg, base, bounds, v)
+    return len(REFUTED_STRUCTURES) * len(REFUTED_BOUNDS)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="directory holding the ptslab package")
@@ -162,6 +210,7 @@ def main() -> int:
                     ops[name] += 1
         ops["choice"] = _run_choice_group(out)
         ops["schematic"] = counts["is_schematic"] = _run_schematic_group(out)
+        ops["refuted"] = _run_refuted_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
