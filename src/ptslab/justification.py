@@ -763,9 +763,9 @@ def check_closure(
 
 
 def _scheme(entries: list[tuple[ArgStructure, ArgStructure]]) -> tuple[Pattern, Pattern] | None:
-    """The least general pattern => template of which every entry is an
-    instance, from one walk over the entries' columns with an explicit
-    stack: the keys in lockstep, then the values.
+    """The least general linear pattern => template of which every entry
+    is an instance, from one walk over the entries' columns with an
+    explicit stack: the keys in lockstep, then the values.
 
     Where all entries agree, the scheme has their node: the same class, a
     leaf with the same label, an inference with the same tag, arity and
@@ -773,18 +773,28 @@ def _scheme(entries: list[tuple[ArgStructure, ArgStructure]]) -> tuple[Pattern, 
     has a variable, one per distinct column, found by the column's exact
     content (the texts of its structures, its formulas); the two sides
     share the table, so a template column that a key column holds reads
-    the pattern's variable. None when the scheme would nest more than
-    sexpr.MAX_NESTING structure nodes or formula.MAX_NESTING connectives
-    deep: the reader keeps rules that shallow, and the rule walkers
-    (_tree_vars, _match, _build) recurse."""
-    names: dict[tuple, str] = {}  # a column that differs -> its variable
+    the pattern's variable. Patterns are linear, so a structure column the
+    keys hold twice gets a fresh variable at each place, and the template
+    reads the first one; a formula column may repeat.
+
+    None when the scheme would nest more than sexpr.MAX_NESTING structure
+    nodes or formula.MAX_NESTING connectives deep: the reader keeps rules
+    that shallow, and the rule walkers (_tree_vars, _match, _build) recurse."""
+    names: dict[tuple, str] = {}  # a column that differs -> its (first) variable
+    made = itertools.count()
     done: list = []  # built scheme parts, the last ones on top
     # (kind, column, n): "s" and "f" walk a column of structures or formulas n deep,
-    # "b" builds the scheme node of the column's class from the last n parts
-    todo: list = [("s", tuple(v for _, v in entries), 1), ("s", tuple(k for k, _ in entries), 1)]
+    # "b" builds the scheme node of the column's class from the last n parts,
+    # and "t" marks the end of the keys
+    keys = tuple(k for k, _ in entries)
+    todo: list = [("s", tuple(v for _, v in entries), 1), ("t", keys, 0), ("s", keys, 1)]
+    in_keys = True
     while todo:
         kind, col, n = todo.pop()
         x = col[0]
+        if kind == "t":
+            in_keys = False
+            continue
         if kind == "b":
             parts = done[-n:]
             del done[-n:]
@@ -806,7 +816,10 @@ def _scheme(entries: list[tuple[ArgStructure, ArgStructure]]) -> tuple[Pattern, 
                 todo.append(("b", col, 2))
                 todo += [("f", tuple(y.right for y in col), n + 1), ("f", tuple(y.left for y in col), n + 1)]
             else:
-                done.append(FVar(names.setdefault(("f", col), f"G{len(names)}")))
+                column = ("f", col)
+                if column not in names:
+                    names[column] = f"G{next(made)}"
+                done.append(FVar(names[column]))
         elif same and (
             isinstance(x, EmptyTop)
             or isinstance(x, Assumption) and all(y.label == x.label for y in col)
@@ -826,8 +839,12 @@ def _scheme(entries: list[tuple[ArgStructure, ArgStructure]]) -> tuple[Pattern, 
                 todo += [("s", tuple(y.children[i] for y in col), n + 1) for i in reversed(range(kids))]
                 todo.append(("f", tuple(y.conclusion for y in col), 1))
         else:
-            texts = tuple(render_structure(y) for y in col)
-            done.append(PVar(names.setdefault(("s", texts), f"G{len(names)}")))
+            column = ("s", tuple(render_structure(y) for y in col))
+            name = names.get(column)
+            if name is None or in_keys:
+                name = f"G{next(made)}"
+                names.setdefault(column, name)
+            done.append(PVar(name))
     pat, tmpl = done
     return pat, tmpl
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Literal
 
-from .atomic_base import AtomicBase, AtomicDerivation, atomic_derivation, is_consistent
+from .atomic_base import AtomicBase, AtomicDerivation, AtomicRule, atomic_derivation, is_consistent
 from .argument import (
     ArgStructure,
     Assumption,
@@ -38,7 +38,7 @@ from .argument import (
     is_canonical,
 )
 from .base_semantics import logical_consequence, models
-from .formula import Atom, Conj, Disj, Formula, FVar, Impl, _Record, _set, negation, render_formula
+from .formula import Atom, Conj, Disj, Formula, FVar, Impl, _Record, _set, atoms_of, negation, render_formula
 from .justification import (
     ChoiceFunction,
     ConstantMap,
@@ -248,6 +248,11 @@ def synthesize_closed(base: AtomicBase, f: Formula) -> ArgStructure | None:
     formula is walked with an explicit stack of (formula, visit) pairs,
     each answer pushed on done, so refutation labels are numbered in the
     order they are made.
+
+    It reads the base only through the derivations of f's atoms
+    (atomic_derivation, from no assumptions), so two bases that derive
+    them by the same rules get equal structures; a search's witness
+    table (_Search.closed) builds one per such class.
     """
     counter = itertools.count(1)
     done: list[ArgStructure | None] = []
@@ -314,7 +319,14 @@ class _Search:
     is stepped once per call. The reducts and the substructures pass through
     one dict that makes equal ones one object, so later stream, memo and
     substructure lookups hit by identity. The streams get the plain dicts,
-    never the search, so no cycle holds them."""
+    never the search, so no cycle holds them.
+
+    Its witness table holds every closed structure the call synthesizes
+    (closed), keyed by the formula and its derivation support on the base:
+    the rules the base derives the formula's atoms by, closed under those
+    rules' premises. That is all synthesize_closed reads of the base, so
+    bases with one support share one witness, which each base still
+    checks for itself."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
@@ -322,6 +334,28 @@ class _Search:
         self._steps: dict[tuple, dict[ArgStructure, list[ArgStructure]]] = {}
         self._canon: dict[ArgStructure, ArgStructure] = {}
         self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
+        self._atoms: dict[Formula, frozenset[Atom]] = {}
+        self._witnesses: dict[tuple[Formula, frozenset[AtomicRule]], ArgStructure | None] = {}
+
+    def closed(self, base: AtomicBase, f: Formula) -> ArgStructure | None:
+        """synthesize_closed(base, f), built once per (f, derivation support)."""
+        atoms = self._atoms.get(f)
+        if atoms is None:
+            atoms = self._atoms[f] = atoms_of(f)
+        derived = base._derived
+        # an atom of f is derived iff its rule is in the support, so with f the rules are the key
+        support: set[AtomicRule] = set()
+        todo = [derived[x] for x in atoms if x in derived]
+        while todo:
+            rule = todo.pop()
+            if rule not in support:
+                support.add(rule)
+                todo += [derived[x] for x in rule.premises]
+        key = (f, frozenset(support))
+        out = self._witnesses.get(key, False)
+        if out is False:
+            out = self._witnesses[key] = synthesize_closed(base, f)
+        return out
 
     def stream(self, steps: StepSource, d: ArgStructure, base: AtomicBase) -> _Reducts:
         per_base = isinstance(steps, JustificationSet) and steps._dispatch.choice
@@ -420,7 +454,7 @@ class _Checker:
         out: list[ArgStructure] = []
         seen: set[ArgStructure] = set()
         if self.bounds.synthesize_sigma:
-            syn = synthesize_closed(self.base, f)
+            syn = self.search.closed(self.base, f)
             if syn is not None:
                 out.append(syn)
                 seen.add(syn)
@@ -586,15 +620,21 @@ def _context_structure(context: list[Formula], goal: Formula, extra: ArgStructur
     return Inf("step", goal, kids)
 
 
-def _delta_witness(base: AtomicBase, context: list[Formula], goal: Formula) -> Argument:
+def _delta_witness(
+    search: _Search,
+    base: AtomicBase,
+    context: list[Formula],
+    goal: Formula,
+    no_steps: JustificationSet,
+    projection: JustificationSet,
+) -> Argument:
     # assumes the goal follows from the context on this base
     if not context:
-        return Argument(synthesize_closed(base, goal), JustificationSet())
+        return Argument(search.closed(base, goal), no_steps)
     if any(not models(base, (), g) for g in context):
-        return Argument(_context_structure(context, goal, None), JustificationSet())
-    core = synthesize_closed(base, goal)
-    d = _context_structure(context, goal, core)
-    return Argument(d, JustificationSet((_projection_rule(len(context)),)))
+        return Argument(_context_structure(context, goal, None), no_steps)
+    core = search.closed(base, goal)
+    return Argument(_context_structure(context, goal, core), projection)
 
 
 def _uniform_structure(context: list[Formula], goal: Formula) -> ArgStructure:
@@ -603,10 +643,12 @@ def _uniform_structure(context: list[Formula], goal: Formula) -> ArgStructure:
     return _context_structure(context, goal, None)
 
 
-def _default_sigma(base: AtomicBase, context: list[Formula]) -> dict[Formula, ArgStructure] | None:
+def _default_sigma(
+    search: _Search, base: AtomicBase, context: list[Formula]
+) -> dict[Formula, ArgStructure] | None:
     sigma = {}
     for g in context:
-        s = synthesize_closed(base, g)
+        s = search.closed(base, g)
         if s is None:
             return None
         sigma[g] = s
@@ -614,17 +656,17 @@ def _default_sigma(base: AtomicBase, context: list[Formula]) -> dict[Formula, Ar
 
 
 def _uniform_instances(
-    d: ArgStructure, context: list[Formula], goal: Formula, family: list[AtomicBase]
+    search: _Search, d: ArgStructure, context: list[Formula], goal: Formula, family: list[AtomicBase]
 ) -> list[tuple[AtomicBase, ArgStructure, ArgStructure]]:
     """Per base: the pool instance of d and the synthesized target it
     should rewrite to. Bases whose context fails contribute nothing."""
     out = []
     for b in family:
-        sigma = _default_sigma(b, context)
+        sigma = _default_sigma(search, b, context)
         if sigma is None:
             continue
         inst = instantiate(d, sigma) if context else d
-        out.append((b, inst, synthesize_closed(b, goal)))
+        out.append((b, inst, search.closed(b, goal)))
     return out
 
 
@@ -662,17 +704,19 @@ def consequence(
 
     search = _Search(bounds)  # one search for the whole family, dropped on return
     if variant == "delta":
+        no_steps = JustificationSet()
+        projection = JustificationSet((_projection_rule(len(context)),)) if context else no_steps
         for b in family:
             if any(valid(cand, b, bounds, _search=search).is_valid for cand in candidates):
                 continue
-            v = valid(_delta_witness(b, context, goal), b, bounds, _search=search)
+            v = valid(_delta_witness(search, b, context, goal, no_steps, projection), b, bounds, _search=search)
             if not v.is_valid:
                 return Verdict.unknown(f"constructed witness did not verify on {b.id}: {v.reason}")
         return Verdict.valid(f"per-base witnesses verified on all {len(family)} base(s)")
 
     if variant != "delta-s":  # delta-star and delta-sh pool these instances into the steps
         d = _uniform_structure(context, goal)
-        per_base = _uniform_instances(d, context, goal, family)
+        per_base = _uniform_instances(search, d, context, goal, family)
     if variant == "delta-star":
         maps = tuple(
             ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_base

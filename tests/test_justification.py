@@ -372,6 +372,17 @@ def test_every_graph_of_one_rule_is_schematic():
     assert all(is_schematic(_graph_table(split, domain(sub))) for sub in subsets)
 
 
+def test_the_graph_of_a_linear_rule_is_schematic_where_its_keys_repeat_a_column():
+    # both sides of each key end in the column (inf p ...), (inf q ...); generalising it
+    # to one variable twice made the pattern nonlinear, so no rule could reproduce the table
+    def key(x):
+        return parse_structure(f'(inf f "a" (inf s "a" (inf {x} "a" (empty))) (inf t "a" (inf {x} "a" (empty))))')
+
+    for kept in ("?D1", "?D2"):
+        rule = parse_rules(f'r: (inf f "a" ?D1 ?D2) => (inf g "a" {kept})').members[0]
+        assert is_schematic(_graph_table(rule, [key("p"), key("q")]))
+
+
 def test_is_schematic_reads_distinct_entries():
     # the two tables are equal, so they get one verdict: a lone entry is no scheme
     ax = Inf("ax", Disj(a, negation(a)), (EmptyTop(),))

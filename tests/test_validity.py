@@ -33,6 +33,7 @@ from ptslab import (
     analyze,
     apply_justification,
     atomic_derivation,
+    atoms_of,
     choice_justification,
     conclusion_of,
     consequence,
@@ -143,6 +144,73 @@ def test_synthesize_closed_on_a_formula_deeper_than_the_recursion_limit():
     assert synthesize_closed(base, negation(f)) is None
     with pytest.raises(validity.ValidityError, match="not a formula"):
         synthesize_closed(base, Conj(a, FVar("A")))
+
+
+# --- the witness table -------------------------------------------------------
+
+WITNESS_FORMULAS = [
+    parse_formula(t) for t in ("a & ~b", "~~a", "((a -> b) -> a) -> a", "(a | _|_) & (b -> _|_)", "_|_ -> a & b")
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_shared_search_builds_what_a_fresh_synthesis_builds(seed):
+    # one search for every base and formula, so most keys are met again on other bases
+    rng = random.Random(seed)
+    formulas = WITNESS_FORMULAS + [random_formula(rng, rng.randint(1, 5), atoms=[a, b]) for _ in range(3)]
+    search = validity._Search(Bounds())
+    for base in FAMILY_AB:
+        for f in formulas:
+            assert repr(search.closed(base, f)) == repr(synthesize_closed(base, f))
+
+
+def test_the_witness_table_keeps_bases_with_different_supports_apart():
+    search = validity._Search(Bounds())
+    chained = search.closed(parse_base("-> a\na -> b\n"), b)
+    direct = search.closed(parse_base("-> b\n"), b)
+    assert chained != direct
+    assert repr(chained) == repr(synthesize_closed(parse_base("-> a\na -> b\n"), b))
+    assert repr(direct) == repr(synthesize_closed(parse_base("-> b\n"), b))
+    # a rule outside the support leaves the key alone
+    assert search.closed(parse_base("-> b\n-> a\n"), b) is direct
+
+
+def test_one_consequence_call_builds_one_witness_per_support(monkeypatch):
+    built, asked = [], []
+    synthesize, closed = validity.synthesize_closed, validity._Search.closed
+
+    def counted_synthesize(base, f):
+        built.append((base, f))
+        return synthesize(base, f)
+
+    def counted_closed(search, base, f):
+        asked.append((base, f))
+        return closed(search, base, f)
+
+    monkeypatch.setattr(validity, "synthesize_closed", counted_synthesize)
+    monkeypatch.setattr(validity._Search, "closed", counted_closed)
+    goal = Disj(Conj(a, b), negation(Conj(a, b)))
+    assert consequence("delta-star", (), goal, FAMILY_AB).is_valid
+
+    def support(base, f):
+        return f, tuple(atomic_derivation(base, (), x) for x in sorted(atoms_of(f), key=lambda x: x.name))
+
+    supports = {support(base, f) for base, f in asked}
+    assert len(built) == len(supports) < len(asked)
+    # nothing outlives the call
+    built.clear()
+    assert consequence("delta-star", (), goal, FAMILY_AB).is_valid
+    assert len(built) == len(supports)
+
+
+def test_the_witness_table_still_refuses_a_formula_variable():
+    search = validity._Search(Bounds())
+    for _ in range(2):  # a failed build keeps no entry
+        with pytest.raises(validity.ValidityError, match="not a formula"):
+            search.closed(PQ, FVar("A"))
+    with pytest.raises(validity.ValidityError, match="not a formula"):
+        search.closed(PQ, Conj(p, FVar("A")))
 
 
 # --- closed arguments -------------------------------------------------------

@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Three op groups follow. The first, `choice`, runs what no workload builds: a
+Four op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -37,6 +37,15 @@ the steps `or_detour()`, `c & (a -> b)` over a derivation leaf for c
 `REFUTED_DEPTH` deep. It calls `valid` with the substructures in both
 orders, at the reduction bounds in `REFUTED_BOUNDS`, then
 `recheck_invalid` when the verdict is Invalid.
+
+The fourth, `witness`, writes what `consequence` synthesizes: for each
+goal and context formula of the pooled-family workload over the atoms a
+and b, and for every base of `enumerate_bases([a, b], 2)` (65 bases, in
+the workload's order), the `repr` of the closed witness, one `witness`
+line per base after an `op` line per formula. One search, shared by the
+whole group, builds every witness through its witness table; a tree
+whose search has none synthesizes each afresh, so on such a tree the
+group writes the reference a table must reproduce.
 
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
@@ -189,6 +198,23 @@ def _run_refuted_group(out) -> int:
     return len(REFUTED_STRUCTURES) * len(REFUTED_BOUNDS)
 
 
+def _run_witness_group(out) -> int:
+    """Run the witness group and return its op count, one op per formula."""
+    import workloads
+    from ptslab import Atom, Bounds, enumerate_bases, parse_formula, render_formula, validity
+
+    family = sorted(enumerate_bases([Atom("a"), Atom("b")], 2), key=lambda b: b.id)
+    goals = workloads._pooled_goals("a", "b")
+    formulas = dict.fromkeys(parse_formula(workloads.o.render(f)) for _, ctx, goal in goals for f in (*ctx, goal))
+    search = validity._Search(Bounds())
+    closed = getattr(search, "closed", validity.synthesize_closed)
+    for f in formulas:
+        out.write(f"op witness/{render_formula(f)}\n")
+        for base in family:
+            out.write(f"witness {base.rules_text()} {closed(base, f)!r}\n")
+    return len(formulas)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="directory holding the ptslab package")
@@ -211,6 +237,7 @@ def main() -> int:
         ops["choice"] = _run_choice_group(out)
         ops["schematic"] = counts["is_schematic"] = _run_schematic_group(out)
         ops["refuted"] = _run_refuted_group(out)
+        ops["witness"] = _run_witness_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
