@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -274,4 +278,53 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.returncode == 0, done.stderr
     added = set(done.stdout.split())
     assert "ptslab.cli" in added
-    assert not added & {"dataclasses", "inspect", "string"}
+    assert not added & {"dataclasses", "inspect", "json", "string"}
+
+
+# The transcript: every `$ ptslab ...` line of tests/data/cli_transcript.txt is
+# run in-process, and its stdout and exit code must read as recorded below it.
+# `{data}` stands for tests/data and `{tmp}` for a directory holding TMP_FILES.
+# After a deliberate change of output, rewrite the file with
+# `PYTHONPATH=src python tests/test_cli.py`.
+
+TRANSCRIPT = DATA / "cli_transcript.txt"
+TMP_FILES = {
+    "bad.base": "p q\n",
+    "bad.rules": 'phi: (inf orE "?B" => (plug\n',
+    "pool.structs": '(inf cls "a | b" (inf atm "a" (empty)))\n',
+    "d1/x.base": "-> a\n",
+    "d2/x.base": "",
+}
+
+
+def _rerun_transcript(text: str, tmp: Path) -> str:
+    """The transcript with the output of every command in text as it is now."""
+    for rel, body in TMP_FILES.items():
+        (tmp / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp / rel).write_text(body, encoding="utf-8")
+    out = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            out.append(line + "\n")
+        elif line.startswith("$ ptslab "):
+            argv = [word.replace("{data}", str(DATA)).replace("{tmp}", str(tmp))
+                    for word in shlex.split(line[len("$ ptslab "):])]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as e:
+                    code = e.code
+            out.append(f"{line}\n{stdout.getvalue()}[exit {code}]\n")
+    return "".join(out)
+
+
+def test_cli_transcript(tmp_path):
+    recorded = TRANSCRIPT.read_text(encoding="utf-8")
+    assert _rerun_transcript(recorded, tmp_path) == recorded
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        TRANSCRIPT.write_text(_rerun_transcript(TRANSCRIPT.read_text(encoding="utf-8"), Path(tmp)),
+                              encoding="utf-8")
