@@ -73,15 +73,33 @@ class _Cli(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, text: str, **record) -> None:
+    """Print one answer: its text line, or under --format lines its record as one JSON line."""
     if args.format == "lines":
         import json  # here, not at the top: only a --format lines record needs it
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
     else:
         print(text)
 
 
-def _verdict_exit(v: Verdict) -> int:
+def _result(args, text: str, **fields) -> None:
+    _emit(args, text, record="result", command=args.command, **fields)
+
+
+def _demo(args, text: str, **fields) -> None:
+    _emit(args, text, record="demo", name=args.name, **fields)
+
+
+def _holds(args, ok: bool, text: str, **fields) -> int:
+    """Report a yes/no answer: exit 0 if it holds, 1 if not."""
+    _result(args, text, holds=ok, **fields)
+    return 0 if ok else 1
+
+
+def _verdict(args, v: Verdict, where: str, **fields) -> int:
+    """Report a verdict as `where: status (reason)`: exit 0 valid, 1 invalid, 2 unknown."""
+    _result(args, f"{where}: {v.status}" + (f" ({v.reason})" if v.reason else ""),
+            status=v.status, reason=v.reason, **fields)
     return {"valid": 0, "invalid": 1, "unknown": 2}[v.status]
 
 
@@ -151,12 +169,8 @@ def _cmd_derive(args) -> int:
     if not isinstance(goal, Atom):
         raise FormulaError("derivability is about atoms; give an atom goal")
     ok = derives(base, (), goal)
-    _emit(
-        args,
-        {"record": "result", "command": "derive", "base": base.id, "goal": goal.name, "holds": ok},
-        f"{base.id} {'derives' if ok else 'does not derive'} {goal.name}",
-    )
-    return 0 if ok else 1
+    return _holds(args, ok, f"{base.id} {'derives' if ok else 'does not derive'} {goal.name}",
+                  base=base.id, goal=goal.name)
 
 
 def _cmd_models(args) -> int:
@@ -164,20 +178,10 @@ def _cmd_models(args) -> int:
     goal = parse_formula(args.goal)
     ctx = _context_from(args.ctx)
     ok = models(base, ctx, goal)
-    shown = (", ".join(render_formula(f) for f in ctx) + " " if ctx else "") + "|= " + render_formula(goal)
-    _emit(
-        args,
-        {
-            "record": "result",
-            "command": "models",
-            "base": base.id,
-            "context": [render_formula(f) for f in ctx],
-            "goal": render_formula(goal),
-            "holds": ok,
-        },
-        f"on {base.id}: {shown}: {'holds' if ok else 'fails'}",
-    )
-    return 0 if ok else 1
+    context = [render_formula(f) for f in ctx]
+    shown = (", ".join(context) + " " if context else "") + "|= " + render_formula(goal)
+    return _holds(args, ok, f"on {base.id}: {shown}: {'holds' if ok else 'fails'}",
+                  base=base.id, context=context, goal=render_formula(goal))
 
 
 def _cmd_consequence(args) -> int:
@@ -190,21 +194,9 @@ def _cmd_consequence(args) -> int:
                     "" if cv.holds else f"fails on {cv.counterexample}", cv.counterexample)
     else:
         v = consequence(args.variant, ctx, goal, family, _bounds_from(args))
-    _emit(
-        args,
-        {
-            "record": "result",
-            "command": "consequence",
-            "variant": args.variant,
-            "goal": render_formula(goal),
-            "context": [render_formula(f) for f in ctx],
-            "family_size": len(family),
-            "status": v.status,
-            "reason": v.reason,
-        },
-        f"{args.variant} over {len(family)} base(s): {v.status}" + (f" ({v.reason})" if v.reason else ""),
-    )
-    return _verdict_exit(v)
+    return _verdict(args, v, f"{args.variant} over {len(family)} base(s)", variant=args.variant,
+                    goal=render_formula(goal), context=[render_formula(f) for f in ctx],
+                    family_size=len(family))
 
 
 def _cmd_reduce(args) -> int:
@@ -212,12 +204,8 @@ def _cmd_reduce(args) -> int:
     frm = _load(args.frm, parse_structure, StructureError)
     to = _load(args.to, parse_structure, StructureError)
     ok = reduces(rules, frm, to, args.max_steps)
-    _emit(
-        args,
-        {"record": "result", "command": "reduce", "max_steps": args.max_steps, "holds": ok},
-        f"reduces within {args.max_steps} step(s): {'yes' if ok else 'no'}",
-    )
-    return 0 if ok else 1
+    return _holds(args, ok, f"reduces within {args.max_steps} step(s): {'yes' if ok else 'no'}",
+                  max_steps=args.max_steps)
 
 
 def _cmd_valid(args) -> int:
@@ -225,18 +213,7 @@ def _cmd_valid(args) -> int:
     rules = _load(args.rules, parse_rules, JustificationError)
     base = _load_base(args.base)
     v = valid(Argument(structure, rules), base, _bounds_from(args))
-    _emit(
-        args,
-        {
-            "record": "result",
-            "command": "valid",
-            "base": base.id,
-            "status": v.status,
-            "reason": v.reason,
-        },
-        f"on {base.id}: {v.status}" + (f" ({v.reason})" if v.reason else ""),
-    )
-    return _verdict_exit(v)
+    return _verdict(args, v, f"on {base.id}", base=base.id)
 
 
 def _cmd_search(args) -> int:
@@ -246,21 +223,12 @@ def _cmd_search(args) -> int:
     try:
         found = search_counterexample(ctx, goal, atoms, args.max_rules, cap=args.cap)
     except EnumerationCapError as e:
-        _emit(args, {"record": "result", "command": "search", "error": "cap-exceeded", "detail": str(e)},
-              f"enumeration cap exceeded: {e}")
+        _result(args, f"enumeration cap exceeded: {e}", error="cap-exceeded", detail=str(e))
         return 3
     if found is None:
-        _emit(
-            args,
-            {"record": "result", "command": "search", "counterexample": None},
-            "no counterexample in the searched family",
-        )
+        _result(args, "no counterexample in the searched family", counterexample=None)
         return 0
-    _emit(
-        args,
-        {"record": "result", "command": "search", "counterexample": found.id},
-        f"counterexample: {found.id}",
-    )
+    _result(args, f"counterexample: {found.id}", counterexample=found.id)
     return 1
 
 
@@ -283,20 +251,12 @@ def _demo_detour(args) -> int:
     for base in bases:
         v = valid(Argument(d, steps), base, _bounds_from(args))
         ok &= v.is_valid
-        _emit(
-            args,
-            {"record": "demo", "name": "detour", "base": base.id, "status": v.status},
-            f"case analysis on {base.id}: {v.status}",
-        )
+        _demo(args, f"case analysis on {base.id}: {v.status}", base=base.id, status=v.status)
     closed = instantiate(d, {Disj(a, b): synthesize_closed(bases[0], Disj(a, b))})
     target = Inf("atm", c, (Inf("atm", a, (EmptyTop(),)),))
     one = reduces(steps, closed, target, 1) and not reduces(steps, closed, target, 0)
     ok &= one
-    _emit(
-        args,
-        {"record": "demo", "name": "detour", "one_step": one},
-        f"detour removed in exactly one step: {'yes' if one else 'no'}",
-    )
+    _demo(args, f"detour removed in exactly one step: {'yes' if one else 'no'}", one_step=one)
     return 0 if ok else 1
 
 
@@ -309,11 +269,8 @@ def _demo_em(args) -> int:
         v = valid(w, base, _bounds_from(args))
         ok &= v.is_valid
         arm = w.steps.members[0].name
-        _emit(
-            args,
-            {"record": "demo", "name": "em", "base": base.id, "arm": arm, "status": v.status},
-            f"excluded middle on {base.id}: witness via {arm}: {v.status}",
-        )
+        _demo(args, f"excluded middle on {base.id}: witness via {arm}: {v.status}",
+              base=base.id, arm=arm, status=v.status)
     return 0 if ok else 1
 
 
@@ -336,13 +293,8 @@ def _demo_chain(args) -> int:
     ]
     ok = True
     for label, v, want in checks:
-        good = (v.status == want) or (want == "invalid" and v.is_unknown)
-        ok &= good
-        _emit(
-            args,
-            {"record": "demo", "name": "chain", "check": label, "status": v.status, "expected": want},
-            f"{label}: {v.status} (expected {want})",
-        )
+        ok &= (v.status == want) or (want == "invalid" and v.is_unknown)
+        _demo(args, f"{label}: {v.status} (expected {want})", check=label, status=v.status, expected=want)
     return 0 if ok else 1
 
 
@@ -358,21 +310,14 @@ def _demo_graph(args) -> int:
         union = union | w.steps
         v = valid(w, base, bounds)
         ok &= v.is_valid
-        _emit(
-            args,
-            {"record": "demo", "name": "graph", "base": base.id, "status": v.status},
-            f"graph witness on {base.id}: {v.status}",
-        )
+        _demo(args, f"graph witness on {base.id}: {v.status}", base=base.id, status=v.status)
     for base in family:
         v = valid(Argument(axiom_structure(goal), union), base, bounds)
         ok &= v.is_valid
     v = consequence("delta-sh", (), goal, family, bounds)
     ok &= v.is_valid
-    _emit(
-        args,
-        {"record": "demo", "name": "graph", "union_pairs": len(union), "status": v.status},
-        f"pooled reduction system ({len(union)} pair(s)) on every base: {v.status}",
-    )
+    _demo(args, f"pooled reduction system ({len(union)} pair(s)) on every base: {v.status}",
+          union_pairs=len(union), status=v.status)
     return 0 if ok else 1
 
 
@@ -417,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("models", help="base-semantics consequence on one base")
     sp.add_argument("base")
-    sp.add_argument("ctx_or_goal")
-    sp.add_argument("maybe_goal", nargs="?")
+    sp.add_argument("ctx", nargs="?")
+    sp.add_argument("goal")
     _add_options(sp)
     sp.set_defaults(func=_cmd_models)
 
@@ -463,12 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "models":
-        # models BASE [CTX] GOAL: the goal is the last positional
-        if args.maybe_goal is None:
-            args.ctx, args.goal = None, args.ctx_or_goal
-        else:
-            args.ctx, args.goal = args.ctx_or_goal, args.maybe_goal
     try:
         return args.func(args)
     except _PARSE_ERRORS as e:

@@ -193,7 +193,8 @@ def axiom_structure(f: Formula) -> Inf:
 
 
 def _derivation_structure(der: AtomicDerivation) -> ArgStructure:
-    """The derivation as a structure, built children first from an explicit stack."""
+    """The derivation, made from no assumptions, as a structure, built
+    children first from an explicit stack."""
     done: list[ArgStructure] = []
     stack: list = [der]
     while stack:
@@ -204,8 +205,6 @@ def _derivation_structure(der: AtomicDerivation) -> ArgStructure:
             kids = tuple(done[len(done) - n :])
             del done[len(done) - n :]
             done.append(Inf("atm", node.conclusion, kids or (EmptyTop(),)))
-        elif node.rule is None:
-            done.append(Assumption(node.conclusion))
         else:
             stack.append((node,))
             stack.extend(reversed(node.children))

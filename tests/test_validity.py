@@ -294,23 +294,26 @@ def test_open_argument_user_pool():
 
 def test_extension_pool_strengthens_the_requirement():
     # extending the steps can only add obligations: a substitution that is
-    # valid only under the extension must still keep the instance valid
+    # valid only under the extension must still keep the instance valid; the
+    # steps and the extension are rules, or reduction pairs
     base = parse_base("-> c\n")
     d = Inf("use", r, (Assumption(c),))
-    boxed = Inf("boxed", c, (Inf("atm", c, (EmptyTop(),)),))
-    unbox = parse_rules("unbox: (inf boxed \"c\" ?D) => ?D")
-    plain = Bounds(synthesize_sigma=False, sigma_candidates=(boxed,))
-    v_plain = valid(Argument(d, JustificationSet()), base, plain)
-    assert v_plain.is_valid and "vacuous" in v_plain.reason
-    extended = Bounds(
-        synthesize_sigma=False, sigma_candidates=(boxed,), extensions=(unbox,)
-    )
-    v_ext = valid(Argument(d, JustificationSet()), base, extended)
-    assert v_ext.is_invalid
-    assert isinstance(v_ext.witness, FailingInstance)
-    assert v_ext.witness.extension_index == 1
-    arg = Argument(d, JustificationSet())
-    assert recheck_invalid(arg, base, extended, v_ext)
+    derivation = Inf("atm", c, (EmptyTop(),))
+    boxed = Inf("boxed", c, (derivation,))
+    unbox_rule = parse_rules("unbox: (inf boxed \"c\" ?D) => ?D")
+    for arg, unbox in ((Argument(d, JustificationSet()), unbox_rule),
+                       (Argument(d, RSystem()), RSystem(((boxed, derivation),)))):
+        plain = Bounds(synthesize_sigma=False, sigma_candidates=(boxed,))
+        v_plain = valid(arg, base, plain)
+        assert v_plain.is_valid and "vacuous" in v_plain.reason
+        extended = Bounds(
+            synthesize_sigma=False, sigma_candidates=(boxed,), extensions=(unbox,)
+        )
+        v_ext = valid(arg, base, extended)
+        assert v_ext.is_invalid
+        assert isinstance(v_ext.witness, FailingInstance)
+        assert v_ext.witness.extension_index == 1
+        assert recheck_invalid(arg, base, extended, v_ext)
 
 
 # --- excluded-middle witnesses ----------------------------------------------
@@ -459,12 +462,60 @@ def test_consequence_with_context():
     assert consequence("delta-sh", [p], p, fam).is_valid
 
 
-def test_consequence_user_candidate():
+def test_consequence_user_candidate(monkeypatch):
     fam = [EMPTY, parse_base("b -> a\n")]
     g = Disj(a, negation(a))
     cand = Argument(axiom_structure(g), JustificationSet((em_refutation_rule(),)))
     v = consequence("delta-star", (), g, fam, candidates=[cand])
     assert v.is_valid
+    # delta builds no witness on a base where a candidate is valid
+    monkeypatch.setattr(validity, "_delta_witness", None)
+    v = consequence("delta", (), g, fam, candidates=[cand])
+    assert v.is_valid and v.reason == "per-base witnesses verified on all 2 base(s)"
+
+
+# em_refute refutes a on the bases that do not derive it, em_affirm asserts it
+# on those that do; with em_b the assertion also derives b. All three pass
+# is_schematic, so delta-s takes the pair as a candidate.
+EM_AFFIRM = parse_rules(
+    'em_affirm: (inf ax "?A | ~?A" (empty)) => (inf orI1 "?A | ~?A" (inf atm "?A" (empty)))'
+)
+EM_B = parse_rules(
+    'em_b: (inf ax "?A | ~?A" (empty)) => (inf orI1 "?A | ~?A" (inf atm "?A" (inf atm "b" (empty))))'
+)
+EM_PAIR = JustificationSet((em_refutation_rule(),)) | EM_AFFIRM
+
+
+def test_delta_s_takes_schematic_candidates():
+    g = Disj(a, negation(a))
+    assert all(is_schematic(j) for j in (EM_PAIR | EM_B).members)
+    pair = Argument(axiom_structure(g), EM_PAIR)
+    v = consequence("delta-s", (), g, enumerate_bases([a], 1), candidates=[pair])
+    assert v.is_valid and "all 4 base(s)" in v.reason
+    # over two atoms the pair fails on one base only: there a is derived from b
+    fam = list(enumerate_bases([a, b], 2))
+    assert [x.id for x in fam if not valid(pair, x).is_valid] == ["{b -> a; -> b}"]
+    v = consequence("delta-s", (), g, fam, candidates=[pair])
+    assert v.is_unknown and v.reason == "no schematic witness found"
+    with_b = Argument(axiom_structure(g), EM_PAIR | EM_B)
+    v = consequence("delta-s", (), g, fam, candidates=[with_b])
+    assert v.is_valid and "all 65 base(s)" in v.reason
+
+
+@pytest.mark.parametrize("variant", ["delta-star", "delta-sh"])
+def test_a_pooled_candidate_cut_by_the_bound_is_unknown(variant):
+    fam = enumerate_bases([a], 1)
+    v = consequence(variant, (), Disj(a, negation(a)), fam, Bounds(max_reduction_steps=0))
+    assert v.is_unknown and v.reason == "uniform witness checks hit bounds"
+
+
+def test_a_lone_justification_is_a_set_of_one():
+    d = axiom_structure(Disj(a, negation(a)))
+    rule = em_refutation_rule()
+    fam = list(enumerate_bases([a], 1))
+    verdicts = [valid(Argument(d, rule), x) for x in fam]
+    assert verdicts == [valid(Argument(d, JustificationSet((rule,))), x) for x in fam]
+    assert {v.status for v in verdicts} == {"valid", "invalid"}
 
 
 def test_consequence_unknown_variant_rejected():
