@@ -16,6 +16,7 @@ pattern that may also hold (plug ...). One reader serves all three.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 
 from .formula import Conj, Disj, Formula, FVar, Impl, _Record, _set, parse_formula, render_formula
@@ -82,40 +83,52 @@ class _Facts:
     double: whether some leaf has two discharging inferences inside it;
     opens:  the formulas of its unlabelled leaves, in pre-order;
     binds:  (label, formula) of the leaves it discharges itself, in pre-order;
-    wiring: how its children's free labels attach to it (_wiring), or () for
-            a leaf and for one child without discharge, where it is the identity;
-    hash:   its hash up to relabelling, from its tag, its conclusion or
-            formula, its children's hashes and its wiring.
+    key:    its class up to relabelling, the _Key its shape finds in _KEYS.
 
     A node with one child and no discharge shares the child's sets and
     tuples, and empty ones are shared too. The records hold labels and
     formulas, never leaves, so no leaf is in a reference cycle with its facts.
     """
 
-    __slots__ = ("size", "labels", "free", "bound", "double", "opens", "binds", "wiring", "hash")
+    __slots__ = ("size", "labels", "free", "bound", "double", "opens", "binds", "key")
 
-    def __init__(self, size, labels, free, bound, double, opens, binds, wiring, hash):
+    def __init__(self, size, labels, free, bound, double, opens, binds, key):
         self.size, self.labels, self.free, self.bound, self.double = size, labels, free, bound, double
-        self.opens, self.binds, self.wiring, self.hash = opens, binds, wiring, hash
+        self.opens, self.binds, self.key = opens, binds, key
+
+
+class _Key:
+    """One class of structures equal up to relabelling: every node of the class holds this object."""
+
+    __slots__ = ("__weakref__",)
+
+
+_KEYS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+"""Each class's key by its shape: (formula, labelled) for a leaf, and (tag,
+conclusion, the children's keys, _wiring) for an inference. It holds shapes,
+never a node, and an entry goes with the last node of its class. Like the
+rest of the library, it assumes that one thread at a time builds structures."""
 
 
 _NONE: frozenset[int] = frozenset()
 
 
 class _Node(_Record):
-    """Equality and hashing of structures up to the renaming of discharge
-    labels: the relation canonical_key equality tests. The hash is computed
-    once, when the node is built; equality walks the two trees with an
-    explicit stack, stopping at identical subtrees and at unequal hashes.
-    The repr is _repr's, written with an explicit stack."""
+    """Equality and hashing up to the renaming of discharge labels, the
+    relation canonical_key equality tests: nodes are equal when they hold one
+    key. A copy or an unpickled node is built again from its fields, so it
+    finds its key too. The repr is _repr's, written with an explicit stack."""
 
     def __hash__(self) -> int:
-        return self._facts.hash
+        return hash(self._facts.key)
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
             return NotImplemented
-        return _same(self, other)
+        return self._facts.key is other._facts.key
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
 
 class Assumption(_Node):
@@ -128,7 +141,7 @@ class Assumption(_Node):
 
 
 class EmptyTop(_Node):
-    _facts = _Facts(1, _NONE, (), _NONE, False, (), (), (), hash(("empty",)))  # every empty node has the same
+    _facts = _Facts(1, _NONE, (), _NONE, False, (), (), _Key())  # every empty node has the same
 
 
 class Inf(_Node):
@@ -255,9 +268,10 @@ def _node_facts(node: Assumption | Inf) -> _Facts:
     """The facts of a node being built, from its children's."""
     if isinstance(node, Assumption):
         f = node.formula
+        key = _KEYS.setdefault((f, node.label is not None), _Key())
         if node.label is None:
-            return _Facts(1, _NONE, (), _NONE, False, (f,), (), (), hash((f, False)))
-        return _Facts(1, frozenset((node.label,)), ((node.label, f),), _NONE, False, (), (), (), hash((f, True)))
+            return _Facts(1, _NONE, (), _NONE, False, (f,), (), key)
+        return _Facts(1, frozenset((node.label,)), ((node.label, f),), _NONE, False, (), (), key)
     try:
         kids = [ch._facts for ch in node.children]
     except AttributeError:
@@ -282,8 +296,8 @@ def _node_facts(node: Assumption | Inf) -> _Facts:
             free = tuple([leaf for leaf in free if leaf[0] not in dis])
             bound = _union(bound, frozenset([l for l, _ in binds]))
     wiring = _wiring(kids, dis) if dis or (len(kids) > 1 and free) else ()
-    h = hash((node.tag, node.conclusion, tuple([k.hash for k in kids]), wiring))
-    return _Facts(size, labels, free, bound, double, opens, binds, wiring, h)
+    key = _KEYS.setdefault((node.tag, node.conclusion, tuple([k.key for k in kids]), wiring), _Key())
+    return _Facts(size, labels, free, bound, double, opens, binds, key)
 
 
 def _wiring(kids: list[_Facts], dis: frozenset[int]) -> tuple[int, ...]:
@@ -310,31 +324,6 @@ def _slot_order(node: Inf) -> list[int]:
     if len(used) == len(node.discharges):
         return list(used)
     return [*used, *sorted(node.discharges.difference(used))]
-
-
-def _same(d1: ArgStructure, d2: ArgStructure) -> bool:
-    """Are d1 and d2 equal up to relabelling? Two nodes are when their tags
-    and conclusions, or formulas, agree, their children are pairwise, and
-    the children's free labels are wired to them alike (_wiring: which also
-    tells apart nodes that discharge different numbers of labels)."""
-    pairs = [(d1, d2)]
-    while pairs:
-        x, y = pairs.pop()
-        if x is y:
-            continue
-        fx, fy = x._facts, y._facts
-        if fx.hash != fy.hash or x.__class__ is not y.__class__ or fx.wiring != fy.wiring:
-            return False
-        if isinstance(x, Inf):
-            cx, cy = x.conclusion, y.conclusion
-            if x.tag != y.tag or len(x.children) != len(y.children) or (cx is not cy and cx != cy):
-                return False
-            pairs += zip(x.children, y.children)
-        elif isinstance(x, Assumption):
-            gx, gy = x.formula, y.formula
-            if (gx is not gy and gx != gy) or (x.label is None) != (y.label is None):
-                return False
-    return True
 
 
 def _facts(d: ArgStructure) -> _Facts:

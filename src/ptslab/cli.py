@@ -68,6 +68,18 @@ _PARSE_ERRORS = (
 
 
 class _Cli(argparse.ArgumentParser):
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        """A command takes options between its positionals too: `models BASE CTX --format lines GOAL`."""
+        if self._subparsers is not None or self._intermixing:
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True  # parse_known_intermixed_args calls back in here
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")

@@ -547,7 +547,7 @@ def step_candidates(
     """All one-step reducts by canonical key, innermost-leftmost positions
     first and members in order at each position: the text view of the
     reducts the search steps through."""
-    return {canonical_key(r): r for r in _stepped(src, d, base, {}, {})}
+    return {canonical_key(r): r for r in _stepped(src, d, base, {})}
 
 
 def _one_step(
@@ -595,25 +595,17 @@ def _one_step(
 
 
 def _stepped(
-    src: StepSource,
-    d: ArgStructure,
-    base: AtomicBase | None,
-    table: dict[ArgStructure, list[ArgStructure]],
-    canon: dict[ArgStructure, ArgStructure],
+    src: StepSource, d: ArgStructure, base: AtomicBase | None, table: dict[ArgStructure, list[ArgStructure]]
 ) -> list[ArgStructure]:
     """d's one-step reducts from the step table. What the table lacks is
     stepped bottom-up from an explicit stack, each label-closed substructure
     _one_step reads before the structure around it, so every class is
-    stepped once per table. The entries pass through canon, a dict from
-    each reduct to the first equal one met, so equal reducts are one object."""
-    step = table.get(d)
-    if step is not None:
-        return step
+    stepped once per table."""
     todo = [(d, False)]
     while todo:
         node, ready = todo.pop()
         if ready:
-            table[node] = [canon.setdefault(r, r) for r in _one_step(src, node, base, table)]
+            table[node] = _one_step(src, node, base, table)
         elif node not in table:
             todo.append((node, True))
             if isinstance(src, JustificationSet):  # a reduction system steps at the root alone
@@ -633,10 +625,9 @@ class _Reducts:
 
     Each structure is stepped through a step table (_stepped: a dict from
     structure to its one-step reducts, for one step source and, when the
-    source selects by base, one base) and a dict that makes equal reducts
-    one object. A stream makes its own unless given them: streams that share
-    them step each class up to relabelling, substructures included, once
-    between them."""
+    source selects by base, one base). A stream makes its own unless given
+    one: streams that share it step each class up to relabelling,
+    substructures included, once between them."""
 
     __slots__ = ("kept", "_bound", "_rest")
 
@@ -648,16 +639,15 @@ class _Reducts:
         max_steps: int,
         max_size: int,
         table: dict[ArgStructure, list[ArgStructure]] | None = None,
-        canon: dict[ArgStructure, ArgStructure] | None = None,
     ):
+        if max_steps < 0 or max_size < 0:
+            raise JustificationError("bounds must be non-negative")
         self.kept: list[tuple[ArgStructure, int]] = [(start, 0)]
         self._bound = [False]
-        # the running search holds the list, the flag and the tables, not the stream or
-        # its owner: a cycle through either would keep every reduct alive until the
-        # cyclic collector runs
+        # the running search holds the list, the flag and the table, not the stream or its owner:
+        # a cycle through either would keep every reduct alive until the cyclic collector runs
         self._rest = _Reducts._search(
-            src, start, base, max_steps, max_size, self.kept, self._bound,
-            {} if table is None else table, {} if canon is None else canon,
+            src, start, base, max_steps, max_size, self.kept, self._bound, {} if table is None else table
         )
 
     def __iter__(self) -> Iterator[tuple[ArgStructure, int]]:
@@ -671,7 +661,7 @@ class _Reducts:
         return self._bound[0]
 
     @staticmethod
-    def _search(src, start, base, max_steps, max_size, kept, bound, table, canon) -> Iterator[bool]:
+    def _search(src, start, base, max_steps, max_size, kept, bound, table) -> Iterator[bool]:
         """Appends each new reduct to kept, then yields. The level past the
         depth cap keeps none: it only asks whether the search could go on."""
         seen, frontier, hit, depth = {start}, [start], False, 0
@@ -682,7 +672,7 @@ class _Reducts:
             for d in frontier:
                 if past and hit:
                     break
-                for c in _stepped(src, d, base, table, canon):
+                for c in _stepped(src, d, base, table):
                     if size_of(c) > max_size or (past and c not in seen):
                         hit = True
                         if past:

@@ -315,10 +315,8 @@ class _Search:
     Its step table, one per (steps, base or None) as for streams, holds the
     one-step reducts of every structure any of its streams has stepped, and
     of the label-closed substructures those were built from, so each class
-    is stepped once per call. The reducts and the substructures pass through
-    one dict that makes equal ones one object, so later stream, memo and
-    substructure lookups hit by identity. The streams get the plain dicts,
-    never the search, so no cycle holds them.
+    is stepped once per call. The streams get the plain dicts, never the
+    search, so no cycle holds them.
 
     Its witness table holds every closed structure the call synthesizes
     (closed), keyed by the formula and its derivation support on the base:
@@ -331,7 +329,6 @@ class _Search:
         self.bounds = bounds
         self._streams: dict[tuple, _Reducts] = {}
         self._steps: dict[tuple, dict[ArgStructure, list[ArgStructure]]] = {}
-        self._canon: dict[ArgStructure, ArgStructure] = {}
         self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
         self._atoms: dict[Formula, frozenset[Atom]] = {}
         self._witnesses: dict[tuple[Formula, frozenset[AtomicRule]], ArgStructure | None] = {}
@@ -364,7 +361,7 @@ class _Search:
             b = self.bounds
             table = self._steps.setdefault(source, {})
             s = self._streams[(source, d)] = _Reducts(
-                steps, d, base, b.max_reduction_steps, b.max_structure_size, table, self._canon
+                steps, d, base, b.max_reduction_steps, b.max_structure_size, table
             )
         return s
 
@@ -374,7 +371,7 @@ class _Search:
         if subs is False:
             check_structure(r)
             ok = is_canonical(r) and not r._facts.opens
-            subs = [self._canon.setdefault(s, s) for s in immediate_substructures(r)] if ok else None
+            subs = immediate_substructures(r) if ok else None
             self._subs[r] = subs
         return subs
 

@@ -1,8 +1,14 @@
+import copy
 import gc
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -971,6 +977,65 @@ def test_a_dropped_labelled_leaf_is_freed_at_once():
         assert gone_leaf() is None and gone_node() is None  # no cycle holds either
     finally:
         gc.enable()
+
+
+def test_a_dropped_structure_and_its_key_are_freed_at_once():
+    gc.disable()
+    try:
+        before, u = len(argument._KEYS), Atom("unshared")  # no other structure has these classes
+        node = Inf("dropped", Impl(u, u), (Inf("kept", u, (Assumption(u, 1), Assumption(u))),), frozenset({1}))
+        assert len(argument._KEYS) == before + 4  # the two leaves, the inner and the outer inference
+        gone_node, gone_key = weakref.ref(node), weakref.ref(node._facts.key)
+        del node
+        assert gone_node() is None and gone_key() is None
+        assert len(argument._KEYS) == before
+    finally:
+        gc.enable()
+
+
+def test_copies_and_unpickled_structures_keep_their_key():
+    inner = Inf("s", a, (Assumption(a, 1), Assumption(b, 2)), frozenset({2}))
+    host = Inf("impI", Impl(a, a), (inner,), frozenset({1}))
+    for d in [Assumption(a), Assumption(a, 3), EmptyTop(), Inf("t", a, (EmptyTop(),)), host, relabel(host, {1: 7, 2: 1})]:
+        for copied in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+            assert copied == d and d == copied and hash(copied) == hash(d)
+            assert render_structure(copied) == render_structure(d)
+
+
+_DROP_CHAINS = """
+import sys
+from ptslab import Assumption, Atom, Impl, Inf, argument
+
+a = Atom("a")
+
+def chain(depth, label, tag):
+    d = Assumption(a, label)
+    for _ in range(depth):
+        d = Inf(tag, a, (d,))
+    return Inf("impI", Impl(a, a), (d,), frozenset({label}))
+
+start = len(argument._KEYS)
+for depth in (10, 1000, 20000):
+    for order in ((0, 1, 2), (2, 1, 0)):
+        chains = [chain(depth, 1, "s"), chain(depth, 2, "s"), chain(depth, 1, "t")]  # two equal, one not
+        assert chains[0] == chains[1] != chains[2]
+        grown = len(argument._KEYS) - start
+        for i in order:
+            chains[i] = None
+        print(depth, grown, len(argument._KEYS) - start)
+"""
+
+
+def test_the_key_table_forgets_dropped_deep_chains():
+    # in a child interpreter, whose table holds nothing else, and whose stderr shows any
+    # exception a weakref callback ignored
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", _DROP_CHAINS], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and "Exception ignored" not in done.stderr, done.stderr
+    rows = [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
+    # per depth n: n + 1 keys of the shared chain, n + 1 of the other, and the one leaf class
+    assert rows == [(n, 2 * n + 3, 0) for n in (10, 1000, 20000) for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,35 @@
+"""`tools/differential.py`, the record every change is compared by, must still run.
+
+The tool is run in a child interpreter on this checkout's `src`, which writes
+no bytecode into `perfbench/`. Its op and record counts and its line count are
+pinned: a change that keeps every verdict keeps them too, and a change of them
+is a change of the record to be explained.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from ptslab import validity
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_the_differential_tool_records_every_op(tmp_path):
+    out = tmp_path / "records.txt"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "differential.py"), "--src", str(ROOT / "src"), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    ops, records = done.stdout.splitlines()
+    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1188
+    assert records == (
+        "valid 6269 records, recheck_invalid 299 records, consequence 288 records, logical_consequence 552 records,"
+        f" search_counterexample 192 records, is_schematic 50 records -> {out}"
+    )
+    assert len(out.read_text().splitlines()) == 9293
+    # without it the witness group would synthesize afresh and compare the reference with itself
+    assert callable(validity._Search.closed)

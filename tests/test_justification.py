@@ -517,6 +517,16 @@ def test_reach_reports_bound_hits():
     assert hit  # size pruning
 
 
+def test_negative_search_bounds_are_refused():
+    steps, start = JustificationSet((or_detour(),)), _redex()
+    for bad in ({"max_steps": -3}, {"max_size": -1}):
+        with pytest.raises(JustificationError, match="bounds must be non-negative"):
+            reach(steps, start, **bad)
+    with pytest.raises(JustificationError, match="bounds must be non-negative"):
+        reduces(steps, start, start, -1)
+    assert reduces(steps, start, start, 0) and reach(steps, start, max_steps=0, max_size=0)[1]
+
+
 def _wide_redex(width):
     """An andI tree over `width` independent or-detours: 2**width reducts."""
     d = _redex()
@@ -808,10 +818,10 @@ def test_one_step_agrees_with_the_positional_walk(seed, picks):
     )
     src = JustificationSet(tuple(menu[i] for i in picks))
     # the host and some of its reducts, stepped through one table as a search steps them
-    table, canon = {}, {}
+    table = {}
     reducts = _positional_one_step(src, host, base)
     for d in [host] + rng.sample(reducts, min(3, len(reducts))):
-        got = justification._stepped(src, d, base, table, canon)
+        got = justification._stepped(src, d, base, table)
         assert [canonical_key(r) for r in got] == [canonical_key(r) for r in _positional_one_step(src, d, base)]
         for r in got:
             check_structure(r)  # a graft renames away from the labels discharged above
@@ -827,7 +837,7 @@ def test_step_hosts_fire_inside_closed_parts_below_binders():
     for _ in range(40):
         host = _step_host(rng, random_closed_structure(rng, random_formula(rng, 2), 2))
         table = {}
-        justification._stepped(steps, host, None, table, {})
+        justification._stepped(steps, host, None, table)
         for pos in positions(host):
             below = any(subtree_at(host, pos[:k]).discharges for k in range(len(pos)))
             fired += below and bool(table.get(subtree_at(host, pos)))
