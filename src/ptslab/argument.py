@@ -128,7 +128,17 @@ class _Node(_Record):
         return self._facts.key is other._facts.key
 
     def __reduce__(self):
-        return self.__class__, self._values(self)
+        """_rebuild and the nodes in post-order as their class and fields, an
+        inference's children as their number: flat, so nothing recurses."""
+        out, stack = [], [self]
+        while stack:  # each node before its children, the last child first: post-order reversed
+            node = stack.pop()
+            if isinstance(node, Inf):
+                out.append((Inf, node.tag, node.conclusion, len(node.children), node.discharges))
+                stack += node.children
+            else:
+                out.append((node.__class__, *node._values(node)))
+        return _rebuild, (tuple(reversed(out)),)
 
 
 class Assumption(_Node):
@@ -162,6 +172,18 @@ class Inf(_Node):
 
 
 ArgStructure = Assumption | EmptyTop | Inf
+
+
+def _rebuild(records: tuple[tuple, ...]) -> ArgStructure:
+    """The structure _Node.__reduce__ wrote, built children first on an explicit stack."""
+    done: list[ArgStructure] = []
+    for cls, *fields in records:
+        if cls is Inf:  # its children are the last ones built
+            n = fields[2]
+            fields[2] = tuple(done[len(done) - n :])
+            del done[len(done) - n :]
+        done.append(cls(*fields))
+    return done[0]
 
 
 # rule trees: label variables stand where structures have integer labels

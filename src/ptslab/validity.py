@@ -322,8 +322,13 @@ class _Search:
     (closed), keyed by the formula and its derivation support on the base:
     the rules the base derives the formula's atoms by, closed under those
     rules' premises. That is all synthesize_closed reads of the base, so
-    bases with one support share one witness, which each base still
-    checks for itself."""
+    bases with one support share one witness.
+
+    Its verdict table files each verdict a check computes under its reads:
+    what the check and its parts asked of the base (_Checker._answer), with
+    the answers. A check is deterministic given them, so one on another base
+    that answers them alike takes the verdict; one that read the base itself
+    (through a choice function, the stream reads it) is never filed."""
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
@@ -332,6 +337,7 @@ class _Search:
         self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
         self._atoms: dict[Formula, frozenset[Atom]] = {}
         self._witnesses: dict[tuple[Formula, frozenset[AtomicRule]], ArgStructure | None] = {}
+        self._verdicts: dict[tuple[ArgStructure, StepSource], list[tuple[Verdict, dict]]] = {}
 
     def closed(self, base: AtomicBase, f: Formula) -> ArgStructure | None:
         """synthesize_closed(base, f), built once per (f, derivation support)."""
@@ -353,9 +359,8 @@ class _Search:
             out = self._witnesses[key] = synthesize_closed(base, f)
         return out
 
-    def stream(self, steps: StepSource, d: ArgStructure, base: AtomicBase) -> _Reducts:
-        per_base = isinstance(steps, JustificationSet) and steps._dispatch.choice
-        source = (steps, base if per_base else None)
+    def stream(self, steps: StepSource, d: ArgStructure, base: AtomicBase | None) -> _Reducts:
+        source = (steps, base)
         s = self._streams.get((source, d))
         if s is None:
             b = self.bounds
@@ -389,25 +394,57 @@ def _meet(verdicts: Iterable[Verdict]) -> str:
     return status
 
 
+_BASE = ("base", None)  # the question whose answer is the base itself
+
+
 class _Checker:
     def __init__(self, base: AtomicBase, search: _Search):
         self.base = base
         self.bounds = search.bounds
         self.search = search
-        self._memo: dict[tuple[ArgStructure, StepSource], Verdict] = {}
+        self._memo: dict[tuple[ArgStructure, StepSource], tuple[Verdict, dict]] = {}
+        self._answers: dict[tuple, object] = {}
+        self._frames: list[dict[tuple, object]] = [{}]  # the reads of each check being computed
 
     def check(self, d: ArgStructure, steps: StepSource) -> Verdict:
-        hit = self._memo.get((d, steps))
-        if hit is not None:
-            return hit
-        check_structure(d)
-        opens = d._facts.opens
-        if not opens:
-            out = self._closed(d, steps, isinstance(conclusion_of(d), Atom))
-        else:
-            out = self._open(d, steps, sorted(dict.fromkeys(opens), key=render_formula))
-        self._memo[(d, steps)] = out
-        return out
+        key = (d, steps)
+        hit = self._memo.get(key)
+        if hit is None:
+            for hit in self.search._verdicts.get(key, ()):  # filed with reads this base answers alike?
+                if all(self._answer(q) is a for q, a in hit[1].items()):
+                    break
+            else:
+                check_structure(d)
+                self._frames.append({})
+                opens = d._facts.opens
+                if not opens:
+                    verdict = self._closed(d, steps, isinstance(conclusion_of(d), Atom))
+                else:
+                    verdict = self._open(d, steps, sorted(dict.fromkeys(opens), key=render_formula))
+                hit = (verdict, self._frames.pop())
+                if _BASE not in hit[1]:
+                    self.search._verdicts.setdefault(key, []).append(hit)
+            self._memo[key] = hit
+        self._frames[-1].update(hit[1])  # the enclosing check depends on them too
+        return hit[0]
+
+    def _answer(self, q: tuple) -> object:
+        """The base's answer to q, asked once per checker: every read of the base
+        goes through here. q is ("der", r): is r a closed derivation on the base;
+        ("closed", f): the search's witness for f, one object per support; or
+        _BASE: the base itself. A filed read is replayed by comparing identities."""
+        if q not in self._answers:
+            kind, x = q
+            self._answers[q] = (
+                is_derivation_structure(x, self.base) if kind == "der"
+                else self.search.closed(self.base, x) if kind == "closed" else self.base
+            )
+        return self._answers[q]
+
+    def _read(self, q: tuple) -> object:
+        """_answer(q), recorded in the frame of the check being computed."""
+        a = self._frames[-1][q] = self._answer(q)
+        return a
 
     def _extensions_for(self, steps: StepSource) -> list[StepSource]:
         return [steps] + [_extend(steps, e) for e in self.bounds.extensions]
@@ -419,11 +456,12 @@ class _Checker:
         Invalid one, which refutes the reduct. The verdict is Unknown when
         the stream was cut by a bound or some reduct had an Unknown
         substructure and no Invalid one; otherwise it is Invalid."""
-        stream = self.search.stream(steps, d, self.base)
+        per_base = isinstance(steps, JustificationSet) and steps._dispatch.choice
+        stream = self.search.stream(steps, d, self._read(_BASE) if per_base else None)
         saw_unknown = False
         for r, depth in stream:
             if atomic:
-                if is_derivation_structure(r, self.base):
+                if self._read(("der", r)):
                     return Verdict.valid(f"reduces to a derivation on the base in {depth} step(s)")
                 continue
             subs = self.search.canonical_subs(r)
@@ -450,7 +488,7 @@ class _Checker:
         out: list[ArgStructure] = []
         seen: set[ArgStructure] = set()
         if self.bounds.synthesize_sigma:
-            syn = self.search.closed(self.base, f)
+            syn = self._read(("closed", f))
             if syn is not None:
                 out.append(syn)
                 seen.add(syn)
@@ -514,7 +552,7 @@ def valid(
 ) -> Verdict:
     """Bounded validity of the argument on the base. A consequence call
     passes its own search, made with the same bounds, to share it across
-    the family; any other call searches afresh."""
+    the family, its verdicts included; any other call searches afresh."""
     search = _Search(bounds) if _search is None else _search
     return _Checker(base, search).check(arg.structure, _step_source(arg))
 

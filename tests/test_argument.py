@@ -1002,6 +1002,14 @@ def test_copies_and_unpickled_structures_keep_their_key():
             assert render_structure(copied) == render_structure(d)
 
 
+def test_a_deep_chain_pickles_and_copies():
+    # deeper than the recursion limit: a node reduces to its flat records, not to its children
+    d = _chain(3000, 1)
+    for copied in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert copied == d and hash(copied) == hash(d)
+        assert render_structure(copied) == render_structure(d)
+
+
 _DROP_CHAINS = """
 import sys
 from ptslab import Assumption, Atom, Impl, Inf, argument

@@ -25,11 +25,11 @@ def test_the_differential_tool_records_every_op(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     ops, records = done.stdout.splitlines()
-    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1188
+    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1196
     assert records == (
-        "valid 6269 records, recheck_invalid 299 records, consequence 288 records, logical_consequence 552 records,"
+        "valid 7049 records, recheck_invalid 299 records, consequence 296 records, logical_consequence 560 records,"
         f" search_counterexample 192 records, is_schematic 50 records -> {out}"
     )
-    assert len(out.read_text().splitlines()) == 9293
+    assert len(out.read_text().splitlines()) == 10097
     # without it the witness group would synthesize afresh and compare the reference with itself
     assert callable(validity._Search.closed)

@@ -15,6 +15,7 @@ from ptslab import (
     Argument,
     Atom,
     Bounds,
+    Conj,
     Disj,
     EmptyTop,
     ExhaustedSearch,
@@ -40,7 +41,7 @@ from ptslab import (
 from ptslab import justification, validity
 from ptslab.justification import reach
 
-from genlib import random_closed_structure, random_detour_redex, random_formula, random_sigma
+from genlib import BOT, all_formulas, random_closed_structure, random_detour_redex, random_formula, random_sigma
 
 a, b, p = Atom("a"), Atom("b"), Atom("p")
 EM_A = Disj(a, negation(a))
@@ -265,3 +266,76 @@ def test_a_search_leaves_no_cycle(monkeypatch):
         assert len(refs) > kept and all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+# --- the verdict table: one verdict per read set -----------------------------
+
+FAM_AB = list(enumerate_bases([a, b], 2))
+DEPTH_2 = all_formulas([a, b, BOT], 2)
+
+
+@pytest.mark.parametrize("variant", ["delta", "delta-star", "delta-sh"])
+def test_a_shared_verdict_is_the_fresh_verdict(monkeypatch, variant):
+    # every goal with no context and with each one-formula context: most verdicts come from the table
+    calls = _record_valid(monkeypatch)
+    for goal in DEPTH_2:
+        for context in [()] + [(h,) for h in DEPTH_2]:
+            consequence(variant, context, goal, FAM_AB)
+    monkeypatch.undo()
+    assert len(calls) > len(DEPTH_2) * len(FAM_AB)
+    for arg, base, v in calls:
+        assert repr(v) == repr(valid(arg, base))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_a_search_shared_by_the_family_gives_the_fresh_verdicts(seed):
+    # a part's verdict differs between bases more often here than in a consequence call
+    rng = random.Random(seed)
+    args = [_random_argument(rng) for _ in range(3)]
+    search = validity._Search(Bounds())
+    for arg in args:
+        for base in FAM_AB:
+            assert repr(valid(arg, base, _search=search)) == repr(valid(arg, base))
+
+
+def test_a_choice_verdict_is_the_fresh_verdict(monkeypatch):
+    # the selection differs between bases, so a verdict shared across them would differ from a fresh one
+    calls = _record_valid(monkeypatch)
+    for f in DEPTH_2:
+        em = Disj(f, negation(f))
+        cand = Argument(axiom_structure(em), JustificationSet((choice_justification(f, enumerate_bases([a], 1)),)))
+        consequence("delta-star", [], em, FAM_AB, candidates=[cand])
+    monkeypatch.undo()
+    chosen = [(arg, base, v) for arg, base, v in calls if arg.steps._dispatch.choice]
+    assert {v.status for _arg, _base, v in chosen} == {"valid", "invalid"}
+    for arg, base, v in calls:
+        assert repr(v) == repr(valid(arg, base))
+
+
+def _count_checks(monkeypatch) -> tuple[Counter, Counter]:
+    """Count check calls and computed verdicts (_closed and _open calls) per (structure, steps)."""
+    checked, computed = Counter(), Counter()
+    for name, seen in (("check", checked), ("_closed", computed), ("_open", computed)):
+
+        def counted(self, d, steps, *rest, _real=getattr(validity._Checker, name), _seen=seen):
+            _seen[(d, steps)] += 1
+            return _real(self, d, steps, *rest)
+
+        monkeypatch.setattr(validity._Checker, name, counted)
+    return checked, computed
+
+
+def test_a_family_computes_each_verdict_once_per_read_set(monkeypatch):
+    checked, computed = _count_checks(monkeypatch)
+    goal = Disj(Conj(a, b), negation(Conj(a, b)))
+    assert consequence("delta-star", [], goal, FAM_AB).is_valid
+    (pooled,) = [key for key in checked if key[0] == axiom_structure(goal)]
+    assert checked[pooled] == len(FAM_AB) and computed[pooled] < len(FAM_AB)
+    assert sum(computed.values()) < sum(checked.values())
+    # a choice function's steps read the base itself: its verdicts stay per base
+    checked.clear()
+    computed.clear()
+    cand = Argument(axiom_structure(goal), JustificationSet((choice_justification(Conj(a, b), FAM_AB),)))
+    assert consequence("delta-star", [], goal, FAM_AB, candidates=[cand]).is_valid
+    assert computed[(cand.structure, cand.steps)] == checked[(cand.structure, cand.steps)] == len(FAM_AB)

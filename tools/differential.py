@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Four op groups follow. The first, `choice`, runs what no workload builds: a
+Five op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -46,6 +46,14 @@ line per base after an `op` line per formula. One search, shared by the
 whole group, builds every witness through its witness table; a tree
 whose search has none synthesizes each afresh, so on such a tree the
 group writes the reference a table must reproduce.
+
+The fifth, `pooled-choice`, puts a `ChoiceFunction` through a search
+shared across bases, which the `choice` group's fresh `valid` calls never
+do. For each `CHOICE_FORMULAS` formula f it calls `consequence` with
+`delta` and with `delta-star` on f | ~f over the 65 bases, passing as
+the one candidate the `choice` group's argument (the excluded-middle
+axiom with the choice function and `or_detour()`); the nested `valid`
+calls are recorded as above.
 
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
@@ -122,27 +130,12 @@ def _run_choice_group(out) -> int:
     """Run the choice group, writing an `op` line before each op, and return
     its op count. ptslab is imported here, after the recorded functions are
     rebound, so the calls below are recorded."""
-    from ptslab import (
-        Argument,
-        Bounds,
-        Disj,
-        JustificationSet,
-        axiom_structure,
-        choice_justification,
-        enumerate_bases,
-        negation,
-        or_detour,
-        parse_formula,
-        recheck_invalid,
-        valid,
-    )
+    from ptslab import Bounds, enumerate_bases, parse_formula, recheck_invalid, valid
 
     a, b = parse_formula("a"), parse_formula("b")
     bases = list(enumerate_bases([a, b], 2))
     for text in CHOICE_FORMULAS:
-        f = parse_formula(text)
-        steps = JustificationSet((choice_justification(f, enumerate_bases([a], 1)), or_detour()))
-        arg = Argument(axiom_structure(Disj(f, negation(f))), steps)
+        arg = _choice_argument(parse_formula(text))
         for base in bases:
             out.write(f"op choice/{text}/{base.rules_text()}\n")
             v = valid(arg, base)
@@ -198,6 +191,16 @@ def _run_refuted_group(out) -> int:
     return len(REFUTED_STRUCTURES) * len(REFUTED_BOUNDS)
 
 
+def _choice_argument(f):
+    """The choice group's argument for f: its excluded-middle axiom with the
+    choice function over `enumerate_bases([a], 1)` and `or_detour()`."""
+    from ptslab import Argument, Atom, Disj, JustificationSet, axiom_structure, choice_justification
+    from ptslab import enumerate_bases, negation, or_detour
+
+    steps = JustificationSet((choice_justification(f, enumerate_bases([Atom("a")], 1)), or_detour()))
+    return Argument(axiom_structure(Disj(f, negation(f))), steps)
+
+
 def _run_witness_group(out) -> int:
     """Run the witness group and return its op count, one op per formula."""
     import workloads
@@ -213,6 +216,21 @@ def _run_witness_group(out) -> int:
         for base in family:
             out.write(f"witness {base.rules_text()} {closed(base, f)!r}\n")
     return len(formulas)
+
+
+def _run_pooled_choice_group(out) -> int:
+    """Run the pooled-choice group, writing an `op` line before each op, and
+    return its op count."""
+    from ptslab import Atom, consequence, enumerate_bases, parse_formula
+
+    family = list(enumerate_bases([Atom("a"), Atom("b")], 2))
+    variants = ("delta", "delta-star")
+    for text in CHOICE_FORMULAS:
+        cand = _choice_argument(parse_formula(text))
+        for variant in variants:
+            out.write(f"op pooled-choice/{text}/{variant}\n")
+            consequence(variant, [], cand.structure.conclusion, family, candidates=[cand])
+    return len(CHOICE_FORMULAS) * len(variants)
 
 
 def main() -> int:
@@ -238,6 +256,7 @@ def main() -> int:
         ops["schematic"] = counts["is_schematic"] = _run_schematic_group(out)
         ops["refuted"] = _run_refuted_group(out)
         ops["witness"] = _run_witness_group(out)
+        ops["pooled-choice"] = _run_pooled_choice_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
