@@ -1,15 +1,18 @@
-"""Command-line front end.
+"""Proof-theoretic semantics at desk scale, from the command line.
 
-Exit codes: 0 the query holds / the argument is valid; 1 it fails /
-is invalid; 2 the bounded check came back unknown; 3 usage, parse or
-I/O errors.
+`ptslab COMMAND -h` lists a command's arguments and options. An option may
+stand anywhere among the arguments, as --opt VALUE or --opt=VALUE, and a
+unique prefix names it; `--` ends the options. Exit codes: 0 the query
+holds / the argument is valid; 1 it fails / is invalid; 2 the bounded
+check came back unknown; 3 usage, parse or I/O errors.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable
 
 from .atomic_base import (
@@ -46,6 +49,7 @@ from .validity import (
     CONSEQUENCE_VARIANTS,
     ValidityError,
     Verdict,
+    _Search,
     axiom_structure,
     consequence,
     em_witness,
@@ -55,34 +59,8 @@ from .validity import (
 
 __all__ = ["main", "search_counterexample"]
 
-_PARSE_ERRORS = (
-    FormulaError,
-    BaseError,
-    EnumerationCapError,
-    StructureError,
-    JustificationError,
-    SexprError,
-    ValidityError,
-    OSError,
-)
-
-
-class _Cli(argparse.ArgumentParser):
-    _intermixing = False
-
-    def parse_known_args(self, args=None, namespace=None):
-        """A command takes options between its positionals too: `models BASE CTX --format lines GOAL`."""
-        if self._subparsers is not None or self._intermixing:
-            return super().parse_known_args(args, namespace)
-        self._intermixing = True  # parse_known_intermixed_args calls back in here
-        try:
-            return self.parse_known_intermixed_args(args, namespace)
-        finally:
-            self._intermixing = False
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, f"{self.prog}: error: {message}\n")
+_PARSE_ERRORS = (FormulaError, BaseError, EnumerationCapError, StructureError, JustificationError,
+                 SexprError, ValidityError, OSError)
 
 
 def _emit(args, text: str, **record) -> None:
@@ -137,8 +115,7 @@ def _parse_enumerate_spec(spec: str) -> tuple[list[Atom], int]:
     letters = "abcdefghijklmnopqrstuvwxyz"
     if not 0 <= n_atoms <= len(letters):
         raise BaseError(f"enumerate: atoms must be between 0 and {len(letters)}, got {n_atoms}")
-    atoms = [Atom(c) for c in letters[:n_atoms]]
-    return atoms, n_rules
+    return [Atom(c) for c in letters[:n_atoms]], n_rules
 
 
 def _load_family(specs: Iterable[str]) -> list[AtomicBase]:
@@ -153,22 +130,14 @@ def _load_family(specs: Iterable[str]) -> list[AtomicBase]:
 
 
 def _bounds_from(args) -> Bounds:
-    sigma = []
-    for path in args.sigma_pool or []:
-        sigma.extend(_load(path, parse_structures, StructureError))
-    exts = tuple(_load(p, parse_rules, JustificationError) for p in args.extensions or [])
-    return Bounds(
-        max_reduction_steps=args.max_steps,
-        sigma_candidates=tuple(sigma),
-        extensions=exts,
-    )
+    sigma = tuple(s for path in args.sigma_pool or [] for s in _load(path, parse_structures, StructureError))
+    exts = tuple(_load(path, parse_rules, JustificationError) for path in args.extensions or [])
+    return Bounds(max_reduction_steps=args.max_steps, sigma_candidates=sigma, extensions=exts)
 
 
 def _context_from(text: str | None) -> list[Formula]:
     """The formulas of a semicolon-separated context option."""
-    if not text:
-        return []
-    return [parse_formula(part) for part in text.split(";") if part.strip()]
+    return [parse_formula(part) for part in (text or "").split(";") if part.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +182,7 @@ def _cmd_consequence(args) -> int:
 
 def _cmd_reduce(args) -> int:
     rules = _load(args.rules, parse_rules, JustificationError)
-    frm = _load(args.frm, parse_structure, StructureError)
+    frm = _load(getattr(args, "from"), parse_structure, StructureError)
     to = _load(args.to, parse_structure, StructureError)
     ok = reduces(rules, frm, to, args.max_steps)
     return _holds(args, ok, f"reduces within {args.max_steps} step(s): {'yes' if ok else 'no'}",
@@ -259,9 +228,10 @@ def _demo_detour(args) -> int:
         parse_base("-> b\na -> c\nb -> c\n", id="right"),
         parse_base("-> a\n-> b\na -> c\nb -> c\n", id="both"),
     ]
-    ok = True
+    bounds = _bounds_from(args)
+    search, ok = _Search(bounds), True
     for base in bases:
-        v = valid(Argument(d, steps), base, _bounds_from(args))
+        v = valid(Argument(d, steps), base, bounds, _search=search)
         ok &= v.is_valid
         _demo(args, f"case analysis on {base.id}: {v.status}", base=base.id, status=v.status)
     closed = instantiate(d, {Disj(a, b): synthesize_closed(bases[0], Disj(a, b))})
@@ -274,11 +244,11 @@ def _demo_detour(args) -> int:
 
 def _demo_em(args) -> int:
     family = _load_family(args.family or ["enumerate:atoms=2,rules=2"])
-    f = Atom("a")
-    ok = True
+    bounds = _bounds_from(args)
+    search, ok = _Search(bounds), True
     for base in family:
-        w = em_witness(base, f)
-        v = valid(w, base, _bounds_from(args))
+        w = em_witness(base, Atom("a"))
+        v = valid(w, base, bounds, _search=search)
         ok &= v.is_valid
         arm = w.steps.members[0].name
         _demo(args, f"excluded middle on {base.id}: witness via {arm}: {v.status}",
@@ -315,16 +285,15 @@ def _demo_graph(args) -> int:
     f = Atom("a")
     goal = Disj(f, negation(f))
     bounds = _bounds_from(args)
-    ok = True
-    union = RSystem(())
+    search, ok, union = _Search(bounds), True, RSystem(())
     for base in family:
         w = em_witness(base, f, mode="graph")
         union = union | w.steps
-        v = valid(w, base, bounds)
+        v = valid(w, base, bounds, _search=search)
         ok &= v.is_valid
         _demo(args, f"graph witness on {base.id}: {v.status}", base=base.id, status=v.status)
     for base in family:
-        v = valid(Argument(axiom_structure(goal), union), base, bounds)
+        v = valid(Argument(axiom_structure(goal), union), base, bounds, _search=search)
         ok &= v.is_valid
     v = consequence("delta-sh", (), goal, family, bounds)
     ok &= v.is_valid
@@ -336,92 +305,134 @@ def _demo_graph(args) -> int:
 _DEMOS = {"detour": _demo_detour, "em": _demo_em, "chain": _demo_chain, "graph": _demo_graph}
 
 
-def _cmd_demo(args) -> int:
-    return _DEMOS[args.name](args)
-
-
 # ---------------------------------------------------------------------------
+# the command table, which the reader and -h both read
+
+_ARGS = {  # kind (str, int, its choices, or list: the words up to the next option), default, metavar, help
+    "VARIANT": (("base",) + CONSEQUENCE_VARIANTS, None, "", ""),
+    "NAME": (tuple(sorted(_DEMOS)), None, "", ""),
+    "--family": (list, None, "SPEC...", "base files and/or enumerate:atoms=K,rules=M"),
+    "--context": (str, None, "FORMULAS", "semicolon-separated formulas"),
+    "--atoms": (str, None, "ATOMS", "comma-separated atom names"),
+    "--max-rules": (int, 2, "N", "rules per enumerated base"),
+    "--cap": (int, 200_000, "N", "most rule combinations to enumerate"),
+    "--max-steps": (int, 10, "N", "reduction steps per search"),
+    "--sigma-pool": (list, None, "FILE...", "structure files: candidates for sigma"),
+    "--extensions": (list, None, "FILE...", "justification files added to the steps"),
+    "--format": (("text", "lines"), "text", "", "lines: one JSON record per line"),
+}
+_POOLS = " --max-steps --sigma-pool --extensions"
+_COMMANDS = {  # name: (function, help, arguments, options; a required one ends in !)
+    "derive": (_cmd_derive, "atomic derivability on a base", "BASE GOAL", ""),
+    "models": (_cmd_models, "base-semantics consequence on one base", "BASE [CTX] GOAL", ""),
+    "consequence": (_cmd_consequence, "consequence over a family of bases", "VARIANT GOAL",
+                    "--family! --context" + _POOLS),
+    "reduce": (_cmd_reduce, "bounded reduction between two structures", "RULES FROM TO", "--max-steps"),
+    "valid": (_cmd_valid, "bounded validity of an argument on a base", "STRUCTURE RULES BASE", _POOLS),
+    "search": (_cmd_search, "first enumerated base refuting a consequence", "GOAL",
+               "--atoms! --context --max-rules --cap"),
+    "demo": (lambda args: _DEMOS[args.name](args), "run a packaged worked example", "NAME", "--family" + _POOLS),
+}
 
 
-def _add_options(sp, *, steps=False, pools=False, family=""):
-    """Register the options a command reads, and only those. family is the
-    nargs of --family; "+" also makes the option required."""
-    if steps:
-        sp.add_argument("--max-steps", type=int, default=10, dest="max_steps")
-    if pools:
-        sp.add_argument("--sigma-pool", nargs="*", dest="sigma_pool", metavar="FILE")
-        sp.add_argument("--extensions", nargs="*", dest="extensions", metavar="FILE")
-    if family:
-        sp.add_argument(
-            "--family",
-            nargs=family,
-            required=family == "+",
-            metavar="SPEC",
-            help="base files and/or enumerate:atoms=K,rules=M",
-        )
-    sp.add_argument("--format", choices=("text", "lines"), default="text")
+def _options(name: str) -> dict[str, bool]:
+    """A command's options, each with whether it is required."""
+    return {f.rstrip("!"): f.endswith("!") for f in (_COMMANDS[name][3] + " --format").split()}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Cli(prog="ptslab", description="proof-theoretic semantics at desk scale")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Cli)
+def _usage(name: str | None) -> str:
+    return f"usage: ptslab {name} {_COMMANDS[name][2]} [OPTIONS]" if name else "usage: ptslab COMMAND ..."
 
-    sp = sub.add_parser("derive", help="atomic derivability on a base")
-    sp.add_argument("base")
-    sp.add_argument("goal")
-    _add_options(sp)
-    sp.set_defaults(func=_cmd_derive)
 
-    sp = sub.add_parser("models", help="base-semantics consequence on one base")
-    sp.add_argument("base")
-    sp.add_argument("ctx", nargs="?")
-    sp.add_argument("goal")
-    _add_options(sp)
-    sp.set_defaults(func=_cmd_models)
+def _help(name: str | None):
+    """Print -h of the program (name None) or of a command, and exit 0."""
+    if name is None:
+        lines = [__doc__ or "", *(f"  {n + ' ' + c[2]:<30}{c[1]}" for n, c in _COMMANDS.items())]
+    else:
+        rows = [(w, "one of " + ", ".join(_ARGS[w][0])) for w in _COMMANDS[name][2].split() if w in _ARGS]
+        for flag, required in _options(name).items():
+            kind, default, metavar, text = _ARGS[flag]
+            shown = f" (default {default})" if default is not None else " (required)" if required else ""
+            rows.append((f"{flag} {metavar or '{' + ','.join(kind) + '}'}", text + shown))
+        lines = [_COMMANDS[name][1], "", *(f"  {a:<24}{b}" for a, b in rows)]
+    print(_usage(name), "", *lines, sep="\n")
+    sys.exit(0)
 
-    sp = sub.add_parser("consequence", help="consequence over a family of bases")
-    sp.add_argument("variant", choices=("base",) + CONSEQUENCE_VARIANTS)
-    sp.add_argument("goal")
-    sp.add_argument("--context", help="semicolon-separated formulas")
-    _add_options(sp, steps=True, pools=True, family="+")
-    sp.set_defaults(func=_cmd_consequence)
 
-    sp = sub.add_parser("reduce", help="bounded reduction between two structures")
-    sp.add_argument("rules")
-    sp.add_argument("frm", metavar="from")
-    sp.add_argument("to")
-    _add_options(sp, steps=True)
-    sp.set_defaults(func=_cmd_reduce)
+def _fail(name: str | None, message: str):
+    print(_usage(name), f"ptslab{' ' + name if name else ''}: error: {message}", sep="\n", file=sys.stderr)
+    sys.exit(3)
 
-    sp = sub.add_parser("valid", help="bounded validity of an argument on a base")
-    sp.add_argument("structure")
-    sp.add_argument("rules")
-    sp.add_argument("base")
-    _add_options(sp, steps=True, pools=True)
-    sp.set_defaults(func=_cmd_valid)
 
-    sp = sub.add_parser("search", help="first enumerated base refuting a consequence")
-    sp.add_argument("goal")
-    sp.add_argument("--context", help="semicolon-separated formulas")
-    sp.add_argument("--atoms", required=True, help="comma-separated atom names")
-    sp.add_argument("--max-rules", type=int, default=2, dest="max_rules")
-    sp.add_argument("--cap", type=int, default=200_000)
-    _add_options(sp)
-    sp.set_defaults(func=_cmd_search)
+def _option(word: str, flags) -> list[str] | None:
+    """The flags a word names ([] if none), or None if it is a value, as argparse read words."""
+    if word[:1] != "-" or word == "-":
+        return None
+    flag = word.partition("=")[0]
+    names = [flag] if flag in flags else [f for f in flags if f.startswith(flag)] if flag[:2] == "--" else []
+    return None if not names and (re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word) else names
 
-    sp = sub.add_parser("demo", help="run a packaged worked example")
-    sp.add_argument("name", choices=sorted(_DEMOS))
-    _add_options(sp, steps=True, pools=True, family="*")
-    sp.set_defaults(func=_cmd_demo)
 
-    return p
+def _value(name: str, what: str, kind, word: str):
+    if isinstance(kind, tuple) and word not in kind:
+        _fail(name, f"argument {what}: invalid choice: {word!r} (choose from {', '.join(map(repr, kind))})")
+    try:
+        return int(word) if kind is int else word
+    except ValueError:
+        _fail(name, f"argument {what}: invalid int value: {word!r}")
+
+
+def _read(argv: list[str]) -> SimpleNamespace:
+    """The command line as the _cmd functions read it, as argparse read it:
+    the command, and an attribute per argument and option. Options may
+    stand among the arguments, until `--`; the last of a repeated option
+    counts. Exits 0 after -h and 3 after a usage error."""
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    if name is None:
+        if argv and (argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0])):
+            _help(None)
+        _fail(None, f"invalid command: {argv[0]!r} (choose from {', '.join(_COMMANDS)})" if argv else
+              "the following arguments are required: command")
+    options = _options(name)
+    flags = (*options, "-h", "--help")
+    args = {f[2:].replace("-", "_"): _ARGS[f][1] for f in options}
+    shown, free, ended, i = _COMMANDS[name][2].split(), [], False, 1
+    while i < len(argv):
+        word, i = argv[i], i + 1
+        names = None if ended else _option(word, flags)
+        if word == "--" and not ended:
+            ended = True
+        elif names is None:
+            free.append(word)
+        elif len(names) != 1:
+            _fail(name, f"ambiguous option: {word.partition('=')[0]} could match {', '.join(names)}"
+                  if names else f"unrecognized arguments: {word}")
+        elif names[0] in ("-h", "--help"):
+            _help(name)
+        else:
+            flag, kind, (_, eq, value), n = names[0], _ARGS[names[0]][0], word.partition("="), i
+            while not eq and n < len(argv) and _option(argv[n], flags) is None and (kind is list or n == i):
+                n += 1
+            values, i = [value] if eq else argv[i:n], n
+            if not values and (kind is not list or options[flag]):
+                _fail(name, f"argument {flag}: expected {'at least ' * (kind is list)}one argument")
+            args[flag[2:].replace("-", "_")] = values if kind is list else _value(name, flag, kind, values[0])
+    slots = [w for w in shown if w[0] != "[" or len(free) >= len(shown)]  # [CTX] only when all are given
+    missing = [w.lower() for w in slots[len(free):]]
+    missing += [f for f, need in options.items() if need and args[f[2:].replace("-", "_")] is None]
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    if len(free) > len(slots):
+        _fail(name, "unrecognized arguments: " + " ".join(free[len(slots):]))
+    args |= {w.strip("[]").lower(): None for w in shown}
+    args |= {w.strip("[]").lower(): _value(name, w, _ARGS.get(w, (str,))[0], v) for w, v in zip(slots, free)}
+    return SimpleNamespace(command=name, **args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except _PARSE_ERRORS as e:
         print(f"ptslab: error: {e}", file=sys.stderr)
         return 3
