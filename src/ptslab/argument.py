@@ -103,11 +103,37 @@ class _Key:
     __slots__ = ("__weakref__",)
 
 
-_KEYS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-"""Each class's key by its shape: (formula, labelled) for a leaf, and (tag,
-conclusion, the children's keys, _wiring) for an inference. It holds shapes,
-never a node, and an entry goes with the last node of its class. Like the
-rest of the library, it assumes that one thread at a time builds structures."""
+class _KeyRef(weakref.ref):
+    """A weak reference to a class's key, carrying the shape it is filed under."""
+
+    __slots__ = ("shape",)
+
+
+_KEYS: dict[tuple, _KeyRef] = {}
+"""Each class's key by its shape, held weakly: (formula, labelled) for a leaf,
+and (tag, conclusion, the children's keys, _wiring) for an inference. It
+holds shapes, never a node, and an entry goes with the last node of its
+class. Like the rest of the library, it assumes that one thread at a time
+builds structures."""
+
+
+def _forget(ref: _KeyRef, _keys: dict = _KEYS) -> None:
+    """Drop a dead key's entry, unless its shape has been filed again since.
+    The table is bound as a default, so a key that dies while the
+    interpreter shuts down still finds it."""
+    if _keys.get(ref.shape) is ref:
+        del _keys[ref.shape]
+
+
+def _key_of(shape: tuple) -> _Key:
+    """The live key filed under the shape, or a new one filed there."""
+    ref = _KEYS.get(shape)
+    key = None if ref is None else ref()
+    if key is None:
+        key = _Key()
+        ref = _KEYS[shape] = _KeyRef(key, _forget)
+        ref.shape = shape
+    return key
 
 
 _NONE: frozenset[int] = frozenset()
@@ -290,7 +316,7 @@ def _node_facts(node: Assumption | Inf) -> _Facts:
     """The facts of a node being built, from its children's."""
     if isinstance(node, Assumption):
         f = node.formula
-        key = _KEYS.setdefault((f, node.label is not None), _Key())
+        key = _key_of((f, node.label is not None))
         if node.label is None:
             return _Facts(1, _NONE, (), _NONE, False, (f,), (), key)
         return _Facts(1, frozenset((node.label,)), ((node.label, f),), _NONE, False, (), (), key)
@@ -318,7 +344,7 @@ def _node_facts(node: Assumption | Inf) -> _Facts:
             free = tuple([leaf for leaf in free if leaf[0] not in dis])
             bound = _union(bound, frozenset([l for l, _ in binds]))
     wiring = _wiring(kids, dis) if dis or (len(kids) > 1 and free) else ()
-    key = _KEYS.setdefault((node.tag, node.conclusion, tuple([k.key for k in kids]), wiring), _Key())
+    key = _key_of((node.tag, node.conclusion, tuple([k.key for k in kids]), wiring))
     return _Facts(size, labels, free, bound, double, opens, binds, key)
 
 

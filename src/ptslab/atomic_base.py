@@ -90,7 +90,7 @@ class AtomicBase(_Record):
 
     @functools.cached_property
     def id(self) -> str:  # a display name, outside equality; by default the rules text
-        return self.rules_text()
+        return self._text
 
     @functools.cached_property
     def _sorted(self) -> tuple[AtomicRule, ...]:
@@ -104,8 +104,26 @@ class AtomicBase(_Record):
     def _closure(self) -> frozenset[Atom]:  # from no assumptions; enumerate_bases sets it
         return frozenset(self._derived)
 
+    @functools.cached_property
+    def _support(self) -> dict[Atom, frozenset[AtomicRule]]:
+        """Each derived atom's derivation support: its rule in _derived and its
+        premises' supports, built in derivation order (premises come first)."""
+        support: dict[Atom, frozenset[AtomicRule]] = {}
+        for x, rule in self._derived.items():
+            support[x] = frozenset((rule,)).union(*[support[p] for p in rule.premises])
+        return support
+
+    @functools.cached_property
+    def _rule_index(self) -> frozenset[tuple[Atom, tuple[str, ...]]]:
+        """(conclusion, sorted premise names) of each rule: a rule up to premise order."""
+        return frozenset([(r.conclusion, tuple(sorted([p.name for p in r.premises]))) for r in self.rules])
+
+    @functools.cached_property
+    def _text(self) -> str:
+        return "{" + "; ".join(str(r) for r in self._sorted) + "}"
+
     def rules_text(self) -> str:
-        return "{" + "; ".join(str(r) for r in self.sorted_rules()) + "}"
+        return self._text
 
     def sorted_rules(self) -> list[AtomicRule]:
         return list(self._sorted)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Literal
 
-from .atomic_base import AtomicBase, AtomicDerivation, AtomicRule, atomic_derivation, is_consistent
+from .atomic_base import AtomicBase, AtomicDerivation, atomic_derivation, is_consistent
 from .argument import (
     ArgStructure,
     Assumption,
@@ -214,7 +214,9 @@ def _derivation_structure(der: AtomicDerivation) -> ArgStructure:
 def is_derivation_structure(d: ArgStructure, base: AtomicBase) -> bool:
     """Is d (as a bare tree, tags aside) a closed derivation on the base?
     Every inference must conclude an atom by a rule of the base from its
-    premises' conclusions; the tree is walked with an explicit stack."""
+    premises' conclusions, up to premise order (the base's rule index); the
+    tree is walked with an explicit stack."""
+    rules = base._rule_index
     stack = [d]
     while stack:
         node = stack.pop()
@@ -223,11 +225,7 @@ def is_derivation_structure(d: ArgStructure, base: AtomicBase) -> bool:
         kids = [ch for ch in node.children if not isinstance(ch, EmptyTop)]
         if not all(isinstance(ch, Inf) and isinstance(ch.conclusion, Atom) for ch in kids):
             return False  # such a premise is no derivation
-        want = sorted([ch.conclusion for ch in kids], key=lambda a: a.name)
-        if not any(
-            r.conclusion == node.conclusion and sorted(r.premises, key=lambda a: a.name) == want
-            for r in base.rules
-        ):
+        if (node.conclusion, tuple(sorted([ch.conclusion.name for ch in kids]))) not in rules:
             return False
         stack.extend(kids)
     return True
@@ -319,10 +317,11 @@ class _Search:
     search, so no cycle holds them.
 
     Its witness table holds every closed structure the call synthesizes
-    (closed), keyed by the formula and its derivation support on the base:
-    the rules the base derives the formula's atoms by, closed under those
-    rules' premises. That is all synthesize_closed reads of the base, so
-    bases with one support share one witness.
+    (closed), keyed by the formula and the derivation supports of its atoms
+    on the base (AtomicBase._support: the rule each atom is derived by,
+    closed under those rules' premises; None for an atom not derived). That
+    is all synthesize_closed reads of the base, so bases with one support
+    share one witness.
 
     Its verdict table files each verdict a check computes under its reads:
     what the check and its parts asked of the base (_Checker._answer), with
@@ -335,25 +334,17 @@ class _Search:
         self._streams: dict[tuple, _Reducts] = {}
         self._steps: dict[tuple, dict[ArgStructure, list[ArgStructure]]] = {}
         self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
-        self._atoms: dict[Formula, frozenset[Atom]] = {}
-        self._witnesses: dict[tuple[Formula, frozenset[AtomicRule]], ArgStructure | None] = {}
+        self._atoms: dict[Formula, tuple[Atom, ...]] = {}
+        self._witnesses: dict[tuple[Formula, tuple], ArgStructure | None] = {}
         self._verdicts: dict[tuple[ArgStructure, StepSource], list[tuple[Verdict, dict]]] = {}
 
     def closed(self, base: AtomicBase, f: Formula) -> ArgStructure | None:
-        """synthesize_closed(base, f), built once per (f, derivation support)."""
+        """synthesize_closed(base, f), built once per (f, the supports of f's atoms)."""
         atoms = self._atoms.get(f)
         if atoms is None:
-            atoms = self._atoms[f] = atoms_of(f)
-        derived = base._derived
-        # an atom of f is derived iff its rule is in the support, so with f the rules are the key
-        support: set[AtomicRule] = set()
-        todo = [derived[x] for x in atoms if x in derived]
-        while todo:
-            rule = todo.pop()
-            if rule not in support:
-                support.add(rule)
-                todo += [derived[x] for x in rule.premises]
-        key = (f, frozenset(support))
+            atoms = self._atoms[f] = tuple(atoms_of(f))
+        support = base._support
+        key = (f, tuple([support.get(x) for x in atoms]))
         out = self._witnesses.get(key, False)
         if out is False:
             out = self._witnesses[key] = synthesize_closed(base, f)
@@ -395,6 +386,7 @@ def _meet(verdicts: Iterable[Verdict]) -> str:
 
 
 _BASE = ("base", None)  # the question whose answer is the base itself
+_UNASKED = object()  # what a probe of _Checker._answers gets for a question not yet asked
 
 
 class _Checker:
@@ -410,8 +402,15 @@ class _Checker:
         key = (d, steps)
         hit = self._memo.get(key)
         if hit is None:
+            answers = self._answers
             for hit in self.search._verdicts.get(key, ()):  # filed with reads this base answers alike?
-                if all(self._answer(q) is a for q, a in hit[1].items()):
+                for q, a in hit[1].items():
+                    got = answers.get(q, _UNASKED)
+                    if got is _UNASKED:
+                        got = self._answer(q)
+                    if got is not a:
+                        break
+                else:
                     break
             else:
                 check_structure(d)
@@ -429,21 +428,24 @@ class _Checker:
         return hit[0]
 
     def _answer(self, q: tuple) -> object:
-        """The base's answer to q, asked once per checker: every read of the base
-        goes through here. q is ("der", r): is r a closed derivation on the base;
-        ("closed", f): the search's witness for f, one object per support; or
-        _BASE: the base itself. A filed read is replayed by comparing identities."""
-        if q not in self._answers:
-            kind, x = q
-            self._answers[q] = (
-                is_derivation_structure(x, self.base) if kind == "der"
-                else self.search.closed(self.base, x) if kind == "closed" else self.base
-            )
-        return self._answers[q]
+        """The base's answer to q, which this checker has not asked yet: every
+        read of the base goes through here, and _answers keeps the answer. q is
+        ("der", r): is r a closed derivation on the base; ("closed", f): the
+        search's witness for f, one object per support; or _BASE: the base
+        itself. A filed read is replayed by comparing identities."""
+        kind, x = q
+        a = self._answers[q] = (
+            is_derivation_structure(x, self.base) if kind == "der"
+            else self.search.closed(self.base, x) if kind == "closed" else self.base
+        )
+        return a
 
     def _read(self, q: tuple) -> object:
-        """_answer(q), recorded in the frame of the check being computed."""
-        a = self._frames[-1][q] = self._answer(q)
+        """The base's answer to q, recorded in the frame of the check being computed."""
+        a = self._answers.get(q, _UNASKED)
+        if a is _UNASKED:
+            a = self._answer(q)
+        self._frames[-1][q] = a
         return a
 
     def _extensions_for(self, steps: StepSource) -> list[StepSource]:
@@ -693,13 +695,19 @@ def _uniform_instances(
     search: _Search, d: ArgStructure, context: list[Formula], goal: Formula, family: list[AtomicBase]
 ) -> list[tuple[AtomicBase, ArgStructure, ArgStructure]]:
     """Per base: the pool instance of d and the synthesized target it
-    should rewrite to. Bases whose context fails contribute nothing."""
+    should rewrite to. Bases whose context fails contribute nothing. The
+    sigmas' structures are the search's witness objects, so d is
+    instantiated once per distinct sigma, told apart by identity."""
     out = []
+    instances: dict[tuple[int, ...], ArgStructure] = {}
     for b in family:
         sigma = _default_sigma(search, b, context)
         if sigma is None:
             continue
-        inst = instantiate(d, sigma) if context else d
+        ids = tuple([id(s) for s in sigma.values()])
+        inst = instances.get(ids)
+        if inst is None:
+            inst = instances[ids] = instantiate(d, sigma) if context else d
         out.append((b, inst, search.closed(b, goal)))
     return out
 

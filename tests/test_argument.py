@@ -983,11 +983,25 @@ def test_a_dropped_structure_and_its_key_are_freed_at_once():
     gc.disable()
     try:
         before, u = len(argument._KEYS), Atom("unshared")  # no other structure has these classes
-        node = Inf("dropped", Impl(u, u), (Inf("kept", u, (Assumption(u, 1), Assumption(u))),), frozenset({1}))
+
+        def build():
+            return Inf("dropped", Impl(u, u), (Inf("kept", u, (Assumption(u, 1), Assumption(u))),), frozenset({1}))
+
+        node = build()
         assert len(argument._KEYS) == before + 4  # the two leaves, the inner and the outer inference
+        entry = argument._KEYS[(u, False)]  # the unlabelled leaf's: a shape that holds no key
         gone_node, gone_key = weakref.ref(node), weakref.ref(node._facts.key)
         del node
-        assert gone_node() is None and gone_key() is None
+        assert gone_node() is None and gone_key() is None and entry() is None
+        assert len(argument._KEYS) == before
+        # the shape built again after its class died gets a fresh key, which a late
+        # callback of the dead entry leaves filed
+        node = build()
+        assert len(argument._KEYS) == before + 4 and argument._KEYS[entry.shape] is not entry
+        argument._forget(entry)
+        leaf = node.children[0].children[1]
+        assert argument._KEYS[entry.shape]() is leaf._facts.key is build().children[0].children[1]._facts.key
+        del node, leaf
         assert len(argument._KEYS) == before
     finally:
         gc.enable()

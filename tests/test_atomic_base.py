@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 
 from ptslab import atomic_base
 from ptslab import (
+    Assumption,
     Atom,
     AtomicBase,
     AtomicRule,
     BOT,
     BaseError,
+    Conj,
+    EmptyTop,
     EnumerationCapError,
+    Inf,
     atomic_closure,
     atomic_derivation,
     derives,
     enumerate_bases,
     is_consistent,
+    is_derivation_structure,
     parse_base,
     render_base,
 )
@@ -276,6 +281,7 @@ def test_base_releases_what_it_computed():
     assert atomic_closure(base) == {Atom("held"), Atom("freed")}
     assert base.id == "{held -> freed; -> held}"
     assert atomic_derivation(base, (), Atom("freed")) is not None and is_consistent(base)
+    assert len(base._support[Atom("freed")]) == 2 and (Atom("freed"), ("held",)) in base._rule_index
     ref = weakref.ref(base)
     del base
     gc.collect()
@@ -358,3 +364,128 @@ def test_closures_of_a_family_are_the_small_subsets():
             closures = {atomic_closure(x) for x in enumerate_bases(atoms, k)}
             small = {frozenset(s) for j in range(min(k, n) + 1) for s in itertools.combinations(atoms, j)}
             assert closures == small
+
+
+# --- base facts: derivation supports and the rule index ----------------------
+
+c = Atom("c")
+
+
+def _walked_support(base, x):
+    """x's derivation support as _Search.closed walked it before bases kept
+    their supports: x's rule, closed under its premises' rules. The reference."""
+    derived, support = base._derived, set()
+    todo = [derived[x]]
+    while todo:
+        rule = todo.pop()
+        if rule not in support:
+            support.add(rule)
+            todo += [derived[y] for y in rule.premises]
+    return frozenset(support)
+
+
+def _supports_agree(base):
+    assert base._support == {x: _walked_support(base, x) for x in base._derived}
+
+
+def test_supports_are_the_walked_supports_on_every_small_base():
+    fam = list(enumerate_bases([a, b, c], 2))
+    assert len(fam) == 494
+    for base in fam:
+        _supports_agree(base)
+    # with a formula's atoms, the per-atom supports and their union tell the same bases apart
+    for k in range(1, 4):
+        for atoms in itertools.combinations([a, b, c], k):
+            by_union, by_atom = {}, {}
+            for i, base in enumerate(fam):
+                union = frozenset().union(*[base._support.get(x, ()) for x in atoms])
+                by_union.setdefault(union, set()).add(i)
+                by_atom.setdefault(tuple(base._support.get(x) for x in atoms), set()).add(i)
+            assert sorted(map(sorted, by_union.values())) == sorted(map(sorted, by_atom.values()))
+
+
+_RULES = st.builds(
+    AtomicRule,
+    st.lists(st.sampled_from([p, q, r]), max_size=3).map(tuple),  # duplicated premises too
+    st.sampled_from([p, q, r, BOT]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(_RULES, max_size=7))
+def test_supports_are_the_walked_supports(rules):
+    _supports_agree(AtomicBase(rules))
+
+
+def _scanned_is_derivation_structure(d, base):
+    """is_derivation_structure as it was written before the rule index: every
+    rule of the base scanned at every node. The reference."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Inf) or node.discharges or not isinstance(node.conclusion, Atom):
+            return False
+        kids = [ch for ch in node.children if not isinstance(ch, EmptyTop)]
+        if not all(isinstance(ch, Inf) and isinstance(ch.conclusion, Atom) for ch in kids):
+            return False
+        want = sorted([ch.conclusion for ch in kids], key=lambda x: x.name)
+        if not any(
+            rule.conclusion == node.conclusion and sorted(rule.premises, key=lambda x: x.name) == want
+            for rule in base.rules
+        ):
+            return False
+        stack.extend(kids)
+    return True
+
+
+def _random_node(rng, base, depth, goal=None):
+    """Mostly a derivation of the goal (any atom when None) on the base, its
+    premises permuted; sometimes a missing or extra premise, a non-atomic
+    node, an assumption leaf or a discharge."""
+    roll = rng.random()
+    if roll < 0.03:
+        return Assumption(goal or p)
+    if roll < 0.06:
+        return Inf("andI", Conj(p, q), (EmptyTop(),))
+    rules = sorted([x for x in base.rules if goal in (None, x.conclusion)], key=str)
+    if not rules or not depth or roll > 0.95:
+        return Inf("atm", goal or rng.choice([p, q, r, BOT]), (EmptyTop(),))
+    rule = rng.choice(rules)
+    premises = list(rule.premises)
+    rng.shuffle(premises)
+    if rng.random() < 0.05 and premises:
+        premises.pop()
+    if rng.random() < 0.05:
+        premises.append(rng.choice([p, q, r]))
+    kids = tuple(_random_node(rng, base, depth - 1, x) for x in premises) or (EmptyTop(),)
+    return Inf("atm", rule.conclusion, kids, frozenset({1}) if rng.random() < 0.02 else frozenset())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(_RULES, max_size=6), st.integers(0, 2**32 - 1))
+def test_is_derivation_structure_agrees_with_the_rule_scan(rules, seed):
+    base, rng = AtomicBase(rules), make_rng(seed)
+    for _ in range(10):
+        d = _random_node(rng, base, rng.randint(0, 4))
+        assert is_derivation_structure(d, base) == _scanned_is_derivation_structure(d, base)
+
+
+def test_is_derivation_structure_on_a_duplicated_premise_and_a_non_atomic_node():
+    base = AtomicBase(frozenset({AtomicRule((p, p), q), AtomicRule((), p), AtomicRule((p, r), q)}))
+    leaf = Inf("atm", p, (EmptyTop(),))
+    cases = {
+        Inf("atm", q, (leaf, leaf)): True,  # p p -> q
+        Inf("atm", q, (leaf,)): False,  # p -> q is not a rule: the premise is not duplicated
+        Inf("atm", q, (leaf, leaf, leaf)): False,
+        Inf("atm", q, (Inf("atm", r, (EmptyTop(),)), leaf)): False,  # r is no derivation here
+        Inf("atm", q, (leaf, Inf("andI", Conj(p, p), (leaf, leaf)))): False,  # a non-atomic premise
+        Inf("andI", Conj(p, p), (leaf, leaf)): False,  # a non-atomic conclusion
+    }
+    for d, want in cases.items():
+        assert is_derivation_structure(d, base) == _scanned_is_derivation_structure(d, base) == want
+    # permuted premises of p r -> q, with r made derivable
+    with_r = AtomicBase(base.rules | {AtomicRule((), r)})
+    r_leaf = Inf("atm", r, (EmptyTop(),))
+    for kids in ((leaf, r_leaf), (r_leaf, leaf)):
+        d = Inf("atm", q, kids)
+        assert is_derivation_structure(d, with_r) and _scanned_is_derivation_structure(d, with_r)

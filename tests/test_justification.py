@@ -123,11 +123,32 @@ def test_constant_map_contract_violation():
         apply_justification(cm, key)
 
 
+_GOOD_PAIR = (Inf("t", c, (Assumption(a),)), Inf("u", c, (Assumption(a),)))
+_BAD_PAIR = (Inf("t", c, (EmptyTop(),)), Inf("t", c, (Assumption(a),)))
+
+
 def test_rsystem_rejects_bad_pairs():
-    with pytest.raises(JustificationContractError):
-        RSystem(((Assumption(a), Assumption(b)),))
-    with pytest.raises(JustificationContractError):
-        RSystem(((Inf("t", c, (EmptyTop(),)), Inf("t", c, (Assumption(a),))),))
+    for pairs in (
+        ((Assumption(a), Assumption(b)),),
+        (_BAD_PAIR,),
+        (_BAD_PAIR, _BAD_PAIR),  # a repeated pair is checked once, and still rejected
+        (_GOOD_PAIR, _BAD_PAIR, _BAD_PAIR),
+        (_GOOD_PAIR, _GOOD_PAIR, _BAD_PAIR),
+    ):
+        with pytest.raises(JustificationContractError):
+            RSystem(pairs)
+
+
+def test_rsystem_checks_each_class_of_pairs_once(monkeypatch):
+    checked = []
+    real = justification._check_contract
+    monkeypatch.setattr(justification, "_check_contract", lambda *x: checked.append(x[1:]) or real(*x))
+    assert RSystem((_GOOD_PAIR, _GOOD_PAIR, _GOOD_PAIR)).pairs == (_GOOD_PAIR,)
+    assert len(checked) == 1
+    # a pair equal to a checked one up to relabelling is the same class: kept once, checked once
+    k1, k2 = (Inf("impI", Impl(a, a), (Assumption(a, n),), frozenset({n})) for n in (1, 2))
+    (kept,) = RSystem(((k1, Inf("s", Impl(a, a), (k1,))), (k2, Inf("s", Impl(a, a), (k2,))))).pairs
+    assert kept[0] is k1 and len(checked) == 2
 
 
 def test_reduces_examples():

@@ -339,3 +339,34 @@ def test_a_family_computes_each_verdict_once_per_read_set(monkeypatch):
     cand = Argument(axiom_structure(goal), JustificationSet((choice_justification(Conj(a, b), FAM_AB),)))
     assert consequence("delta-star", [], goal, FAM_AB, candidates=[cand]).is_valid
     assert computed[(cand.structure, cand.steps)] == checked[(cand.structure, cand.steps)] == len(FAM_AB)
+
+
+# --- pooled instances, pairs and images: each distinct one once ------------
+
+WEAKEN = ([a], Disj(a, b))  # X |- X | Y
+
+
+def test_pooled_instances_are_built_once_per_distinct_sigma(monkeypatch):
+    built = []
+    real = validity.instantiate
+    monkeypatch.setattr(validity, "instantiate", lambda d, sigma: built.append(sigma) or real(d, sigma))
+    context, goal = WEAKEN
+    search = validity._Search(Bounds())
+    d = validity._uniform_structure(context, goal)
+    per_base = validity._uniform_instances(search, d, context, goal, FAM_AB)
+    sigmas = {tuple(map(id, sigma.values())) for sigma in built}
+    assert len(built) == len(sigmas) == 2 < len(per_base)
+    # bases whose sigmas are one object share one instance, the one a fresh instantiation gives
+    for base, inst, _target in per_base:
+        sigma = validity._default_sigma(search, base, context)
+        assert repr(inst) == repr(real(d, sigma))
+
+
+@pytest.mark.parametrize("variant", ["delta-star", "delta-sh"])
+@pytest.mark.parametrize("context, goal", [WEAKEN, ([], EM_A)])
+def test_pooled_pairs_and_images_are_checked_once_each(monkeypatch, variant, context, goal):
+    checked = []
+    real = justification._check_contract
+    monkeypatch.setattr(justification, "_check_contract", lambda *x: checked.append(x[1:]) or real(*x))
+    assert consequence(variant, context, goal, FAM_AB).is_valid
+    assert len(checked) == len(set(checked))  # pairs and images equal up to relabelling count as one
