@@ -244,51 +244,18 @@ def rule_universe(atoms: list[Atom]) -> list[AtomicRule]:
     return [AtomicRule(prems, concl) for concl in seen + [BOT] for prems in prem_sets]
 
 
-def _combinations(
-    atoms: list[Atom], max_rules: int, consistent_only: bool, cap: int
-) -> tuple[list[Atom], list[AtomicRule], Iterator[tuple[tuple[int, ...], int]]]:
-    """The enumeration of enumerate_bases on masks. The arguments are
-    checked at the call, in enumerate_bases' order.
-
-    Returns the signature then bottom (the mask's bit order), the rule
-    universe, and a generator of (rule-index combination, derived mask)
-    pairs in enumeration order, inconsistent ones skipped when asked. The
-    universe list is filled, and the rules' masks computed, when the
-    generator is first advanced, so a caller that never scans builds neither.
-    """
+def _checked_signature(atoms: list[Atom], max_rules: int, cap: int) -> list[Atom]:
+    """The signature without repeats, once the arguments pass the checks that
+    enumerate_bases and search_counterexample share, in this order: a
+    non-negative rule count, named atoms only, a base count within the cap."""
     if max_rules < 0:
         raise BaseError(f"the number of rules must be non-negative, got {max_rules}")
-    order = _signature(atoms) + [BOT]
-    n_rules = len(order) << (len(order) - 1)  # a conclusion and a premise set each
+    seen = _signature(atoms)
+    n_rules = (len(seen) + 1) << len(seen)  # a conclusion and a premise set each
     total = sum(math.comb(n_rules, k) for k in range(min(max_rules, n_rules) + 1))
     if total > cap:
         raise EnumerationCapError(f"{total} bases over this signature exceeds the cap of {cap}")
-    universe: list[AtomicRule] = []
-    absurd = 1 << (len(order) - 1) if consistent_only else 0  # bottom's bit
-
-    def combinations() -> Iterator[tuple[tuple[int, ...], int]]:
-        if max_rules:  # no rules, no universe
-            universe.extend(rule_universe(order[:-1]))
-        bit = {x: 1 << i for i, x in enumerate(order)}
-        pairs = [(_mask(r.premises, bit), bit[r.conclusion]) for r in universe]
-        for size in range(min(max_rules, n_rules) + 1):
-            for combo in itertools.combinations(range(len(pairs)), size):
-                derived = _forward([pairs[i] for i in combo], 0)
-                if not derived & absurd:
-                    yield combo, derived
-
-    return order, universe, combinations()
-
-
-def _atoms_in(mask: int, order: list[Atom]) -> frozenset[Atom]:
-    return frozenset(x for i, x in enumerate(order) if mask >> i & 1)
-
-
-def _built(universe: list[AtomicRule], combo: tuple[int, ...], closure: frozenset[Atom]) -> AtomicBase:
-    """The base of the combination's rules, handed its closure."""
-    base = AtomicBase(frozenset([universe[i] for i in combo]))
-    object.__setattr__(base, "_closure", closure)
-    return base
+    return seen
 
 
 def enumerate_bases(
@@ -299,18 +266,29 @@ def enumerate_bases(
 ) -> Iterator[AtomicBase]:
     """All bases with at most max_rules rules over the signature.
 
-    Deterministic and duplicate-free; raises EnumerationCapError up front
-    when the raw count would exceed cap. Bases are chained and checked for
-    consistency on masks over the signature and then bottom; only a yielded
-    base is built, with its closure, one frozenset per distinct closure.
+    Deterministic and duplicate-free; raises EnumerationCapError when first
+    iterated if the raw count would exceed cap. Each combination of rule
+    indices is chained and checked for consistency on masks over the
+    signature and then bottom; only a yielded base is built, with its
+    closure, one frozenset per distinct closure.
     """
-    order, universe, combinations = _combinations(atoms, max_rules, consistent_only, cap)
+    order = _checked_signature(atoms, max_rules, cap) + [BOT]  # the masks' bit order
+    universe = rule_universe(order[:-1]) if max_rules else []  # no rules, no universe
+    bit = {x: 1 << i for i, x in enumerate(order)}
+    pairs = [(_mask(r.premises, bit), bit[r.conclusion]) for r in universe]
+    absurd = bit[BOT] if consistent_only else 0
     closures: dict[int, frozenset[Atom]] = {}
-    for combo, derived in combinations:
-        closure = closures.get(derived)
-        if closure is None:
-            closure = closures[derived] = _atoms_in(derived, order)
-        yield _built(universe, combo, closure)
+    for size in range(min(max_rules, len(pairs)) + 1):
+        for combo in itertools.combinations(range(len(pairs)), size):
+            derived = _forward([pairs[i] for i in combo], 0)
+            if derived & absurd:
+                continue
+            closure = closures.get(derived)
+            if closure is None:
+                closure = closures[derived] = frozenset(x for i, x in enumerate(order) if derived >> i & 1)
+            base = AtomicBase(frozenset([universe[i] for i in combo]))
+            _set(base, "_closure", closure)
+            yield base
 
 
 # ---------------------------------------------------------------------------

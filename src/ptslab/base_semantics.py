@@ -13,7 +13,7 @@ import itertools
 import warnings
 from typing import Iterable
 
-from .atomic_base import AtomicBase, _atoms_in, _built, _combinations, atomic_closure
+from .atomic_base import AtomicBase, AtomicRule, _checked_signature, atomic_closure
 from .formula import BOT, Atom, Conj, Disj, Formula, Impl, _Record, _set, negation
 
 __all__ = [
@@ -133,19 +133,22 @@ def _first_failing(
     """The first base of the family on which the goal does not follow, or None.
 
     Whether it follows depends on a base only through its closure, so each
-    distinct closure is evaluated once per call; an inconsistent base still
-    warns each time it is scanned."""
+    distinct closure is evaluated once per call, on the first base that has
+    it, and the scan keeps one of three verdicts for it: the goal holds, it
+    holds on an inconsistent closure (a base with it warns again each time
+    it is scanned), or it fails (the scan stops there). A base whose
+    closure is consistent and already seen costs one dict probe."""
     context = tuple(context)
-    verdicts: dict[frozenset[Atom], bool] = {}
+    inconsistent: dict[frozenset[Atom], bool] = {}  # closures where the goal holds
     for base in family:
         derivable = base._closure
-        holds = verdicts.get(derivable)
-        if holds is None:
-            holds = verdicts[derivable] = models(base, context, goal)
-        elif BOT in derivable:
+        warns = inconsistent.get(derivable)
+        if warns is None:
+            if not models(base, context, goal):
+                return base
+            inconsistent[derivable] = BOT in derivable
+        elif warns:
             _warn_inconsistent(base, 1)
-        if not holds:
-            return base
     return None
 
 
@@ -158,30 +161,24 @@ def search_counterexample(
 ) -> AtomicBase | None:
     """First enumerated consistent base on which the goal fails, or None.
 
-    The arguments are checked at the call, as enumerate_bases checks them. A
-    consistent base with k rules derives at most k atoms of the signature,
-    each by its own rule, and the `-> x` axioms of any such set form a base
-    with that closure: the family's closures are exactly the subsets of at
-    most k atoms. The goal is evaluated once on each; only if it fails on
-    one is the enumeration scanned, on masks, to the first combination with
-    a failing closure, and that one base is built.
+    The arguments are checked at the call, as enumerate_bases checks them
+    when first iterated. A consistent base with k rules derives at most k
+    atoms of the signature, each by its own rule, and the `-> x` axioms of
+    any such set form a base with that closure: the family's closures are
+    exactly the subsets of at most k atoms. The first enumerated base with
+    closure M has |M| rules, each deriving its own atom, and M's axioms are
+    the first such combination, so these first bases come in the order of
+    itertools.combinations over the signature. The subsets are evaluated in
+    that order, up to the first on which the goal fails (its axioms are
+    returned, no rule universe is built) or whose evaluation raises.
     """
     context = tuple(context)
-    order, universe, combinations = _combinations(atoms, max_rules, True, cap)
-    named = range(len(order) - 1)  # the signature's bits; bottom's is last
-    stops: dict[int, SemanticsError | None] = {}  # failing masks, or masks that raise
-    for size in range(min(max_rules, len(named)) + 1):
-        for chosen in itertools.combinations(named, size):
-            mask = sum(1 << i for i in chosen)
-            try:
-                if not _follows(context, goal, _atoms_in(mask, order)):
-                    stops[mask] = None
-            except SemanticsError as e:  # raised where the scan first meets it
-                stops[mask] = e
-    if stops:
-        for combo, derived in combinations:
-            if derived in stops:
-                if stops[derived] is not None:
-                    raise stops[derived]
-                return _built(universe, combo, _atoms_in(derived, order))
+    signature = _checked_signature(atoms, max_rules, cap)
+    for size in range(min(max_rules, len(signature)) + 1):
+        for chosen in itertools.combinations(signature, size):
+            closure = frozenset(chosen)
+            if not _follows(context, goal, closure):
+                base = AtomicBase(frozenset([AtomicRule((), x) for x in chosen]))
+                _set(base, "_closure", closure)
+                return base
     return None

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import warnings
@@ -36,7 +37,7 @@ from ptslab import (
 
 from genlib import all_formulas, make_rng, random_formula
 
-a, b, c, p, q, s = map(Atom, "abcpqs")
+a, b, c, d, p, q, s = map(Atom, "abcdpqs")
 PQ = parse_base("-> p\np -> q\n")
 EMPTY = AtomicBase(frozenset())
 
@@ -263,7 +264,7 @@ def _outcome(search, *args):
 
 # bottom, and atoms a signature may leave out (d always), among the leaves
 _formulas = st.recursive(
-    st.sampled_from([a, b, c, Atom("d"), BOT]),
+    st.sampled_from([a, b, c, d, BOT]),
     lambda sub: st.builds(Conj, sub, sub) | st.builds(Disj, sub, sub) | st.builds(Impl, sub, sub),
     max_leaves=8,
 )
@@ -318,11 +319,66 @@ def test_search_raises_where_the_scan_first_meets_a_non_formula():
 
 
 def test_search_builds_no_rule_universe_unless_a_closure_fails(monkeypatch):
-    calls = []
-    real = atomic_base.rule_universe
-    monkeypatch.setattr(atomic_base, "rule_universe", lambda atoms: calls.append(atoms) or real(atoms))
+    # nor when one fails: the answer is the `-> x` axioms of the first
+    # failing closure, handed that closure, with no rule chained
+    universes, chained = [], []
+    real_universe, real_forward = atomic_base.rule_universe, atomic_base._forward
+    monkeypatch.setattr(atomic_base, "rule_universe", lambda atoms: universes.append(atoms) or real_universe(atoms))
+    monkeypatch.setattr(atomic_base, "_forward", lambda *x: chained.append(x) or real_forward(*x))
     atoms = [Atom(n) for n in "abcdefghijkl"]  # 12 atoms: 53,248 rules in the universe
     assert search_counterexample((), parse_formula("a | ~a"), atoms, 1) is None
-    assert calls == []
     assert search_counterexample((), parse_formula("a"), atoms[:3], 1).id == "{}"
-    assert len(calls) == 1
+    found = search_counterexample((), parse_formula("~(b & d)"), atoms, 2, cap=10**10)
+    assert found.rules_text() == "{-> b; -> d}" and found._closure == {b, d}
+    assert universes == [] and chained == []
+
+
+def _false_exactly_at(closure, atoms):
+    """A formula that fails on this closure and holds on every other one."""
+    state = [x if x in closure else negation(x) for x in atoms]
+    return negation(functools.reduce(Conj, state))
+
+
+def _axioms_text(closure):
+    return "{" + "; ".join(f"-> {x.name}" for x in sorted(closure, key=lambda x: x.name)) + "}"
+
+
+def test_search_returns_the_axioms_of_the_first_failing_closure():
+    atoms = [a, b, c, d]
+    for size in range(3):
+        for chosen in itertools.combinations(atoms, size):
+            goal = _false_exactly_at(set(chosen), atoms)
+            want = _outcome(_reference_search, (), goal, atoms, 2)
+            assert _outcome(search_counterexample, (), goal, atoms, 2) == want
+            assert want[0] == _axioms_text(chosen)
+
+
+def test_search_takes_the_closure_first_in_signature_order():
+    # false at {a, c} and at {b, d}: the signature's order picks one
+    for atoms, first in (([a, b, c, d], {a, c}), ([d, c, b, a], {b, d})):
+        goal = Conj(_false_exactly_at({a, c}, atoms), _false_exactly_at({b, d}, atoms))
+        want = _outcome(_reference_search, (), goal, atoms, 2)
+        assert _outcome(search_counterexample, (), goal, atoms, 2) == want
+        assert want[0] == _axioms_text(first) and want[2] == first
+
+
+def test_a_scan_draws_bases_only_up_to_the_first_failing_one():
+    # over a generator, the bases after the first failing one are never
+    # drawn, and every inconsistent base drawn warns, repeated closures too
+    drawn = []
+
+    def drawing(bases):
+        for base in bases:
+            drawn.append(base)
+            yield base
+
+    every = list(enumerate_bases([a, b], 2, consistent_only=False))
+    inconsistent = [base for base in every if BOT in atomic_closure(base)]
+    family = inconsistent + [base for base in every if BOT not in atomic_closure(base)]
+    goal = parse_formula("~(a & b)")  # holds on each inconsistent closure
+    first, want_warnings = _scan_with_warnings(_per_base, (), goal, family)
+    verdict, got_warnings = _scan_with_warnings(logical_consequence, (), goal, drawing(family))
+    assert verdict == base_semantics.ConsequenceVerdict(False, first.id)
+    assert drawn[-1] is first and len(drawn) == [x is first for x in family].index(True) + 1 < len(family)
+    assert got_warnings == want_warnings
+    assert len(got_warnings) == len(inconsistent) > len({atomic_closure(base) for base in inconsistent})
