@@ -102,6 +102,8 @@ from .validity import (
     synthesize_closed,
     valid,
 )
+# taken from .cli, not from .base_semantics where it is defined: perfbench/tracer.py traces
+# it as ptslab.cli's and needs that module loaded (ROADMAP 6a)
 from .cli import search_counterexample
 
 __version__ = "0.1.0"

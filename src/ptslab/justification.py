@@ -615,13 +615,11 @@ def _stepped(
 
 
 class _Reducts:
-    """The search of reach as one stream of (reduct, depth), breadth-first,
-    the start first. Reducts are told apart up to relabelling, by structure
-    equality, so no key text is written. Every entry is kept as it comes: a
-    reader replays the kept entries, and only a reader that goes past them
-    extends the search, so a reader that stops early leaves the rest undone.
-    Once the stream is drained, bound says whether a bound cut the search
-    off.
+    """The search of reach as a stream of (reduct, depth), breadth-first,
+    the start first, read once: a reader that stops early leaves the rest
+    undone, and once the stream is drained, bound says whether a bound cut
+    the search off. Reducts are told apart up to relabelling, by structure
+    equality, so no key text is written.
 
     Each structure is stepped through a step table (_stepped: a dict from
     structure to its one-step reducts, for one step source and, when the
@@ -629,7 +627,7 @@ class _Reducts:
     one: streams that share it step each class up to relabelling,
     substructures included, once between them."""
 
-    __slots__ = ("kept", "_bound", "_rest")
+    __slots__ = ("_args", "bound")
 
     def __init__(
         self,
@@ -642,32 +640,16 @@ class _Reducts:
     ):
         if max_steps < 0 or max_size < 0:
             raise JustificationError("bounds must be non-negative")
-        self.kept: list[tuple[ArgStructure, int]] = [(start, 0)]
-        self._bound = [False]
-        # the running search holds the list, the flag and the table, not the stream or its owner:
-        # a cycle through either would keep every reduct alive until the cyclic collector runs
-        self._rest = _Reducts._search(
-            src, start, base, max_steps, max_size, self.kept, self._bound, {} if table is None else table
-        )
+        self._args = (src, start, base, max_steps, max_size, {} if table is None else table)
+        self.bound = False
 
     def __iter__(self) -> Iterator[tuple[ArgStructure, int]]:
-        kept, rest, i = self.kept, self._rest, 0
-        while i < len(kept) or next(rest, False):
-            yield kept[i]
-            i += 1
-
-    @property
-    def bound(self) -> bool:
-        return self._bound[0]
-
-    @staticmethod
-    def _search(src, start, base, max_steps, max_size, kept, bound, table) -> Iterator[bool]:
-        """Appends each new reduct to kept, then yields. The level past the
-        depth cap keeps none: it only asks whether the search could go on."""
+        src, start, base, max_steps, max_size, table = self._args
+        yield start, 0
         seen, frontier, hit, depth = {start}, [start], False, 0
         while frontier and depth <= max_steps:
             depth += 1
-            past = depth > max_steps
+            past = depth > max_steps  # this level yields nothing: can the search go on?
             nxt = []
             for d in frontier:
                 if past and hit:
@@ -680,10 +662,9 @@ class _Reducts:
                     elif c not in seen:
                         seen.add(c)
                         nxt.append(c)
-                        kept.append((c, depth))
-                        yield True
+                        yield c, depth
             frontier = nxt
-        bound[0] = hit
+        self.bound = hit
 
 
 def reach(

@@ -305,21 +305,20 @@ def _extend(steps: StepSource, ext: StepSource) -> StepSource:
 
 class _Search:
     """The reduction searches of one valid or consequence call, shared by
-    the checks it makes on every base: one stream per (steps, start), per
-    base too when the steps hold a choice function (its selection depends on
-    the base), and, per reduct, its immediate substructures when it is
-    closed and canonical. Structures are keys up to relabelling.
+    the checks it makes on every base through its tables, whose keys are
+    structures up to relabelling.
 
-    Its step table, one per (steps, base or None) as for streams, holds the
-    one-step reducts of every structure any of its streams has stepped, and
-    of the label-closed substructures those were built from, so each class
-    is stepped once per call. The streams get the plain dicts, never the
-    search, so no cycle holds them.
+    Each check reads a fresh reduct stream (stream) once; the streams share
+    the step table of their steps (per base too when the steps hold a
+    choice function, whose selection depends on the base). It holds the
+    one-step reducts of every structure a stream has stepped and of the
+    label-closed substructures those were built from, so each class is
+    stepped once per call. Per reduct, the search keeps its immediate
+    substructures when it is closed and canonical.
 
     Its witness table holds every closed structure the call synthesizes
     (closed), keyed by the formula and the derivation supports of its atoms
-    on the base (AtomicBase._support: the rule each atom is derived by,
-    closed under those rules' premises; None for an atom not derived). That
+    on the base (AtomicBase._support; None for an atom not derived). That
     is all synthesize_closed reads of the base, so bases with one support
     share one witness.
 
@@ -331,7 +330,6 @@ class _Search:
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
-        self._streams: dict[tuple, _Reducts] = {}
         self._steps: dict[tuple, dict[ArgStructure, list[ArgStructure]]] = {}
         self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
         self._atoms: dict[Formula, tuple[Atom, ...]] = {}
@@ -351,15 +349,8 @@ class _Search:
         return out
 
     def stream(self, steps: StepSource, d: ArgStructure, base: AtomicBase | None) -> _Reducts:
-        source = (steps, base)
-        s = self._streams.get((source, d))
-        if s is None:
-            b = self.bounds
-            table = self._steps.setdefault(source, {})
-            s = self._streams[(source, d)] = _Reducts(
-                steps, d, base, b.max_reduction_steps, b.max_structure_size, table
-            )
-        return s
+        b, table = self.bounds, self._steps.setdefault((steps, base), {})
+        return _Reducts(steps, d, base, b.max_reduction_steps, b.max_structure_size, table)
 
     def canonical_subs(self, r: ArgStructure) -> list[ArgStructure] | None:
         """r's immediate substructures if r is canonical and closed, else None."""
@@ -394,36 +385,32 @@ class _Checker:
         self.base = base
         self.bounds = search.bounds
         self.search = search
-        self._memo: dict[tuple[ArgStructure, StepSource], tuple[Verdict, dict]] = {}
         self._answers: dict[tuple, object] = {}
         self._frames: list[dict[tuple, object]] = [{}]  # the reads of each check being computed
 
     def check(self, d: ArgStructure, steps: StepSource) -> Verdict:
         key = (d, steps)
-        hit = self._memo.get(key)
-        if hit is None:
-            answers = self._answers
-            for hit in self.search._verdicts.get(key, ()):  # filed with reads this base answers alike?
-                for q, a in hit[1].items():
-                    got = answers.get(q, _UNASKED)
-                    if got is _UNASKED:
-                        got = self._answer(q)
-                    if got is not a:
-                        break
-                else:
+        answers = self._answers
+        for hit in self.search._verdicts.get(key, ()):  # filed with reads this base answers alike?
+            for q, a in hit[1].items():
+                got = answers.get(q, _UNASKED)
+                if got is _UNASKED:
+                    got = self._answer(q)
+                if got is not a:
                     break
             else:
-                check_structure(d)
-                self._frames.append({})
-                opens = d._facts.opens
-                if not opens:
-                    verdict = self._closed(d, steps, isinstance(conclusion_of(d), Atom))
-                else:
-                    verdict = self._open(d, steps, sorted(dict.fromkeys(opens), key=render_formula))
-                hit = (verdict, self._frames.pop())
-                if _BASE not in hit[1]:
-                    self.search._verdicts.setdefault(key, []).append(hit)
-            self._memo[key] = hit
+                break
+        else:
+            check_structure(d)
+            self._frames.append({})
+            opens = d._facts.opens
+            if not opens:
+                verdict = self._closed(d, steps, isinstance(conclusion_of(d), Atom))
+            else:
+                verdict = self._open(d, steps, sorted(dict.fromkeys(opens), key=render_formula))
+            hit = (verdict, self._frames.pop())
+            if _BASE not in hit[1]:
+                self.search._verdicts.setdefault(key, []).append(hit)
         self._frames[-1].update(hit[1])  # the enclosing check depends on them too
         return hit[0]
 
@@ -460,8 +447,9 @@ class _Checker:
         substructure and no Invalid one; otherwise it is Invalid."""
         per_base = isinstance(steps, JustificationSet) and steps._dispatch.choice
         stream = self.search.stream(steps, d, self._read(_BASE) if per_base else None)
-        saw_unknown = False
+        saw_unknown, explored = False, []
         for r, depth in stream:
+            explored.append(r)
             if atomic:
                 if self._read(("der", r)):
                     return Verdict.valid(f"reduces to a derivation on the base in {depth} step(s)")
@@ -480,10 +468,8 @@ class _Checker:
             return Verdict.unknown("reduction bound hit before a qualifying reduct was found")
         kind = "closed derivation" if atomic else "canonical reduct with valid substructures"
         return Verdict.invalid(
-            f"search exhausted: no {kind} among {len(stream.kept)} reduct(s)",
-            witness=ExhaustedSearch._of(
-                d, tuple([r for r, _depth in stream.kept]), self.bounds.max_reduction_steps
-            ),
+            f"search exhausted: no {kind} among {len(explored)} reduct(s)",
+            witness=ExhaustedSearch._of(d, tuple(explored), self.bounds.max_reduction_steps),
         )
 
     def _sigma_candidates(self, f: Formula) -> list[ArgStructure]:
@@ -563,10 +549,11 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
     """Confirm an Invalid verdict by checking it again from scratch.
 
     An exhausted search is rerun: valid is called again, in a fresh search,
-    and must exhaust the same explored reducts. They are compared as sets of
-    structures (up to relabelling, as their key texts would be) when the
-    checker made the witness, so no text is written, and by their key texts
-    when a caller built it from texts. This shares every fault of the search
+    and must exhaust the same explored reducts from the same start under the
+    same max_steps. Start and reducts are compared as structures (up to
+    relabelling, as their key texts would be) when the checker made the
+    witness, so no text is written, and by their key texts when a caller
+    built it from texts. This shares every fault of the search
     it checks; an independent checker of the witness is still to come
     (ROADMAP item 4). A failing instance is checked in a fresh checker:
     every structure of its sigma must be valid, and the instance invalid."""
@@ -575,11 +562,12 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
     w = verdict.witness
     if isinstance(w, ExhaustedSearch):
         again = valid(arg, base, bounds)
-        if not (again.is_invalid and isinstance(again.witness, ExhaustedSearch)):
+        a = again.witness
+        if not (again.is_invalid and isinstance(a, ExhaustedSearch)) or a.max_steps != w.max_steps:
             return False
         if "_structures" in vars(w):
-            return set(again.witness._structures[1]) == set(w._structures[1])
-        return set(again.witness.explored) == set(w.explored)
+            return a._structures[0] == w._structures[0] and set(a._structures[1]) == set(w._structures[1])
+        return a.start == w.start and set(a.explored) == set(w.explored)
     if isinstance(w, FailingInstance):
         checker = _Checker(base, _Search(bounds))
         ext = checker._extensions_for(_step_source(arg))[w.extension_index]
@@ -763,7 +751,7 @@ def consequence(
         maps = tuple(
             ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_base
         )
-        pool = [cand for cand in candidates if isinstance(cand.steps, JustificationSet)]
+        pool = [cand for cand in candidates if isinstance(_step_source(cand), JustificationSet)]
         pool.append(Argument(d, JustificationSet(maps)))
         label = "pooled per-base justification sets"
     elif variant == "delta-sh":
@@ -775,8 +763,8 @@ def consequence(
         pool = [
             cand
             for cand in candidates
-            if isinstance(cand.steps, JustificationSet)
-            and all(is_schematic(j) for j in cand.steps.members)
+            if isinstance(src := _step_source(cand), JustificationSet)
+            and all(is_schematic(j) for j in src.members)
         ]
         if isinstance(goal, Disj) and goal.right == negation(goal.left) and not context:
             pool.append(Argument(axiom_structure(goal), JustificationSet((em_refutation_rule(),))))

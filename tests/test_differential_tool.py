@@ -1,11 +1,13 @@
 """`tools/differential.py`, the record every change is compared by, must still run.
 
 The tool is run in a child interpreter on this checkout's `src`, which writes
-no bytecode into `perfbench/`. Its op and record counts and its line count are
-pinned: a change that keeps every verdict keeps them too, and a change of them
-is a change of the record to be explained.
+no bytecode into `perfbench/`. Its op and record counts, its line count and the
+sha256 of its output are pinned: a change that keeps every verdict and its
+details writes the same bytes, and a change of them is a change of the record
+to be explained.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -31,5 +33,8 @@ def test_the_differential_tool_records_every_op(tmp_path):
         f" search_counterexample 192 records, is_schematic 50 records -> {out}"
     )
     assert len(out.read_text().splitlines()) == 10097
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "66d6d9e8a8701cd7ced841bac3b49bc4b8c10c436684a309c4fc4e4a84a05d4b"
+    )
     # without it the witness group would synthesize afresh and compare the reference with itself
     assert callable(validity._Search.closed)

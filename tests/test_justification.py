@@ -874,7 +874,7 @@ def test_step_hosts_fire_inside_closed_parts_below_binders():
 
 
 # ---------------------------------------------------------------------------
-# the reduct stream: kept, replayed, and compared with the two-loop search
+# the reduct stream, read once, and compared with the two-loop search
 
 
 def _two_loop_reducts(src, start, base, max_steps, max_size, stepped):
@@ -949,30 +949,6 @@ def test_reach_agrees_with_the_two_loop_search(seed, max_steps, max_size, grow):
     }
     assert len(set(keys)) == len(keys) and len(set(want_stepped)) == len(want_stepped)
     assert set(want_stepped) <= set(keys) <= set(want_stepped) | parts
-
-
-def test_a_second_reader_replays_the_stream_without_searching(monkeypatch):
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return _one_step(*args)
-
-    monkeypatch.setattr(justification, "_one_step", counted)
-    steps = JustificationSet((or_detour(),))
-    host = _wide_redex(3)
-    stream = _Reducts(steps, host, None, 10, 1 << 30)
-    first = iter(stream)
-    head = [next(first) for _ in range(3)]  # a reader that stops early
-    partial = calls[0]
-    assert 0 < partial and len(stream.kept) == 3
-    second = list(stream)  # replays three, then extends the search to its end
-    assert second[:3] == head and len(second) == 8
-    drained = calls[0]
-    assert list(first) == second[3:] and list(stream) == second  # two more readers, from the kept list
-    assert calls[0] == drained
-    reached, hit = reach(steps, host, None, max_steps=10, max_size=1 << 30)
-    assert [canonical_key(r) for r, _depth in second] == list(reached) and stream.bound == hit
 
 
 def test_bound_after_a_drain_is_reach_s_flag():

@@ -1,6 +1,6 @@
-"""The family search: one reduct stream per (steps, start) shared across a
-consequence call's bases, an early stop at the first qualifying reduct, and
-fresh searches wherever a verdict is rechecked."""
+"""The family search: a consequence call's bases share its step and verdict
+tables, each check reads a fresh reduct stream once, the stream stops at the
+first qualifying reduct, and a recheck of a verdict searches afresh."""
 
 import gc
 import random

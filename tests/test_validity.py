@@ -34,6 +34,7 @@ from ptslab import (
     apply_justification,
     atomic_derivation,
     atoms_of,
+    canonical_key,
     choice_justification,
     conclusion_of,
     consequence,
@@ -518,6 +519,32 @@ def test_a_lone_justification_is_a_set_of_one():
     assert {v.status for v in verdicts} == {"valid", "invalid"}
 
 
+IDENT_A = parse_structure('(inf impI "a -> a" (assume "a" :label 1) :discharge (1))')
+BARE_OR_SET = pytest.mark.parametrize(
+    "steps", [or_detour(), JustificationSet((or_detour(),))], ids=["bare", "set"]
+)
+
+
+@BARE_OR_SET
+def test_delta_s_pools_a_lone_justification_as_a_set_of_one(steps):
+    fam = list(enumerate_bases([a], 1))
+    cand = Argument(IDENT_A, steps)
+    assert all(valid(cand, x).is_valid for x in fam)
+    v = consequence("delta-s", (), Impl(a, a), fam, candidates=[cand])
+    assert v.is_valid and "all 4 base(s)" in v.reason
+
+
+@BARE_OR_SET
+def test_delta_star_pools_a_lone_justification_as_a_set_of_one(monkeypatch, steps):
+    fam = list(enumerate_bases([a], 1))
+    cand = Argument(IDENT_A, steps)
+    checked = []
+    real = validity.valid
+    monkeypatch.setattr(validity, "valid", lambda arg, *rest, **kw: checked.append(arg) or real(arg, *rest, **kw))
+    assert consequence("delta-star", (), Impl(a, a), fam, candidates=[cand]).is_valid
+    assert checked == [cand] * len(fam)  # the candidate decides before the pooled witness is tried
+
+
 def test_consequence_unknown_variant_rejected():
     with pytest.raises(Exception):
         consequence("nope", (), p, [PQ])
@@ -748,6 +775,31 @@ def test_a_witness_built_from_texts_rechecks_by_its_texts():
     assert recheck_invalid(arg, base, Bounds(), Verdict.invalid("rebuilt", same))
     dropped = ExhaustedSearch(w.start, w.explored[1:], w.max_steps)
     assert not recheck_invalid(arg, base, Bounds(), Verdict.invalid("one reduct short", dropped))
+
+
+def test_a_witness_of_another_start_or_step_cap_does_not_recheck():
+    other = Inf("atm", b, (EmptyTop(),))
+    leaf = Argument(Inf("atm", a, (EmptyTop(),)), JustificationSet((or_detour(),)))
+    detour = Argument(DETOUR_ON_C, JustificationSet((or_detour(),)))
+    for arg, base in ((leaf, parse_base("-> b\n")), (detour, parse_base("-> a\n"))):
+        v = valid(arg, base)
+        w = v.witness
+        start, explored = w._structures
+        same = ExhaustedSearch(w.start, w.explored, w.max_steps)
+        assert recheck_invalid(arg, base, Bounds(), v)
+        assert recheck_invalid(arg, base, Bounds(), Verdict.invalid(v.reason, same))
+        # from texts, as a caller builds a witness, and from structures, as the checker does
+        forged = [ExhaustedSearch(w.start, w.explored, 99), ExhaustedSearch._of(start, explored, 99)]
+        for s in (other, explored[-1]):  # a start outside the explored reducts, and one of them
+            if s != start:
+                forged += [
+                    ExhaustedSearch(canonical_key(s), w.explored, w.max_steps),
+                    ExhaustedSearch(canonical_key(s), w.explored, 99),
+                    ExhaustedSearch._of(s, explored, w.max_steps),
+                ]
+        assert len(forged) == (5 if arg is leaf else 8)
+        for bad in forged:
+            assert not recheck_invalid(arg, base, Bounds(), Verdict.invalid(v.reason, bad)), bad
 
 
 # --- an Invalid part decides its loop -----------------------------------------
