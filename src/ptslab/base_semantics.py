@@ -67,39 +67,44 @@ class _Valuation:
             raise SemanticsError(f"valuation does not cover atom {atom}") from None
 
 
+# (deciding left value, result): the left operand's value that decides a
+# connective, and the connective's value then
+_DECIDES = {Conj: (False, False), Disj: (True, True), Impl: (False, True)}
+
+
 def _holds(f: Formula, derivable: frozenset[Atom] | _Valuation) -> bool:
     """Evaluation on a closure (or a valuation), left operand first, with an
     explicit stack rather than recursion, so a formula's depth is not
-    bounded by Python's."""
+    bounded by Python's. Each connective g is dispatched on type(g) in
+    _DECIDES: when its left operand has the deciding value, g has the
+    result and its right operand is never evaluated; otherwise g has the
+    value of its right operand. A non-formula is refused where the descent
+    meets it."""
     pending: list[Conj | Disj | Impl] = []  # connectives whose left operand is evaluated
     while True:
-        while not isinstance(f, Atom):
-            if not isinstance(f, (Conj, Disj, Impl)):
+        while (t := type(f)) is not Atom:
+            if t not in _DECIDES:
                 raise SemanticsError(f"not a formula: {f!r}")
             pending.append(f)
             f = f.left
         value = f in derivable
         while pending:
             g = pending.pop()
-            # a false left operand decides a conjunction and an implication
-            # (which then holds on this same base), a true one a
-            # disjunction; otherwise g has the value of its right operand
-            match g:
-                case Conj() if not value:
-                    continue
-                case Disj() if value:
-                    continue
-                case Impl() if not value:
-                    value = True
-                    continue
-            f = g.right
-            break
+            decider, result = _DECIDES[type(g)]
+            if value is decider:
+                value = result
+            else:
+                f = g.right
+                break
         else:
             return value
 
 
 def _follows(context: Iterable[Formula], goal: Formula, derivable: frozenset[Atom]) -> bool:
-    return not all(_holds(c, derivable) for c in context) or _holds(goal, derivable)
+    for c in context:
+        if not _holds(c, derivable):
+            return True
+    return _holds(goal, derivable)
 
 
 def _warn_inconsistent(base: AtomicBase, stacklevel: int) -> None:
@@ -134,21 +139,24 @@ def _first_failing(
 
     Whether it follows depends on a base only through its closure, so each
     distinct closure is evaluated once per call, on the first base that has
-    it, and the scan keeps one of three verdicts for it: the goal holds, it
-    holds on an inconsistent closure (a base with it warns again each time
-    it is scanned), or it fails (the scan stops there). A base whose
-    closure is consistent and already seen costs one dict probe."""
+    it, and the scan files it in one of two sets: consistent closures where
+    the goal holds, and inconsistent ones where it holds (a base with one
+    warns again each time it is scanned). A closure where it fails stops the
+    scan there. A base whose closure is consistent and already seen costs
+    one set probe."""
     context = tuple(context)
-    inconsistent: dict[frozenset[Atom], bool] = {}  # closures where the goal holds
+    holds: set[frozenset[Atom]] = set()  # consistent closures where the goal holds
+    warns: set[frozenset[Atom]] = set()  # inconsistent closures where it holds
     for base in family:
         derivable = base._closure
-        warns = inconsistent.get(derivable)
-        if warns is None:
-            if not models(base, context, goal):
-                return base
-            inconsistent[derivable] = BOT in derivable
-        elif warns:
+        if derivable in holds:
+            continue
+        if derivable in warns:
             _warn_inconsistent(base, 1)
+        elif not models(base, context, goal):
+            return base
+        else:
+            (warns if BOT in derivable else holds).add(derivable)
     return None
 
 

@@ -239,140 +239,124 @@ def atoms_of(f: Formula) -> frozenset[Atom]:
 
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<bot>_\|_|⊥|bot\b)
-      | (?P<name>[a-z][a-zA-Z0-9_]*)
-      | (?P<meta>\?[A-Za-z][A-Za-z0-9_]*)
-      | (?P<imp>->)
-      | (?P<and>&)
-      | (?P<or>\|)
-      | (?P<not>~)
-      | (?P<lp>\()
-      | (?P<rp>\))
-    """,
-    re.VERBOSE,
-)
+# One token per match, after any whitespace: an operator, absurdity, a
+# name, a metavariable, or any other single character, which is an error.
+_TOKEN_RE = re.compile(r"\s*(->|[&|~()]|_\|_|⊥|bot\b|[a-z][a-zA-Z0-9_]*|\?[A-Za-z][A-Za-z0-9_]*|\S)")
+_IMP, _OR, _AND, _NOT, _LP, _RP, _END = "->", "|", "&", "~", "(", ")", ""
+# what a token reads as: an operator stands for itself, absurdity for BOT
+_SYMBOLS = {t: t for t in (_IMP, _OR, _AND, _NOT, _LP, _RP)} | {"_|_": BOT, "⊥": BOT, "bot": BOT}
 
 
-def _tokenize(text: str, metavars: bool):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaError(f"syntax error at column {pos + 1}: unexpected {text[pos]!r}")
-        kind = m.lastgroup
-        if kind != "ws":
-            if kind == "meta" and not metavars:
-                raise FormulaError(f"syntax error at column {pos + 1}: metavariable not allowed here")
-            out.append((kind, m.group(), pos))
-        pos = m.end()
-    out.append(("eof", "", pos))
-    return out
-
-
-class _Parser:
-    """Recursive descent; each method returns a formula and its nesting."""
-
-    def __init__(self, tokens, text):
-        self.toks = tokens
-        self.text = text
-        self.i = 0
-        self.level = 0  # enclosing ~, ( and -> right sides, checked on the way down
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def fail(self, want):
-        kind, val, pos = self.peek()
-        got = "end of input" if kind == "eof" else repr(val)
-        raise FormulaError(f"syntax error at column {pos + 1}: expected {want}, got {got}")
-
-    def too_deep(self):
-        raise FormulaError(
-            f"formula nested more than {MAX_NESTING} levels deep at column {self.peek()[2] + 1}"
-        )
-
-    def enter(self):
-        self.level += 1
-        if self.level > MAX_NESTING:
-            self.too_deep()
-
-    def node(self, f, *depths):
-        depth = max(depths) + 1
-        if depth > MAX_NESTING:
-            self.too_deep()
-        return f, depth
-
-    def formula(self):
-        left, d = self.disj()
-        if self.peek()[0] == "imp":
-            self.take()
-            self.enter()
-            right, e = self.formula()
-            self.level -= 1
-            return self.node(Impl(left, right), d, e)
-        return left, d
-
-    def disj(self):
-        f, d = self.conj()
-        while self.peek()[0] == "or":
-            self.take()
-            g, e = self.conj()
-            f, d = self.node(Disj(f, g), d, e)
-        return f, d
-
-    def conj(self):
-        f, d = self.unary()
-        while self.peek()[0] == "and":
-            self.take()
-            g, e = self.unary()
-            f, d = self.node(Conj(f, g), d, e)
-        return f, d
-
-    def unary(self):
-        kind, val, _pos = self.peek()
-        if kind == "not":
-            self.take()
-            self.enter()
-            f, d = self.unary()
-            self.level -= 1
-            return self.node(Impl(f, BOT), d)
-        if kind == "bot":
-            self.take()
-            return BOT, 0
-        if kind == "name":
-            self.take()
-            return Atom(val), 0
-        if kind == "meta":
-            self.take()
-            return FVar(val[1:]), 0
-        if kind == "lp":
-            self.take()
-            self.enter()
-            f, d = self.formula()
-            self.level -= 1
-            if self.peek()[0] != "rp":
-                self.fail("')'")
-            self.take()
-            return self.node(f, d)
-        self.fail("a formula")
+def _misread(text: str, items: list, want: str | None = None):
+    """Refuse text at the token on top of items, the reader's stack of what
+    is left: as nested too deep, or as not what was wanted there. Its column
+    is found by matching the text again."""
+    found = list(_TOKEN_RE.finditer(text))
+    k = len(found) + 1 - len(items)  # items holds the rest of the tokens and _END
+    column = (found[k].start(1) if k < len(found) else len(text)) + 1
+    if want is None:
+        raise FormulaError(f"formula nested more than {MAX_NESTING} levels deep at column {column}")
+    got = repr(found[k][1]) if k < len(found) else "end of input"
+    raise FormulaError(f"syntax error at column {column}: expected {want}, got {got}")
 
 
 def parse_formula(text: str, *, metavars: bool = False) -> Formula:
     """Parse concrete syntax; with metavars=True, ?X tokens become FVar.
-    Text nested more than MAX_NESTING levels deep is refused."""
-    p = _Parser(_tokenize(text, metavars), text)
-    f, _depth = p.formula()
-    if p.peek()[0] != "eof":
-        p.fail("end of input")
+    Text nested more than MAX_NESTING levels deep is refused.
+
+    One findall splits the text into tokens, and each distinct token is read
+    once: an operator as itself, absurdity as BOT, a name as one Atom for
+    the whole call (the token pattern is Atom's name check), ?X as one FVar.
+    A character that starts no token, or a metavariable where none is
+    allowed, is refused at its first occurrence before anything is parsed.
+    Recursive descent then takes the tokens off a stack, one function per
+    precedence level, each returning a formula and its nesting; a column is
+    found only for an error."""
+    toks = _TOKEN_RE.findall(text)
+    read, bad = dict(_SYMBOLS), []
+    for t in set(toks).difference(read):
+        if "a" <= t[0] <= "z":
+            read[t] = x = object.__new__(Atom)
+            _Leaf.__init__(x, t)
+        elif t[0] == "?" and len(t) > 1 and metavars:
+            read[t] = FVar(t[1:])
+        else:
+            bad.append(t)
+    if bad:
+        k = min(map(toks.index, bad))
+        column = [m.start(1) for m in _TOKEN_RE.finditer(text)][k] + 1
+        why = "metavariable not allowed here" if len(toks[k]) > 1 else f"unexpected {toks[k]!r}"
+        raise FormulaError(f"syntax error at column {column}: {why}")
+    items = [_END]
+    items += map(read.__getitem__, reversed(toks))
+    f, _depth = _formula(items, text, 0)
+    if items[-1] is not _END:
+        _misread(text, items, "end of input")
     return f
+
+
+# The four precedence levels. Each takes its tokens off the top of items;
+# level counts the enclosing ~, ( and -> right sides, checked on the way
+# down, and the nesting each returns is checked on the way up.
+
+
+def _formula(items: list, text: str, level: int):
+    f, d = _disj(items, text, level)
+    if items[-1] is not _IMP:
+        return f, d
+    del items[-1]
+    if level >= MAX_NESTING:
+        _misread(text, items)
+    g, e = _formula(items, text, level + 1)
+    d = (d if d > e else e) + 1
+    if d > MAX_NESTING:
+        _misread(text, items)
+    return Impl(f, g), d
+
+
+def _disj(items: list, text: str, level: int):
+    f, d = _conj(items, text, level)
+    while items[-1] is _OR:
+        del items[-1]
+        g, e = _conj(items, text, level)
+        f, d = Disj(f, g), (d if d > e else e) + 1
+        if d > MAX_NESTING:
+            _misread(text, items)
+    return f, d
+
+
+def _conj(items: list, text: str, level: int):
+    f, d = _unary(items, text, level)
+    while items[-1] is _AND:
+        del items[-1]
+        g, e = _unary(items, text, level)
+        f, d = Conj(f, g), (d if d > e else e) + 1
+        if d > MAX_NESTING:
+            _misread(text, items)
+    return f, d
+
+
+def _unary(items: list, text: str, level: int):
+    x = items[-1]
+    if type(x) is not str:
+        del items[-1]
+        return x, 0
+    if x is not _NOT and x is not _LP:
+        _misread(text, items, "a formula")
+    del items[-1]
+    if level >= MAX_NESTING:
+        _misread(text, items)
+    if x is _NOT:
+        f, d = _unary(items, text, level + 1)
+        f = Impl(f, BOT)
+    else:
+        f, d = _formula(items, text, level + 1)
+        if items[-1] is not _RP:
+            _misread(text, items, "')'")
+        del items[-1]
+    if d >= MAX_NESTING:
+        _misread(text, items)
+    return f, d + 1
 
 
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4

@@ -556,7 +556,8 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
     built it from texts. This shares every fault of the search
     it checks; an independent checker of the witness is still to come
     (ROADMAP item 4). A failing instance is checked in a fresh checker:
-    every structure of its sigma must be valid, and the instance invalid."""
+    its extension index must name one of the step sources, every structure
+    of its sigma must be valid, and the instance invalid."""
     if not verdict.is_invalid:
         return False
     w = verdict.witness
@@ -570,7 +571,10 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
         return a.start == w.start and set(a.explored) == set(w.explored)
     if isinstance(w, FailingInstance):
         checker = _Checker(base, _Search(bounds))
-        ext = checker._extensions_for(_step_source(arg))[w.extension_index]
+        exts = checker._extensions_for(_step_source(arg))
+        if w.extension_index not in range(len(exts)):
+            return False
+        ext = exts[w.extension_index]
         for _f, s in w.sigma:
             if not checker.check(s, ext).is_valid:
                 return False

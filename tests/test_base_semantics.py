@@ -211,6 +211,16 @@ def test_evaluation_of_a_deep_formula_built_in_code():
         models(PQ, (), Impl(negation(deep), Impl(p, FVar("A"))))
 
 
+@pytest.mark.parametrize("conn, deciding, value", [(Conj, False, False), (Disj, True, True), (Impl, False, True)])
+def test_evaluation_reads_the_right_operand_only_when_the_left_does_not_decide(conn, deciding, value):
+    # the left operand is evaluated first; its deciding value settles the
+    # connective without reaching the non-formula on the right
+    f = conn(a, FVar("X"))
+    assert classical_eval(f, {a: deciding}) is value
+    with pytest.raises(SemanticsError, match="not a formula"):
+        classical_eval(f, {a: not deciding})
+
+
 def _per_base(context, goal, family):
     for base in family:
         if not models(base, context, goal):

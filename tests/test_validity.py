@@ -280,6 +280,17 @@ def test_open_invalid_carries_recheckable_instance():
     assert recheck_invalid(arg, PQ, Bounds(), v)
 
 
+def test_recheck_refuses_an_extension_index_outside_the_step_sources():
+    # a negative index took a step source from the end, one past it raised IndexError
+    arg = Argument(Inf("bad", r, (Assumption(p),)), JustificationSet())
+    v = valid(arg, PQ)
+    w = v.witness
+    assert w.extension_index == 0
+    for index, rechecks in [(0, True), (-1, False), (3, False)]:
+        moved = Verdict.invalid(v.reason, FailingInstance(w.sigma, index, w.inner))
+        assert recheck_invalid(arg, PQ, Bounds(), moved) is rechecks
+
+
 def test_open_argument_user_pool():
     d = Inf("use", q, (Assumption(p),))
     chain = parse_rules(
