@@ -171,6 +171,8 @@ class Assumption(_Node):
     _fields = __match_args__ = ("formula", "label")
 
     def __init__(self, formula: Formula, label: int | None = None):
+        if label is not None and label.__class__ is not int:  # True or 1.0 would not read back
+            raise StructureError(f"labels are integers, not {label!r}")
         _set(self, "formula", formula)
         _set(self, "label", label)
         _set(self, "_facts", _node_facts(self))
@@ -180,21 +182,42 @@ class EmptyTop(_Node):
     _facts = _Facts(1, _NONE, (), _NONE, False, (), (), _Key())  # every empty node has the same
 
 
+_TAGS: set[str] = set()
+"""Tags Inf has accepted, so that a tag is matched against _SYMBOL_RE once;
+at most _MAX_TAGS of them are kept."""
+_MAX_TAGS = 1024
+
+
 class Inf(_Node):
     _fields = __match_args__ = ("tag", "conclusion", "children", "discharges")
 
     def __init__(
         self, tag: str, conclusion: Formula, children: tuple["ArgStructure", ...], discharges: frozenset[int] = _NONE
     ):
-        if not isinstance(tag, str) or not _SYMBOL_RE.fullmatch(tag):
-            raise StructureError(f"inference nodes need a one-symbol rule tag, not {tag!r}")
+        if tag.__class__ is not str or tag not in _TAGS:
+            _accept_tag(tag)
+        try:
+            children, discharges = tuple(children), frozenset(discharges)
+        except TypeError as e:  # not iterable, or a label that is not hashable
+            raise StructureError(f"bad children or discharge set for an inference node: {e}") from None
         if not children:
             raise StructureError("inference nodes need at least one child; use (empty) for none")
+        for l in discharges:
+            if l.__class__ is not int:
+                raise StructureError(f"labels are integers, not {l!r}")
         _set(self, "tag", tag)
         _set(self, "conclusion", conclusion)
         _set(self, "children", children)
-        _set(self, "discharges", frozenset(discharges))
+        _set(self, "discharges", discharges)
         _set(self, "_facts", _node_facts(self))
+
+
+def _accept_tag(tag) -> None:
+    """Raise StructureError unless the tag reads back as one symbol; file it in _TAGS."""
+    if not isinstance(tag, str) or not _SYMBOL_RE.fullmatch(tag):
+        raise StructureError(f"inference nodes need a one-symbol rule tag, not {tag!r}")
+    if tag.__class__ is str and len(_TAGS) < _MAX_TAGS:
+        _TAGS.add(tag)
 
 
 ArgStructure = Assumption | EmptyTop | Inf
@@ -313,7 +336,11 @@ def _union(s: frozenset[int], t: frozenset[int]) -> frozenset[int]:
 
 
 def _node_facts(node: Assumption | Inf) -> _Facts:
-    """The facts of a node being built, from its children's."""
+    """The facts of a node being built, from one pass over its children's:
+    a node with one child shares the child's sets and tuples, a child
+    without labels adds only its size and open leaves, and a node that
+    discharges nothing and whose children have no free labels is keyed
+    without a wiring walk."""
     if isinstance(node, Assumption):
         f = node.formula
         key = _key_of((f, node.label is not None))
@@ -327,13 +354,23 @@ def _node_facts(node: Assumption | Inf) -> _Facts:
     if len(kids) == 1:
         k = kids[0]
         size, labels, free, bound, double, opens = k.size + 1, k.labels, k.free, k.bound, k.double, k.opens
+        keys = (k.key,)
     else:
-        size, labels, free, bound, double, opens = 1, _NONE, (), _NONE, False, ()
+        size, labels, free, bound, double, opens, keys = 1, _NONE, (), _NONE, False, (), []
         for k in kids:
-            size, opens = size + k.size, opens + k.opens
+            keys.append(k.key)
+            size += k.size
+            if k.opens:
+                opens += k.opens
             if k.labels:  # a child without labels has no free leaves and binds none
-                labels, bound, free = _union(labels, k.labels), _union(bound, k.bound), free + k.free
-                double = double or k.double
+                labels = labels | k.labels if labels else k.labels
+                if k.bound:
+                    bound = bound | k.bound if bound else k.bound
+                if k.double:
+                    double = True
+                if k.free:
+                    free += k.free
+        keys = tuple(keys)
     dis = node.discharges
     binds = ()
     if dis:
@@ -344,7 +381,7 @@ def _node_facts(node: Assumption | Inf) -> _Facts:
             free = tuple([leaf for leaf in free if leaf[0] not in dis])
             bound = _union(bound, frozenset([l for l, _ in binds]))
     wiring = _wiring(kids, dis) if dis or (len(kids) > 1 and free) else ()
-    key = _key_of((node.tag, node.conclusion, tuple([k.key for k in kids]), wiring))
+    key = _key_of((node.tag, node.conclusion, keys, wiring))
     return _Facts(size, labels, free, bound, double, opens, binds, key)
 
 
@@ -358,6 +395,8 @@ def _wiring(kids: list[_Facts], dis: frozenset[int]) -> tuple[int, ...]:
     up: dict[int, int] = {}
     out = []
     for k in kids:
+        if not k.free:
+            continue
         for l in dict.fromkeys([l for l, _ in k.free]):
             out.append(slots.setdefault(l, len(slots)) if l in dis else ~up.setdefault(l, len(up)))
     out.append(len(dis) - len(slots))
@@ -459,9 +498,9 @@ def relabel(d: ArgStructure, mapping: dict[int, int]) -> ArgStructure:
 def freshen(d: ArgStructure, used: frozenset[int]) -> ArgStructure:
     """Rename d's labels away from the used set, deterministically."""
     own = labels_of(d)
-    clashing = sorted(own & used)
-    if not clashing:
+    if own.isdisjoint(used):
         return d
+    clashing = sorted(own & used)
     nxt = max(used | own) + 1
     mapping = {}
     for l in clashing:
@@ -472,6 +511,8 @@ def freshen(d: ArgStructure, used: frozenset[int]) -> ArgStructure:
 
 def positions(d: ArgStructure) -> list[tuple[int, ...]]:
     """Paths of all substructure positions in post order, innermost first."""
+    if not isinstance(d, _Node):
+        raise StructureError(f"not a structure: {d!r}")
     return [path for path, _node in _positioned(d)]
 
 
@@ -482,17 +523,24 @@ def _positioned(d: ArgStructure, into_closed: bool = True) -> list[tuple[tuple[i
     substructure (one whose labels are all discharged inside it)."""
     out: list[tuple[tuple[int, ...], ArgStructure]] = []
     stack = [((), d)]
+    pop, push, keep = stack.pop, stack.append, out.append
     while stack:
-        path, node = stack.pop()
-        if isinstance(node, Inf) and (into_closed or not path or node._facts.free):
-            stack.extend((path + (i,), ch) for i, ch in enumerate(node.children))
-        if not isinstance(node, EmptyTop):
-            out.append((path, node))
+        entry = pop()
+        path, node = entry
+        if isinstance(node, Inf):
+            if into_closed or not path or node._facts.free:
+                for i, child in enumerate(node.children):
+                    push((path + (i,), child))
+            keep(entry)
+        elif not isinstance(node, EmptyTop):
+            keep(entry)
     out.reverse()
     return out
 
 
 def subtree_at(d: ArgStructure, path: tuple[int, ...]) -> ArgStructure:
+    if not isinstance(d, _Node):
+        raise StructureError(f"not a structure: {d!r}")
     node = d
     for i in path:
         if not isinstance(node, Inf) or not 0 <= i < len(node.children):
@@ -546,19 +594,6 @@ def cut_subtree(
     return standalone, context
 
 
-def _graft(d: ArgStructure, path: tuple[int, ...], replacement: ArgStructure) -> ArgStructure:
-    """d with the replacement at path: the inferences on the path are
-    rebuilt, innermost first."""
-    spine = []
-    for i in path:
-        spine.append(d)
-        d = d.children[i]
-    for node, i in zip(reversed(spine), reversed(path)):
-        kids = node.children
-        replacement = Inf(node.tag, node.conclusion, kids[:i] + (replacement,) + kids[i + 1 :], node.discharges)
-    return replacement
-
-
 def _require_contract(before: ArgStructure, after: ArgStructure) -> None:
     """Raise unless after keeps before's conclusion and opens no assumption
     before did not: ConclusionMismatch, AssumptionEscape, or StructureError
@@ -585,7 +620,8 @@ def _splice(
     """Graft the replacement at path, given the context cut_subtree returned
     for that path: its labels are renamed away from those the inferences on
     the path discharge, and its open leaves whose formula a context label
-    bound are recaptured by the nearest such label.
+    bound are recaptured by the nearest such label. The inferences on the
+    path are rebuilt, innermost first.
 
     Only a label discharged above the cut can capture a leaf of the
     replacement or bind one twice, so a replacement that reuses none of
@@ -598,13 +634,18 @@ def _splice(
                     return Assumption(n.formula, l)
         return n
 
+    spine: list[Inf] = []
     above: set[int] = set()
-    node = d
     for i in path:
-        above |= node.discharges
-        node = node.children[i]
-    fresh = freshen(replacement, frozenset(above))
-    out = _graft(d, path, _map_leaves(fresh, capture) if context else fresh)
+        spine.append(d)
+        above |= d.discharges
+        d = d.children[i]
+    out = freshen(replacement, above) if above else replacement
+    if context:
+        out = _map_leaves(out, capture)
+    for node, i in zip(reversed(spine), reversed(path)):
+        kids = node.children
+        out = Inf(node.tag, node.conclusion, kids[:i] + (out,) + kids[i + 1 :], node.discharges)
     check_structure(out)
     return out
 

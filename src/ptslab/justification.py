@@ -34,6 +34,8 @@ from .argument import (
     Plug,
     PVar,
     StructureError,
+    _facts,
+    _Key,
     _map_leaves,
     _parse_tree,
     _positioned,
@@ -48,7 +50,6 @@ from .argument import (
     instantiate,
     labels_of,
     render_structure,
-    size_of,
     structures_equal,
 )
 from .atomic_base import AtomicBase
@@ -547,6 +548,7 @@ def step_candidates(
     """All one-step reducts by canonical key, innermost-leftmost positions
     first and members in order at each position: the text view of the
     reducts the search steps through."""
+    _facts(d)  # StructureError unless d is a structure
     return {canonical_key(r): r for r in _stepped(src, d, base, {})}
 
 
@@ -554,31 +556,35 @@ def _one_step(
     src: StepSource, d: ArgStructure, base: AtomicBase | None, table: dict[ArgStructure, list[ArgStructure]]
 ) -> list[ArgStructure]:
     """The one-step reducts of d, one per class up to relabelling (the
-    first met), in the order of step_candidates.
+    first met, told apart by class key), in the order of step_candidates.
 
     A rewrite inside a label-closed proper substructure (one whose labels
     are all discharged inside it) does not depend on what is around it, so
     the walk does not descend into one: it grafts the substructure's own
     reducts, which the step table holds (_stepped enters them first),
     renamed away from the labels discharged above it. Every other position
-    is cut out, matched and spliced back."""
+    is cut out, matched and spliced back. The walk is the one _stepped made
+    to find those substructures: it waits in the table under d's class key,
+    and this takes it from there."""
+    walk = table.pop(d._facts.key)
     if isinstance(src, RSystem):
         return list(src._index.get(d, ()))
     index = src._dispatch
     if index.choice and base is None:
         name = next(j.name for j in src.members if isinstance(j, ChoiceFunction))
         raise JustificationError(f"choice function {name} needs a base")
-    out: dict[ArgStructure, None] = {}
-    for pos, node in _positioned(d, into_closed=False):
+    out: dict[_Key, ArgStructure] = {}  # by class: the first reduct met of each
+    for pos, node in walk:
         if pos and not node._facts.free:
             for r in table[node]:
-                out.setdefault(_splice(d, pos, [], r))
+                r = _splice(d, pos, [], r)
+                out.setdefault(r._facts.key, r)
             continue
         plan, keyed = index.at(_root_tag(node))
         if not plan and not keyed:
             continue  # no member can fire here
         sub, ctx = cut_subtree(d, pos)
-        for i, image in index.by_key.get(sub, plan):
+        for i, image in index.by_key.get(sub, plan) if keyed else plan:
             j = src.members[i]
             try:
                 if image is not None:
@@ -590,8 +596,9 @@ def _one_step(
                 continue
             if r is not None:
                 # r was checked against sub: splice without a recheck
-                out.setdefault(_splice(d, pos, ctx, r))
-    return list(out)
+                r = _splice(d, pos, ctx, r)
+                out.setdefault(r._facts.key, r)
+    return list(out.values())
 
 
 def _stepped(
@@ -600,18 +607,24 @@ def _stepped(
     """d's one-step reducts from the step table. What the table lacks is
     stepped bottom-up from an explicit stack, each label-closed substructure
     _one_step reads before the structure around it, so every class is
-    stepped once per table."""
-    todo = [(d, False)]
+    stepped once per table. A class is walked once: the walk that finds its
+    label-closed substructures waits on the stack until they are stepped,
+    then in the table under the class's key for _one_step, which takes it."""
+    out = table.get(d)
+    if out is not None:
+        return out
+    positional = isinstance(src, JustificationSet)  # a reduction system steps at the root alone
+    todo: list[tuple[ArgStructure, list | None]] = [(d, None)]
     while todo:
-        node, ready = todo.pop()
-        if ready:
-            table[node] = _one_step(src, node, base, table)
+        node, walk = todo.pop()
+        if walk is not None:
+            table[node._facts.key] = walk
+            out = table[node] = _one_step(src, node, base, table)
         elif node not in table:
-            todo.append((node, True))
-            if isinstance(src, JustificationSet):  # a reduction system steps at the root alone
-                parts = _positioned(node, into_closed=False)
-                todo += reversed([(sub, False) for pos, sub in parts if pos and not sub._facts.free])
-    return table[d]
+            walk = _positioned(node, into_closed=False) if positional else []
+            todo.append((node, walk))
+            todo += [(sub, None) for pos, sub in reversed(walk) if pos and not sub._facts.free]
+    return out  # d's: it was stepped last
 
 
 class _Reducts:
@@ -625,7 +638,9 @@ class _Reducts:
     structure to its one-step reducts, for one step source and, when the
     source selects by base, one base). A stream makes its own unless given
     one: streams that share it step each class up to relabelling,
-    substructures included, once between them."""
+    substructures included, once between them. The set of reducts seen
+    holds their class keys (argument._Key), which hash and compare by
+    identity."""
 
     __slots__ = ("_args", "bound")
 
@@ -640,13 +655,14 @@ class _Reducts:
     ):
         if max_steps < 0 or max_size < 0:
             raise JustificationError("bounds must be non-negative")
+        _facts(start)  # StructureError unless start is a structure
         self._args = (src, start, base, max_steps, max_size, {} if table is None else table)
         self.bound = False
 
     def __iter__(self) -> Iterator[tuple[ArgStructure, int]]:
         src, start, base, max_steps, max_size, table = self._args
         yield start, 0
-        seen, frontier, hit, depth = {start}, [start], False, 0
+        seen, frontier, hit, depth = {start._facts.key}, [start], False, 0
         while frontier and depth <= max_steps:
             depth += 1
             past = depth > max_steps  # this level yields nothing: can the search go on?
@@ -655,12 +671,13 @@ class _Reducts:
                 if past and hit:
                     break
                 for c in _stepped(src, d, base, table):
-                    if size_of(c) > max_size or (past and c not in seen):
+                    facts = c._facts
+                    if facts.size > max_size or (past and facts.key not in seen):
                         hit = True
                         if past:
                             break
-                    elif c not in seen:
-                        seen.add(c)
+                    elif facts.key not in seen:
+                        seen.add(facts.key)
                         nxt.append(c)
                         yield c, depth
             frontier = nxt

@@ -68,6 +68,7 @@ from ptslab.argument import (
     PVar,
     _facts,
     canonical_form,
+    conclusion_of,
     cut_subtree,
     freshen,
     labels_of,
@@ -76,10 +77,11 @@ from ptslab.argument import (
 )
 from ptslab.sexpr import _SYMBOL_RE, SexprError, Sym, read_sexpr
 
-from ptslab.justification import step_candidates
+from ptslab.justification import reach, step_candidates
 
 from genlib import (
     make_rng,
+    random_case_analysis,
     random_closed_structure,
     random_detour_redex,
     random_formula,
@@ -654,8 +656,62 @@ def _random_tree(rng, depth=4, labels=(1, 2, 3)):
     return Inf(rng.choice(("r", "s", "t")), random_formula(rng, 2), kids, dis)
 
 
+_GRAFTING = JustificationSet((or_detour(), em_refutation_rule()))
+
+
+def _detour_over(rng, inner, labels):
+    """An or-detour whose major premise introduces a disjunction over inner."""
+    l1, l2 = next(labels), next(labels)
+    x, y, z = conclusion_of(inner), random_formula(rng, 1), random_formula(rng, 1)
+    cases = (Inf("br", z, (Assumption(x, l1),)), Inf("bs", z, (Assumption(y, l2),)))
+    return Inf("orE", z, (Inf("orI1", Disj(x, y), (inner,)),) + cases, frozenset({l1, l2}))
+
+
+def _grafted_host(rng):
+    """A reduct, one to three steps in, of a host whose label-closed parts
+    are stepped by grafting: detours nested in detours' major premises, side
+    by side under andI nodes (a wide detour), under a closed node with
+    several children, or in a case branch below the labels it discharges."""
+    labels = itertools.count(3)  # 1 and 2 are the case analysis's
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        part = relabel(random_detour_redex(rng), {1: next(labels), 2: next(labels)})
+        for _ in range(rng.randint(0, 2)):
+            part = _detour_over(rng, part, labels)
+        parts.append(part)
+    host = parts[0]
+    for part in parts[1:]:
+        host = Inf("andI", Conj(conclusion_of(part), conclusion_of(host)), (part, host))
+    if rng.random() < 0.4:
+        em = Inf("ax", Disj(a, negation(a)), (EmptyTop(),))
+        host = Inf("pair", c, tuple(rng.sample([host, em, EmptyTop(), Assumption(b)], rng.randint(2, 4))))
+    if rng.random() < 0.3:
+        host = random_case_analysis(rng, [host])
+    for _ in range(rng.randint(1, 3)):
+        reducts = list(step_candidates(_GRAFTING, host).values())
+        if not reducts:
+            break
+        host = rng.choice(reducts)
+    return host
+
+
+def test_grafted_hosts_cover_the_fast_paths():
+    # the property below is only as good as its grafted hosts: they must hold nodes with
+    # several label-closed children, with labels and without, and nodes that discharge
+    rng = make_rng(29)
+    seen = Counter()
+    for _ in range(30):
+        for node in _preorder(_grafted_host(rng)):
+            if isinstance(node, Inf):
+                kids = [_facts(ch) for ch in node.children]
+                closed = len(kids) > 1 and not any(k.free for k in kids)
+                seen["closed, labelled" if closed and any(k.labels for k in kids) else "closed" if closed else ""] += 1
+                seen["discharges"] += bool(node.discharges)
+    assert min(seen["closed, labelled"], seen["closed"], seen["discharges"]) >= 10, seen
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["any", "scoped", "detour", "open"]), st.data())
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["any", "scoped", "detour", "open", "grafted"]), st.data())
 def test_node_facts_agree_with_the_whole_tree_walks(seed, kind, data):
     rng = random.Random(seed)
     make = {
@@ -663,6 +719,7 @@ def test_node_facts_agree_with_the_whole_tree_walks(seed, kind, data):
         "scoped": random_scoped_structure,
         "detour": random_detour_redex,
         "open": lambda rng: random_open_structure(rng, random_formula(rng, 2), 3),
+        "grafted": _grafted_host,
     }[kind]
     d = make(rng)
     # ask some subtrees first, so that the root is built on kept facts
@@ -783,11 +840,62 @@ def test_a_tag_that_would_not_read_back_is_refused():
     with pytest.raises(StructureError, match="rule tag"):
         Inf("p", a, (Inf('u "a" (empty)) (inf u', a, (e,)),))
     Inf("p", a, (Inf("u", a, (e,)), Inf("u", a, (e,))))
-    for tag in ("", "a b", "x)", "(", '"q"', "t;c", "12", "-3x", " s", "s\n", 7, Sym("s")):
+    for tag in ("", "a b", "x)", "(", '"q"', "t;c", "12", "-3x", " s", "s\n", 7, Sym("s"), ["s"]):
         with pytest.raises(StructureError, match="rule tag"):
             Inf(tag, a, (e,))
     for tag in ("orE", "-", "-x", "?t", ":label", "x-1", "a1", "\\"):
         assert parse_structure(render_structure(Inf(tag, a, (e,)))).tag == tag
+    # an accepted tag is not matched again, but what is not a str is still refused, unhashable or not
+    for tag in (["s"], ["orE"], Sym("orE"), 'u "a" (empty)) (inf u'):
+        with pytest.raises(StructureError, match="rule tag"):
+            Inf(tag, a, (e,))
+
+
+def test_an_inference_keeps_its_children_as_a_tuple():
+    # a list given as the children once stayed the node's own: changing it changed the text
+    # but not the key, and a cut or a graft on the node failed on list + tuple
+    kids = [Inf("k", a, (Assumption(b, 1),)), Assumption(a, 2)]
+    d = Inf("s", a, kids, [1, 2])
+    kids[0] = Assumption(a)
+    assert d.children.__class__ is tuple and d.discharges == frozenset({1, 2})
+    assert render_structure(d) == '(inf s "a" (inf k "a" (assume "b" :label 1)) (assume "a" :label 2) :discharge (1 2))'
+    assert d == parse_structure(render_structure(d)) and analyze(d).closed
+    assert render_structure(substitute(d, (1,), Inf("w", a, (Assumption(a),)))) == (
+        '(inf s "a" (inf k "a" (assume "b" :label 1)) (inf w "a" (assume "a" :label 2)) :discharge (1 2))'
+    )
+    sub, context = cut_subtree(d, (0,))
+    assert render_structure(sub) == '(inf k "a" (assume "b"))' and context == [(1, frozenset({b}))]
+
+
+def test_labels_are_integers():
+    # a label that the text form would not read back as itself is refused, as a tag is:
+    # "x" wrote a text the reader refused, True equalled 1 and wrote True, 1.0 wrote 1.0
+    for label in ("x", "1", True, 1.0):
+        with pytest.raises(StructureError, match="labels are integers"):
+            Assumption(a, label)
+        with pytest.raises(StructureError, match="labels are integers"):
+            Inf("s", a, (Assumption(a),), frozenset({label}))
+        with pytest.raises(StructureError, match="labels are integers"):
+            relabel(Inf("s", a, (Assumption(a, 1),), frozenset({1})), {1: label})
+    for bad in (5, None, [[1]]):  # not iterable, or a label that is not hashable
+        with pytest.raises(StructureError, match="bad children or discharge set"):
+            Inf("s", a, (Assumption(a),), bad)
+    for bad in (5, None):
+        with pytest.raises(StructureError, match="bad children or discharge set"):
+            Inf("s", a, bad)
+    for label in (0, -3, 2**70):
+        d = Inf("s", a, (Assumption(a, label),), frozenset({label}))
+        assert parse_structure(render_structure(d)).discharges == {label}
+
+
+def test_the_walks_refuse_what_is_not_a_structure():
+    for bad in ("x", 42, ("x",), None):
+        for walk in (positions, lambda d: subtree_at(d, ()), lambda d: step_candidates(JustificationSet(()), d)):
+            with pytest.raises(StructureError, match="not a structure"):
+                walk(bad)
+        with pytest.raises(StructureError, match="not a structure"):
+            list(reach(JustificationSet((or_detour(),)), bad))
+    assert positions(EmptyTop()) == [] and subtree_at(EmptyTop(), ()) == EmptyTop()
 
 
 @settings(max_examples=400, deadline=None)

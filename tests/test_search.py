@@ -228,12 +228,20 @@ WIDE_4 = Argument(parse_structure(_wide(4)), JustificationSet((or_detour(),)))
 def test_each_class_is_stepped_once_per_search(monkeypatch):
     # the substructures' streams meet reducts the outer stream has stepped
     seen = _count_step_candidates(monkeypatch)
+    walked = Counter()
+    real_walk = justification._positioned
+    monkeypatch.setattr(
+        justification, "_positioned", lambda d, **kw: walked.update([canonical_key(d)]) or real_walk(d, **kw)
+    )
     search = validity._Search(Bounds())
     assert valid(WIDE_4, parse_base("-> y\n"), Bounds(), _search=search).is_invalid
     assert max(seen.values()) == 1, seen.most_common(3)
     # every stream stepping its own reducts made 55 one-step searches for 30 of these classes;
     # stepping substructures adds the 31st, the detours' major premise (inf orI1 ...)
     assert len(seen) == sum(seen.values()) == 31 < 55
+    # one position walk per stepped class: the walk that finds a class's label-closed parts
+    # is the one its step reads (there were two)
+    assert walked == Counter(key for _src, key in seen)
 
 
 def _watch_reducts(monkeypatch) -> list:
