@@ -300,7 +300,9 @@ def conclusion_of(d: ArgStructure) -> Formula:
             return f
         case Inf(_, c, _, _):
             return c
-    raise StructureError("an empty top node has no conclusion")
+        case EmptyTop():
+            raise StructureError("an empty top node has no conclusion")
+    raise StructureError(f"not a structure: {d!r}")
 
 
 def _map_leaves(d: ArgStructure, leaf, discharges=None) -> ArgStructure:

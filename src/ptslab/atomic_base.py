@@ -143,13 +143,26 @@ class AtomicDerivation(_Record):
         _set(self, "children", children)
 
     def check(self, base: AtomicBase, assumptions: frozenset[Atom] = frozenset()) -> bool:
-        if self.rule is None:
-            return not self.children and self.conclusion in assumptions
-        if self.rule not in base.rules or self.rule.conclusion != self.conclusion:
-            return False
-        if tuple(c.conclusion for c in self.children) != self.rule.premises:
-            return False
-        return all(c.check(base, assumptions) for c in self.children)
+        """Is every node an assumption leaf on an assumption, or a rule of the
+        base applied to its children's conclusions? Each node is checked once,
+        a shared premise too, from an explicit stack."""
+        seen: set[int] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            rule = node.rule
+            if rule is None:
+                if node.children or node.conclusion not in assumptions:
+                    return False
+            elif rule not in base.rules or rule.conclusion != node.conclusion:
+                return False
+            elif tuple(c.conclusion for c in node.children) != rule.premises:
+                return False
+            stack.extend(node.children)
+        return True
 
 
 def _mask(atoms: Iterable[Atom], bit: dict[Atom, int]) -> int:
@@ -210,21 +223,25 @@ def derives(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> bool:
     return goal in _closure_of(base, frozenset(assumptions))
 
 
+def _derivation(derived: dict[Atom, AtomicRule | None], goal: Atom, node):
+    """The derivation of goal read off a derived map (None when goal is not
+    in it), built by node(atom, rule, premise_nodes) once per atom: the map
+    lists each atom after its premises, so one pass in its order finds every
+    premise built, a shared one once, and stops at goal."""
+    if goal not in derived:
+        return None
+    built = {}
+    for atom, rule in derived.items():
+        built[atom] = out = node(atom, rule, () if rule is None else tuple([built[p] for p in rule.premises]))
+        if atom == goal:
+            return out
+
+
 def atomic_derivation(
     base: AtomicBase, assumptions: Iterable[Atom], goal: Atom
 ) -> AtomicDerivation | None:
     """A derivation tree witnessing derivability, or None."""
-    derived = _derivations(base, frozenset(assumptions))
-    if goal not in derived:
-        return None
-
-    def build(atom: Atom) -> AtomicDerivation:
-        rule = derived[atom]
-        if rule is None:
-            return AtomicDerivation(atom, None)
-        return AtomicDerivation(atom, rule, tuple(build(p) for p in rule.premises))
-
-    return build(goal)
+    return _derivation(_derivations(base, frozenset(assumptions)), goal, AtomicDerivation)
 
 
 def is_consistent(base: AtomicBase) -> bool:

@@ -348,6 +348,9 @@ class ConstantMap(_ByContent):
         _set(self, "pairs", pairs)
         index: dict[ArgStructure, ArgStructure] = {}  # k -> v
         for k, v in pairs:
+            for x in (k, v):
+                if not isinstance(x, ArgStructure):
+                    raise JustificationError(f"table {name}: a key or image must be a structure, not {x!r}")
             if index.get(k, v) != v:
                 raise JustificationError(f"table {name}: two images for one structure")
             index[k] = v
@@ -653,6 +656,9 @@ class _Reducts:
         max_size: int,
         table: dict[ArgStructure, list[ArgStructure]] | None = None,
     ):
+        for n in (max_steps, max_size):
+            if n.__class__ is not int:  # True or 2.5 is no bound
+                raise JustificationError(f"bounds must be integers, not {n!r}")
         if max_steps < 0 or max_size < 0:
             raise JustificationError("bounds must be non-negative")
         _facts(start)  # StructureError unless start is a structure

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Literal
 
-from .atomic_base import AtomicBase, AtomicDerivation, atomic_derivation, is_consistent
+from .atomic_base import AtomicBase, _derivation, is_consistent
 from .argument import (
     ArgStructure,
     Assumption,
@@ -107,6 +107,9 @@ class Bounds(_Record):
         _set(self, "sigma_candidates", sigma_candidates)
         _set(self, "extensions", extensions)
         _set(self, "synthesize_sigma", synthesize_sigma)
+        for n in (max_reduction_steps, max_structure_size):
+            if n.__class__ is not int:  # True or 2.5 is no bound
+                raise ValidityError(f"bounds must be integers, not {n!r}")
         if max_reduction_steps < 0 or max_structure_size < 0:
             raise ValidityError("bounds must be non-negative")
 
@@ -192,41 +195,26 @@ def axiom_structure(f: Formula) -> Inf:
     return Inf("ax", f, (EmptyTop(),))
 
 
-def _derivation_structure(der: AtomicDerivation) -> ArgStructure:
-    """The derivation, made from no assumptions, as a structure, built
-    children first from an explicit stack."""
-    done: list[ArgStructure] = []
-    stack: list = [der]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):  # its children are built: the last ones on top
-            node = node[0]
-            n = len(node.children)
-            kids = tuple(done[len(done) - n :])
-            del done[len(done) - n :]
-            done.append(Inf("atm", node.conclusion, kids or (EmptyTop(),)))
-        else:
-            stack.append((node,))
-            stack.extend(reversed(node.children))
-    return done[0]
-
-
 def is_derivation_structure(d: ArgStructure, base: AtomicBase) -> bool:
     """Is d (as a bare tree, tags aside) a closed derivation on the base?
     Every inference must conclude an atom by a rule of the base from its
     premises' conclusions, up to premise order (the base's rule index); the
-    tree is walked with an explicit stack."""
-    rules = base._rule_index
+    tree is walked with an explicit stack. What is tested of a node is shared
+    by its class, so a class once accepted (a shared premise) is skipped."""
+    rules, accepted = base._rule_index, set()
     stack = [d]
     while stack:
         node = stack.pop()
         if not isinstance(node, Inf) or node.discharges or not isinstance(node.conclusion, Atom):
             return False
+        if node._facts.key in accepted:
+            continue
         kids = [ch for ch in node.children if not isinstance(ch, EmptyTop)]
         if not all(isinstance(ch, Inf) and isinstance(ch.conclusion, Atom) for ch in kids):
             return False  # such a premise is no derivation
         if (node.conclusion, tuple(sorted([ch.conclusion.name for ch in kids]))) not in rules:
             return False
+        accepted.add(node._facts.key)
         stack.extend(kids)
     return True
 
@@ -246,10 +234,12 @@ def synthesize_closed(base: AtomicBase, f: Formula) -> ArgStructure | None:
     each answer pushed on done, so refutation labels are numbered in the
     order they are made.
 
-    It reads the base only through the derivations of f's atoms
-    (atomic_derivation, from no assumptions), so two bases that derive
-    them by the same rules get equal structures; a search's witness
-    table (_Search.closed) builds one per such class.
+    An atom's derivation is read off the base's derived map (_derivation):
+    one atm node per atom, so a premise used twice is one shared node. That
+    map is all it reads of the base, and only the rules that derive f's
+    atoms from no assumptions, so two bases that derive them by the same
+    rules get equal structures; a search's witness table (_Search.closed)
+    builds one per such class.
     """
     counter = itertools.count(1)
     done: list[ArgStructure | None] = []
@@ -258,8 +248,7 @@ def synthesize_closed(base: AtomicBase, f: Formula) -> ArgStructure | None:
         g, visit = stack.pop()
         kind = g.__class__
         if kind is Atom:
-            der = atomic_derivation(base, (), g)
-            done.append(None if der is None else _derivation_structure(der))
+            done.append(_derivation(base._derived, g, lambda x, _rule, kids: Inf("atm", x, kids or (EmptyTop(),))))
         elif visit == 0:  # first try the side that is always tried
             if kind is Conj:
                 stack += ((g, 1), (g.right, 0), (g.left, 0))
@@ -318,9 +307,10 @@ class _Search:
 
     Its witness table holds every closed structure the call synthesizes
     (closed), keyed by the formula and the derivation supports of its atoms
-    on the base (AtomicBase._support; None for an atom not derived). That
-    is all synthesize_closed reads of the base, so bases with one support
-    share one witness.
+    on the base (AtomicBase._support; None for an atom not derived).
+    synthesize_closed reads the base only through the derivations of those
+    atoms, rules the supports hold, so bases with one support share one
+    witness.
 
     Its verdict table files each verdict a check computes under its reads:
     what the check and its parts asked of the base (_Checker._answer), with

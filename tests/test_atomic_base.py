@@ -438,10 +438,14 @@ def _scanned_is_derivation_structure(d, base):
     return True
 
 
-def _random_node(rng, base, depth, goal=None):
+def _random_node(rng, base, depth, goal=None, shared=None):
     """Mostly a derivation of the goal (any atom when None) on the base, its
     premises permuted; sometimes a missing or extra premise, a non-atomic
-    node, an assumption leaf or a discharge."""
+    node, an assumption leaf or a discharge. Given a dict for shared, the
+    inference first built for a (goal, depth) is mostly used again, the same
+    object, where that pair recurs: premise subtrees are shared."""
+    if shared is not None and (goal, depth) in shared and rng.random() < 0.8:
+        return shared[goal, depth]
     roll = rng.random()
     if roll < 0.03:
         return Assumption(goal or p)
@@ -457,8 +461,11 @@ def _random_node(rng, base, depth, goal=None):
         premises.pop()
     if rng.random() < 0.05:
         premises.append(rng.choice([p, q, r]))
-    kids = tuple(_random_node(rng, base, depth - 1, x) for x in premises) or (EmptyTop(),)
-    return Inf("atm", rule.conclusion, kids, frozenset({1}) if rng.random() < 0.02 else frozenset())
+    kids = tuple(_random_node(rng, base, depth - 1, x, shared) for x in premises) or (EmptyTop(),)
+    node = Inf("atm", rule.conclusion, kids, frozenset({1}) if rng.random() < 0.02 else frozenset())
+    if shared is not None:
+        shared.setdefault((goal, depth), node)
+    return node
 
 
 @settings(max_examples=200, deadline=None)
@@ -467,6 +474,16 @@ def test_is_derivation_structure_agrees_with_the_rule_scan(rules, seed):
     base, rng = AtomicBase(rules), make_rng(seed)
     for _ in range(10):
         d = _random_node(rng, base, rng.randint(0, 4))
+        assert is_derivation_structure(d, base) == _scanned_is_derivation_structure(d, base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(_RULES, max_size=6), st.integers(0, 2**32 - 1))
+def test_is_derivation_structure_agrees_with_the_rule_scan_on_shared_premises(rules, seed):
+    # a class accepted once is skipped after: a shared subtree, broken or not, must count alike everywhere
+    base, rng, shared = AtomicBase(rules), make_rng(seed), {}
+    for _ in range(10):
+        d = _random_node(rng, base, rng.randint(0, 5), shared=shared)
         assert is_derivation_structure(d, base) == _scanned_is_derivation_structure(d, base)
 
 

@@ -61,6 +61,13 @@ def test_consequence_validity_variants(capsys):
     assert run(capsys, "consequence", "delta-s", "a | ~a", *fam)[0] == 2
 
 
+def test_consequence_on_a_derivation_longer_than_the_recursion_limit(capsys, tmp_path):
+    chain = tmp_path / "chain.base"
+    chain.write_text("-> p0\n" + "".join(f"p{i} -> p{i + 1}\n" for i in range(1500)))
+    code, out = run(capsys, "consequence", "delta", "p1500", "--family", chain)
+    assert code == 0 and "valid" in out
+
+
 def test_unread_flags_are_rejected():
     # each command registers only the options it reads
     base, rules = DATA / "two_rule.base", DATA / "detour.rules"

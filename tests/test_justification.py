@@ -27,6 +27,7 @@ from ptslab import (
     JustificationError,
     JustificationSet,
     RSystem,
+    StructureError,
     analyze,
     apply_justification,
     canonical_key,
@@ -548,6 +549,15 @@ def test_negative_search_bounds_are_refused():
     assert reduces(steps, start, start, 0) and reach(steps, start, max_steps=0, max_size=0)[1]
 
 
+def test_search_bounds_must_be_integers():
+    steps, start = JustificationSet((or_detour(),)), _redex()
+    for bad in ({"max_steps": "3"}, {"max_steps": 2.5}, {"max_steps": True}, {"max_size": None}, {"max_size": False}):
+        with pytest.raises(JustificationError, match="bounds must be integers"):
+            reach(steps, start, **bad)
+    with pytest.raises(JustificationError, match=r"bounds must be integers, not 1\.0"):
+        reduces(steps, start, start, 1.0)
+
+
 def _wide_redex(width):
     """An andI tree over `width` independent or-detours: 2**width reducts."""
     d = _redex()
@@ -1059,6 +1069,19 @@ def test_a_choice_key_that_is_not_a_structure_is_refused():
     ax = Inf("ax", EM, (EmptyTop(),))
     with pytest.raises(JustificationError, match="must be a structure"):
         ChoiceFunction("pick", (((canonical_key(ax), AtomicBase(frozenset())), JustificationSet()),))
+
+
+def test_a_table_or_pair_that_holds_no_structure_is_refused_by_name():
+    d = Inf("atm", a, (EmptyTop(),))
+    with pytest.raises(StructureError, match="not a structure: 'y'"):
+        conclusion_of("y")
+    with pytest.raises(StructureError, match="an empty top node has no conclusion"):
+        conclusion_of(EmptyTop())
+    with pytest.raises(JustificationContractError, match="not a structure: 'y'"):
+        RSystem(((d, "y"),))
+    for pairs in (((d, "y"),), (("y", d),), ((d, canonical_key(d)),)):
+        with pytest.raises(JustificationError, match="table m: a key or image must be a structure, not '"):
+            ConstantMap("m", pairs)
 
 
 def test_a_choice_function_is_tried_only_where_its_key_stands(monkeypatch):

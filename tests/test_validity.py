@@ -93,11 +93,14 @@ def _synthesize_closed_recursive(base, f):
     """synthesize_closed as it was written before its explicit stack: the reference."""
     counter = itertools.count(1)
 
+    def derivation(x):  # read off the base's derived map, one tree node per use
+        rule = base._derived[x]
+        return Inf("atm", x, tuple(derivation(y) for y in rule.premises) or (EmptyTop(),))
+
     def go(g):
         match g:
             case Atom():
-                der = atomic_derivation(base, (), g)
-                return None if der is None else validity._derivation_structure(der)
+                return derivation(g) if g in base._derived else None
             case Conj(l, r):
                 x, y = go(l), go(r)
                 return Inf("andI", g, (x, y)) if x is not None and y is not None else None
@@ -740,12 +743,72 @@ def test_a_derivation_deeper_than_the_recursion_limit_is_valid():
     base = parse_base("-> a\na -> a\n")
     assert is_derivation_structure(d, base)
     assert valid(Argument(d, JustificationSet()), base).is_valid
-    # and the same chain, built from an atomic derivation
+    # and the same depth as an atomic derivation, checked without recursion
     rules = sorted(base.rules, key=lambda r: len(r.premises))
     der = AtomicDerivation(a, rules[0])
     for _ in range(2999):
         der = AtomicDerivation(a, rules[1], (der,))
-    assert validity._derivation_structure(der) == d
+    assert der.check(base)
+    # and synthesized from a 3000-rule chain base
+    chain = _chain_base(2999)
+    d = EmptyTop()
+    for i in range(3000):
+        d = Inf("atm", Atom(f"p{i}"), (d,))
+    assert synthesize_closed(chain, Atom("p2999")) == d
+
+
+def test_bounds_must_be_integers():
+    for bad in ({"max_reduction_steps": 2.5}, {"max_reduction_steps": True}, {"max_structure_size": None},
+                {"max_structure_size": "400"}):
+        with pytest.raises(validity.ValidityError, match="bounds must be integers"):
+            Bounds(**bad)
+    with pytest.raises(validity.ValidityError, match="bounds must be non-negative"):
+        Bounds(max_reduction_steps=-1)
+    assert Bounds(max_reduction_steps=0, max_structure_size=0).max_structure_size == 0
+
+
+def _chain_base(n):
+    """-> p0 and p_i -> p_{i+1} for i < n: p_n's derivation is n + 1 deep."""
+    return parse_base("-> p0\n" + "".join(f"p{i} -> p{i + 1}\n" for i in range(n)))
+
+
+def _shared_base(n):
+    """-> x0, x_i -> y_i and x_i y_i -> x_{i+1} for i < n: x_i is a premise
+    twice over in x_{i+1}'s derivation, whose tree doubles with each i."""
+    return parse_base("-> x0\n" + "".join(f"x{i} -> y{i}\nx{i} y{i} -> x{i + 1}\n" for i in range(n)))
+
+
+def test_a_derivation_longer_than_the_recursion_limit_is_synthesized_and_valid():
+    chain, goal = _chain_base(1500), Atom("p1500")
+    d = synthesize_closed(chain, goal)
+    assert d is not None and argument.size_of(d) == 1502 and is_derivation_structure(d, chain)
+    assert valid(Argument(d, JustificationSet()), chain).is_valid
+    assert atomic_derivation(chain, (), goal).check(chain)
+    bounds = Bounds(max_structure_size=2000)  # the pooled variants' witnesses hold the whole derivation
+    for variant in ("delta", "delta-star", "delta-sh"):
+        assert consequence(variant, (), goal, [chain], bounds).is_valid, variant
+
+
+def _distinct_nodes(d):
+    seen, stack = set(), [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, "children", ()))
+    return len(seen)
+
+
+def test_a_shared_premise_is_built_once():
+    n = 12
+    base, goal = _shared_base(n), Atom(f"x{n}")
+    d = synthesize_closed(base, goal)
+    assert _distinct_nodes(d) <= 2 * n + 2 and argument.size_of(d) == 2 ** (n + 2) - 2
+    assert is_derivation_structure(d, base) and valid(Argument(d, JustificationSet()), base).is_valid
+    der = atomic_derivation(base, (), goal)
+    assert _distinct_nodes(der) <= 2 * n + 1 and der.check(base)
+    # a tree of 2^42 nodes, checked once per distinct node
+    assert consequence("delta", (), Atom("x40"), [_shared_base(40)]).is_valid
 
 
 def test_an_invalid_verdict_writes_its_witness_text_when_read(monkeypatch):

@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Five op groups follow. The first, `choice`, runs what no workload builds: a
+Six op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -55,6 +55,15 @@ the one candidate the `choice` group's argument (the excluded-middle
 axiom with the choice function and `or_detour()`); the nested `valid`
 calls are recorded as above.
 
+The sixth, `derivations`, puts long and shared derivations through
+synthesis and the checker: on the chain base `-> p0`, `p_i -> p_{i+1}`
+with `DERIVATION_CHAIN` rules after the first, and on the shared-premise
+bases `-> x0`, `x_i -> y_i`, `x_i y_i -> x_{i+1}` for i < n, n in
+`DERIVATION_SHARED`, whose derivation of x_n uses x_i twice for each i.
+For the last atom of each base it writes the `repr` of `synthesize_closed`
+(a `synthesize_closed` line), then calls `valid` on that structure with
+no steps and `consequence` with `delta` on the atom over the base alone.
+
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
 """
@@ -85,6 +94,8 @@ REFUTED_STRUCTURES = (
     f'(inf andI "c & (a -> b)" (inf atm "c" (empty)) {REFUTED_IMP})',
     f'(inf andI "(a -> b) & c" {REFUTED_IMP} (inf atm "c" (empty)))',
 )
+DERIVATION_CHAIN = 100
+DERIVATION_SHARED = range(1, 7)
 REFUTED_DEPTH = 11
 REFUTED_BOUNDS = (10, 12)
 RECORDED = (
@@ -233,6 +244,26 @@ def _run_pooled_choice_group(out) -> int:
     return len(CHOICE_FORMULAS) * len(variants)
 
 
+def _run_derivations_group(out) -> int:
+    """Run the derivations group, writing an `op` line before each op, and
+    return its op count."""
+    from ptslab import Argument, Atom, JustificationSet, consequence, parse_base, synthesize_closed, valid
+
+    n = DERIVATION_CHAIN
+    cases = [(f"chain/{n}", "-> p0\n" + "".join(f"p{i} -> p{i + 1}\n" for i in range(n)), f"p{n}")]
+    for n in DERIVATION_SHARED:
+        text = "-> x0\n" + "".join(f"x{i} -> y{i}\nx{i} y{i} -> x{i + 1}\n" for i in range(n))
+        cases.append((f"shared/{n}", text, f"x{n}"))
+    for name, text, goal in cases:
+        base, goal = parse_base(text), Atom(goal)
+        out.write(f"op derivations/{name}\n")
+        d = synthesize_closed(base, goal)
+        out.write(f"synthesize_closed {d!r}\n")
+        valid(Argument(d, JustificationSet()), base)
+        consequence("delta", [], goal, [base])
+    return len(cases)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="directory holding the ptslab package")
@@ -257,6 +288,7 @@ def main() -> int:
         ops["refuted"] = _run_refuted_group(out)
         ops["witness"] = _run_witness_group(out)
         ops["pooled-choice"] = _run_pooled_choice_group(out)
+        ops["derivations"] = _run_derivations_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
