@@ -16,6 +16,7 @@ pattern that may also hold (plug ...). One reader serves all three.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from collections import Counter
 
@@ -779,6 +780,7 @@ def canonical_key(d: ArgStructure) -> str:
 # ---------------------------------------------------------------------------
 # text form:  (assume "a & b" :label 1) | (empty)
 #             (inf orE "c" (child) ... :discharge (1 2))
+_CONCLUDES, _LABEL, _DISCHARGE = Sym(":concludes"), Sym(":label"), Sym(":discharge")
 
 
 def render_structure(d: ArgStructure) -> str:
@@ -823,7 +825,7 @@ def _label(x, mode: str):
     return _metavar(x)
 
 
-def _discharge_item(item, mode: str):
+def _discharge_item(item, mode: str, formula):
     label = _label(item, mode)
     if label is not None:
         return label if mode == "structure" else DSpec(label)
@@ -831,12 +833,13 @@ def _discharge_item(item, mode: str):
     if mode == "pattern" and isinstance(item, list) and len(item) == 2:
         var, text = item
         if _metavar(var) and isinstance(text, str):
-            return DSpec(_metavar(var), parse_formula(text, metavars=True))
+            return DSpec(_metavar(var), formula(text, metavars=True))
     raise StructureError(f"bad discharge spec {item!r} in a {mode}")
 
 
-def _read_tree(x, mode: str):
+def _read_tree(x, mode: str, formula):
     """A tree from its s-expression; the mode decides which forms are allowed.
+    formula is parse_formula behind a memo that lives for one reader call.
 
     structure: integer labels and ground formulas only.
     pattern:   ?A formulas, ?l labels, ?D leaves, (?D :concludes "F") and
@@ -844,16 +847,16 @@ def _read_tree(x, mode: str):
     template:  ?A formulas, ?l labels, ?D leaves and (plug ?D ?l TEMPLATE).
     """
     meta = mode != "structure"
-    var = _metavar(x)
-    if meta and var:
+    var = meta and _metavar(x)
+    if var:
         return PVar(var)
     if not isinstance(x, list) or not x or not isinstance(x[0], Sym):
         raise StructureError(f"expected a {mode} form, got {x!r}")
     head = x[0].text
-    var = _metavar(x[0])
-    if mode == "pattern" and var:
-        if len(x) == 3 and x[1] == Sym(":concludes") and isinstance(x[2], str):
-            return PVar(var, parse_formula(x[2], metavars=True))
+    var = mode == "pattern" and _metavar(x[0])
+    if var:
+        if len(x) == 3 and x[1] == _CONCLUDES and isinstance(x[2], str):
+            return PVar(var, formula(x[2], metavars=True))
         raise StructureError(f"bad structure-variable pattern {x!r}")
     if head == "empty":
         if len(x) != 1:
@@ -862,34 +865,34 @@ def _read_tree(x, mode: str):
     if head == "plug" and mode == "template":
         if len(x) != 4 or not _metavar(x[1]) or not _metavar(x[2]):
             raise StructureError("(plug ?D ?l TEMPLATE) expected")
-        return Plug(_metavar(x[1]), _metavar(x[2]), _read_tree(x[3], mode))
+        return Plug(_metavar(x[1]), _metavar(x[2]), _read_tree(x[3], mode, formula))
     if head == "assume":
         if len(x) < 2 or not isinstance(x[1], str):
             raise StructureError("(assume ...) needs a quoted formula")
         label = None
         rest = x[2:]
         if rest:
-            label = _label(rest[1], mode) if len(rest) == 2 and rest[0] == Sym(":label") else None
+            label = _label(rest[1], mode) if len(rest) == 2 and rest[0] == _LABEL else None
             if label is None:
                 raise StructureError(f"(assume ...) options: :label {'?l' if meta else 'N'}")
-        f = parse_formula(x[1], metavars=meta)
+        f = formula(x[1], metavars=meta)
         return PAssume(f, label) if meta else Assumption(f, label)
     if head == "inf":
         if len(x) < 3 or not isinstance(x[1], Sym) or not isinstance(x[2], str):
             raise StructureError('(inf TAG "FORMULA" CHILD...) expected')
-        concl = parse_formula(x[2], metavars=meta)
-        rest = list(x[3:])
+        concl = formula(x[2], metavars=meta)
+        rest = x[3:]
         discharge = []
-        if Sym(":discharge") in rest:
-            k = rest.index(Sym(":discharge"))
+        if _DISCHARGE in rest:
+            k = rest.index(_DISCHARGE)
             spec = rest[k + 1 :]
             if len(spec) != 1 or not isinstance(spec[0], list):
                 raise StructureError(":discharge needs a list of labels")
-            discharge = [_discharge_item(item, mode) for item in spec[0]]
+            discharge = [_discharge_item(item, mode, formula) for item in spec[0]]
             rest = rest[:k]
         if not rest:
             raise StructureError("inference nodes need at least one child; use (empty) for none")
-        children = tuple(_read_tree(c, mode) for c in rest)
+        children = tuple([_read_tree(c, mode, formula) for c in rest])
         if meta:
             return PInf(x[1].text, concl, children, tuple(discharge))
         return Inf(x[1].text, concl, children, frozenset(discharge))
@@ -901,7 +904,7 @@ def _parse_tree(text: str, mode: str):
         x = read_sexpr(text)
     except SexprError as e:
         raise StructureError(str(e)) from None
-    return _read_tree(x, mode)
+    return _read_tree(x, mode, functools.cache(parse_formula))
 
 
 def parse_structure(text: str) -> ArgStructure:
@@ -916,9 +919,9 @@ def parse_structures(text: str) -> list[ArgStructure]:
         forms = read_all_sexprs(text)
     except SexprError as e:
         raise StructureError(str(e)) from None
-    out = []
+    out, formula = [], functools.cache(parse_formula)
     for x in forms:
-        d = _read_tree(x, "structure")
+        d = _read_tree(x, "structure", formula)
         check_structure(d)
         out.append(d)
     return out

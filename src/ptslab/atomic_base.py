@@ -225,16 +225,26 @@ def derives(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> bool:
 
 def _derivation(derived: dict[Atom, AtomicRule | None], goal: Atom, node):
     """The derivation of goal read off a derived map (None when goal is not
-    in it), built by node(atom, rule, premise_nodes) once per atom: the map
-    lists each atom after its premises, so one pass in its order finds every
-    premise built, a shared one once, and stops at goal."""
+    in it), built by node(atom, rule, premise_nodes) once per atom of goal's
+    support: a walk back from goal over its rules' premises, on an explicit
+    stack, builds each atom once its premises are built. An atom is on the
+    stack only above the atoms that need it, since the map derives each atom
+    from earlier ones, so none is pushed twice."""
     if goal not in derived:
         return None
-    built = {}
-    for atom, rule in derived.items():
-        built[atom] = out = node(atom, rule, () if rule is None else tuple([built[p] for p in rule.premises]))
-        if atom == goal:
-            return out
+    built: dict = {}
+    stack = [goal]
+    while stack:
+        atom = stack[-1]
+        rule = derived[atom]
+        for p in () if rule is None else rule.premises:
+            if p not in built:
+                stack.append(p)
+                break
+        else:
+            stack.pop()
+            built[atom] = node(atom, rule, () if rule is None else tuple(map(built.__getitem__, rule.premises)))
+    return built[goal]
 
 
 def atomic_derivation(
@@ -325,6 +335,8 @@ def _parse_atom(tok: str, lineno: int, allow_bottom: bool) -> Atom:
 
 
 def parse_base(text: str, id: str = "") -> AtomicBase:
+    if not isinstance(text, str):
+        raise BaseError(f"text must be a str, not {type(text).__name__}")
     rules = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -272,6 +272,8 @@ def parse_formula(text: str, *, metavars: bool = False) -> Formula:
     Recursive descent then takes the tokens off a stack, one function per
     precedence level, each returning a formula and its nesting; a column is
     found only for an error."""
+    if not isinstance(text, str):
+        raise FormulaError(f"text must be a str, not {type(text).__name__}")
     toks = _TOKEN_RE.findall(text)
     read, bad = dict(_SYMBOLS), []
     for t in set(toks).difference(read):

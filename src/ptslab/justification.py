@@ -772,8 +772,10 @@ def _scheme(entries: list[tuple[ArgStructure, ArgStructure]]) -> tuple[Pattern, 
     reads the first one; a formula column may repeat.
 
     None when the scheme would nest more than sexpr.MAX_NESTING structure
-    nodes or formula.MAX_NESTING connectives deep: the reader keeps rules
-    that shallow, and the rule walkers (_tree_vars, _match, _build) recurse."""
+    nodes or formula.MAX_NESTING connectives deep: no rule text that deep
+    can be read, since those limits keep the recursive tree reader
+    (argument._read_tree), formula reader and rule walkers (_tree_vars,
+    _match, _build) inside the recursion limit."""
     names: dict[tuple, str] = {}  # a column that differs -> its (first) variable
     made = itertools.count()
     done: list = []  # built scheme parts, the last ones on top
@@ -902,6 +904,8 @@ def _split_arrow(line: str, lineno: int) -> tuple[str, str]:
 
 def parse_rules(text: str) -> JustificationSet:
     """Parse a rewrite-rule file into a set of schematic rewrites."""
+    if not isinstance(text, str):
+        raise JustificationError(f"text must be a str, not {type(text).__name__}")
     rules: dict[str, SchematicRewrite] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

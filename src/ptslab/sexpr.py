@@ -1,7 +1,7 @@
 """Tiny s-expression reader shared by the structure and rule syntaxes.
 
 Quoted strings come back as plain str, integers as int, everything else
-as Sym; lists nest, at most MAX_NESTING deep. Positions are tracked for
+as Sym; lists nest, at most MAX_NESTING deep. Positions are found for
 error messages.
 """
 
@@ -28,90 +28,90 @@ class Sym(_Record):
         return self.text
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>;[^\n]*)
-      | (?P<lp>\()
-      | (?P<rp>\))
-      | (?P<str>"(?:[^"\\]|\\.)*")
-      | (?P<int>-?[0-9]+)
-      | (?P<sym>[^\s()";]+)
-    """,
-    re.VERBOSE,
-)
+# One token per match, whitespace between them skipped: a comment, a paren, a
+# string, an integer, a symbol, or a '"' that starts no string, which is an
+# error. The first alternative that matches wins, so "12ab" is 12 then ab.
+_TOKEN_RE = re.compile(r';[^\n]*|[()]|"(?:[^"\\]|\\.)*"|-?[0-9]+|[^\s()";]+|"')
 
 # the texts read back as exactly one Sym: a sym token that no int token starts
 _SYMBOL_RE = re.compile(r'(?!-?[0-9])[^\s()";]+')
 
-# The reader takes one frame per level of list nesting, and the structure and
-# rule reader over what it returns takes two, with the formula reader's own
-# frames (formula.MAX_NESTING) at the bottom. Text whose lists nest deeper than
-# MAX_NESTING is refused, which keeps them all inside Python's default
-# recursion limit: at this limit, with a formula at its own limit in the
-# deepest leaf, reading a structure takes about 710 frames of the 1000.
+# This reader does not recurse, but what walks its lists does: the tree
+# reader (argument._read_tree) takes two frames per level, with the formula
+# reader's own (formula.MAX_NESTING) below the deepest, and the rule walkers
+# (justification._match, _build, _tree_vars) one. Text whose lists nest
+# deeper than MAX_NESTING is refused, which keeps them all inside Python's
+# default recursion limit: at this limit, with a formula at its own limit in
+# the deepest leaf, reading a structure takes about 710 frames of the 1000.
 MAX_NESTING = 150
 
 
-def _line_col(text: str, pos: int) -> str:
-    line = text.count("\n", 0, pos) + 1
-    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return f"{line}:{col}"
+def _value(tok: str):
+    """What a token reads as; None for a paren, a comment or a lone '"'."""
+    c = tok[0]
+    if c == '"' and len(tok) > 1:
+        return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    if c in '();"':
+        return None
+    if "0" <= c <= "9" or c == "-" and "0" <= tok[1:2] <= "9":
+        return int(tok)
+    return Sym(tok)
 
 
-def _tokenize(text: str):
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SexprError(f"{_line_col(text, pos)}: unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            yield kind, m.group(), pos
-        pos = m.end()
-    yield "eof", "", pos
+def _refuse(text: str, k: int | None, why: str):
+    """Refuse text at its k-th token, or at its end when k is None; the
+    position is found by matching the text again."""
+    pos = len(text) if k is None else [m.start() for m in _TOKEN_RE.finditer(text)][k]
+    line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    raise SexprError(f"{line}:{col}: {why}")
 
 
-def _parse(tokens, text, tok, depth=1):
-    kind, val, pos = tok
-    if kind == "lp":
-        if depth > MAX_NESTING:
-            raise SexprError(f"{_line_col(text, pos)}: lists nested more than {MAX_NESTING} levels deep")
-        items = []
-        while True:
-            nxt = next(tokens)
-            if nxt[0] == "rp":
-                return items
-            if nxt[0] == "eof":
-                raise SexprError(f"{_line_col(text, nxt[2])}: unbalanced '('")
-            items.append(_parse(tokens, text, nxt, depth + 1))
-    if kind == "rp":
-        raise SexprError(f"{_line_col(text, pos)}: unexpected ')'")
-    if kind == "str":
-        body = val[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\")
-    if kind == "int":
-        return int(val)
-    if kind == "sym":
-        return Sym(val)
-    raise SexprError(f"{_line_col(text, pos)}: unexpected end of input")
+def _read(text: str, first: bool) -> list:
+    """The top-level values of text; with first, only the first one, and a
+    token after it is refused. One findall splits the text into tokens, each
+    distinct token is read once, and the lists are built on a stack of the
+    lists enclosing the one being filled."""
+    if not isinstance(text, str):
+        raise SexprError(f"text must be a str, not {type(text).__name__}")
+    toks = _TOKEN_RE.findall(text)
+    read = {t: _value(t) for t in set(toks)}
+    items = out = []
+    stack: list = []
+    for k, t in enumerate(toks):
+        x = read[t]
+        if x is not None:
+            items.append(x)
+        elif t == "(":
+            if len(stack) == MAX_NESTING:
+                _refuse(text, k, f"lists nested more than {MAX_NESTING} levels deep")
+            stack.append(items)
+            items.append([])
+            items = items[-1]
+            continue
+        elif t == ")":
+            if not stack:
+                _refuse(text, k, "unexpected ')'")
+            items = stack.pop()
+        elif t == '"':
+            _refuse(text, k, "unexpected character '\"'")
+        else:  # a comment
+            continue
+        if first and not stack:
+            for j in range(k + 1, len(toks)):
+                if toks[j][0] != ";":
+                    _refuse(text, j, "unexpected character '\"'" if toks[j] == '"' else "trailing input after expression")
+            return out
+    if stack:
+        _refuse(text, None, "unbalanced '('")
+    if first:
+        _refuse(text, None, "unexpected end of input")
+    return out
 
 
 def read_sexpr(text: str):
     """Read exactly one s-expression."""
-    tokens = _tokenize(text)
-    tok = next(tokens)
-    out = _parse(tokens, text, tok)
-    trailing = next(tokens)
-    if trailing[0] != "eof":
-        raise SexprError(f"{_line_col(text, trailing[2])}: trailing input after expression")
-    return out
+    return _read(text, True)[0]
 
 
 def read_all_sexprs(text: str) -> list:
-    tokens = _tokenize(text)
-    out = []
-    while True:
-        tok = next(tokens)
-        if tok[0] == "eof":
-            return out
-        out.append(_parse(tokens, text, tok))
+    return _read(text, False)

@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Six op groups follow. The first, `choice`, runs what no workload builds: a
+Seven op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -63,6 +63,17 @@ bases `-> x0`, `x_i -> y_i`, `x_i y_i -> x_{i+1}` for i < n, n in
 For the last atom of each base it writes the `repr` of `synthesize_closed`
 (a `synthesize_closed` line), then calls `valid` on that structure with
 no steps and `consequence` with `delta` on the atom over the base alone.
+
+The seventh, `readers`, writes what the structure and rule readers make
+of a fixed corpus: `tests/data/*.struct` and `*.rules`, the texts the
+detour-search workload reads at seeds 0, 11 and 9001 (taken from its own
+builders, through `parse_structure` and `parse_rules`, while it is built),
+and the packaged rule texts; each as it is and in the malformed variants of
+`_variants` (truncations, a dropped or extra paren, a bad label or
+discharge, an unterminated string). A structure text is read by
+`parse_structure` and `parse_structures`, a rule text by `parse_rules`;
+each writes `render_structure` of the structures read, or the `repr` of
+the rule set, or the exception's type and message.
 
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
@@ -264,6 +275,73 @@ def _run_derivations_group(out) -> int:
     return len(cases)
 
 
+def _variants(text: str) -> dict[str, str]:
+    """text and its malformed variants, by name; a variant that leaves the
+    text as it is is left out."""
+    t = text.rstrip()
+    quote = t.rfind('"')
+    out = {
+        "as-is": text,
+        "half": t[: len(t) // 2],
+        "no-last-char": t[:-1],
+        "no-first-paren": t.replace("(", "", 1),
+        "no-last-paren": t[: t.rfind(")")] + t[t.rfind(")") + 1 :],
+        "extra-open": "(" + t,
+        "extra-close": t + ")",
+        "bad-label": t.replace(":label ", ":label bad ", 1),
+        "bad-discharge": t.replace(":discharge (", ":discharge (x ", 1),
+        "open-string": t[:quote] + t[quote + 1 :] if quote >= 0 else t,
+    }
+    return {name: v for name, v in out.items() if name == "as-is" or v != t}
+
+
+def _reader_corpus() -> list[tuple[str, str, str]]:
+    """The readers group's texts: (name, "structure" or "rules", text)."""
+    import workloads
+    from ptslab.justification import _EM_REFUTE_TEXT, _OR_DETOUR_TEXT
+
+    data = Path(__file__).resolve().parent.parent / "tests" / "data"
+    corpus = [(f"data/{p.name}", "structure", p.read_text(encoding="utf-8")) for p in sorted(data.glob("*.struct"))]
+    corpus += [(f"data/{p.name}", "rules", p.read_text(encoding="utf-8")) for p in sorted(data.glob("*.rules"))]
+    saved = workloads.parse_structure, workloads.parse_rules
+    for seed in SEEDS:
+        read: list[tuple[str, str]] = []  # (kind, text) of each text the workload's set-up reads
+        workloads.parse_structure = lambda text: read.append(("structure", text)) or saved[0](text)
+        workloads.parse_rules = lambda text: read.append(("rules", text)) or saved[1](text)
+        try:
+            with tempfile.TemporaryDirectory() as work:
+                workloads.build("detour-search", seed, Path(work))
+        finally:
+            workloads.parse_structure, workloads.parse_rules = saved
+        corpus += [(f"detour-search/{seed}/{i}", kind, text) for i, (kind, text) in enumerate(read)]
+    corpus += [("packaged/or_detour", "rules", _OR_DETOUR_TEXT), ("packaged/em_refute", "rules", _EM_REFUTE_TEXT)]
+    return corpus
+
+
+def _run_readers_group(out) -> int:
+    """Run the readers group, writing an `op` line and one line per reader
+    call, and return its op count."""
+    from ptslab import parse_rules, parse_structure, parse_structures, render_structure
+
+    shown = {
+        parse_structure: render_structure,
+        parse_structures: lambda ds: repr([render_structure(d) for d in ds]),
+        parse_rules: repr,
+    }
+    ops = 0
+    for name, kind, text in _reader_corpus():
+        for variant, t in _variants(text).items():
+            out.write(f"op readers/{name}/{variant}\n")
+            for read in (parse_structure, parse_structures) if kind == "structure" else (parse_rules,):
+                try:
+                    result = shown[read](read(t))
+                except Exception as e:  # the record is the exception's type and message
+                    result = f"{type(e).__name__}: {e}"
+                out.write(f"{read.__name__} {result}\n")
+            ops += 1
+    return ops
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="directory holding the ptslab package")
@@ -289,6 +367,7 @@ def main() -> int:
         ops["witness"] = _run_witness_group(out)
         ops["pooled-choice"] = _run_pooled_choice_group(out)
         ops["derivations"] = _run_derivations_group(out)
+        ops["readers"] = _run_readers_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
