@@ -114,6 +114,23 @@ class AtomicBase(_Record):
         return support
 
     @functools.cached_property
+    def _live(self) -> frozenset[AtomicRule]:
+        """The rules whose premises the base derives (the rules themselves
+        when all are live). Two bases with equal live rules answer every
+        question a validity check asks of a base alike, except for the base
+        itself, which a choice function reads:
+        - a dead rule never fires in _forward, so _derived, _support and
+          _closure are functions of the live rules, and with them the
+          witnesses synthesize_closed builds and what models says;
+        - a closed derivation derives every premise it uses, so every rule
+          it uses is live: for any r, is_derivation_structure(r, base) is
+          what it is on a base of the live rules alone.
+        So consequence checks one base per class of equal live rules."""
+        closure = self._closure
+        live = [r for r in self.rules if closure.issuperset(r.premises)]
+        return self.rules if len(live) == len(self.rules) else frozenset(live)
+
+    @functools.cached_property
     def _rule_index(self) -> frozenset[tuple[Atom, tuple[str, ...]]]:
         """(conclusion, sorted premise names) of each rule: a rule up to premise order."""
         return frozenset([(r.conclusion, tuple(sorted([p.name for p in r.premises]))) for r in self.rules])

@@ -58,6 +58,15 @@ def _value(tok: str):
     return Sym(tok)
 
 
+def _too_long(tok: str) -> bool:
+    """Is tok an integer token that int() refuses for its length?"""
+    try:
+        _value(tok)
+    except ValueError:
+        return True
+    return False
+
+
 def _refuse(text: str, k: int | None, why: str):
     """Refuse text at its k-th token, or at its end when k is None; the
     position is found by matching the text again."""
@@ -74,7 +83,11 @@ def _read(text: str, first: bool) -> list:
     if not isinstance(text, str):
         raise SexprError(f"text must be a str, not {type(text).__name__}")
     toks = _TOKEN_RE.findall(text)
-    read = {t: _value(t) for t in set(toks)}
+    try:
+        read = {t: _value(t) for t in set(toks)}
+    except ValueError:  # an integer longer than int() converts
+        k = next(k for k, t in enumerate(toks) if _too_long(t))
+        _refuse(text, k, f"integer of {len(toks[k].lstrip('-'))} digits is too long to read")
     items = out = []
     stack: list = []
     for k, t in enumerate(toks):

@@ -20,7 +20,8 @@ Unknown only where no part is Invalid.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Literal
+import operator
+from typing import Iterable, Iterator, Literal
 
 from .atomic_base import AtomicBase, _derivation, is_consistent
 from .argument import (
@@ -292,6 +293,11 @@ def _extend(steps: StepSource, ext: StepSource) -> StepSource:
     raise ValidityError("an extension must be of the same kind as the steps source")
 
 
+def _holds_choice(steps: StepSource) -> bool:
+    """Does the step source hold a choice function, whose selection reads the base itself?"""
+    return isinstance(steps, JustificationSet) and steps._dispatch.choice
+
+
 class _Search:
     """The reduction searches of one valid or consequence call, shared by
     the checks it makes on every base through its tables, whose keys are
@@ -312,6 +318,13 @@ class _Search:
     atoms, rules the supports hold, so bases with one support share one
     witness.
 
+    Its instance table holds every substitution instance the call builds
+    (instance), for the checker's open arguments and the pooled uniform
+    instances alike, keyed by the structure and the identities of the
+    sigma's structures: the witness table's objects or the bounds' own
+    sigma candidates, which live as long as the search, as the table's
+    entries keep them.
+
     Its verdict table files each verdict a check computes under its reads:
     what the check and its parts asked of the base (_Checker._answer), with
     the answers. A check is deterministic given them, so one on another base
@@ -324,6 +337,7 @@ class _Search:
         self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
         self._atoms: dict[Formula, tuple[Atom, ...]] = {}
         self._witnesses: dict[tuple[Formula, tuple], ArgStructure | None] = {}
+        self._instances: dict[tuple[ArgStructure, tuple[int, ...]], tuple[ArgStructure, tuple]] = {}
         self._verdicts: dict[tuple[ArgStructure, StepSource], list[tuple[Verdict, dict]]] = {}
 
     def closed(self, base: AtomicBase, f: Formula) -> ArgStructure | None:
@@ -337,6 +351,15 @@ class _Search:
         if out is False:
             out = self._witnesses[key] = synthesize_closed(base, f)
         return out
+
+    def instance(self, d: ArgStructure, sigma: dict[Formula, ArgStructure]) -> ArgStructure:
+        """instantiate(d, sigma), built once per (d, the identities of sigma's
+        structures); sigma's keys are d's open assumptions, in one order."""
+        key = (d, tuple([id(s) for s in sigma.values()]))
+        hit = self._instances.get(key)
+        if hit is None:  # the entry keeps sigma's structures, so their identities stay theirs
+            hit = self._instances[key] = (instantiate(d, sigma), tuple(sigma.values()))
+        return hit[0]
 
     def stream(self, steps: StepSource, d: ArgStructure, base: AtomicBase | None) -> _Reducts:
         b, table = self.bounds, self._steps.setdefault((steps, base), {})
@@ -435,8 +458,7 @@ class _Checker:
         Invalid one, which refutes the reduct. The verdict is Unknown when
         the stream was cut by a bound or some reduct had an Unknown
         substructure and no Invalid one; otherwise it is Invalid."""
-        per_base = isinstance(steps, JustificationSet) and steps._dispatch.choice
-        stream = self.search.stream(steps, d, self._read(_BASE) if per_base else None)
+        stream = self.search.stream(steps, d, self._read(_BASE) if _holds_choice(steps) else None)
         saw_unknown, explored = False, []
         for r, depth in stream:
             explored.append(r)
@@ -495,7 +517,7 @@ class _Checker:
                     tainted = True
                     continue
                 sigma = dict(zip(assumptions, combo))
-                inst = instantiate(d, sigma)
+                inst = self.search.instance(d, sigma)
                 v = self.check(inst, ext)
                 if v.is_invalid:
                     return Verdict.invalid(
@@ -679,19 +701,38 @@ def _uniform_instances(
     """Per base: the pool instance of d and the synthesized target it
     should rewrite to. Bases whose context fails contribute nothing. The
     sigmas' structures are the search's witness objects, so d is
-    instantiated once per distinct sigma, told apart by identity."""
+    instantiated once per distinct sigma (_Search.instance)."""
     out = []
-    instances: dict[tuple[int, ...], ArgStructure] = {}
     for b in family:
         sigma = _default_sigma(search, b, context)
         if sigma is None:
             continue
-        ids = tuple([id(s) for s in sigma.values()])
-        inst = instances.get(ids)
-        if inst is None:
-            inst = instances[ids] = instantiate(d, sigma) if context else d
-        out.append((b, inst, search.closed(b, goal)))
+        out.append((b, search.instance(d, sigma) if context else d, search.closed(b, goal)))
     return out
+
+
+def _representatives(family: list[AtomicBase]) -> Iterator[AtomicBase]:
+    """The first base of each class of bases with equal live rules
+    (AtomicBase._live), in family order, as the family is read: a loop that
+    stops early reads no base's live rules past where it stopped."""
+    seen: set[frozenset] = set()
+    for b in family:
+        live = b._live
+        if live not in seen:
+            seen.add(live)
+            yield b
+
+
+def _members(xs: Iterable, kind: type, name: str) -> list:
+    """xs as a list, refused unless it is an iterable of kind."""
+    try:
+        xs = list(xs)
+    except TypeError:
+        raise ValidityError(f"{name} must be an iterable of {kind.__name__}, not {type(xs).__name__}") from None
+    for t in set(map(type, xs)):
+        if not issubclass(t, kind):
+            raise ValidityError(f"{name} must hold {kind.__name__} values only, not {t.__name__}")
+    return xs
 
 
 def consequence(
@@ -711,12 +752,28 @@ def consequence(
                    pooling the per-base reduction pairs;
     delta-s     -- like delta-star but every justification must pass the
                    schematicity test; no fabricated positives.
+
+    Once the goal follows on every base and a check is about to run, the
+    family is grouped into classes of bases with equal live rules
+    (AtomicBase._live), and each check, witness and pooled instance is
+    made on the first base of each class, which answers every read of a
+    check as the others do. A check whose steps hold a choice function (the
+    candidate's own, or any extension's) reads the base itself, so it is
+    made on every base, and so is every check of delta's loop once one of
+    its candidates holds one. Reasons count every base and name the first
+    failing one, which is the first of its class.
     """
     if variant not in CONSEQUENCE_VARIANTS:
         raise ValidityError(f"unknown variant {variant!r}; pick one of {CONSEQUENCE_VARIANTS}")
+    if not isinstance(bounds, Bounds):
+        raise ValidityError(f"bounds must be a Bounds, not {type(bounds).__name__}")
     context = sorted(set(context), key=render_formula)
-    family = list(dict.fromkeys(family))
-    candidates = list(candidates)
+    family = _members(family, AtomicBase, "family")
+    # equal bases count once; a probe of the rule sets, hashed in C, spares the usual family that
+    # has no two equal, where dict.fromkeys would call AtomicBase.__hash__ on each base
+    if len(set(map(operator.attrgetter("rules"), family))) < len(family):
+        family = list(dict.fromkeys(family))
+    candidates = _members(candidates, Argument, "candidates")
     if not family:
         return Verdict.unknown("empty family")
 
@@ -727,10 +784,12 @@ def consequence(
         )
 
     search = _Search(bounds)  # one search for the whole family, dropped on return
+    chosen = any(_holds_choice(e) for e in bounds.extensions)  # then every check reads the base itself
     if variant == "delta":
         no_steps = JustificationSet()
         projection = JustificationSet((_projection_rule(len(context)),)) if context else no_steps
-        for b in family:
+        per_base = chosen or any(_holds_choice(_step_source(cand)) for cand in candidates)
+        for b in family if per_base else _representatives(family):
             if any(valid(cand, b, bounds, _search=search).is_valid for cand in candidates):
                 continue
             v = valid(_delta_witness(search, b, context, goal, no_steps, projection), b, bounds, _search=search)
@@ -738,18 +797,20 @@ def consequence(
                 return Verdict.unknown(f"constructed witness did not verify on {b.id}: {v.reason}")
         return Verdict.valid(f"per-base witnesses verified on all {len(family)} base(s)")
 
+    reps = None
     if variant != "delta-s":  # delta-star and delta-sh pool these instances into the steps
+        reps = list(_representatives(family))
         d = _uniform_structure(context, goal)
-        per_base = _uniform_instances(search, d, context, goal, family)
+        per_class = _uniform_instances(search, d, context, goal, reps)
     if variant == "delta-star":
         maps = tuple(
-            ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_base
+            ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_class
         )
         pool = [cand for cand in candidates if isinstance(_step_source(cand), JustificationSet)]
         pool.append(Argument(d, JustificationSet(maps)))
         label = "pooled per-base justification sets"
     elif variant == "delta-sh":
-        pairs = tuple((inst, target) for _b, inst, target in per_base)
+        pairs = tuple((inst, target) for _b, inst, target in per_class)
         pool = [cand for cand in candidates if isinstance(cand.steps, RSystem)]
         pool.append(Argument(d, RSystem(pairs)))
         label = "pooled per-base reduction pairs"
@@ -765,8 +826,12 @@ def consequence(
         label = "schematic candidates only (rewrite-rule schematicity test)"
 
     saw_unknown = False
-    for cand in pool:  # a candidate falls at its first Invalid base
-        status = _meet(valid(cand, b, bounds, _search=search) for b in family)
+    for cand in pool:  # a candidate falls at its first Invalid base, the first of its class
+        if chosen or _holds_choice(_step_source(cand)):
+            bases = family
+        else:
+            bases = _representatives(family) if reps is None else reps
+        status = _meet(valid(cand, b, bounds, _search=search) for b in bases)
         if status == "valid":
             return Verdict.valid(f"uniform witness valid on all {len(family)} base(s); {label}")
         if status == "unknown":

@@ -201,6 +201,13 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_an_integer_too_long_to_read_exits_3(capsys, tmp_path):
+    big = tmp_path / "big.struct"
+    big.write_text(f'(assume "a"\n :label {"9" * 5000})\n', encoding="utf-8")
+    assert main(["valid", str(big), str(DATA / "detour.rules"), str(DATA / "abc.base")]) == 3
+    assert "2:9: integer of 5000 digits is too long to read" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["derive", "no/such/file.base", "p"]) == 3
 

@@ -27,20 +27,24 @@ def test_the_differential_tool_records_every_op(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     ops, records = done.stdout.splitlines()
-    assert ops.endswith(", readers 688 ops")
-    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688
+    assert ops.endswith(", readers 688 ops, partition 24 ops")
+    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24
     assert records == (
-        "valid 7063 records, recheck_invalid 299 records, consequence 303 records, logical_consequence 567 records,"
+        "valid 7879 records, recheck_invalid 299 records, consequence 326 records, logical_consequence 591 records,"
         f" search_counterexample 192 records, is_schematic 50 records -> {out}"
     )
     lines = out.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 12151
-    # the groups before `readers` write the same bytes as before it was added
-    assert hashlib.sha256(b"".join(lines[:10139])).hexdigest() == (
-        "843de55edad5354c529164e5351e0ccdfb37a33fa0bbb92b745b4ea6817af6c7"
+    assert len(lines) == 13039
+    # the groups before `readers`, then those before `partition`, each as they were when it was added
+    # less the nested `valid` lines of the checks a class of bases shares
+    assert hashlib.sha256(b"".join(lines[:5405])).hexdigest() == (
+        "fbac5826b46e49f5c3848790eb90cd37d320ff5de33be4a7346ca3c0291d90be"
+    )
+    assert hashlib.sha256(b"".join(lines[:7417])).hexdigest() == (
+        "21aa20f49277ad6b4509bec7b907705479a368645744502a4dbb7afe41c8c843"
     )
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "55889376855fd7c02b867934cc294425d1c5b654dfb1d6b856e2f1f646ad66cb"
+        "ef908e5764a33594088c267e4dacf9a19b75cf271f5d6fe1082047cac8b87a43"
     )
     # without it the witness group would synthesize afresh and compare the reference with itself
     assert callable(validity._Search.closed)

@@ -339,7 +339,8 @@ def test_a_family_computes_each_verdict_once_per_read_set(monkeypatch):
     goal = Disj(Conj(a, b), negation(Conj(a, b)))
     assert consequence("delta-star", [], goal, FAM_AB).is_valid
     (pooled,) = [key for key in checked if key[0] == axiom_structure(goal)]
-    assert checked[pooled] == len(FAM_AB) and computed[pooled] < len(FAM_AB)
+    # checked once per class of bases with equal live rules, 8 of the 65
+    assert checked[pooled] == len(list(validity._representatives(FAM_AB))) == 8 and computed[pooled] < 8
     assert sum(computed.values()) < sum(checked.values())
     # a choice function's steps read the base itself: its verdicts stay per base
     checked.clear()
@@ -368,6 +369,18 @@ def test_pooled_instances_are_built_once_per_distinct_sigma(monkeypatch):
     for base, inst, _target in per_base:
         sigma = validity._default_sigma(search, base, context)
         assert repr(inst) == repr(real(d, sigma))
+
+
+@pytest.mark.parametrize("variant", ["delta-star", "delta-sh"])
+def test_the_checker_takes_the_pooled_instances_from_the_search(monkeypatch, variant):
+    # the open pooled structure is instantiated by the checker with the sigmas the pool was built from
+    built = []
+    real = validity.instantiate
+    monkeypatch.setattr(validity, "instantiate", lambda d, sigma: built.append((d, tuple(map(id, sigma.values()))))
+                        or real(d, sigma))
+    context, goal = WEAKEN
+    assert consequence(variant, context, goal, FAM_AB).is_valid
+    assert len(built) == len(set(built)) == 2
 
 
 @pytest.mark.parametrize("variant", ["delta-star", "delta-sh"])

@@ -350,3 +350,13 @@ def test_reader_agrees_with_the_reference_on_tokens():
 def test_every_reader_refuses_non_text_with_its_own_error(read, error, text):
     with pytest.raises(error, match=rf"^text must be a str, not {type(text).__name__}$"):
         read(text)
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_too_long_to_convert_is_refused_where_it_stands(sign):
+    digits = sign + "9" * 5000
+    text = f'(assume "a"\n :label {digits})'
+    for read, error in ((read_sexpr, SexprError), (read_all_sexprs, SexprError), (parse_structure, StructureError)):
+        with pytest.raises(error, match=r"^2:9: integer of 5000 digits is too long to read$"):
+            read(text)
+    assert read_sexpr(f"(x {sign}{'9' * 4300})")[1] == int(sign + "9" * 4300)  # at the limit it reads

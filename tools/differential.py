@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Seven op groups follow. The first, `choice`, runs what no workload builds: a
+Eight op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -75,6 +75,16 @@ discharge, an unterminated string). A structure text is read by
 each writes `render_structure` of the structures read, or the `repr` of
 the rule set, or the exception's type and message.
 
+The eighth, `partition`, runs `consequence` where bases differ in rules
+that never fire: over `enumerate_bases([a, b, c], 2)` (494 bases, many of
+them with a rule whose premises they do not derive), the four variants on
+each `PARTITION_GOALS` goal, without candidates; on a | ~a also with the
+candidates of `_partition_candidates` (a table and a reduction pair whose image
+derives a twice, by -> a then a -> a, a rewrite rule whose template builds
+an atomic inference, and the `choice` group's argument), and with them and
+an extension that holds the `choice` group's choice function. An op that
+raises writes an `error` line with the exception's type and message.
+
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
 """
@@ -107,6 +117,9 @@ REFUTED_STRUCTURES = (
 )
 DERIVATION_CHAIN = 100
 DERIVATION_SHARED = range(1, 7)
+PARTITION_GOALS = ((), "a | ~a"), ((), "a -> a"), (("a",), "a | b"), (("a", "a -> b"), "b")
+PARTITION_IMAGE = '(inf orI1 "a | ~a" (inf atm "a" (inf atm "a" (empty))))'
+PARTITION_REWRITE = 'atm_em: (inf ax "?A | ~?A" (empty)) => (inf orI1 "?A | ~?A" (inf atm "?A" (empty)))'
 REFUTED_DEPTH = 11
 REFUTED_BOUNDS = (10, 12)
 RECORDED = (
@@ -342,6 +355,45 @@ def _run_readers_group(out) -> int:
     return ops
 
 
+def _partition_candidates():
+    """The partition group's candidates for a | ~a, and its extension."""
+    from ptslab import Argument, Atom, ConstantMap, JustificationSet, RSystem, axiom_structure, choice_justification
+    from ptslab import enumerate_bases, parse_formula, parse_rules, parse_structure
+
+    ax, image = axiom_structure(parse_formula("a | ~a")), parse_structure(PARTITION_IMAGE)
+    candidates = [
+        Argument(ax, ConstantMap("atm_map", ((ax, image),))),
+        Argument(ax, RSystem(((ax, image),))),
+        Argument(ax, JustificationSet(parse_rules(PARTITION_REWRITE).members)),
+        _choice_argument(parse_formula("a")),
+    ]
+    return candidates, JustificationSet((choice_justification(Atom("a"), enumerate_bases([Atom("a")], 1)),))
+
+
+def _run_partition_group(out) -> int:
+    """Run the partition group, writing an `op` line before each op, and
+    return its op count."""
+    from ptslab import Atom, Bounds, consequence, enumerate_bases, parse_formula
+    from ptslab.validity import CONSEQUENCE_VARIANTS
+
+    family = list(enumerate_bases([Atom("a"), Atom("b"), Atom("c")], 2))
+    candidates, extension = _partition_candidates()
+    ops = 0
+    for context, goal in PARTITION_GOALS:
+        runs = {"plain": ((), Bounds())}
+        if goal == "a | ~a":
+            runs.update({"candidates": (candidates, Bounds()), "extension": (candidates, Bounds(extensions=(extension,)))})
+        for name, (cands, bounds) in runs.items():
+            for variant in CONSEQUENCE_VARIANTS:
+                out.write(f"op partition/{'; '.join(context)} |- {goal}/{name}/{variant}\n")
+                try:
+                    consequence(variant, [parse_formula(t) for t in context], parse_formula(goal), family, bounds, cands)
+                except Exception as e:  # the record is the exception's type and message
+                    out.write(f"error {type(e).__name__}: {e}\n")
+                ops += 1
+    return ops
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", required=True, help="directory holding the ptslab package")
@@ -368,6 +420,7 @@ def main() -> int:
         ops["pooled-choice"] = _run_pooled_choice_group(out)
         ops["derivations"] = _run_derivations_group(out)
         ops["readers"] = _run_readers_group(out)
+        ops["partition"] = _run_partition_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
