@@ -74,6 +74,7 @@ class AtomicBase(_Record):
 
     _fields = __match_args__ = ("rules",)
     __repr__ = object.__repr__
+    _hash = None  # the hash of the fields' tuple, set on first use and kept outside them
 
     def __init__(self, rules: frozenset[AtomicRule], id: str = ""):
         _set(self, "rules", rules)
@@ -86,7 +87,11 @@ class AtomicBase(_Record):
         return self.rules == other.rules
 
     def __hash__(self) -> int:
-        return hash((self.rules,))
+        h = self._hash
+        if h is None:
+            h = hash((self.rules,))
+            _set(self, "_hash", h)
+        return h
 
     @functools.cached_property
     def id(self) -> str:  # a display name, outside equality; by default the rules text

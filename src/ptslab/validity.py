@@ -20,7 +20,6 @@ Unknown only where no part is Invalid.
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Iterable, Iterator, Literal
 
 from .atomic_base import AtomicBase, _derivation, is_consistent
@@ -768,11 +767,7 @@ def consequence(
     if not isinstance(bounds, Bounds):
         raise ValidityError(f"bounds must be a Bounds, not {type(bounds).__name__}")
     context = sorted(set(context), key=render_formula)
-    family = _members(family, AtomicBase, "family")
-    # equal bases count once; a probe of the rule sets, hashed in C, spares the usual family that
-    # has no two equal, where dict.fromkeys would call AtomicBase.__hash__ on each base
-    if len(set(map(operator.attrgetter("rules"), family))) < len(family):
-        family = list(dict.fromkeys(family))
+    family = list(dict.fromkeys(_members(family, AtomicBase, "family")))
     candidates = _members(candidates, Argument, "candidates")
     if not family:
         return Verdict.unknown("empty family")

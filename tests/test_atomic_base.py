@@ -355,6 +355,15 @@ def test_rule_keeps_the_dataclass_hash():
     ]
 
 
+def test_base_keeps_the_hash_of_its_rules():
+    # computed on first use and kept, the value hash((rules,)) gives, whatever the id
+    rules = frozenset(atomic_base.rule_universe([a, b])[:3])
+    base, named = AtomicBase(rules), AtomicBase(rules, "named")
+    assert "_hash" not in vars(base)
+    assert hash(base) == base._hash == hash((rules,)) == hash(named)
+    assert [x.id for x in dict.fromkeys([named, base])] == ["named"]  # equal bases count once, the first kept
+
+
 def test_closures_of_a_family_are_the_small_subsets():
     # a consistent base with k rules derives at most k atoms, one rule each,
     # and the `-> x` axioms of any k atoms form such a base

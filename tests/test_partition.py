@@ -8,6 +8,8 @@ property compares the two on shuffled slices of enumerated families, and
 mutants keyed by a coarser fact than the live rules fail it."""
 
 import random
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +304,26 @@ def test_a_choice_extension_makes_every_check_per_base(monkeypatch):
     checked.clear()
     assert consequence("delta", (a,), Disj(a, b), FAM_AB).is_valid
     assert checked == list(validity._representatives(FAM_AB))
+
+
+def _warned(check, *args) -> list[tuple[str, str]]:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert check(*args).is_valid
+    return [(Path(w.filename).name, str(w.message)) for w in caught]
+
+
+def test_delta_warns_once_per_class_of_inconsistent_bases():
+    # two inconsistent bases with equal live rules: logical_consequence warns on each, and
+    # delta's witness step, which evaluates the context on the first base of each class, on
+    # the first only, where the per-base loop warned on both
+    family = [parse_base("-> _|_\n"), parse_base("-> _|_\nb -> a\n"), parse_base("-> a\n")]
+    assert family[0]._live == family[1]._live
+    first, second = (f"evaluating on inconsistent base {x.id}" for x in family[:2])
+    semantics = [("base_semantics.py", first), ("base_semantics.py", second)]
+    assert _warned(consequence, "delta", (a,), Disj(a, b), family) == semantics + [("validity.py", first)]
+    assert _warned(_reference_consequence, "delta", (a,), Disj(a, b), family) == semantics + [
+        ("validity.py", first), ("validity.py", second)]
 
 
 # ---------------------------------------------------------------------------
