@@ -21,7 +21,6 @@ from .formula import (
 )
 from .atomic_base import (
     AtomicBase,
-    AtomicDerivation,
     AtomicRule,
     BaseError,
     EnumerationCapError,
@@ -30,6 +29,7 @@ from .atomic_base import (
     derives,
     enumerate_bases,
     is_consistent,
+    is_derivation_structure,
     parse_base,
     render_base,
 )
@@ -97,7 +97,6 @@ from .validity import (
     consequence,
     em_assertion_map,
     em_witness,
-    is_derivation_structure,
     recheck_invalid,
     synthesize_closed,
     valid,

@@ -14,6 +14,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
+from .argument import ArgStructure, Assumption, EmptyTop, Inf
 from .formula import BOT, Atom, FormulaError, _Record, _set
 
 __all__ = [
@@ -21,10 +22,10 @@ __all__ = [
     "EnumerationCapError",
     "AtomicRule",
     "AtomicBase",
-    "AtomicDerivation",
     "atomic_closure",
     "derives",
     "atomic_derivation",
+    "is_derivation_structure",
     "is_consistent",
     "enumerate_bases",
     "parse_base",
@@ -86,6 +87,9 @@ class AtomicBase(_Record):
             return NotImplemented
         return self.rules == other.rules
 
+    def __reduce__(self):  # its display name travels with it, given or computed
+        return AtomicBase, (self.rules, vars(self).get("id", ""))
+
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
@@ -128,8 +132,8 @@ class AtomicBase(_Record):
           _closure are functions of the live rules, and with them the
           witnesses synthesize_closed builds and what models says;
         - a closed derivation derives every premise it uses, so every rule
-          it uses is live: for any r, is_derivation_structure(r, base) is
-          what it is on a base of the live rules alone.
+          it uses is live: for any r, is_derivation_structure(r, base) with
+          no assumptions is what it is on a base of the live rules alone.
         So consequence checks one base per class of equal live rules."""
         closure = self._closure
         live = [r for r in self.rules if closure.issuperset(r.premises)]
@@ -152,39 +156,6 @@ class AtomicBase(_Record):
 
     def atoms(self) -> frozenset[Atom]:
         return frozenset(a for r in self.rules for a in (*r.premises, r.conclusion) if not a.is_bottom)
-
-
-class AtomicDerivation(_Record):
-    """Derivation tree: rule is None exactly on assumption leaves."""
-
-    _fields = __match_args__ = ("conclusion", "rule", "children")
-
-    def __init__(self, conclusion: Atom, rule: AtomicRule | None, children: tuple["AtomicDerivation", ...] = ()):
-        _set(self, "conclusion", conclusion)
-        _set(self, "rule", rule)
-        _set(self, "children", children)
-
-    def check(self, base: AtomicBase, assumptions: frozenset[Atom] = frozenset()) -> bool:
-        """Is every node an assumption leaf on an assumption, or a rule of the
-        base applied to its children's conclusions? Each node is checked once,
-        a shared premise too, from an explicit stack."""
-        seen: set[int] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            rule = node.rule
-            if rule is None:
-                if node.children or node.conclusion not in assumptions:
-                    return False
-            elif rule not in base.rules or rule.conclusion != node.conclusion:
-                return False
-            elif tuple(c.conclusion for c in node.children) != rule.premises:
-                return False
-            stack.extend(node.children)
-        return True
 
 
 def _mask(atoms: Iterable[Atom], bit: dict[Atom, int]) -> int:
@@ -245,16 +216,17 @@ def derives(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> bool:
     return goal in _closure_of(base, frozenset(assumptions))
 
 
-def _derivation(derived: dict[Atom, AtomicRule | None], goal: Atom, node):
+def _derivation(derived: dict[Atom, AtomicRule | None], goal: Atom) -> ArgStructure | None:
     """The derivation of goal read off a derived map (None when goal is not
-    in it), built by node(atom, rule, premise_nodes) once per atom of goal's
-    support: a walk back from goal over its rules' premises, on an explicit
-    stack, builds each atom once its premises are built. An atom is on the
-    stack only above the atoms that need it, since the map derives each atom
-    from earlier ones, so none is pushed twice."""
+    in it), one node per atom of goal's support: an atm inference over its
+    rule's premises, or an open leaf for an assumption. A walk back from goal
+    over its rules' premises, on an explicit stack, builds each atom once its
+    premises are built. An atom is on the stack only above the atoms that
+    need it, since the map derives each atom from earlier ones, so none is
+    pushed twice."""
     if goal not in derived:
         return None
-    built: dict = {}
+    built: dict[Atom, ArgStructure] = {}
     stack = [goal]
     while stack:
         atom = stack[-1]
@@ -265,15 +237,46 @@ def _derivation(derived: dict[Atom, AtomicRule | None], goal: Atom, node):
                 break
         else:
             stack.pop()
-            built[atom] = node(atom, rule, () if rule is None else tuple(map(built.__getitem__, rule.premises)))
+            if rule is None:
+                built[atom] = Assumption(atom)
+            else:
+                built[atom] = Inf("atm", atom, tuple(map(built.__getitem__, rule.premises)) or (EmptyTop(),))
     return built[goal]
 
 
-def atomic_derivation(
-    base: AtomicBase, assumptions: Iterable[Atom], goal: Atom
-) -> AtomicDerivation | None:
-    """A derivation tree witnessing derivability, or None."""
-    return _derivation(_derivations(base, frozenset(assumptions)), goal, AtomicDerivation)
+def atomic_derivation(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> ArgStructure | None:
+    """A derivation of goal from the assumptions on the base, as an atm
+    structure with the assumptions it uses as open leaves, or None."""
+    return _derivation(_derivations(base, frozenset(assumptions)), goal)
+
+
+def is_derivation_structure(d: ArgStructure, base: AtomicBase, assumptions: frozenset[Atom] = frozenset()) -> bool:
+    """Is d (as a bare tree, tags aside) a derivation on the base from the
+    assumptions? Every leaf must be (empty) or an unlabelled assumption leaf
+    on an assumption, and every inference must conclude an atom by a rule of
+    the base from its premises' conclusions, up to premise order (the base's
+    rule index); the tree is walked with an explicit stack. What is tested of
+    a node is shared by its class, so a class once accepted (a shared
+    premise) is skipped."""
+    rules, accepted = base._rule_index, set()
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Assumption) and node.label is None and node.formula in assumptions:
+            continue
+        if not isinstance(node, Inf) or node.discharges or not isinstance(node.conclusion, Atom):
+            return False
+        if node._facts.key in accepted:
+            continue
+        kids = [ch for ch in node.children if not isinstance(ch, EmptyTop)]
+        premises = [ch.formula if isinstance(ch, Assumption) else ch.conclusion for ch in kids]
+        if not all(isinstance(x, Atom) for x in premises):
+            return False  # such a premise is no derivation
+        if (node.conclusion, tuple(sorted([x.name for x in premises]))) not in rules:
+            return False
+        accepted.add(node._facts.key)
+        stack.extend(kids)
+    return True
 
 
 def is_consistent(base: AtomicBase) -> bool:

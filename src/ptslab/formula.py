@@ -73,7 +73,9 @@ class _Record:
     """A frozen value, as a frozen dataclass is: its class names its fields,
     in constructor order, in _fields and __match_args__, and its __init__
     sets them with _set. == and the hash are those of the tuple of
-    the fields, the repr is _repr's, and assignment is refused."""
+    the fields, the repr is _repr's, and assignment is refused. A copy or
+    an unpickled record is built again from its fields, so whatever a
+    constructor computes (a kept hash too) is computed afresh."""
 
     _fields = __match_args__ = ()
     __repr__ = _repr
@@ -98,6 +100,9 @@ class _Record:
 
     def __hash__(self) -> int:
         return hash(self._values(self))
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

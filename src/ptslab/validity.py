@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Literal
 
-from .atomic_base import AtomicBase, _derivation, is_consistent
+from .atomic_base import AtomicBase, _derivation, is_consistent, is_derivation_structure
 from .argument import (
     ArgStructure,
     Assumption,
@@ -62,7 +62,6 @@ __all__ = [
     "FailingInstance",
     "axiom_structure",
     "synthesize_closed",
-    "is_derivation_structure",
     "valid",
     "recheck_invalid",
     "em_assertion_map",
@@ -195,30 +194,6 @@ def axiom_structure(f: Formula) -> Inf:
     return Inf("ax", f, (EmptyTop(),))
 
 
-def is_derivation_structure(d: ArgStructure, base: AtomicBase) -> bool:
-    """Is d (as a bare tree, tags aside) a closed derivation on the base?
-    Every inference must conclude an atom by a rule of the base from its
-    premises' conclusions, up to premise order (the base's rule index); the
-    tree is walked with an explicit stack. What is tested of a node is shared
-    by its class, so a class once accepted (a shared premise) is skipped."""
-    rules, accepted = base._rule_index, set()
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, Inf) or node.discharges or not isinstance(node.conclusion, Atom):
-            return False
-        if node._facts.key in accepted:
-            continue
-        kids = [ch for ch in node.children if not isinstance(ch, EmptyTop)]
-        if not all(isinstance(ch, Inf) and isinstance(ch.conclusion, Atom) for ch in kids):
-            return False  # such a premise is no derivation
-        if (node.conclusion, tuple(sorted([ch.conclusion.name for ch in kids]))) not in rules:
-            return False
-        accepted.add(node._facts.key)
-        stack.extend(kids)
-    return True
-
-
 def synthesize_closed(base: AtomicBase, f: Formula) -> ArgStructure | None:
     """A closed structure for f that is valid on the base with any steps,
     or None when f does not hold on the base.
@@ -248,7 +223,7 @@ def synthesize_closed(base: AtomicBase, f: Formula) -> ArgStructure | None:
         g, visit = stack.pop()
         kind = g.__class__
         if kind is Atom:
-            done.append(_derivation(base._derived, g, lambda x, _rule, kids: Inf("atm", x, kids or (EmptyTop(),))))
+            done.append(_derivation(base._derived, g))
         elif visit == 0:  # first try the side that is always tried
             if kind is Conj:
                 stack += ((g, 1), (g.right, 0), (g.left, 0))
@@ -723,14 +698,15 @@ def _representatives(family: list[AtomicBase]) -> Iterator[AtomicBase]:
 
 
 def _members(xs: Iterable, kind: type, name: str) -> list:
-    """xs as a list, refused unless it is an iterable of kind."""
+    """xs as a list, refused unless it is an iterable of kind (a class, or Formula)."""
+    what = "Formula" if kind is Formula else kind.__name__
     try:
         xs = list(xs)
     except TypeError:
-        raise ValidityError(f"{name} must be an iterable of {kind.__name__}, not {type(xs).__name__}") from None
+        raise ValidityError(f"{name} must be an iterable of {what}, not {type(xs).__name__}") from None
     for t in set(map(type, xs)):
         if not issubclass(t, kind):
-            raise ValidityError(f"{name} must hold {kind.__name__} values only, not {t.__name__}")
+            raise ValidityError(f"{name} must hold {what} values only, not {t.__name__}")
     return xs
 
 
@@ -752,6 +728,9 @@ def consequence(
     delta-s     -- like delta-star but every justification must pass the
                    schematicity test; no fabricated positives.
 
+    A candidate that does not conclude the goal, or has an open assumption
+    outside the context, is refused with a ValidityError.
+
     Once the goal follows on every base and a check is about to run, the
     family is grouped into classes of bases with equal live rules
     (AtomicBase._live), and each check, witness and pooled instance is
@@ -766,9 +745,18 @@ def consequence(
         raise ValidityError(f"unknown variant {variant!r}; pick one of {CONSEQUENCE_VARIANTS}")
     if not isinstance(bounds, Bounds):
         raise ValidityError(f"bounds must be a Bounds, not {type(bounds).__name__}")
-    context = sorted(set(context), key=render_formula)
+    scope = set(_members(context, Formula, "context"))
+    if not isinstance(goal, Formula):
+        raise ValidityError(f"goal must be a Formula, not {type(goal).__name__}")
     family = list(dict.fromkeys(_members(family, AtomicBase, "family")))
     candidates = _members(candidates, Argument, "candidates")
+    for i, cand in enumerate(candidates):  # its open leaves are read off its facts, with no walk
+        d = cand.structure
+        if conclusion_of(d) != goal or not scope.issuperset(d._facts.opens):
+            opens = ", ".join(map(render_formula, dict.fromkeys(d._facts.opens))) or "no assumptions"
+            raise ValidityError(f"candidates must argue for the goal from the context, but candidate {i} argues"
+                                f" for {render_formula(conclusion_of(d))} from {opens}")
+    context = sorted(scope, key=render_formula)
     if not family:
         return Verdict.unknown("empty family")
 

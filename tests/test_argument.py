@@ -19,7 +19,6 @@ from ptslab import (
     Assumption,
     AssumptionEscape,
     Atom,
-    AtomicDerivation,
     AtomicRule,
     BOT,
     Bounds,
@@ -1254,11 +1253,6 @@ _RECORDS = [
         StructureInfo(conclusion=a, open_assumptions=Counter({a: 2})),
         "StructureInfo(conclusion=Atom(name='a'), open_assumptions=Counter({Atom(name='a'): 2}))",
     ),
-    (
-        AtomicDerivation(conclusion=a, rule=AtomicRule((), a)),
-        "AtomicDerivation(conclusion=Atom(name='a'), rule=AtomicRule(premises=(), conclusion=Atom(name='a')),"
-        " children=())",
-    ),
     (Sym(text=":label"), "Sym(text=':label')"),
     (PAssume(formula=FVar("A"), labelvar="l"), "PAssume(formula=FVar(name='A'), labelvar='l')"),
     (DSpec(labelvar="l"), "DSpec(labelvar='l', formula=None)"),
@@ -1274,6 +1268,53 @@ _RECORDS = [
     (ConstantMap(name="m", pairs=((_ax, _ax),)), f"ConstantMap(name='m', pairs=(({_AX}, {_AX}),))"),
     (JustificationSet(members=(ConstantMap("m", ()),)), "JustificationSet(members=(ConstantMap(name='m', pairs=()),))"),
 ]
+
+
+def _pickled_values() -> list:
+    """The records of the repr table, and the values that kept a hash from
+    the interpreter that pickled them: formulas, a rule, a base and a
+    structure over them."""
+    return [r for r, _ in _RECORDS] + [
+        Atom("a"),
+        Conj(a, Impl(b, BOT)),
+        AtomicRule((a,), b),
+        parse_base("-> a\na -> b\n"),
+        parse_structure('(inf atm "a" (empty))'),
+    ]
+
+
+_LOAD_AND_COMPARE = """
+import pickle, sys
+from test_argument import _pickled_values
+
+loaded, fresh = pickle.loads(sys.stdin.buffer.read()), _pickled_values()
+assert len(loaded) == len(fresh)
+for x, y in zip(loaded, fresh):
+    try:
+        hashed = hash(x) == hash(y) and x in {y}
+    except TypeError:  # StructureInfo holds a Counter
+        hashed = True
+    print(type(y).__name__, x == y and y == x and hashed)
+"""
+
+
+def test_a_value_unpickled_under_another_hash_seed_equals_a_fresh_one():
+    # pickled in one child interpreter and loaded in another with a different string hash seed
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    dump = "import pickle, sys; from test_argument import _pickled_values as v; sys.stdout.buffer.write(pickle.dumps(v()))"
+    done = subprocess.run(
+        [sys.executable, "-c", dump], capture_output=True, env=dict(env, PYTHONHASHSEED="1"), timeout=120
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    again = subprocess.run(
+        [sys.executable, "-c", _LOAD_AND_COMPARE], input=done.stdout, capture_output=True,
+        env=dict(env, PYTHONHASHSEED="2"), timeout=120,
+    )
+    assert again.returncode == 0, again.stderr.decode()
+    names = [type(x).__name__ for x in _pickled_values()]
+    assert again.stdout.decode().splitlines() == [f"{name} True" for name in names]
 
 
 def _positional(x) -> tuple:

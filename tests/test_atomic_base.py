@@ -20,6 +20,7 @@ from ptslab import (
     Inf,
     atomic_closure,
     atomic_derivation,
+    conclusion_of,
     derives,
     enumerate_bases,
     is_consistent,
@@ -89,12 +90,12 @@ def test_closure_against_oracle_random():
 def test_derivation_examples():
     t = atomic_derivation(PQ, (), q)
     assert t is not None and t.conclusion == q
-    assert t.check(PQ)
+    assert is_derivation_structure(t, PQ)
     assert t.children and t.children[0].conclusion == p
 
     leaf = atomic_derivation(PQ, {a}, a)
-    assert leaf is not None and leaf.rule is None
-    assert leaf.check(PQ, frozenset({a}))
+    assert isinstance(leaf, Assumption) and leaf.formula == a and leaf.label is None
+    assert is_derivation_structure(leaf, PQ, frozenset({a})) and not is_derivation_structure(leaf, PQ)
 
 
 def test_derivation_iff_derives_exhaustive_small():
@@ -104,7 +105,7 @@ def test_derivation_iff_derives_exhaustive_small():
             t = atomic_derivation(base, (), goal)
             assert (t is not None) == derives(base, (), goal)
             if t is not None:
-                assert t.check(base)
+                assert is_derivation_structure(t, base)
 
 
 def test_consistency():
@@ -232,8 +233,13 @@ def _chain_agrees(base, assumptions, goals):
         t = atomic_derivation(base, assumptions, goal)
         assert (t is not None) == (goal in closure) == derives(base, assumptions, goal)
         if t is not None:
-            assert t.check(base, assumptions)
-            assert t.rule == first[goal]  # the witness is the first rule to fire
+            assert is_derivation_structure(t, base, assumptions)
+            rule = first[goal]  # the witness is the first rule to fire, or an assumption leaf
+            if rule is None:
+                assert isinstance(t, Assumption) and t.formula == goal and t.label is None
+            else:
+                premises = tuple(conclusion_of(x) for x in t.children if not isinstance(x, EmptyTop))
+                assert (t.conclusion, premises) == (rule.conclusion, rule.premises)
 
 
 def test_forward_chain_agrees_with_oracle_exhaustive():
@@ -266,7 +272,7 @@ def test_base_chains_and_sorts_once(monkeypatch):
     base = parse_base("-> p\np -> q\nq r -> bot\n")
     for _ in range(2):
         assert atomic_closure(base) == {p, q} and derives(base, (), q) and is_consistent(base)
-        assert atomic_derivation(base, (), q).check(base)
+        assert is_derivation_structure(atomic_derivation(base, (), q), base)
         assert base.id == base.rules_text() == "{-> p; p -> q; q r -> _|_}"
         assert base.sorted_rules() == base.sorted_rules()
     assert len(chains) == 1 and len(keys) == 3
@@ -325,7 +331,7 @@ def _enumeration_agrees(atoms, max_rules):
             for goal in (*atoms, BOT):
                 t = atomic_derivation(base, (), goal)
                 assert (t is not None) == (goal in closure)
-                assert t is None or t.check(base)
+                assert t is None or is_derivation_structure(t, base)
 
 
 def test_enumeration_agrees_with_the_reference_loop():
@@ -426,18 +432,21 @@ def test_supports_are_the_walked_supports(rules):
     _supports_agree(AtomicBase(rules))
 
 
-def _scanned_is_derivation_structure(d, base):
+def _scanned_is_derivation_structure(d, base, assumptions=frozenset()):
     """is_derivation_structure as it was written before the rule index: every
-    rule of the base scanned at every node. The reference."""
+    rule of the base scanned at every node, an unlabelled leaf on an
+    assumption accepted. The reference."""
     stack = [d]
     while stack:
         node = stack.pop()
+        if isinstance(node, Assumption) and node.label is None and node.formula in assumptions:
+            continue
         if not isinstance(node, Inf) or node.discharges or not isinstance(node.conclusion, Atom):
             return False
         kids = [ch for ch in node.children if not isinstance(ch, EmptyTop)]
-        if not all(isinstance(ch, Inf) and isinstance(ch.conclusion, Atom) for ch in kids):
+        if not all(isinstance(conclusion_of(ch), Atom) for ch in kids):
             return False
-        want = sorted([ch.conclusion for ch in kids], key=lambda x: x.name)
+        want = sorted([conclusion_of(ch) for ch in kids], key=lambda x: x.name)
         if not any(
             rule.conclusion == node.conclusion and sorted(rule.premises, key=lambda x: x.name) == want
             for rule in base.rules
@@ -484,6 +493,7 @@ def test_is_derivation_structure_agrees_with_the_rule_scan(rules, seed):
     for _ in range(10):
         d = _random_node(rng, base, rng.randint(0, 4))
         assert is_derivation_structure(d, base) == _scanned_is_derivation_structure(d, base)
+        assert is_derivation_structure(d, base, {p, q}) == _scanned_is_derivation_structure(d, base, {p, q})
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,6 +504,7 @@ def test_is_derivation_structure_agrees_with_the_rule_scan_on_shared_premises(ru
     for _ in range(10):
         d = _random_node(rng, base, rng.randint(0, 5), shared=shared)
         assert is_derivation_structure(d, base) == _scanned_is_derivation_structure(d, base)
+        assert is_derivation_structure(d, base, {p, q}) == _scanned_is_derivation_structure(d, base, {p, q})
 
 
 def test_is_derivation_structure_on_a_duplicated_premise_and_a_non_atomic_node():

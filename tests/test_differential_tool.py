@@ -27,24 +27,27 @@ def test_the_differential_tool_records_every_op(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     ops, records = done.stdout.splitlines()
-    assert ops.endswith(", readers 688 ops, partition 24 ops")
-    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24
+    assert ops.endswith(", readers 688 ops, partition 24 ops, atomic-derivations 34 ops")
+    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24 + 34
     assert records == (
         "valid 7879 records, recheck_invalid 299 records, consequence 326 records, logical_consequence 591 records,"
         f" search_counterexample 192 records, is_schematic 50 records -> {out}"
     )
     lines = out.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 13039
+    assert len(lines) == 13107
     # the groups before `readers`, then those before `partition`, each as they were when it was added
-    # less the nested `valid` lines of the checks a class of bases shares
+    # less the nested `valid` lines of the checks a class of bases shares, then those before `atomic-derivations`
     assert hashlib.sha256(b"".join(lines[:5405])).hexdigest() == (
         "fbac5826b46e49f5c3848790eb90cd37d320ff5de33be4a7346ca3c0291d90be"
     )
     assert hashlib.sha256(b"".join(lines[:7417])).hexdigest() == (
         "21aa20f49277ad6b4509bec7b907705479a368645744502a4dbb7afe41c8c843"
     )
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+    assert hashlib.sha256(b"".join(lines[:13039])).hexdigest() == (
         "ef908e5764a33594088c267e4dacf9a19b75cf271f5d6fe1082047cac8b87a43"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6ae8ac578bc25d7afe08afd46b9703b4359c5942e5286784882629c0256a38d5"
     )
     # without it the witness group would synthesize afresh and compare the reference with itself
     assert callable(validity._Search.closed)

@@ -337,11 +337,44 @@ def test_delta_warns_once_per_class_of_inconsistent_bases():
     ({"bounds": 3}, "bounds must be a Bounds, not int"),
     ({"candidates": [None]}, "candidates must hold Argument values only, not NoneType"),
     ({"candidates": None}, "candidates must be an iterable of Argument, not NoneType"),
-], ids=["member", "family-None", "bounds", "candidate", "candidates-None"])
+    ({"context": None}, "context must be an iterable of Formula, not NoneType"),
+    ({"context": [a, None]}, "context must hold Formula values only, not NoneType"),
+    ({"context": ["a"]}, "context must hold Formula values only, not str"),
+    ({"goal": None}, "goal must be a Formula, not NoneType"),
+    ({"goal": "a | ~a"}, "goal must be a Formula, not str"),
+], ids=["member", "family-None", "bounds", "candidate", "candidates-None", "context-None", "context-member",
+        "context-str", "goal-None", "goal-str"])
 def test_consequence_refuses_a_malformed_argument_by_name(variant, kwargs, message):
-    args = {"family": FAM_AB, "bounds": Bounds(), "candidates": (), **kwargs}
+    args = {"context": (), "goal": EM_A, "family": FAM_AB, "bounds": Bounds(), "candidates": (), **kwargs}
     with pytest.raises(ValidityError, match=f"^{message}$"):
-        consequence(variant, (), EM_A, **args)
+        consequence(variant, **args)
+
+
+# a candidate for b, and one for a | ~a from a: each is refused where it would certify a | ~a
+# from no assumptions, which it did on every base named here
+FOR_B = Argument(parse_structure('(inf atm "b" (empty))'), JustificationSet())
+FROM_A = Argument(parse_structure('(inf orI1 "a | ~a" (assume "a"))'), JustificationSet())
+
+
+@pytest.mark.parametrize("variant", CONSEQUENCE_VARIANTS)
+@pytest.mark.parametrize("cand, family, message", [
+    (FOR_B, [parse_base("-> a\n-> b\n"), parse_base("-> b\n")], "candidate 0 argues for b from no assumptions"),
+    (FROM_A, FAM_AB, "candidate 0 argues for a | ~a from a"),
+], ids=["other-goal", "more-than-the-context"])
+def test_consequence_refuses_a_candidate_that_argues_for_something_else(variant, cand, family, message):
+    with pytest.raises(ValidityError, match=f"^candidates must argue for the goal from the context, but {message}$"):
+        consequence(variant, (), EM_A, family, candidates=[cand])
+    # the refusal names the candidate, and comes before any answer, even over an empty family
+    with pytest.raises(ValidityError, match=message.replace("candidate 0", "candidate 1")):
+        consequence(variant, (), EM_A, iter([]), candidates=[Argument(axiom_structure(EM_A), JustificationSet()), cand])
+
+
+def test_consequence_takes_a_candidate_from_the_context_to_the_goal():
+    # from a, a | b: an open assumption in the context, and a discharged one, are no refusal
+    cand = Argument(parse_structure('(inf orI1 "a | b" (assume "a"))'), JustificationSet())
+    assert consequence("delta-s", (a,), Disj(a, b), FAM_AB, candidates=[cand]).is_valid
+    impl = Argument(parse_structure('(inf impI "a -> a" (assume "a" :label 1) :discharge (1))'), JustificationSet())
+    assert consequence("delta-s", (), Impl(a, a), FAM_AB, candidates=[impl]).is_valid
 
 
 def test_a_shuffled_family_keeps_its_verdicts():

@@ -12,7 +12,6 @@ from ptslab import (
     Assumption,
     Atom,
     AtomicBase,
-    AtomicDerivation,
     BOT,
     Bounds,
     Conj,
@@ -755,12 +754,11 @@ def test_a_derivation_deeper_than_the_recursion_limit_is_valid():
     base = parse_base("-> a\na -> a\n")
     assert is_derivation_structure(d, base)
     assert valid(Argument(d, JustificationSet()), base).is_valid
-    # and the same depth as an atomic derivation, checked without recursion
-    rules = sorted(base.rules, key=lambda r: len(r.premises))
-    der = AtomicDerivation(a, rules[0])
-    for _ in range(2999):
-        der = AtomicDerivation(a, rules[1], (der,))
-    assert der.check(base)
+    # and the same depth over an open assumption leaf, checked without recursion
+    der = Assumption(a)
+    for _ in range(3000):
+        der = Inf("atm", a, (der,))
+    assert is_derivation_structure(der, base, frozenset({a})) and not is_derivation_structure(der, base)
     # and synthesized from a 3000-rule chain base
     chain = _chain_base(2999)
     d = EmptyTop()
@@ -795,7 +793,11 @@ def test_a_derivation_longer_than_the_recursion_limit_is_synthesized_and_valid()
     d = synthesize_closed(chain, goal)
     assert d is not None and argument.size_of(d) == 1502 and is_derivation_structure(d, chain)
     assert valid(Argument(d, JustificationSet()), chain).is_valid
-    assert atomic_derivation(chain, (), goal).check(chain)
+    der = atomic_derivation(chain, (), goal)
+    assert der == d and hash(der) == hash(d) and is_derivation_structure(der, chain)
+    # from p0, whose leaf is an open assumption where the rule -> p0 stood
+    der = atomic_derivation(chain, {Atom("p0")}, goal)
+    assert argument.size_of(der) == 1501 and der != d and is_derivation_structure(der, chain, frozenset({Atom("p0")}))
     bounds = Bounds(max_structure_size=2000)  # the pooled variants' witnesses hold the whole derivation
     for variant in ("delta", "delta-star", "delta-sh"):
         assert consequence(variant, (), goal, [chain], bounds).is_valid, variant
@@ -818,9 +820,12 @@ def test_a_shared_premise_is_built_once():
     assert _distinct_nodes(d) <= 2 * n + 2 and argument.size_of(d) == 2 ** (n + 2) - 2
     assert is_derivation_structure(d, base) and valid(Argument(d, JustificationSet()), base).is_valid
     der = atomic_derivation(base, (), goal)
-    assert _distinct_nodes(der) <= 2 * n + 1 and der.check(base)
-    # a tree of 2^42 nodes, checked once per distinct node
+    assert _distinct_nodes(der) <= 2 * n + 2 and der == d and is_derivation_structure(der, base)  # atoms and (empty)
+    # a tree of 2^42 nodes, checked once per distinct node, hashed and compared by its class key
     assert consequence("delta", (), Atom("x40"), [_shared_base(40)]).is_valid
+    big = _shared_base(40)
+    der = atomic_derivation(big, (), Atom("x40"))
+    assert hash(der) == hash(synthesize_closed(big, Atom("x40"))) and der == synthesize_closed(big, Atom("x40"))
 
 
 def test_an_invalid_verdict_writes_its_witness_text_when_read(monkeypatch):
@@ -1061,12 +1066,13 @@ def test_the_refutation_cases_reach_every_outcome():
 
 
 def test_a_candidate_falls_at_its_first_invalid_base():
-    # the user candidate is Invalid on -> a (its instance over the derivation
-    # of a has no derivation of c) and Unknown on -> b (its one pool member for
+    # the user candidate, an argument for a from a, is Invalid on -> a (its
+    # instance over the derivation of a reduces to no derivation of a, since
+    # the base has no rule a -> a) and Unknown on -> b (its one pool member for
     # a needs 11 steps); the pooled candidate is Invalid on -> a, where the
     # pool member `other` makes an instance that no pooled entry rewrites
     other = Inf("other", a, (EmptyTop(),))
-    cand = Argument(Inf("step", c, (Assumption(a),)), JustificationSet((or_detour(),)))
+    cand = Argument(Inf("step", a, (Assumption(a),)), JustificationSet((or_detour(),)))
     fam = [parse_base("-> a\n"), parse_base("-> b\n")]
     bounds = Bounds(sigma_candidates=REFUTED_POOL + (other,))
     assert [valid(cand, base, bounds).status for base in fam] == ["invalid", "unknown"]

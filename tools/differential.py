@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Eight op groups follow. The first, `choice`, runs what no workload builds: a
+Nine op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -85,6 +85,15 @@ an atomic inference, and the `choice` group's argument), and with them and
 an extension that holds the `choice` group's choice function. An op that
 raises writes an `error` line with the exception's type and message.
 
+The ninth, `atomic-derivations`, writes what `atomic_derivation` builds on
+the `derivations` group's bases: for the last atom of each, with no
+assumptions and from the first atom (p0 or x0), the `render_structure` of
+the derivation (an `atomic_derivation` line, or an `error` line where
+that raises). It then writes the refusals
+of `consequence`'s input contract, as `error` lines, for each variant: the
+`REFUSED_CANDIDATES` (a candidate for another goal, or from more than the
+context) and the `REFUSED_INPUTS` (a context or goal that is not one).
+
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
 """
@@ -120,6 +129,11 @@ DERIVATION_SHARED = range(1, 7)
 PARTITION_GOALS = ((), "a | ~a"), ((), "a -> a"), (("a",), "a | b"), (("a", "a -> b"), "b")
 PARTITION_IMAGE = '(inf orI1 "a | ~a" (inf atm "a" (inf atm "a" (empty))))'
 PARTITION_REWRITE = 'atm_em: (inf ax "?A | ~?A" (empty)) => (inf orI1 "?A | ~?A" (inf atm "?A" (empty)))'
+REFUSED_CANDIDATES = (
+    ("other-goal", '(inf atm "b" (empty))', ("-> a\n-> b\n", "-> b\n")),
+    ("more-than-the-context", '(inf orI1 "a | ~a" (assume "a"))', None),  # None: enumerate_bases([a, b], 2)
+)
+REFUSED_INPUTS = (("context-None", None, "a | ~a"), ("context-member", [None], "a | ~a"), ("goal-None", (), None))
 REFUTED_DEPTH = 11
 REFUTED_BOUNDS = (10, 12)
 RECORDED = (
@@ -273,12 +287,8 @@ def _run_derivations_group(out) -> int:
     return its op count."""
     from ptslab import Argument, Atom, JustificationSet, consequence, parse_base, synthesize_closed, valid
 
-    n = DERIVATION_CHAIN
-    cases = [(f"chain/{n}", "-> p0\n" + "".join(f"p{i} -> p{i + 1}\n" for i in range(n)), f"p{n}")]
-    for n in DERIVATION_SHARED:
-        text = "-> x0\n" + "".join(f"x{i} -> y{i}\nx{i} y{i} -> x{i + 1}\n" for i in range(n))
-        cases.append((f"shared/{n}", text, f"x{n}"))
-    for name, text, goal in cases:
+    cases = _derivation_cases()
+    for name, text, _first, goal in cases:
         base, goal = parse_base(text), Atom(goal)
         out.write(f"op derivations/{name}\n")
         d = synthesize_closed(base, goal)
@@ -286,6 +296,51 @@ def _run_derivations_group(out) -> int:
         valid(Argument(d, JustificationSet()), base)
         consequence("delta", [], goal, [base])
     return len(cases)
+
+
+def _derivation_cases() -> list[tuple[str, str, str, str]]:
+    """The derivations group's bases: (name, base text, first atom, last atom)."""
+    n = DERIVATION_CHAIN
+    cases = [(f"chain/{n}", "-> p0\n" + "".join(f"p{i} -> p{i + 1}\n" for i in range(n)), "p0", f"p{n}")]
+    for n in DERIVATION_SHARED:
+        text = "-> x0\n" + "".join(f"x{i} -> y{i}\nx{i} y{i} -> x{i + 1}\n" for i in range(n))
+        cases.append((f"shared/{n}", text, "x0", f"x{n}"))
+    return cases
+
+
+def _run_atomic_derivations_group(out) -> int:
+    """Run the atomic-derivations group, writing an `op` line before each op,
+    and return its op count."""
+    from ptslab import Argument, Atom, JustificationSet, atomic_derivation, consequence, enumerate_bases
+    from ptslab import parse_base, parse_formula, parse_structure, render_structure
+    from ptslab.validity import CONSEQUENCE_VARIANTS
+
+    ops = 0
+    for name, text, first, goal in _derivation_cases():
+        base, goal = parse_base(text), Atom(goal)
+        for assumptions in ((), (Atom(first),)):
+            out.write(f"op atomic-derivations/{name}/{{{', '.join(x.name for x in assumptions)}}}\n")
+            try:  # a tree whose derivations are no structures writes why, and the group goes on
+                out.write(f"atomic_derivation {render_structure(atomic_derivation(base, assumptions, goal))}\n")
+            except Exception as e:
+                out.write(f"error {type(e).__name__}: {str(e)[:200]}\n")
+            ops += 1
+    em, fam_ab = parse_formula("a | ~a"), list(enumerate_bases([Atom("a"), Atom("b")], 2))
+    refused = []
+    for name, cand, texts in REFUSED_CANDIDATES:
+        family = fam_ab if texts is None else [parse_base(t) for t in texts]
+        refused.append((f"candidate/{name}", (), em, family, [Argument(parse_structure(cand), JustificationSet())]))
+    for name, context, goal in REFUSED_INPUTS:
+        refused.append((f"input/{name}", context, goal and parse_formula(goal), fam_ab, ()))
+    for name, context, goal, family, candidates in refused:
+        for variant in CONSEQUENCE_VARIANTS:
+            out.write(f"op atomic-derivations/{name}/{variant}\n")
+            try:
+                consequence(variant, context, goal, family, candidates=candidates)
+            except Exception as e:  # the record is the exception's type and message
+                out.write(f"error {type(e).__name__}: {e}\n")
+            ops += 1
+    return ops
 
 
 def _variants(text: str) -> dict[str, str]:
@@ -421,6 +476,7 @@ def main() -> int:
         ops["derivations"] = _run_derivations_group(out)
         ops["readers"] = _run_readers_group(out)
         ops["partition"] = _run_partition_group(out)
+        ops["atomic-derivations"] = _run_atomic_derivations_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
