@@ -20,7 +20,7 @@ import functools
 import weakref
 from collections import Counter
 
-from .formula import Conj, Disj, Formula, FVar, Impl, _Record, _set, parse_formula, render_formula
+from .formula import Atom, Conj, Disj, Formula, FVar, Impl, _Record, _set, parse_formula, render_formula
 from .sexpr import _SYMBOL_RE, SexprError, Sym, read_all_sexprs, read_sexpr
 
 __all__ = [
@@ -155,17 +155,24 @@ class _Node(_Record):
         return self._facts.key is other._facts.key
 
     def __reduce__(self):
-        """_rebuild and the nodes in post-order as their class and fields, an
-        inference's children as their number: flat, so nothing recurses."""
-        out, stack = [], [self]
-        while stack:  # each node before its children, the last child first: post-order reversed
+        """_rebuild and one record per distinct node, each after its children:
+        its class and fields, an inference's children as record numbers. Flat,
+        so nothing recurses, and a shared subtree is written once."""
+        out, num, stack = [], {}, [self]
+        while stack:
             node = stack.pop()
-            if isinstance(node, Inf):
-                out.append((Inf, node.tag, node.conclusion, len(node.children), node.discharges))
-                stack += node.children
-            else:
+            if id(node) in num:
+                continue
+            if not isinstance(node, Inf):
                 out.append((node.__class__, *node._values(node)))
-        return _rebuild, (tuple(reversed(out)),)
+            elif wait := [ch for ch in node.children if id(ch) not in num]:
+                stack += [node, *wait]  # its children first, then itself again
+                continue
+            else:
+                kids = tuple([num[id(ch)] for ch in node.children])
+                out.append((Inf, node.tag, node.conclusion, kids, node.discharges))
+            num[id(node)] = len(out) - 1
+        return _rebuild, (tuple(out),)
 
 
 class Assumption(_Node):
@@ -225,15 +232,13 @@ ArgStructure = Assumption | EmptyTop | Inf
 
 
 def _rebuild(records: tuple[tuple, ...]) -> ArgStructure:
-    """The structure _Node.__reduce__ wrote, built children first on an explicit stack."""
+    """The structure _Node.__reduce__ wrote, each node built after its children: the last is the root."""
     done: list[ArgStructure] = []
     for cls, *fields in records:
-        if cls is Inf:  # its children are the last ones built
-            n = fields[2]
-            fields[2] = tuple(done[len(done) - n :])
-            del done[len(done) - n :]
+        if cls is Inf:
+            fields[2] = tuple([done[i] for i in fields[2]])
         done.append(cls(*fields))
-    return done[0]
+    return done[-1]
 
 
 # rule trees: label variables stand where structures have integer labels
@@ -344,8 +349,10 @@ def _node_facts(node: Assumption | Inf) -> _Facts:
     without labels adds only its size and open leaves, and a node that
     discharges nothing and whose children have no free labels is keyed
     without a wiring walk."""
+    f = node.formula if isinstance(node, Assumption) else node.conclusion
+    if not isinstance(f, (Atom, Conj, Disj, Impl)):  # an FVar too: metavariables belong to patterns
+        raise StructureError(f"a structure node needs a formula, not {f!r}")
     if isinstance(node, Assumption):
-        f = node.formula
         key = _key_of((f, node.label is not None))
         if node.label is None:
             return _Facts(1, _NONE, (), _NONE, False, (f,), (), key)

@@ -556,7 +556,7 @@ def step_candidates(
 
 
 def _one_step(
-    src: StepSource, d: ArgStructure, base: AtomicBase | None, table: dict[ArgStructure, list[ArgStructure]]
+    src: StepSource, d: ArgStructure, base: AtomicBase | None, table: dict[_Key, list[ArgStructure]], walk: list
 ) -> list[ArgStructure]:
     """The one-step reducts of d, one per class up to relabelling (the
     first met, told apart by class key), in the order of step_candidates.
@@ -564,12 +564,10 @@ def _one_step(
     A rewrite inside a label-closed proper substructure (one whose labels
     are all discharged inside it) does not depend on what is around it, so
     the walk does not descend into one: it grafts the substructure's own
-    reducts, which the step table holds (_stepped enters them first),
-    renamed away from the labels discharged above it. Every other position
-    is cut out, matched and spliced back. The walk is the one _stepped made
-    to find those substructures: it waits in the table under d's class key,
-    and this takes it from there."""
-    walk = table.pop(d._facts.key)
+    reducts, which the step table holds under its class key (_stepped
+    enters them first), renamed away from the labels discharged above it.
+    Every other position is cut out, matched and spliced back. The walk is
+    the one _stepped made to find those substructures."""
     if isinstance(src, RSystem):
         return list(src._index.get(d, ()))
     index = src._dispatch
@@ -579,7 +577,7 @@ def _one_step(
     out: dict[_Key, ArgStructure] = {}  # by class: the first reduct met of each
     for pos, node in walk:
         if pos and not node._facts.free:
-            for r in table[node]:
+            for r in table[node._facts.key]:
                 r = _splice(d, pos, [], r)
                 out.setdefault(r._facts.key, r)
             continue
@@ -605,15 +603,15 @@ def _one_step(
 
 
 def _stepped(
-    src: StepSource, d: ArgStructure, base: AtomicBase | None, table: dict[ArgStructure, list[ArgStructure]]
+    src: StepSource, d: ArgStructure, base: AtomicBase | None, table: dict[_Key, list[ArgStructure]]
 ) -> list[ArgStructure]:
-    """d's one-step reducts from the step table. What the table lacks is
-    stepped bottom-up from an explicit stack, each label-closed substructure
-    _one_step reads before the structure around it, so every class is
-    stepped once per table. A class is walked once: the walk that finds its
-    label-closed substructures waits on the stack until they are stepped,
-    then in the table under the class's key for _one_step, which takes it."""
-    out = table.get(d)
+    """d's one-step reducts from the step table, which files them under the
+    class key. What the table lacks is stepped bottom-up from an explicit
+    stack, each label-closed substructure _one_step reads before the
+    structure around it, so every class is stepped once per table. A class
+    is walked once: the walk that finds its label-closed substructures waits
+    on the stack until they are stepped, and _one_step is handed it."""
+    out = table.get(d._facts.key)
     if out is not None:
         return out
     positional = isinstance(src, JustificationSet)  # a reduction system steps at the root alone
@@ -621,9 +619,8 @@ def _stepped(
     while todo:
         node, walk = todo.pop()
         if walk is not None:
-            table[node._facts.key] = walk
-            out = table[node] = _one_step(src, node, base, table)
-        elif node not in table:
+            out = table[node._facts.key] = _one_step(src, node, base, table, walk)
+        elif node._facts.key not in table:
             walk = _positioned(node, into_closed=False) if positional else []
             todo.append((node, walk))
             todo += [(sub, None) for pos, sub in reversed(walk) if pos and not sub._facts.free]
@@ -637,13 +634,12 @@ class _Reducts:
     the search off. Reducts are told apart up to relabelling, by structure
     equality, so no key text is written.
 
-    Each structure is stepped through a step table (_stepped: a dict from
-    structure to its one-step reducts, for one step source and, when the
-    source selects by base, one base). A stream makes its own unless given
-    one: streams that share it step each class up to relabelling,
-    substructures included, once between them. The set of reducts seen
-    holds their class keys (argument._Key), which hash and compare by
-    identity."""
+    Each structure is stepped through a step table (_stepped: from class
+    key to one-step reducts, for one step source and, when the source
+    selects by base, one base). A stream makes its own unless given one:
+    streams that share it step each class up to relabelling, substructures
+    included, once between them. The set of reducts seen holds their class
+    keys (argument._Key), which hash and compare by identity."""
 
     __slots__ = ("_args", "bound")
 
@@ -654,7 +650,7 @@ class _Reducts:
         base,
         max_steps: int,
         max_size: int,
-        table: dict[ArgStructure, list[ArgStructure]] | None = None,
+        table: dict[_Key, list[ArgStructure]] | None = None,
     ):
         for n in (max_steps, max_size):
             if n.__class__ is not int:  # True or 2.5 is no bound

@@ -30,6 +30,7 @@ from .argument import (
     Inf,
     PInf,
     PVar,
+    _Key,
     canonical_key,
     check_structure,
     conclusion_of,
@@ -42,6 +43,7 @@ from .formula import Atom, Conj, Disj, Formula, FVar, Impl, _Record, _set, atoms
 from .justification import (
     ChoiceFunction,
     ConstantMap,
+    Justification,
     JustificationSet,
     RSystem,
     SchematicRewrite,
@@ -83,7 +85,11 @@ class InconsistentBaseError(ValidityError):
 class Argument(_Record):
     _fields = __match_args__ = ("structure", "steps")
 
-    def __init__(self, structure: ArgStructure, steps: StepSource):
+    def __init__(self, structure: ArgStructure, steps: StepSource | Justification):
+        if isinstance(steps, (SchematicRewrite, ConstantMap, ChoiceFunction)):
+            steps = JustificationSet((steps,))
+        elif not isinstance(steps, (JustificationSet, RSystem)):
+            raise ValidityError(f"an argument's steps must be a step source or a justification, not {steps!r}")
         _set(self, "structure", structure)
         _set(self, "steps", steps)
 
@@ -294,10 +300,8 @@ class _Search:
 
     Its instance table holds every substitution instance the call builds
     (instance), for the checker's open arguments and the pooled uniform
-    instances alike, keyed by the structure and the identities of the
-    sigma's structures: the witness table's objects or the bounds' own
-    sigma candidates, which live as long as the search, as the table's
-    entries keep them.
+    instances alike, keyed by the structure and sigma's structures, each
+    up to relabelling.
 
     Its verdict table files each verdict a check computes under its reads:
     what the check and its parts asked of the base (_Checker._answer), with
@@ -307,11 +311,11 @@ class _Search:
 
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
-        self._steps: dict[tuple, dict[ArgStructure, list[ArgStructure]]] = {}
+        self._steps: dict[tuple, dict[_Key, list[ArgStructure]]] = {}
         self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
         self._atoms: dict[Formula, tuple[Atom, ...]] = {}
         self._witnesses: dict[tuple[Formula, tuple], ArgStructure | None] = {}
-        self._instances: dict[tuple[ArgStructure, tuple[int, ...]], tuple[ArgStructure, tuple]] = {}
+        self._instances: dict[tuple[ArgStructure, ...], ArgStructure] = {}
         self._verdicts: dict[tuple[ArgStructure, StepSource], list[tuple[Verdict, dict]]] = {}
 
     def closed(self, base: AtomicBase, f: Formula) -> ArgStructure | None:
@@ -327,13 +331,13 @@ class _Search:
         return out
 
     def instance(self, d: ArgStructure, sigma: dict[Formula, ArgStructure]) -> ArgStructure:
-        """instantiate(d, sigma), built once per (d, the identities of sigma's
-        structures); sigma's keys are d's open assumptions, in one order."""
-        key = (d, tuple([id(s) for s in sigma.values()]))
+        """instantiate(d, sigma), built once per (d, sigma's structures) up to
+        relabelling; sigma's keys are d's open assumptions, in one order."""
+        key = (d, *sigma.values())
         hit = self._instances.get(key)
-        if hit is None:  # the entry keeps sigma's structures, so their identities stay theirs
-            hit = self._instances[key] = (instantiate(d, sigma), tuple(sigma.values()))
-        return hit[0]
+        if hit is None:
+            hit = self._instances[key] = instantiate(d, sigma)
+        return hit
 
     def stream(self, steps: StepSource, d: ArgStructure, base: AtomicBase | None) -> _Reducts:
         b, table = self.bounds, self._steps.setdefault((steps, base), {})
@@ -514,13 +518,6 @@ class _Checker:
         )
 
 
-def _step_source(arg: Argument) -> StepSource:
-    """The argument's steps as a step source; a lone justification is a set of one."""
-    if isinstance(arg.steps, (SchematicRewrite, ConstantMap, ChoiceFunction)):
-        return JustificationSet((arg.steps,))
-    return arg.steps
-
-
 def valid(
     arg: Argument, base: AtomicBase, bounds: Bounds = Bounds(), *, _search: _Search | None = None
 ) -> Verdict:
@@ -528,7 +525,7 @@ def valid(
     passes its own search, made with the same bounds, to share it across
     the family, its verdicts included; any other call searches afresh."""
     search = _Search(bounds) if _search is None else _search
-    return _Checker(base, search).check(arg.structure, _step_source(arg))
+    return _Checker(base, search).check(arg.structure, arg.steps)
 
 
 def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Verdict) -> bool:
@@ -557,7 +554,7 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
         return a.start == w.start and set(a.explored) == set(w.explored)
     if isinstance(w, FailingInstance):
         checker = _Checker(base, _Search(bounds))
-        exts = checker._extensions_for(_step_source(arg))
+        exts = checker._extensions_for(arg.steps)
         if w.extension_index not in range(len(exts)):
             return False
         ext = exts[w.extension_index]
@@ -771,7 +768,7 @@ def consequence(
     if variant == "delta":
         no_steps = JustificationSet()
         projection = JustificationSet((_projection_rule(len(context)),)) if context else no_steps
-        per_base = chosen or any(_holds_choice(_step_source(cand)) for cand in candidates)
+        per_base = chosen or any(_holds_choice(cand.steps) for cand in candidates)
         for b in family if per_base else _representatives(family):
             if any(valid(cand, b, bounds, _search=search).is_valid for cand in candidates):
                 continue
@@ -789,7 +786,7 @@ def consequence(
         maps = tuple(
             ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_class
         )
-        pool = [cand for cand in candidates if isinstance(_step_source(cand), JustificationSet)]
+        pool = [cand for cand in candidates if isinstance(cand.steps, JustificationSet)]
         pool.append(Argument(d, JustificationSet(maps)))
         label = "pooled per-base justification sets"
     elif variant == "delta-sh":
@@ -801,8 +798,7 @@ def consequence(
         pool = [
             cand
             for cand in candidates
-            if isinstance(src := _step_source(cand), JustificationSet)
-            and all(is_schematic(j) for j in src.members)
+            if isinstance(cand.steps, JustificationSet) and all(is_schematic(j) for j in cand.steps.members)
         ]
         if isinstance(goal, Disj) and goal.right == negation(goal.left) and not context:
             pool.append(Argument(axiom_structure(goal), JustificationSet((em_refutation_rule(),))))
@@ -810,7 +806,7 @@ def consequence(
 
     saw_unknown = False
     for cand in pool:  # a candidate falls at its first Invalid base, the first of its class
-        if chosen or _holds_choice(_step_source(cand)):
+        if chosen or _holds_choice(cand.steps):
             bases = family
         else:
             bases = _representatives(family) if reps is None else reps

@@ -4,6 +4,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -39,6 +40,7 @@ from ptslab import (
     StructureInfo,
     Verdict,
     analyze,
+    axiom_structure,
     em_refutation_rule,
     canonical_key,
     check_structure,
@@ -848,6 +850,24 @@ def test_a_tag_that_would_not_read_back_is_refused():
     for tag in (["s"], ["orE"], Sym("orE"), 'u "a" (empty)) (inf u'):
         with pytest.raises(StructureError, match="rule tag"):
             Inf(tag, a, (e,))
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (Assumption, None),
+        (Assumption, "a"),
+        (lambda f: Assumption(f, 1), FVar("A")),  # metavariables belong to patterns
+        (lambda f: Inf("t", f, (EmptyTop(),)), None),
+        (lambda f: Inf("t", f, (EmptyTop(),)), FVar("A")),
+        (axiom_structure, None),
+    ],
+    ids=["leaf-None", "leaf-str", "leaf-FVar", "inference-None", "inference-FVar", "axiom-None"],
+)
+def test_a_node_refuses_what_is_not_a_formula(make, value):
+    # Assumption("a") once analyzed to the conclusion 'a', and valid on it failed deep in the search
+    with pytest.raises(StructureError, match=re.escape(f"not {value!r}")):
+        make(value)
 
 
 def test_an_inference_keeps_its_children_as_a_tuple():

@@ -871,7 +871,7 @@ def test_step_hosts_fire_inside_closed_parts_below_binders():
         justification._stepped(steps, host, None, table)
         for pos in positions(host):
             below = any(subtree_at(host, pos[:k]).discharges for k in range(len(pos)))
-            fired += below and bool(table.get(subtree_at(host, pos)))
+            fired += below and bool(table.get(subtree_at(host, pos)._facts.key))
     assert fired > 10
     # a rule that brings its own label 1 fires in a branch below a binder of 1: the graft renames it
     branch = Inf("br", c, (Assumption(a, 1), EM_AXIOM))
@@ -938,9 +938,9 @@ def test_reach_agrees_with_the_two_loop_search(seed, max_steps, max_size, grow):
     want_stepped, got_stepped = [], []
     want, want_hit = _two_loop_reducts(src, host, None, max_steps, max_size, want_stepped)
 
-    def counted(src, d, base, table):
+    def counted(src, d, base, table, walk):
         got_stepped.append(d)
-        return _one_step(src, d, base, table)
+        return _one_step(src, d, base, table, walk)
 
     with mock.patch.object(justification, "_one_step", counted):
         got, hit = reach(src, host, None, max_steps=max_steps, max_size=max_size)

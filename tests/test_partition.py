@@ -50,7 +50,6 @@ from ptslab.validity import (
     _meet,
     _projection_rule,
     _Search,
-    _step_source,
     _uniform_instances,
     _uniform_structure,
     render_formula,
@@ -96,7 +95,7 @@ def _reference_consequence(variant, context, goal, family, bounds=Bounds(), cand
         per_base = _uniform_instances(search, d, context, goal, family)
     if variant == "delta-star":
         maps = tuple(ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_base)
-        pool = [cand for cand in candidates if isinstance(_step_source(cand), JustificationSet)]
+        pool = [cand for cand in candidates if isinstance(cand.steps, JustificationSet)]
         pool.append(Argument(d, JustificationSet(maps)))
         label = "pooled per-base justification sets"
     elif variant == "delta-sh":
@@ -108,7 +107,7 @@ def _reference_consequence(variant, context, goal, family, bounds=Bounds(), cand
         pool = [
             cand
             for cand in candidates
-            if isinstance(src := _step_source(cand), JustificationSet) and all(is_schematic(j) for j in src.members)
+            if isinstance(src := cand.steps, JustificationSet) and all(is_schematic(j) for j in src.members)
         ]
         if isinstance(goal, Disj) and goal.right == negation(goal.left) and not context:
             pool.append(Argument(axiom_structure(goal), JustificationSet((em_refutation_rule(),))))

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from ptslab import (
     Argument,
+    Assumption,
     Atom,
     Bounds,
     Conj,
     Disj,
     EmptyTop,
     ExhaustedSearch,
+    Impl,
     Inf,
     JustificationSet,
     analyze,
@@ -38,7 +40,8 @@ from ptslab import (
     recheck_invalid,
     valid,
 )
-from ptslab import justification, validity
+from ptslab import argument, justification, validity
+from ptslab.argument import relabel
 from ptslab.justification import reach
 
 from genlib import BOT, all_formulas, random_closed_structure, random_detour_redex, random_formula, random_sigma
@@ -53,9 +56,9 @@ def _count_step_candidates(monkeypatch) -> Counter:
     seen: Counter = Counter()
     real = justification._one_step
 
-    def counted(src, d, base, table):
+    def counted(src, d, base, table, walk):
         seen[(src, canonical_key(d))] += 1
-        return real(src, d, base, table)
+        return real(src, d, base, table, walk)
 
     monkeypatch.setattr(justification, "_one_step", counted)
     return seen
@@ -244,13 +247,23 @@ def test_each_class_is_stepped_once_per_search(monkeypatch):
     assert walked == Counter(key for _src, key in seen)
 
 
+def test_stepping_neither_hashes_nor_compares_a_structure(monkeypatch):
+    # the step table is keyed by class key alone
+    calls = Counter()
+    for name in ("__hash__", "__eq__"):
+        real = getattr(argument._Node, name)
+        monkeypatch.setattr(argument._Node, name, lambda *x, _name=name, _real=real: calls.update([_name]) or _real(*x))
+    reached, _bound = reach(WIDE_4.steps, WIDE_4.structure)
+    assert len(reached) > 1 and calls == Counter()
+
+
 def _watch_reducts(monkeypatch) -> list:
     """Weak references to every reduct a one-step search returns."""
     refs = []
     real = justification._one_step
 
-    def watched(src, d, base, table):
-        out = real(src, d, base, table)
+    def watched(src, d, base, table, walk):
+        out = real(src, d, base, table, walk)
         refs.extend(weakref.ref(r) for r in out)
         return out
 
@@ -369,6 +382,18 @@ def test_pooled_instances_are_built_once_per_distinct_sigma(monkeypatch):
     for base, inst, _target in per_base:
         sigma = validity._default_sigma(search, base, context)
         assert repr(inst) == repr(real(d, sigma))
+
+
+def test_an_instance_is_built_once_per_sigma_up_to_relabelling(monkeypatch):
+    built = []
+    real = validity.instantiate
+    monkeypatch.setattr(validity, "instantiate", lambda d, sigma: built.append(sigma) or real(d, sigma))
+    f = Impl(a, a)
+    s = Inf("impI", f, (Assumption(a, 1),), frozenset({1}))
+    d = Inf("k", b, (Assumption(f),))
+    search = validity._Search(Bounds())
+    inst = search.instance(d, {f: s})
+    assert search.instance(d, {f: relabel(s, {1: 7})}) is inst and len(built) == 1
 
 
 @pytest.mark.parametrize("variant", ["delta-star", "delta-sh"])

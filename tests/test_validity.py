@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import timeit
 from collections import Counter
@@ -826,6 +828,28 @@ def test_a_shared_premise_is_built_once():
     big = _shared_base(40)
     der = atomic_derivation(big, (), Atom("x40"))
     assert hash(der) == hash(synthesize_closed(big, Atom("x40"))) and der == synthesize_closed(big, Atom("x40"))
+
+
+def test_a_shared_premise_stays_shared_in_a_pickle_or_a_copy():
+    # a node is written once, not once per tree position: this tree has 2^42 - 2 positions
+    base = _shared_base(40)
+    d = atomic_derivation(base, (), Atom("x40"))
+    assert len(pickle.dumps(d)) < 20_000
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        assert min(timeit.repeat(lambda: copy_of(d), number=1, repeat=3)) < 0.01
+        copied = copy_of(d)
+        assert copied == d and is_derivation_structure(copied, base)
+        assert copied.children[0] is copied.children[1].children[0]
+
+
+def test_an_argument_holds_a_step_source():
+    # a step source that is none was once taken, and a closed derivation checked Valid with it
+    d = parse_structure('(inf atm "a" (empty))')
+    with pytest.raises(validity.ValidityError, match="steps"):
+        Argument(d, "junk")
+    rule = or_detour()
+    assert Argument(d, rule).steps == JustificationSet((rule,))
+    assert valid(Argument(d, rule), parse_base("-> a")).is_valid
 
 
 def test_an_invalid_verdict_writes_its_witness_text_when_read(monkeypatch):
