@@ -82,6 +82,26 @@ class InconsistentBaseError(ValidityError):
     pass
 
 
+def _members(xs: Iterable, kind, name: str, what: str = "") -> tuple:
+    """xs as a tuple, refused unless it is an iterable of kind (a class, or a union named what)."""
+    what = what or kind.__name__
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise ValidityError(f"{name} must be an iterable of {what}, not {type(xs).__name__}") from None
+    for t in set(map(type, xs)):
+        if not issubclass(t, kind):
+            raise ValidityError(f"{name} must hold {what} values only, not {t.__name__}")
+    return xs
+
+
+def _require(x: object, kind: type, name: str) -> None:
+    """Refuse x unless it is a kind, naming the argument it was passed as."""
+    if not isinstance(x, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValidityError(f"{name} must be {article} {kind.__name__}, not {type(x).__name__}")
+
+
 class Argument(_Record):
     _fields = __match_args__ = ("structure", "steps")
 
@@ -95,6 +115,8 @@ class Argument(_Record):
 
 
 class Bounds(_Record):
+    """A search's bounds and pools: a value, its pools held as tuples."""
+
     _fields = __match_args__ = (
         "max_reduction_steps", "max_structure_size", "sigma_candidates", "extensions", "synthesize_sigma"
     )
@@ -109,8 +131,8 @@ class Bounds(_Record):
     ):
         _set(self, "max_reduction_steps", max_reduction_steps)
         _set(self, "max_structure_size", max_structure_size)
-        _set(self, "sigma_candidates", sigma_candidates)
-        _set(self, "extensions", extensions)
+        _set(self, "sigma_candidates", _members(sigma_candidates, ArgStructure, "sigma_candidates", "ArgStructure"))
+        _set(self, "extensions", _members(extensions, StepSource, "extensions", "JustificationSet or RSystem"))
         _set(self, "synthesize_sigma", synthesize_sigma)
         for n in (max_reduction_steps, max_structure_size):
             if n.__class__ is not int:  # True or 2.5 is no bound
@@ -279,26 +301,27 @@ def _holds_choice(steps: StepSource) -> bool:
 
 
 class _Search:
-    """The reduction searches of one valid or consequence call, shared by
-    the checks it makes on every base through its tables, whose keys are
-    structures up to relabelling.
+    """The reduction searches of one valid call, or of successive
+    consequence calls with equal bounds (_shared_search), shared by the
+    checks they make on every base through its tables, whose keys are
+    structures up to relabelling. An entry is filed once it is complete.
 
     Each check reads a fresh reduct stream (stream) once; the streams share
     the step table of their steps (per base too when the steps hold a
     choice function, whose selection depends on the base). It holds the
     one-step reducts of every structure a stream has stepped and of the
     label-closed substructures those were built from, so each class is
-    stepped once per call. Per reduct, the search keeps its immediate
+    stepped once per search. Per reduct, the search keeps its immediate
     substructures when it is closed and canonical.
 
-    Its witness table holds every closed structure the call synthesizes
+    Its witness table holds every closed structure the search synthesizes
     (closed), keyed by the formula and the derivation supports of its atoms
     on the base (AtomicBase._support; None for an atom not derived).
     synthesize_closed reads the base only through the derivations of those
     atoms, rules the supports hold, so bases with one support share one
     witness.
 
-    Its instance table holds every substitution instance the call builds
+    Its instance table holds every substitution instance the search builds
     (instance), for the checker's open arguments and the pooled uniform
     instances alike, keyed by the structure and sigma's structures, each
     up to relabelling.
@@ -352,6 +375,20 @@ class _Search:
             subs = immediate_substructures(r) if ok else None
             self._subs[r] = subs
         return subs
+
+
+_SHARED_LIMIT = 4096  # verdict keys plus step classes a held search may have and still be reused
+_shared: _Search | None = None  # the search of the last consequence call that reached a check
+
+
+def _shared_search(bounds: Bounds) -> _Search:
+    """The held search if it was made for equal bounds and its tables are
+    within _SHARED_LIMIT; otherwise a fresh one, which is held from now on."""
+    global _shared
+    s = _shared
+    if s is None or s.bounds != bounds or len(s._verdicts) + sum(map(len, s._steps.values())) > _SHARED_LIMIT:
+        s = _shared = _Search(bounds)
+    return s
 
 
 def _meet(verdicts: Iterable[Verdict]) -> str:
@@ -522,10 +559,15 @@ def valid(
     arg: Argument, base: AtomicBase, bounds: Bounds = Bounds(), *, _search: _Search | None = None
 ) -> Verdict:
     """Bounded validity of the argument on the base. A consequence call
-    passes its own search, made with the same bounds, to share it across
-    the family, its verdicts included; any other call searches afresh."""
-    search = _Search(bounds) if _search is None else _search
-    return _Checker(base, search).check(arg.structure, arg.steps)
+    passes its search, made with equal bounds, to share it across the
+    family and with later calls, its verdicts included; any other call
+    searches afresh and never reads that search."""
+    if _search is None:
+        _require(arg, Argument, "arg")
+        _require(base, AtomicBase, "base")
+        _require(bounds, Bounds, "bounds")
+        _search = _Search(bounds)
+    return _Checker(base, _search).check(arg.structure, arg.steps)
 
 
 def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Verdict) -> bool:
@@ -541,6 +583,9 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
     (ROADMAP item 4). A failing instance is checked in a fresh checker:
     its extension index must name one of the step sources, every structure
     of its sigma must be valid, and the instance invalid."""
+    for x, kind, name in ((arg, Argument, "arg"), (base, AtomicBase, "base"), (bounds, Bounds, "bounds"),
+                          (verdict, Verdict, "verdict")):
+        _require(x, kind, name)
     if not verdict.is_invalid:
         return False
     w = verdict.witness
@@ -694,19 +739,6 @@ def _representatives(family: list[AtomicBase]) -> Iterator[AtomicBase]:
             yield b
 
 
-def _members(xs: Iterable, kind: type, name: str) -> list:
-    """xs as a list, refused unless it is an iterable of kind (a class, or Formula)."""
-    what = "Formula" if kind is Formula else kind.__name__
-    try:
-        xs = list(xs)
-    except TypeError:
-        raise ValidityError(f"{name} must be an iterable of {what}, not {type(xs).__name__}") from None
-    for t in set(map(type, xs)):
-        if not issubclass(t, kind):
-            raise ValidityError(f"{name} must hold {what} values only, not {t.__name__}")
-    return xs
-
-
 def consequence(
     variant: str,
     context: Iterable[Formula],
@@ -737,12 +769,16 @@ def consequence(
     made on every base, and so is every check of delta's loop once one of
     its candidates holds one. Reasons count every base and name the first
     failing one, which is the first of its class.
+
+    Calls with equal bounds share one search, keyed by content, so what one
+    computed the next reads back: the module holds the search of the last
+    call that reached a check, until one with other bounds or past
+    _SHARED_LIMIT replaces it (_shared_search).
     """
     if variant not in CONSEQUENCE_VARIANTS:
         raise ValidityError(f"unknown variant {variant!r}; pick one of {CONSEQUENCE_VARIANTS}")
-    if not isinstance(bounds, Bounds):
-        raise ValidityError(f"bounds must be a Bounds, not {type(bounds).__name__}")
-    scope = set(_members(context, Formula, "context"))
+    _require(bounds, Bounds, "bounds")
+    scope = set(_members(context, Formula, "context", "Formula"))
     if not isinstance(goal, Formula):
         raise ValidityError(f"goal must be a Formula, not {type(goal).__name__}")
     family = list(dict.fromkeys(_members(family, AtomicBase, "family")))
@@ -763,7 +799,7 @@ def consequence(
             f"the goal does not follow from the context on {failing}", witness=failing
         )
 
-    search = _Search(bounds)  # one search for the whole family, dropped on return
+    search = _shared_search(bounds)
     chosen = any(_holds_choice(e) for e in bounds.extensions)  # then every check reads the base itself
     if variant == "delta":
         no_steps = JustificationSet()

@@ -18,6 +18,17 @@ from ptslab import validity
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _blocks(lines: list[str]) -> dict[str, list[str]]:
+    """The lines after each `op` line up to the next, by op name."""
+    out: dict[str, list[str]] = {}
+    for line in lines:
+        if line.startswith("op "):
+            body = out[line[len("op "):]] = []
+        else:
+            body.append(line)
+    return out
+
+
 def test_the_differential_tool_records_every_op(tmp_path):
     out = tmp_path / "records.txt"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -27,16 +38,17 @@ def test_the_differential_tool_records_every_op(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     ops, records = done.stdout.splitlines()
-    assert ops.endswith(", readers 688 ops, partition 24 ops, atomic-derivations 34 ops")
-    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24 + 34
+    assert ops.endswith(", readers 688 ops, partition 24 ops, atomic-derivations 34 ops, shared 96 ops")
+    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24 + 34 + 96
     assert records == (
-        "valid 7879 records, recheck_invalid 299 records, consequence 326 records, logical_consequence 591 records,"
+        "valid 8239 records, recheck_invalid 299 records, consequence 422 records, logical_consequence 687 records,"
         f" search_counterexample 192 records, is_schematic 50 records -> {out}"
     )
     lines = out.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 13107
+    assert len(lines) == 13755
     # the groups before `readers`, then those before `partition`, each as they were when it was added
-    # less the nested `valid` lines of the checks a class of bases shares, then those before `atomic-derivations`
+    # less the nested `valid` lines of the checks a class of bases shares, then those before `atomic-derivations`,
+    # then those before `shared`
     assert hashlib.sha256(b"".join(lines[:5405])).hexdigest() == (
         "fbac5826b46e49f5c3848790eb90cd37d320ff5de33be4a7346ca3c0291d90be"
     )
@@ -46,8 +58,16 @@ def test_the_differential_tool_records_every_op(tmp_path):
     assert hashlib.sha256(b"".join(lines[:13039])).hexdigest() == (
         "ef908e5764a33594088c267e4dacf9a19b75cf271f5d6fe1082047cac8b87a43"
     )
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+    assert hashlib.sha256(b"".join(lines[:13107])).hexdigest() == (
         "6ae8ac578bc25d7afe08afd46b9703b4359c5942e5286784882629c0256a38d5"
     )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ca333287cc52a7fe06cd2fcc1dcffe6f8d9ff5804e9bdc5212a9480eda3f4c43"
+    )
+    # a consequence op replayed in reverse order, on a search other calls filled, writes what it wrote first
+    blocks = _blocks(out.read_text().splitlines())
+    shared = {op[len("shared/"):]: body for op, body in blocks.items() if op.startswith("shared/")}
+    assert len(shared) == 96
+    assert all(blocks[f"pooled-family/11/{op}"] == body for op, body in shared.items())
     # without it the witness group would synthesize afresh and compare the reference with itself
     assert callable(validity._Search.closed)

@@ -1,0 +1,198 @@
+"""Successive `consequence` calls share one search (validity._shared_search):
+its tables are keyed by content, so a call reads back what an earlier one
+computed and answers as it would from a cold search. The module holds one
+search, for the bounds of the last call that reached a check, and replaces
+it for other bounds or once its tables pass validity._SHARED_LIMIT; `valid`
+and `recheck_invalid` never read it."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ptslab import (
+    BOT,
+    Argument,
+    Atom,
+    Bounds,
+    Conj,
+    Disj,
+    Impl,
+    JustificationSet,
+    axiom_structure,
+    choice_justification,
+    consequence,
+    em_refutation_rule,
+    enumerate_bases,
+    negation,
+    or_detour,
+    parse_base,
+    parse_structure,
+    recheck_invalid,
+    valid,
+)
+from ptslab import validity
+from ptslab.validity import CONSEQUENCE_VARIANTS
+
+from genlib import all_formulas
+
+a, b = Atom("a"), Atom("b")
+EM_A = Disj(a, negation(a))
+FAM_AB = list(enumerate_bases([a, b], 2))
+DEPTH_2 = all_formulas([a, b, BOT], 2)
+
+
+def _em_candidate(kind: str, f) -> Argument:
+    """The excluded-middle axiom for f, with the choice function over
+    enumerate_bases([a], 1) and or_detour(), or with em_refutation_rule()."""
+    ax = axiom_structure(Disj(f, negation(f)))
+    if kind == "choice":
+        return Argument(ax, JustificationSet((choice_justification(f, enumerate_bases([a], 1)), or_detour())))
+    return Argument(ax, JustificationSet((em_refutation_rule(),)))
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(consequence(*call))
+    except Exception as e:  # a refusal is an outcome too, and must not depend on what came before
+        return f"{type(e).__name__}: {e}"
+
+
+def _cold(call) -> str:
+    validity._shared = None
+    return _outcome(call)
+
+
+def _size(search) -> int:
+    return len(search._verdicts) + sum(map(len, search._steps.values()))
+
+
+@st.composite
+def _calls(draw):
+    variant = draw(st.sampled_from(CONSEQUENCE_VARIANTS))
+    f = draw(st.sampled_from(DEPTH_2))
+    context = tuple(draw(st.lists(st.sampled_from(DEPTH_2), max_size=1)))
+    kind = draw(st.sampled_from([None, "choice", "em_refute"]))
+    goal, candidates = (f, ()) if kind is None else (Disj(f, negation(f)), (_em_candidate(kind, f),))
+    family = draw(st.permutations(FAM_AB))[: draw(st.integers(1, len(FAM_AB)))]
+    bounds = draw(st.sampled_from([Bounds(), Bounds(max_reduction_steps=2)]))
+    return variant, context, goal, family, bounds, candidates
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_calls(), min_size=2, max_size=6))
+def test_a_call_on_the_shared_search_answers_as_on_a_cold_one(calls):
+    # each call's verdict and the verdicts of the valid calls it makes, in order
+    nested, real = [], validity.valid
+
+    def recorded(*args, **kwargs):
+        v = real(*args, **kwargs)
+        nested.append(repr(v))
+        return v
+
+    def outcomes(run) -> list:
+        out = []
+        for call in calls:
+            nested.clear()
+            out.append((run(call), list(nested)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validity, "valid", recorded)
+        validity._shared = None
+        warm = outcomes(_outcome)
+        assert warm == outcomes(_cold)
+
+
+CALLS = [
+    ("delta-star", (), EM_A, FAM_AB),
+    ("delta", (a,), Disj(a, b), FAM_AB),
+    ("delta-sh", (), Impl(a, Conj(a, a)), FAM_AB),
+    ("delta", (), Disj(Conj(a, b), negation(Conj(a, b))), FAM_AB),
+    ("delta-s", (), EM_A, FAM_AB),
+]
+
+
+@pytest.mark.parametrize("name", ["is_derivation_structure", "synthesize_closed"])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_call_cut_short_leaves_the_shared_search_whole(monkeypatch, name, k):
+    cold = [_cold(call) for call in CALLS]
+    real, made = getattr(validity, name), []
+
+    def cut(*args):
+        made.append(args)
+        if len(made) == k:
+            raise RuntimeError("cut short")
+        return real(*args)
+
+    validity._shared = None
+    assert _outcome(CALLS[0]) == cold[0]
+    monkeypatch.setattr(validity, name, cut)
+    with pytest.raises(RuntimeError, match="cut short"):
+        consequence(*CALLS[3])
+    monkeypatch.undo()
+    assert [_outcome(call) for call in reversed(CALLS)] == cold[::-1]
+
+
+def test_calls_with_equal_bounds_share_one_search():
+    consequence(*CALLS[0], Bounds())
+    held = validity._shared
+    consequence(*CALLS[1], Bounds())  # an equal value, not the same object
+    assert validity._shared is held
+    consequence("delta", (), a, [parse_base("b -> a\n")])  # returns before a check: the search stays
+    assert validity._shared is held
+    consequence(*CALLS[1], Bounds(max_reduction_steps=2))
+    assert validity._shared is not held
+
+
+def test_a_search_past_the_limit_is_replaced(monkeypatch):
+    small = ("delta", (), a, [parse_base("-> a\n")])
+    calls = [small, small, CALLS[0], small, *CALLS[1:], CALLS[0]]
+    cold = [_cold(call) for call in calls]
+    monkeypatch.setattr(validity, "_SHARED_LIMIT", 5)
+    validity._shared = None
+    got, held, sizes = [], [], []
+    for call in calls:
+        got.append(_outcome(call))
+        held.append(validity._shared)
+        sizes.append(_size(validity._shared))
+    assert got == cold
+    replaced = [held[i] is not held[i - 1] for i in range(1, len(calls))]
+    assert replaced == [size > 5 for size in sizes[:-1]]
+    assert any(replaced) and not all(replaced)
+
+
+def _count_closed(monkeypatch) -> list:
+    made = []
+    real = validity._Checker._closed
+
+    def counted(self, *args):
+        made.append(args[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(validity._Checker, "_closed", counted)
+    return made
+
+
+EXHAUSTED = Argument(axiom_structure(EM_A), JustificationSet((em_refutation_rule(),)))  # Invalid where a holds
+FAILING = Argument(parse_structure('(inf step "b" (assume "a"))'), JustificationSet())  # Invalid on -> a, -> b
+
+
+@pytest.mark.parametrize("arg, base, call", [
+    (EXHAUSTED, parse_base("-> a\n"), ("delta-s", (), EM_A, FAM_AB, Bounds(), [EXHAUSTED])),
+    (FAILING, parse_base("-> a\n-> b\n"), ("delta", (a,), b, [parse_base("-> a\n-> b\n")], Bounds(), [FAILING])),
+], ids=["exhausted", "failing-instance"])
+def test_valid_and_recheck_invalid_never_read_the_shared_search(monkeypatch, arg, base, call):
+    made = _count_closed(monkeypatch)
+
+    def computed() -> int:
+        made.clear()
+        v = valid(arg, base)
+        assert v.is_invalid and recheck_invalid(arg, base, Bounds(), v)
+        return len(made)
+
+    cold = computed()
+    consequence(*call)
+    held, held_size = validity._shared, _size(validity._shared)
+    assert held_size > 0
+    assert computed() == cold
+    assert validity._shared is held and _size(held) == held_size

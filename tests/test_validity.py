@@ -213,8 +213,11 @@ def test_one_consequence_call_builds_one_witness_per_support(monkeypatch):
 
     supports = {support(base, f) for base, f in asked}
     assert len(built) == len(supports) < len(asked)
-    # nothing outlives the call
+    # the next call reads the shared search's witnesses, and a cold search builds them again
     built.clear()
+    assert consequence("delta-star", (), goal, FAMILY_AB).is_valid
+    assert built == []
+    validity._shared = None
     assert consequence("delta-star", (), goal, FAMILY_AB).is_valid
     assert len(built) == len(supports)
 
@@ -777,6 +780,54 @@ def test_bounds_must_be_integers():
     with pytest.raises(validity.ValidityError, match="bounds must be non-negative"):
         Bounds(max_reduction_steps=-1)
     assert Bounds(max_reduction_steps=0, max_structure_size=0).max_structure_size == 0
+
+
+AX_A = axiom_structure(a)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"sigma_candidates": 3}, "sigma_candidates must be an iterable of ArgStructure, not int"),
+    ({"sigma_candidates": [AX_A, a]}, "sigma_candidates must hold ArgStructure values only, not Atom"),
+    ({"sigma_candidates": "ab"}, "sigma_candidates must hold ArgStructure values only, not str"),
+    ({"extensions": None}, "extensions must be an iterable of JustificationSet or RSystem, not NoneType"),
+    ({"extensions": [1]}, "extensions must hold JustificationSet or RSystem values only, not int"),
+    ({"extensions": [or_detour()]},
+     "extensions must hold JustificationSet or RSystem values only, not SchematicRewrite"),
+], ids=["candidates-int", "candidate-formula", "candidates-str", "extensions-None", "extension-int", "extension-rule"])
+def test_bounds_refuse_a_malformed_pool_by_name(kwargs, message):
+    with pytest.raises(validity.ValidityError, match=f"^{message}$"):
+        Bounds(**kwargs)
+
+
+def test_bounds_are_a_value():
+    # the pools are held as tuples, so bounds built from lists are equal to, and hash as, those built from tuples
+    ext = JustificationSet((or_detour(),))
+    listed = Bounds(sigma_candidates=[AX_A], extensions=[ext])
+    assert listed.sigma_candidates == (AX_A,) and listed.extensions == (ext,)
+    assert listed == Bounds(sigma_candidates=(AX_A,), extensions=(ext,))
+    assert hash(listed) == hash(Bounds(sigma_candidates=iter([AX_A]), extensions=(ext,)))
+    assert Bounds(extensions=[RSystem(((AX_A, AX_A),))]).extensions[0].__class__ is RSystem
+
+
+EXHAUSTED_A = Argument(axiom_structure(Disj(a, negation(a))), JustificationSet((em_refutation_rule(),)))
+INVALID_ON_A = valid(EXHAUSTED_A, parse_base("-> a\n"))
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (valid, (None, PQ), "arg must be an Argument, not NoneType"),
+    (valid, (EXHAUSTED_A, None), "base must be an AtomicBase, not NoneType"),
+    (valid, (EXHAUSTED_A, "x"), "base must be an AtomicBase, not str"),
+    (valid, (EXHAUSTED_A, PQ, None), "bounds must be a Bounds, not NoneType"),
+    (valid, (EXHAUSTED_A, PQ, 3), "bounds must be a Bounds, not int"),
+    (recheck_invalid, (None, PQ, Bounds(), INVALID_ON_A), "arg must be an Argument, not NoneType"),
+    (recheck_invalid, (EXHAUSTED_A, "x", Bounds(), INVALID_ON_A), "base must be an AtomicBase, not str"),
+    (recheck_invalid, (EXHAUSTED_A, PQ, None, INVALID_ON_A), "bounds must be a Bounds, not NoneType"),
+    (recheck_invalid, (EXHAUSTED_A, PQ, Bounds(), None), "verdict must be a Verdict, not NoneType"),
+], ids=["valid-arg-None", "valid-base-None", "valid-base-str", "valid-bounds-None", "valid-bounds-int",
+        "recheck-arg-None", "recheck-base-str", "recheck-bounds-None", "recheck-verdict-None"])
+def test_valid_and_recheck_invalid_refuse_a_malformed_argument_by_name(call, args, message):
+    with pytest.raises(validity.ValidityError, match=f"^{message}$"):
+        call(*args)
 
 
 def _chain_base(n):

@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Nine op groups follow. The first, `choice`, runs what no workload builds: a
+Ten op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -94,6 +94,14 @@ of `consequence`'s input contract, as `error` lines, for each variant: the
 `REFUSED_CANDIDATES` (a candidate for another goal, or from more than the
 context) and the `REFUSED_INPUTS` (a context or goal that is not one).
 
+The tenth, `shared`, replays every `consequence` op of the pooled-family
+workload at seed `SHARED_SEED` in reverse order, after every other group,
+and writes its lines as the pooled-family group does, under `op
+shared/<op id>` lines. `consequence` calls share one search across calls,
+so these ops meet tables that other calls and the other order filled; a
+verdict that depends on what came before shows as a line that differs
+from the same op's lines in the pooled-family group.
+
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
 """
@@ -134,6 +142,7 @@ REFUSED_CANDIDATES = (
     ("more-than-the-context", '(inf orI1 "a | ~a" (assume "a"))', None),  # None: enumerate_bases([a, b], 2)
 )
 REFUSED_INPUTS = (("context-None", None, "a | ~a"), ("context-member", [None], "a | ~a"), ("goal-None", (), None))
+SHARED_SEED = 11
 REFUTED_DEPTH = 11
 REFUTED_BOUNDS = (10, 12)
 RECORDED = (
@@ -343,6 +352,19 @@ def _run_atomic_derivations_group(out) -> int:
     return ops
 
 
+def _run_shared_group(out) -> int:
+    """Run the shared group, writing an `op` line before each op, and return
+    its op count."""
+    import workloads
+
+    with tempfile.TemporaryDirectory() as work:
+        ops = [op for op in workloads.build("pooled-family", SHARED_SEED, Path(work)) if not op.id.startswith("base/")]
+    for op in reversed(ops):
+        out.write(f"op shared/{op.id}\n")
+        op.run()
+    return len(ops)
+
+
 def _variants(text: str) -> dict[str, str]:
     """text and its malformed variants, by name; a variant that leaves the
     text as it is is left out."""
@@ -477,6 +499,7 @@ def main() -> int:
         ops["readers"] = _run_readers_group(out)
         ops["partition"] = _run_partition_group(out)
         ops["atomic-derivations"] = _run_atomic_derivations_group(out)
+        ops["shared"] = _run_shared_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
