@@ -548,11 +548,21 @@ def _positioned(d: ArgStructure, into_closed: bool = True) -> list[tuple[tuple[i
     return out
 
 
+def _checked_path(path) -> tuple[int, ...]:
+    """path as a tuple, refused unless it is a sequence of integers (True is no position)."""
+    if not isinstance(path, (tuple, list)):
+        raise StructureError(f"path must be a tuple of integers, not {type(path).__name__}")
+    for i in path:
+        if i.__class__ is not int:
+            raise StructureError(f"path must hold integers only, not {i!r}")
+    return tuple(path)
+
+
 def subtree_at(d: ArgStructure, path: tuple[int, ...]) -> ArgStructure:
     if not isinstance(d, _Node):
         raise StructureError(f"not a structure: {d!r}")
     node = d
-    for i in path:
+    for i in _checked_path(path):
         if not isinstance(node, Inf) or not 0 <= i < len(node.children):
             raise StructureError(f"no substructure at position {path}")
         node = node.children[i]
@@ -668,6 +678,7 @@ def substitute(
     The replacement must share the target's conclusion and may not bring
     in open assumptions the target did not already have.
     """
+    path = _checked_path(path)
     target, context = cut_subtree(d, path)
     _require_contract(target, replacement)
     return _splice(d, path, context, replacement)

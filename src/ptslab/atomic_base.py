@@ -196,6 +196,12 @@ def _chain(rules: tuple[AtomicRule, ...], assumptions: frozenset[Atom]) -> dict[
     return derived
 
 
+def _require_base(base: object, error: type[ValueError] = BaseError) -> None:
+    """Refuse base unless it is an AtomicBase, with the caller's module's error naming it."""
+    if not isinstance(base, AtomicBase):
+        raise error(f"base must be an AtomicBase, not {type(base).__name__}")
+
+
 def _derivations(base: AtomicBase, assumptions: frozenset[Atom]) -> dict[Atom, AtomicRule | None]:
     """The base's own map for no assumptions; under any others, one computed afresh."""
     if BOT in assumptions:
@@ -205,6 +211,7 @@ def _derivations(base: AtomicBase, assumptions: frozenset[Atom]) -> dict[Atom, A
 
 def atomic_closure(base: AtomicBase, assumptions: Iterable[Atom] = ()) -> frozenset[Atom]:
     """Least set of atoms containing the assumptions and closed under the rules."""
+    _require_base(base)
     return _closure_of(base, frozenset(assumptions))
 
 
@@ -213,6 +220,7 @@ def _closure_of(base: AtomicBase, assumptions: frozenset[Atom]) -> frozenset[Ato
 
 
 def derives(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> bool:
+    _require_base(base)
     return goal in _closure_of(base, frozenset(assumptions))
 
 
@@ -258,6 +266,7 @@ def is_derivation_structure(d: ArgStructure, base: AtomicBase, assumptions: froz
     rule index); the tree is walked with an explicit stack. What is tested of
     a node is shared by its class, so a class once accepted (a shared
     premise) is skipped."""
+    _require_base(base)
     rules, accepted = base._rule_index, set()
     stack = [d]
     while stack:
@@ -298,8 +307,12 @@ def rule_universe(atoms: list[Atom]) -> list[AtomicRule]:
 
 def _checked_signature(atoms: list[Atom], max_rules: int, cap: int) -> list[Atom]:
     """The signature without repeats, once the arguments pass the checks that
-    enumerate_bases and search_counterexample share, in this order: a
-    non-negative rule count, named atoms only, a base count within the cap."""
+    enumerate_bases and search_counterexample share, in this order: integer
+    counts, a non-negative rule count, named atoms only, a base count within
+    the cap."""
+    for name, n in (("max_rules", max_rules), ("cap", cap)):
+        if n.__class__ is not int:  # True or 2.5 is no count
+            raise BaseError(f"{name} must be an integer, not {n!r}")
     if max_rules < 0:
         raise BaseError(f"the number of rules must be non-negative, got {max_rules}")
     seen = _signature(atoms)
@@ -380,4 +393,5 @@ def parse_base(text: str, id: str = "") -> AtomicBase:
 
 
 def render_base(base: AtomicBase) -> str:
+    _require_base(base)
     return "\n".join(str(r) for r in base.sorted_rules()) + ("\n" if base.rules else "")

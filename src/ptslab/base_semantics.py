@@ -13,7 +13,7 @@ import itertools
 import warnings
 from typing import Iterable
 
-from .atomic_base import AtomicBase, AtomicRule, _checked_signature, atomic_closure
+from .atomic_base import AtomicBase, AtomicRule, _checked_signature, _require_base, atomic_closure
 from .formula import BOT, Atom, Conj, Disj, Formula, Impl, _Record, _set, negation
 
 __all__ = [
@@ -113,6 +113,7 @@ def _warn_inconsistent(base: AtomicBase, stacklevel: int) -> None:
 
 def models(base: AtomicBase, context: Iterable[Formula], goal: Formula) -> bool:
     """Does the goal follow from the context on this base?"""
+    _require_base(base, SemanticsError)
     derivable = atomic_closure(base, ())
     if BOT in derivable:
         _warn_inconsistent(base, 2)

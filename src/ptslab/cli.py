@@ -49,7 +49,6 @@ from .validity import (
     CONSEQUENCE_VARIANTS,
     ValidityError,
     Verdict,
-    _Search,
     axiom_structure,
     consequence,
     em_witness,
@@ -229,9 +228,9 @@ def _demo_detour(args) -> int:
         parse_base("-> a\n-> b\na -> c\nb -> c\n", id="both"),
     ]
     bounds = _bounds_from(args)
-    search, ok = _Search(bounds), True
+    ok = True
     for base in bases:
-        v = valid(Argument(d, steps), base, bounds, _search=search)
+        v = valid(Argument(d, steps), base, bounds)
         ok &= v.is_valid
         _demo(args, f"case analysis on {base.id}: {v.status}", base=base.id, status=v.status)
     closed = instantiate(d, {Disj(a, b): synthesize_closed(bases[0], Disj(a, b))})
@@ -245,10 +244,10 @@ def _demo_detour(args) -> int:
 def _demo_em(args) -> int:
     family = _load_family(args.family or ["enumerate:atoms=2,rules=2"])
     bounds = _bounds_from(args)
-    search, ok = _Search(bounds), True
+    ok = True
     for base in family:
         w = em_witness(base, Atom("a"))
-        v = valid(w, base, bounds, _search=search)
+        v = valid(w, base, bounds)
         ok &= v.is_valid
         arm = w.steps.members[0].name
         _demo(args, f"excluded middle on {base.id}: witness via {arm}: {v.status}",
@@ -285,15 +284,15 @@ def _demo_graph(args) -> int:
     f = Atom("a")
     goal = Disj(f, negation(f))
     bounds = _bounds_from(args)
-    search, ok, union = _Search(bounds), True, RSystem(())
+    ok, union = True, RSystem(())
     for base in family:
         w = em_witness(base, f, mode="graph")
         union = union | w.steps
-        v = valid(w, base, bounds, _search=search)
+        v = valid(w, base, bounds)
         ok &= v.is_valid
         _demo(args, f"graph witness on {base.id}: {v.status}", base=base.id, status=v.status)
     for base in family:
-        v = valid(Argument(axiom_structure(goal), union), base, bounds, _search=search)
+        v = valid(Argument(axiom_structure(goal), union), base, bounds)
         ok &= v.is_valid
     v = consequence("delta-sh", (), goal, family, bounds)
     ok &= v.is_valid

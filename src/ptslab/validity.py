@@ -37,6 +37,7 @@ from .argument import (
     immediate_substructures,
     instantiate,
     is_canonical,
+    render_structure,
 )
 from .base_semantics import logical_consequence, models
 from .formula import Atom, Conj, Disj, Formula, FVar, Impl, _Record, _set, atoms_of, negation, render_formula
@@ -301,9 +302,9 @@ def _holds_choice(steps: StepSource) -> bool:
 
 
 class _Search:
-    """The reduction searches of one valid call, or of successive
-    consequence calls with equal bounds (_shared_search), shared by the
-    checks they make on every base through its tables, whose keys are
+    """The reduction searches of successive valid and consequence calls with
+    equal bounds (_shared_search), or of one recheck_invalid call, shared by
+    the checks they make on every base through its tables, whose keys are
     structures up to relabelling. An entry is filed once it is complete.
 
     Each check reads a fresh reduct stream (stream) once; the streams share
@@ -378,15 +379,24 @@ class _Search:
 
 
 _SHARED_LIMIT = 4096  # verdict keys plus step classes a held search may have and still be reused
-_shared: _Search | None = None  # the search of the last consequence call that reached a check
+_shared: _Search | None = None  # the search of the last valid or consequence call that reached a check
 
 
 def _shared_search(bounds: Bounds) -> _Search:
-    """The held search if it was made for equal bounds and its tables are
-    within _SHARED_LIMIT; otherwise a fresh one, which is held from now on."""
+    """The held search if it was made for equal bounds whose sigma
+    candidates are the same structures label for label, and its tables are
+    within _SHARED_LIMIT; otherwise a fresh one, which is held from now on.
+    Equal bounds compare candidates up to relabelling, but a filed verdict's
+    FailingInstance holds the candidates of the call that computed it."""
     global _shared
     s = _shared
-    if s is None or s.bounds != bounds or len(s._verdicts) + sum(map(len, s._steps.values())) > _SHARED_LIMIT:
+    if (
+        s is None
+        or s.bounds != bounds
+        or any(x is not y and render_structure(x) != render_structure(y)
+               for x, y in zip(s.bounds.sigma_candidates, bounds.sigma_candidates))
+        or len(s._verdicts) + sum(map(len, s._steps.values())) > _SHARED_LIMIT
+    ):
         s = _shared = _Search(bounds)
     return s
 
@@ -558,29 +568,30 @@ class _Checker:
 def valid(
     arg: Argument, base: AtomicBase, bounds: Bounds = Bounds(), *, _search: _Search | None = None
 ) -> Verdict:
-    """Bounded validity of the argument on the base. A consequence call
-    passes its search, made with equal bounds, to share it across the
-    family and with later calls, its verdicts included; any other call
-    searches afresh and never reads that search."""
+    """Bounded validity of the argument on the base, checked on the held
+    search for the bounds (_shared_search). A consequence or recheck_invalid
+    call passes its own search, made with equal bounds, so one call stays on
+    one search."""
     if _search is None:
         _require(arg, Argument, "arg")
         _require(base, AtomicBase, "base")
         _require(bounds, Bounds, "bounds")
-        _search = _Search(bounds)
+        _search = _shared_search(bounds)
     return _Checker(base, _search).check(arg.structure, arg.steps)
 
 
 def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Verdict) -> bool:
-    """Confirm an Invalid verdict by checking it again from scratch.
+    """Confirm an Invalid verdict by checking it again from scratch, on one
+    fresh search, which never reads or fills the held one (_shared_search).
 
-    An exhausted search is rerun: valid is called again, in a fresh search,
+    An exhausted search is rerun: valid is called again, on that search,
     and must exhaust the same explored reducts from the same start under the
     same max_steps. Start and reducts are compared as structures (up to
     relabelling, as their key texts would be) when the checker made the
     witness, so no text is written, and by their key texts when a caller
     built it from texts. This shares every fault of the search
     it checks; an independent checker of the witness is still to come
-    (ROADMAP item 4). A failing instance is checked in a fresh checker:
+    (ROADMAP item 4). A failing instance is checked on that search too:
     its extension index must name one of the step sources, every structure
     of its sigma must be valid, and the instance invalid."""
     for x, kind, name in ((arg, Argument, "arg"), (base, AtomicBase, "base"), (bounds, Bounds, "bounds"),
@@ -588,9 +599,9 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
         _require(x, kind, name)
     if not verdict.is_invalid:
         return False
-    w = verdict.witness
+    w, search = verdict.witness, _Search(bounds)
     if isinstance(w, ExhaustedSearch):
-        again = valid(arg, base, bounds)
+        again = valid(arg, base, bounds, _search=search)
         a = again.witness
         if not (again.is_invalid and isinstance(a, ExhaustedSearch)) or a.max_steps != w.max_steps:
             return False
@@ -598,7 +609,7 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
             return a._structures[0] == w._structures[0] and set(a._structures[1]) == set(w._structures[1])
         return a.start == w.start and set(a.explored) == set(w.explored)
     if isinstance(w, FailingInstance):
-        checker = _Checker(base, _Search(bounds))
+        checker = _Checker(base, search)
         exts = checker._extensions_for(arg.steps)
         if w.extension_index not in range(len(exts)):
             return False
@@ -770,10 +781,9 @@ def consequence(
     its candidates holds one. Reasons count every base and name the first
     failing one, which is the first of its class.
 
-    Calls with equal bounds share one search, keyed by content, so what one
-    computed the next reads back: the module holds the search of the last
-    call that reached a check, until one with other bounds or past
-    _SHARED_LIMIT replaces it (_shared_search).
+    The call checks on the held search (_shared_search), as valid does,
+    and hands it to every valid call it makes: its tables are keyed by
+    content, so what one call computed the next reads back.
     """
     if variant not in CONSEQUENCE_VARIANTS:
         raise ValidityError(f"unknown variant {variant!r}; pick one of {CONSEQUENCE_VARIANTS}")

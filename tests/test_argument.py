@@ -337,6 +337,17 @@ def test_subtree_and_positions():
         subtree_at(d, (9,))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda d: subtree_at(d, None), "path must be a tuple of integers, not NoneType"),
+    (lambda d: subtree_at(d, ("0",)), "path must hold integers only, not '0'"),
+    (lambda d: subtree_at(d, (True,)), "path must hold integers only, not True"),
+    (lambda d: substitute(d, 3, d), "path must be a tuple of integers, not int"),
+], ids=["subtree_at-None", "subtree_at-str", "subtree_at-bool", "substitute-int"])
+def test_a_path_that_is_no_sequence_of_integers_is_refused(call, message):
+    with pytest.raises(StructureError, match=re.escape(message)):
+        call(_case_analysis())
+
+
 def test_roundtrip_random_structures():
     rng = make_rng(9)
     for _ in range(80):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
@@ -27,6 +28,7 @@ from ptslab import (
     is_derivation_structure,
     parse_base,
     render_base,
+    search_counterexample,
 )
 
 from genlib import make_rng
@@ -155,6 +157,34 @@ def test_enumerate_with_no_rules_builds_no_rule_universe(monkeypatch):
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapError):
         list(enumerate_bases([p, q, r], 4, cap=10))
+
+
+@pytest.mark.parametrize("max_rules, cap, message", [
+    (1, None, "cap must be an integer, not None"),
+    (None, 200_000, "max_rules must be an integer, not None"),
+    ("1", 200_000, "max_rules must be an integer, not '1'"),
+    (2.5, 200_000, "max_rules must be an integer, not 2.5"),
+    (True, 200_000, "max_rules must be an integer, not True"),
+], ids=["cap-None", "max_rules-None", "max_rules-str", "max_rules-float", "max_rules-bool"])
+@pytest.mark.parametrize("count", [
+    lambda max_rules, cap: list(enumerate_bases([p, q], max_rules, cap=cap)),
+    lambda max_rules, cap: search_counterexample((), p, [p, q], max_rules, cap=cap),
+], ids=["enumerate_bases", "search_counterexample"])
+def test_a_count_that_is_no_integer_is_refused(count, max_rules, cap, message):
+    with pytest.raises(BaseError, match=re.escape(message)):
+        count(max_rules, cap)
+
+
+@pytest.mark.parametrize("call", [
+    atomic_closure,
+    lambda base: derives(base, (), p),
+    render_base,
+    lambda base: is_derivation_structure(Inf("atm", p, (EmptyTop(),)), base),
+], ids=["atomic_closure", "derives", "render_base", "is_derivation_structure"])
+@pytest.mark.parametrize("base", [None, "-> p\n", frozenset()], ids=["None", "str", "frozenset"])
+def test_a_base_that_is_no_atomic_base_is_refused(call, base):
+    with pytest.raises(BaseError, match=f"base must be an AtomicBase, not {type(base).__name__}$"):
+        call(base)
 
 
 def test_base_file_roundtrip():

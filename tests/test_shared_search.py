@@ -1,9 +1,10 @@
-"""Successive `consequence` calls share one search (validity._shared_search):
-its tables are keyed by content, so a call reads back what an earlier one
-computed and answers as it would from a cold search. The module holds one
-search, for the bounds of the last call that reached a check, and replaces
-it for other bounds or once its tables pass validity._SHARED_LIMIT; `valid`
-and `recheck_invalid` never read it."""
+"""Successive `valid` and `consequence` calls share one search
+(validity._shared_search): its tables are keyed by content, so a call reads
+back what an earlier one computed and answers as it would from a cold search.
+The module holds one search, for the bounds of the last call that reached a
+check, and replaces it for other bounds, for sigma candidates that differ in
+labels, or once its tables pass validity._SHARED_LIMIT; `recheck_invalid`
+never reads or fills it."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 from ptslab import (
     BOT,
     Argument,
+    Assumption,
     Atom,
     Bounds,
     Conj,
     Disj,
     Impl,
+    Inf,
     JustificationSet,
     axiom_structure,
     choice_justification,
@@ -51,7 +54,15 @@ def _em_candidate(kind: str, f) -> Argument:
 
 
 def _outcome(call) -> str:
+    """The repr of a consequence call's verdict, or of a ("valid", arg, base,
+    bounds) call's, or of a ("recheck", arg, base, bounds) call's verdict and
+    recheck."""
     try:
+        if call[0] == "valid":
+            return repr(valid(*call[1:]))
+        if call[0] == "recheck":
+            v = valid(*call[1:])
+            return repr((v, recheck_invalid(*call[1:], v)))
         return repr(consequence(*call))
     except Exception as e:  # a refusal is an outcome too, and must not depend on what came before
         return f"{type(e).__name__}: {e}"
@@ -66,22 +77,53 @@ def _size(search) -> int:
     return len(search._verdicts) + sum(map(len, search._steps.values()))
 
 
+A_A = Impl(a, a)
+
+
+def _identity(label: int):
+    """a -> a introduced over the leaf a, discharged under the label."""
+    return Inf("impI", A_A, (Assumption(a, label),), frozenset({label}))
+
+
+def _pooled(label: int) -> Bounds:
+    """Bounds whose one sigma candidate is _identity(label), and nothing synthesized."""
+    return Bounds(synthesize_sigma=False, sigma_candidates=(_identity(label),))
+
+
+# equal bounds whose pools differ in labels only: a failing instance's sigma holds the pool's structures
+BOUNDS = [Bounds(), Bounds(max_reduction_steps=2), _pooled(1), _pooled(7)]
+
+
+def _from_a_a(f) -> Argument:
+    """An open argument for f from a -> a, with no steps: Invalid where f
+    is not derived, through a failing instance on a -> a."""
+    return Argument(Inf("step", f, (Assumption(A_A),)), JustificationSet())
+
+
 @st.composite
 def _calls(draw):
+    """A consequence call, or a valid or recheck_invalid call on one of
+    its candidates or on an open argument from a -> a."""
     variant = draw(st.sampled_from(CONSEQUENCE_VARIANTS))
     f = draw(st.sampled_from(DEPTH_2))
     context = tuple(draw(st.lists(st.sampled_from(DEPTH_2), max_size=1)))
-    kind = draw(st.sampled_from([None, "choice", "em_refute"]))
-    goal, candidates = (f, ()) if kind is None else (Disj(f, negation(f)), (_em_candidate(kind, f),))
+    kind = draw(st.sampled_from([None, "choice", "em_refute", "from_a_a"]))
+    if kind is None:
+        goal, candidates = f, ()
+    elif kind == "from_a_a":
+        goal, candidates, context = f, (_from_a_a(f),), (*context, A_A)
+    else:
+        goal, candidates = Disj(f, negation(f)), (_em_candidate(kind, f),)
     family = draw(st.permutations(FAM_AB))[: draw(st.integers(1, len(FAM_AB)))]
-    bounds = draw(st.sampled_from([Bounds(), Bounds(max_reduction_steps=2)]))
-    return variant, context, goal, family, bounds, candidates
+    bounds = draw(st.sampled_from(BOUNDS))
+    call = draw(st.sampled_from(["consequence", "valid", "recheck"]))
+    if call == "consequence":
+        return variant, context, goal, family, bounds, candidates
+    return call, candidates[0] if candidates else _from_a_a(f), family[0], bounds
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_calls(), min_size=2, max_size=6))
-def test_a_call_on_the_shared_search_answers_as_on_a_cold_one(calls):
-    # each call's verdict and the verdicts of the valid calls it makes, in order
+def _answers(calls, run) -> list:
+    """Per call, run(call) and the reprs of the valid calls it made, in order."""
     nested, real = [], validity.valid
 
     def recorded(*args, **kwargs):
@@ -89,18 +131,33 @@ def test_a_call_on_the_shared_search_answers_as_on_a_cold_one(calls):
         nested.append(repr(v))
         return v
 
-    def outcomes(run) -> list:
-        out = []
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validity, "valid", recorded)
         for call in calls:
             nested.clear()
             out.append((run(call), list(nested)))
-        return out
+    return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(validity, "valid", recorded)
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_calls(), min_size=2, max_size=6))
+def test_a_call_on_the_shared_search_answers_as_on_a_cold_one(calls):
+    validity._shared = None
+    assert _answers(calls, _outcome) == _answers(calls, _cold)
+
+
+def test_equal_bounds_whose_pools_differ_in_labels_answer_with_their_own_pool():
+    assert _pooled(1) == _pooled(7)
+    base, arg = parse_base("-> a\n-> b\n"), _from_a_a(b)
+    for first, then in [
+        (("delta", (A_A,), b, [base], _pooled(1), [arg]), ("delta", (A_A,), b, [base], _pooled(7), [arg])),
+        (("valid", arg, base, _pooled(1)), ("valid", arg, base, _pooled(7))),
+    ]:
         validity._shared = None
-        warm = outcomes(_outcome)
-        assert warm == outcomes(_cold)
+        warm = _answers([first, then], _outcome)[1]
+        assert warm == _answers([then], _cold)[0]
+        assert "label=7" in repr(warm) and "label=1" not in repr(warm)
 
 
 CALLS = [
@@ -177,22 +234,42 @@ EXHAUSTED = Argument(axiom_structure(EM_A), JustificationSet((em_refutation_rule
 FAILING = Argument(parse_structure('(inf step "b" (assume "a"))'), JustificationSet())  # Invalid on -> a, -> b
 
 
-@pytest.mark.parametrize("arg, base, call", [
+CASES = pytest.mark.parametrize("arg, base, call", [
     (EXHAUSTED, parse_base("-> a\n"), ("delta-s", (), EM_A, FAM_AB, Bounds(), [EXHAUSTED])),
     (FAILING, parse_base("-> a\n-> b\n"), ("delta", (a,), b, [parse_base("-> a\n-> b\n")], Bounds(), [FAILING])),
 ], ids=["exhausted", "failing-instance"])
-def test_valid_and_recheck_invalid_never_read_the_shared_search(monkeypatch, arg, base, call):
+
+
+@CASES
+def test_recheck_invalid_never_reads_or_fills_the_shared_search(monkeypatch, arg, base, call):
+    v = valid(arg, base)
+    assert v.is_invalid
     made = _count_closed(monkeypatch)
 
-    def computed() -> int:
+    def rechecked() -> int:
         made.clear()
-        v = valid(arg, base)
-        assert v.is_invalid and recheck_invalid(arg, base, Bounds(), v)
+        assert recheck_invalid(arg, base, Bounds(), v)
         return len(made)
 
-    cold = computed()
+    validity._shared = None
+    cold = rechecked()
+    assert validity._shared is None
     consequence(*call)
     held, held_size = validity._shared, _size(validity._shared)
     assert held_size > 0
-    assert computed() == cold
+    assert rechecked() == cold
     assert validity._shared is held and _size(held) == held_size
+
+
+@CASES
+def test_valid_answers_on_the_shared_search_as_on_a_cold_one(monkeypatch, arg, base, call):
+    made = _count_closed(monkeypatch)
+    cold = repr(valid(arg, base))
+    computed = len(made)
+    validity._shared = None
+    consequence(*call)
+    held = validity._shared
+    made.clear()
+    assert repr(valid(arg, base)) == cold
+    # the consequence call filed the verdict, and valid reads it back from the held search
+    assert len(made) == 0 < computed and validity._shared is held

@@ -48,8 +48,8 @@ whose search has none synthesizes each afresh, so on such a tree the
 group writes the reference a table must reproduce.
 
 The fifth, `pooled-choice`, puts a `ChoiceFunction` through a search
-shared across bases, which the `choice` group's fresh `valid` calls never
-do. For each `CHOICE_FORMULAS` formula f it calls `consequence` with
+shared across the bases of one `consequence` call, where the `choice`
+group's `valid` calls check one base per call. For each `CHOICE_FORMULAS` formula f it calls `consequence` with
 `delta` and with `delta-star` on f | ~f over the 65 bases, passing as
 the one candidate the `choice` group's argument (the excluded-middle
 axiom with the choice function and `or_detour()`); the nested `valid`
@@ -96,11 +96,12 @@ context) and the `REFUSED_INPUTS` (a context or goal that is not one).
 
 The tenth, `shared`, replays every `consequence` op of the pooled-family
 workload at seed `SHARED_SEED` in reverse order, after every other group,
-and writes its lines as the pooled-family group does, under `op
-shared/<op id>` lines. `consequence` calls share one search across calls,
-so these ops meet tables that other calls and the other order filled; a
-verdict that depends on what came before shows as a line that differs
-from the same op's lines in the pooled-family group.
+then every op of the detour-search workload at that seed in reverse
+order, and writes their lines as those groups do, under `op shared/<op
+id>` lines. `valid` and `consequence` calls share one search across
+calls, so these ops meet tables that other calls and the other order
+filled; a verdict that depends on what came before shows as a line that
+differs from the same op's lines in its workload's group.
 
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
@@ -359,7 +360,8 @@ def _run_shared_group(out) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         ops = [op for op in workloads.build("pooled-family", SHARED_SEED, Path(work)) if not op.id.startswith("base/")]
-    for op in reversed(ops):
+        ops = ops[::-1] + workloads.build("detour-search", SHARED_SEED, Path(work))[::-1]
+    for op in ops:
         out.write(f"op shared/{op.id}\n")
         op.run()
     return len(ops)
