@@ -255,6 +255,7 @@ def _derivation(derived: dict[Atom, AtomicRule | None], goal: Atom) -> ArgStruct
 def atomic_derivation(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> ArgStructure | None:
     """A derivation of goal from the assumptions on the base, as an atm
     structure with the assumptions it uses as open leaves, or None."""
+    _require_base(base)
     return _derivation(_derivations(base, frozenset(assumptions)), goal)
 
 
@@ -289,6 +290,7 @@ def is_derivation_structure(d: ArgStructure, base: AtomicBase, assumptions: froz
 
 
 def is_consistent(base: AtomicBase) -> bool:
+    _require_base(base)
     return BOT not in base._closure
 
 

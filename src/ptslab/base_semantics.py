@@ -42,6 +42,7 @@ class ConsequenceVerdict(_Record):
 
 def base_valuation(base: AtomicBase, extra_atoms: Iterable[Atom] = ()) -> dict[Atom, bool]:
     """Valuation sending each atom to its derivability from no assumptions."""
+    _require_base(base, SemanticsError)
     derivable = atomic_closure(base, ())
     cover = set(base.atoms()) | set(extra_atoms) | {BOT}
     return {a: a in derivable for a in cover}

@@ -322,6 +322,14 @@ class SchematicRewrite(_Record):
         _set(self, "clauses", clauses)
 
 
+def _class_of(d: object, name: str) -> _Key:
+    """d's class key; a JustificationError naming the argument unless d is a structure."""
+    try:
+        return d._facts.key
+    except AttributeError:
+        raise JustificationError(f"{name} must be a structure, not {type(d).__name__}") from None
+
+
 class _ByContent(_Record):
     """Equality and hashing by the `_content` a constructor sets: a table's
     entries taken as a set, so their order makes no difference."""
@@ -338,46 +346,52 @@ class _ByContent(_Record):
 
 
 class ConstantMap(_ByContent):
-    """A finite table of rewrites, looked up modulo label renaming: its
-    index is keyed by the structures, whose equality is up to relabelling."""
+    """A finite table of rewrites, looked up modulo label renaming: its index
+    files each key's last image under the key's class key."""
 
     _fields = __match_args__ = ("name", "pairs")
 
     def __init__(self, name: str, pairs: tuple[tuple[ArgStructure, ArgStructure], ...]):
         _set(self, "name", name)
         _set(self, "pairs", pairs)
-        index: dict[ArgStructure, ArgStructure] = {}  # k -> v
+        index: dict[_Key, ArgStructure] = {}
         for k, v in pairs:
             for x in (k, v):
                 if not isinstance(x, ArgStructure):
                     raise JustificationError(f"table {name}: a key or image must be a structure, not {x!r}")
-            if index.get(k, v) != v:
+            if index.setdefault(k._facts.key, v)._facts.key is not v._facts.key:
                 raise JustificationError(f"table {name}: two images for one structure")
-            index[k] = v
+            index[k._facts.key] = v
         _set(self, "_index", index)
-        self._set_content((name, frozenset(index.items())))
+        self._set_content((name, frozenset([(kk, v._facts.key) for kk, v in index.items()])))
 
     def lookup(self, d: ArgStructure) -> ArgStructure | None:
-        return self._index.get(d)
+        return self._index.get(_class_of(d, "d"))
 
 
 class ChoiceFunction(_ByContent):
     """Selects a justification set per (structure, base): entries ((structure,
-    base), set), looked up modulo label renaming like a ConstantMap's."""
+    base), set), filed under (class key, base) like a ConstantMap's."""
 
     _fields = __match_args__ = ("name", "table")
 
     def __init__(self, name: str, table: tuple[tuple[tuple[ArgStructure, AtomicBase], "JustificationSet"], ...]):
-        for (k, _base), _sel in table:
+        for (k, base), sel in table:
             if not isinstance(k, ArgStructure):
                 raise JustificationError(f"choice function {name}: a key must be a structure, not {k!r}")
+            if not isinstance(base, AtomicBase):
+                raise JustificationError(
+                    f"choice function {name}: a base must be an AtomicBase, not {type(base).__name__}")
+            if not isinstance(sel, JustificationSet):
+                raise JustificationError(
+                    f"choice function {name}: a selection must be a JustificationSet, not {type(sel).__name__}")
         _set(self, "name", name)
         _set(self, "table", table)
-        _set(self, "_index", dict(table))
+        _set(self, "_index", {(k._facts.key, base): sel for (k, base), sel in table})
         self._set_content((name, frozenset(self._index.items())))
 
     def selection(self, d: ArgStructure, base: AtomicBase) -> "JustificationSet | None":
-        return self._index.get((d, base))
+        return self._index.get((_class_of(d, "d"), base))
 
 
 Justification = Union[SchematicRewrite, ConstantMap, ChoiceFunction]
@@ -387,6 +401,9 @@ class JustificationSet(_ByContent):
     _fields = __match_args__ = ("members",)
 
     def __init__(self, members: tuple[Justification, ...] = ()):
+        for j in members:
+            if not isinstance(j, (SchematicRewrite, ConstantMap, ChoiceFunction)):
+                raise JustificationError(f"members must hold justifications only, not {type(j).__name__}")
         ordered = tuple(sorted(members, key=lambda j: j.name))
         names = [j.name for j in ordered]
         if len(set(names)) != len(names):
@@ -423,27 +440,28 @@ class _Dispatch:
     A node's candidates are (member position, table image or None) pairs in
     member order. A rewrite whose every clause pattern is rooted in an
     inference can fire only at nodes with one of those tags; any other
-    rewrite may fire anywhere. Table entries are filed under their subtree;
-    of the images one subtree receives, only the first per image is kept
-    (images equal up to relabelling), since a later one splices to the same
-    reduct with the same contract verdict. A choice function is filed, with
-    no image, under each of its key structures, whatever their bases, so it
-    is tried only at a node equal to one of them. choice says whether a
-    member is a choice function: then stepping needs a base.
+    rewrite may fire anywhere. Table entries are filed under their key's
+    class key; of the images one class receives, only the first of each
+    image class is kept, since a later one splices to the same reduct with
+    the same contract verdict. A choice function is filed, with no image,
+    under the class key of each of its key structures, whatever their bases,
+    so it is tried only at a node of one of those classes. choice says
+    whether a member is a choice function: then stepping needs a base.
     """
 
     def __init__(self, members: tuple[Justification, ...]):
         anywhere: list[tuple[int, None]] = []
         tagged: dict[str, list[tuple[int, None]]] = {}
-        # key -> image (a choice function's position for its hit) -> hit
-        hits: dict[ArgStructure, dict[object, tuple[int, ArgStructure | None]]] = {}
+        # key class -> its root tag, and image class (a choice function's position for its hit) -> hit
+        hits: dict[_Key, tuple[str | None, dict[object, tuple[int, ArgStructure | None]]]] = {}
         for i, j in enumerate(members):
             if isinstance(j, ConstantMap):
-                for k, v in j._index.items():
-                    hits.setdefault(k, {}).setdefault(v, (i, v))
+                for k, _v in j.pairs:
+                    v = j._index[k._facts.key]  # the image the table keeps for the class
+                    hits.setdefault(k._facts.key, (_root_tag(k), {}))[1].setdefault(v._facts.key, (i, v))
             elif isinstance(j, ChoiceFunction):
-                for k, _base in j._index:
-                    hits.setdefault(k, {}).setdefault(i, (i, None))
+                for (k, _base), _sel in j.table:
+                    hits.setdefault(k._facts.key, (_root_tag(k), {}))[1].setdefault(i, (i, None))
             elif isinstance(j, SchematicRewrite) and all(isinstance(p, PInf) for p, _ in j.clauses):
                 for tag in dict.fromkeys(p.tag for p, _ in j.clauses):
                     tagged.setdefault(tag, []).append((i, None))
@@ -452,11 +470,11 @@ class _Dispatch:
         self.choice = any(isinstance(j, ChoiceFunction) for j in members)
         self._default = (tuple(anywhere), False)
         self._plans = {tag: (tuple(sorted(anywhere + ps)), False) for tag, ps in tagged.items()}
-        for tag in {_root_tag(k) for k in hits}:
+        for tag in {tag for tag, _images in hits.values()}:
             self._plans[tag] = (self.at(tag)[0], True)
         self.by_key = {
-            k: tuple(sorted(self.at(_root_tag(k))[0] + tuple(images.values()), key=lambda c: c[0]))
-            for k, images in hits.items()
+            kk: tuple(sorted(self.at(tag)[0] + tuple(images.values()), key=lambda c: c[0]))
+            for kk, (tag, images) in hits.items()
         }
 
     def at(self, tag: str | None) -> tuple[tuple[tuple[int, ArgStructure | None], ...], bool]:
@@ -472,16 +490,18 @@ class RSystem(_ByContent):
 
     def __init__(self, pairs: tuple[tuple[ArgStructure, ArgStructure], ...] = ()):
         kept = []
-        index: dict[ArgStructure, dict[ArgStructure, None]] = {}  # a -> its images, the first of each class
+        index: dict[_Key, dict[_Key, ArgStructure]] = {}  # a's class key -> its first image per class key
         for a, z in pairs:
-            images = index.setdefault(a, {})
-            if z not in images:  # the contract holds up to relabelling: check each class once
+            if not (isinstance(a, ArgStructure) and isinstance(z, ArgStructure)):
+                _check_contract("reduction pair", a, z)  # it names what is not a structure
+            images = index.setdefault(a._facts.key, {})
+            if z._facts.key not in images:  # the contract holds up to relabelling: check each class once
                 _check_contract("reduction pair", a, z)
-                images[z] = None
+                images[z._facts.key] = z
                 kept.append((a, z))
         _set(self, "pairs", tuple(kept))
         _set(self, "_index", index)
-        self._set_content(frozenset((a, z) for a, images in index.items() for z in images))
+        self._set_content(frozenset([(ka, kz) for ka, images in index.items() for kz in images]))
 
     def union(self, other: "RSystem") -> "RSystem":
         return RSystem(self.pairs + other.pairs)
@@ -518,6 +538,7 @@ def apply_justification(
     j: Justification, d: ArgStructure, base: AtomicBase | None = None
 ) -> ArgStructure | None:
     """Apply j to the whole structure d; None when d is outside j's domain."""
+    _class_of(d, "d")  # JustificationError unless d is a structure
     match j:
         case SchematicRewrite():
             return _apply_rewrite(j, d)
@@ -569,7 +590,7 @@ def _one_step(
     Every other position is cut out, matched and spliced back. The walk is
     the one _stepped made to find those substructures."""
     if isinstance(src, RSystem):
-        return list(src._index.get(d, ()))
+        return list(src._index.get(d._facts.key, {}).values())
     index = src._dispatch
     if index.choice and base is None:
         name = next(j.name for j in src.members if isinstance(j, ChoiceFunction))
@@ -585,7 +606,7 @@ def _one_step(
         if not plan and not keyed:
             continue  # no member can fire here
         sub, ctx = cut_subtree(d, pos)
-        for i, image in index.by_key.get(sub, plan) if keyed else plan:
+        for i, image in index.by_key.get(sub._facts.key, plan) if keyed else plan:
             j = src.members[i]
             try:
                 if image is not None:
@@ -631,15 +652,14 @@ class _Reducts:
     """The search of reach as a stream of (reduct, depth), breadth-first,
     the start first, read once: a reader that stops early leaves the rest
     undone, and once the stream is drained, bound says whether a bound cut
-    the search off. Reducts are told apart up to relabelling, by structure
-    equality, so no key text is written.
+    the search off. Reducts are told apart by class key (argument._Key), so
+    no key text is written.
 
     Each structure is stepped through a step table (_stepped: from class
     key to one-step reducts, for one step source and, when the source
     selects by base, one base). A stream makes its own unless given one:
     streams that share it step each class up to relabelling, substructures
-    included, once between them. The set of reducts seen holds their class
-    keys (argument._Key), which hash and compare by identity."""
+    included, once between them."""
 
     __slots__ = ("_args", "bound")
 
@@ -842,8 +862,8 @@ def _scheme(entries: list[tuple[ArgStructure, ArgStructure]]) -> tuple[Pattern, 
 
 
 def _table_is_schematic(cm: ConstantMap) -> bool:
-    # its distinct entries, each as its canonical form: their labels number alike
-    entries = [(canonical_form(k), canonical_form(v)) for k, v in cm._index.items()]
+    # one entry per key class, in canonical form: their labels number alike
+    entries = list({k._facts.key: (canonical_form(k), canonical_form(v)) for k, v in cm.pairs}.values())
     if len(entries) < 2:
         # a lone ground pair is a table entry, not a rewriting scheme
         return False

@@ -20,9 +20,9 @@ Unknown only where no part is Invalid.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Literal
+from typing import Callable, Iterable, Literal
 
-from .atomic_base import AtomicBase, _derivation, is_consistent, is_derivation_structure
+from .atomic_base import AtomicBase, _derivation, _require_base, is_consistent, is_derivation_structure
 from .argument import (
     ArgStructure,
     Assumption,
@@ -31,6 +31,7 @@ from .argument import (
     PInf,
     PVar,
     _Key,
+    _facts,
     canonical_key,
     check_structure,
     conclusion_of,
@@ -245,6 +246,7 @@ def synthesize_closed(base: AtomicBase, f: Formula) -> ArgStructure | None:
     rules get equal structures; a search's witness table (_Search.closed)
     builds one per such class.
     """
+    _require_base(base, ValidityError)
     counter = itertools.count(1)
     done: list[ArgStructure | None] = []
     stack: list[tuple[Formula, int]] = [(f, 0)]
@@ -304,8 +306,8 @@ def _holds_choice(steps: StepSource) -> bool:
 class _Search:
     """The reduction searches of successive valid and consequence calls with
     equal bounds (_shared_search), or of one recheck_invalid call, shared by
-    the checks they make on every base through its tables, whose keys are
-    structures up to relabelling. An entry is filed once it is complete.
+    the checks they make on every base through its tables, which key
+    structures by class key. An entry is filed once it is complete.
 
     Each check reads a fresh reduct stream (stream) once; the streams share
     the step table of their steps (per base too when the steps hold a
@@ -324,8 +326,7 @@ class _Search:
 
     Its instance table holds every substitution instance the search builds
     (instance), for the checker's open arguments and the pooled uniform
-    instances alike, keyed by the structure and sigma's structures, each
-    up to relabelling.
+    instances alike, keyed by the structure and sigma's structures.
 
     Its verdict table files each verdict a check computes under its reads:
     what the check and its parts asked of the base (_Checker._answer), with
@@ -336,11 +337,11 @@ class _Search:
     def __init__(self, bounds: Bounds):
         self.bounds = bounds
         self._steps: dict[tuple, dict[_Key, list[ArgStructure]]] = {}
-        self._subs: dict[ArgStructure, list[ArgStructure] | None] = {}
+        self._subs: dict[_Key, list[ArgStructure] | None] = {}
         self._atoms: dict[Formula, tuple[Atom, ...]] = {}
         self._witnesses: dict[tuple[Formula, tuple], ArgStructure | None] = {}
-        self._instances: dict[tuple[ArgStructure, ...], ArgStructure] = {}
-        self._verdicts: dict[tuple[ArgStructure, StepSource], list[tuple[Verdict, dict]]] = {}
+        self._instances: dict[tuple[_Key, ...], ArgStructure] = {}
+        self._verdicts: dict[tuple[_Key, StepSource], list[tuple[Verdict, dict]]] = {}
 
     def closed(self, base: AtomicBase, f: Formula) -> ArgStructure | None:
         """synthesize_closed(base, f), built once per (f, the supports of f's atoms)."""
@@ -357,7 +358,7 @@ class _Search:
     def instance(self, d: ArgStructure, sigma: dict[Formula, ArgStructure]) -> ArgStructure:
         """instantiate(d, sigma), built once per (d, sigma's structures) up to
         relabelling; sigma's keys are d's open assumptions, in one order."""
-        key = (d, *sigma.values())
+        key = (d._facts.key, *[s._facts.key for s in sigma.values()])
         hit = self._instances.get(key)
         if hit is None:
             hit = self._instances[key] = instantiate(d, sigma)
@@ -369,12 +370,12 @@ class _Search:
 
     def canonical_subs(self, r: ArgStructure) -> list[ArgStructure] | None:
         """r's immediate substructures if r is canonical and closed, else None."""
-        subs = self._subs.get(r, False)
+        subs = self._subs.get(r._facts.key, False)
         if subs is False:
             check_structure(r)
             ok = is_canonical(r) and not r._facts.opens
             subs = immediate_substructures(r) if ok else None
-            self._subs[r] = subs
+            self._subs[r._facts.key] = subs
         return subs
 
 
@@ -424,16 +425,16 @@ class _Checker:
         self.bounds = search.bounds
         self.search = search
         self._answers: dict[tuple, object] = {}
-        self._frames: list[dict[tuple, object]] = [{}]  # the reads of each check being computed
+        self._frames: list[dict[tuple, tuple]] = [{}]  # the reads of each check being computed
 
     def check(self, d: ArgStructure, steps: StepSource) -> Verdict:
-        key = (d, steps)
+        key = (_facts(d).key, steps)
         answers = self._answers
         for hit in self.search._verdicts.get(key, ()):  # filed with reads this base answers alike?
-            for q, a in hit[1].items():
+            for q, (a, x) in hit[1].items():
                 got = answers.get(q, _UNASKED)
                 if got is _UNASKED:
-                    got = self._answer(q)
+                    got = self._answer(q, x)
                 if got is not a:
                     break
             else:
@@ -452,25 +453,24 @@ class _Checker:
         self._frames[-1].update(hit[1])  # the enclosing check depends on them too
         return hit[0]
 
-    def _answer(self, q: tuple) -> object:
-        """The base's answer to q, which this checker has not asked yet: every
-        read of the base goes through here, and _answers keeps the answer. q is
-        ("der", r): is r a closed derivation on the base; ("closed", f): the
-        search's witness for f, one object per support; or _BASE: the base
-        itself. A filed read is replayed by comparing identities."""
-        kind, x = q
+    def _answer(self, q: tuple, x: object) -> object:
+        """The base's answer to q about x, not yet asked by this checker: every
+        read of the base goes through here, and _answers keeps it. q is ("der",
+        r's class key) about r: is r a closed derivation on the base; ("closed",
+        f) about f: the search's witness for f, one object per support; or _BASE:
+        the base. A frame files (answer, x) under q; a replay compares identities."""
         a = self._answers[q] = (
-            is_derivation_structure(x, self.base) if kind == "der"
-            else self.search.closed(self.base, x) if kind == "closed" else self.base
+            is_derivation_structure(x, self.base) if q[0] == "der"
+            else self.search.closed(self.base, x) if q[0] == "closed" else self.base
         )
         return a
 
-    def _read(self, q: tuple) -> object:
-        """The base's answer to q, recorded in the frame of the check being computed."""
+    def _read(self, q: tuple, x: object = None) -> object:
+        """The base's answer to q about x, recorded in the frame of the check being computed."""
         a = self._answers.get(q, _UNASKED)
         if a is _UNASKED:
-            a = self._answer(q)
-        self._frames[-1][q] = a
+            a = self._answer(q, x)
+        self._frames[-1][q] = (a, x)
         return a
 
     def _extensions_for(self, steps: StepSource) -> list[StepSource]:
@@ -488,7 +488,7 @@ class _Checker:
         for r, depth in stream:
             explored.append(r)
             if atomic:
-                if self._read(("der", r)):
+                if self._read(("der", r._facts.key), r):
                     return Verdict.valid(f"reduces to a derivation on the base in {depth} step(s)")
                 continue
             subs = self.search.canonical_subs(r)
@@ -510,23 +510,18 @@ class _Checker:
         )
 
     def _sigma_candidates(self, f: Formula) -> list[ArgStructure]:
-        out: list[ArgStructure] = []
-        seen: set[ArgStructure] = set()
+        out: dict[_Key, ArgStructure] = {}  # the first of each class
         if self.bounds.synthesize_sigma:
-            syn = self._read(("closed", f))
+            syn = self._read(("closed", f), f)
             if syn is not None:
-                out.append(syn)
-                seen.add(syn)
+                out[syn._facts.key] = syn
         for cand in self.bounds.sigma_candidates:
             if conclusion_of(cand) != f:
                 continue
             check_structure(cand)
-            if cand._facts.opens:
-                continue
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-        return out
+            if not cand._facts.opens:
+                out.setdefault(cand._facts.key, cand)
+        return list(out.values())
 
     def _open(self, d: ArgStructure, steps: StepSource, assumptions: list[Formula]) -> Verdict:
         extensions = self._extensions_for(steps)
@@ -586,7 +581,7 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
 
     An exhausted search is rerun: valid is called again, on that search,
     and must exhaust the same explored reducts from the same start under the
-    same max_steps. Start and reducts are compared as structures (up to
+    same max_steps. Start and reducts are compared by class key (up to
     relabelling, as their key texts would be) when the checker made the
     witness, so no text is written, and by their key texts when a caller
     built it from texts. This shares every fault of the search
@@ -606,7 +601,8 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
         if not (again.is_invalid and isinstance(a, ExhaustedSearch)) or a.max_steps != w.max_steps:
             return False
         if "_structures" in vars(w):
-            return a._structures[0] == w._structures[0] and set(a._structures[1]) == set(w._structures[1])
+            classes = [(s._facts.key, {r._facts.key for r in rs}) for s, rs in (a._structures, w._structures)]
+            return classes[0] == classes[1]
         return a.start == w.start and set(a.explored) == set(w.explored)
     if isinstance(w, FailingInstance):
         checker = _Checker(base, search)
@@ -629,6 +625,7 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
 def em_assertion_map(base: AtomicBase, f: Formula) -> ConstantMap:
     """Points the excluded-middle axiom for f at a left injection over a
     synthesized closed structure for f. Base-specific by construction."""
+    _require_base(base, ValidityError)
     syn = synthesize_closed(base, f)
     if syn is None:
         raise ValidityError(f"{render_formula(f)} does not hold on {base.id}")
@@ -643,6 +640,7 @@ def em_witness(base: AtomicBase, f: Formula, mode: str = "functions") -> Argumen
     base-specific assertion table otherwise; in graph mode the chosen
     device is replaced by its graph on the axiom.
     """
+    _require_base(base, ValidityError)
     if mode not in ("functions", "graph"):
         raise ValidityError(f"unknown witness mode {mode!r}")
     if not is_consistent(base):
@@ -738,16 +736,30 @@ def _uniform_instances(
     return out
 
 
-def _representatives(family: list[AtomicBase]) -> Iterator[AtomicBase]:
+def _representatives(family: list[AtomicBase]) -> list[AtomicBase]:
     """The first base of each class of bases with equal live rules
-    (AtomicBase._live), in family order, as the family is read: a loop that
-    stops early reads no base's live rules past where it stopped."""
-    seen: set[frozenset] = set()
+    (AtomicBase._live), in family order."""
+    firsts: dict[frozenset, AtomicBase] = {}
     for b in family:
-        live = b._live
-        if live not in seen:
-            seen.add(live)
-            yield b
+        firsts.setdefault(b._live, b)
+    return list(firsts.values())
+
+
+def _visits(family: list[AtomicBase]) -> Callable[..., list[AtomicBase]]:
+    """The rule for which bases a check visits, as a function of its step
+    sources: every base when one of them holds a choice function, whose
+    selection reads the base itself, and otherwise the first base of each
+    class (_representatives), the classes built once, when first asked for."""
+    reps: list[AtomicBase] = []
+
+    def bases(*steps: StepSource) -> list[AtomicBase]:
+        if any(map(_holds_choice, steps)):
+            return family
+        if not reps:
+            reps.extend(_representatives(family))
+        return reps
+
+    return bases
 
 
 def consequence(
@@ -775,11 +787,12 @@ def consequence(
     family is grouped into classes of bases with equal live rules
     (AtomicBase._live), and each check, witness and pooled instance is
     made on the first base of each class, which answers every read of a
-    check as the others do. A check whose steps hold a choice function (the
-    candidate's own, or any extension's) reads the base itself, so it is
-    made on every base, and so is every check of delta's loop once one of
-    its candidates holds one. Reasons count every base and name the first
-    failing one, which is the first of its class.
+    check as the others do. One rule (_visits) picks the bases: a check
+    whose steps hold a choice function (the candidate's own, or any
+    extension's) reads the base itself, so it is made on every base, and
+    so is every check of delta's loop once one of its candidates holds one.
+    Reasons count every base and name the first failing one, which is the
+    first of its class.
 
     The call checks on the held search (_shared_search), as valid does,
     and hands it to every valid call it makes: its tables are keyed by
@@ -809,13 +822,11 @@ def consequence(
             f"the goal does not follow from the context on {failing}", witness=failing
         )
 
-    search = _shared_search(bounds)
-    chosen = any(_holds_choice(e) for e in bounds.extensions)  # then every check reads the base itself
+    search, bases = _shared_search(bounds), _visits(family)
     if variant == "delta":
         no_steps = JustificationSet()
         projection = JustificationSet((_projection_rule(len(context)),)) if context else no_steps
-        per_base = chosen or any(_holds_choice(cand.steps) for cand in candidates)
-        for b in family if per_base else _representatives(family):
+        for b in bases(*[cand.steps for cand in candidates], *bounds.extensions):
             if any(valid(cand, b, bounds, _search=search).is_valid for cand in candidates):
                 continue
             v = valid(_delta_witness(search, b, context, goal, no_steps, projection), b, bounds, _search=search)
@@ -823,11 +834,9 @@ def consequence(
                 return Verdict.unknown(f"constructed witness did not verify on {b.id}: {v.reason}")
         return Verdict.valid(f"per-base witnesses verified on all {len(family)} base(s)")
 
-    reps = None
     if variant != "delta-s":  # delta-star and delta-sh pool these instances into the steps
-        reps = list(_representatives(family))
         d = _uniform_structure(context, goal)
-        per_class = _uniform_instances(search, d, context, goal, reps)
+        per_class = _uniform_instances(search, d, context, goal, bases())
     if variant == "delta-star":
         maps = tuple(
             ConstantMap(f"pooled[{b.rules_text()}]", ((inst, target),)) for b, inst, target in per_class
@@ -852,11 +861,7 @@ def consequence(
 
     saw_unknown = False
     for cand in pool:  # a candidate falls at its first Invalid base, the first of its class
-        if chosen or _holds_choice(cand.steps):
-            bases = family
-        else:
-            bases = _representatives(family) if reps is None else reps
-        status = _meet(valid(cand, b, bounds, _search=search) for b in bases)
+        status = _meet(valid(cand, b, bounds, _search=search) for b in bases(cand.steps, *bounds.extensions))
         if status == "valid":
             return Verdict.valid(f"uniform witness valid on all {len(family)} base(s); {label}")
         if status == "unknown":

@@ -180,7 +180,9 @@ def test_a_count_that_is_no_integer_is_refused(count, max_rules, cap, message):
     lambda base: derives(base, (), p),
     render_base,
     lambda base: is_derivation_structure(Inf("atm", p, (EmptyTop(),)), base),
-], ids=["atomic_closure", "derives", "render_base", "is_derivation_structure"])
+    lambda base: atomic_derivation(base, (), p),
+    is_consistent,
+], ids=["atomic_closure", "derives", "render_base", "is_derivation_structure", "atomic_derivation", "is_consistent"])
 @pytest.mark.parametrize("base", [None, "-> p\n", frozenset()], ids=["None", "str", "frozenset"])
 def test_a_base_that_is_no_atomic_base_is_refused(call, base):
     with pytest.raises(BaseError, match=f"base must be an AtomicBase, not {type(base).__name__}$"):

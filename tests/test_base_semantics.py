@@ -316,10 +316,11 @@ def test_search_checks_its_arguments_before_any_evaluation():
     assert search_counterexample((), _TAUTOLOGY, [a, b, c], 3, cap=32_000) is None
 
 
+@pytest.mark.parametrize("call", [lambda base: models(base, (), a), base_valuation], ids=["models", "base_valuation"])
 @pytest.mark.parametrize("base", [None, "-> a\n", frozenset()], ids=["None", "str", "frozenset"])
-def test_models_refuses_a_base_that_is_no_atomic_base(base):
+def test_a_base_that_is_no_atomic_base_is_refused(call, base):
     with pytest.raises(SemanticsError, match=f"base must be an AtomicBase, not {type(base).__name__}$"):
-        models(base, (), a)
+        call(base)
 
 
 def test_search_raises_where_the_scan_first_meets_a_non_formula():

@@ -51,7 +51,7 @@ from ptslab import (
     valid,
 )
 from ptslab import justification
-from ptslab.argument import _positioned, _splice, check_structure, cut_subtree, relabel, size_of, subtree_at
+from ptslab.argument import _splice, check_structure, cut_subtree, relabel, size_of, subtree_at
 from ptslab.justification import _one_step, _Reducts, reach, step_candidates
 
 from genlib import (
@@ -785,30 +785,12 @@ def test_dispatch_matches_member_loop_on_random_structures(seed, picks):
 
 
 def _positional_one_step(src, d, base):
-    """The reference one-step reducts: every position of d, label-closed
-    substructures included, is cut out, matched and spliced back."""
+    """The reference one-step reducts, read through no index: the member
+    loop over every position of d, label-closed substructures included, or
+    for a reduction system the images of the pairs whose first structure is d."""
     if isinstance(src, RSystem):
-        return list(src._index.get(d, ()))
-    index = src._dispatch
-    out = {}
-    for pos, node in _positioned(d):
-        plan, keyed = index.at(justification._root_tag(node))
-        if not plan and not keyed:
-            continue  # no member can fire here
-        sub, ctx = cut_subtree(d, pos)
-        for i, image in index.by_key.get(sub, plan):
-            j = src.members[i]
-            try:
-                if image is not None:
-                    justification._check_contract(j.name, sub, image)
-                    r = image
-                else:
-                    r = apply_justification(j, sub, base)
-            except JustificationContractError:
-                continue
-            if r is not None:
-                out.setdefault(_splice(d, pos, ctx, r))
-    return list(out)
+        return list(dict.fromkeys(z for a, z in src.pairs if a == d))
+    return list(_member_loop(src, d, base).values())
 
 
 def _step_host(rng, closed):
@@ -1069,6 +1051,34 @@ def test_a_choice_key_that_is_not_a_structure_is_refused():
     ax = Inf("ax", EM, (EmptyTop(),))
     with pytest.raises(JustificationError, match="must be a structure"):
         ChoiceFunction("pick", (((canonical_key(ax), AtomicBase(frozenset())), JustificationSet()),))
+
+
+def test_a_choice_base_or_selection_of_the_wrong_kind_is_refused_by_name():
+    ax, base = Inf("ax", EM, (EmptyTop(),)), AtomicBase(frozenset())
+    with pytest.raises(JustificationError, match="^choice function pick: a base must be an AtomicBase, not str$"):
+        ChoiceFunction("pick", (((ax, "-> a\n"), JustificationSet()),))
+    with pytest.raises(JustificationError, match="^choice function pick: a selection must be a JustificationSet, not"
+                                                 " tuple$"):
+        ChoiceFunction("pick", (((ax, base), (or_detour(),)),))
+
+
+def test_applying_to_what_is_not_a_structure_is_refused_by_name():
+    table = ConstantMap("m", ((EM_AXIOM, EM_LEFT),))
+    for j in (table, or_detour(), ChoiceFunction("pick", (((EM_AXIOM, AtomicBase(frozenset())), JustificationSet()),))):
+        with pytest.raises(JustificationError, match="^d must be a structure, not int$"):
+            apply_justification(j, 3, AtomicBase(frozenset()))
+
+
+def test_a_lookup_of_what_is_not_a_structure_is_refused_by_name():
+    table = ConstantMap("m", ((EM_AXIOM, EM_LEFT),))
+    with pytest.raises(JustificationError, match="^d must be a structure, not list$"):
+        table.lookup([])
+    assert table.lookup(EM_LEFT) is None and table.lookup(EM_AXIOM) is EM_LEFT
+
+
+def test_a_justification_set_member_that_is_no_justification_is_refused():
+    with pytest.raises(JustificationError, match="^members must hold justifications only, not int$"):
+        JustificationSet((or_detour(), 3))
 
 
 def test_a_table_or_pair_that_holds_no_structure_is_refused_by_name():

@@ -3,7 +3,9 @@ tables, each check reads a fresh reduct stream once, the stream stops at the
 first qualifying reduct, and a recheck of a verdict searches afresh."""
 
 import gc
+import os
 import random
+import sys
 import weakref
 from collections import Counter
 
@@ -424,3 +426,24 @@ def test_pooled_pairs_and_images_are_checked_once_each(monkeypatch, variant, con
     monkeypatch.setattr(justification, "_check_contract", lambda *x: checked.append(x[1:]) or real(*x))
     assert consequence(variant, context, goal, FAM_AB).is_valid
     assert len(checked) == len(set(checked))  # pairs and images equal up to relabelling count as one
+
+
+def test_no_table_hashes_or_compares_a_structure(monkeypatch):
+    # every table of the library keys a structure by its class key: neither
+    # the search's tables nor the step sources' call _Node.__hash__ or __eq__
+    package, calls = os.path.dirname(validity.__file__), Counter()
+    for name in ("__hash__", "__eq__"):
+        def counted(*x, _name=name, _real=getattr(argument._Node, name)):
+            caller = sys._getframe(1).f_code
+            if caller.co_filename.startswith(package):
+                calls[(_name, caller.co_name)] += 1
+            return _real(*x)
+        monkeypatch.setattr(argument._Node, name, counted)
+    context, goal = WEAKEN
+    for variant in ("delta-star", "delta-sh"):
+        assert consequence(variant, context, goal, FAM_AB).is_valid
+    assert valid(WIDE_4, parse_base("-> x\n")).is_valid
+    base = parse_base("-> y\n")
+    v = valid(WIDE_4, base)
+    assert v.is_invalid and recheck_invalid(WIDE_4, base, Bounds(), v)
+    assert calls == Counter()

@@ -646,6 +646,16 @@ def test_step_sources_compare_as_sets_of_entries():
         one, two = make(pairs), make(pairs[::-1])
         assert one == two and hash(one) == hash(two)
         assert one != make(pairs[:1])
+    # entries are compared by the class keys of their keys and images: relabelled ones are the same entry
+    lam = Inf("impI", Impl(q, q), (Assumption(q, 1),), frozenset({1}))
+    key = Inf("f", Impl(q, q), (lam,))
+    moved = argument.relabel(key, {1: 5}), argument.relabel(lam, {1: 7})
+    assert all(argument.render_structure(x) != argument.render_structure(y) for x, y in zip(moved, (key, lam)))
+    for make in (lambda ps: ConstantMap("t", ps), RSystem):
+        one, two = make(((key, lam),)), make((moved,))
+        assert one == two and hash(one) == hash(two)
+        assert one != make(((Inf("g", Impl(q, q), (lam,)), lam),))  # a key of another class
+        assert one != make(((key, key),))  # an image of another class
 
 
 def test_choice_selection_arms():
@@ -823,8 +833,15 @@ INVALID_ON_A = valid(EXHAUSTED_A, parse_base("-> a\n"))
     (recheck_invalid, (EXHAUSTED_A, "x", Bounds(), INVALID_ON_A), "base must be an AtomicBase, not str"),
     (recheck_invalid, (EXHAUSTED_A, PQ, None, INVALID_ON_A), "bounds must be a Bounds, not NoneType"),
     (recheck_invalid, (EXHAUSTED_A, PQ, Bounds(), None), "verdict must be a Verdict, not NoneType"),
+    (synthesize_closed, (None, a), "base must be an AtomicBase, not NoneType"),
+    (synthesize_closed, ("-> a\n", a), "base must be an AtomicBase, not str"),
+    (em_assertion_map, (None, a), "base must be an AtomicBase, not NoneType"),
+    (em_witness, (None, a), "base must be an AtomicBase, not NoneType"),
+    (em_witness, (frozenset(), a, "graph"), "base must be an AtomicBase, not frozenset"),
 ], ids=["valid-arg-None", "valid-base-None", "valid-base-str", "valid-bounds-None", "valid-bounds-int",
-        "recheck-arg-None", "recheck-base-str", "recheck-bounds-None", "recheck-verdict-None"])
+        "recheck-arg-None", "recheck-base-str", "recheck-bounds-None", "recheck-verdict-None",
+        "synthesize-base-None", "synthesize-base-str", "em-assertion-base-None", "em-witness-base-None",
+        "em-witness-base-frozenset"])
 def test_valid_and_recheck_invalid_refuse_a_malformed_argument_by_name(call, args, message):
     with pytest.raises(validity.ValidityError, match=f"^{message}$"):
         call(*args)
