@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Mapping
 from typing import Iterable
 
 from .atomic_base import AtomicBase, AtomicRule, _checked_signature, _require_base, atomic_closure
@@ -50,6 +51,8 @@ def base_valuation(base: AtomicBase, extra_atoms: Iterable[Atom] = ()) -> dict[A
 
 def classical_eval(f: Formula, valuation: dict[Atom, bool]) -> bool:
     """Plain truth-table evaluation; absurdity is looked up like any atom."""
+    if not isinstance(valuation, Mapping):
+        raise SemanticsError(f"valuation must be a mapping, not {type(valuation).__name__}")
     return _holds(f, _Valuation(valuation))
 
 
@@ -145,20 +148,30 @@ def _first_failing(
     the goal holds, and inconsistent ones where it holds (a base with one
     warns again each time it is scanned). A closure where it fails stops the
     scan there. A base whose closure is consistent and already seen costs
-    one set probe."""
+    one set probe. A context that is not iterable, or a family member that
+    is no base, is refused with an error naming it."""
+    try:
+        context = iter(context)
+    except TypeError:
+        raise SemanticsError(f"context must be an iterable of formulas, not {type(context).__name__}") from None
     context = tuple(context)
     holds: set[frozenset[Atom]] = set()  # consistent closures where the goal holds
     warns: set[frozenset[Atom]] = set()  # inconsistent closures where it holds
-    for base in family:
-        derivable = base._closure
-        if derivable in holds:
-            continue
-        if derivable in warns:
-            _warn_inconsistent(base, 1)
-        elif not models(base, context, goal):
-            return base
-        else:
-            (warns if BOT in derivable else holds).add(derivable)
+    try:  # around the loop, not in it, where a try costs the scan a few per cent
+        for base in family:
+            derivable = base._closure
+            if derivable in holds:
+                continue
+            if derivable in warns:
+                _warn_inconsistent(base, 1)
+            elif not models(base, context, goal):
+                return base
+            else:
+                (warns if BOT in derivable else holds).add(derivable)
+    except AttributeError:
+        if isinstance(base, AtomicBase):  # raised inside a base's check, not by a member that is none
+            raise
+        raise SemanticsError(f"family must hold AtomicBases only, not {type(base).__name__}") from None
     return None
 
 

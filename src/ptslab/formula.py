@@ -212,6 +212,8 @@ Formula = Atom | Conj | Disj | Impl
 
 
 def negation(f: Formula) -> Impl:
+    if not isinstance(f, (Atom, _Binary, FVar)):
+        raise FormulaError(f"f must be a Formula, not {type(f).__name__}")
     return Impl(f, BOT)
 
 

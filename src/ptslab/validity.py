@@ -305,9 +305,10 @@ def _holds_choice(steps: StepSource) -> bool:
 
 class _Search:
     """The reduction searches of successive valid and consequence calls with
-    equal bounds (_shared_search), or of one recheck_invalid call, shared by
-    the checks they make on every base through its tables, which key
-    structures by class key. An entry is filed once it is complete.
+    equal bounds (_shared_search holds one search per Bounds value), or of
+    one recheck_invalid call, shared by the checks they make on every base
+    through its tables, which key structures by class key. An entry is
+    filed once it is complete.
 
     Each check reads a fresh reduct stream (stream) once; the streams share
     the step table of their steps (per base too when the steps hold a
@@ -379,26 +380,27 @@ class _Search:
         return subs
 
 
-_SHARED_LIMIT = 4096  # verdict keys plus step classes a held search may have and still be reused
-_shared: _Search | None = None  # the search of the last valid or consequence call that reached a check
+_SHARED_LIMIT = 4096  # verdict keys plus step classes the held searches may have together and still be kept
+_shared: dict[tuple, _Search] = {}  # one search per Bounds value, of the last call with it that reached a check
 
 
 def _shared_search(bounds: Bounds) -> _Search:
-    """The held search if it was made for equal bounds whose sigma
-    candidates are the same structures label for label, and its tables are
-    within _SHARED_LIMIT; otherwise a fresh one, which is held from now on.
-    Equal bounds compare candidates up to relabelling, but a filed verdict's
-    FailingInstance holds the candidates of the call that computed it."""
-    global _shared
-    s = _shared
-    if (
-        s is None
-        or s.bounds != bounds
-        or any(x is not y and render_structure(x) != render_structure(y)
-               for x, y in zip(s.bounds.sigma_candidates, bounds.sigma_candidates))
-        or len(s._verdicts) + sum(map(len, s._steps.values())) > _SHARED_LIMIT
-    ):
-        s = _shared = _Search(bounds)
+    """The search held for bounds equal to these whose sigma candidates are
+    the same structures label for label; otherwise a fresh one, held for
+    these bounds from now on in place of any other held for them. Once the
+    tables of all held searches together pass _SHARED_LIMIT, every held
+    search is dropped first. The map keys the candidates by class key, as
+    Bounds equality compares them (up to relabelling), so finding a search
+    hashes and compares no structure; but a filed verdict's FailingInstance
+    holds the candidates of the call that computed it."""
+    if sum(len(s._verdicts) + sum(map(len, s._steps.values())) for s in _shared.values()) > _SHARED_LIMIT:
+        _shared.clear()
+    key = (bounds.max_reduction_steps, bounds.max_structure_size,
+           tuple([d._facts.key for d in bounds.sigma_candidates]), bounds.extensions, bounds.synthesize_sigma)
+    s = _shared.get(key)
+    if s is None or any(x is not y and render_structure(x) != render_structure(y)
+                        for x, y in zip(s.bounds.sigma_candidates, bounds.sigma_candidates)):
+        s = _shared[key] = _Search(bounds)
     return s
 
 
@@ -563,8 +565,8 @@ class _Checker:
 def valid(
     arg: Argument, base: AtomicBase, bounds: Bounds = Bounds(), *, _search: _Search | None = None
 ) -> Verdict:
-    """Bounded validity of the argument on the base, checked on the held
-    search for the bounds (_shared_search). A consequence or recheck_invalid
+    """Bounded validity of the argument on the base, checked on the search
+    held for its bounds value (_shared_search). A consequence or recheck_invalid
     call passes its own search, made with equal bounds, so one call stays on
     one search."""
     if _search is None:
@@ -577,7 +579,7 @@ def valid(
 
 def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Verdict) -> bool:
     """Confirm an Invalid verdict by checking it again from scratch, on one
-    fresh search, which never reads or fills the held one (_shared_search).
+    fresh search, which never reads or fills a held one (_shared_search).
 
     An exhausted search is rerun: valid is called again, on that search,
     and must exhaust the same explored reducts from the same start under the
@@ -794,9 +796,10 @@ def consequence(
     Reasons count every base and name the first failing one, which is the
     first of its class.
 
-    The call checks on the held search (_shared_search), as valid does,
-    and hands it to every valid call it makes: its tables are keyed by
-    content, so what one call computed the next reads back.
+    The call checks on the search held for its bounds value
+    (_shared_search), as valid does, and hands it to every valid call it
+    makes: its tables are keyed by content, so what one call computed the
+    next with equal bounds reads back, whatever bounds came between.
     """
     if variant not in CONSEQUENCE_VARIANTS:
         raise ValidityError(f"unknown variant {variant!r}; pick one of {CONSEQUENCE_VARIANTS}")

@@ -18,6 +18,7 @@ from ptslab import (
     Disj,
     EnumerationCapError,
     FVar,
+    FormulaError,
     Impl,
     SemanticsError,
     atomic_closure,
@@ -321,6 +322,19 @@ def test_search_checks_its_arguments_before_any_evaluation():
 def test_a_base_that_is_no_atomic_base_is_refused(call, base):
     with pytest.raises(SemanticsError, match=f"base must be an AtomicBase, not {type(base).__name__}$"):
         call(base)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: logical_consequence(3, a, [parse_base("-> a\n")]), SemanticsError,
+     "context must be an iterable of formulas, not int"),
+    (lambda: logical_consequence((), a, [parse_base("-> a\n"), "-> a\n"]), SemanticsError,
+     "family must hold AtomicBases only, not str"),
+    (lambda: classical_eval(a, [a]), SemanticsError, "valuation must be a mapping, not list"),
+    (lambda: negation([]), FormulaError, "f must be a Formula, not list"),
+], ids=["logical_consequence-context", "logical_consequence-family", "classical_eval-valuation", "negation"])
+def test_an_entry_refuses_bad_input_naming_the_argument(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_search_raises_where_the_scan_first_meets_a_non_formula():

@@ -293,7 +293,7 @@ def test_a_search_leaves_no_cycle(monkeypatch):
         # the reducts of a valid call and a consequence call are held by the shared search, and freed with it
         assert consequence("delta-star", [], EM_A, fam).is_valid
         assert len(refs) > kept
-        validity._shared = None
+        validity._shared.clear()
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
@@ -428,9 +428,16 @@ def test_pooled_pairs_and_images_are_checked_once_each(monkeypatch, variant, con
     assert len(checked) == len(set(checked))  # pairs and images equal up to relabelling count as one
 
 
+POOL_TEXT = '(inf orI2 "a | a" (inf atm "a" (empty)))'
+
+
 def test_no_table_hashes_or_compares_a_structure(monkeypatch):
     # every table of the library keys a structure by its class key: neither
-    # the search's tables nor the step sources' call _Node.__hash__ or __eq__
+    # the search's tables, nor the map of held searches (keyed by bounds that
+    # hold sigma candidates), nor the step sources' call _Node.__hash__ or __eq__
+    pooled, again = (Bounds(sigma_candidates=(parse_structure(POOL_TEXT),)) for _ in range(2))
+    assert pooled == again and pooled.sigma_candidates[0] is not again.sigma_candidates[0]
+    open_arg = Argument(parse_structure('(inf step "b" (assume "a | a"))'), JustificationSet((or_detour(),)))
     package, calls = os.path.dirname(validity.__file__), Counter()
     for name in ("__hash__", "__eq__"):
         def counted(*x, _name=name, _real=getattr(argument._Node, name)):
@@ -446,4 +453,10 @@ def test_no_table_hashes_or_compares_a_structure(monkeypatch):
     base = parse_base("-> y\n")
     v = valid(WIDE_4, base)
     assert v.is_invalid and recheck_invalid(WIDE_4, base, Bounds(), v)
+    # candidate bounds as one object and as an equal one of re-parsed candidates, between default bounds
+    ab = parse_base("-> a\n-> b\n")
+    for bounds in (pooled, Bounds(), again, Bounds(), pooled, again):
+        assert valid(open_arg, ab, bounds).is_invalid
+        assert valid(WIDE_4, parse_base("-> x\n"), bounds).is_valid
+    assert len(validity._shared) == 2
     assert calls == Counter()

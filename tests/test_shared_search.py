@@ -1,10 +1,11 @@
-"""Successive `valid` and `consequence` calls share one search
-(validity._shared_search): its tables are keyed by content, so a call reads
-back what an earlier one computed and answers as it would from a cold search.
-The module holds one search, for the bounds of the last call that reached a
-check, and replaces it for other bounds, for sigma candidates that differ in
-labels, or once its tables pass validity._SHARED_LIMIT; `recheck_invalid`
-never reads or fills it."""
+"""Successive `valid` and `consequence` calls with equal bounds share one
+search (validity._shared_search): its tables are keyed by content, so a call
+reads back what an earlier one computed and answers as it would from a cold
+search. The module holds one search per `Bounds` value, so calls with other
+bounds in between leave it be; a call replaces the search of its own value
+for sigma candidates that differ in labels, and drops every held search once
+their tables together pass validity._SHARED_LIMIT. `recheck_invalid` never
+reads or fills any of them."""
 
 import pytest
 from hypothesis import given, settings
@@ -69,12 +70,17 @@ def _outcome(call) -> str:
 
 
 def _cold(call) -> str:
-    validity._shared = None
+    validity._shared.clear()
     return _outcome(call)
 
 
 def _size(search) -> int:
     return len(search._verdicts) + sum(map(len, search._steps.values()))
+
+
+def _held() -> list:
+    """The held searches, in the order their bounds values were first held."""
+    return list(validity._shared.values())
 
 
 A_A = Impl(a, a)
@@ -90,8 +96,9 @@ def _pooled(label: int) -> Bounds:
     return Bounds(synthesize_sigma=False, sigma_candidates=(_identity(label),))
 
 
-# equal bounds whose pools differ in labels only: a failing instance's sigma holds the pool's structures
-BOUNDS = [Bounds(), Bounds(max_reduction_steps=2), _pooled(1), _pooled(7)]
+# three Bounds values, the last as two equal bounds whose pools differ in labels only: a failing
+# instance's sigma holds the pool's structures
+VALUES = [[Bounds()], [Bounds(max_reduction_steps=2)], [_pooled(1), _pooled(7)]]
 
 
 def _from_a_a(f) -> Argument:
@@ -101,9 +108,10 @@ def _from_a_a(f) -> Argument:
 
 
 @st.composite
-def _calls(draw):
+def _calls(draw, value):
     """A consequence call, or a valid or recheck_invalid call on one of
-    its candidates or on an open argument from a -> a."""
+    its candidates or on an open argument from a -> a, with bounds of the
+    value."""
     variant = draw(st.sampled_from(CONSEQUENCE_VARIANTS))
     f = draw(st.sampled_from(DEPTH_2))
     context = tuple(draw(st.lists(st.sampled_from(DEPTH_2), max_size=1)))
@@ -115,11 +123,20 @@ def _calls(draw):
     else:
         goal, candidates = Disj(f, negation(f)), (_em_candidate(kind, f),)
     family = draw(st.permutations(FAM_AB))[: draw(st.integers(1, len(FAM_AB)))]
-    bounds = draw(st.sampled_from(BOUNDS))
+    bounds = draw(st.sampled_from(value))
     call = draw(st.sampled_from(["consequence", "valid", "recheck"]))
     if call == "consequence":
         return variant, context, goal, family, bounds, candidates
     return call, candidates[0] if candidates else _from_a_a(f), family[0], bounds
+
+
+@st.composite
+def _sessions(draw):
+    """Three to six calls with two unequal Bounds values, interleaved: the
+    first and the last call have one value, the second the other."""
+    one, other = draw(st.lists(st.sampled_from(VALUES), min_size=2, max_size=2, unique_by=id))
+    middle = draw(st.lists(st.sampled_from([one, other]), max_size=3))
+    return [draw(_calls(value)) for value in [one, other, *middle, one]]
 
 
 def _answers(calls, run) -> list:
@@ -141,9 +158,9 @@ def _answers(calls, run) -> list:
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(_calls(), min_size=2, max_size=6))
+@given(_sessions())
 def test_a_call_on_the_shared_search_answers_as_on_a_cold_one(calls):
-    validity._shared = None
+    validity._shared.clear()
     assert _answers(calls, _outcome) == _answers(calls, _cold)
 
 
@@ -154,7 +171,7 @@ def test_equal_bounds_whose_pools_differ_in_labels_answer_with_their_own_pool():
         (("delta", (A_A,), b, [base], _pooled(1), [arg]), ("delta", (A_A,), b, [base], _pooled(7), [arg])),
         (("valid", arg, base, _pooled(1)), ("valid", arg, base, _pooled(7))),
     ]:
-        validity._shared = None
+        validity._shared.clear()
         warm = _answers([first, then], _outcome)[1]
         assert warm == _answers([then], _cold)[0]
         assert "label=7" in repr(warm) and "label=1" not in repr(warm)
@@ -181,7 +198,7 @@ def test_a_call_cut_short_leaves_the_shared_search_whole(monkeypatch, name, k):
             raise RuntimeError("cut short")
         return real(*args)
 
-    validity._shared = None
+    validity._shared.clear()
     assert _outcome(CALLS[0]) == cold[0]
     monkeypatch.setattr(validity, name, cut)
     with pytest.raises(RuntimeError, match="cut short"):
@@ -192,30 +209,62 @@ def test_a_call_cut_short_leaves_the_shared_search_whole(monkeypatch, name, k):
 
 def test_calls_with_equal_bounds_share_one_search():
     consequence(*CALLS[0], Bounds())
-    held = validity._shared
+    [held] = _held()
     consequence(*CALLS[1], Bounds())  # an equal value, not the same object
-    assert validity._shared is held
-    consequence("delta", (), a, [parse_base("b -> a\n")])  # returns before a check: the search stays
-    assert validity._shared is held
-    consequence(*CALLS[1], Bounds(max_reduction_steps=2))
-    assert validity._shared is not held
+    assert _held() == [held]
+    consequence("delta", (), a, [parse_base("b -> a\n")])  # returns before a check: nothing is made
+    assert _held() == [held]
+    consequence(*CALLS[1], Bounds(max_reduction_steps=2))  # another value: a search of its own
+    [first, other] = _held()
+    assert first is held and other.bounds == Bounds(max_reduction_steps=2)
+    consequence(*CALLS[2], Bounds())  # back to the first value: its search, tables and all
+    assert _held() == [held, other]
+    # a pool that differs in labels only replaces the search of its own value, and no other
+    base, arg = parse_base("-> a\n-> b\n"), _from_a_a(b)
+    valid(arg, base, _pooled(1))
+    pooled = _held()[2]
+    valid(arg, base, _pooled(7))
+    [first, second, third] = _held()
+    assert (first, second) == (held, other) and third is not pooled and third.bounds == _pooled(7)
 
 
 def test_a_search_past_the_limit_is_replaced(monkeypatch):
+    # the cap counts the tables of every held search together, and drops them all
     small = ("delta", (), a, [parse_base("-> a\n")])
-    calls = [small, small, CALLS[0], small, *CALLS[1:], CALLS[0]]
+    two = Bounds(max_reduction_steps=2)
+    calls = [small, (*small, two), small, CALLS[0], (*small, two), small, *CALLS[1:], (*CALLS[0], two)]
     cold = [_cold(call) for call in calls]
     monkeypatch.setattr(validity, "_SHARED_LIMIT", 5)
-    validity._shared = None
-    got, held, sizes = [], [], []
+    validity._shared.clear()
+    got, dropped, held_two = [], [], False
     for call in calls:
+        before = _held()
+        total = sum(map(_size, before))
         got.append(_outcome(call))
-        held.append(validity._shared)
-        sizes.append(_size(validity._shared))
+        kept = [s for s in before if any(s is t for t in _held())]
+        assert kept == ([] if total > 5 else before)
+        dropped.append(total > 5)
+        held_two |= len(_held()) == 2
     assert got == cold
-    replaced = [held[i] is not held[i - 1] for i in range(1, len(calls))]
-    assert replaced == [size > 5 for size in sizes[:-1]]
-    assert any(replaced) and not all(replaced)
+    assert any(dropped) and not all(dropped) and held_two
+
+
+def test_a_session_that_alternates_two_bounds_builds_one_search_per_value(monkeypatch):
+    made, real = [], validity._Search.__init__
+    monkeypatch.setattr(validity._Search, "__init__", lambda self, bounds: made.append(bounds) or real(self, bounds))
+    base, arg = parse_base("-> a\n"), _from_a_a(b)
+    rechecks = 0
+    for call in CALLS * 2:
+        for bounds in (Bounds(), _pooled(1)):
+            consequence(*call, bounds)
+            v = valid(arg, base, bounds)
+            assert v.is_invalid
+            before = len(made)
+            assert recheck_invalid(arg, base, bounds, v)
+            assert len(made) == before + 1  # a recheck makes one search of its own
+            rechecks += 1
+    assert len(made) - rechecks == 2
+    assert [s.bounds for s in _held()] == [Bounds(), _pooled(1)]
 
 
 def _count_closed(monkeypatch) -> list:
@@ -251,14 +300,19 @@ def test_recheck_invalid_never_reads_or_fills_the_shared_search(monkeypatch, arg
         assert recheck_invalid(arg, base, Bounds(), v)
         return len(made)
 
-    validity._shared = None
+    def held() -> list:
+        return [(s, _size(s)) for s in _held()]
+
+    validity._shared.clear()
     cold = rechecked()
-    assert validity._shared is None
+    assert validity._shared == {}
     consequence(*call)
-    held, held_size = validity._shared, _size(validity._shared)
-    assert held_size > 0
+    consequence(*call[:4], Bounds(max_reduction_steps=2), call[5])  # a second held search
+    before = held()
+    assert len(before) == 2 and all(size > 0 for _s, size in before)
     assert rechecked() == cold
-    assert validity._shared is held and _size(held) == held_size
+    after = held()
+    assert all(s is t and n == m for (s, n), (t, m) in zip(before, after)) and len(after) == 2
 
 
 @CASES
@@ -266,10 +320,10 @@ def test_valid_answers_on_the_shared_search_as_on_a_cold_one(monkeypatch, arg, b
     made = _count_closed(monkeypatch)
     cold = repr(valid(arg, base))
     computed = len(made)
-    validity._shared = None
+    validity._shared.clear()
     consequence(*call)
-    held = validity._shared
+    held = _held()
     made.clear()
     assert repr(valid(arg, base)) == cold
     # the consequence call filed the verdict, and valid reads it back from the held search
-    assert len(made) == 0 < computed and validity._shared is held
+    assert len(made) == 0 < computed and _held() == held

@@ -54,6 +54,7 @@ from ptslab import (
     parse_rules,
     parse_structure,
     recheck_invalid,
+    render_structure,
     structures_equal,
     synthesize_closed,
     valid,
@@ -217,7 +218,7 @@ def test_one_consequence_call_builds_one_witness_per_support(monkeypatch):
     built.clear()
     assert consequence("delta-star", (), goal, FAMILY_AB).is_valid
     assert built == []
-    validity._shared = None
+    validity._shared.clear()
     assert consequence("delta-star", (), goal, FAMILY_AB).is_valid
     assert len(built) == len(supports)
 
@@ -610,6 +611,52 @@ def test_bound_monotonicity_spot():
         if {v1.status, v2.status} == {"valid", "invalid"}:
             flips.append((base.id, v1.status, v2.status))
     assert not flips
+
+
+def test_enlarging_the_numeric_bounds_never_flips_a_verdict():
+    # both numeric bounds only cut a search short, pools or not: enlarging them can
+    # resolve Unknown, but never turns Valid and Invalid into each other
+    rng = make_rng(21)
+    fam = list(enumerate_bases([a, b], 2))
+    steps_options = [JustificationSet(), JustificationSet((or_detour(),)), JustificationSet((em_refutation_rule(),))]
+    flips, resolved = [], 0
+    for _ in range(120):
+        base = rng.choice(fam)
+        f = random_formula(rng, 2, atoms=[a, b])
+        if rng.random() < 0.5:
+            d = axiom_structure(Disj(f, negation(f)))
+        else:
+            d = Inf("step", f, (Assumption(rng.choice([a, b, Disj(a, b)])),))
+        pool = [synthesize_closed(base, g) for g in (a, b, Disj(a, b), random_formula(rng, 2, atoms=[a, b]))]
+        pool = tuple(x for x in pool if x is not None and rng.random() < 0.5)
+        arg, k, n = Argument(d, rng.choice(steps_options)), rng.randint(0, 3), rng.choice([2, 4, 8])
+        v1 = valid(arg, base, Bounds(max_reduction_steps=k, max_structure_size=n, sigma_candidates=pool))
+        v2 = valid(arg, base, Bounds(max_reduction_steps=2 * k + 1, max_structure_size=4 * n, sigma_candidates=pool))
+        if {v1.status, v2.status} == {"valid", "invalid"}:
+            flips.append((base.id, render_structure(d), v1.status, v2.status))
+        resolved += v1.status == "unknown" != v2.status
+    assert not flips and resolved > 0
+
+
+def test_enlarging_the_pool_can_flip_valid_to_invalid():
+    # a pool-relative Valid holds for the pool it names: a further candidate that is itself
+    # valid can refute it, on cold searches and on the held ones in either order
+    steps = parse_rules('r: (inf step "b" (inf orI1 "a | a" ?D)) => (inf atm "b" (empty))\n')
+    base = parse_base("-> a\n-> b\n")
+    arg = Argument(parse_structure('(inf step "b" (assume "a | a"))'), steps)
+    candidate = parse_structure('(inf orI2 "a | a" (inf atm "a" (empty)))')
+    assert valid(Argument(candidate, JustificationSet()), base).is_valid
+    both = (Bounds(), Bounds(sigma_candidates=(candidate,)))
+    cold = []
+    for bounds in both:
+        validity._shared.clear()
+        cold.append(valid(arg, base, bounds))
+    assert [v.status for v in cold] == ["valid", "invalid"] and cold[0].reason.startswith("pool-relative")
+    assert recheck_invalid(arg, base, both[1], cold[1])
+    for order in ((0, 1), (1, 0)):
+        validity._shared.clear()
+        warm = {i: valid(arg, base, both[i]) for i in order}
+        assert [repr(warm[i]) for i in (0, 1)] == list(map(repr, cold))
 
 
 def test_delta_holds_on_fifty_base_family():

@@ -98,10 +98,12 @@ The tenth, `shared`, replays every `consequence` op of the pooled-family
 workload at seed `SHARED_SEED` in reverse order, after every other group,
 then every op of the detour-search workload at that seed in reverse
 order, and writes their lines as those groups do, under `op shared/<op
-id>` lines. `valid` and `consequence` calls share one search across
-calls, so these ops meet tables that other calls and the other order
-filled; a verdict that depends on what came before shows as a line that
-differs from the same op's lines in its workload's group.
+id>` lines. `valid` and `consequence` calls with equal bounds share one
+search across calls, and the module holds one search per `Bounds` value,
+so these ops meet tables that other calls and the other order filled,
+the detour-search ops with two bounds values interleaved; a verdict that
+depends on what came before shows as a line that differs from the same
+op's lines in its workload's group.
 
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
