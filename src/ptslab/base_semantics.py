@@ -168,10 +168,10 @@ def _first_failing(
                 return base
             else:
                 (warns if BOT in derivable else holds).add(derivable)
-    except AttributeError:
-        if isinstance(base, AtomicBase):  # raised inside a base's check, not by a member that is none
+    except AttributeError as e:
+        if e.name != "_closure" or isinstance(e.obj, AtomicBase):  # not the read of a member that is no base
             raise
-        raise SemanticsError(f"family must hold AtomicBases only, not {type(base).__name__}") from None
+        raise SemanticsError(f"family must hold AtomicBases only, not {type(e.obj).__name__}") from None
     return None
 
 

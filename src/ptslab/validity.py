@@ -141,6 +141,9 @@ class Bounds(_Record):
                 raise ValidityError(f"bounds must be integers, not {n!r}")
         if max_reduction_steps < 0 or max_structure_size < 0:
             raise ValidityError("bounds must be non-negative")
+        # the fields, each sigma candidate as its class key: equal for equal bounds, and hashing no structure
+        _set(self, "_key", tuple([tuple([d._facts.key for d in v]) if n == "sigma_candidates" else v
+                                  for n, v in zip(self._fields, self._values(self))]))
 
 
 class ExhaustedSearch(_Record):
@@ -385,22 +388,18 @@ _shared: dict[tuple, _Search] = {}  # one search per Bounds value, of the last c
 
 
 def _shared_search(bounds: Bounds) -> _Search:
-    """The search held for bounds equal to these whose sigma candidates are
-    the same structures label for label; otherwise a fresh one, held for
-    these bounds from now on in place of any other held for them. Once the
-    tables of all held searches together pass _SHARED_LIMIT, every held
-    search is dropped first. The map keys the candidates by class key, as
-    Bounds equality compares them (up to relabelling), so finding a search
-    hashes and compares no structure; but a filed verdict's FailingInstance
-    holds the candidates of the call that computed it."""
+    """The search held for bounds equal to these (by Bounds._key, so finding
+    it hashes no structure) whose sigma candidates are the same structures
+    label for label, as a filed verdict's FailingInstance holds them;
+    otherwise a fresh one, held for these bounds from now on in place of any
+    other held for them. Once the tables of all held searches together pass
+    _SHARED_LIMIT, every held search is dropped first."""
     if sum(len(s._verdicts) + sum(map(len, s._steps.values())) for s in _shared.values()) > _SHARED_LIMIT:
         _shared.clear()
-    key = (bounds.max_reduction_steps, bounds.max_structure_size,
-           tuple([d._facts.key for d in bounds.sigma_candidates]), bounds.extensions, bounds.synthesize_sigma)
-    s = _shared.get(key)
+    s = _shared.get(bounds._key)
     if s is None or any(x is not y and render_structure(x) != render_structure(y)
                         for x, y in zip(s.bounds.sigma_candidates, bounds.sigma_candidates)):
-        s = _shared[key] = _Search(bounds)
+        s = _shared[bounds._key] = _Search(bounds)
     return s
 
 

@@ -329,9 +329,13 @@ def test_a_base_that_is_no_atomic_base_is_refused(call, base):
      "context must be an iterable of formulas, not int"),
     (lambda: logical_consequence((), a, [parse_base("-> a\n"), "-> a\n"]), SemanticsError,
      "family must hold AtomicBases only, not str"),
+    (lambda: logical_consequence((), a, [None]), SemanticsError, "family must hold AtomicBases only, not NoneType"),
+    # an error the family's iterator raises itself comes through as it is, also before a first member
+    (lambda: logical_consequence((), a, (x.foo for x in [1])), AttributeError, "'int' object has no attribute 'foo'"),
     (lambda: classical_eval(a, [a]), SemanticsError, "valuation must be a mapping, not list"),
     (lambda: negation([]), FormulaError, "f must be a Formula, not list"),
-], ids=["logical_consequence-context", "logical_consequence-family", "classical_eval-valuation", "negation"])
+], ids=["logical_consequence-context", "logical_consequence-family", "logical_consequence-family-None",
+        "logical_consequence-family-iterator", "classical_eval-valuation", "negation"])
 def test_an_entry_refuses_bad_input_naming_the_argument(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()

@@ -7,6 +7,8 @@ for sigma candidates that differ in labels, and drops every held search once
 their tables together pass validity._SHARED_LIMIT. `recheck_invalid` never
 reads or fills any of them."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,9 +98,10 @@ def _pooled(label: int) -> Bounds:
     return Bounds(synthesize_sigma=False, sigma_candidates=(_identity(label),))
 
 
-# three Bounds values, the last as two equal bounds whose pools differ in labels only: a failing
-# instance's sigma holds the pool's structures
-VALUES = [[Bounds()], [Bounds(max_reduction_steps=2)], [_pooled(1), _pooled(7)]]
+# the last two are equal bounds whose pools differ in labels only: a failing instance's sigma holds the
+# pool's structures; so the four make three Bounds values
+BOUNDS = [Bounds(), Bounds(max_reduction_steps=2), _pooled(1), _pooled(7)]
+VALUES = [BOUNDS[:1], BOUNDS[1:2], BOUNDS[2:]]
 
 
 def _from_a_a(f) -> Argument:
@@ -132,11 +135,12 @@ def _calls(draw, value):
 
 @st.composite
 def _sessions(draw):
-    """Three to six calls with two unequal Bounds values, interleaved: the
-    first and the last call have one value, the second the other."""
-    one, other = draw(st.lists(st.sampled_from(VALUES), min_size=2, max_size=2, unique_by=id))
-    middle = draw(st.lists(st.sampled_from([one, other]), max_size=3))
-    return [draw(_calls(value)) for value in [one, other, *middle, one]]
+    """Two to six calls with one, two or three Bounds values, interleaved:
+    each value has a call in turn, then any of them, and the first value
+    comes back last, so a value's search is read again after the others'."""
+    values = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=3, unique_by=id))
+    middle = draw(st.lists(st.sampled_from(values), max_size=5 - len(values)))
+    return [draw(_calls(value)) for value in [*values, *middle, values[0]]]
 
 
 def _answers(calls, run) -> list:
@@ -157,8 +161,8 @@ def _answers(calls, run) -> list:
     return out
 
 
-@settings(max_examples=80, deadline=None)
-@given(_sessions())
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(st.lists(_calls(BOUNDS), min_size=2, max_size=6), _sessions()))
 def test_a_call_on_the_shared_search_answers_as_on_a_cold_one(calls):
     validity._shared.clear()
     assert _answers(calls, _outcome) == _answers(calls, _cold)
@@ -226,6 +230,22 @@ def test_calls_with_equal_bounds_share_one_search():
     valid(arg, base, _pooled(7))
     [first, second, third] = _held()
     assert (first, second) == (held, other) and third is not pooled and third.bounds == _pooled(7)
+
+
+# per field of Bounds, a value unequal to its default
+OTHER = {"max_reduction_steps": 2, "max_structure_size": 50, "sigma_candidates": (_identity(1),),
+         "extensions": (JustificationSet((or_detour(),)),), "synthesize_sigma": False}
+
+
+def test_the_map_key_tells_apart_bounds_that_differ_in_any_field():
+    assert set(OTHER) == set(Bounds._fields) and len(Bounds()._key) == len(Bounds._fields)
+    for name, value in OTHER.items():
+        other = Bounds(**{name: value})
+        assert other != Bounds() and other._key != Bounds()._key, name
+        consequence(*CALLS[1], other)
+    assert len(_held()) == len(OTHER)
+    # equal values key alike: built afresh, with a relabelled pool, or copied (the copy builds it again)
+    assert Bounds()._key == Bounds()._key and _pooled(1)._key == _pooled(7)._key == copy.deepcopy(_pooled(1))._key
 
 
 def test_a_search_past_the_limit_is_replaced(monkeypatch):
