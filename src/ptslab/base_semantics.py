@@ -115,12 +115,26 @@ def _warn_inconsistent(base: AtomicBase, stacklevel: int) -> None:
     warnings.warn(f"evaluating on inconsistent base {base.id}", stacklevel=stacklevel + 1)
 
 
+def _context(context: Iterable[Formula]) -> tuple[Formula, ...]:
+    """The context as a tuple; a SemanticsError naming it unless it is iterable."""
+    try:
+        context = iter(context)
+    except TypeError:
+        raise SemanticsError(f"context must be an iterable of formulas, not {type(context).__name__}") from None
+    return tuple(context)
+
+
 def models(base: AtomicBase, context: Iterable[Formula], goal: Formula) -> bool:
     """Does the goal follow from the context on this base?"""
+    return _models(base, _context(context), goal, 3)
+
+
+def _models(base: AtomicBase, context: tuple[Formula, ...], goal: Formula, stacklevel: int = 2) -> bool:
+    """models on a context that is a tuple; its warning names the caller stacklevel frames up."""
     _require_base(base, SemanticsError)
     derivable = atomic_closure(base, ())
     if BOT in derivable:
-        _warn_inconsistent(base, 2)
+        _warn_inconsistent(base, stacklevel)
     return _follows(context, goal, derivable)
 
 
@@ -148,13 +162,13 @@ def _first_failing(
     the goal holds, and inconsistent ones where it holds (a base with one
     warns again each time it is scanned). A closure where it fails stops the
     scan there. A base whose closure is consistent and already seen costs
-    one set probe. A context that is not iterable, or a family member that
-    is no base, is refused with an error naming it."""
+    one set probe. A context or family that is not iterable, or a family
+    member that is no base, is refused with an error naming it."""
+    context = _context(context)
     try:
-        context = iter(context)
+        family = iter(family)
     except TypeError:
-        raise SemanticsError(f"context must be an iterable of formulas, not {type(context).__name__}") from None
-    context = tuple(context)
+        raise SemanticsError(f"family must be an iterable of AtomicBases, not {type(family).__name__}") from None
     holds: set[frozenset[Atom]] = set()  # consistent closures where the goal holds
     warns: set[frozenset[Atom]] = set()  # inconsistent closures where it holds
     try:  # around the loop, not in it, where a try costs the scan a few per cent
@@ -164,7 +178,7 @@ def _first_failing(
                 continue
             if derivable in warns:
                 _warn_inconsistent(base, 1)
-            elif not models(base, context, goal):
+            elif not _models(base, context, goal):
                 return base
             else:
                 (warns if BOT in derivable else holds).add(derivable)
@@ -195,7 +209,7 @@ def search_counterexample(
     that order, up to the first on which the goal fails (its axioms are
     returned, no rule universe is built) or whose evaluation raises.
     """
-    context = tuple(context)
+    context = _context(context)
     signature = _checked_signature(atoms, max_rules, cap)
     for size in range(min(max_rules, len(signature)) + 1):
         for chosen in itertools.combinations(signature, size):

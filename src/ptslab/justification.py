@@ -44,7 +44,6 @@ from .argument import (
     _splice,
     canonical_form,
     canonical_key,
-    conclusion_of,
     cut_subtree,
     freshen,
     instantiate,
@@ -104,202 +103,207 @@ class JustificationContractError(JustificationError):
 
 
 # ---------------------------------------------------------------------------
-# matching patterns and building templates (the nodes live in argument.py)
+# rewrite clauses, compiled once (the nodes live in argument.py)
 
 
-class _Bindings:
-    __slots__ = ("fvars", "svars", "lvars", "sites")
+def _binder(i: int):
+    """A test (value, s) that binds slot i to the value where it is unbound, else compares."""
 
-    def __init__(self, fvars=None, svars=None, lvars=None, sites=None):
-        self.fvars: dict[str, Formula] = fvars or {}
-        self.svars: dict[str, ArgStructure] = svars or {}
-        self.lvars: dict[str, int] = lvars or {}
-        # where each matched label is discharged: (path of the inference in
-        # the match, or None if it is below the matched subtree, label)
-        self.sites: dict[str, tuple[tuple[int, ...] | None, int]] = sites or {}
+    def bind(value, s) -> bool:
+        held = s[i]
+        if held is None:
+            s[i] = value
+        return held is None or held == value
 
-    def copy(self) -> "_Bindings":
-        return _Bindings(dict(self.fvars), dict(self.svars), dict(self.lvars), dict(self.sites))
-
-    def bind_label(self, var: str, site: tuple[tuple[int, ...] | None, int]) -> bool:
-        """A label variable names one discharge: it binds the first site it
-        meets and matches only that site again, whatever the labels' names."""
-        if self.sites.setdefault(var, site) != site:
-            return False
-        self.lvars[var] = site[1]
-        return True
+    return bind
 
 
-def _match_formula(pat, f: Formula, b: _Bindings) -> bool:
-    match pat:
-        case FVar(name):
-            if name in b.fvars:
-                return b.fvars[name] == f
-            b.fvars[name] = f
+def _test(part):
+    """A formula test (f, s): the part itself, or a comparison with a formula that holds no variable."""
+    return part if callable(part) else lambda f, s: part == f
+
+
+def _discharged(path: tuple, specs: tuple, n: Inf, s: list) -> bool:
+    """Bind what n discharges by the specs, (binder, formula test or None) each, in the first slot order that fits."""
+    for perm in itertools.permutations(_slot_order(n)):
+        trial = s.copy()
+        for (bind, test), label in zip(specs, perm):
+            if not bind((path, label), trial) or test is not None and not _fits(test, label, n._facts.binds, trial):
+                break
+        else:
+            s[:] = trial
             return True
-        case Atom():
-            return pat == f
-        case Conj(l, r):
-            return isinstance(f, Conj) and _match_formula(l, f.left, b) and _match_formula(r, f.right, b)
-        case Disj(l, r):
-            return isinstance(f, Disj) and _match_formula(l, f.left, b) and _match_formula(r, f.right, b)
-        case Impl(l, r):
-            return isinstance(f, Impl) and _match_formula(l, f.left, b) and _match_formula(r, f.right, b)
-    raise JustificationError(f"bad formula pattern {pat!r}")
+    return False
 
 
-def _subst_formula(pat, b: _Bindings) -> Formula:
-    match pat:
-        case FVar(name):
-            return b.fvars[name]
-        case Atom():
-            return pat
-        case Conj(l, r):
-            return Conj(_subst_formula(l, b), _subst_formula(r, b))
-        case Disj(l, r):
-            return Disj(_subst_formula(l, b), _subst_formula(r, b))
-        case Impl(l, r):
-            return Impl(_subst_formula(l, b), _subst_formula(r, b))
-    raise JustificationError(f"bad formula template {pat!r}")
+def _fits(test, label: int, binds: tuple, s: list) -> bool:
+    """Does every leaf bound as label pass the test?"""
+    for l, f in binds:
+        if l == label and not test(f, s):
+            return False
+    return True
 
 
-def _match(pat: Pattern, d: ArgStructure, b: _Bindings, path=(), scope=()) -> _Bindings | None:
-    # scope: (path, discharges) of the matched inferences above d, outermost first
-    match pat:
-        case PVar(name, concludes):
-            if isinstance(d, EmptyTop):
-                return None
-            if concludes is not None and not _match_formula(concludes, conclusion_of(d), b):
-                return None
-            b.svars[name] = d
-            return b
-        case EmptyTop():
-            return b if isinstance(d, EmptyTop) else None
-        case PAssume(fpat, labelvar):
-            if not isinstance(d, Assumption) or (labelvar is None) != (d.label is None):
-                return None
-            if labelvar is not None:
-                site = next((p for p, dis in reversed(scope) if d.label in dis), None)
-                if not b.bind_label(labelvar, (site, d.label)):
-                    return None
-            return b if _match_formula(fpat, d.formula, b) else None
-        case PInf(tag, cpat, children, dspecs):
-            if not isinstance(d, Inf) or d.tag != tag or len(d.children) != len(children):
-                return None
-            if len(d.discharges) != len(dspecs):
-                return None
-            if not _match_formula(cpat, d.conclusion, b):
-                return None
-            inner = scope + ((path, d.discharges),) if d.discharges else scope
-            for i, (cp, ch) in enumerate(zip(children, d.children)):
-                got = _match(cp, ch, b, path + (i,), inner)
-                if got is None:
-                    return None
-                b = got
-            if not dspecs:
-                return b
-            # in slot order, so equal structures up to relabelling match alike
-            for perm in itertools.permutations(_slot_order(d)):
-                trial = b.copy()
-                for spec, label in zip(dspecs, perm):
-                    if not trial.bind_label(spec.labelvar, (path, label)) or (
-                        spec.formula is not None
-                        and not all(
-                            _match_formula(spec.formula, f, trial) for l, f in d._facts.binds if l == label
-                        )
-                    ):
-                        break
-                else:
-                    return trial
-            return None
-    raise JustificationError(f"bad pattern {pat!r}")
+def _compile(pat: Pattern, tmpl: Pattern):
+    """pattern => template as (match, build, names), from one walk of each
+    side, or a JustificationError saying why it is no rewrite clause.
+    match(d) runs a flat chain of checks over one slot list and returns the
+    list, or None; build(s) fills the template into further slots from it;
+    names maps each formula, structure and label variable to its slot. A
+    formula variable is bound only outside a discharge constraint (?l "F"),
+    which checks the leaves ?l labels. README's "Compiled clauses" says more."""
+    blank: list = [None]
+    fvars, svars, lvars = names = ({}, {}, {})
+    bound: set[str] = set()  # the formula variables a match binds
+    uses: Counter = Counter()  # of each structure variable in the pattern
+    checks: list = []
+    steps: list = []
 
+    def new(value=None, make=None) -> int:
+        """A new slot holding the value, or filled by make(s) at the next step of the builder."""
+        blank.append(value)
+        if make is not None:
+            steps.append((len(blank) - 1, make))
+        return len(blank) - 1
 
-def _build(t: Pattern, b: _Bindings, fresh: Iterator[int]) -> ArgStructure:
-    # a matched pattern binds every variable and plugged label the template reads (_clause_problem)
-    match t:
-        case PVar(name):
-            return b.svars[name]
-        case EmptyTop():
-            return t
-        case PAssume(fpat, labelvar):
-            lbl = None
-            if labelvar is not None:
-                if labelvar not in b.lvars:
-                    b.lvars[labelvar] = next(fresh)
-                lbl = b.lvars[labelvar]
-            return Assumption(_subst_formula(fpat, b), lbl)
-        case PInf(tag, cpat, children, discharge):
-            labels = []
-            for spec in discharge:
-                if spec.labelvar not in b.lvars:
-                    b.lvars[spec.labelvar] = next(fresh)
-                labels.append(b.lvars[spec.labelvar])
-            kids = tuple(_build(ch, b, fresh) for ch in children)
-            return Inf(tag, _subst_formula(cpat, b), kids, frozenset(labels))
-        case Plug(source, labelvar, filler):
-            tree, label = b.svars[source], b.lvars[labelvar]
-            fill = freshen(_build(filler, b, fresh), labels_of(tree))
-            return _map_leaves(tree, lambda n: fill if n.label == label else n)
-    raise JustificationError(f"bad template {t!r}")
+    def slot(table: dict[str, int], name: str) -> int:
+        return table[name] if name in table else table.setdefault(name, new())
 
+    def fpart(fp, binds: bool = True):
+        """fp itself where it holds no variable, else a test (f, s) of a formula against it."""
+        if isinstance(fp, FVar):
+            if binds:
+                bound.add(fp.name)
+            return _binder(slot(fvars, fp.name))
+        if isinstance(fp, Atom):
+            return fp
+        if isinstance(fp, (Conj, Disj, Impl)):
+            left, right = fpart(fp.left, binds), fpart(fp.right, binds)
+            if not (callable(left) or callable(right)):
+                return fp
+            cls, left, right = fp.__class__, _test(left), _test(right)
+            return lambda f, s: isinstance(f, cls) and left(f.left, s) and right(f.right, s)
+        raise JustificationError(f"bad formula pattern {fp!r}")
 
-def _tree_vars(t: Pattern) -> tuple[set[str], Counter, set[str], set[str]]:
-    """Formula, structure (with use counts), label and plugged label variables.
+    def walk(p, r: int, path: tuple, scope: tuple) -> None:
+        """Append the checks of pattern p on the node in slot r; scope holds
+        (slot, path) of the enclosing inferences that discharge, nearest first."""
+        if isinstance(p, PVar):
+            uses[p.name] += 1
+            svars.setdefault(p.name, r)
+            test = p.concludes is not None and _test(fpart(p.concludes))
+            check = lambda n, s: not isinstance(n, EmptyTop) and (
+                not test or test(n.formula if isinstance(n, Assumption) else n.conclusion, s))
+        elif isinstance(p, EmptyTop):
+            check = lambda n, s: isinstance(n, EmptyTop)
+        elif isinstance(p, PAssume) and p.labelvar is None:
+            test = _test(fpart(p.formula))
+            check = lambda n, s: isinstance(n, Assumption) and n.label is None and test(n.formula, s)
+        elif isinstance(p, PAssume):
+            bind, test = _binder(slot(lvars, p.labelvar)), _test(fpart(p.formula))
+            site = lambda l, s: next((at for i, at in scope if l in s[i].discharges), None)
+            check = lambda n, s: (isinstance(n, Assumption) and n.label is not None
+                                  and bind((site(n.label, s), n.label), s) and test(n.formula, s))
+        elif isinstance(p, PInf):
+            tag, k, m, test = p.tag, len(p.children), len(p.discharge), _test(fpart(p.conclusion))
+            kids = slice(len(blank), len(blank) + k)
+            blank.extend([None] * k)
 
-    The formula variables are those a match binds: a discharge constraint
-    (?l "F") only checks the leaves ?l labels, and binds nothing when the
-    discharge is vacuous.
-    """
-    fv: set[str] = set()
-    sv: Counter = Counter()
-    lv: set[str] = set()
-    plugged: set[str] = set()
+            def check(n, s):
+                if not isinstance(n, Inf) or n.tag != tag or len(n.children) != k or len(n.discharges) != m:
+                    return False
+                s[kids] = n.children
+                return test(n.conclusion, s)
 
-    def fwalk(fp):
-        match fp:
-            case FVar(name):
-                fv.add(name)
-            case Conj(l, r) | Disj(l, r) | Impl(l, r):
-                fwalk(l)
-                fwalk(r)
+            checks.append((r, check))
+            for i, child in enumerate(p.children):
+                walk(child, kids.start + i, path + (i,), ((r, path),) + scope if m else scope)
+            if not m:
+                return
+            specs = tuple((_binder(slot(lvars, spec.labelvar)),
+                           None if spec.formula is None else _test(fpart(spec.formula, False))) for spec in p.discharge)
+            check = functools.partial(_discharged, path, specs)
+        else:
+            raise JustificationError(f"bad pattern {p!r}")
+        checks.append((r, check))
 
-    def walk(p):
-        match p:
-            case PVar(name, concludes):
-                sv[name] += 1
-                fwalk(concludes)
-            case PAssume(fpat, labelvar):
-                fwalk(fpat)
-                lv.add(labelvar)
-            case PInf(_, cpat, children, dspecs):
-                fwalk(cpat)
-                lv.update(spec.labelvar for spec in dspecs)
-                for ch in children:
-                    walk(ch)
-            case Plug(source, labelvar, filler):
-                sv[source] += 1
-                plugged.add(labelvar)
-                walk(filler)
-
-    walk(t)
-    return fv, sv, lv, plugged
-
-
-def _clause_problem(pat: Pattern, tmpl: Pattern) -> str | None:
-    """Why pattern => template is not a rewrite clause, or None if it is."""
-    pfv, psv, plv, _ = _tree_vars(pat)
-    for v, n in psv.items():
+    walk(pat, 0, (), ())
+    for v, n in uses.items():
         if n > 1:
-            return f"structure variable ?{v} bound {n} times (patterns are linear)"
-    tfv, tsv, _, tplugged = _tree_vars(tmpl)
-    if not tfv <= pfv:
-        return f"template formula variables {sorted(tfv - pfv)} unbound"
-    if not tsv.keys() <= psv.keys():
-        return f"template structure variables {sorted(tsv.keys() - psv.keys())} unbound"
-    if not tplugged <= plv:
-        return f"plugged label variables {sorted(tplugged - plv)} unbound"
-    return None
+            raise JustificationError(f"structure variable ?{v} bound {n} times (patterns are linear)")
+    made: dict[str, int] = {}  # the label variables only the template names, by their fresh labels' slots
+    tfv, tsv, plugged = set(), set(), set()
+
+    def fbuild(fp) -> int:
+        """The slot the template formula fp is built in: a constant's where it holds no variable."""
+        if isinstance(fp, FVar):
+            tfv.add(fp.name)
+            return fvars.get(fp.name, 0)
+        if isinstance(fp, Atom):
+            return new(fp)
+        if isinstance(fp, (Conj, Disj, Impl)):
+            cls, left, right = fp.__class__, fbuild(fp.left), fbuild(fp.right)
+            if blank[left] is not None and blank[right] is not None:  # two constants, the last slots
+                del blank[left:]
+                return new(fp)
+            return new(make=lambda s: cls(s[left], s[right]))
+        raise JustificationError(f"bad formula template {fp!r}")
+
+    def label(name) -> int:
+        if name not in lvars and name not in made:  # fresh: the k-th takes the k-th label above the redex's
+            k = len(made)
+            made[name] = new(make=lambda s: (None, max(s[0]._facts.labels, default=0) + 1 + k))
+        return lvars[name] if name in lvars else made[name]
+
+    def emit(t) -> int:
+        """Append the steps that build template t; the slot it is built in."""
+        if isinstance(t, PVar) and t.concludes is None:  # a template's variable constrains nothing
+            tsv.add(t.name)
+            return svars.get(t.name, 0)
+        if isinstance(t, EmptyTop):
+            return new(t)
+        if isinstance(t, PAssume):
+            lbl = None if t.labelvar is None else label(t.labelvar)
+            f = fbuild(t.formula)
+            return new(make=lambda s: Assumption(s[f], None if lbl is None else s[lbl][1]))
+        if isinstance(t, PInf):
+            tag, labels = t.tag, [label(spec.labelvar) for spec in t.discharge]
+            kids = [emit(child) for child in t.children]
+            f = fbuild(t.conclusion)
+            return new(make=lambda s: Inf(tag, s[f], tuple([s[k] for k in kids]), frozenset([s[l][1] for l in labels])))
+        if isinstance(t, Plug):
+            tsv.add(t.source)
+            plugged.add(t.labelvar)
+            tree, lbl, filler = svars.get(t.source, 0), lvars.get(t.labelvar, 0), emit(t.filler)
+            return new(make=lambda s: _plug(s[tree], s[lbl][1], s[filler]))
+        raise JustificationError(f"bad template {t!r}")
+
+    out = emit(tmpl)
+    for unbound, kind in ((tfv - bound, "template formula"), (tsv - svars.keys(), "template structure"),
+                          (plugged - lvars.keys(), "plugged label")):
+        if unbound:
+            raise JustificationError(f"{kind} variables {sorted(unbound)} unbound")
+
+    def match(d: ArgStructure) -> list | None:
+        s = blank.copy()
+        s[0] = d
+        for r, check in checks:
+            if not check(s[r], s):
+                return None
+        return s
+
+    def build(s: list) -> ArgStructure:
+        for i, make in steps:
+            s[i] = make(s)
+        return s[out]
+
+    return match, build, names
+
+
+def _plug(tree: ArgStructure, label: int, fill: ArgStructure) -> ArgStructure:
+    """tree with fill, renamed away from tree's labels, at every leaf labelled label."""
+    fill = freshen(fill, labels_of(tree))
+    return _map_leaves(tree, lambda n: fill if n.label == label else n)
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +311,26 @@ def _clause_problem(pat: Pattern, tmpl: Pattern) -> str | None:
 
 
 class SchematicRewrite(_Record):
-    """A named rewrite rule; clauses are tried in order, first match applies."""
+    """A named rewrite rule; clauses are tried in order, first match applies.
+    Each clause is compiled (_compile) and the hash of the fields computed
+    when the rule is built, both kept outside its fields."""
 
     _fields = __match_args__ = ("name", "clauses")
 
     def __init__(self, name: str, clauses: tuple[tuple[Pattern, Pattern], ...]):
         if not clauses:
             raise JustificationError(f"rule {name}: no clauses")
-        for pat, tmpl in clauses:
-            problem = _clause_problem(pat, tmpl)
-            if problem:
-                raise JustificationError(f"rule {name}: {problem}")
+        try:
+            compiled = tuple([_compile(pat, tmpl) for pat, tmpl in clauses])
+        except JustificationError as e:
+            raise JustificationError(f"rule {name}: {e}") from None
         _set(self, "name", name)
         _set(self, "clauses", clauses)
+        _set(self, "_compiled", compiled)
+        _set(self, "_hash", hash((name, clauses)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _class_of(d: object, name: str) -> _Key:
@@ -524,13 +535,11 @@ def _check_contract(name: str, din: ArgStructure, dout: ArgStructure) -> None:
 
 
 def _apply_rewrite(rule: SchematicRewrite, d: ArgStructure) -> ArgStructure | None:
-    for pat, tmpl in rule.clauses:
-        b = _match(pat, d, _Bindings())
-        if b is None:
-            continue
-        out = _build(tmpl, b, itertools.count(max(labels_of(d), default=0) + 1))
-        _check_contract(rule.name, d, out)
-        return out
+    for match, build, _names in rule._compiled:
+        if (s := match(d)) is not None:
+            out = build(s)
+            _check_contract(rule.name, d, out)
+            return out
     return None
 
 
@@ -789,9 +798,8 @@ def _scheme(entries: list[tuple[ArgStructure, ArgStructure]]) -> tuple[Pattern, 
 
     None when the scheme would nest more than sexpr.MAX_NESTING structure
     nodes or formula.MAX_NESTING connectives deep: no rule text that deep
-    can be read, since those limits keep the recursive tree reader
-    (argument._read_tree), formula reader and rule walkers (_tree_vars,
-    _match, _build) inside the recursion limit."""
+    can be read, since those limits keep the recursive readers and the
+    rule compiler (_compile) inside the recursion limit."""
     names: dict[tuple, str] = {}  # a column that differs -> its (first) variable
     made = itertools.count()
     done: list = []  # built scheme parts, the last ones on top
@@ -868,17 +876,13 @@ def _table_is_schematic(cm: ConstantMap) -> bool:
         # a lone ground pair is a table entry, not a rewriting scheme
         return False
     scheme = _scheme(entries)
-    if scheme is None or _clause_problem(*scheme):
-        return False  # too deep, nonlinear, or the output is not a function of the matched parts
-    rule = SchematicRewrite(cm.name + "~scheme", (scheme,))
-    for k, v in entries:
-        try:
-            out = _apply_rewrite(rule, k)
-        except JustificationContractError:
-            return False
-        if out is None or not structures_equal(out, v):
-            return False
-    return True
+    if scheme is None:
+        return False  # too deep
+    try:  # nonlinear, the output not a function of the matched parts, or an entry breaking the contract
+        rule = SchematicRewrite(cm.name + "~scheme", (scheme,))
+        return all((out := _apply_rewrite(rule, k)) is not None and structures_equal(out, v) for k, v in entries)
+    except JustificationError:
+        return False
 
 
 def is_schematic(j: Justification) -> bool:

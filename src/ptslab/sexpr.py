@@ -38,8 +38,8 @@ _SYMBOL_RE = re.compile(r'(?!-?[0-9])[^\s()";]+')
 
 # This reader does not recurse, but what walks its lists does: the tree
 # reader (argument._read_tree) takes two frames per level, with the formula
-# reader's own (formula.MAX_NESTING) below the deepest, and the rule walkers
-# (justification._match, _build, _tree_vars) one. Text whose lists nest
+# reader's own (formula.MAX_NESTING) below the deepest, and the rule compiler
+# (justification._compile) one, two in a template. Text whose lists nest
 # deeper than MAX_NESTING is refused, which keeps them all inside Python's
 # default recursion limit: at this limit, with a formula at its own limit in
 # the deepest leaf, reading a structure takes about 710 frames of the 1000.

@@ -170,8 +170,8 @@ def test_family_scan_evaluates_each_closure_once(monkeypatch, scan):
     closures = {atomic_closure(base) for base in family}
     assert len(family) == 4887 and len(closures) == 8
     calls = []
-    real = base_semantics.models
-    monkeypatch.setattr(base_semantics, "models", lambda *x: calls.append(x[0]) or real(*x))
+    real = base_semantics._models  # the evaluation the scan makes per closure; models checks a context, then calls it
+    monkeypatch.setattr(base_semantics, "_models", lambda *x: calls.append(x[0]) or real(*x))
     goal = parse_formula("(a -> b) | (b -> a)")
     assert logical_consequence((), goal, family).holds
     assert len(calls) == len({atomic_closure(base) for base in calls}) == 8
@@ -332,10 +332,14 @@ def test_a_base_that_is_no_atomic_base_is_refused(call, base):
     (lambda: logical_consequence((), a, [None]), SemanticsError, "family must hold AtomicBases only, not NoneType"),
     # an error the family's iterator raises itself comes through as it is, also before a first member
     (lambda: logical_consequence((), a, (x.foo for x in [1])), AttributeError, "'int' object has no attribute 'foo'"),
+    (lambda: logical_consequence((), a, 3), SemanticsError, "family must be an iterable of AtomicBases, not int"),
+    (lambda: models(parse_base("-> a\n"), 3, a), SemanticsError, "context must be an iterable of formulas, not int"),
+    (lambda: search_counterexample(3, a, [a], 1), SemanticsError, "context must be an iterable of formulas, not int"),
     (lambda: classical_eval(a, [a]), SemanticsError, "valuation must be a mapping, not list"),
     (lambda: negation([]), FormulaError, "f must be a Formula, not list"),
 ], ids=["logical_consequence-context", "logical_consequence-family", "logical_consequence-family-None",
-        "logical_consequence-family-iterator", "classical_eval-valuation", "negation"])
+        "logical_consequence-family-iterator", "logical_consequence-family-int", "models-context",
+        "search_counterexample-context", "classical_eval-valuation", "negation"])
 def test_an_entry_refuses_bad_input_naming_the_argument(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()

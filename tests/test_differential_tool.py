@@ -38,17 +38,19 @@ def test_the_differential_tool_records_every_op(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     ops, records = done.stdout.splitlines()
-    assert ops.endswith(", readers 688 ops, partition 24 ops, atomic-derivations 34 ops, shared 137 ops")
-    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24 + 34 + 137
+    assert ops.endswith(
+        ", readers 688 ops, partition 24 ops, atomic-derivations 34 ops, shared 137 ops, applications 75 ops"
+    )
+    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24 + 34 + 137 + 75
     assert records == (
         "valid 8296 records, recheck_invalid 316 records, consequence 422 records, logical_consequence 687 records,"
         f" search_counterexample 192 records, is_schematic 50 records -> {out}"
     )
     lines = out.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 13870
+    assert len(lines) == 36916
     # the groups before `readers`, then those before `partition`, each as they were when it was added
     # less the nested `valid` lines of the checks a class of bases shares, then those before `atomic-derivations`,
-    # then those before `shared`, then those before the replayed detour-search ops
+    # then those before `shared`, then those before the replayed detour-search ops, then those before `applications`
     assert hashlib.sha256(b"".join(lines[:5405])).hexdigest() == (
         "fbac5826b46e49f5c3848790eb90cd37d320ff5de33be4a7346ca3c0291d90be"
     )
@@ -64,8 +66,11 @@ def test_the_differential_tool_records_every_op(tmp_path):
     assert hashlib.sha256(b"".join(lines[:13755])).hexdigest() == (
         "ca333287cc52a7fe06cd2fcc1dcffe6f8d9ff5804e9bdc5212a9480eda3f4c43"
     )
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+    assert hashlib.sha256(b"".join(lines[:13870])).hexdigest() == (
         "bc79fd1c25031dc4ad0f3bbeaaaa668b83a05c6acc9e7b2157afeaab029c6093"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "24685e0f34e05458c65c454f34867cedf2d62f52100a409338c5f399336b4f4f"
     )
     # an op replayed in reverse order, on a search other calls filled, writes what it wrote first
     blocks = _blocks(out.read_text().splitlines())

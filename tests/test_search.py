@@ -434,8 +434,11 @@ POOL_TEXT = '(inf orI2 "a | a" (inf atm "a" (empty)))'
 def test_no_table_hashes_or_compares_a_structure(monkeypatch):
     # every table of the library keys a structure by its class key: neither
     # the search's tables, nor the map of held searches (keyed by bounds that
-    # hold sigma candidates), nor the step sources' call _Node.__hash__ or __eq__
+    # hold sigma candidates), nor the step sources' call _Node.__hash__ or __eq__;
+    # nor does building a step source, whose rewrite rules keep their hashes
+    # though their patterns hold (empty) nodes
     pooled, again = (Bounds(sigma_candidates=(parse_structure(POOL_TEXT),)) for _ in range(2))
+    extended = Bounds(extensions=(JustificationSet((em_refutation_rule(),)),))
     assert pooled == again and pooled.sigma_candidates[0] is not again.sigma_candidates[0]
     open_arg = Argument(parse_structure('(inf step "b" (assume "a | a"))'), JustificationSet((or_detour(),)))
     package, calls = os.path.dirname(validity.__file__), Counter()
@@ -459,4 +462,7 @@ def test_no_table_hashes_or_compares_a_structure(monkeypatch):
         assert valid(open_arg, ab, bounds).is_invalid
         assert valid(WIDE_4, parse_base("-> x\n"), bounds).is_valid
     assert len(validity._shared) == 2
+    # delta-s pools em_refute, and an open check steps with its steps and each extension together
+    assert consequence("delta-s", (), Disj(a, negation(a)), FAM_AB).is_unknown
+    assert valid(open_arg, ab, extended).is_invalid
     assert calls == Counter()

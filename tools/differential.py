@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Ten op groups follow. The first, `choice`, runs what no workload builds: a
+Eleven op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -105,6 +105,22 @@ the detour-search ops with two bounds values interleaved; a verdict that
 depends on what came before shows as a line that differs from the same
 op's lines in its workload's group.
 
+The eleventh, `applications`, applies rewrite rules where the search
+would: for each structure, an `op` line, then for each position of it
+(`positions`), for each rule, a line with the rule's name, the position
+and what `apply_justification` makes of the subtree `cut_subtree` cuts
+there: the reduct's `canonical_key`, `None`, or the exception's type and
+message (a contract error).
+The rules are `or_detour()`, `em_refutation_rule()`, the projection rule
+`consequence` uses for one and for two context formulas, the rule of
+`tests/data/detour.rules` and the `APPLICATION_RULES` lines (label
+variables on leaves and discharges, a template that discharges a fresh
+label vacuously, `(empty)`, a plug, a rule rooted in a structure
+variable, and rules whose output breaks the contract). The structures
+are those the detour-search workload reads at seeds 0, 11 and 9001, the
+`APPLICATION_STRUCTURES` (excluded-middle axioms and context inferences),
+and `APPLICATION_SEEDS` detours and case analyses of `tests/genlib`.
+
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
 """
@@ -146,6 +162,23 @@ REFUSED_CANDIDATES = (
 )
 REFUSED_INPUTS = (("context-None", None, "a | ~a"), ("context-member", [None], "a | ~a"), ("goal-None", (), None))
 SHARED_SEED = 11
+APPLICATION_SEEDS = range(4)
+APPLICATION_STRUCTURES = (  # what em_refute and the projection rules fire on
+    '(inf ax "a | ~a" (empty))',
+    '(inf ax "(a -> b) | ~(a -> b)" (empty))',
+    '(inf step "b" (assume "a") (inf atm "b" (empty)))',
+    '(inf step "b & c" (assume "a") (assume "c") (inf andI "b & c" (inf atm "b" (empty)) (assume "c")))',
+)
+APPLICATION_RULES = """
+sites: (inf orE "?B" ?M (assume "?B" :label ?l) (?D :concludes "?B") :discharge (?l ?m)) => (inf orE "?B" ?M (assume "?B" :label ?l) ?D :discharge (?l ?m))
+outer: (inf orE "?B" ?M (assume "?B" :label ?k) ?D :discharge (?l ?m)) => (inf orE "?B" ?M (assume "?B" :label ?k) ?D :discharge (?l ?m))
+vacuous: (inf orI1 "?A | ?B" ?D) => (inf orI1 "?A | ?B" (inf k "?A" ?D) :discharge (?n))
+empty: (inf atm "?A" (empty)) => (inf atm "?A" (inf atm "?A" (empty)))
+plug: (inf orE "?B" (inf orI1 "?A | ?C" ?D) (?E :concludes "?B") ?F :discharge ((?l "?A") ?m)) => (plug ?E ?l (inf k "?A" ?D))
+anywhere: (?D :concludes "?A & ?B") => (inf andI "?A & ?B" (inf andE1 "?A" ?D) (inf andE2 "?B" ?D))
+opens: (inf atm "?A" (empty)) => (assume "?A")
+concludes: (inf orI1 "?A | ?B" ?D) => ?D
+"""
 REFUTED_DEPTH = 11
 REFUTED_BOUNDS = (10, 12)
 RECORDED = (
@@ -369,6 +402,41 @@ def _run_shared_group(out) -> int:
     return len(ops)
 
 
+def _run_applications_group(out) -> int:
+    """Run the applications group, writing an `op` line before each op, and
+    return its op count: one op per structure."""
+    import random
+
+    from genlib import random_case_analysis, random_detour_redex
+    from ptslab import apply_justification, canonical_key, em_refutation_rule, or_detour, parse_rules
+    from ptslab import parse_structure, positions
+    from ptslab.argument import cut_subtree
+    from ptslab.validity import _projection_rule
+
+    data = Path(__file__).resolve().parent.parent / "tests" / "data"
+    rules = [or_detour(), em_refutation_rule(), _projection_rule(1), _projection_rule(2)]
+    rules += parse_rules((data / "detour.rules").read_text(encoding="utf-8")).members
+    rules += parse_rules(APPLICATION_RULES).members
+    structures = [(name, parse_structure(text)) for name, kind, text in _reader_corpus()
+                  if name.startswith("detour-search/") and kind == "structure"]
+    structures += [(f"written/{i}", parse_structure(text)) for i, text in enumerate(APPLICATION_STRUCTURES)]
+    for seed in APPLICATION_SEEDS:
+        rng = random.Random(seed)
+        structures += [(f"genlib/{seed}/detour", random_detour_redex(rng))]
+        structures += [(f"genlib/{seed}/case", random_case_analysis(rng, (random_detour_redex(rng),)))]
+    for name, d in structures:
+        out.write(f"op applications/{name}\n")
+        for pos in positions(d):
+            for rule in rules:
+                try:
+                    result = apply_justification(rule, cut_subtree(d, pos)[0])
+                    shown = "None" if result is None else canonical_key(result)
+                except Exception as e:  # the record is the exception's type and message
+                    shown = f"{type(e).__name__}: {e}"
+                out.write(f"{rule.name} {pos} {shown}\n")
+    return len(structures)
+
+
 def _variants(text: str) -> dict[str, str]:
     """text and its malformed variants, by name; a variant that leaves the
     text as it is is left out."""
@@ -480,7 +548,7 @@ def main() -> int:
     ap.add_argument("--src", required=True, help="directory holding the ptslab package")
     ap.add_argument("--out", required=True, help="file to write the records to")
     args = ap.parse_args()
-    sys.path[:0] = [str(Path(args.src).resolve()), str(BENCH)]
+    sys.path[:0] = [str(Path(args.src).resolve()), str(BENCH), str(BENCH.parent / "tests")]
 
     ops = dict.fromkeys(WORKLOADS, 0)
     counts = {name: 0 for _, name in RECORDED}
@@ -504,6 +572,7 @@ def main() -> int:
         ops["partition"] = _run_partition_group(out)
         ops["atomic-derivations"] = _run_atomic_derivations_group(out)
         ops["shared"] = _run_shared_group(out)
+        ops["applications"] = _run_applications_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
