@@ -739,11 +739,17 @@ def reduces(
     """Is there a chain of at most max_steps one-step rewrites from frm to to
     (equal up to relabelling)? Zero steps count: a structure reduces to
     itself. The search stops where it first meets to."""
+    if not isinstance(src, (JustificationSet, RSystem)):  # else frm == to would answer without a step
+        raise JustificationError(f"src must be a JustificationSet or RSystem, not {type(src).__name__}")
     return any(r == to for r, _depth in _Reducts(src, frm, base, max_steps, 1 << 30))
 
 
 def graph_of(j: Justification, domain: Iterable[ArgStructure], base: AtomicBase | None = None) -> RSystem:
     """The graph of j over the domain, as a reduction system."""
+    try:
+        domain = iter(domain)
+    except TypeError:
+        raise JustificationError(f"domain must be an iterable of structures, not {type(domain).__name__}") from None
     pairs = []
     for d in domain:
         out = apply_justification(j, d, base)

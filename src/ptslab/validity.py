@@ -19,6 +19,7 @@ Unknown only where no part is Invalid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Iterable, Literal
 
@@ -147,7 +148,8 @@ class Bounds(_Record):
 
 
 class ExhaustedSearch(_Record):
-    """Every reduct within bounds was explored and none qualified.
+    """Every reduct of start within bounds was explored and none qualified;
+    start is the checked structure or the one refuting it (_Checker._closed).
 
     The checker builds it from the structures themselves (_of) and it keeps
     them, outside its fields, for recheck_invalid to compare; the canonical
@@ -483,7 +485,13 @@ class _Checker:
         immediate substructures are checked in order up to the first
         Invalid one, which refutes the reduct. The verdict is Unknown when
         the stream was cut by a bound or some reduct had an Unknown
-        substructure and no Invalid one; otherwise it is Invalid."""
+        substructure and no Invalid one; otherwise it is Invalid.
+
+        The canonical clause, at the start alone: if d discharges nothing
+        (so its immediate substructures are label-closed) and no member of
+        its justification set can fire at its root, every reduct is d's root
+        over their reducts, so an Invalid one refutes d at once, with that
+        one's witness. Past the start another reduct of it may be Valid."""
         stream = self.search.stream(steps, d, self._read(_BASE) if _holds_choice(steps) else None)
         saw_unknown, explored = False, []
         for r, depth in stream:
@@ -495,13 +503,21 @@ class _Checker:
             subs = self.search.canonical_subs(r)
             if subs is None:
                 continue
-            status = _meet(self.check(s, steps) for s in subs)
+            status = "valid"  # their meet, read as _meet reads it; the i-th decided it
+            for i, s in enumerate(subs, 1):
+                v = self.check(s, steps)
+                if v.status != "valid" and (status := v.status) == "invalid":
+                    break
             if status == "valid":
                 return Verdict.valid(
                     f"canonical reduct at depth {depth} with valid immediate substructures"
                 )
             if status == "unknown":
                 saw_unknown = True
+            elif depth == 0 and not d.discharges and isinstance(steps, JustificationSet) and (
+                    steps._dispatch.at(d.tag) == ((), False)):  # the canonical clause
+                return Verdict.invalid(f"immediate substructure {i} of a canonical structure whose root no step"
+                                       f" rewrites is invalid: {v.reason}", witness=v.witness)
         if saw_unknown or stream.bound:
             return Verdict.unknown("reduction bound hit before a qualifying reduct was found")
         kind = "closed derivation" if atomic else "canonical reduct with valid substructures"
@@ -582,12 +598,13 @@ def recheck_invalid(arg: Argument, base: AtomicBase, bounds: Bounds, verdict: Ve
 
     An exhausted search is rerun: valid is called again, on that search,
     and must exhaust the same explored reducts from the same start under the
-    same max_steps. Start and reducts are compared by class key (up to
-    relabelling, as their key texts would be) when the checker made the
-    witness, so no text is written, and by their key texts when a caller
-    built it from texts. This shares every fault of the search
-    it checks; an independent checker of the witness is still to come
-    (ROADMAP item 4). A failing instance is checked on that search too:
+    same max_steps; the witness of an immediate substructure, which the
+    canonical clause hands up, by the rerun handing up the same one. Start
+    and reducts are compared by class key (up to relabelling, as their key
+    texts would be) when the checker made the witness, so no text is
+    written, and by their key texts when a caller built it from texts. This
+    shares every fault of the search it checks; an independent checker of
+    the witness is still to come (ROADMAP item 4). A failing instance is checked on that search too:
     its extension index must name one of the step sources, every structure
     of its sigma must be valid, and the instance invalid."""
     for x, kind, name in ((arg, Argument, "arg"), (base, AtomicBase, "base"), (bounds, Bounds, "bounds"),
@@ -660,7 +677,7 @@ def choice_justification(f: Formula, family: Iterable[AtomicBase]) -> ChoiceFunc
     g = Disj(f, negation(f))
     ax = axiom_structure(g)
     table = []
-    for b in family:
+    for b in _members(family, AtomicBase, "family"):
         j = em_assertion_map(b, f) if models(b, (), f) else em_refutation_rule()
         table.append(((ax, b), JustificationSet((j,))))
     return ChoiceFunction(f"em_choice[{render_formula(f)}]", tuple(table))
@@ -677,6 +694,13 @@ def _projection_rule(n_context: int) -> SchematicRewrite:
     return SchematicRewrite(
         "project_last", ((PInf("step", FVar("G"), kids, ()), PVar("W")),)
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _one_rule_steps(n_context: int | None) -> JustificationSet:
+    """The step source of one rule, built once: delta's projection rule for
+    n_context context formulas, or em_refute for None."""
+    return JustificationSet((em_refutation_rule() if n_context is None else _projection_rule(n_context),))
 
 
 def _context_structure(context: list[Formula], goal: Formula, extra: ArgStructure | None) -> Inf:
@@ -827,7 +851,7 @@ def consequence(
     search, bases = _shared_search(bounds), _visits(family)
     if variant == "delta":
         no_steps = JustificationSet()
-        projection = JustificationSet((_projection_rule(len(context)),)) if context else no_steps
+        projection = _one_rule_steps(len(context)) if context else no_steps
         for b in bases(*[cand.steps for cand in candidates], *bounds.extensions):
             if any(valid(cand, b, bounds, _search=search).is_valid for cand in candidates):
                 continue
@@ -858,7 +882,7 @@ def consequence(
             if isinstance(cand.steps, JustificationSet) and all(is_schematic(j) for j in cand.steps.members)
         ]
         if isinstance(goal, Disj) and goal.right == negation(goal.left) and not context:
-            pool.append(Argument(axiom_structure(goal), JustificationSet((em_refutation_rule(),))))
+            pool.append(Argument(axiom_structure(goal), _one_rule_steps(None)))
         label = "schematic candidates only (rewrite-rule schematicity test)"
 
     saw_unknown = False

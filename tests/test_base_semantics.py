@@ -20,19 +20,26 @@ from ptslab import (
     FVar,
     FormulaError,
     Impl,
+    JustificationError,
     SemanticsError,
+    ValidityError,
     atomic_closure,
     atoms_of,
     base_valuation,
+    choice_justification,
     classical_eval,
     derives,
     em_valid,
     enumerate_bases,
+    graph_of,
     logical_consequence,
     models,
     negation,
+    or_detour,
     parse_base,
     parse_formula,
+    parse_structure,
+    reduces,
     search_counterexample,
 )
 
@@ -324,6 +331,9 @@ def test_a_base_that_is_no_atomic_base_is_refused(call, base):
         call(base)
 
 
+LEAF = parse_structure('(inf atm "a" (empty))')
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: logical_consequence(3, a, [parse_base("-> a\n")]), SemanticsError,
      "context must be an iterable of formulas, not int"),
@@ -337,9 +347,15 @@ def test_a_base_that_is_no_atomic_base_is_refused(call, base):
     (lambda: search_counterexample(3, a, [a], 1), SemanticsError, "context must be an iterable of formulas, not int"),
     (lambda: classical_eval(a, [a]), SemanticsError, "valuation must be a mapping, not list"),
     (lambda: negation([]), FormulaError, "f must be a Formula, not list"),
+    # a structure reduces to itself in zero steps, which answered True before src was looked at
+    (lambda: reduces(3, LEAF, LEAF, 1), JustificationError, "src must be a JustificationSet or RSystem, not int"),
+    (lambda: graph_of(or_detour(), 3), JustificationError, "domain must be an iterable of structures, not int"),
+    (lambda: choice_justification(a, 3), ValidityError, "family must be an iterable of AtomicBase, not int"),
+    (lambda: choice_justification(a, [None]), ValidityError, "family must hold AtomicBase values only, not NoneType"),
 ], ids=["logical_consequence-context", "logical_consequence-family", "logical_consequence-family-None",
         "logical_consequence-family-iterator", "logical_consequence-family-int", "models-context",
-        "search_counterexample-context", "classical_eval-valuation", "negation"])
+        "search_counterexample-context", "classical_eval-valuation", "negation", "reduces-src", "graph_of-domain",
+        "choice_justification-family", "choice_justification-family-None"])
 def test_an_entry_refuses_bad_input_naming_the_argument(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()

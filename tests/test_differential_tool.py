@@ -39,38 +39,44 @@ def test_the_differential_tool_records_every_op(tmp_path):
     assert done.returncode == 0, done.stderr
     ops, records = done.stdout.splitlines()
     assert ops.endswith(
-        ", readers 688 ops, partition 24 ops, atomic-derivations 34 ops, shared 137 ops, applications 75 ops"
+        ", readers 688 ops, partition 24 ops, atomic-derivations 34 ops, shared 137 ops, applications 75 ops,"
+        " root-stable 6 ops"
     )
-    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24 + 34 + 137 + 75
+    assert sum(int(part.split()[-2]) for part in ops.split(", ")) == 1203 + 688 + 24 + 34 + 137 + 75 + 6
     assert records == (
-        "valid 8296 records, recheck_invalid 316 records, consequence 422 records, logical_consequence 687 records,"
+        "valid 8305 records, recheck_invalid 319 records, consequence 422 records, logical_consequence 687 records,"
         f" search_counterexample 192 records, is_schematic 50 records -> {out}"
     )
     lines = out.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 36916
+    assert len(lines) == 36934
     # the groups before `readers`, then those before `partition`, each as they were when it was added
     # less the nested `valid` lines of the checks a class of bases shares, then those before `atomic-derivations`,
-    # then those before `shared`, then those before the replayed detour-search ops, then those before `applications`
+    # then those before `shared`, then those before the replayed detour-search ops, then those before `applications`,
+    # then those before `root-stable`; each re-pinned when the canonical clause rewrote the Invalid records of
+    # andI-rooted checks (the wide detours without x, the refuted group)
     assert hashlib.sha256(b"".join(lines[:5405])).hexdigest() == (
-        "fbac5826b46e49f5c3848790eb90cd37d320ff5de33be4a7346ca3c0291d90be"
+        "fb9e8ec386dd3a50f8437f63ea792178d2bb4ef46d9d11e334d170f777a25a81"
     )
     assert hashlib.sha256(b"".join(lines[:7417])).hexdigest() == (
-        "21aa20f49277ad6b4509bec7b907705479a368645744502a4dbb7afe41c8c843"
+        "18933bcf207db9485259f29fd5ed0acfe427b84a2e5485dd049cd9e4d926dbff"
     )
     assert hashlib.sha256(b"".join(lines[:13039])).hexdigest() == (
-        "ef908e5764a33594088c267e4dacf9a19b75cf271f5d6fe1082047cac8b87a43"
+        "39e5869f4e31f36a5cb9ff83e56da298fbd5fca9099b5616b6923c31f19f45c3"
     )
     assert hashlib.sha256(b"".join(lines[:13107])).hexdigest() == (
-        "6ae8ac578bc25d7afe08afd46b9703b4359c5942e5286784882629c0256a38d5"
+        "dbc566a470b048aa7c10ab9d5d47cc1126aa87ca1518b68957f10be59f9c83bd"
     )
     assert hashlib.sha256(b"".join(lines[:13755])).hexdigest() == (
-        "ca333287cc52a7fe06cd2fcc1dcffe6f8d9ff5804e9bdc5212a9480eda3f4c43"
+        "1609f203439c4d4db9d6e3d2645046f6f24984b1f582fa2bbe3273859fbe14ce"
     )
     assert hashlib.sha256(b"".join(lines[:13870])).hexdigest() == (
-        "bc79fd1c25031dc4ad0f3bbeaaaa668b83a05c6acc9e7b2157afeaab029c6093"
+        "d0e72b4b89e41327950e7fc1c23c0d06536a63f029940a1609cc22566841f4ff"
+    )
+    assert hashlib.sha256(b"".join(lines[:36916])).hexdigest() == (
+        "7ca1f953c0d04f2f58321e87018a011a5f14fd00c6977b7533ea5827510a6a35"
     )
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "24685e0f34e05458c65c454f34867cedf2d62f52100a409338c5f399336b4f4f"
+        "bf005434abc18e7234f59bbbeaec846895dfd3c8f6fff0dcd2b1459e7b449554"
     )
     # an op replayed in reverse order, on a search other calls filled, writes what it wrote first
     blocks = _blocks(out.read_text().splitlines())
@@ -80,5 +86,8 @@ def test_the_differential_tool_records_every_op(tmp_path):
     assert len(pooled) == 96 and len(detour) == 41 and not pooled & detour
     assert all(blocks[f"pooled-family/11/{op}"] == shared[op] for op in pooled)
     assert all(blocks[f"detour-search/11/{op}"] == shared[op] for op in detour)
+    # the widest detour the stream's 2^12 reducts left Unknown at 10 steps falls with its first detour
+    assert blocks["root-stable/12/without"][0].startswith("valid Verdict(status='invalid', reason='immediate substructure 1 ")
+    assert blocks["root-stable/12/without"][-1] == "recheck_invalid True"
     # without it the witness group would synthesize afresh and compare the reference with itself
     assert callable(validity._Search.closed)

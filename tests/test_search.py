@@ -6,6 +6,7 @@ import gc
 import os
 import random
 import sys
+import time
 import weakref
 from collections import Counter
 
@@ -38,6 +39,7 @@ from ptslab import (
     negation,
     or_detour,
     parse_base,
+    parse_rules,
     parse_structure,
     recheck_invalid,
     valid,
@@ -122,7 +124,9 @@ class _DrainingChecker(validity._Checker):
     """The checker's closed clause as it was before the early stop: the whole
     search is drained with reach, then scanned for a qualifying reduct. Every
     immediate substructure of a canonical reduct is checked; an Invalid one
-    refutes the reduct, whatever the others are."""
+    refutes the reduct, whatever the others are. At the start it applies the
+    canonical clause as the checker does: the first Invalid immediate
+    substructure of a root-stable start refutes the start."""
 
     def _closed(self, d, steps, atomic):
         reached, bound_hit = reach(
@@ -147,6 +151,12 @@ class _DrainingChecker(validity._Checker):
                 return validity.Verdict.valid(
                     f"canonical reduct at depth {depth} with valid immediate substructures"
                 )
+            refuted = [(i, v) for i, v in enumerate(sub_verdicts, 1) if v.is_invalid]
+            stable = isinstance(steps, JustificationSet) and steps._dispatch.at(d.tag) == ((), False)
+            if refuted and depth == 0 and not d.discharges and stable:
+                i, v = refuted[0]
+                return validity.Verdict.invalid(f"immediate substructure {i} of a canonical structure whose root no"
+                                                f" step rewrites is invalid: {v.reason}", witness=v.witness)
             if not any(v.is_invalid for v in sub_verdicts):
                 saw_unknown = True
         if saw_unknown:
@@ -233,6 +243,27 @@ def _wide(width: int) -> str:
 
 
 WIDE_4 = Argument(parse_structure(_wide(4)), JustificationSet((or_detour(),)))
+# beside or_detour, a member rooted in a structure variable, which may fire at
+# any node and so at the andI roots, though it fires nowhere: the checker
+# streams WIDE_4's 2^4 reducts, where under or_detour alone it refutes the root
+# by its first immediate substructure
+WIDE_4_ANYWHERE = Argument(WIDE_4.structure, WIDE_4.steps | parse_rules('never: (?D :concludes "p") => ?D'))
+
+
+def test_a_wide_detour_falls_with_its_first_detour():
+    # the andI roots are canonical and no step rewrites them, so the first detour, Invalid on -> y,
+    # refutes the whole at once; the stream's product of twelve one-step detours passed the bound of
+    # 10, and the verdict was Unknown after about half a second
+    wide = Argument(parse_structure(_wide(12)), JustificationSet((or_detour(), em_refutation_rule())))
+    base, bounds = parse_base("-> y\n"), Bounds(max_reduction_steps=10)
+    start = time.perf_counter()
+    v = valid(wide, base, bounds, _search=validity._Search(bounds))
+    took = time.perf_counter() - start
+    first = immediate_substructures(wide.structure)[0]
+    assert v.is_invalid and v.witness == valid(Argument(first, wide.steps), base, bounds).witness
+    assert v.witness.start == canonical_key(first) and v.reason.startswith("immediate substructure 1 of ")
+    assert took < 0.01, took
+    assert recheck_invalid(wide, base, bounds, v)
 
 
 def test_each_class_is_stepped_once_per_search(monkeypatch):
@@ -244,7 +275,8 @@ def test_each_class_is_stepped_once_per_search(monkeypatch):
         justification, "_positioned", lambda d, **kw: walked.update([canonical_key(d)]) or real_walk(d, **kw)
     )
     search = validity._Search(Bounds())
-    assert valid(WIDE_4, parse_base("-> y\n"), Bounds(), _search=search).is_invalid
+    v = valid(WIDE_4_ANYWHERE, parse_base("-> y\n"), Bounds(), _search=search)
+    assert v.is_invalid and v.reason.endswith("among 16 reduct(s)")
     assert max(seen.values()) == 1, seen.most_common(3)
     # every stream stepping its own reducts made 55 one-step searches for 30 of these classes;
     # stepping substructures adds the 31st, the detours' major premise (inf orI1 ...)

@@ -43,6 +43,8 @@ from ptslab import (
     em_assertion_map,
     em_refutation_rule,
     em_witness,
+    immediate_substructures,
+    instantiate,
     enumerate_bases,
     is_derivation_structure,
     is_schematic,
@@ -59,9 +61,16 @@ from ptslab import (
     synthesize_closed,
     valid,
 )
-from ptslab import argument, validity
+from ptslab import argument, justification, validity
 
-from genlib import make_rng, random_formula
+from genlib import (
+    make_rng,
+    random_case_analysis,
+    random_closed_structure,
+    random_detour_redex,
+    random_formula,
+    random_rule,
+)
 
 a, b, c, p, q, r, s = map(Atom, "abcpqrs")
 EMPTY = AtomicBase(frozenset())
@@ -490,6 +499,22 @@ def test_consequence_with_context():
     assert consequence("delta", [p, Impl(p, q)], q, fam).is_valid
     assert consequence("delta-star", [p], p, fam).is_valid
     assert consequence("delta-sh", [p], p, fam).is_valid
+
+
+def test_delta_builds_its_projection_rule_once_per_context_length(monkeypatch):
+    # the projection rule depends on the context's length alone; em_refute's step source is kept too
+    compiled = Counter()
+    real = justification._compile
+    monkeypatch.setattr(justification, "_compile", lambda *x: compiled.update(["clause"]) or real(*x))
+    validity._one_rule_steps.cache_clear()
+    fam = list(enumerate_bases([p, q], 1))
+    assert consequence("delta", [p], p, fam).is_valid
+    assert consequence("delta", [q], q, fam).is_valid
+    assert compiled["clause"] == 1
+    em = Disj(a, negation(a))
+    assert consequence("delta-s", [], em, fam).is_valid and consequence("delta-s", [], em, fam).is_valid
+    assert validity._one_rule_steps(None) is validity._one_rule_steps(None)
+    assert validity._one_rule_steps(None).members == (em_refutation_rule(),)
 
 
 def test_consequence_user_candidate(monkeypatch):
@@ -1064,8 +1089,11 @@ def test_an_invalid_substructure_refutes_its_reduct(swap):
         imp = valid(Argument(REFUTED_IMP, arg.steps), base, bounds)
         assert imp.status == ("unknown" if steps == 10 else "valid")
         v = valid(arg, base, bounds)
-        assert v.is_invalid and isinstance(v.witness, ExhaustedSearch)
-        assert v.reason == "search exhausted: no canonical reduct with valid substructures among 1 reduct(s)"
+        # the root is canonical and no or_detour step rewrites it: c's verdict refutes it, c's witness with it
+        assert v.is_invalid and v.witness == valid(Argument(REFUTED_C, arg.steps), base, bounds).witness
+        assert v.witness.start == canonical_key(REFUTED_C)
+        assert v.reason == (f"immediate substructure {2 if swap else 1} of a canonical structure whose root no step"
+                            " rewrites is invalid: search exhausted: no closed derivation among 1 reduct(s)")
         assert recheck_invalid(arg, base, bounds, v)
 
 
@@ -1202,6 +1230,162 @@ def test_the_refutation_cases_reach_every_outcome():
         _arg, _base, _bounds, got, want = _both_loops(seed)
         seen[(want.status, got.status)] += 1
     assert set(seen) == {("valid", "valid"), ("invalid", "invalid"), ("unknown", "unknown"), ("unknown", "invalid")}, seen
+
+
+# --- the canonical clause at a root-stable start ---------------------------
+
+
+class _StreamingChecker(validity._Checker):
+    """The closed clause as it was before the canonical clause: a canonical
+    start is one more reduct of the stream, so an Invalid verdict reads the
+    stream to its end, root-stable start or not."""
+
+    def _closed(self, d, steps, atomic):
+        stream = self.search.stream(steps, d, self.base)
+        saw_unknown = False
+        for r, depth in stream:
+            if atomic:
+                if is_derivation_structure(r, self.base):
+                    return Verdict.valid(f"reduces to a derivation on the base in {depth} step(s)")
+                continue
+            subs = self.search.canonical_subs(r)
+            if subs is None:
+                continue
+            status = validity._meet(self.check(s, steps) for s in subs)
+            if status == "valid":
+                return Verdict.valid(f"canonical reduct at depth {depth} with valid immediate substructures")
+            if status == "unknown":
+                saw_unknown = True
+        if saw_unknown or stream.bound:
+            return Verdict.unknown("reduction bound hit before a qualifying reduct was found")
+        return Verdict.invalid("search exhausted")
+
+
+# a rule tagged at a canonical root, which can fire there
+SWAP_RULE = parse_rules('swap: (inf andI "?A & ?A" ?D ?E) => (inf andI "?A & ?A" ?E ?D)').members[0]
+
+
+def _closed_part(rng, labels):
+    """A closed structure: a tests/genlib detour or case analysis (now and
+    then with a detour in a branch) whose open leaves are instantiated by
+    derivation leaves or genlib closed structures, or a _random_piece."""
+    roll = rng.random()
+    if roll < 0.3:
+        return _random_piece(rng, labels, rng.randint(0, 2))
+    if roll < 0.65:
+        d = random_detour_redex(rng)
+    else:
+        inner = argument.relabel(random_detour_redex(rng), {1: 3, 2: 4})  # apart from the case labels
+        d = random_case_analysis(rng, (inner,)[:rng.randint(0, 1)])
+    return instantiate(d, {
+        f: Inf("atm", f, (EmptyTop(),)) if rng.random() < 0.7 else random_closed_structure(rng, f, 2)
+        for f in analyze(d).open_assumptions
+    })
+
+
+def _canonical_case(rng):
+    """A closed structure with a canonical root over _closed_part parts (a
+    conjunction, a disjunction, an implication discharging nothing, or one
+    discharging a label), with or_detour and some of em_refute, a rule
+    tagged andI, a random rule and a table keyed at the root whose image
+    puts derivation leaves under it; a random base and random bounds."""
+    labels = itertools.count(20)
+    left = _closed_part(rng, labels)
+    x = random_formula(rng, 2, [a, b, c], allow_bottom=False)
+    kind = rng.randrange(4)
+    if kind == 0:
+        right = left if rng.random() < 0.2 else _closed_part(rng, labels)
+        d = Inf("andI", Conj(conclusion_of(left), conclusion_of(right)), (left, right))
+    elif kind == 1:
+        if rng.random() < 0.5:
+            d = Inf("orI1", Disj(conclusion_of(left), x), (left,))
+        else:
+            d = Inf("orI2", Disj(x, conclusion_of(left)), (left,))
+    elif kind == 2:
+        d = Inf("impI", Impl(x, conclusion_of(left)), (left,))
+    else:
+        n = next(labels)
+        body = Inf("step", conclusion_of(left), (left, Assumption(x, n)))
+        d = Inf("impI", Impl(x, conclusion_of(left)), (body,), frozenset({n}))
+    members = [or_detour()]
+    if rng.random() < 0.3:
+        members.append(em_refutation_rule())
+    if rng.random() < 0.2:
+        members.append(SWAP_RULE)
+    if rng.random() < 0.3:
+        members.append(random_rule(rng))
+    if rng.random() < 0.15:
+        image = Inf(d.tag, d.conclusion, tuple(Inf("atm", conclusion_of(k), (EmptyTop(),)) for k in d.children))
+        members.append(ConstantMap("at_root", ((d, image),)))
+    base = parse_base("".join(line + "\n" for line in REFUTE_RULES if rng.random() < 0.5))
+    bounds = Bounds(max_reduction_steps=rng.randint(0, 4), max_structure_size=rng.choice((20, 40, 400)))
+    return Argument(d, JustificationSet(tuple(members))), base, bounds
+
+
+def _both_closed_clauses(seed):
+    arg, base, bounds = _canonical_case(random.Random(seed))
+    got = valid(arg, base, bounds)
+    want = _StreamingChecker(base, validity._Search(bounds)).check(arg.structure, arg.steps)
+    return arg, base, bounds, got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_the_canonical_clause_turns_only_unknowns_into_invalids(seed):
+    arg, base, bounds, got, want = _both_closed_clauses(seed)
+    if want.is_unknown and got.is_invalid:
+        # refuted through root-stable canonical structures, each by the immediate substructure its
+        # reason names, down to one the stream's checker also finds Invalid, whose witness it is; the
+        # stream's checker may find the structures between Unknown, as it finds the start
+        d, reason = arg.structure, got.reason
+        while reason.startswith("immediate substructure "):
+            assert not d.discharges and arg.steps._dispatch.at(d.tag) == ((), False)
+            d = immediate_substructures(d)[int(reason.split()[2]) - 1]
+            reason = reason.split(" rewrites is invalid: ", 1)[1]
+        assert d is not arg.structure and got.witness.start == canonical_key(d)
+        assert _StreamingChecker(base, validity._Search(bounds)).check(d, arg.steps).is_invalid
+    elif want.is_valid:
+        assert (got.status, got.reason) == (want.status, want.reason)
+    else:
+        assert got.status == want.status
+    if got.is_invalid:
+        assert recheck_invalid(arg, base, bounds, got)
+
+
+def test_the_canonical_cases_reach_every_outcome():
+    # the property above is only as good as the verdict pairs and the roots its inputs reach
+    seen, clause = Counter(), Counter()
+    for seed in range(300):
+        _arg, _base, _bounds, got, want = _both_closed_clauses(seed)
+        seen[(want.status, got.status)] += 1
+        clause[got.reason.startswith("immediate substructure")] += 1
+    assert set(seen) == {("valid", "valid"), ("invalid", "invalid"), ("unknown", "unknown"), ("unknown", "invalid")}, seen
+    assert clause[True] and clause[False], clause
+
+
+def test_the_canonical_clause_holds_at_the_start_alone():
+    # the start is canonical by shape, with an Invalid immediate substructure (a from c, on a base
+    # without c -> a), but two rules rewrite its root; the first reduct is canonical and root-stable,
+    # with that substructure again, yet the second, over a derivation of a, is Valid
+    rules = parse_rules(
+        'pick_bad: (inf pick "?A & ?B" ?D ?E) => (inf andI "?A & ?B" ?D ?E)\n'
+        'pick_good: (inf pick "?A & ?B" ?D ?E) => (inf andI "?A & ?B" (inf atm "?A" (empty)) ?E)\n'
+    )
+    d = parse_structure('(inf pick "a & b" (inf junk "a" (inf atm "c" (empty))) (inf atm "b" (empty)))')
+    v = valid(Argument(d, rules), parse_base("-> a\n-> b\n"))
+    assert v.is_valid and v.reason == "canonical reduct at depth 1 with valid immediate substructures"
+
+
+def test_the_canonical_clause_needs_a_root_that_discharges_nothing():
+    # the root discharges the leaf of its immediate substructure, which the check of that substructure
+    # fills with the derivation of a, where drop no longer fires (Invalid: no rule a -> b); in place,
+    # drop rewrites it to a derivation of b
+    rules = parse_rules('drop: (inf step "?B" (assume "?A")) => (inf atm "?B" (empty))')
+    d = parse_structure('(inf impI "a -> b" (inf step "b" (assume "a" :label 1)) :discharge (1))')
+    base = parse_base("-> a\n-> b\n")
+    assert valid(Argument(immediate_substructures(d)[0], rules), base).is_invalid
+    v = valid(Argument(d, rules), base)
+    assert v.is_valid and v.reason == "canonical reduct at depth 1 with valid immediate substructures"
 
 
 def test_a_candidate_falls_at_its_first_invalid_base():

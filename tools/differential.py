@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Eleven op groups follow. The first, `choice`, runs what no workload builds: a
+Twelve op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -121,6 +121,15 @@ are those the detour-search workload reads at seeds 0, 11 and 9001, the
 `APPLICATION_STRUCTURES` (excluded-middle axioms and context inferences),
 and `APPLICATION_SEEDS` detours and case analyses of `tests/genlib`.
 
+The twelfth, `root-stable`, checks wide detours past the workload's
+widths: `perfbench/workloads.py`'s `_wide` at the `ROOT_STABLE_WIDTHS`
+(on x and y, with the tag k), with the detour-search steps and bases and
+its `max_reduction_steps`, then `recheck_invalid` when the verdict is
+Invalid. The andI roots are canonical and no step rewrites them, so the
+checker can refute the structure by its first detour on the base without
+x; a checker that searches its 2^w reducts instead passes the step bound
+at w = 12 and answers Unknown there.
+
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
 """
@@ -181,6 +190,7 @@ concludes: (inf orI1 "?A | ?B" ?D) => ?D
 """
 REFUTED_DEPTH = 11
 REFUTED_BOUNDS = (10, 12)
+ROOT_STABLE_WIDTHS = (8, 10, 12)
 RECORDED = (
     ("validity", "valid"),
     ("validity", "recheck_invalid"),
@@ -437,6 +447,29 @@ def _run_applications_group(out) -> int:
     return len(structures)
 
 
+def _run_root_stable_group(out) -> int:
+    """Run the root-stable group, writing an `op` line before each op, and
+    return its op count."""
+    import random
+
+    import workloads
+    from ptslab import Argument, Bounds, JustificationSet, em_refutation_rule, or_detour, parse_base
+    from ptslab import parse_structure, recheck_invalid, valid
+
+    steps = JustificationSet((or_detour(), em_refutation_rule()))
+    bounds = Bounds(max_reduction_steps=workloads.MAX_STEPS)
+    bases = {"with": parse_base("-> x\n-> y\n"), "without": parse_base("-> y\n")}
+    for width in ROOT_STABLE_WIDTHS:
+        text = workloads._wide(width, "x", "y", "k", workloads._Labels(random.Random(width)))
+        arg = Argument(parse_structure(text), steps)
+        for name, base in bases.items():
+            out.write(f"op root-stable/{width}/{name}\n")
+            v = valid(arg, base, bounds)
+            if v.is_invalid:
+                recheck_invalid(arg, base, bounds, v)
+    return len(ROOT_STABLE_WIDTHS) * len(bases)
+
+
 def _variants(text: str) -> dict[str, str]:
     """text and its malformed variants, by name; a variant that leaves the
     text as it is is left out."""
@@ -573,6 +606,7 @@ def main() -> int:
         ops["atomic-derivations"] = _run_atomic_derivations_group(out)
         ops["shared"] = _run_shared_group(out)
         ops["applications"] = _run_applications_group(out)
+        ops["root-stable"] = _run_root_stable_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
