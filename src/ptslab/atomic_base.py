@@ -71,16 +71,25 @@ def _rule_key(r: AtomicRule):
 
 
 class AtomicBase(_Record):
-    """A base is its rules; what is derived from them is computed once, on first use."""
+    """A base is its rules. Its closure from no assumptions is built with it,
+    in a slot; what else is derived from the rules is computed once, on
+    first use."""
 
+    __slots__ = ("_closure",)  # a slot read specializes where a cached_property's does not
     _fields = __match_args__ = ("rules",)
     __repr__ = object.__repr__
     _hash = None  # the hash of the fields' tuple, set on first use and kept outside them
 
     def __init__(self, rules: frozenset[AtomicRule], id: str = ""):
+        if not isinstance(rules, frozenset):
+            raise BaseError(f"rules must be a frozenset of AtomicRules, not {type(rules).__name__}")
+        for r in rules:
+            if not isinstance(r, AtomicRule):
+                raise BaseError(f"rules must hold AtomicRules only, not {type(r).__name__}")
         _set(self, "rules", rules)
         if id:
             _set(self, "id", id)
+        _set(self, "_closure", frozenset(self._derived))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -108,10 +117,6 @@ class AtomicBase(_Record):
     @functools.cached_property
     def _derived(self) -> dict[Atom, AtomicRule | None]:
         return _chain(self._sorted, frozenset())
-
-    @functools.cached_property
-    def _closure(self) -> frozenset[Atom]:  # from no assumptions; enumerate_bases sets it
-        return frozenset(self._derived)
 
     @functools.cached_property
     def _support(self) -> dict[Atom, frozenset[AtomicRule]]:
@@ -196,23 +201,51 @@ def _chain(rules: tuple[AtomicRule, ...], assumptions: frozenset[Atom]) -> dict[
     return derived
 
 
+def _with_closure(rules: frozenset[AtomicRule], closure: frozenset[Atom]) -> AtomicBase:
+    """A base of the rules, handed the closure its caller computed on masks:
+    the rules are neither checked nor chained."""
+    base = object.__new__(AtomicBase)
+    _set(base, "rules", rules)
+    _set(base, "_closure", closure)
+    return base
+
+
 def _require_base(base: object, error: type[ValueError] = BaseError) -> None:
     """Refuse base unless it is an AtomicBase, with the caller's module's error naming it."""
     if not isinstance(base, AtomicBase):
         raise error(f"base must be an AtomicBase, not {type(base).__name__}")
 
 
+def _atoms(xs: Iterable[Atom], name: str, error: type[ValueError] = BaseError) -> tuple[Atom, ...]:
+    """xs as a tuple, refused unless it is an iterable of atoms, with the
+    caller's module's error naming it."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise error(f"{name} must be an iterable of Atoms, not {type(xs).__name__}") from None
+    for x in xs:
+        if not isinstance(x, Atom):
+            raise error(f"{name}: an Atom expected, not {type(x).__name__}")
+    return xs
+
+
+def _assumed(assumptions: Iterable[Atom]) -> frozenset[Atom]:
+    """The assumptions as a set, refused unless they are atoms other than absurdity."""
+    assumed = frozenset(_atoms(assumptions, "assumptions"))
+    if BOT in assumed:
+        raise BaseError("assumption sets may not contain the absurdity constant")
+    return assumed
+
+
 def _derivations(base: AtomicBase, assumptions: frozenset[Atom]) -> dict[Atom, AtomicRule | None]:
     """The base's own map for no assumptions; under any others, one computed afresh."""
-    if BOT in assumptions:
-        raise BaseError("assumption sets may not contain the absurdity constant")
     return _chain(base._sorted, assumptions) if assumptions else base._derived
 
 
 def atomic_closure(base: AtomicBase, assumptions: Iterable[Atom] = ()) -> frozenset[Atom]:
     """Least set of atoms containing the assumptions and closed under the rules."""
     _require_base(base)
-    return _closure_of(base, frozenset(assumptions))
+    return _closure_of(base, _assumed(assumptions))
 
 
 def _closure_of(base: AtomicBase, assumptions: frozenset[Atom]) -> frozenset[Atom]:
@@ -221,7 +254,9 @@ def _closure_of(base: AtomicBase, assumptions: frozenset[Atom]) -> frozenset[Ato
 
 def derives(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom) -> bool:
     _require_base(base)
-    return goal in _closure_of(base, frozenset(assumptions))
+    assumptions = _assumed(assumptions)
+    _atoms((goal,), "goal")
+    return goal in _closure_of(base, assumptions)
 
 
 def _derivation(derived: dict[Atom, AtomicRule | None], goal: Atom) -> ArgStructure | None:
@@ -256,7 +291,9 @@ def atomic_derivation(base: AtomicBase, assumptions: Iterable[Atom], goal: Atom)
     """A derivation of goal from the assumptions on the base, as an atm
     structure with the assumptions it uses as open leaves, or None."""
     _require_base(base)
-    return _derivation(_derivations(base, frozenset(assumptions)), goal)
+    assumptions = _assumed(assumptions)
+    _atoms((goal,), "goal")
+    return _derivation(_derivations(base, assumptions), goal)
 
 
 def is_derivation_structure(d: ArgStructure, base: AtomicBase, assumptions: frozenset[Atom] = frozenset()) -> bool:
@@ -295,6 +332,7 @@ def is_consistent(base: AtomicBase) -> bool:
 
 
 def _signature(atoms: list[Atom]) -> list[Atom]:
+    atoms = _atoms(atoms, "atoms")
     if BOT in atoms:
         raise BaseError("the signature lists named atoms only")
     return list(dict.fromkeys(atoms))
@@ -336,8 +374,8 @@ def enumerate_bases(
     Deterministic and duplicate-free; raises EnumerationCapError when first
     iterated if the raw count would exceed cap. Each combination of rule
     indices is chained and checked for consistency on masks over the
-    signature and then bottom; only a yielded base is built, with its
-    closure, one frozenset per distinct closure.
+    signature and then bottom; only a yielded base is built, handed its
+    closure (one frozenset per distinct closure) and not chained again.
     """
     order = _checked_signature(atoms, max_rules, cap) + [BOT]  # the masks' bit order
     universe = rule_universe(order[:-1]) if max_rules else []  # no rules, no universe
@@ -353,9 +391,7 @@ def enumerate_bases(
             closure = closures.get(derived)
             if closure is None:
                 closure = closures[derived] = frozenset(x for i, x in enumerate(order) if derived >> i & 1)
-            base = AtomicBase(frozenset([universe[i] for i in combo]))
-            _set(base, "_closure", closure)
-            yield base
+            yield _with_closure(frozenset([universe[i] for i in combo]), closure)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import warnings
 from collections.abc import Mapping
 from typing import Iterable
 
-from .atomic_base import AtomicBase, AtomicRule, _checked_signature, _require_base, atomic_closure
+from .atomic_base import AtomicBase, AtomicRule, _atoms, _checked_signature, _require_base, _with_closure
+from .atomic_base import atomic_closure
 from .formula import BOT, Atom, Conj, Disj, Formula, Impl, _Record, _set, negation
 
 __all__ = [
@@ -45,7 +46,7 @@ def base_valuation(base: AtomicBase, extra_atoms: Iterable[Atom] = ()) -> dict[A
     """Valuation sending each atom to its derivability from no assumptions."""
     _require_base(base, SemanticsError)
     derivable = atomic_closure(base, ())
-    cover = set(base.atoms()) | set(extra_atoms) | {BOT}
+    cover = set(base.atoms()) | set(_atoms(extra_atoms, "extra_atoms", SemanticsError)) | {BOT}
     return {a: a in derivable for a in cover}
 
 
@@ -126,15 +127,11 @@ def _context(context: Iterable[Formula]) -> tuple[Formula, ...]:
 
 def models(base: AtomicBase, context: Iterable[Formula], goal: Formula) -> bool:
     """Does the goal follow from the context on this base?"""
-    return _models(base, _context(context), goal, 3)
-
-
-def _models(base: AtomicBase, context: tuple[Formula, ...], goal: Formula, stacklevel: int = 2) -> bool:
-    """models on a context that is a tuple; its warning names the caller stacklevel frames up."""
+    context = _context(context)
     _require_base(base, SemanticsError)
     derivable = atomic_closure(base, ())
     if BOT in derivable:
-        _warn_inconsistent(base, stacklevel)
+        _warn_inconsistent(base, 2)
     return _follows(context, goal, derivable)
 
 
@@ -146,7 +143,12 @@ def em_valid(base: AtomicBase, f: Formula) -> bool:
 def logical_consequence(
     context: Iterable[Formula], goal: Formula, family: Iterable[AtomicBase]
 ) -> ConsequenceVerdict:
-    """Consequence over every base of a finite family."""
+    """Consequence over every base of a finite family.
+
+    The family is read lazily, up to its first failing base: a member that
+    is no base is refused where the scan reaches it, and one after the
+    failing base is never drawn, so never checked. A generator is consumed
+    only up to the counterexample."""
     failing = _first_failing(context, goal, family)
     return ConsequenceVerdict(True) if failing is None else ConsequenceVerdict(False, failing.id)
 
@@ -161,9 +163,14 @@ def _first_failing(
     it, and the scan files it in one of two sets: consistent closures where
     the goal holds, and inconsistent ones where it holds (a base with one
     warns again each time it is scanned). A closure where it fails stops the
-    scan there. A base whose closure is consistent and already seen costs
-    one set probe. A context or family that is not iterable, or a family
-    member that is no base, is refused with an error naming it."""
+    scan there. Each new closure is evaluated directly, on the closure just
+    read from the base's slot; a base whose closure is consistent and
+    already seen costs one set probe. A context or family that is not
+    iterable is refused with an error naming it, and so is a family member
+    that is no base, where the scan reaches it: members after the failing
+    base are never drawn (checking each would cost a pass over the whole
+    family, and an early counterexample would no longer end the scan
+    early)."""
     context = _context(context)
     try:
         family = iter(family)
@@ -176,12 +183,15 @@ def _first_failing(
             derivable = base._closure
             if derivable in holds:
                 continue
-            if derivable in warns:
+            if not isinstance(base, AtomicBase):  # a member that carries a _closure but is no base
+                raise SemanticsError(f"family must hold AtomicBases only, not {type(base).__name__}")
+            if BOT in derivable:
                 _warn_inconsistent(base, 1)
-            elif not _models(base, context, goal):
+                if derivable in warns:
+                    continue
+            if not _follows(context, goal, derivable):
                 return base
-            else:
-                (warns if BOT in derivable else holds).add(derivable)
+            (warns if BOT in derivable else holds).add(derivable)
     except AttributeError as e:
         if e.name != "_closure" or isinstance(e.obj, AtomicBase):  # not the read of a member that is no base
             raise
@@ -215,7 +225,5 @@ def search_counterexample(
         for chosen in itertools.combinations(signature, size):
             closure = frozenset(chosen)
             if not _follows(context, goal, closure):
-                base = AtomicBase(frozenset([AtomicRule((), x) for x in chosen]))
-                _set(base, "_closure", closure)
-                return base
+                return _with_closure(frozenset([AtomicRule((), x) for x in chosen]), closure)
     return None

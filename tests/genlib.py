@@ -22,7 +22,7 @@ from ptslab import (
     SchematicRewrite,
     analyze,
 )
-from ptslab.argument import DSpec, PAssume, PInf, Plug, PVar
+from ptslab.argument import DSpec, PAssume, PInf, Plug, PVar, freshen
 
 ATOMS = [Atom(n) for n in ("a", "b", "c")]
 
@@ -103,7 +103,9 @@ def random_case_analysis(rng: random.Random, inside=()):
     """An elimination of an open disjunction whose case branches use the
     labels 1 and 2 it discharges; the structures given as inside are shared
     out among the branches, beside each branch's labelled leaf, so each sits
-    below an inference that discharges a label."""
+    below an inference that discharges a label. Each is first relabelled
+    away from 1 and 2, so a detour inside binds none of them twice."""
+    inside = [freshen(d, frozenset({1, 2})) for d in inside]
     a1, a2, b = random_formula(rng, 2), random_formula(rng, 2), random_formula(rng, 2)
     split = rng.randint(0, len(inside))
     d2 = Inf("br", b, (Assumption(a1, 1),) + tuple(inside[:split]))

@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import re
 import weakref
 
@@ -187,6 +189,52 @@ def test_a_count_that_is_no_integer_is_refused(count, max_rules, cap, message):
 def test_a_base_that_is_no_atomic_base_is_refused(call, base):
     with pytest.raises(BaseError, match=f"base must be an AtomicBase, not {type(base).__name__}$"):
         call(base)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: atomic_closure(PQ, ["x"]), "assumptions: an Atom expected, not str"),
+    (lambda: atomic_closure(PQ, 3), "assumptions must be an iterable of Atoms, not int"),
+    (lambda: derives(PQ, (), "p"), "goal: an Atom expected, not str"),
+    (lambda: derives(PQ, 3, p), "assumptions must be an iterable of Atoms, not int"),
+    (lambda: derives(PQ, [p, None], q), "assumptions: an Atom expected, not NoneType"),
+    (lambda: atomic_derivation(PQ, (), "q"), "goal: an Atom expected, not str"),
+    (lambda: atomic_derivation(PQ, "p", q), "assumptions: an Atom expected, not str"),
+    (lambda: list(enumerate_bases(["a"], 1)), "atoms: an Atom expected, not str"),
+    (lambda: list(enumerate_bases(3, 1)), "atoms must be an iterable of Atoms, not int"),
+    (lambda: search_counterexample((), p, ["a"], 1), "atoms: an Atom expected, not str"),
+    (lambda: AtomicBase(None), "rules must be a frozenset of AtomicRules, not NoneType"),
+    (lambda: AtomicBase({AtomicRule((), p)}), "rules must be a frozenset of AtomicRules, not set"),
+    (lambda: AtomicBase(frozenset(["-> p"])), "rules must hold AtomicRules only, not str"),
+], ids=["atomic_closure-member", "atomic_closure-int", "derives-goal", "derives-int", "derives-member",
+        "atomic_derivation-goal", "atomic_derivation-str", "enumerate_bases-member", "enumerate_bases-int",
+        "search_counterexample-member", "AtomicBase-None", "AtomicBase-set", "AtomicBase-member"])
+def test_an_argument_of_atoms_or_rules_is_refused_naming_it(call, message):
+    # each returned an answer or a base holding the str, or raised a TypeError, or built a base of None
+    with pytest.raises(BaseError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_base_holds_its_closure_in_a_slot():
+    # a slot read specializes in the scan's loop; a cached_property's stays adaptive
+    assert type(AtomicBase.__dict__["_closure"]).__name__ == "member_descriptor"
+    family = list(enumerate_bases([p, q], 2, consistent_only=False))
+    found = search_counterexample((), Conj(p, q), [p, q], 2)
+    bases = [PQ, EMPTY, AtomicBase(PQ.rules, "named"), found, *family, pickle.loads(pickle.dumps(PQ)), copy.copy(PQ)]
+    assert all("_closure" not in vars(base) for base in bases)
+    assert [base._closure for base in bases[:4]] == [{p, q}, set(), {p, q}, set()]
+
+
+def test_only_the_constructor_chains(monkeypatch):
+    chained = []
+    chain = atomic_base._chain
+    monkeypatch.setattr(atomic_base, "_chain", lambda *x: chained.append(x) or chain(*x))
+    family = list(enumerate_bases([p, q, r], 2, consistent_only=False))
+    assert all(atomic_closure(base) == _oracle_closure(base, ()) for base in family)
+    assert [is_consistent(base) for base in family] == [BOT not in _oracle_closure(base, ()) for base in family]
+    assert search_counterexample((), Conj(p, q), [p, q, r], 2).id == "{}"
+    assert chained == []
+    assert atomic_closure(parse_base("-> p\np -> q\n")) == {p, q} and len(chained) == 1
+    assert atomic_closure(AtomicBase(family[-1].rules)) == atomic_closure(family[-1]) and len(chained) == 2
 
 
 def test_base_file_roundtrip():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import types
 import warnings
 
 import pytest
@@ -177,22 +178,25 @@ def test_family_scan_evaluates_each_closure_once(monkeypatch, scan):
     closures = {atomic_closure(base) for base in family}
     assert len(family) == 4887 and len(closures) == 8
     calls = []
-    real = base_semantics._models  # the evaluation the scan makes per closure; models checks a context, then calls it
-    monkeypatch.setattr(base_semantics, "_models", lambda *x: calls.append(x[0]) or real(*x))
+    real = base_semantics._follows  # the evaluation the scan makes per new closure, on the closure it read
+    monkeypatch.setattr(base_semantics, "_follows", lambda *x: calls.append(x[2]) or real(*x))
     goal = parse_formula("(a -> b) | (b -> a)")
     assert logical_consequence((), goal, family).holds
-    assert len(calls) == len({atomic_closure(base) for base in calls}) == 8
+    assert len(calls) == len(set(calls)) == 8 and set(calls) == closures
 
 
 def test_search_evaluates_each_closure_once_and_builds_only_its_answer(monkeypatch):
     # the same 4887 bases: a tautology is evaluated once on each of the 8
     # subsets of {a, b, c}, their closures, and no base is built; a failing
-    # goal builds exactly the base it returns
-    evaluated, built = [], []
+    # goal builds exactly the base it returns, handed its closure, through
+    # the private path and not the constructor
+    evaluated, built, constructed = [], [], []
     real_holds = base_semantics._holds
     monkeypatch.setattr(base_semantics, "_holds", lambda f, d: evaluated.append(d) or real_holds(f, d))
+    real_build = base_semantics._with_closure
+    monkeypatch.setattr(base_semantics, "_with_closure", lambda *x: built.append(real_build(*x)) or built[-1])
     real_init = AtomicBase.__init__
-    monkeypatch.setattr(AtomicBase, "__init__", lambda base, *x: built.append(base) or real_init(base, *x))
+    monkeypatch.setattr(AtomicBase, "__init__", lambda base, *x: constructed.append(base) or real_init(base, *x))
     goal = parse_formula("(a -> b) | (b -> a)")
     assert search_counterexample((), goal, [a, b, c], 3) is None
     subsets = {frozenset(s) for k in range(4) for s in itertools.combinations([a, b, c], k)}
@@ -200,6 +204,7 @@ def test_search_evaluates_each_closure_once_and_builds_only_its_answer(monkeypat
     assert built == []
     found = search_counterexample((), parse_formula("a -> b"), [a, b, c], 3)
     assert built == [found] and found.id == "{-> a}" and atomic_closure(found) == {a}
+    assert constructed == []
 
 
 def test_evaluation_of_a_deep_formula_built_in_code():
@@ -346,6 +351,9 @@ LEAF = parse_structure('(inf atm "a" (empty))')
     (lambda: models(parse_base("-> a\n"), 3, a), SemanticsError, "context must be an iterable of formulas, not int"),
     (lambda: search_counterexample(3, a, [a], 1), SemanticsError, "context must be an iterable of formulas, not int"),
     (lambda: classical_eval(a, [a]), SemanticsError, "valuation must be a mapping, not list"),
+    (lambda: base_valuation(parse_base("-> a\n"), ["b"]), SemanticsError, "extra_atoms: an Atom expected, not str"),
+    (lambda: base_valuation(parse_base("-> a\n"), 3), SemanticsError,
+     "extra_atoms must be an iterable of Atoms, not int"),
     (lambda: negation([]), FormulaError, "f must be a Formula, not list"),
     # a structure reduces to itself in zero steps, which answered True before src was looked at
     (lambda: reduces(3, LEAF, LEAF, 1), JustificationError, "src must be a JustificationSet or RSystem, not int"),
@@ -354,7 +362,8 @@ LEAF = parse_structure('(inf atm "a" (empty))')
     (lambda: choice_justification(a, [None]), ValidityError, "family must hold AtomicBase values only, not NoneType"),
 ], ids=["logical_consequence-context", "logical_consequence-family", "logical_consequence-family-None",
         "logical_consequence-family-iterator", "logical_consequence-family-int", "models-context",
-        "search_counterexample-context", "classical_eval-valuation", "negation", "reduces-src", "graph_of-domain",
+        "search_counterexample-context", "classical_eval-valuation", "base_valuation-member", "base_valuation-int",
+        "negation", "reduces-src", "graph_of-domain",
         "choice_justification-family", "choice_justification-family-None"])
 def test_an_entry_refuses_bad_input_naming_the_argument(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
@@ -437,3 +446,26 @@ def test_a_scan_draws_bases_only_up_to_the_first_failing_one():
     assert drawn[-1] is first and len(drawn) == [x is first for x in family].index(True) + 1 < len(family)
     assert got_warnings == want_warnings
     assert len(got_warnings) == len(inconsistent) > len({atomic_closure(base) for base in inconsistent})
+
+
+def test_a_scan_reads_the_family_only_up_to_its_counterexample():
+    # the family is read lazily: a member that is no base is refused where the
+    # scan reaches it, and one after the failing base is never drawn
+    fails = parse_base("-> b\n")
+    verdict = base_semantics.ConsequenceVerdict(False, fails.id)
+    assert logical_consequence((), a, [fails, "junk"]) == verdict
+    with pytest.raises(SemanticsError, match="^family must hold AtomicBases only, not str$"):
+        logical_consequence((), a, [parse_base("-> a\n"), "junk", fails])
+    # a member that carries a closure of its own is no base either, where its closure is new
+    with pytest.raises(SemanticsError, match="^family must hold AtomicBases only, not SimpleNamespace$"):
+        logical_consequence((), a, [parse_base("-> a\n"), types.SimpleNamespace(_closure=frozenset(), id="fake")])
+    drawn = []
+
+    def family():
+        for member in (parse_base("-> a\n"), fails, "junk", None):
+            drawn.append(member)
+            yield member
+
+    members = family()
+    assert logical_consequence((), a, members) == verdict
+    assert drawn[-1] is fails and len(drawn) == 2 and next(members) == "junk"

@@ -15,7 +15,7 @@ other calls are recorded too (the `valid` calls of `consequence` and of
 spaces per recorded call it was made in: a change that skips nested
 calls shows as deleted indented lines.
 
-Twelve op groups follow. The first, `choice`, runs what no workload builds: a
+Thirteen op groups follow. The first, `choice`, runs what no workload builds: a
 `ChoiceFunction`. For each of the formulas a, b, a & b and a -> b it
 makes `choice_justification` over `enumerate_bases([a], 1)` and, on every
 base of `enumerate_bases([a, b], 2)`, calls `valid` on the
@@ -130,6 +130,14 @@ checker can refute the structure by its first detour on the base without
 x; a checker that searches its 2^w reducts instead passes the step bound
 at w = 12 and answers Unknown there.
 
+The thirteenth, `scan-warnings`, scans families with inconsistent bases,
+where the scan warns: `enumerate_bases` with `consistent_only=False` over
+each `SCAN_WARNING_SIGNATURES` signature, passed to `logical_consequence`
+as a list, a tuple and a generator, for each `SCAN_WARNING_GOALS` context
+and goal; then `search_counterexample` over that signature. After each
+call's recorded line come the warnings it raised, in order, one `warning`
+line each, caught with `simplefilter("always")`.
+
 Run it on two checkouts and compare the files with `cmp`: a change that
 keeps every verdict and its details writes the same bytes.
 """
@@ -191,6 +199,9 @@ concludes: (inf orI1 "?A | ?B" ?D) => ?D
 REFUTED_DEPTH = 11
 REFUTED_BOUNDS = (10, 12)
 ROOT_STABLE_WIDTHS = (8, 10, 12)
+SCAN_WARNING_SIGNATURES = (("a", "b"), ("a", "b", "c"))
+SCAN_WARNING_RULES = 2
+SCAN_WARNING_GOALS = ((), "a | ~a"), ((), "~(a & b)"), ((), "a -> b"), (("a",), "b"), (("~b",), "_|_")
 RECORDED = (
     ("validity", "valid"),
     ("validity", "recheck_invalid"),
@@ -470,6 +481,37 @@ def _run_root_stable_group(out) -> int:
     return len(ROOT_STABLE_WIDTHS) * len(bases)
 
 
+def _run_scan_warnings_group(out) -> int:
+    """Run the scan-warnings group, writing an `op` line before each op, and
+    return its op count: one per signature, goal and kind of family, and
+    one per signature and goal for the search."""
+    import warnings
+
+    from ptslab import enumerate_bases, logical_consequence, parse_formula, search_counterexample
+
+    def warned(call, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(*args)
+        out.writelines(f"warning {w.message}\n" for w in caught)
+
+    kinds = {"list": list, "tuple": tuple, "generator": lambda bases: (base for base in bases)}
+    ops = 0
+    for names in SCAN_WARNING_SIGNATURES:
+        atoms = [parse_formula(x) for x in names]
+        family = list(enumerate_bases(atoms, SCAN_WARNING_RULES, consistent_only=False))
+        for texts, text in SCAN_WARNING_GOALS:
+            context, goal = [parse_formula(x) for x in texts], parse_formula(text)
+            name = f"scan-warnings/{''.join(names)}/{', '.join(texts)} |- {text}"
+            for kind, make in kinds.items():
+                out.write(f"op {name}/{kind}\n")
+                warned(logical_consequence, context, goal, make(family))
+            out.write(f"op {name}/search\n")
+            warned(search_counterexample, context, goal, atoms, SCAN_WARNING_RULES)
+            ops += len(kinds) + 1
+    return ops
+
+
 def _variants(text: str) -> dict[str, str]:
     """text and its malformed variants, by name; a variant that leaves the
     text as it is is left out."""
@@ -607,6 +649,7 @@ def main() -> int:
         ops["shared"] = _run_shared_group(out)
         ops["applications"] = _run_applications_group(out)
         ops["root-stable"] = _run_root_stable_group(out)
+        ops["scan-warnings"] = _run_scan_warnings_group(out)
     print(", ".join(f"{name} {n} ops" for name, n in ops.items()))
     print(", ".join(f"{name} {n} records" for name, n in counts.items()) + f" -> {args.out}")
     return 0
